@@ -18,9 +18,7 @@ from ballspec.errors import (
     DegenerateOrdering,
     LossOfPrecision,
     NumericalError,
-    Overflow,
     RangeError,
-    StepTooCoarse,
     Unsupported,
 )
 
@@ -37,10 +35,8 @@ __all__ = [
     "RangeError",
     "LossOfPrecision",
     "BracketFailure",
-    "StepTooCoarse",
     "DegenerateOrdering",
     "CertificateFailure",
     "Unsupported",
-    "Overflow",
     "__version__",
 ]

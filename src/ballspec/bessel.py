@@ -226,7 +226,6 @@ def _use_series(twice_nu: int, x: float) -> bool:
 # ascending series route
 
 
-@lru_cache(maxsize=65536)
 def _series_sum(twice_nu: int, x: float):
     """Scaled series S = sum_k (-q)^k / (k! (nu+1)_k), q = x^2/4.
 
@@ -293,7 +292,6 @@ def _miller_start(n_target: int, x: float) -> int:
     return n
 
 
-@lru_cache(maxsize=65536)
 def _eval_miller(twice_nu: int, x: float):
     """J_{nu} and J_{nu+1} by backward recurrence; returns floats + abs errs.
 

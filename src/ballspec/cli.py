@@ -25,7 +25,7 @@ from pathlib import Path
 
 from ballspec import __version__, courant, pleijel, selfcheck, spectrum, zeros
 from ballspec._format import dumps, format_float
-from ballspec.errors import BallspecError, NumericalError, Overflow
+from ballspec.errors import BallspecError, NumericalError
 
 
 class _UsageError(Exception):
@@ -300,7 +300,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, Overflow) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BallspecError as exc:  # parameter-domain problems: RangeError etc.

@@ -13,12 +13,12 @@ with both sides evaluated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from . import _format, zeros
 from .errors import CertificateFailure, RangeError, Unsupported
+from .pleijel import Check
 from .spectrum import (
     BoundaryCondition,
     EigenvalueRecord,
@@ -34,33 +34,6 @@ class SharpnessStatus(Enum):
     EXCLUDED_RADIAL_ORDERING = "ExcludedRadialOrdering"
     EXCLUDED_SPHERE_LABEL = "ExcludedSphereLabel"
     EXCLUDED_DIRECT_COUNT = "ExcludedDirectCount"
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A strict inequality lhs < rhs with both sides evaluated."""
-
-    name: str
-    lhs: float
-    rhs: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
-            raise CertificateFailure(
-                f"certificate {self.name} has non-finite sides"
-            )
-        if not self.lhs < self.rhs:
-            raise CertificateFailure(
-                f"certificate {self.name} is not strict: "
-                f"{self.lhs!r} >= {self.rhs!r}"
-            )
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs}
 
 
 @dataclass(frozen=True)
@@ -91,7 +64,7 @@ class SharpnessVerdict:
     record: EigenvalueRecord
     status: SharpnessStatus
     mu: int | None
-    certificate: tuple[Certificate, ...]
+    certificate: tuple[Check, ...]  # strict lhs < rhs entries
 
     def __post_init__(self) -> None:
         if self.status is SharpnessStatus.SHARP:
@@ -112,7 +85,8 @@ class SharpnessVerdict:
             "status": self.status.value,
             "label_first": self.record.label_first,
             "mu": self.mu,
-            "certificate": [c.as_dict() for c in self.certificate],
+            "certificate": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs}
+                            for c in self.certificate],
         }
 
 
@@ -152,16 +126,16 @@ def sphere_labeling(l: int, d: int) -> SphereLabeling:
     )
 
 
-def _sphere_checks(d: int, lmax: int) -> list[Certificate]:
+def _sphere_checks(d: int, lmax: int) -> list[Check]:
     """Strict certificates excluding every degree l >= 2 on the sphere."""
     checks = []
     for l in range(2, lmax + 1):
         lab = sphere_labeling(l, d)
-        checks.append(Certificate(
+        checks.append(Check(
             name=f"reduced_binomial[l={l}]",
             lhs=1, rhs=_binom(l + d - 3, d - 2),
         ))
-        checks.append(Certificate(
+        checks.append(Check(
             name=f"symmetry_vs_min_label[l={l}]",
             lhs=lab.symmetry_bound, rhs=lab.min_label,
         ))
@@ -200,24 +174,22 @@ def _verdict(rec: EigenvalueRecord, bc: BoundaryCondition,
         # domains, so the count always stays below the label: rule only
         return SharpnessVerdict(rec, SharpnessStatus.EXCLUDED_TWIST, mu, ())
     if l == 0 and m >= 2:
-        certs = [Certificate("radial_ordering", lam_11, lam_02)]
+        certs = [Check("radial_ordering", lam_11, lam_02)]
         if d == 2:
-            certs.append(Certificate("count_vs_label", mu, label))
+            certs.append(Check("count_vs_label", mu, label))
         return SharpnessVerdict(
             rec, SharpnessStatus.EXCLUDED_RADIAL_ORDERING, mu, tuple(certs))
     if l >= 2 and m == 1:
         if d == 2:
             if mu == label:
                 return SharpnessVerdict(rec, SharpnessStatus.SHARP, mu, ())
-            cert = Certificate("count_vs_label", mu, label)
+            cert = Check("count_vs_label", mu, label)
             return SharpnessVerdict(
                 rec, SharpnessStatus.EXCLUDED_DIRECT_COUNT, mu, (cert,))
         lab = sphere_labeling(l, d)
         certs = (
-            Certificate(f"reduced_binomial[l={l}]",
-                        1, _binom(l + d - 3, d - 2)),
-            Certificate(f"symmetry_vs_label[l={l}]",
-                        lab.symmetry_bound, label),
+            Check(f"reduced_binomial[l={l}]", 1, _binom(l + d - 3, d - 2)),
+            Check(f"symmetry_vs_label[l={l}]", lab.symmetry_bound, label),
         )
         return SharpnessVerdict(
             rec, SharpnessStatus.EXCLUDED_SPHERE_LABEL, mu, certs)

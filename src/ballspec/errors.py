@@ -36,13 +36,6 @@ class BracketFailure(NumericalError):
     """A sign scan failed to isolate the requested number of zeros."""
 
 
-class StepTooCoarse(NumericalError):
-    """Two zeros were detected inside a single scan cell.
-
-    Callers retry with a halved step.
-    """
-
-
 class DegenerateOrdering(NumericalError):
     """Two enumerated eigenvalues are too close to order reliably.
 
@@ -58,12 +51,3 @@ class CertificateFailure(NumericalError):
 
 class Unsupported(BallspecError):
     """The operation is defined only for a restricted parameter set."""
-
-
-class Overflow(BallspecError):
-    """Integer result exceeded a fixed-width bound.
-
-    Unreachable in this implementation: Python integers are arbitrary
-    precision, and capping them artificially would break valid large-d
-    certificates. Kept so the error surface is complete and documented.
-    """

@@ -212,8 +212,8 @@ def quotient_curve(d_min: int, d_max: int) -> list[tuple[int, float]]:
 class Check:
     """One certified comparison; construction fails unless it holds.
 
-    kind "strict_less" requires lhs < rhs, kind "equal" requires lhs == rhs
-    (used for the links of the chain that are exact identities).
+    kind "strict_less" requires lhs < rhs (courant verdicts use only this);
+    kind "equal" requires lhs == rhs (chain links that are exact identities).
     """
 
     name: str
@@ -226,14 +226,14 @@ class Check:
             raise RangeError(f"unknown check kind {self.kind!r}")
         if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
             raise CertificateFailure(
-                f"pleijel monotonicity check '{self.name}': non-finite side "
+                f"pleijel/courant check '{self.name}': non-finite side "
                 f"(lhs={self.lhs!r}, rhs={self.rhs!r})"
             )
         holds = self.lhs < self.rhs if self.kind == _STRICT else self.lhs == self.rhs
         if not holds:
             wanted = "<" if self.kind == _STRICT else "=="
             raise CertificateFailure(
-                f"pleijel monotonicity check '{self.name}' failed: "
+                f"pleijel/courant check '{self.name}' failed: "
                 f"lhs={self.lhs!r} {wanted} rhs={self.rhs!r} does not hold"
             )
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -143,27 +141,13 @@ class SpectrumTable:
         return buf.getvalue()
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("BALLSPEC_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise RangeError(
-                f"BALLSPEC_THREADS must be an integer, got {raw!r}"
-            ) from None
-    if not isinstance(threads, int) or threads < 0:
-        raise RangeError(f"threads must be an int >= 0, got {threads!r}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return threads
-
-
 def _first_zero_lower(bc: BoundaryCondition, l: int, twice_nu: int) -> float:
     """Rigorous lower bound on the first zero, increasing in l."""
     if bc is BoundaryCondition.NEUMANN:
-        return 0.0 if l == 0 else zeros._neumann_lower(l, twice_nu)
-    return zeros._dirichlet_lower(twice_nu)
+        if l == 0:
+            return 0.0  # the conventional zero at r = 0
+        return zeros._scan_start("G", l, twice_nu)[0]
+    return zeros._scan_start("J", l, twice_nu)[0]
 
 
 def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float) -> list[int]:
@@ -206,8 +190,7 @@ def _modes_upto(l: int, d: int, bc: BoundaryCondition, r_cut: float,
         m += 1
 
 
-def enumerate_spectrum(d: int, bc, lambda_max,
-                       threads: int | None = None) -> SpectrumTable:
+def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
     """Every eigenvalue <= lambda_max (absolute slack 1e-9), labeled."""
     bc = _coerce_bc(bc)
     zeros._check_l_d(0, d)
@@ -218,22 +201,10 @@ def enumerate_spectrum(d: int, bc, lambda_max,
         )
     lam_cut = lambda_max + CUTOFF_SLACK
     r_cut = min(math.sqrt(lam_cut), zeros.X_BOX)
-    degrees = _candidate_degrees(d, bc, r_cut)
-    n_threads = _thread_count(threads)
-
-    def worker(l: int) -> list[tuple[int, float]]:
-        return _modes_upto(l, d, bc, r_cut, lam_cut)
-
-    if n_threads > 1 and len(degrees) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_degree = list(pool.map(worker, degrees))
-    else:
-        per_degree = [worker(l) for l in degrees]
-
     raw = []
-    for l, modes in zip(degrees, per_degree):
+    for l in _candidate_degrees(d, bc, r_cut):
         mult = multiplicity(l, d)
-        for m, z in modes:
+        for m, z in _modes_upto(l, d, bc, r_cut, lam_cut):
             raw.append((z * z, l, m, z, mult))
     raw.sort()
 
@@ -283,8 +254,3 @@ def weyl_count(d: int, lam) -> float:
         raise RangeError(f"lambda must be a finite real >= 0, got {lam!r}")
     ball_volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
     return (2.0 * math.pi) ** (-d) * ball_volume ** 2 * lam ** (d / 2.0)
-
-
-# module-level alias so the table builder is reachable under the plain verb
-# (no internal uses of the builtin of the same name below this line)
-enumerate = enumerate_spectrum

@@ -22,12 +22,26 @@ returned zero is guaranteed to be the m-th one:
   scan starts with negative sign; the conventional zero at r = 0 is
   special-cased, never scanned.
 
-Each scanned cell is screened for a hidden pair of zeros: when the
-derivative changes sign inside a no-crossing cell, a cubic Hermite model of
-the cell is checked for a dip through zero, and any suspicious dip is
-confirmed by locating the true extremum; a confirmed double crossing raises
-StepTooCoarse. Brackets are polished by bisection to 1e-10 relative followed
-by bracket-safeguarded Newton steps to the requested tolerance.
+No scan cell can hide a pair of zeros, so the census is exhaustive. With
+w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
+
+* for nu >= 1/2, Sturm comparison with sin puts consecutive zeros of J_nu
+  at least pi apart; for nu = 0 they are more than 3.0 apart, because the
+  coefficient stays below 1.05 past j_{0,1}. This covers the Dirichlet
+  targets and the l = 0 Neumann target, which is exactly -J_{nu+1};
+* for Neumann l >= 1 (so nu >= 1), the critical points of
+  u = r^(1-d/2) J_nu lie past sqrt(l(l+d-2)) and each is a strict extremum,
+  so exactly one of them sits between consecutive zeros of u:
+  beta_m < j_m < beta_{m+1}. On (beta_m, j_m) w' changes sign, so w has a
+  critical point c there, and c + pi/2 <= j_m (Sturm comparison with cos).
+  Hence beta_{m+1} - beta_m > pi/2.
+
+Any cell of width <= pi/2 (the cap scan_brackets enforces; the census uses
+0.2) therefore holds at most one zero. A cell widened to twice the step
+around a near-zero endpoint must show a sign flip (else BracketFailure), and
+then it holds exactly one zero: three would need two gaps above pi/2.
+Brackets are polished by bisection to 1e-10 relative followed by
+bracket-safeguarded Newton steps to the requested tolerance.
 """
 
 from __future__ import annotations
@@ -39,14 +53,13 @@ from functools import lru_cache
 
 from ballspec import bessel
 from ballspec.bessel import Order
-from ballspec.errors import BracketFailure, RangeError, StepTooCoarse
+from ballspec.errors import BracketFailure, RangeError
 
 X_BOX = 200.0
 DEFAULT_STEP = 0.2
 DEFAULT_TOL = 1e-13
 _TOL_FLOOR = 1e-15  # float grid + kernel noise; tighter cannot be honored
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
-_DIP_MARGIN = 1e-3  # Hermite dip screen threshold, relative to cell scale
 
 
 class RootKind(Enum):
@@ -130,73 +143,30 @@ def _target_g(l: int, twice_nu: int):
     return f_df
 
 
-def _dirichlet_lower(twice_nu: int) -> float:
-    # j_{nu,1}^2 > nu(nu+2); shrink a hair so float rounding stays safe
-    return math.sqrt(twice_nu * (twice_nu + 4)) * 0.5 * (1.0 - 1e-9)
+def _target(tag: str, l: int, twice_nu: int):
+    """f_df of the J target (tag "J") or the derivative target (tag "G")."""
+    return _target_J(twice_nu) if tag == "J" else _target_g(l, twice_nu)
 
 
-def _neumann_lower(l: int, twice_nu: int) -> float:
+def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
+    """(start, sign): the target has sign ``sign`` throughout (0, start].
+
+    The one place that knows where a scan starts; the start fixes the grid.
+    """
+    if tag == "J":
+        # j_{nu,1}^2 > nu(nu+2); shrink a hair so float rounding stays safe
+        return math.sqrt(twice_nu * (twice_nu + 4)) * 0.5 * (1.0 - 1e-9), 1
+    if l == 0:
+        # derivative target is exactly -J_{nu+1}: negative near 0+
+        return _scan_start("J", 0, twice_nu + 2)[0], -1
     # beta_{l,1}^2 > 2l(nu+1) / (1 + 2l(nu+1)/(nu(nu+2))) for l >= 1
     a = l * (twice_nu + 2)  # = 2l(nu+1)
     dsq = twice_nu * (twice_nu + 4) / 4.0  # = nu(nu+2)
-    return math.sqrt(a / (1.0 + a / dsq)) * (1.0 - 1e-9)
-
-
-def _scan_setup(kind: RootKind, l: int, d: int):
-    """(f_df, start, start_sign) with (0, start] certified zero-free."""
-    twice_nu = 2 * l + d - 2
-    if kind in (RootKind.BESSEL_J, RootKind.DIRICHLET_XI):
-        return _target_J(twice_nu), _dirichlet_lower(twice_nu), 1
-    if l == 0:
-        # derivative target is exactly -J_{nu+1}: negative near 0+
-        return _target_g(0, twice_nu), _dirichlet_lower(twice_nu + 2), -1
-    return _target_g(l, twice_nu), _neumann_lower(l, twice_nu), 1
+    return math.sqrt(a / (1.0 + a / dsq)) * (1.0 - 1e-9), 1
 
 
 # ---------------------------------------------------------------------------
-# the scan: walk cells, screen each for hidden zero pairs, yield brackets
-
-
-def _hermite_dip(fa, dfa, fb, dfb, h, scale) -> bool:
-    """True if the cubic model of the cell dips to (or through) zero."""
-    c0, c1 = fa, h * dfa
-    c2 = -3.0 * fa - 2.0 * h * dfa + 3.0 * fb - h * dfb
-    c3 = 2.0 * fa + h * dfa - 2.0 * fb + h * dfb
-    # extrema: 3 c3 t^2 + 2 c2 t + c1 = 0 on (0, 1)
-    s = 1.0 if fa > 0.0 else -1.0
-    if c3 == 0.0:
-        roots = [-c1 / (2.0 * c2)] if c2 != 0.0 else []
-    else:
-        disc = 4.0 * c2 * c2 - 12.0 * c3 * c1
-        if disc < 0.0:
-            return False
-        sq = math.sqrt(disc)
-        roots = [(-2.0 * c2 - sq) / (6.0 * c3), (-2.0 * c2 + sq) / (6.0 * c3)]
-    for t in roots:
-        if 0.0 < t < 1.0:
-            val = ((c3 * t + c2) * t + c1) * t + c0
-            if s * val <= _DIP_MARGIN * scale:
-                return True
-    return False
-
-
-def _confirm_pair(f_df, a, dfa, b, dfb, sign_a) -> bool:
-    """Locate the true extremum by derivative bisection; True if f crosses."""
-    lo, hi = a, b
-    dlo = dfa
-    for _ in range(60):
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        fm, dfm = f_df(mid)
-        if sign_a * fm <= 0.0:
-            return True  # found an actual crossing inside the cell
-        if (dfm > 0.0) == (dlo > 0.0):
-            lo, dlo = mid, dfm
-        else:
-            hi = mid
-    fm, _ = f_df(0.5 * (lo + hi))
-    return sign_a * fm <= 0.0
+# the scan: walk cells of at most pi/2, yield the sign-change brackets
 
 
 def _walk_brackets(f_df, start: float, start_sign: int, step: float,
@@ -204,44 +174,29 @@ def _walk_brackets(f_df, start: float, start_sign: int, step: float,
     """Yield (lo, hi, sign_lo) sign-change cells over (start, x_limit].
 
     The target must have the sign ``start_sign`` throughout (0, start]
-    (start may be 0 for targets positive near the origin). Cells without a
-    crossing are screened for a hidden pair of zeros; a confirmed pair
-    raises StepTooCoarse so the caller can retry with a smaller step.
+    (start may be 0 for targets positive near the origin).
     """
     prev_x = start
     prev_sign = 1 if start_sign > 0 else -1
-    prev_f = None
-    prev_df = None
     while prev_x < x_limit:
         x = min(prev_x + step, x_limit)
-        f, df = f_df(x)
+        f = f_df(x)[0]
         if abs(f) < _TINY:
             # endpoint sits on (or straddles underflow near) a zero: widen
             # one step so the zero lands strictly inside the bracket
             x2 = x + step
-            f2, df2 = f_df(x2)
+            f2 = f_df(x2)[0]
             if (f2 > 0.0) == (prev_sign > 0) or abs(f2) < _TINY:
                 raise BracketFailure(
                     f"sign did not flip across near-zero endpoint x={x!r}"
                 )
             yield prev_x, x2, prev_sign
-            prev_x, prev_sign, prev_f, prev_df = x2, -prev_sign, f2, df2
+            prev_x, prev_sign = x2, -prev_sign
             continue
         sign = 1 if f > 0.0 else -1
         if sign != prev_sign:
             yield prev_x, x, prev_sign
-        elif (
-            prev_df is not None
-            and (df > 0.0) != (prev_df > 0.0)
-            and _hermite_dip(prev_f, prev_df, f, df, x - prev_x,
-                             max(abs(prev_f), abs(f)))
-            and _confirm_pair(f_df, prev_x, prev_df, x, df, prev_sign)
-        ):
-            raise StepTooCoarse(
-                f"two zeros inside one scan cell [{prev_x!r}, {x!r}]; "
-                f"retry with step below {0.5 * step!r}"
-            )
-        prev_x, prev_sign, prev_f, prev_df = x, sign, f, df
+        prev_x, prev_sign = x, sign
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +249,13 @@ def _refine(f_df, lo: float, hi: float, sign_lo: int, tol: float) -> float:
 @lru_cache(maxsize=8192)
 def _census_bracket(kind_tag: str, l: int, twice_nu: int, m: int):
     """Bracket of the m-th positive zero: (lo, hi, sign_lo)."""
-    if kind_tag == "J":
-        f_df = _target_J(twice_nu)
-        start, sign = _dirichlet_lower(twice_nu), 1
-    else:
-        f_df = _target_g(l, twice_nu)
-        if l == 0:
-            start, sign = _dirichlet_lower(twice_nu + 2), -1
-        else:
-            start, sign = _neumann_lower(l, twice_nu), 1
     if m > 1:
         prev = _census_bracket(kind_tag, l, twice_nu, m - 1)
         start, sign = prev[1], -prev[2]
-    for cell in _walk_brackets(f_df, start, sign, DEFAULT_STEP, X_BOX):
+    else:
+        start, sign = _scan_start(kind_tag, l, twice_nu)
+    for cell in _walk_brackets(_target(kind_tag, l, twice_nu), start, sign,
+                               DEFAULT_STEP, X_BOX):
         return cell
     raise RangeError(
         f"zero #{m} of {kind_tag}(l={l}, twice_nu={twice_nu}) lies beyond "
@@ -317,8 +266,7 @@ def _census_bracket(kind_tag: str, l: int, twice_nu: int, m: int):
 @lru_cache(maxsize=8192)
 def _census_zero(kind_tag: str, l: int, twice_nu: int, m: int, tol: float):
     lo, hi, sign_lo = _census_bracket(kind_tag, l, twice_nu, m)
-    f_df = _target_J(twice_nu) if kind_tag == "J" else _target_g(l, twice_nu)
-    return _refine(f_df, lo, hi, sign_lo, tol)
+    return _refine(_target(kind_tag, l, twice_nu), lo, hi, sign_lo, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +332,11 @@ def scan_brackets(kind: RootKind, l: int, d: int, x_max: float,
     step = float(step)
     if not 0.0 < step <= math.pi / 2.0:
         raise RangeError(f"step={step!r} outside (0, pi/2]")
-    f_df, start, sign = _scan_setup(kind, l, d)
-    out = []
-    if start < x_max:
-        for lo, hi, _ in _walk_brackets(f_df, start, sign, step, x_max):
-            out.append(Bracket(lo, hi))
-    return out
+    tag = "G" if kind is RootKind.NEUMANN_XI_PRIME else "J"
+    twice_nu = 2 * l + d - 2
+    start, sign = _scan_start(tag, l, twice_nu)
+    return [Bracket(lo, hi) for lo, hi, _ in _walk_brackets(
+        _target(tag, l, twice_nu), start, sign, step, x_max)]
 
 
 def _check_l_d(l: int, d: int) -> None:

@@ -12,7 +12,6 @@ from scipy import ndimage
 from ballspec import courant, zeros
 from ballspec.bessel import Order, eval_J
 from ballspec.courant import (
-    Certificate,
     SharpnessStatus,
     SharpnessVerdict,
     SphereLabeling,
@@ -24,6 +23,7 @@ from ballspec.courant import (
     verdicts_to_json,
 )
 from ballspec.errors import CertificateFailure, RangeError, Unsupported
+from ballspec.pleijel import Check
 from ballspec.spectrum import BoundaryCondition, enumerate_spectrum, multiplicity
 
 D = BoundaryCondition.DIRICHLET
@@ -167,18 +167,22 @@ class TestSphereLabeling:
 
 class TestCertificate:
     def test_strictness_enforced(self):
-        cert = Certificate("demo", 1.0, 2.0)
-        assert cert.margin == 1.0
-        with pytest.raises(CertificateFailure):
-            Certificate("demo", 2.0, 2.0)
-        with pytest.raises(CertificateFailure):
-            Certificate("demo", 3.0, 2.0)
-        with pytest.raises(CertificateFailure):
-            Certificate("demo", float("nan"), 2.0)
+        cert = Check("demo", 1.0, 2.0)
+        assert cert.margin == 1.0 and cert.kind == "strict_less"
+        with pytest.raises(CertificateFailure, match="demo"):
+            Check("demo", 2.0, 2.0)
+        with pytest.raises(CertificateFailure, match="demo"):
+            Check("demo", 3.0, 2.0)
+        with pytest.raises(CertificateFailure, match="demo"):
+            Check("demo", float("nan"), 2.0)
 
     def test_as_dict_fields(self):
-        cert = Certificate("demo", 1, 3)
-        assert cert.as_dict() == {"name": "demo", "lhs": 1, "rhs": 3}
+        # verdict JSON keeps only name, lhs and rhs of each check
+        rec = enumerate_spectrum(2, N, 18.0).record_for(0, 2)
+        verdict = SharpnessVerdict(rec, SharpnessStatus.EXCLUDED_RADIAL_ORDERING,
+                                   2, (Check("demo", 1, 3),))
+        assert verdict.as_dict()["certificate"] == [
+            {"name": "demo", "lhs": 1, "rhs": 3}]
 
 
 class TestSphereCourantSharp:
@@ -221,7 +225,7 @@ class TestSharpnessVerdict:
         rec = self._record()
         with pytest.raises(CertificateFailure):
             SharpnessVerdict(rec, SharpnessStatus.SHARP, 2,
-                             (Certificate("demo", 1.0, 2.0),))
+                             (Check("demo", 1.0, 2.0),))
 
 
 # ---------------------------------------------------------------------------

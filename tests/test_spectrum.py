@@ -310,22 +310,6 @@ class TestSerialization:
         assert first[0] == "2" and first[1] == "Dirichlet"
         assert float(first[5]) == table.records[0].lam
 
-    def test_threaded_enumeration_is_byte_identical(self, monkeypatch):
-        base = enumerate_spectrum(5, D, 120.0, threads=1).to_json()
-        assert enumerate_spectrum(5, D, 120.0, threads=3).to_json() == base
-        monkeypatch.setenv("BALLSPEC_THREADS", "4")
-        assert enumerate_spectrum(5, D, 120.0).to_json() == base
-        monkeypatch.setenv("BALLSPEC_THREADS", "0")  # auto
-        assert enumerate_spectrum(5, D, 120.0).to_json() == base
-
-    def test_invalid_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("BALLSPEC_THREADS", "many")
-        with pytest.raises(RangeError):
-            enumerate_spectrum(2, D, 10.0)
-
-    def test_enumerate_alias(self):
-        assert spectrum.enumerate is enumerate_spectrum
-
 
 # ---------------------------------------------------------------------------
 # argument validation

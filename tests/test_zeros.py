@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ballspec import zeros
 from ballspec.bessel import Order, eval_Xi, eval_Xi_prime
-from ballspec.errors import BracketFailure, RangeError, StepTooCoarse
+from ballspec.errors import BracketFailure, RangeError
 from ballspec.zeros import Bracket, RootKind, RootRequest
 
 from tests import _frozen
@@ -227,6 +227,31 @@ class TestScanBrackets:
         brs = zeros.scan_brackets(RootKind.BESSEL_J, 0, 2, j05 + 0.05)
         assert len(brs) == 5
         assert brs[-1].lo < j05 < brs[-1].hi
+        # consecutive zeros are more than pi/2 apart (zeros module docstring),
+        # so the widest allowed step still isolates each census zero: the
+        # tightest J spacing (d=2, l=0), Neumann l=0 and l>=1 for d=2, 3, and
+        # a high order on the Miller route
+        cases = [
+            (RootKind.BESSEL_J, 0, 2, 8),
+            (RootKind.NEUMANN_XI_PRIME, 0, 2, 6),
+            (RootKind.NEUMANN_XI_PRIME, 0, 3, 6),
+            (RootKind.NEUMANN_XI_PRIME, 1, 2, 6),
+            (RootKind.NEUMANN_XI_PRIME, 3, 3, 6),
+            (RootKind.DIRICHLET_XI, 100, 4, 4),
+        ]
+        for kind, l, d, n in cases:
+            if kind is RootKind.NEUMANN_XI_PRIME:
+                # neumann_zero counts the conventional zero at r = 0 for l = 0
+                first = 2 if l == 0 else 1
+                census = [zeros.neumann_zero(l, d, m)
+                          for m in range(first, first + n)]
+            else:
+                census = [zeros.dirichlet_zero(l, d, m) for m in range(1, n + 1)]
+            for step in (zeros.DEFAULT_STEP, math.pi / 2):
+                brs = zeros.scan_brackets(kind, l, d, census[-1] + 0.05, step)
+                assert len(brs) == n, (kind, l, d, step)
+                for br, z in zip(brs, census):
+                    assert br.lo < z < br.hi, (kind, l, d, step, z)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +370,8 @@ def test_zero_grid_monotone(tn, m):
 
 
 class TestWalkerSynthetics:
-    def test_two_zeros_in_one_cell_raise_step_too_coarse(self):
-        # parabola with roots 4.95 and 5.05: both inside the [4.9, 5.1] cell
-        def f_df(x):
-            return (x - 4.95) * (x - 5.05), 2.0 * x - 10.0
-
-        with pytest.raises(StepTooCoarse):
-            list(zeros._walk_brackets(f_df, 4.5, 1, 0.2, 6.0))
-
     def test_shallow_dip_is_not_flagged(self):
-        # same derivative sign pattern, but the minimum stays well above 0
+        # the derivative changes sign inside a cell, the minimum stays above 0
         def f_df(x):
             return (x - 5.0) ** 2 + 0.5, 2.0 * (x - 5.0)
 
