@@ -116,17 +116,16 @@ def _run_zeros(args) -> int:
     if args.count is not None and args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
     ms = [args.m] if args.m is not None else list(range(1, (args.count or 5) + 1))
-    finder = zeros.dirichlet_zero if args.bc == "dirichlet" else zeros.neumann_zero
+    bc = spectrum._coerce_bc(args.bc)
     tol = zeros.DEFAULT_TOL if args.tol is None else args.tol
     entries = []
     for m in ms:
-        z = finder(args.l, args.d, m, tol)
+        z = spectrum._finder(bc)(args.l, args.d, m, tol)
         entries.append({"m": m, "zero": z, "lambda": z * z})
-    bc_name = "Dirichlet" if args.bc == "dirichlet" else "Neumann"
     if args.format == "json":
         payload = {
             "d": args.d,
-            "bc": bc_name,
+            "bc": bc.value,
             "l": args.l,
             "tol": tol,
             "zeros": entries,

@@ -24,6 +24,7 @@ from .spectrum import (
     EigenvalueRecord,
     _binom,
     _coerce_bc,
+    _finder,
     enumerate_spectrum,
 )
 
@@ -208,8 +209,7 @@ def courant_sharp_ball(d: int, bc, lmax: int = 8,
         raise RangeError(f"lmax must be an int >= 1, got {lmax!r}")
     if not isinstance(mmax, int) or mmax < 1:
         raise RangeError(f"mmax must be an int >= 1, got {mmax!r}")
-    finder = (zeros.dirichlet_zero if bc is BoundaryCondition.DIRICHLET
-              else zeros.neumann_zero)
+    finder = _finder(bc)
     z_top = finder(lmax, d, mmax)  # zeros increase in both l and m
     table = enumerate_spectrum(d, bc, z_top * z_top)
     lam_11 = finder(1, d, 1) ** 2

@@ -43,6 +43,12 @@ def _coerce_bc(bc) -> BoundaryCondition:
     raise RangeError(f"bc must be Dirichlet or Neumann, got {bc!r}")
 
 
+def _finder(bc: BoundaryCondition):
+    """The zeros function whose m-th zero is the (l, m) radial frequency."""
+    return (zeros.dirichlet_zero if bc is BoundaryCondition.DIRICHLET
+            else zeros.neumann_zero)
+
+
 def _binom(n: int, k: int) -> int:
     """C(n, k), zero for n < k or n < 0 (exact integers)."""
     return comb(n, k) if n >= 0 else 0
@@ -177,8 +183,7 @@ def _modes_upto(l: int, d: int, bc: BoundaryCondition, r_cut: float,
         m = 2
     else:
         m = 1
-    finder = (zeros.dirichlet_zero if bc is BoundaryCondition.DIRICHLET
-              else zeros.neumann_zero)
+    finder = _finder(bc)
     while True:
         try:
             z = finder(l, d, m)
@@ -230,9 +235,7 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
 @lru_cache(maxsize=4096)
 def _label_of_cached(d: int, bc_value: str, l: int, m: int) -> int:
     bc = BoundaryCondition(bc_value)
-    finder = (zeros.dirichlet_zero if bc is BoundaryCondition.DIRICHLET
-              else zeros.neumann_zero)
-    z = finder(l, d, m)
+    z = _finder(bc)(l, d, m)
     table = enumerate_spectrum(d, bc, z * z)
     return table.record_for(l, m).label_first
 

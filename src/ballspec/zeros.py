@@ -36,12 +36,12 @@ w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
   critical point c there, and c + pi/2 <= j_m (Sturm comparison with cos).
   Hence beta_{m+1} - beta_m > pi/2.
 
-Any cell of width <= pi/2 (the cap scan_brackets enforces; the census uses
-0.2) therefore holds at most one zero. A cell widened to twice the step
-around a near-zero endpoint must show a sign flip (else BracketFailure), and
-then it holds exactly one zero: three would need two gaps above pi/2.
-Brackets are polished by bisection to 1e-10 relative followed by
-bracket-safeguarded Newton steps to the requested tolerance.
+Any cell of width <= pi/2 therefore holds at most one zero: the census
+steps by exactly pi/2 (DEFAULT_STEP, also the cap of scan_brackets). A cell
+widened to twice the step around a near-zero endpoint must show a sign flip
+(else BracketFailure), and then it holds exactly one zero: three would need
+two gaps above pi/2. Safeguarded Newton refines each bracket, and every
+returned zero x is sign-enclosed: the target changes sign in x +- tol*x/2.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
 
 X_BOX = 200.0
-DEFAULT_STEP = 0.2
+DEFAULT_STEP = math.pi / 2  # widest cell that holds at most one zero
 DEFAULT_TOL = 1e-13
 _TOL_FLOOR = 1e-15  # float grid + kernel noise; tighter cannot be honored
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
@@ -200,42 +200,40 @@ def _walk_brackets(f_df, start: float, start_sign: int, step: float,
 
 
 # ---------------------------------------------------------------------------
-# refinement: bisection + bracket-safeguarded Newton
+# refinement: bracket-safeguarded Newton with a verified enclosure
 
 
 def _refine(f_df, lo: float, hi: float, sign_lo: int, tol: float) -> float:
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float grid exhausted
-        fm, _ = f_df(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (sign_lo > 0):
-            lo = mid
-        else:
-            hi = mid
+    """Zero in the sign-change bracket (lo, hi), sign-enclosed within tol.
+
+    Newton from the midpoint; a step that leaves the bracket, or is more
+    than half the step before last (so a bad derivative cannot stall the
+    loop), becomes a bisection. A step below h = tol*x/2 lands on x, which
+    is returned only once the target changes sign within [x - h, x + h].
+    """
     x = 0.5 * (lo + hi)
-    for _ in range(12):
+    dx_old = dx_older = hi - lo
+    for _ in range(100):
         f, df = f_df(x)
         if f == 0.0:
             return x
-        if (f > 0.0) == (sign_lo > 0):
-            lo = max(lo, x)
-        else:
-            hi = min(hi, x)
-        if df == 0.0:
-            x = 0.5 * (lo + hi)
-            continue
-        dx = f / df
-        x_new = x - dx
-        if not lo <= x_new <= hi:
+        lo, hi = (x, hi) if (f > 0.0) == (sign_lo > 0) else (lo, x)
+        x_new = x - f / df if df != 0.0 else math.inf
+        if not lo <= x_new <= hi or abs(x_new - x) > 0.5 * dx_older:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 0.5 * tol * max(x, 1.0):
-            return x_new
+        h = 0.5 * tol * x_new
+        if abs(x_new - x) <= h:
+            for p in (x_new - h, x_new + h):
+                if lo < p < hi:
+                    fp = f_df(p)[0]
+                    if fp == 0.0:
+                        return p
+                    lo, hi = (p, hi) if (fp > 0.0) == (sign_lo > 0) else (lo, p)
+            if x_new - h <= lo and hi <= x_new + h:
+                return x_new
+            x_new = 0.5 * (lo + hi)  # the root lies beyond a probe
+        dx_older, dx_old = dx_old, abs(x_new - x)
         x = x_new
-    if hi - lo <= tol * max(hi, 1.0):
-        return 0.5 * (lo + hi)
     raise BracketFailure(
         f"refinement stalled in [{lo!r}, {hi!r}] at tol={tol!r}; "
         "kernel accuracy may be insufficient"
@@ -330,7 +328,7 @@ def scan_brackets(kind: RootKind, l: int, d: int, x_max: float,
     if not 0.0 < x_max <= X_BOX:
         raise RangeError(f"x_max={x_max!r} outside (0, {X_BOX}]")
     step = float(step)
-    if not 0.0 < step <= math.pi / 2.0:
+    if not 0.0 < step <= DEFAULT_STEP:
         raise RangeError(f"step={step!r} outside (0, pi/2]")
     tag = "G" if kind is RootKind.NEUMANN_XI_PRIME else "J"
     twice_nu = 2 * l + d - 2

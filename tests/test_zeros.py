@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballspec import zeros
+from ballspec import bessel, spectrum, zeros
 from ballspec.bessel import Order, eval_Xi, eval_Xi_prime
 from ballspec.errors import BracketFailure, RangeError
 from ballspec.zeros import Bracket, RootKind, RootRequest
@@ -247,7 +247,7 @@ class TestScanBrackets:
                           for m in range(first, first + n)]
             else:
                 census = [zeros.dirichlet_zero(l, d, m) for m in range(1, n + 1)]
-            for step in (zeros.DEFAULT_STEP, math.pi / 2):
+            for step in (0.2, math.pi / 2):
                 brs = zeros.scan_brackets(kind, l, d, census[-1] + 0.05, step)
                 assert len(brs) == n, (kind, l, d, step)
                 for br, z in zip(brs, census):
@@ -290,6 +290,70 @@ class TestCensus:
         a = zeros.dirichlet_zero(4, 3, 2)
         b = zeros.dirichlet_zero(4, 3, 2)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# refinement: verified enclosures and the kernel-call budget
+
+# (tag, l, twice_nu) of census targets: J at d=2 l=0 (tightest spacing),
+# Neumann l=0 and l=3 at d=3, Dirichlet l=100 at d=4 (Miller route)
+ENCLOSURE_TARGETS = [("J", 0, 0), ("G", 0, 1), ("G", 3, 7), ("J", 0, 202)]
+
+
+def sign_enclosed(f_df, z: float, tol: float) -> bool:
+    h = 0.5 * tol * z
+    return f_df(z - h)[0] * f_df(z + h)[0] < 0.0
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-13, 1e-15])
+    @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS)
+    def test_census_zeros_are_sign_enclosed(self, tag, l, twice_nu, tol):
+        f_df = zeros._target(tag, l, twice_nu)
+        for m in range(1, 4):
+            z = zeros._census_zero(tag, l, twice_nu, m, tol)
+            assert sign_enclosed(f_df, z, tol), (m, z)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-13, 1e-15])
+    @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS)
+    def test_bad_derivative_neither_stalls_nor_misleads(
+        self, tag, l, twice_nu, tol
+    ):
+        # a derivative 1e6 too large makes every Newton step look converged;
+        # the enclosure check must refuse those points, and the bisection
+        # safeguard must still reach the root within the iteration cap
+        f_df = zeros._target(tag, l, twice_nu)
+
+        def bad(x):
+            f, df = f_df(x)
+            return f, 1e6 * df
+
+        lo, hi, sign_lo = zeros._census_bracket(tag, l, twice_nu, 2)
+        z = zeros._refine(bad, lo, hi, sign_lo, tol)
+        assert sign_enclosed(f_df, z, tol)
+        want = zeros._census_zero(tag, l, twice_nu, 2, tol)
+        assert abs(z - want) <= tol * want
+
+    @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
+                                                 (4, "neumann", 1900)])
+    def test_kernel_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
+        # scan at step pi/2 plus safeguarded Newton: at most 10 pair calls
+        # per zero (the counts are deterministic)
+        zeros._census_bracket.cache_clear()
+        zeros._census_zero.cache_clear()
+        calls = 0
+        real = bessel.eval_J_pair
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(bessel, "eval_J_pair", counted)
+        spectrum.enumerate_spectrum(d, bc, lambda_max)
+        cold = zeros._census_zero.cache_info().misses
+        assert cold > 100
+        assert calls <= 10 * cold, calls / cold
 
 
 # ---------------------------------------------------------------------------
