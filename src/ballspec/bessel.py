@@ -406,6 +406,11 @@ def _eval_miller(twice_nu: int, x: float):
 # public types and API
 
 
+def _is_int(n) -> bool:
+    """A true int: bool is an int subclass but never a degree or an index."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class Order:
     """Bessel order nu stored exactly as twice_nu = 2*nu (an integer)."""
@@ -413,7 +418,7 @@ class Order:
     twice_nu: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.twice_nu, int) or isinstance(self.twice_nu, bool):
+        if not _is_int(self.twice_nu):
             raise RangeError(f"twice_nu must be an int, got {self.twice_nu!r}")
         if not 0 <= self.twice_nu <= TWICE_NU_MAX:
             raise RangeError(
@@ -427,7 +432,7 @@ class Order:
     @classmethod
     def from_l_d(cls, l: int, d: int) -> "Order":
         """Order nu = l + d/2 - 1 attached to degree l in dimension d."""
-        if not isinstance(l, int) or not isinstance(d, int):
+        if not _is_int(l) or not _is_int(d):
             raise RangeError(f"l and d must be ints, got l={l!r}, d={d!r}")
         if l < 0 or d < 2:
             raise RangeError(f"need l >= 0 and d >= 2, got l={l}, d={d}")
@@ -497,7 +502,7 @@ def eval_J_pair(nu: Order, x: float) -> tuple[EvalResult, EvalResult]:
 
 
 def _xi_order(l: int, d: int) -> Order:
-    if not isinstance(l, int) or not isinstance(d, int):
+    if not _is_int(l) or not _is_int(d):
         raise RangeError(f"l and d must be ints, got l={l!r}, d={d!r}")
     if l < 0:
         raise RangeError(f"degree l must be >= 0, got {l}")

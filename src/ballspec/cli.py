@@ -120,7 +120,7 @@ def _run_zeros(args) -> int:
     tol = zeros.DEFAULT_TOL if args.tol is None else args.tol
     entries = []
     for m in ms:
-        z = spectrum._finder(bc)(args.l, args.d, m, tol)
+        z = zeros.find_zero(spectrum.ROOT_KIND[bc], args.l, args.d, m, tol)
         entries.append({"m": m, "zero": z, "lambda": z * z})
     if args.format == "json":
         payload = {

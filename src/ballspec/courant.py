@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from . import _format, zeros
+from .bessel import _is_int
 from .errors import CertificateFailure, RangeError, Unsupported
 from .pleijel import Check
 from .spectrum import (
+    ROOT_KIND,
     BoundaryCondition,
     EigenvalueRecord,
     _binom,
     _coerce_bc,
-    _finder,
     enumerate_spectrum,
 )
 
@@ -47,9 +49,9 @@ class SphereLabeling:
     symmetry_bound: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l, int) or self.l < 0:
+        if not _is_int(self.l) or self.l < 0:
             raise RangeError(f"l must be a nonnegative int, got {self.l!r}")
-        if not isinstance(self.d, int) or self.d < 3:
+        if not _is_int(self.d) or self.d < 3:
             raise RangeError(f"d must be an int >= 3, got {self.d!r}")
         if self.min_label != _min_label(self.l, self.d):
             raise RangeError("min_label does not match the labeling formula")
@@ -94,9 +96,9 @@ class SharpnessVerdict:
 def nodal_count_disc(l: int, m: int, bc, d: int = 2) -> int:
     """Nodal domains of the (l, m) disc eigenfunction: m bands x 2l sectors."""
     _coerce_bc(bc)  # both conditions share the product structure
-    if not isinstance(l, int) or l < 0:
+    if not _is_int(l) or l < 0:
         raise RangeError(f"l must be a nonnegative int, got {l!r}")
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise RangeError(f"m must be a positive int, got {m!r}")
     if d != 2:
         raise Unsupported(
@@ -116,9 +118,9 @@ def _min_label(l: int, d: int) -> int:
 
 def sphere_labeling(l: int, d: int) -> SphereLabeling:
     """Minimal label and nodal-count symmetry bound on the (d-1)-sphere."""
-    if not isinstance(d, int) or d < 3:
+    if not _is_int(d) or d < 3:
         raise RangeError(f"d must be an int >= 3, got {d!r}")
-    if not isinstance(l, int) or l < 0:
+    if not _is_int(l) or l < 0:
         raise RangeError(f"l must be a nonnegative int, got {l!r}")
     return SphereLabeling(
         l=l, d=d,
@@ -150,9 +152,9 @@ def sphere_courant_sharp(d: int, lmax: int = 50) -> set[int]:
     is excluded by strict certificates, and the excluding binomial is
     increasing in l, so larger degrees are immediate.
     """
-    if not isinstance(d, int) or d < 3:
+    if not _is_int(d) or d < 3:
         raise RangeError(f"d must be an int >= 3, got {d!r}")
-    if not isinstance(lmax, int) or lmax < 2:
+    if not _is_int(lmax) or lmax < 2:
         raise RangeError(f"lmax must be an int >= 2, got {lmax!r}")
     _sphere_checks(d, lmax)  # raises CertificateFailure on any violation
     return {1, 2}
@@ -205,11 +207,11 @@ def courant_sharp_ball(d: int, bc, lmax: int = 8,
     """Verdicts for every mode with l <= lmax, m <= mmax, in label order."""
     bc = _coerce_bc(bc)
     zeros._check_l_d(0, d)
-    if not isinstance(lmax, int) or lmax < 1:
+    if not _is_int(lmax) or lmax < 1:
         raise RangeError(f"lmax must be an int >= 1, got {lmax!r}")
-    if not isinstance(mmax, int) or mmax < 1:
+    if not _is_int(mmax) or mmax < 1:
         raise RangeError(f"mmax must be an int >= 1, got {mmax!r}")
-    finder = _finder(bc)
+    finder = partial(zeros.find_zero, ROOT_KIND[bc])
     z_top = finder(lmax, d, mmax)  # zeros increase in both l and m
     table = enumerate_spectrum(d, bc, z_top * z_top)
     lam_11 = finder(1, d, 1) ** 2

@@ -43,10 +43,11 @@ def _coerce_bc(bc) -> BoundaryCondition:
     raise RangeError(f"bc must be Dirichlet or Neumann, got {bc!r}")
 
 
-def _finder(bc: BoundaryCondition):
-    """The zeros function whose m-th zero is the (l, m) radial frequency."""
-    return (zeros.dirichlet_zero if bc is BoundaryCondition.DIRICHLET
-            else zeros.neumann_zero)
+# the zeros target whose m-th zero is the (l, m) radial frequency
+ROOT_KIND = {
+    BoundaryCondition.DIRICHLET: zeros.RootKind.DIRICHLET_XI,
+    BoundaryCondition.NEUMANN: zeros.RootKind.NEUMANN_XI_PRIME,
+}
 
 
 def _binom(n: int, k: int) -> int:
@@ -147,24 +148,14 @@ class SpectrumTable:
         return buf.getvalue()
 
 
-def _first_zero_lower(bc: BoundaryCondition, l: int, twice_nu: int) -> float:
-    """Rigorous lower bound on the first zero, increasing in l."""
-    if bc is BoundaryCondition.NEUMANN:
-        if l == 0:
-            return 0.0  # the conventional zero at r = 0
-        return zeros._scan_start("G", l, twice_nu)[0]
-    return zeros._scan_start("J", l, twice_nu)[0]
-
-
 def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float) -> list[int]:
+    kind = ROOT_KIND[bc]
     out = []
     l = 0
-    while True:
-        twice_nu = 2 * l + d - 2
-        if _first_zero_lower(bc, l, twice_nu) > r_cut:
-            return out
+    while zeros._first_zero_lower(kind, l, d) <= r_cut:
         # the zero census evaluates the (nu, nu+1) pair, so the usable
         # order box ends two index steps below the kernel maximum
+        twice_nu = 2 * l + d - 2
         if twice_nu + 2 > TWICE_NU_MAX:
             raise RangeError(
                 f"completeness up to lambda_max={r_cut * r_cut!r} needs "
@@ -172,27 +163,14 @@ def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float) -> list[int]
             )
         out.append(l)
         l += 1
+    return out
 
 
 def _modes_upto(l: int, d: int, bc: BoundaryCondition, r_cut: float,
                 lam_cut: float) -> list[tuple[int, float]]:
     """(m, zero) pairs with zero <= r_cut and zero^2 <= lam_cut, in order."""
-    out = []
-    if bc is BoundaryCondition.NEUMANN and l == 0:
-        out.append((1, 0.0))
-        m = 2
-    else:
-        m = 1
-    finder = _finder(bc)
-    while True:
-        try:
-            z = finder(l, d, m)
-        except RangeError:
-            return out  # next zero is past the box, hence past r_cut
-        if z > r_cut or z * z > lam_cut:
-            return out
-        out.append((m, z))
-        m += 1
+    found = zeros.radial_zeros(ROOT_KIND[bc], l, d, r_cut)
+    return [(m, z) for m, z in enumerate(found, 1) if z * z <= lam_cut]
 
 
 def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
@@ -235,7 +213,7 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
 @lru_cache(maxsize=4096)
 def _label_of_cached(d: int, bc_value: str, l: int, m: int) -> int:
     bc = BoundaryCondition(bc_value)
-    z = _finder(bc)(l, d, m)
+    z = zeros.find_zero(ROOT_KIND[bc], l, d, m)
     table = enumerate_spectrum(d, bc, z * z)
     return table.record_for(l, m).label_first
 
@@ -244,8 +222,7 @@ def label_of(d: int, bc, l: int, m: int) -> int:
     """Minimal label n with lambda_n equal to the (l, m) eigenvalue."""
     bc = _coerce_bc(bc)
     zeros._check_l_d(l, d)
-    if not isinstance(m, int) or m < 1:
-        raise RangeError(f"m must be a positive int, got {m!r}")
+    zeros._check_m(m)
     return _label_of_cached(d, bc.value, l, m)
 
 

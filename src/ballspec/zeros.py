@@ -52,7 +52,7 @@ from enum import Enum
 from functools import lru_cache
 
 from ballspec import bessel
-from ballspec.bessel import Order
+from ballspec.bessel import Order, _is_int
 from ballspec.errors import BracketFailure, RangeError
 
 X_BOX = 200.0
@@ -66,28 +66,6 @@ class RootKind(Enum):
     BESSEL_J = "BesselJ"
     DIRICHLET_XI = "DirichletXi"
     NEUMANN_XI_PRIME = "NeumannXiPrime"
-
-
-@dataclass(frozen=True)
-class RootRequest:
-    """One zero request: kind, degree l, dimension d, index m, tolerance."""
-
-    kind: RootKind
-    l: int
-    d: int
-    m: int
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, RootKind):
-            raise RangeError(f"kind must be a RootKind, got {self.kind!r}")
-        if not isinstance(self.l, int) or self.l < 0:
-            raise RangeError(f"l must be a nonnegative int, got {self.l!r}")
-        if not isinstance(self.d, int) or self.d < 2:
-            raise RangeError(f"d must be an int >= 2, got {self.d!r}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise RangeError(f"m must be a positive int, got {self.m!r}")
-        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -115,37 +93,22 @@ def _check_tol(tol: float) -> float:
 # targets: value-and-derivative callables built on one kernel pair call
 
 
-def _target_J(twice_nu: int):
-    nu = 0.5 * twice_nu
-    order = Order(twice_nu)
-
-    def f_df(x: float):
-        a, b = bessel.eval_J_pair(order, x)
-        return a.value, (nu / x) * a.value - b.value
-
-    return f_df
-
-
-def _target_g(l: int, twice_nu: int):
-    # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
-    # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
-    nu = 0.5 * twice_nu
-    order = Order(twice_nu)
-
-    def f_df(x: float):
-        a, b = bessel.eval_J_pair(order, x)
-        g = (l / x) * a.value - b.value
-        dg = a.value * (l * (nu - 1.0) / (x * x) - 1.0) + b.value * (
-            (nu + 1.0 - l) / x
-        )
-        return g, dg
-
-    return f_df
-
-
 def _target(tag: str, l: int, twice_nu: int):
     """f_df of the J target (tag "J") or the derivative target (tag "G")."""
-    return _target_J(twice_nu) if tag == "J" else _target_g(l, twice_nu)
+    nu = 0.5 * twice_nu
+    order = Order(twice_nu)
+
+    def f_df(x: float):
+        a, b = bessel.eval_J_pair(order, x)
+        if tag == "J":  # J_nu' = (nu/x) J_nu - J_{nu+1}
+            return a.value, (nu / x) * a.value - b.value
+        # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
+        # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
+        return ((l / x) * a.value - b.value,
+                a.value * (l * (nu - 1.0) / (x * x) - 1.0)
+                + b.value * ((nu + 1.0 - l) / x))
+
+    return f_df
 
 
 def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
@@ -245,26 +208,48 @@ def _refine(f_df, lo: float, hi: float, sign_lo: int, tol: float) -> float:
 
 
 @lru_cache(maxsize=8192)
-def _census_bracket(kind_tag: str, l: int, twice_nu: int, m: int):
-    """Bracket of the m-th positive zero: (lo, hi, sign_lo)."""
+def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
+    """Bracket of the m-th positive zero: (lo, hi, sign_lo), None past the box."""
     if m > 1:
-        prev = _census_bracket(kind_tag, l, twice_nu, m - 1)
+        prev = _census_bracket(tag, l, twice_nu, m - 1)
+        if prev is None:
+            return None
         start, sign = prev[1], -prev[2]
     else:
-        start, sign = _scan_start(kind_tag, l, twice_nu)
-    for cell in _walk_brackets(_target(kind_tag, l, twice_nu), start, sign,
-                               DEFAULT_STEP, X_BOX):
-        return cell
-    raise RangeError(
-        f"zero #{m} of {kind_tag}(l={l}, twice_nu={twice_nu}) lies beyond "
-        f"the supported box x <= {X_BOX}"
-    )
+        start, sign = _scan_start(tag, l, twice_nu)
+    return next(_walk_brackets(_target(tag, l, twice_nu), start, sign,
+                               DEFAULT_STEP, X_BOX), None)
 
 
 @lru_cache(maxsize=8192)
-def _census_zero(kind_tag: str, l: int, twice_nu: int, m: int, tol: float):
-    lo, hi, sign_lo = _census_bracket(kind_tag, l, twice_nu, m)
-    return _refine(_target(kind_tag, l, twice_nu), lo, hi, sign_lo, tol)
+def _census_zero(tag: str, l: int, twice_nu: int, m: int, tol: float):
+    cell = _census_bracket(tag, l, twice_nu, m)
+    if cell is None:
+        raise RangeError(
+            f"zero #{m} of {tag}(l={l}, twice_nu={twice_nu}) lies beyond "
+            f"the supported box x <= {X_BOX}"
+        )
+    return _refine(_target(tag, l, twice_nu), *cell, tol)
+
+
+def _key(kind: RootKind, l: int, d: int) -> tuple[str, int, int]:
+    """Checked census key (tag, l, twice_nu); J zeros depend on l only
+    through the order, so their key carries l = 0."""
+    if not isinstance(kind, RootKind):
+        raise RangeError(f"kind must be a RootKind, got {kind!r}")
+    _check_l_d(l, d)
+    twice_nu = 2 * l + d - 2
+    if kind is RootKind.NEUMANN_XI_PRIME:
+        return "G", l, twice_nu
+    return "J", 0, twice_nu
+
+
+def _first_zero_lower(kind: RootKind, l: int, d: int) -> float:
+    """Lower bound on the first zero find_zero counts, increasing in l."""
+    tag, l_key, twice_nu = _key(kind, l, d)
+    if tag == "G" and l == 0:
+        return 0.0  # the conventional zero at r = 0
+    return _scan_start(tag, l_key, twice_nu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +260,7 @@ def bessel_zero(nu: Order, m: int, tol: float = DEFAULT_TOL) -> float:
     """m-th positive zero j_{nu,m} of J_nu, certified by sign census."""
     if not isinstance(nu, Order):
         raise RangeError(f"nu must be an Order, got {nu!r}")
-    if not isinstance(m, int) or m < 1:
-        raise RangeError(f"m must be a positive int, got {m!r}")
+    _check_m(m)
     return _census_zero("J", 0, nu.twice_nu, m, _check_tol(tol))
 
 
@@ -294,23 +278,52 @@ def neumann_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
     ground state), so m = 1 returns exactly 0.0 and the m-th entry for
     m >= 2 is the (m-1)-th positive zero.
     """
-    _check_l_d(l, d)
-    if not isinstance(m, int) or m < 1:
-        raise RangeError(f"m must be a positive int, got {m!r}")
+    key = _key(RootKind.NEUMANN_XI_PRIME, l, d)
+    _check_m(m)
     tol = _check_tol(tol)
-    twice_nu = 2 * l + d - 2
     if l == 0:
         if m == 1:
             return 0.0
-        return _census_zero("G", 0, twice_nu, m - 1, tol)
-    return _census_zero("G", l, twice_nu, m, tol)
+        m -= 1
+    return _census_zero(*key, m, tol)
 
 
-def find_zero(req: RootRequest) -> float:
-    """Resolve a RootRequest through the matching census function."""
-    if req.kind is RootKind.NEUMANN_XI_PRIME:
-        return neumann_zero(req.l, req.d, req.m, req.tol)
-    return dirichlet_zero(req.l, req.d, req.m, req.tol)
+def find_zero(kind: RootKind, l: int, d: int, m: int,
+              tol: float = DEFAULT_TOL) -> float:
+    """m-th zero of the (kind, l, d) target, counted as neumann_zero counts
+    the derivative target and dirichlet_zero the others."""
+    tag = _key(kind, l, d)[0]
+    return (neumann_zero if tag == "G" else dirichlet_zero)(l, d, m, tol)
+
+
+def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
+    """The zeros find_zero(kind, l, d, m), m = 1, 2, ..., in [0, x_max].
+
+    Neumann l = 0 starts with 0.0. No zero past x_max is refined: the walk
+    stops at the first bracket that starts at or past the edge
+    x_max (1 + DEFAULT_TOL), or keeps its start's sign there. Refinement
+    moves a zero by at most tol*z/2, so a zero past the edge would refine
+    to a value past x_max.
+    """
+    tag, l_key, twice_nu = _key(kind, l, d)
+    x_max = _check_x_max(x_max)
+    out = [0.0] if tag == "G" and l == 0 else []
+    edge = x_max * (1.0 + DEFAULT_TOL)
+    m = 1  # census index of the next positive zero
+    while (cell := _census_bracket(tag, l_key, twice_nu, m)) is not None:
+        lo, hi, sign_lo = cell
+        if lo >= edge:
+            break
+        if hi > edge:
+            f = _target(tag, l_key, twice_nu)(edge)[0]
+            if abs(f) >= _TINY and (f > 0.0) == (sign_lo > 0):
+                break
+        z = find_zero(kind, l, d, len(out) + 1)  # out holds zeros 1..len
+        if z > x_max:
+            break
+        out.append(z)
+        m += 1
+    return out
 
 
 def scan_brackets(kind: RootKind, l: int, d: int, x_max: float,
@@ -321,24 +334,30 @@ def scan_brackets(kind: RootKind, l: int, d: int, x_max: float,
     derivative targets with l = 0 this excludes the conventional zero at
     r = 0, which is not a sign change).
     """
-    if not isinstance(kind, RootKind):
-        raise RangeError(f"kind must be a RootKind, got {kind!r}")
-    _check_l_d(l, d)
-    x_max = float(x_max)
-    if not 0.0 < x_max <= X_BOX:
-        raise RangeError(f"x_max={x_max!r} outside (0, {X_BOX}]")
+    tag, l_key, twice_nu = _key(kind, l, d)
+    x_max = _check_x_max(x_max)
     step = float(step)
     if not 0.0 < step <= DEFAULT_STEP:
         raise RangeError(f"step={step!r} outside (0, pi/2]")
-    tag = "G" if kind is RootKind.NEUMANN_XI_PRIME else "J"
-    twice_nu = 2 * l + d - 2
-    start, sign = _scan_start(tag, l, twice_nu)
+    start, sign = _scan_start(tag, l_key, twice_nu)
     return [Bracket(lo, hi) for lo, hi, _ in _walk_brackets(
-        _target(tag, l, twice_nu), start, sign, step, x_max)]
+        _target(tag, l_key, twice_nu), start, sign, step, x_max)]
 
 
 def _check_l_d(l: int, d: int) -> None:
-    if not isinstance(l, int) or l < 0:
+    if not _is_int(l) or l < 0:
         raise RangeError(f"l must be a nonnegative int, got {l!r}")
-    if not isinstance(d, int) or d < 2:
+    if not _is_int(d) or d < 2:
         raise RangeError(f"d must be an int >= 2, got {d!r}")
+
+
+def _check_m(m: int) -> None:
+    if not _is_int(m) or m < 1:
+        raise RangeError(f"m must be a positive int, got {m!r}")
+
+
+def _check_x_max(x_max: float) -> float:
+    x_max = float(x_max)
+    if not 0.0 < x_max <= X_BOX:
+        raise RangeError(f"x_max={x_max!r} outside (0, {X_BOX}]")
+    return x_max

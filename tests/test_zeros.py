@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballspec import bessel, spectrum, zeros
+from ballspec import bessel, courant, spectrum, zeros
 from ballspec.bessel import Order, eval_Xi, eval_Xi_prime
 from ballspec.errors import BracketFailure, RangeError
-from ballspec.zeros import Bracket, RootKind, RootRequest
+from ballspec.zeros import Bracket, RootKind
 
 from tests import _frozen
 from tests import _oracle as oracle
@@ -30,9 +30,10 @@ def rel_err(got: float, want: float) -> float:
 
 
 class TestValidation:
+    # a root request is find_zero's (kind, l, d, m, tol)
     def test_root_request_accepts_good_args(self):
-        req = RootRequest(RootKind.DIRICHLET_XI, l=2, d=3, m=4, tol=1e-12)
-        assert req.m == 4
+        got = zeros.find_zero(RootKind.DIRICHLET_XI, l=2, d=3, m=4, tol=1e-12)
+        assert got == zeros.dirichlet_zero(2, 3, 4, tol=1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -44,11 +45,40 @@ class TestValidation:
             dict(kind=RootKind.BESSEL_J, l=0, d=2, m=1, tol=1e-16),
             dict(kind=RootKind.BESSEL_J, l=0, d=2, m=1, tol=0.5),
             dict(kind=RootKind.BESSEL_J, l=0, d=2, m=1, tol=float("nan")),
+            # bool is an int subclass, but never a degree or an index
+            dict(kind=RootKind.DIRICHLET_XI, l=True, d=2, m=1),
+            dict(kind=RootKind.NEUMANN_XI_PRIME, l=False, d=2, m=2),
+            dict(kind=RootKind.BESSEL_J, l=0, d=2, m=True),
+            dict(kind=RootKind.NEUMANN_XI_PRIME, l=1, d=3, m=True),
         ],
     )
     def test_root_request_rejects_bad_args(self, kwargs):
         with pytest.raises(RangeError):
-            RootRequest(**kwargs)
+            zeros.find_zero(**kwargs)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: zeros.dirichlet_zero(True, 2, 1),
+            lambda: zeros.neumann_zero(0, 3, True),
+            lambda: zeros.bessel_zero(Order(0), True),
+            lambda: zeros.radial_zeros(RootKind.DIRICHLET_XI, True, 2, 10.0),
+            lambda: zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, False, 3, 10.0),
+            lambda: zeros.scan_brackets(RootKind.BESSEL_J, True, 2, 10.0),
+            lambda: spectrum.multiplicity(True, 3),
+            lambda: spectrum.multiplicity(2, True),
+            lambda: spectrum.label_of(2, "dirichlet", 1, True),
+            lambda: courant.courant_sharp_ball(2, "dirichlet", lmax=True),
+            lambda: courant.courant_sharp_ball(2, "dirichlet", mmax=True),
+            lambda: courant.sphere_labeling(True, 3),
+            lambda: courant.nodal_count_disc(True, 1, "dirichlet"),
+            lambda: Order.from_l_d(True, 2),
+            lambda: bessel.eval_Xi(True, 2, 1.0),
+        ],
+    )
+    def test_bools_are_not_ints(self, call):
+        with pytest.raises(RangeError):
+            call()
 
     def test_bracket_requires_lo_below_hi(self):
         Bracket(1.0, 2.0)
@@ -274,11 +304,11 @@ class TestCensus:
             zeros.neumann_zero(0, 2, 65)
 
     def test_find_zero_routes_by_kind(self):
-        got = zeros.find_zero(RootRequest(RootKind.BESSEL_J, 0, 3, 3))
+        got = zeros.find_zero(RootKind.BESSEL_J, 0, 3, 3)
         assert rel_err(got, 3.0 * math.pi) <= 1e-13
-        got = zeros.find_zero(RootRequest(RootKind.DIRICHLET_XI, 1, 3, 1))
+        got = zeros.find_zero(RootKind.DIRICHLET_XI, 1, 3, 1)
         assert rel_err(got, 4.493409457909064) <= 1e-13
-        got = zeros.find_zero(RootRequest(RootKind.NEUMANN_XI_PRIME, 0, 2, 2))
+        got = zeros.find_zero(RootKind.NEUMANN_XI_PRIME, 0, 2, 2)
         assert rel_err(got, 3.831705970207512) <= 1e-13
 
     def test_coarse_tol_stays_within_contract(self):
@@ -290,6 +320,77 @@ class TestCensus:
         a = zeros.dirichlet_zero(4, 3, 2)
         b = zeros.dirichlet_zero(4, 3, 2)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# radial_zeros: every zero of a target up to a cutoff
+
+
+def counted_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
+    """find_zero's zeros, m = 1, 2, ..., up to x_max, one by one."""
+    out = []
+    for m in range(1, 100):
+        z = zeros.find_zero(kind, l, d, m)
+        if z > x_max:
+            return out
+        out.append(z)
+    raise AssertionError("no zero past x_max")
+
+
+class TestRadialZeros:
+    @pytest.mark.parametrize("kind,l,d,x_max", [
+        (RootKind.DIRICHLET_XI, 3, 3, 40.0),
+        (RootKind.BESSEL_J, 0, 2, 25.0),
+        (RootKind.NEUMANN_XI_PRIME, 2, 4, 40.0),
+        (RootKind.NEUMANN_XI_PRIME, 0, 2, 40.0),
+        (RootKind.NEUMANN_XI_PRIME, 0, 5, 33.3),
+        (RootKind.DIRICHLET_XI, 100, 4, 130.0),
+    ])
+    def test_equals_the_counted_zeros(self, kind, l, d, x_max):
+        got = zeros.radial_zeros(kind, l, d, x_max)
+        assert got == counted_zeros(kind, l, d, x_max)
+        assert len(got) >= 3
+        if kind is RootKind.NEUMANN_XI_PRIME and l == 0:
+            assert got[0] == 0.0
+
+    @pytest.mark.parametrize("kind,l,d", [
+        (RootKind.DIRICHLET_XI, 1, 2),
+        (RootKind.NEUMANN_XI_PRIME, 3, 3),
+        (RootKind.NEUMANN_XI_PRIME, 0, 2),
+    ])
+    def test_cutoff_on_a_zero_includes_it(self, kind, l, d):
+        z = zeros.find_zero(kind, l, d, 4)
+        assert zeros.radial_zeros(kind, l, d, z) == counted_zeros(kind, l, d, z)
+        assert zeros.radial_zeros(kind, l, d, z)[-1] == z
+        below = math.nextafter(z, 0.0)
+        assert zeros.radial_zeros(kind, l, d, below)[-1] < z
+
+    def test_cutoff_below_the_first_zero(self):
+        assert zeros.radial_zeros(RootKind.DIRICHLET_XI, 0, 2, 2.4) == []
+        assert zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 1, 2, 1.8) == []
+        assert zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 0, 2, 1e-9) == [0.0]
+
+    def test_stops_at_the_box(self):
+        got = zeros.radial_zeros(RootKind.BESSEL_J, 0, 2, zeros.X_BOX)
+        assert len(got) == 63
+        assert got[-1] == zeros.bessel_zero(Order(0), 63)
+
+    def test_kernel_order_box_error_propagates(self):
+        # the (nu, nu+1) pair at nu = 120 leaves the kernel box: an error,
+        # never an empty list
+        with pytest.raises(RangeError):
+            zeros.radial_zeros(RootKind.DIRICHLET_XI, 120, 2, 50.0)
+
+    @pytest.mark.parametrize("args", [
+        ("DirichletXi", 0, 2, 10.0),
+        (RootKind.BESSEL_J, -1, 2, 10.0),
+        (RootKind.BESSEL_J, 0, 1, 10.0),
+        (RootKind.BESSEL_J, 0, 2, 0.0),
+        (RootKind.BESSEL_J, 0, 2, 201.0),
+    ])
+    def test_rejects_bad_args(self, args):
+        with pytest.raises(RangeError):
+            zeros.radial_zeros(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +455,17 @@ class TestRefinement:
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
         assert calls <= 10 * cold, calls / cold
+
+    @pytest.mark.parametrize("d,bc,lambda_max", [(2, "dirichlet", 2000),
+                                                 (4, "neumann", 1900)])
+    def test_cold_spectrum_refines_only_shipped_zeros(self, d, bc,
+                                                       lambda_max):
+        # no zero past the cutoff is refined only to be thrown away
+        zeros._census_bracket.cache_clear()
+        zeros._census_zero.cache_clear()
+        table = spectrum.enumerate_spectrum(d, bc, lambda_max)
+        shipped = sum(rec.zero > 0.0 for rec in table.records)
+        assert zeros._census_zero.cache_info().misses == shipped
 
 
 # ---------------------------------------------------------------------------
