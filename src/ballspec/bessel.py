@@ -501,23 +501,13 @@ def eval_J_pair(nu: Order, x: float) -> tuple[EvalResult, EvalResult]:
     return _check(v0, e0, tag), _check(v1, e1, tag)
 
 
-def _xi_order(l: int, d: int) -> Order:
-    if not _is_int(l) or not _is_int(d):
-        raise RangeError(f"l and d must be ints, got l={l!r}, d={d!r}")
-    if l < 0:
-        raise RangeError(f"degree l must be >= 0, got {l}")
-    if d < 2:
-        raise RangeError(f"dimension d must be >= 2, got {d}")
-    return Order(2 * l + d - 2)
-
-
 def eval_Xi(l: int, d: int, r: float) -> EvalResult:
     """Scaled radial function r^((2-d)/2) * J_{l + d/2 - 1}(r).
 
     Shares its zeros with J_{l+d/2-1}; the power factor removes the
     dimensional weight so d = 2 reduces to plain J_l.
     """
-    nu = _xi_order(l, d)
+    nu = Order.from_l_d(l, d)
     r = _validate_x(r)
     base = eval_J(nu, r)
     if d == 2:
@@ -541,7 +531,7 @@ def eval_Xi_prime(l: int, d: int, r: float) -> EvalResult:
 
         Xi'_l = r^((2-d)/2) * ((l/r) J_nu(r) - J_{nu+1}(r)),  nu = l + d/2 - 1.
     """
-    nu = _xi_order(l, d)
+    nu = Order.from_l_d(l, d)
     r = _validate_x(r)
     j0, j1 = eval_J_pair(nu, r)
     gh, gl = _dd_mul_f(*_dd_div_f(j0.value, 0.0, r), float(l))

@@ -12,9 +12,15 @@ Subcommands (all parameters are explicit flags, no positionals):
 Common flags: --format json|csv (default json), --output PATH, --verbose
 (version banner on the error stream; data output stays byte-identical).
 
-Exit codes: 0 success; 1 usage or parameter-domain error (message on the
-error stream); 2 numerical failure — the message carries the failing
-module and inequality/bracket as raised by the library.
+Each subcommand builds its payload and its table rows once, and one writer
+(`_emit`) prints every table: the payload as JSON through `_format.dumps`,
+or the rows as CSV through `_format.csv_text`.  The spectrum table and the
+quotient-curve JSON render themselves; selfcheck prints a text report.
+
+Exit codes: 0 success; 1 usage or parameter-domain error, or an --output
+path that cannot be written (message on the error stream); 2 numerical
+failure — the message carries the failing module and inequality/bracket
+as raised by the library.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import sys
 from pathlib import Path
 
 from ballspec import __version__, courant, pleijel, selfcheck, spectrum, zeros
-from ballspec._format import dumps, format_float
+# format_float is not called here; perfbench/trace_child.py wraps cli.format_float
+from ballspec._format import csv_text, dumps, format_float  # noqa: F401
 from ballspec.errors import BallspecError, NumericalError
 
 
@@ -95,18 +102,26 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _emit(text: str, args) -> None:
+def _write(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(args.output).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
+
+
+def _emit(args, payload, header, rows) -> None:
+    """The one table writer: payload as JSON, or header and rows as CSV."""
+    _write(args, dumps(payload) if args.format == "json" else csv_text(header, rows))
 
 
 def _run_spectrum(args) -> int:
     table = spectrum.enumerate_spectrum(args.d, args.bc, args.lambda_max)
-    _emit(table.to_json(indent=2) if args.format == "json" else table.to_csv(), args)
+    _write(args, table.to_json() if args.format == "json" else table.to_csv())
     return 0
 
 
@@ -118,108 +133,69 @@ def _run_zeros(args) -> int:
     ms = [args.m] if args.m is not None else list(range(1, (args.count or 5) + 1))
     bc = spectrum._coerce_bc(args.bc)
     tol = zeros.DEFAULT_TOL if args.tol is None else args.tol
-    entries = []
+    rows = []
     for m in ms:
         z = zeros.find_zero(spectrum.ROOT_KIND[bc], args.l, args.d, m, tol)
-        entries.append({"m": m, "zero": z, "lambda": z * z})
-    if args.format == "json":
-        payload = {
-            "d": args.d,
-            "bc": bc.value,
-            "l": args.l,
-            "tol": tol,
-            "zeros": entries,
-        }
-        _emit(dumps(payload, indent=2), args)
-    else:
-        lines = ["m,zero,lambda"]
-        for e in entries:
-            lines.append(
-                f"{e['m']},{format_float(e['zero'])},{format_float(e['lambda'])}"
-            )
-        _emit("\n".join(lines), args)
+        rows.append((m, z, z * z))
+    payload = {
+        "d": args.d,
+        "bc": bc.value,
+        "l": args.l,
+        "tol": tol,
+        "zeros": [{"m": m, "zero": z, "lambda": lam} for m, z, lam in rows],
+    }
+    _emit(args, payload, ("m", "zero", "lambda"), rows)
     return 0
 
 
 def _run_courant(args) -> int:
     verdicts = courant.courant_sharp_ball(args.d, args.bc, args.lmax, args.mmax)
-    sharp = sorted(courant.sharp_labels(verdicts))
-    if args.format == "json":
-        payload = {
-            "d": args.d,
-            "bc": verdicts[0].record.bc.value,
-            "lmax": args.lmax,
-            "mmax": args.mmax,
-            "sharp_labels": sharp,
-            "verdicts": [v.as_dict() for v in verdicts],
-        }
-        _emit(dumps(payload, indent=2), args)
-    else:
-        lines = ["l,m,bc,status,label_first,mu"]
-        for v in verdicts:
-            mu = "" if v.mu is None else str(v.mu)
-            lines.append(
-                f"{v.record.l},{v.record.m},{v.record.bc.value},"
-                f"{v.status.value},{v.record.label_first},{mu}"
-            )
-        _emit("\n".join(lines), args)
+    payload = {
+        "d": args.d,
+        "bc": verdicts[0].record.bc.value,
+        "lmax": args.lmax,
+        "mmax": args.mmax,
+        "sharp_labels": sorted(courant.sharp_labels(verdicts)),
+        "verdicts": [v.as_dict() for v in verdicts],
+    }
+    rows = [
+        (v.record.l, v.record.m, v.record.bc.value, v.status.value,
+         v.record.label_first, v.mu)
+        for v in verdicts
+    ]
+    _emit(args, payload, ("l", "m", "bc", "status", "label_first", "mu"), rows)
     return 0
 
 
 def _run_pleijel(args) -> int:
     if args.gamma is not None:
         row = pleijel.gamma_table(args.gamma, args.gamma)[0]
-        if args.format == "json":
-            payload = {
-                "d": row.d,
-                "gamma": row.gamma,
-                "log_gamma_value": row.log_gamma_value,
-            }
-            _emit(dumps(payload, indent=2), args)
-        else:
-            _emit(f"d,gamma\n{row.d},{format_float(row.gamma)}", args)
-        return 0
-
-    if args.table is not None:
+        payload = {
+            "d": row.d,
+            "gamma": row.gamma,
+            "log_gamma_value": row.log_gamma_value,
+        }
+        _emit(args, payload, ("d", "gamma"), [(row.d, row.gamma)])
+    elif args.table is not None:
         d_min, d_max = args.table
-        rows = pleijel.gamma_table(d_min, d_max)
-        if args.format == "json":
-            payload = {
-                "d_min": d_min,
-                "d_max": d_max,
-                "rows": [
-                    {
-                        "d": r.d,
-                        "gamma": pleijel.six_decimals(r.gamma),
-                        "quotient": None
-                        if r.quotient_next is None
-                        else pleijel.six_decimals(r.quotient_next),
-                    }
-                    for r in rows
-                ],
-            }
-            _emit(dumps(payload, indent=2), args)
-        else:
-            lines = ["d,gamma,quotient"]
-            for r in rows:
-                quotient = (
-                    ""
-                    if r.quotient_next is None
-                    else pleijel.six_decimals(r.quotient_next)
-                )
-                lines.append(f"{r.d},{pleijel.six_decimals(r.gamma)},{quotient}")
-            _emit("\n".join(lines), args)
-        return 0
-
-    d_min, d_max = args.curve
-    points = pleijel.quotient_curve(d_min, d_max)
-    if args.format == "json":
-        _emit(pleijel.curve_to_plot_json(points, indent=2), args)
+        rows = [
+            (r.d, pleijel.six_decimals(r.gamma),
+             None if r.quotient_next is None
+             else pleijel.six_decimals(r.quotient_next))
+            for r in pleijel.gamma_table(d_min, d_max)
+        ]
+        payload = {
+            "d_min": d_min,
+            "d_max": d_max,
+            "rows": [{"d": d, "gamma": g, "quotient": q} for d, g, q in rows],
+        }
+        _emit(args, payload, ("d", "gamma", "quotient"), rows)
     else:
-        lines = ["d,quotient"]
-        for d, q in points:
-            lines.append(f"{d},{format_float(q)}")
-        _emit("\n".join(lines), args)
+        points = pleijel.quotient_curve(*args.curve)
+        if args.format == "json":
+            _write(args, pleijel.curve_to_plot_json(points))
+        else:
+            _write(args, csv_text(("d", "quotient"), points))
     return 0
 
 
@@ -228,25 +204,19 @@ def _run_certify(args) -> int:
     if d_last < args.d:
         raise _UsageError(f"--through {d_last} is below --d {args.d}")
     certs = [pleijel.monotonicity_certificate(d) for d in range(args.d, d_last + 1)]
-    if args.format == "json":
-        if args.through is None:
-            payload = certs[0].as_dict()
-        else:
-            payload = {
-                "d_min": args.d,
-                "d_max": d_last,
-                "certificates": [c.as_dict() for c in certs],
-            }
-        _emit(dumps(payload, indent=2), args)
+    if args.through is None:
+        payload = certs[0].as_dict()
     else:
-        lines = ["d,name,lhs,rhs,margin,kind"]
-        for cert in certs:
-            for c in cert.checks:
-                lines.append(
-                    f"{cert.d},{c.name},{format_float(c.lhs)},"
-                    f"{format_float(c.rhs)},{format_float(c.margin)},{c.kind}"
-                )
-        _emit("\n".join(lines), args)
+        payload = {
+            "d_min": args.d,
+            "d_max": d_last,
+            "certificates": [c.as_dict() for c in certs],
+        }
+    rows = [
+        (cert.d, c.name, c.lhs, c.rhs, c.margin, c.kind)
+        for cert in certs for c in cert.checks
+    ]
+    _emit(args, payload, ("d", "name", "lhs", "rhs", "margin", "kind"), rows)
     return 0
 
 
@@ -259,7 +229,7 @@ def _run_selfcheck(args) -> int:
             print(f"# {r.name}: {r.elapsed:.2f}s", file=sys.stderr)
     passed = sum(r.ok for r in results)
     lines.append(f"selfcheck: {passed}/{len(results)} passed")
-    _emit("\n".join(lines), args)
+    _write(args, "\n".join(lines))
     failures = [r for r in results if not r.ok]
     if failures:
         first = failures[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
-from . import _format, zeros
+from . import zeros
 from .bessel import _is_int
 from .errors import CertificateFailure, RangeError, Unsupported
 from .pleijel import Check
@@ -229,8 +229,3 @@ def sharp_labels(verdicts: list[SharpnessVerdict]) -> set[int]:
     """Labels of the Sharp verdicts in a report."""
     return {v.record.label_first for v in verdicts
             if v.status is SharpnessStatus.SHARP}
-
-
-def verdicts_to_json(verdicts: list[SharpnessVerdict],
-                     indent: int | None = 2) -> str:
-    return _format.dumps([v.as_dict() for v in verdicts], indent=indent)

@@ -49,8 +49,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ballspec import zeros
-from ballspec._format import dumps, format_float
-from ballspec.bessel import log_gamma
+from ballspec._format import dumps
+from ballspec.bessel import _is_int, log_gamma
 from ballspec.errors import CertificateFailure, RangeError
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "monotonicity_certificate",
     "neumann_pleijel_bound",
     "quotient_curve",
-    "rows_to_csv",
     "six_decimals",
 ]
 
@@ -95,7 +94,7 @@ _REQUIRED_CHECKS = frozenset(
 
 
 def _check_d(d: int, minimum: int, what: str = "d") -> None:
-    if not isinstance(d, int) or isinstance(d, bool) or d < minimum:
+    if not _is_int(d) or d < minimum:
         raise RangeError(f"{what} must be an int >= {minimum}, got {d!r}")
 
 
@@ -467,20 +466,11 @@ def six_decimals(x: float) -> str:
     return str(Decimal(x).quantize(Decimal("0.000001"), rounding=ROUND_HALF_UP))
 
 
-def rows_to_csv(rows: list[PleijelRow]) -> str:
-    """CSV with columns d, gamma, quotient (empty on the last row)."""
-    lines = ["d,gamma,quotient"]
-    for row in rows:
-        quotient = "" if row.quotient_next is None else format_float(row.quotient_next)
-        lines.append(f"{row.d},{format_float(row.gamma)},{quotient}")
-    return "\n".join(lines) + "\n"
-
-
-def curve_to_plot_json(points: list[tuple[int, float]], indent: int | None = None) -> str:
+def curve_to_plot_json(points: list[tuple[int, float]]) -> str:
     """Plot payload for the quotient curve: x, y and the limit line 2/e."""
     payload = {
         "x": [d for d, _ in points],
         "y": [q for _, q in points],
         "hline": TWO_OVER_E,
     }
-    return dumps(payload, indent=indent)
+    return dumps(payload)

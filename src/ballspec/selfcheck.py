@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 from ballspec import bessel, courant, pleijel, spectrum, zeros
 from ballspec.bessel import Order
-from ballspec.errors import RangeError
 
-__all__ = ["CheckResult", "check_names", "run"]
+__all__ = ["CheckResult", "run"]
 
 # Table of 6-decimal gamma values the pleijel module must reproduce.
 _TABLE_6DEC = [
@@ -295,25 +294,14 @@ _REGISTRY: list[tuple[str, object]] = [
 ]
 
 
-def check_names() -> list[str]:
-    return [name for name, _ in _REGISTRY]
-
-
-def run(fast: bool = False, names: list[str] | None = None) -> list[CheckResult]:
-    """Execute the suite (or the named subset) and collect results.
+def run(fast: bool = False) -> list[CheckResult]:
+    """Execute the suite and collect results.
 
     A check that raises is recorded as failed with the exception text; the
     remaining checks still run so the report is complete.
     """
-    selected = _REGISTRY
-    if names is not None:
-        known = dict(_REGISTRY)
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            raise RangeError(f"unknown selfcheck names: {unknown}")
-        selected = [(n, known[n]) for n in names]
     results = []
-    for name, fn in selected:
+    for name, fn in _REGISTRY:
         start = time.perf_counter()
         try:
             detail = fn(fast)

@@ -11,8 +11,6 @@ loop walks every sign change from the origin.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,10 +18,10 @@ from functools import lru_cache
 from math import comb
 
 from . import _format, zeros
-from .bessel import TWICE_NU_MAX
+from .bessel import TWICE_NU_MAX, X_MAX
 from .errors import DegenerateOrdering, RangeError
 
-LAMBDA_MAX = zeros.X_BOX ** 2
+LAMBDA_MAX = X_MAX ** 2
 CUTOFF_SLACK = 1e-9  # lambda_max is inclusive, with this absolute slack
 _GAP_REL = 1e-8  # consecutive eigenvalues closer than this signal a bug
 
@@ -131,21 +129,15 @@ class SpectrumTable:
             "records": [rec.as_dict() for rec in self.records],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return _format.dumps(self.as_dict(), indent=indent)
+    def to_json(self) -> str:
+        return _format.dumps(self.as_dict())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_FIELDS)
-        for rec in self.records:
-            writer.writerow([
-                rec.d, rec.bc.value, rec.l, rec.m,
-                _format.format_float(rec.zero),
-                _format.format_float(rec.lam),
-                rec.multiplicity, rec.label_first, rec.label_last,
-            ])
-        return buf.getvalue()
+        return _format.csv_text(_CSV_FIELDS, (
+            (rec.d, rec.bc.value, rec.l, rec.m, rec.zero, rec.lam,
+             rec.multiplicity, rec.label_first, rec.label_last)
+            for rec in self.records
+        ))
 
 
 def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float) -> list[int]:
@@ -183,7 +175,7 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
             f"lambda_max={lambda_max!r} outside [0, {LAMBDA_MAX}]"
         )
     lam_cut = lambda_max + CUTOFF_SLACK
-    r_cut = min(math.sqrt(lam_cut), zeros.X_BOX)
+    r_cut = min(math.sqrt(lam_cut), X_MAX)
     raw = []
     for l in _candidate_degrees(d, bc, r_cut):
         mult = multiplicity(l, d)

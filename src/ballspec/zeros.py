@@ -52,10 +52,9 @@ from enum import Enum
 from functools import lru_cache
 
 from ballspec import bessel
-from ballspec.bessel import Order, _is_int
+from ballspec.bessel import X_MAX, Order, _is_int
 from ballspec.errors import BracketFailure, RangeError
 
-X_BOX = 200.0
 DEFAULT_STEP = math.pi / 2  # widest cell that holds at most one zero
 DEFAULT_TOL = 1e-13
 _TOL_FLOOR = 1e-15  # float grid + kernel noise; tighter cannot be honored
@@ -218,7 +217,7 @@ def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
     else:
         start, sign = _scan_start(tag, l, twice_nu)
     return next(_walk_brackets(_target(tag, l, twice_nu), start, sign,
-                               DEFAULT_STEP, X_BOX), None)
+                               DEFAULT_STEP, X_MAX), None)
 
 
 @lru_cache(maxsize=8192)
@@ -227,7 +226,7 @@ def _census_zero(tag: str, l: int, twice_nu: int, m: int, tol: float):
     if cell is None:
         raise RangeError(
             f"zero #{m} of {tag}(l={l}, twice_nu={twice_nu}) lies beyond "
-            f"the supported box x <= {X_BOX}"
+            f"the supported box x <= {X_MAX}"
         )
     return _refine(_target(tag, l, twice_nu), *cell, tol)
 
@@ -358,6 +357,6 @@ def _check_m(m: int) -> None:
 
 def _check_x_max(x_max: float) -> float:
     x_max = float(x_max)
-    if not 0.0 < x_max <= X_BOX:
-        raise RangeError(f"x_max={x_max!r} outside (0, {X_BOX}]")
+    if not 0.0 < x_max <= X_MAX:
+        raise RangeError(f"x_max={x_max!r} outside (0, {X_MAX}]")
     return x_max

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from ballspec import bessel, cli, pleijel, zeros
+from tests.test_golden import GOLDEN
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -316,3 +317,28 @@ class TestTopLevel:
         _, verbose, err = run_cli(capsys, *args, "--verbose")
         assert plain == verbose
         assert "ballspec" in err
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path / "nope" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run_cli(
+            capsys, "zeros", "--l", "0", "--d", "2", "--bc", "dirichlet",
+            "--count", "1", "--output", str(target),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: cannot write {target}: ")
+
+
+CSV_ARGV = [argv for argv, _, _ in GOLDEN
+            if argv.endswith("--format csv") and not argv.startswith("selfcheck")]
+
+
+@pytest.mark.parametrize("argv", CSV_ARGV)
+def test_csv_rows_match_header_width(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and out.endswith("\n")
+    header, *rows = out.splitlines()
+    assert rows
+    width = len(header.split(","))
+    for row in rows:
+        assert len(row.split(",")) == width, row

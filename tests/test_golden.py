@@ -4,7 +4,9 @@ A change that is meant to keep the program's behaviour must keep every
 digest below. The argv cover every subcommand and both formats, the
 lambda = 0 Neumann edge (the lone zero mode at r = 0), the degree-0
 Neumann zeros (which count r = 0 first) at d = 3 and at d = 240, the
-order-box edge, and a kernel order-box error (exit 1, empty stdout).
+order-box edge, a kernel order-box error (exit 1, empty stdout), and
+every table layout the CLI writes, including empty CSV cells (the last
+``quotient`` of a gamma table, a verdict with no nodal count ``mu``).
 Update a digest only in a change that means to alter that output.
 """
 
@@ -49,6 +51,18 @@ GOLDEN = [
      "c1406d24d015d8a7141ee0c3c922aae4b25bdcd06afe48f7230b645231fd5084"),
     ("selfcheck --fast --format csv", 0,
      "58d67d432661c54c9b58c4ae0230a5693e614e1dc4f65f0d41d9d33995b79044"),
+    ("pleijel --table 2 6", 0,
+     "6655e0325d97ca99b0abf77cda008348d3e9b6d9860811ccd7fb51d8414f0532"),
+    ("pleijel --gamma 7 --format csv", 0,
+     "923636108e7736825a6dfd46530497b91d16f847ee70e8c127414fd4a30931b5"),
+    ("pleijel --curve 2 5 --format csv", 0,
+     "598df9be1bf02b7f8166f4ea61fba85efe5fb412510632ad07f3af890d33623c"),
+    ("courant --d 3 --bc dirichlet --lmax 2 --mmax 2 --format csv", 0,
+     "8e837d0b859270ba2a33b0aad414087b927a407890238703358ff6a5eba0df18"),
+    ("certify --d 4 --through 5", 0,
+     "2300f7fb4936493ca72adaacbb0572d6c6b97e06a0e30fe2cce966d974305de9"),
+    ("zeros --l 3 --d 3 --bc neumann --count 2 --format csv", 0,
+     "c272751942dc97d5abcf0f510563587d712d6b83516ae33aa174fff58c867198"),
 ]
 
 

@@ -341,24 +341,6 @@ class TestNeumannBound:
 
 
 class TestSerialization:
-    def test_csv_shape_and_roundtrip(self):
-        rows = pleijel.gamma_table(2, 4)
-        text = pleijel.rows_to_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == "d,gamma,quotient"
-        assert len(lines) == 4
-        for line, row in zip(lines[1:], rows):
-            cells = line.split(",")
-            assert int(cells[0]) == row.d
-            assert float(cells[1]) == row.gamma
-        assert lines[-1].endswith(",")  # last row has an empty quotient cell
-        assert float(lines[1].split(",")[2]) == rows[0].quotient_next
-
-    def test_csv_deterministic(self):
-        a = pleijel.rows_to_csv(pleijel.gamma_table(2, 8))
-        b = pleijel.rows_to_csv(pleijel.gamma_table(2, 8))
-        assert a == b
-
     def test_plot_json_payload(self):
         points = pleijel.quotient_curve(2, 10)
         payload = json.loads(pleijel.curve_to_plot_json(points))
@@ -366,13 +348,6 @@ class TestSerialization:
         assert payload["x"] == list(range(2, 11))
         assert payload["y"] == [q for _, q in points]
         assert payload["hline"] == TWO_OVER_E
-
-    def test_plot_json_indent_variant_parses_identically(self):
-        points = pleijel.quotient_curve(3, 6)
-        flat = pleijel.curve_to_plot_json(points)
-        pretty = pleijel.curve_to_plot_json(points, indent=2)
-        assert flat != pretty
-        assert json.loads(flat) == json.loads(pretty)
 
     def test_six_decimals_rounds_half_away_from_zero(self):
         # 13/128 is exactly 0.1015625 in binary: a true tie at 6 decimals

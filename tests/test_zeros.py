@@ -371,7 +371,7 @@ class TestRadialZeros:
         assert zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 0, 2, 1e-9) == [0.0]
 
     def test_stops_at_the_box(self):
-        got = zeros.radial_zeros(RootKind.BESSEL_J, 0, 2, zeros.X_BOX)
+        got = zeros.radial_zeros(RootKind.BESSEL_J, 0, 2, bessel.X_MAX)
         assert len(got) == 63
         assert got[-1] == zeros.bessel_zero(Order(0), 63)
 
