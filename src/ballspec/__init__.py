@@ -19,7 +19,6 @@ from ballspec.errors import (
     LossOfPrecision,
     NumericalError,
     RangeError,
-    Unsupported,
 )
 
 __version__ = "0.1.0"
@@ -37,6 +36,5 @@ __all__ = [
     "BracketFailure",
     "DegenerateOrdering",
     "CertificateFailure",
-    "Unsupported",
     "__version__",
 ]

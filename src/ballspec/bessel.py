@@ -1,4 +1,4 @@
-"""Bessel kernel: J_nu, the scaled radial functions, and log-gamma.
+"""Bessel kernel: J_nu, the (J_nu, J_{nu+1}) pair, and log-gamma.
 
 Supported box: 0 < x <= 200 and orders nu = twice_nu/2 with twice_nu an
 integer in [0, 240] (every order used by the ball problems is l + d/2 - 1,
@@ -499,58 +499,6 @@ def eval_J_pair(nu: Order, x: float) -> tuple[EvalResult, EvalResult]:
     v0, v1, e0, e1 = _eval_pair_raw(nu.twice_nu, x)
     tag = f"J pair(twice_nu={nu.twice_nu}, x={x!r})"
     return _check(v0, e0, tag), _check(v1, e1, tag)
-
-
-def eval_Xi(l: int, d: int, r: float) -> EvalResult:
-    """Scaled radial function r^((2-d)/2) * J_{l + d/2 - 1}(r).
-
-    Shares its zeros with J_{l+d/2-1}; the power factor removes the
-    dimensional weight so d = 2 reduces to plain J_l.
-    """
-    nu = Order.from_l_d(l, d)
-    r = _validate_x(r)
-    base = eval_J(nu, r)
-    if d == 2:
-        return base
-    factor = r ** (0.5 * (2 - d))
-    # the power factor is exact to one ulp and never leaves float range
-    # inside the box (r <= 200, d <= 242 => factor >= 200^-120 ~ 1e-277)
-    value = base.value * factor
-    if value != 0.0 and not math.isfinite(value):
-        raise LossOfPrecision(f"Xi(l={l}, d={d}, r={r!r}) overflows")
-    if base.value != 0.0 and value == 0.0:
-        raise LossOfPrecision(f"Xi(l={l}, d={d}, r={r!r}) underflows")
-    # rebase the estimate: the absolute error scales by the same factor as
-    # the value, but the near-zero floor in the denominator does not
-    abs_err = base.est_rel_err * max(abs(base.value), _NEAR_ZERO_FLOOR) * factor
-    return _check(value, abs_err, f"Xi(l={l}, d={d}, r={r!r})")
-
-
-def eval_Xi_prime(l: int, d: int, r: float) -> EvalResult:
-    """d/dr of the scaled radial function, via the downward recursion
-
-        Xi'_l = r^((2-d)/2) * ((l/r) J_nu(r) - J_{nu+1}(r)),  nu = l + d/2 - 1.
-    """
-    nu = Order.from_l_d(l, d)
-    r = _validate_x(r)
-    j0, j1 = eval_J_pair(nu, r)
-    gh, gl = _dd_mul_f(*_dd_div_f(j0.value, 0.0, r), float(l))
-    gh, gl = _dd_add(gh, gl, -j1.value, 0.0)
-    g = gh + gl
-    abs_err = (
-        j0.est_rel_err * max(abs(j0.value), _NEAR_ZERO_FLOOR) * (l / r if l else 0.0)
-        + j1.est_rel_err * max(abs(j1.value), _NEAR_ZERO_FLOOR)
-        + abs(g) * 2.0**-51
-    )
-    if d == 2:
-        return _check(g, abs_err, f"Xi'(l={l}, d=2, r={r!r})")
-    factor = r ** (0.5 * (2 - d))
-    value = g * factor
-    if g != 0.0 and not math.isfinite(value):
-        raise LossOfPrecision(f"Xi'(l={l}, d={d}, r={r!r}) overflows")
-    if g != 0.0 and value == 0.0:
-        raise LossOfPrecision(f"Xi'(l={l}, d={d}, r={r!r}) underflows")
-    return _check(value, abs_err * factor, f"Xi'(l={l}, d={d}, r={r!r})")
 
 
 def log_gamma(x: float) -> float:

@@ -9,8 +9,9 @@ Subcommands (all parameters are explicit flags, no positionals):
   certify    --d D [--through D2]                 monotonicity certificates
   selfcheck  [--fast]                             built-in invariant suite
 
-Common flags: --format json|csv (default json), --output PATH, --verbose
-(version banner on the error stream; data output stays byte-identical).
+Common flags: --output PATH, --verbose (version banner on the error
+stream; data output stays byte-identical). Every subcommand but selfcheck
+also takes --format json|csv (default json).
 
 Each subcommand builds its payload and its table rows once, and one writer
 (`_emit`) prints every table: the payload as JSON through `_format.dumps`,
@@ -47,9 +48,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _common_flags(parser: _Parser) -> None:
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--output", default=None, metavar="PATH")
     parser.add_argument("--verbose", action="store_true")
+
+
+def _table_flags(parser: _Parser) -> None:
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    _common_flags(parser)
 
 
 def _build_parser() -> _Parser:
@@ -60,7 +65,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--bc", choices=["dirichlet", "neumann"], required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
-    _common_flags(p)
+    _table_flags(p)
 
     p = sub.add_parser("zeros", help="zeros of the radial target")
     p.add_argument("--l", type=int, required=True)
@@ -70,14 +75,14 @@ def _build_parser() -> _Parser:
     group.add_argument("--m", type=int, default=None)
     group.add_argument("--count", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
-    _common_flags(p)
+    _table_flags(p)
 
     p = sub.add_parser("courant", help="Courant sharpness verdicts")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--bc", choices=["dirichlet", "neumann"], required=True)
     p.add_argument("--lmax", type=int, default=8)
     p.add_argument("--mmax", type=int, default=4)
-    _common_flags(p)
+    _table_flags(p)
 
     p = sub.add_parser("pleijel", help="gamma values, table, quotient curve")
     group = p.add_mutually_exclusive_group(required=True)
@@ -88,12 +93,12 @@ def _build_parser() -> _Parser:
     group.add_argument(
         "--curve", type=int, nargs=2, default=None, metavar=("D_MIN", "D_MAX")
     )
-    _common_flags(p)
+    _table_flags(p)
 
     p = sub.add_parser("certify", help="monotonicity certificates")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--through", type=int, default=None, metavar="D_MAX")
-    _common_flags(p)
+    _table_flags(p)
 
     p = sub.add_parser("selfcheck", help="run the built-in invariant suite")
     p.add_argument("--fast", action="store_true")

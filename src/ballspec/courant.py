@@ -19,7 +19,7 @@ from functools import partial
 
 from . import zeros
 from .bessel import _is_int
-from .errors import CertificateFailure, RangeError, Unsupported
+from .errors import CertificateFailure, RangeError
 from .pleijel import Check
 from .spectrum import (
     ROOT_KIND,
@@ -93,18 +93,13 @@ class SharpnessVerdict:
         }
 
 
-def nodal_count_disc(l: int, m: int, bc, d: int = 2) -> int:
+def nodal_count_disc(l: int, m: int, bc) -> int:
     """Nodal domains of the (l, m) disc eigenfunction: m bands x 2l sectors."""
     _coerce_bc(bc)  # both conditions share the product structure
     if not _is_int(l) or l < 0:
         raise RangeError(f"l must be a nonnegative int, got {l!r}")
     if not _is_int(m) or m < 1:
         raise RangeError(f"m must be a positive int, got {m!r}")
-    if d != 2:
-        raise Unsupported(
-            "per-eigenfunction nodal counts are only computed on the disc "
-            f"(d=2); got d={d!r}"
-        )
     return m if l == 0 else 2 * l * m
 
 

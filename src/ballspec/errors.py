@@ -47,7 +47,3 @@ class DegenerateOrdering(NumericalError):
 
 class CertificateFailure(NumericalError):
     """A certified inequality failed to hold strictly."""
-
-
-class Unsupported(BallspecError):
-    """The operation is defined only for a restricted parameter set."""

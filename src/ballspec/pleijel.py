@@ -50,7 +50,7 @@ from functools import lru_cache
 
 from ballspec import zeros
 from ballspec._format import dumps
-from ballspec.bessel import _is_int, log_gamma
+from ballspec.bessel import TWICE_NU_MAX, _is_int, log_gamma
 from ballspec.errors import CertificateFailure, RangeError
 
 __all__ = [
@@ -69,10 +69,10 @@ __all__ = [
 ]
 
 # The zero census evaluates the Bessel pair (nu, nu+1) at order
-# nu = d/2 - 1, so the kernel's order cap (twice_nu <= 240) admits first
-# zeros for every dimension up to 240; the first zero itself stays far
-# inside the argument box (j < 1.9 * 240 never happens: j(119) ~ 128).
-D_MAX = 240
+# nu = d/2 - 1, whose upper order 2(nu+1) = d must stay within the kernel's
+# order cap; the first zero itself stays far inside the argument box
+# (j_{119,1} ~ 128 < 200).
+D_MAX = TWICE_NU_MAX
 
 # Limit of the quotient gamma(d+1)/gamma(d) as d grows.
 TWO_OVER_E = 2.0 / math.e

@@ -1,10 +1,10 @@
 """Certified location of Bessel-derived zeros by exhaustive sign census.
 
-Three target families, all driven by one kernel pair evaluation per point:
+Two target families, each driven by one kernel pair evaluation per point:
 
-* ``BesselJ``      - zeros j_{nu,m} of J_nu;
-* ``DirichletXi``  - zeros of the scaled radial function (identical to the
-  j_{nu,m} because the power prefactor never vanishes for r > 0);
+* ``DirichletXi``  - zeros of the scaled radial function, which are the
+  zeros j_{nu,m} of J_nu because the power prefactor never vanishes for
+  r > 0;
 * ``NeumannXiPrime`` - zeros of its derivative, located through
   g(r) = (l/r) J_nu(r) - J_{nu+1}(r), which shares the derivative's zeros.
 
@@ -37,17 +37,16 @@ w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
   Hence beta_{m+1} - beta_m > pi/2.
 
 Any cell of width <= pi/2 therefore holds at most one zero: the census
-steps by exactly pi/2 (DEFAULT_STEP, also the cap of scan_brackets). A cell
-widened to twice the step around a near-zero endpoint must show a sign flip
-(else BracketFailure), and then it holds exactly one zero: three would need
-two gaps above pi/2. Safeguarded Newton refines each bracket, and every
-returned zero x is sign-enclosed: the target changes sign in x +- tol*x/2.
+steps by exactly pi/2 (DEFAULT_STEP). A cell widened to twice the step
+around a near-zero endpoint must show a sign flip (else BracketFailure),
+and then it holds exactly one zero: three would need two gaps above pi/2.
+Safeguarded Newton refines each bracket, and every returned zero x is
+sign-enclosed: the target changes sign in x +- tol*x/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -62,21 +61,8 @@ _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
 
 
 class RootKind(Enum):
-    BESSEL_J = "BesselJ"
     DIRICHLET_XI = "DirichletXi"
     NEUMANN_XI_PRIME = "NeumannXiPrime"
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Sign-change interval: the target has opposite signs at lo and hi."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise RangeError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
 
 
 def _check_tol(tol: float) -> float:
@@ -208,7 +194,8 @@ def _refine(f_df, lo: float, hi: float, sign_lo: int, tol: float) -> float:
 
 @lru_cache(maxsize=8192)
 def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
-    """Bracket of the m-th positive zero: (lo, hi, sign_lo), None past the box."""
+    """Sign-change cell of the m-th positive zero: (lo, hi, sign_lo), None
+    past the box."""
     if m > 1:
         prev = _census_bracket(tag, l, twice_nu, m - 1)
         if prev is None:
@@ -289,8 +276,8 @@ def neumann_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
 
 def find_zero(kind: RootKind, l: int, d: int, m: int,
               tol: float = DEFAULT_TOL) -> float:
-    """m-th zero of the (kind, l, d) target, counted as neumann_zero counts
-    the derivative target and dirichlet_zero the others."""
+    """m-th zero of the (kind, l, d) target, counted as neumann_zero or
+    dirichlet_zero counts it."""
     tag = _key(kind, l, d)[0]
     return (neumann_zero if tag == "G" else dirichlet_zero)(l, d, m, tol)
 
@@ -323,24 +310,6 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
         out.append(z)
         m += 1
     return out
-
-
-def scan_brackets(kind: RootKind, l: int, d: int, x_max: float,
-                  step: float = DEFAULT_STEP) -> list[Bracket]:
-    """All sign-change brackets of the target over (0, x_max], in order.
-
-    The bracket count equals the number of zeros in (0, x_max] (for the
-    derivative targets with l = 0 this excludes the conventional zero at
-    r = 0, which is not a sign change).
-    """
-    tag, l_key, twice_nu = _key(kind, l, d)
-    x_max = _check_x_max(x_max)
-    step = float(step)
-    if not 0.0 < step <= DEFAULT_STEP:
-        raise RangeError(f"step={step!r} outside (0, pi/2]")
-    start, sign = _scan_start(tag, l_key, twice_nu)
-    return [Bracket(lo, hi) for lo, hi, _ in _walk_brackets(
-        _target(tag, l_key, twice_nu), start, sign, step, x_max)]
 
 
 def _check_l_d(l: int, d: int) -> None:

@@ -1,0 +1,44 @@
+"""The benchmark's tracer still runs the CLI it wraps.
+
+``perfbench/trace_child.py`` replaces library functions by name (the kernel
+pair, the zero finders, the serializers); a refactor that deletes or renames
+one of them breaks the traced benchmark with an AttributeError. Each case
+runs the tracer in a fresh process on a golden argv and checks its header
+and the CLI's stdout behind it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tests.test_golden import GOLDEN
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACED = ["zeros --l 3 --d 3 --bc neumann --count 2 --format csv",
+          "certify --d 4 --through 5"]
+
+
+@pytest.mark.parametrize("argv", TRACED)
+def test_tracer_runs_golden_argv(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_child.py"),
+         *argv.split()],
+        cwd=ROOT, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    header, _, out = proc.stdout.partition(b"\n")
+    head = json.loads(header)
+    assert head["rc"] == 0
+    names = {span[0] for span in head["spans"]}
+    assert "bessel.eval_J_pair" in names
+    assert any(name.startswith("zeros.") for name in names), names
+    want = {a: sha for a, _, sha in GOLDEN}[argv]
+    assert hashlib.sha256(out).hexdigest() == want

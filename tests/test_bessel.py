@@ -11,8 +11,8 @@ import pytest
 
 from tests import _frozen
 from tests import _oracle as oracle
-from ballspec import bessel
-from ballspec.bessel import EvalResult, Order, eval_J, eval_J_pair, eval_Xi, eval_Xi_prime, log_gamma
+from ballspec import bessel, zeros
+from ballspec.bessel import EvalResult, Order, eval_J, eval_J_pair, log_gamma
 from ballspec.errors import LossOfPrecision, RangeError
 
 
@@ -123,43 +123,48 @@ def test_pair_consistent_with_singles():
 
 
 # ---------------------------------------------------------------------------
-# eval_Xi / eval_Xi_prime examples
+# the scaled radial function Xi_l(r) = r^((2-d)/2) J_{l+d/2-1}(r) and its
+# derivative Xi'_l(r) = r^((2-d)/2) g(r), where g = (l/r) J_nu - J_{nu+1}
+# is the Neumann target the zero census evaluates
+
+
+def xi(l: int, d: int, r: float) -> float:
+    return r ** (0.5 * (2 - d)) * eval_J(Order.from_l_d(l, d), r).value
+
+
+def xi_prime(l: int, d: int, r: float) -> float:
+    return r ** (0.5 * (2 - d)) * zeros._target("G", l, 2 * l + d - 2)(r)[0]
 
 
 def test_xi_l0_d3_zero_at_pi():
-    res = eval_Xi(0, 3, math.pi)
-    assert abs(res.value) <= 1e-14
+    assert abs(xi(0, 3, math.pi)) <= 1e-14
 
 
 def test_xi_l0_d2_is_J0():
     want = frozen_float(_frozen.BESSEL_VALUES, (0, "1"))
     assert want == 0.7651976865579666
-    res = eval_Xi(0, 2, 1.0)
-    assert res.value == pytest.approx(want, rel=1e-12)
+    assert xi(0, 2, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_xi_l0_d3_proportional_to_sinc():
     ratios = []
     for r in (0.5, 1.0, 2.0):
-        val = eval_Xi(0, 3, r).value
-        ratios.append(val * r / math.sin(r))
+        ratios.append(xi(0, 3, r) * r / math.sin(r))
     assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
     assert ratios[0] == pytest.approx(ratios[2], rel=1e-12)
 
 
 def test_xi_prime_l0_d2_zero_at_j11():
-    res = eval_Xi_prime(0, 2, 3.8317059702075125)
-    assert abs(res.value) <= 1e-12
+    assert abs(xi_prime(0, 2, 3.8317059702075125)) <= 1e-12
 
 
 def test_xi_prime_l1_d2_zero_at_first_derivative_root():
-    res = eval_Xi_prime(1, 2, 1.8411837813406593)
-    assert abs(res.value) <= 1e-12
+    assert abs(xi_prime(1, 2, 1.8411837813406593)) <= 1e-12
 
 
 def test_xi_prime_l0_d3_equals_minus_xi1():
-    a = eval_Xi_prime(0, 3, math.pi).value
-    b = -eval_Xi(1, 3, math.pi).value
+    a = xi_prime(0, 3, math.pi)
+    b = -xi(1, 3, math.pi)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -231,14 +236,14 @@ _R_GRID = _GRID_X[::4]  # 50 points, shares kernel cache with the grid above
 
 def _xi_prime_up(l: int, d: int, r: float) -> float:
     # upward form: -((l + d - 2)/r) Xi_l + Xi_{l-1}, valid for l >= 1
-    return -((l + d - 2) / r) * eval_Xi(l, d, r).value + eval_Xi(l - 1, d, r).value
+    return -((l + d - 2) / r) * xi(l, d, r) + xi(l - 1, d, r)
 
 
 def test_xi_prime_two_recursions_agree():
     for d in (2, 3):
         for l in (1, 2, 5, 10):
             for r in _R_GRID:
-                a = eval_Xi_prime(l, d, r).value
+                a = xi_prime(l, d, r)
                 b = _xi_prime_up(l, d, r)
                 assert abs(a - b) <= max(1e-11 * max(abs(a), abs(b)), 1e-14), (
                     l, d, r, a, b)
@@ -248,9 +253,9 @@ def test_xi_three_term_recursion():
     for d in (2, 3):
         for l in (2, 3, 7, 11):
             for r in _R_GRID:
-                lhs = eval_Xi(l, d, r).value
-                t1 = ((2 * l + d - 4) / r) * eval_Xi(l - 1, d, r).value
-                t2 = eval_Xi(l - 2, d, r).value
+                lhs = xi(l, d, r)
+                t1 = ((2 * l + d - 4) / r) * xi(l - 1, d, r)
+                t2 = xi(l - 2, d, r)
                 resid = lhs - (t1 - t2)
                 bound = 1e-10 * max(abs(lhs), abs(t1), abs(t2), 1e-300)
                 assert abs(resid) <= bound, (l, d, r, resid, bound)
@@ -261,7 +266,7 @@ def test_xi_half_integer_closed_form_constancy():
     for r in _R_GRID:
         if abs(math.sin(r)) < 0.1:
             continue
-        ratio = eval_Xi(0, 3, r).value * r / math.sin(r)
+        ratio = xi(0, 3, r) * r / math.sin(r)
         if base is None:
             base = ratio
         else:

@@ -20,7 +20,7 @@ from ballspec.courant import (
     sphere_courant_sharp,
     sphere_labeling,
 )
-from ballspec.errors import CertificateFailure, RangeError, Unsupported
+from ballspec.errors import CertificateFailure, RangeError
 from ballspec.pleijel import Check
 from ballspec.spectrum import BoundaryCondition, enumerate_spectrum, multiplicity
 
@@ -95,10 +95,6 @@ class TestNodalCountDisc:
     def test_formula_matches_grid_components(self, l, m, bc):
         want = nodal_count_disc(l, m, bc)
         assert grid_nodal_count(l, m, bc) == want
-
-    def test_rejects_other_dimensions(self):
-        with pytest.raises(Unsupported):
-            nodal_count_disc(1, 1, D, d=3)
 
     def test_rejects_bad_args(self):
         with pytest.raises(RangeError):

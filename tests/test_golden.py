@@ -4,8 +4,9 @@ A change that is meant to keep the program's behaviour must keep every
 digest below. The argv cover every subcommand and both formats, the
 lambda = 0 Neumann edge (the lone zero mode at r = 0), the degree-0
 Neumann zeros (which count r = 0 first) at d = 3 and at d = 240, the
-order-box edge, a kernel order-box error (exit 1, empty stdout), and
-every table layout the CLI writes, including empty CSV cells (the last
+order-box edge, a kernel order-box error (exit 1, empty stdout), the
+selfcheck report and its refusal of ``--format`` (exit 1, empty stdout),
+and every table layout the CLI writes, including empty CSV cells (the last
 ``quotient`` of a gamma table, a verdict with no nodal count ``mu``).
 Update a digest only in a change that means to alter that output.
 """
@@ -49,7 +50,9 @@ GOLDEN = [
      "07ad69d739503de6826f615a084203c24491ead3776173753562c5c7bff19304"),
     ("certify --d 4 --through 6 --format csv", 0,
      "c1406d24d015d8a7141ee0c3c922aae4b25bdcd06afe48f7230b645231fd5084"),
-    ("selfcheck --fast --format csv", 0,
+    ("selfcheck --fast --format csv", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("selfcheck --fast", 0,
      "58d67d432661c54c9b58c4ae0230a5693e614e1dc4f65f0d41d9d33995b79044"),
     ("pleijel --table 2 6", 0,
      "6655e0325d97ca99b0abf77cda008348d3e9b6d9860811ccd7fb51d8414f0532"),

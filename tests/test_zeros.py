@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballspec import bessel, courant, spectrum, zeros
-from ballspec.bessel import Order, eval_Xi, eval_Xi_prime
+from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
-from ballspec.zeros import Bracket, RootKind
+from ballspec.zeros import RootKind
 
 from tests import _frozen
 from tests import _oracle as oracle
@@ -39,16 +39,16 @@ class TestValidation:
         "kwargs",
         [
             dict(kind="DirichletXi", l=0, d=2, m=1),
-            dict(kind=RootKind.BESSEL_J, l=-1, d=2, m=1),
-            dict(kind=RootKind.BESSEL_J, l=0, d=1, m=1),
-            dict(kind=RootKind.BESSEL_J, l=0, d=2, m=0),
-            dict(kind=RootKind.BESSEL_J, l=0, d=2, m=1, tol=1e-16),
-            dict(kind=RootKind.BESSEL_J, l=0, d=2, m=1, tol=0.5),
-            dict(kind=RootKind.BESSEL_J, l=0, d=2, m=1, tol=float("nan")),
+            dict(kind=RootKind.DIRICHLET_XI, l=-1, d=2, m=1),
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=1, m=1),
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=0),
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=1, tol=1e-16),
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=1, tol=0.5),
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=1, tol=float("nan")),
             # bool is an int subclass, but never a degree or an index
             dict(kind=RootKind.DIRICHLET_XI, l=True, d=2, m=1),
             dict(kind=RootKind.NEUMANN_XI_PRIME, l=False, d=2, m=2),
-            dict(kind=RootKind.BESSEL_J, l=0, d=2, m=True),
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=True),
             dict(kind=RootKind.NEUMANN_XI_PRIME, l=1, d=3, m=True),
         ],
     )
@@ -64,7 +64,7 @@ class TestValidation:
             lambda: zeros.bessel_zero(Order(0), True),
             lambda: zeros.radial_zeros(RootKind.DIRICHLET_XI, True, 2, 10.0),
             lambda: zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, False, 3, 10.0),
-            lambda: zeros.scan_brackets(RootKind.BESSEL_J, True, 2, 10.0),
+            lambda: zeros.radial_zeros(RootKind.DIRICHLET_XI, 0, True, 10.0),
             lambda: spectrum.multiplicity(True, 3),
             lambda: spectrum.multiplicity(2, True),
             lambda: spectrum.label_of(2, "dirichlet", 1, True),
@@ -73,19 +73,12 @@ class TestValidation:
             lambda: courant.sphere_labeling(True, 3),
             lambda: courant.nodal_count_disc(True, 1, "dirichlet"),
             lambda: Order.from_l_d(True, 2),
-            lambda: bessel.eval_Xi(True, 2, 1.0),
+            lambda: Order(True),
         ],
     )
     def test_bools_are_not_ints(self, call):
         with pytest.raises(RangeError):
             call()
-
-    def test_bracket_requires_lo_below_hi(self):
-        Bracket(1.0, 2.0)
-        with pytest.raises(RangeError):
-            Bracket(2.0, 1.0)
-        with pytest.raises(RangeError):
-            Bracket(1.0, 1.0)
 
     def test_bessel_zero_rejects_bad_args(self):
         with pytest.raises(RangeError):
@@ -104,18 +97,6 @@ class TestValidation:
             zeros.neumann_zero(0, 1, 1)
         with pytest.raises(RangeError):
             zeros.dirichlet_zero(0, 2, 1, tol=0.0)
-
-    def test_scan_brackets_rejects_bad_args(self):
-        with pytest.raises(RangeError):
-            zeros.scan_brackets("BesselJ", 0, 2, 10.0)
-        with pytest.raises(RangeError):
-            zeros.scan_brackets(RootKind.BESSEL_J, 0, 2, 0.0)
-        with pytest.raises(RangeError):
-            zeros.scan_brackets(RootKind.BESSEL_J, 0, 2, 201.0)
-        with pytest.raises(RangeError):
-            zeros.scan_brackets(RootKind.BESSEL_J, 0, 2, 10.0, step=1.6)
-        with pytest.raises(RangeError):
-            zeros.scan_brackets(RootKind.BESSEL_J, 0, 2, 10.0, step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,55 +195,98 @@ class TestOracleSpots:
 
 
 # ---------------------------------------------------------------------------
-# bracket scans
+# census targets: f and df against the oracle on both kernel routes
+
+# (tag, l, twice_nu, points): series route at the low points, Miller above
+TARGET_POINTS = [
+    ("J", 0, 0, (5.0, 47.5)),
+    ("G", 3, 7, (0.7, 5.0, 13.5, 47.5, 150.0, 199.5)),
+    ("G", 100, 202, (80.0, 110.0, 150.0, 199.5)),
+    ("J", 0, 202, (80.0, 105.0, 150.0, 199.5)),
+]
+
+
+@pytest.mark.parametrize("tag,l,twice_nu,x", [
+    (tag, l, tn, x) for tag, l, tn, points in TARGET_POINTS for x in points])
+def test_target_matches_oracle(tag, l, twice_nu, x):
+    # J: f = J_nu, df = J_nu'; G: f = g = (l/x) J_nu - J_{nu+1} and
+    # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which the census forms
+    # through the recursion J_nu (l(nu-1)/x^2 - 1) + J_{nu+1} (nu+1-l)/x
+    f, df = zeros._target(tag, l, twice_nu)(x)
+    ja = float(oracle.oracle_J(twice_nu, x, dps=30))
+    pa = float(oracle.oracle_J_prime(twice_nu, x, dps=30))
+    if tag == "J":
+        terms = (ja, pa)
+        want_f, want_df = ja, pa
+    else:
+        jb = float(oracle.oracle_J(twice_nu + 2, x, dps=30))
+        pb = float(oracle.oracle_J_prime(twice_nu + 2, x, dps=30))
+        terms = ((l / x) * ja, jb, (l / (x * x)) * ja, (l / x) * pa, pb)
+        want_f = terms[0] - terms[1]
+        want_df = -terms[2] + terms[3] - terms[4]
+    bound = 1e-13 * max(max(abs(t) for t in terms), 1e-3)
+    assert abs(f - want_f) <= bound, (f, want_f)
+    assert abs(df - want_df) <= bound, (df, want_df)
+
+
+# ---------------------------------------------------------------------------
+# bracket scans: the census walk from its start over (start, x_max]
+
+
+def scan(kind: RootKind, l: int, d: int, x_max: float,
+         step: float = zeros.DEFAULT_STEP) -> list[tuple[float, float]]:
+    """Sign-change cells (lo, hi) of the census target, in order."""
+    tag, l_key, twice_nu = zeros._key(kind, l, d)
+    start, sign = zeros._scan_start(tag, l_key, twice_nu)
+    f_df = zeros._target(tag, l_key, twice_nu)
+    return [(lo, hi) for lo, hi, _ in
+            zeros._walk_brackets(f_df, start, sign, step, x_max)]
 
 
 class TestScanBrackets:
     def test_sine_zeros_give_three_brackets(self):
-        got = zeros.scan_brackets(RootKind.BESSEL_J, 0, 3, 10.0, step=0.5)
+        got = scan(RootKind.DIRICHLET_XI, 0, 3, 10.0, step=0.5)
         assert len(got) == 3
-        for br, root in zip(got, (math.pi, 2 * math.pi, 3 * math.pi)):
-            assert br.lo < root < br.hi
+        for (lo, hi), root in zip(got, (math.pi, 2 * math.pi, 3 * math.pi)):
+            assert lo < root < hi
 
     def test_neumann_scan_single_bracket(self):
-        got = zeros.scan_brackets(RootKind.NEUMANN_XI_PRIME, 0, 2, 4.0, step=0.25)
+        got = scan(RootKind.NEUMANN_XI_PRIME, 0, 2, 4.0, step=0.25)
         assert len(got) == 1
-        assert got[0].lo < 3.831705970207512 < got[0].hi
+        assert got[0][0] < 3.831705970207512 < got[0][1]
 
     def test_dirichlet_scan_two_brackets(self):
-        got = zeros.scan_brackets(RootKind.DIRICHLET_XI, 0, 2, 6.0, step=0.25)
+        got = scan(RootKind.DIRICHLET_XI, 0, 2, 6.0, step=0.25)
         assert len(got) == 2
-        assert got[0].lo < 2.404825557695773 < got[0].hi
-        assert got[1].lo < 5.520078110286311 < got[1].hi
+        assert got[0][0] < 2.404825557695773 < got[0][1]
+        assert got[1][0] < 5.520078110286311 < got[1][1]
 
     def test_brackets_are_ordered_and_sign_changing(self):
-        brs = zeros.scan_brackets(RootKind.DIRICHLET_XI, 2, 3, 20.0, step=0.25)
-        assert brs == sorted(brs, key=lambda b: b.lo)
-        for br in brs:
-            flo = eval_Xi(2, 3, br.lo).value
-            fhi = eval_Xi(2, 3, br.hi).value
-            assert flo * fhi < 0.0
+        brs = scan(RootKind.DIRICHLET_XI, 2, 3, 20.0, step=0.25)
+        assert brs == sorted(brs)
+        for lo, hi in brs:
+            assert oracle.oracle_xi(2, 3, lo) * oracle.oracle_xi(2, 3, hi) < 0
 
     def test_neumann_brackets_sign_change_in_derivative(self):
-        brs = zeros.scan_brackets(RootKind.NEUMANN_XI_PRIME, 3, 3, 20.0, step=0.25)
+        brs = scan(RootKind.NEUMANN_XI_PRIME, 3, 3, 20.0, step=0.25)
         assert len(brs) >= 2
-        for br in brs:
-            flo = eval_Xi_prime(3, 3, br.lo).value
-            fhi = eval_Xi_prime(3, 3, br.hi).value
-            assert flo * fhi < 0.0
+        for lo, hi in brs:
+            flo = oracle.oracle_xi_prime(3, 3, lo)
+            fhi = oracle.oracle_xi_prime(3, 3, hi)
+            assert flo * fhi < 0
 
     def test_bracket_count_matches_zero_census(self):
         # 5 zeros of J_0 below j_{0,5} + 0.05 and the scan finds all 5
         j05 = zeros.bessel_zero(Order(0), 5)
-        brs = zeros.scan_brackets(RootKind.BESSEL_J, 0, 2, j05 + 0.05)
+        brs = scan(RootKind.DIRICHLET_XI, 0, 2, j05 + 0.05)
         assert len(brs) == 5
-        assert brs[-1].lo < j05 < brs[-1].hi
+        assert brs[-1][0] < j05 < brs[-1][1]
         # consecutive zeros are more than pi/2 apart (zeros module docstring),
         # so the widest allowed step still isolates each census zero: the
         # tightest J spacing (d=2, l=0), Neumann l=0 and l>=1 for d=2, 3, and
         # a high order on the Miller route
         cases = [
-            (RootKind.BESSEL_J, 0, 2, 8),
+            (RootKind.DIRICHLET_XI, 0, 2, 8),
             (RootKind.NEUMANN_XI_PRIME, 0, 2, 6),
             (RootKind.NEUMANN_XI_PRIME, 0, 3, 6),
             (RootKind.NEUMANN_XI_PRIME, 1, 2, 6),
@@ -278,10 +302,10 @@ class TestScanBrackets:
             else:
                 census = [zeros.dirichlet_zero(l, d, m) for m in range(1, n + 1)]
             for step in (0.2, math.pi / 2):
-                brs = zeros.scan_brackets(kind, l, d, census[-1] + 0.05, step)
+                brs = scan(kind, l, d, census[-1] + 0.05, step)
                 assert len(brs) == n, (kind, l, d, step)
-                for br, z in zip(brs, census):
-                    assert br.lo < z < br.hi, (kind, l, d, step, z)
+                for (lo, hi), z in zip(brs, census):
+                    assert lo < z < hi, (kind, l, d, step, z)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +328,7 @@ class TestCensus:
             zeros.neumann_zero(0, 2, 65)
 
     def test_find_zero_routes_by_kind(self):
-        got = zeros.find_zero(RootKind.BESSEL_J, 0, 3, 3)
+        got = zeros.find_zero(RootKind.DIRICHLET_XI, 0, 3, 3)
         assert rel_err(got, 3.0 * math.pi) <= 1e-13
         got = zeros.find_zero(RootKind.DIRICHLET_XI, 1, 3, 1)
         assert rel_err(got, 4.493409457909064) <= 1e-13
@@ -340,7 +364,7 @@ def counted_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
 class TestRadialZeros:
     @pytest.mark.parametrize("kind,l,d,x_max", [
         (RootKind.DIRICHLET_XI, 3, 3, 40.0),
-        (RootKind.BESSEL_J, 0, 2, 25.0),
+        (RootKind.DIRICHLET_XI, 0, 2, 25.0),
         (RootKind.NEUMANN_XI_PRIME, 2, 4, 40.0),
         (RootKind.NEUMANN_XI_PRIME, 0, 2, 40.0),
         (RootKind.NEUMANN_XI_PRIME, 0, 5, 33.3),
@@ -371,7 +395,7 @@ class TestRadialZeros:
         assert zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 0, 2, 1e-9) == [0.0]
 
     def test_stops_at_the_box(self):
-        got = zeros.radial_zeros(RootKind.BESSEL_J, 0, 2, bessel.X_MAX)
+        got = zeros.radial_zeros(RootKind.DIRICHLET_XI, 0, 2, bessel.X_MAX)
         assert len(got) == 63
         assert got[-1] == zeros.bessel_zero(Order(0), 63)
 
@@ -383,10 +407,10 @@ class TestRadialZeros:
 
     @pytest.mark.parametrize("args", [
         ("DirichletXi", 0, 2, 10.0),
-        (RootKind.BESSEL_J, -1, 2, 10.0),
-        (RootKind.BESSEL_J, 0, 1, 10.0),
-        (RootKind.BESSEL_J, 0, 2, 0.0),
-        (RootKind.BESSEL_J, 0, 2, 201.0),
+        (RootKind.DIRICHLET_XI, -1, 2, 10.0),
+        (RootKind.DIRICHLET_XI, 0, 1, 10.0),
+        (RootKind.DIRICHLET_XI, 0, 2, 0.0),
+        (RootKind.DIRICHLET_XI, 0, 2, 201.0),
     ])
     def test_rejects_bad_args(self, args):
         with pytest.raises(RangeError):
