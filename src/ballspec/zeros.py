@@ -42,6 +42,13 @@ around a near-zero endpoint must show a sign flip (else BracketFailure),
 and then it holds exactly one zero: three would need two gaps above pi/2.
 Safeguarded Newton refines each bracket, and every returned zero x is
 sign-enclosed: the target changes sign in x +- tol*x/2.
+
+The scan cells, the enclosure probes and the edge probe of radial_zeros read
+only the target's sign (_sign_target): from the float twin
+bessel._pair_float where its bound, propagated through the target, cannot
+flip it, else from double-double. Newton iterates always use double-double,
+so the shipped digits, brackets and Newton paths are those of a census run
+wholly in double-double.
 """
 
 from __future__ import annotations
@@ -96,6 +103,27 @@ def _target(tag: str, l: int, twice_nu: int):
     return f_df
 
 
+def _sign_target(tag: str, l: int, twice_nu: int):
+    """f of the same target for sign decisions: the float twin's value when
+    |f| exceeds its error propagated through f, else _target's double-double
+    value (the same sign either way). Validates x as eval_J_pair does."""
+    order = Order(twice_nu)
+    f_df = _target(tag, l, twice_nu)
+
+    def f(x: float) -> float:
+        x = bessel._validate_pair(order, x)
+        a, b, err = bessel._pair_float(twice_nu, x)
+        if tag == "J":
+            v = a
+        else:  # g = (l/x) a - b, plus the rounding of its three operations
+            c = l / x
+            v = c * a - b
+            err = (c + 1.0) * err + (abs(c * a) + abs(b)) * 2.0**-51
+        return v if abs(v) > err else f_df(x)[0]
+
+    return f
+
+
 def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
     """(start, sign): the target has sign ``sign`` throughout (0, start].
 
@@ -117,7 +145,7 @@ def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
 # the scan: walk cells of at most pi/2, yield the sign-change brackets
 
 
-def _walk_brackets(f_df, start: float, start_sign: int, step: float,
+def _walk_brackets(f, start: float, start_sign: int, step: float,
                    x_limit: float):
     """Yield (lo, hi, sign_lo) sign-change cells over (start, x_limit].
 
@@ -128,12 +156,12 @@ def _walk_brackets(f_df, start: float, start_sign: int, step: float,
     prev_sign = 1 if start_sign > 0 else -1
     while prev_x < x_limit:
         x = min(prev_x + step, x_limit)
-        f = f_df(x)[0]
-        if abs(f) < _TINY:
+        fx = f(x)
+        if abs(fx) < _TINY:
             # endpoint sits on (or straddles underflow near) a zero: widen
             # one step so the zero lands strictly inside the bracket
             x2 = x + step
-            f2 = f_df(x2)[0]
+            f2 = f(x2)
             if (f2 > 0.0) == (prev_sign > 0) or abs(f2) < _TINY:
                 raise BracketFailure(
                     f"sign did not flip across near-zero endpoint x={x!r}"
@@ -141,7 +169,7 @@ def _walk_brackets(f_df, start: float, start_sign: int, step: float,
             yield prev_x, x2, prev_sign
             prev_x, prev_sign = x2, -prev_sign
             continue
-        sign = 1 if f > 0.0 else -1
+        sign = 1 if fx > 0.0 else -1
         if sign != prev_sign:
             yield prev_x, x, prev_sign
         prev_x, prev_sign = x, sign
@@ -151,13 +179,15 @@ def _walk_brackets(f_df, start: float, start_sign: int, step: float,
 # refinement: bracket-safeguarded Newton with a verified enclosure
 
 
-def _refine(f_df, lo: float, hi: float, sign_lo: int, tol: float) -> float:
+def _refine(f_df, f_sign, lo: float, hi: float, sign_lo: int,
+            tol: float) -> float:
     """Zero in the sign-change bracket (lo, hi), sign-enclosed within tol.
 
     Newton from the midpoint; a step that leaves the bracket, or is more
     than half the step before last (so a bad derivative cannot stall the
     loop), becomes a bisection. A step below h = tol*x/2 lands on x, which
     is returned only once the target changes sign within [x - h, x + h].
+    Newton iterates call f_df; the probes at x +- h read only f_sign.
     """
     x = 0.5 * (lo + hi)
     dx_old = dx_older = hi - lo
@@ -173,7 +203,7 @@ def _refine(f_df, lo: float, hi: float, sign_lo: int, tol: float) -> float:
         if abs(x_new - x) <= h:
             for p in (x_new - h, x_new + h):
                 if lo < p < hi:
-                    fp = f_df(p)[0]
+                    fp = f_sign(p)
                     if fp == 0.0:
                         return p
                     lo, hi = (p, hi) if (fp > 0.0) == (sign_lo > 0) else (lo, p)
@@ -203,7 +233,7 @@ def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
         start, sign = prev[1], -prev[2]
     else:
         start, sign = _scan_start(tag, l, twice_nu)
-    return next(_walk_brackets(_target(tag, l, twice_nu), start, sign,
+    return next(_walk_brackets(_sign_target(tag, l, twice_nu), start, sign,
                                DEFAULT_STEP, X_MAX), None)
 
 
@@ -215,7 +245,8 @@ def _census_zero(tag: str, l: int, twice_nu: int, m: int, tol: float):
             f"zero #{m} of {tag}(l={l}, twice_nu={twice_nu}) lies beyond "
             f"the supported box x <= {X_MAX}"
         )
-    return _refine(_target(tag, l, twice_nu), *cell, tol)
+    return _refine(_target(tag, l, twice_nu), _sign_target(tag, l, twice_nu),
+                   *cell, tol)
 
 
 def _key(kind: RootKind, l: int, d: int) -> tuple[str, int, int]:
@@ -301,7 +332,7 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
         if lo >= edge:
             break
         if hi > edge:
-            f = _target(tag, l_key, twice_nu)(edge)[0]
+            f = _sign_target(tag, l_key, twice_nu)(edge)
             if abs(f) >= _TINY and (f > 0.0) == (sign_lo > 0):
                 break
         z = find_zero(kind, l, d, len(out) + 1)  # out holds zeros 1..len

@@ -201,6 +201,59 @@ def test_log_gamma_range():
 
 
 # ---------------------------------------------------------------------------
+# float twin of the pair: its a priori bound against the oracle
+
+TWIN_ORDERS = (0, 1, 2, 7, 40, 101, 160, 202, 238)
+TWIN_XS = (0.5, 1.7, 6.0, 23.0, 61.0, 118.0, 163.0, 200.0)
+# census zeros (tag, l, twice_nu, m) spread over the box, on both routes
+TWIN_ZEROS = [("J", 0, 0, 1), ("J", 0, 0, 63), ("J", 0, 1, 3), ("J", 0, 7, 4),
+              ("J", 0, 202, 1), ("J", 0, 238, 2), ("G", 0, 1, 2),
+              ("G", 3, 7, 1), ("G", 3, 7, 60), ("G", 40, 82, 1),
+              ("G", 119, 238, 1)]
+
+
+def oracle_target(tag: str, l: int, twice_nu: int, x) -> mp.mpf:
+    """The census target J_nu (tag "J") or g = (l/x) J_nu - J_{nu+1}."""
+    with mp.workdps(40):
+        ja = oracle.oracle_J(twice_nu, x, dps=40)
+        if tag == "J":
+            return ja
+        return (l / mp.mpf(x)) * ja - oracle.oracle_J(twice_nu + 2, x, dps=40)
+
+
+def near_zero_points(tag: str, l: int, twice_nu: int, m: int):
+    """The oracle zero as a float and the floats 1e-12 relative either side
+    of it; the census zero only seeds mpmath's secant solver."""
+    seed = zeros._census_zero(tag, l, twice_nu, m, zeros.DEFAULT_TOL)
+    with mp.workdps(40):
+        z = float(mp.findroot(lambda t: oracle_target(tag, l, twice_nu, t),
+                              mp.mpf(seed)))
+    assert abs(z - seed) <= 1e-13 * z
+    return [z * (1.0 - 1e-12), z, z * (1.0 + 1e-12)]
+
+
+def twin_points():
+    """(twice_nu, x) of the grid plus the near-zero points."""
+    pts = [(tn, x) for tn in TWIN_ORDERS for x in TWIN_XS]
+    for tag, l, tn, m in TWIN_ZEROS:
+        pts += [(tn, x) for x in near_zero_points(tag, l, tn, m)]
+    return pts
+
+
+def test_pair_float_within_its_bound():
+    # both parities, twice_nu 0..238, x in [0.5, 200], and points within
+    # 1e-12 relative of zeros of J_nu and of g
+    worst = 0.0
+    for tn, x in twin_points():
+        j0, j1, err = bessel._pair_float(tn, x)
+        o0, o1 = oracle.oracle_J_pair(tn, x, dps=30)
+        miss = max(abs(mp.mpf(j0) - o0), abs(mp.mpf(j1) - o1))
+        assert miss <= err, (tn, x, float(miss), err)
+        worst = max(worst, float(miss) / err)
+    assert worst > 0.005  # the bound is not vacuous
+
+
+# ---------------------------------------------------------------------------
 # recurrence-residual grid (three-term identity for J)
 
 _GRID_X = [0.5 + i * (59.5 / 199.0) for i in range(200)]

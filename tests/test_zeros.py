@@ -19,6 +19,7 @@ from ballspec.zeros import RootKind
 
 from tests import _frozen
 from tests import _oracle as oracle
+from tests.test_bessel import oracle_target, twin_points
 
 
 def rel_err(got: float, want: float) -> float:
@@ -230,6 +231,59 @@ def test_target_matches_oracle(tag, l, twice_nu, x):
 
 
 # ---------------------------------------------------------------------------
+# the sign evaluator: float twin where it certifies the sign, else _target
+
+
+def _counting(monkeypatch):
+    """Count eval_J_pair calls; returns a one-element list."""
+    calls = [0]
+    real = bessel.eval_J_pair
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(bessel, "eval_J_pair", counted)
+    return calls
+
+
+def test_certified_signs_match_oracle(monkeypatch):
+    # grid and near-zero points of test_bessel; J and g at every order
+    calls = _counting(monkeypatch)
+    certified = fallbacks = 0
+    for tn, x in twin_points():
+        for tag, l in (("J", 0), ("G", 0), ("G", tn // 2)):
+            before = calls[0]
+            v = zeros._sign_target(tag, l, tn)(x)
+            if calls[0] == before:
+                certified += 1
+                want = oracle_target(tag, l, tn, x)
+                assert want != 0 and (v > 0.0) == (want > 0), (tag, l, tn, x)
+            else:
+                fallbacks += 1
+                assert v == zeros._target(tag, l, tn)(x)[0]
+    # the twin declines deep below the turning point and on the zeros
+    assert certified > 200 and fallbacks > 0
+
+
+def test_sign_target_falls_back_on_a_zero(monkeypatch):
+    calls = _counting(monkeypatch)
+    for tag, l, tn in (("J", 0, 0), ("G", 3, 7), ("J", 0, 202)):
+        z = zeros._census_zero(tag, l, tn, 1, zeros.DEFAULT_TOL)
+        before = calls[0]
+        v = zeros._sign_target(tag, l, tn)(z)
+        assert calls[0] == before + 1
+        assert v == zeros._target(tag, l, tn)(z)[0]
+
+
+def test_sign_target_validates_like_the_pair():
+    with pytest.raises(RangeError, match=r"x=0\.0 outside"):
+        zeros._sign_target("J", 0, 0)(0.0)
+    with pytest.raises(RangeError, match="above the supported box"):
+        zeros._sign_target("J", 0, 239)(5.0)
+
+
+# ---------------------------------------------------------------------------
 # bracket scans: the census walk from its start over (start, x_max]
 
 
@@ -240,7 +294,27 @@ def scan(kind: RootKind, l: int, d: int, x_max: float,
     start, sign = zeros._scan_start(tag, l_key, twice_nu)
     f_df = zeros._target(tag, l_key, twice_nu)
     return [(lo, hi) for lo, hi, _ in
-            zeros._walk_brackets(f_df, start, sign, step, x_max)]
+            zeros._walk_brackets(lambda x: f_df(x)[0], start, sign, step,
+                                 x_max)]
+
+
+# census keys (tag, l, twice_nu): J at d=2 l=0, G at d=3 l=0 and l=3, J on
+# the Miller route, and G at d=4 l=40, whose scan starts below the turning
+# point
+BRACKET_KEYS = [("J", 0, 0), ("G", 0, 1), ("G", 3, 7), ("J", 0, 202),
+                ("G", 40, 82)]
+_KINDS = {"J": RootKind.DIRICHLET_XI, "G": RootKind.NEUMANN_XI_PRIME}
+
+
+@pytest.mark.parametrize("tag,l,twice_nu", BRACKET_KEYS)
+def test_census_brackets_equal_the_double_double_walk(tag, l, twice_nu):
+    # the census reads signs from the float twin where it certifies them;
+    # its cells must be exactly those of the walk on the double-double target
+    d = twice_nu + 2 - 2 * l
+    want = scan(_KINDS[tag], l, d, zeros.X_MAX)[:5]
+    zeros._census_bracket.cache_clear()
+    got = [zeros._census_bracket(tag, l, twice_nu, m)[:2] for m in range(1, 6)]
+    assert got == want
 
 
 class TestScanBrackets:
@@ -454,7 +528,8 @@ class TestRefinement:
             return f, 1e6 * df
 
         lo, hi, sign_lo = zeros._census_bracket(tag, l, twice_nu, 2)
-        z = zeros._refine(bad, lo, hi, sign_lo, tol)
+        z = zeros._refine(bad, zeros._sign_target(tag, l, twice_nu),
+                          lo, hi, sign_lo, tol)
         assert sign_enclosed(f_df, z, tol)
         want = zeros._census_zero(tag, l, twice_nu, 2, tol)
         assert abs(z - want) <= tol * want
@@ -479,6 +554,21 @@ class TestRefinement:
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
         assert calls <= 10 * cold, calls / cold
+
+    @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
+                                                 (4, "neumann", 1900)])
+    def test_double_double_calls_per_cold_zero(self, monkeypatch, d, bc,
+                                               lambda_max):
+        # the scan and the enclosure probes read signs from the float twin,
+        # so double-double pays for the Newton iterates (about 4.4 a zero)
+        # and the few signs the twin cannot certify
+        zeros._census_bracket.cache_clear()
+        zeros._census_zero.cache_clear()
+        calls = _counting(monkeypatch)
+        spectrum.enumerate_spectrum(d, bc, lambda_max)
+        cold = zeros._census_zero.cache_info().misses
+        assert cold > 100
+        assert calls[0] <= 5 * cold, calls[0] / cold
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(2, "dirichlet", 2000),
                                                  (4, "neumann", 1900)])
@@ -572,40 +662,40 @@ def test_zero_grid_monotone(tn, m):
 class TestWalkerSynthetics:
     def test_shallow_dip_is_not_flagged(self):
         # the derivative changes sign inside a cell, the minimum stays above 0
-        def f_df(x):
-            return (x - 5.0) ** 2 + 0.5, 2.0 * (x - 5.0)
+        def f(x):
+            return (x - 5.0) ** 2 + 0.5
 
-        got = list(zeros._walk_brackets(f_df, 4.5, 1, 0.2, 6.0))
+        got = list(zeros._walk_brackets(f, 4.5, 1, 0.2, 6.0))
         assert got == []
 
     def test_near_zero_endpoint_widens_bracket(self):
-        def f_df(x):
+        def f(x):
             if x < 5.05:
-                return 1.0, -1.0
+                return 1.0
             if x <= 5.15:
-                return 1e-295, -1.0  # grid point lands almost on the root
-            return -1.0, -1.0
+                return 1e-295  # grid point lands almost on the root
+            return -1.0
 
-        got = list(zeros._walk_brackets(f_df, 4.5, 1, 0.2, 6.0))
+        got = list(zeros._walk_brackets(f, 4.5, 1, 0.2, 6.0))
         assert len(got) == 1
         lo, hi, sign_lo = got[0]
         assert sign_lo == 1
         assert lo == pytest.approx(4.9) and hi == pytest.approx(5.3)
 
     def test_widened_bracket_without_sign_flip_fails(self):
-        def f_df(x):
+        def f(x):
             if 5.05 <= x <= 5.15:
-                return 1e-295, -1.0
-            return 1.0, -1.0  # never becomes negative: tangency, not a root
+                return 1e-295
+            return 1.0  # never becomes negative: tangency, not a root
 
         with pytest.raises(BracketFailure):
-            list(zeros._walk_brackets(f_df, 4.5, 1, 0.2, 6.0))
+            list(zeros._walk_brackets(f, 4.5, 1, 0.2, 6.0))
 
     def test_plain_crossing_yields_single_bracket(self):
-        def f_df(x):
-            return 5.0 - x, -1.0
+        def f(x):
+            return 5.0 - x
 
-        got = list(zeros._walk_brackets(f_df, 4.5, 1, 0.2, 6.0))
+        got = list(zeros._walk_brackets(f, 4.5, 1, 0.2, 6.0))
         assert len(got) == 1
         lo, hi, sign_lo = got[0]
         assert lo < 5.0 <= hi and sign_lo == 1
