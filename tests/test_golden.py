@@ -9,6 +9,14 @@ selfcheck report and its refusal of ``--format`` (exit 1, empty stdout),
 and every table layout the CLI writes, including empty CSV cells (the last
 ``quotient`` of a gamma table, a verdict with no nodal count ``mu``).
 Update a digest only in a change that means to alter that output.
+
+Below them, the Miller ladders of the kernel are pinned bit for bit: the
+SHA-256 of ``repr`` of ``(J_nu, J_{nu+1}, abs_err)`` from the double-double
+``_eval_miller`` and the float ``_pair_float`` on a fixed grid. The grid
+covers integer and half-integer orders, small x at high order (where the
+ladder rescales) and x up to 200, plus three points where only adding y_0
+last to the integer normalizer, not forming 2 * sum - y_0, keeps the last
+bit of the error bound.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import hashlib
 
 import pytest
 
-from ballspec import cli
+from ballspec import bessel, cli
 
 GOLDEN = [
     ("spectrum --d 2 --bc neumann --lambda-max 0", 0,
@@ -76,3 +84,23 @@ def test_stdout_digest_and_exit_code(capsys, argv, want_rc, want_sha):
     out = capsys.readouterr().out
     assert rc == want_rc
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
+KERNEL_TWICE_NU = (0, 1, 2, 3, 17, 40, 81, 120, 161, 200, 237, 238)
+KERNEL_XS = (0.05, 0.3, 1.0, 3.7, 9.9, 14.2, 31.4, 62.8, 99.0, 150.0, 200.0)
+KERNEL_POINTS = [(tn, x) for tn in KERNEL_TWICE_NU for x in KERNEL_XS] + [
+    (2, 124.45930183746405), (12, 81.36552999244111), (94, 199.37993317614615)]
+KERNEL_GOLDEN = [
+    ("_eval_miller",
+     "0c80e0ec29dcdd207d66cc78b0690d26e1928cf2a7f8568e9e02a47ba09d9a37"),
+    ("_pair_float",
+     "e460abe9786fd1a547e599b3539ae06ec5104fc858ec44c0f1f5705798aca025"),
+]
+
+
+@pytest.mark.parametrize("name,want_sha", KERNEL_GOLDEN,
+                         ids=[g[0] for g in KERNEL_GOLDEN])
+def test_miller_ladder_bits(name, want_sha):
+    ladder = getattr(bessel, name)
+    text = "\n".join(repr(tuple(ladder(tn, x)[:3])) for tn, x in KERNEL_POINTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == want_sha
