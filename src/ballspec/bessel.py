@@ -23,18 +23,21 @@ significant digits carried as an unevaluated sum of two floats. Two routes:
   downward from an index high enough that the unwanted solution is
   suppressed, then normalize - integer orders against the identity
   1 = J_0 + 2*sum J_2k, half-integer orders against the cancellation-free
-  identity sum (2n+1) J_{n+1/2}^2 = 2x/pi with the sign fixed by the
-  sqrt(2/(pi x)) sin/cos closed forms.
+  identity sum (2n+1) J_{n+1/2}^2 = 2x/pi. Its square root is the scale,
+  and the scale is positive: the ladder starts at y = 1 past x, and
+  J_nu > 0 on (0, j_{nu,1}) with j_{nu,1} > nu (DLMF 10.21(i)).
 
 The prefactor (x/2)^nu / Gamma(nu+1) is built from exact integer/half-integer
 products with a separate power-of-two exponent, so nothing overflows or
 underflows silently inside the box.
 
 Every value comes from double-double. A sign may come from the float twin
-_pair_float, the same Miller ladder in plain floats on the whole box and 8-16
-times cheaper, with the a priori bound max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x)))
-* (8 * 2^-53 * n_steps * cancel + 1e-24); callers trust its sign only where
-the value clears that bound.
+_pair_float. _eval_miller and _pair_float are one ladder in two precisions:
+one shape (start index, loop, normalizations) and one a priori error model,
+max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * (n_steps * cancel * u + 1e-24)
+with u = 2^-100 in double-double and 8 * 2^-53 in floats. The twin covers
+the whole box and is 8-16 times cheaper; callers trust its sign only where
+the value clears its bound.
 """
 
 from __future__ import annotations
@@ -299,113 +302,55 @@ def _miller_start(n_target: int, x: float) -> int:
 
 
 def _eval_miller(twice_nu: int, x: float):
-    """J_{nu} and J_{nu+1} by backward recurrence; returns floats + abs errs.
+    """(J_nu, J_{nu+1}, abs_err) by backward recurrence in double-double.
 
-    Output: (j0, j1, abs_err0, abs_err1) where j0 = J_nu(x), j1 = J_{nu+1}(x).
+    The ladder of _pair_float, step for step. The integer normalizer adds
+    y_0 last, after 2 * sum_{k even >= 2} y_k: forming 2 * sum - y_0 moves
+    the last bit of abs_err at some points.
     """
     n_target, parity = divmod(twice_nu, 2)
     n_top = _miller_start(n_target + 1, x)
     inv_xh, inv_xl = _dd_div_f(1.0, 0.0, x)
-
-    y_next_h, y_next_l = 0.0, 0.0  # y_{k+1}
-    y_cur_h, y_cur_l = 1.0, 0.0  # y_k
-    # saved target values (filled on the way down)
+    y_next_h, y_next_l, y_cur_h, y_cur_l = 0.0, 0.0, 1.0, 0.0  # y_{k+1}, y_k
     t0h = t0l = t1h = t1l = 0.0
-    # integer normalization: S = y_0 + 2 sum_{k even >= 2} y_k
-    lin_h = lin_l = 0.0
-    lin_abs = 0.0
-    # half-integer normalization: Q = sum_k (2k+1) y_k^2
-    quad_h = quad_l = 0.0
-
-    if parity:
-        w = 2.0 * n_top + 1.0
-        sq_h, sq_l = _dd_mul(y_cur_h, y_cur_l, y_cur_h, y_cur_l)
-        quad_h, quad_l = _dd_mul_f(sq_h, sq_l, w)
-    elif n_top % 2 == 0:
-        lin_h, lin_l = 2.0, 0.0
-        lin_abs = 2.0
-    if n_top == n_target:
-        t0h, t0l = y_cur_h, y_cur_l
-    elif n_top == n_target + 1:
-        t1h, t1l = y_cur_h, y_cur_l
-
-    k = n_top
-    while k > 0:
-        m = 2 * k + parity
-        ch, cl = _dd_mul_f(inv_xh, inv_xl, float(m))
+    # sum (2k+1) y_k^2 (half-integer) or y_0 + 2 sum_{k even >= 2} y_k
+    acc_h = 2.0 * n_top + 1.0 if parity else 2.0 * (n_top % 2 == 0)
+    acc_l, acc_abs = 0.0, acc_h
+    for k in range(n_top - 1, -1, -1):
+        ch, cl = _dd_mul_f(inv_xh, inv_xl, float(2 * k + 2 + parity))
         ph, pl = _dd_mul(ch, cl, y_cur_h, y_cur_l)
-        y_prev_h, y_prev_l = _dd_add(ph, pl, -y_next_h, -y_next_l)
-        k -= 1
+        yh, yl = _dd_add(ph, pl, -y_next_h, -y_next_l)
         y_next_h, y_next_l = y_cur_h, y_cur_l
-        y_cur_h, y_cur_l = y_prev_h, y_prev_l
-
+        y_cur_h, y_cur_l = yh, yl
         if k == n_target:
-            t0h, t0l = y_cur_h, y_cur_l
-        elif k == n_target + 1:
-            t1h, t1l = y_cur_h, y_cur_l
-
+            t0h, t0l, t1h, t1l = y_cur_h, y_cur_l, y_next_h, y_next_l
         if parity:
-            w = 2.0 * k + 1.0
             sq_h, sq_l = _dd_mul(y_cur_h, y_cur_l, y_cur_h, y_cur_l)
-            sq_h, sq_l = _dd_mul_f(sq_h, sq_l, w)
-            quad_h, quad_l = _dd_add(quad_h, quad_l, sq_h, sq_l)
-        elif k >= 2:
-            if k % 2 == 0:
-                lin_h, lin_l = _dd_add(lin_h, lin_l, 2.0 * y_cur_h, 2.0 * y_cur_l)
-                lin_abs += abs(2.0 * y_cur_h)
-        else:
-            if k == 0:
-                lin_h, lin_l = _dd_add(lin_h, lin_l, y_cur_h, y_cur_l)
-                lin_abs += abs(y_cur_h)
-
+            sq_h, sq_l = _dd_mul_f(sq_h, sq_l, 2.0 * k + 1.0)
+            acc_h, acc_l = _dd_add(acc_h, acc_l, sq_h, sq_l)
+        elif k % 2 == 0:
+            w = 2.0 if k else 1.0
+            acc_h, acc_l = _dd_add(acc_h, acc_l, w * y_cur_h, w * y_cur_l)
+            acc_abs += abs(w * y_cur_h)
         if abs(y_cur_h) > _RESCALE_HI:
             s = _RESCALE_MUL
-            y_cur_h *= s
-            y_cur_l *= s
-            y_next_h *= s
-            y_next_l *= s
-            t0h *= s
-            t0l *= s
-            t1h *= s
-            t1l *= s
-            lin_h *= s
-            lin_l *= s
-            lin_abs *= s
-            s2 = s * s
-            quad_h *= s2
-            quad_l *= s2
-
-    n_steps = n_top + 1
-    if parity:
-        # Q * pi / (2x) = c^2 with J_k = y_k / c (up to overall sign)
+            y_cur_h, y_cur_l, y_next_h, y_next_l = (
+                y_cur_h * s, y_cur_l * s, y_next_h * s, y_next_l * s)
+            t0h, t0l, t1h, t1l = t0h * s, t0l * s, t1h * s, t1l * s
+            s2 = s * s if parity else s
+            acc_h, acc_l, acc_abs = acc_h * s2, acc_l * s2, acc_abs * s
+    if parity:  # y_k = c J_k, c > 0: the ladder starts past x, where J > 0
         fh, fl = _dd_div(*_PI_DD, 2.0 * x, 0.0)
-        c2h, c2l = _dd_mul(quad_h, quad_l, fh, fl)
-        ch, cl = _dd_sqrt(c2h, c2l)
-        # fix sign against a closed form evaluated in plain floats: only the
-        # SIGN is consumed, and the anchor is chosen away from its zeros
-        s_half = math.sin(x)  # ~ J_{1/2}
-        s_three = math.sin(x) / x - math.cos(x)  # ~ J_{3/2}
-        if abs(s_half) >= abs(s_three):
-            anchor_true, anchor_y = s_half, y_cur_h  # y_0 ~ J_{1/2}
-        else:
-            anchor_true, anchor_y = s_three, y_next_h  # y_1 ~ J_{3/2}
-        if (anchor_true < 0.0) != (anchor_y < 0.0):
-            ch, cl = -ch, -cl
-        cancel = 1.0
-        nh, nl = ch, cl
-    else:
-        cancel = lin_abs / abs(lin_h) if lin_h else 1.0
-        nh, nl = lin_h, lin_l
-
+        (nh, nl), cancel = _dd_sqrt(*_dd_mul(acc_h, acc_l, fh, fl)), 1.0
+    else:  # S = y_0 + 2 sum_{k even >= 2} y_k
+        (nh, nl), cancel = (acc_h, acc_l), acc_abs / abs(acc_h)
     j0h, j0l = _dd_div(t0h, t0l, nh, nl)
     j1h, j1l = _dd_div(t1h, t1l, nh, nl)
-    j0 = j0h + j0l
-    j1 = j1h + j1l
+    j0, j1 = j0h + j0l, j1h + j1l
     # double-double noise grows with ladder length and any cancellation in
     # the normalizer; truncation of the start index adds ~e^-60 relative
     scale = max(abs(j0), abs(j1), math.sqrt(2.0 / (math.pi * x)))
-    abs_err = scale * (n_steps * cancel * 2.0**-100 + 1e-24)
-    return j0, j1, abs_err, abs_err
+    return j0, j1, scale * ((n_top + 1) * cancel * 2.0**-100 + 1e-24)
 
 
 def _pair_float(twice_nu: int, x: float):
@@ -517,15 +462,16 @@ def _eval_pair_raw(twice_nu: int, x: float):
         v0, e0 = _eval_series(twice_nu, x)
         v1, e1 = _eval_series(twice_nu + 2, x)
         return v0, v1, e0, e1
-    return _eval_miller(twice_nu, x)
+    j0, j1, err = _eval_miller(twice_nu, x)
+    return j0, j1, err, err
 
 
 def _eval_single_raw(twice_nu: int, x: float):
     """(J_nu, abs_err) with routing, no validation."""
     if _use_series(twice_nu, x):
         return _eval_series(twice_nu, x)
-    j0, _, e0, _ = _eval_miller(twice_nu, x)
-    return j0, e0
+    j0, _, err = _eval_miller(twice_nu, x)
+    return j0, err
 
 
 def eval_J(nu: Order, x: float) -> EvalResult:
@@ -563,5 +509,8 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise RangeError(f"log_gamma needs x > 0, got {x!r}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise RangeError(f"log_gamma(x={x!r}) exceeds the float range") from None
 

@@ -219,10 +219,26 @@ def label_of(d: int, bc, l: int, m: int) -> int:
 
 
 def weyl_count(d: int, lam) -> float:
-    """Leading eigenvalue-counting term for the unit ball at height lam."""
+    """Leading eigenvalue-counting term for the unit ball at height lam.
+
+    (2 pi)^-d |B_d|^2 lam^(d/2) = (lam/4)^(d/2) / Gamma(d/2 + 1)^2, formed
+    in log space: 0.0 where it underflows, RangeError past the float range.
+    """
     zeros._check_l_d(0, d)
     lam = float(lam)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise RangeError(f"lambda must be a finite real >= 0, got {lam!r}")
-    ball_volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-    return (2.0 * math.pi) ** (-d) * ball_volume ** 2 * lam ** (d / 2.0)
+    if lam == 0.0:
+        return 0.0
+    try:
+        half_d = 0.5 * d
+        ln_w = (half_d * (math.log(lam) - math.log(4.0))
+                - 2.0 * math.lgamma(half_d + 1.0))
+    except OverflowError:  # d/2 past ~2.5e305: Gamma^2 swamps any float lam
+        return 0.0
+    try:
+        return math.exp(ln_w)
+    except OverflowError:
+        raise RangeError(
+            f"Weyl term at d={d}, lambda={lam!r} exceeds the float range"
+        ) from None

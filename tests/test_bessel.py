@@ -198,6 +198,8 @@ def test_log_gamma_range():
     for bad in (0.0, -3.0, math.nan):
         with pytest.raises(RangeError):
             log_gamma(bad)
+    with pytest.raises(RangeError, match=r"x=1e\+308"):
+        log_gamma(1e308)  # lgamma overflows the float range
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +332,15 @@ def test_xi_half_integer_closed_form_constancy():
 # accuracy vs the extended-precision oracle
 
 
+# Half-integer orders on the Miller route where J_nu < 0, near x = k*pi: the
+# ladder's scale is positive because it starts past x, where J > 0, so the
+# sign needs no sin/cos anchor (one would pick J_{3/2} here, as sin x ~ 0).
+HALF_INTEGER_NEGATIVE_NEAR_K_PI = [
+    (1, 15.76), (3, 18.83), (11, 25.11), (41, 37.68), (81, 59.67),
+    (161, 91.09), (239, 131.93),
+]
+
+
 def test_kernel_matches_oracle_spot_grid():
     cases = [
         (0, 0.9), (0, 14.0), (0, 60.0), (0, 200.0),
@@ -337,10 +348,12 @@ def test_kernel_matches_oracle_spot_grid():
         (40, 19.0), (41, 30.5), (81, 55.0),
         (120, 50.0), (121, 88.0), (200, 99.0),
         (240, 121.0), (240, 199.0),
-    ]
+    ] + HALF_INTEGER_NEGATIVE_NEAR_K_PI
     for tn, x in cases:
         got = eval_J(Order(tn), x)
         want = oracle.oracle_J(tn, x, dps=30)
+        if (tn, x) in HALF_INTEGER_NEGATIVE_NEAR_K_PI:
+            assert not bessel._use_series(tn, x) and want < 0, (tn, x)
         with mp.workdps(40):
             diff = abs(mp.mpf(got.value) - want)
             scale = max(abs(want), mp.mpf(1e-3))

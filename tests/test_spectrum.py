@@ -271,6 +271,14 @@ class TestWeyl:
         with pytest.raises(RangeError):
             weyl_count(2, -1.0)
 
+    def test_high_dimension_underflows_to_zero(self):
+        assert weyl_count(400, 1.0) == 0.0
+        assert weyl_count(10**400, 1.0) == 0.0  # d/2 is past the float range
+
+    def test_overflow_names_d_and_lambda(self):
+        with pytest.raises(RangeError, match=r"d=10, lambda=1e\+300"):
+            weyl_count(10, 1e300)
+
     @pytest.mark.parametrize(
         "d,lam_max", [(2, 2000.0), (3, 900.0)]
     )
