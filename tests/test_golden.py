@@ -16,7 +16,11 @@ SHA-256 of ``repr`` of ``(J_nu, J_{nu+1}, abs_err)`` from the double-double
 covers integer and half-integer orders, small x at high order (where the
 ladder rescales) and x up to 200, plus three points where only adding y_0
 last to the integer normalizer, not forming 2 * sum - y_0, keeps the last
-bit of the error bound.
+bit of the error bound. The series route is pinned the same way: the
+SHA-256 of ``repr`` of ``(J_nu, abs_err)`` from ``_eval_series`` at small
+orders for x <= 14 and at high orders just inside the route's edge, x = 1.5 nu
+or, past twice_nu = 48, the x where the cancellation estimate reaches its
+budget.
 """
 
 from __future__ import annotations
@@ -104,3 +108,18 @@ def test_miller_ladder_bits(name, want_sha):
     ladder = getattr(bessel, name)
     text = "\n".join(repr(tuple(ladder(tn, x)[:3])) for tn, x in KERNEL_POINTS)
     assert hashlib.sha256(text.encode()).hexdigest() == want_sha
+
+
+SERIES_POINTS = [(tn, x) for tn in (0, 1, 2, 3, 7, 16)
+                 for x in (0.05, 0.3, 1.0, 3.7, 7.5, 9.9, 12.0, 14.0)] + [
+    (20, 15.0), (33, 24.75), (48, 36.0), (60, 44.68), (80, 50.27),
+    (101, 56.51), (120, 62.36), (159, 74.7), (200, 87.92), (239, 100.62),
+    (240, 100.94), (60, 30.0), (120, 14.0), (200, 50.0), (240, 3.7)]
+SERIES_GOLDEN = (
+    "be476f668c8a4b827c1252c5d3007813ead1d5e8f08e443fab7e4c0a6198d807")
+
+
+def test_series_route_bits():
+    assert all(bessel._use_series(tn, x) for tn, x in SERIES_POINTS)
+    text = "\n".join(repr(bessel._eval_series(tn, x)) for tn, x in SERIES_POINTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_GOLDEN
