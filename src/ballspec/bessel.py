@@ -36,8 +36,14 @@ _pair_float. _eval_miller and _pair_float are one ladder in two precisions:
 one shape (start index, loop, normalizations) and one a priori error model,
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * (n_steps * cancel * u + 1e-24)
 with u = 2^-100 in double-double and 8 * 2^-53 in floats. The twin covers
-the whole box and is 8-16 times cheaper; callers trust its sign only where
-the value clears its bound.
+the whole box and costs about a quarter of an _eval_miller call (41 against
+170 us on random box points, 2-vCPU x86, Python 3.11); callers trust its
+sign only where the value clears its bound.
+
+The hot loops, the steps of _eval_miller and _series_sum, write the
+double-double primitives out inline in their operation order, so they give
+the primitives' bits at a fraction of the call overhead;
+tests/test_golden.py pins both routes bit for bit.
 """
 
 from __future__ import annotations
@@ -238,22 +244,49 @@ def _use_series(twice_nu: int, x: float) -> bool:
 def _series_sum(twice_nu: int, x: float):
     """Scaled series S = sum_k (-q)^k / (k! (nu+1)_k), q = x^2/4.
 
-    Returns (sh, sl, cmax, nterms); J_nu = prefactor * S.
+    Returns (sh, sl, cmax, nterms); J_nu = prefactor * S. The step is
+    t *= -q / (k (nu + k)); s += t with _dd_mul, _dd_div_f and _dd_add
+    written out inline, operation for operation (see _eval_miller).
     """
+    splitter = _SPLITTER
     nu = 0.5 * twice_nu  # exact
     qh, ql = _two_prod(x, x)
     qh *= -0.25  # exact scaling by power of two
     ql *= -0.25
+    u = splitter * qh
+    qa = u - (u - qh)  # Dekker split of qh, loop-invariant
+    qb = qh - qa
     th, tl = 1.0, 0.0
     sh, sl = 1.0, 0.0
     cmax = 1.0
-    k = 0
-    while k < 500:
-        k += 1
+    for k in range(1, 501):
         denom = k * (nu + k)  # exact: both factors small integers/halves
-        th, tl = _dd_mul(th, tl, qh, ql)
-        th, tl = _dd_div_f(th, tl, denom)
-        sh, sl = _dd_add(sh, sl, th, tl)
+        # t = t * (-x^2/4)
+        u = splitter * th
+        ta = u - (u - th)
+        tb = th - ta
+        p = th * qh
+        e = ((ta * qa - p) + ta * qb + tb * qa) + tb * qb
+        e += th * ql + tl * qh
+        th = p + e
+        tl = e - (th - p)
+        # t = t / denom
+        q1 = th / denom
+        u = splitter * q1
+        ta = u - (u - q1)
+        tb = q1 - ta
+        p = q1 * denom
+        e = (ta * denom - p) + tb * denom
+        q2 = ((th - p) + (tl - e)) / denom
+        th = q1 + q2
+        tl = q2 - (th - q1)
+        # s = s + t
+        u = sh + th
+        bb = u - sh
+        e = (sh - (u - bb)) + (th - bb)
+        e += sl + tl
+        sh = u + e
+        sl = e - (sh - u)
         a = abs(th)
         if a > cmax:
             cmax = a
@@ -307,38 +340,98 @@ def _eval_miller(twice_nu: int, x: float):
     The ladder of _pair_float, step for step. The integer normalizer adds
     y_0 last, after 2 * sum_{k even >= 2} y_k: forming 2 * sum - y_0 moves
     the last bit of abs_err at some points.
+
+    The step is y_{k} = (2k + 2 + parity) / x * y_{k+1} - y_{k+2} with
+    _dd_mul_f, _dd_mul, _dd_add and _two_prod written out inline, operation
+    for operation: CPython contracts no a*b + c into an FMA, so the bits are
+    those of the primitives. The Dekker splits of 1/x (once per call) and of
+    y_k (once per step) serve every product they enter; a small integer
+    factor f splits into (f, 0.0), so its zero terms are left out, which
+    changes no bit.
     """
+    splitter, rescale_hi, rescale_mul = _SPLITTER, _RESCALE_HI, _RESCALE_MUL
     n_target, parity = divmod(twice_nu, 2)
     n_top = _miller_start(n_target + 1, x)
     inv_xh, inv_xl = _dd_div_f(1.0, 0.0, x)
+    u = splitter * inv_xh
+    ia = u - (u - inv_xh)  # Dekker split of inv_xh
+    ib = inv_xh - ia
     y_next_h, y_next_l, y_cur_h, y_cur_l = 0.0, 0.0, 1.0, 0.0  # y_{k+1}, y_k
+    ya, yb = 1.0, 0.0  # Dekker split of y_cur_h
     t0h = t0l = t1h = t1l = 0.0
     # sum (2k+1) y_k^2 (half-integer) or y_0 + 2 sum_{k even >= 2} y_k
     acc_h = 2.0 * n_top + 1.0 if parity else 2.0 * (n_top % 2 == 0)
     acc_l, acc_abs = 0.0, acc_h
     for k in range(n_top - 1, -1, -1):
-        ch, cl = _dd_mul_f(inv_xh, inv_xl, float(2 * k + 2 + parity))
-        ph, pl = _dd_mul(ch, cl, y_cur_h, y_cur_l)
-        yh, yl = _dd_add(ph, pl, -y_next_h, -y_next_l)
+        # c = inv_x * f
+        f = float(2 * k + 2 + parity)
+        ch = inv_xh * f
+        cl = (ia * f - ch) + ib * f
+        cl += inv_xl * f
+        u = ch + cl
+        cl -= u - ch
+        ch = u
+        # p = c * y_cur
+        u = splitter * ch
+        ca = u - (u - ch)
+        cb = ch - ca
+        ph = ch * y_cur_h
+        pl = ((ca * ya - ph) + ca * yb + cb * ya) + cb * yb
+        pl += ch * y_cur_l + cl * y_cur_h
+        u = ph + pl
+        pl -= u - ph
+        ph = u
+        # y = p - y_next
+        u = ph - y_next_h
+        bb = u - ph
+        e = (ph - (u - bb)) + (-y_next_h - bb)
+        e += pl - y_next_l
+        yh = u + e
         y_next_h, y_next_l = y_cur_h, y_cur_l
-        y_cur_h, y_cur_l = yh, yl
+        y_cur_h, y_cur_l = yh, e - (yh - u)
+        u = splitter * y_cur_h
+        ya = u - (u - y_cur_h)
+        yb = y_cur_h - ya
         if k == n_target:
             t0h, t0l, t1h, t1l = y_cur_h, y_cur_l, y_next_h, y_next_l
-        if parity:
-            sq_h, sq_l = _dd_mul(y_cur_h, y_cur_l, y_cur_h, y_cur_l)
-            sq_h, sq_l = _dd_mul_f(sq_h, sq_l, 2.0 * k + 1.0)
-            acc_h, acc_l = _dd_add(acc_h, acc_l, sq_h, sq_l)
-        elif k % 2 == 0:
-            w = 2.0 if k else 1.0
-            acc_h, acc_l = _dd_add(acc_h, acc_l, w * y_cur_h, w * y_cur_l)
-            acc_abs += abs(w * y_cur_h)
-        if abs(y_cur_h) > _RESCALE_HI:
-            s = _RESCALE_MUL
+        if parity or k % 2 == 0:
+            if parity:
+                # sq = y_cur^2 * (2k + 1)
+                ph = y_cur_h * y_cur_h
+                pl = ((ya * ya - ph) + ya * yb + yb * ya) + yb * yb
+                pl += y_cur_h * y_cur_l + y_cur_l * y_cur_h
+                sq_h = ph + pl
+                sq_l = pl - (sq_h - ph)
+                f = 2.0 * k + 1.0
+                u = splitter * sq_h
+                ca = u - (u - sq_h)
+                cb = sq_h - ca
+                ph = sq_h * f
+                pl = (ca * f - ph) + cb * f
+                pl += sq_l * f
+                sq_h = ph + pl
+                sq_l = pl - (sq_h - ph)
+            else:
+                w = 2.0 if k else 1.0
+                sq_h, sq_l = w * y_cur_h, w * y_cur_l
+                acc_abs += abs(sq_h)
+            # acc = acc + sq
+            u = acc_h + sq_h
+            bb = u - acc_h
+            e = (acc_h - (u - bb)) + (sq_h - bb)
+            e += acc_l + sq_l
+            acc_h = u + e
+            acc_l = e - (acc_h - u)
+        if abs(y_cur_h) > rescale_hi:
+            s = rescale_mul
             y_cur_h, y_cur_l, y_next_h, y_next_l = (
                 y_cur_h * s, y_cur_l * s, y_next_h * s, y_next_l * s)
             t0h, t0l, t1h, t1l = t0h * s, t0l * s, t1h * s, t1l * s
             s2 = s * s if parity else s
             acc_h, acc_l, acc_abs = acc_h * s2, acc_l * s2, acc_abs * s
+            u = splitter * y_cur_h
+            ya = u - (u - y_cur_h)
+            yb = y_cur_h - ya
     if parity:  # y_k = c J_k, c > 0: the ladder starts past x, where J > 0
         fh, fl = _dd_div(*_PI_DD, 2.0 * x, 0.0)
         (nh, nl), cancel = _dd_sqrt(*_dd_mul(acc_h, acc_l, fh, fl)), 1.0
@@ -361,6 +454,7 @@ def _pair_float(twice_nu: int, x: float):
     error on 10,000 random points of the box was 0.6 of it unscaled). For
     sign decisions only; never raises inside the box.
     """
+    rescale_hi, rescale_mul = _RESCALE_HI, _RESCALE_MUL
     n_target, parity = divmod(twice_nu, 2)
     n_top = _miller_start(n_target + 1, x)
     inv_x = 1.0 / x
@@ -378,8 +472,8 @@ def _pair_float(twice_nu: int, x: float):
         elif k % 2 == 0:
             acc += y_cur
             acc_abs += abs(y_cur)
-        if abs(y_cur) > _RESCALE_HI:
-            s = _RESCALE_MUL
+        if abs(y_cur) > rescale_hi:
+            s = rescale_mul
             y_cur, y_next, t0, t1 = y_cur * s, y_next * s, t0 * s, t1 * s
             acc *= s * s if parity else s
             acc_abs *= s

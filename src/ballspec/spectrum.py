@@ -174,6 +174,7 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
         raise RangeError(
             f"lambda_max={lambda_max!r} outside [0, {LAMBDA_MAX}]"
         )
+    lambda_max = abs(lambda_max)  # -0.0 passes the check; the table says 0.0
     lam_cut = lambda_max + CUTOFF_SLACK
     r_cut = min(math.sqrt(lam_cut), X_MAX)
     raw = []

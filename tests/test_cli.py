@@ -59,6 +59,14 @@ class TestSpectrumCommand:
         assert lines[0] == "d,bc,l,m,zero,lambda,multiplicity,label_first,label_last"
         assert len(lines) > 1
 
+    def test_negative_zero_cutoff_prints_zero(self, capsys):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--d", "2", "--bc", "neumann",
+            "--lambda-max", "-0.0",
+        )
+        assert code == 0 and err == ""
+        assert '  "lambda_max": 0,' in out.splitlines()
+
     def test_deterministic_output(self, capsys):
         args = ("spectrum", "--d", "2", "--bc", "dirichlet", "--lambda-max", "60")
         _, first, _ = run_cli(capsys, *args)
