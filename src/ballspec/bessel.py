@@ -31,14 +31,15 @@ The prefactor (x/2)^nu / Gamma(nu+1) is built from exact integer/half-integer
 products with a separate power-of-two exponent, so nothing overflows or
 underflows silently inside the box.
 
-Every value comes from double-double. A sign may come from the float twin
-_pair_float. _eval_miller and _pair_float are one ladder in two precisions:
+Every shipped value comes from double-double. A sign, or a Newton iterate
+of the zero finder, may come from the float twin _pair_float. _eval_miller
+and _pair_float are one ladder in two precisions:
 one shape (start index, loop, normalizations) and one a priori error model,
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * (n_steps * cancel * u + 1e-24)
 with u = 2^-100 in double-double and 8 * 2^-53 in floats. The twin covers
 the whole box and costs about a quarter of an _eval_miller call (41 against
 170 us on random box points, 2-vCPU x86, Python 3.11); callers trust its
-sign only where the value clears its bound.
+sign only where the value clears its bound, and take no digit from it.
 
 The hot loops, the steps of _eval_miller and _series_sum, write the
 double-double primitives out inline in their operation order, so they give

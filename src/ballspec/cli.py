@@ -174,6 +174,7 @@ def _run_courant(args) -> int:
 
 def _run_pleijel(args) -> int:
     if args.gamma is not None:
+        pleijel.gamma(args.gamma)  # a domain error names gamma(D), not d_max
         row = pleijel.gamma_table(args.gamma, args.gamma)[0]
         payload = {
             "d": row.d,

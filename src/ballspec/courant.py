@@ -18,7 +18,7 @@ from enum import Enum
 from functools import partial
 
 from . import zeros
-from .bessel import _is_int
+from .bessel import TWICE_NU_MAX, _is_int
 from .errors import CertificateFailure, RangeError
 from .pleijel import Check
 from .spectrum import (
@@ -206,9 +206,20 @@ def courant_sharp_ball(d: int, bc, lmax: int = 8,
         raise RangeError(f"lmax must be an int >= 1, got {lmax!r}")
     if not _is_int(mmax) or mmax < 1:
         raise RangeError(f"mmax must be an int >= 1, got {mmax!r}")
+    if 2 * lmax + d > TWICE_NU_MAX:  # degree lmax needs the pair at 2l+d-2
+        raise RangeError(
+            f"d={d} with lmax={lmax} needs Bessel orders beyond the kernel "
+            f"box: 2*lmax + d must be <= {TWICE_NU_MAX}"
+        )
     finder = partial(zeros.find_zero, ROOT_KIND[bc])
     z_top = finder(lmax, d, mmax)  # zeros increase in both l and m
-    table = enumerate_spectrum(d, bc, z_top * z_top)
+    try:
+        table = enumerate_spectrum(d, bc, z_top * z_top)
+    except RangeError as exc:  # the window's top mode needs more degrees
+        raise RangeError(
+            f"d={d} with lmax={lmax} and mmax={mmax} needs the spectrum "
+            f"below the ({lmax}, {mmax}) mode: {exc}"
+        ) from None
     lam_11 = finder(1, d, 1) ** 2
     lam_02 = finder(0, d, 2) ** 2
     verdicts = [

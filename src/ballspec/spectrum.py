@@ -140,7 +140,10 @@ class SpectrumTable:
         ))
 
 
-def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float) -> list[int]:
+def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float,
+                       lambda_max: float) -> list[int]:
+    """Degrees whose first zero may lie at or below r_cut, the radius of
+    the cutoff lambda_max (named in the error)."""
     kind = ROOT_KIND[bc]
     out = []
     l = 0
@@ -150,7 +153,7 @@ def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float) -> list[int]
         twice_nu = 2 * l + d - 2
         if twice_nu + 2 > TWICE_NU_MAX:
             raise RangeError(
-                f"completeness up to lambda_max={r_cut * r_cut!r} needs "
+                f"completeness up to lambda_max={lambda_max!r} needs "
                 f"degree l={l} (order index {twice_nu}) beyond the kernel box"
             )
         out.append(l)
@@ -178,7 +181,7 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
     lam_cut = lambda_max + CUTOFF_SLACK
     r_cut = min(math.sqrt(lam_cut), X_MAX)
     raw = []
-    for l in _candidate_degrees(d, bc, r_cut):
+    for l in _candidate_degrees(d, bc, r_cut, lambda_max):
         mult = multiplicity(l, d)
         for m, z in _modes_upto(l, d, bc, r_cut, lam_cut):
             raw.append((z * z, l, m, z, mult))

@@ -46,9 +46,16 @@ sign-enclosed: the target changes sign in x +- tol*x/2.
 The scan cells, the enclosure probes and the edge probe of radial_zeros read
 only the target's sign (_sign_target): from the float twin
 bessel._pair_float where its bound, propagated through the target, cannot
-flip it, else from double-double. Newton iterates always use double-double,
-so the shipped digits, brackets and Newton paths are those of a census run
-wholly in double-double.
+flip it, else from double-double. So the brackets are those of a census run
+wholly in double-double. Newton iterates run on the twin (_float_target)
+while it certifies the sign, and double-double takes the last step. A
+double-double Newton step that starts within h = tol*x/2 of the root lands
+on the float nearest it for J, whose value does not cancel; g is formed in
+floats from the rounded pair, so a Neumann zero's last bit can depend on
+the Newton path. Where the kernel's series route runs near its
+cancellation budget (first Neumann zeros at l near 50, d near 130) the
+pair's relative error nears 1e-15, and the path sets up to about 20 ulps
+(3e-15 relative, inside the contract).
 """
 
 from __future__ import annotations
@@ -85,40 +92,57 @@ def _check_tol(tol: float) -> float:
 # targets: value-and-derivative callables built on one kernel pair call
 
 
+def _combine(tag: str, l: int, nu: float, x: float, a: float, b: float):
+    """(f, df) of the J target (tag "J") or the derivative target (tag
+    "G") from a = J_nu(x) and b = J_{nu+1}(x)."""
+    if tag == "J":  # J_nu' = (nu/x) J_nu - J_{nu+1}
+        return a, (nu / x) * a - b
+    # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
+    # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
+    return ((l / x) * a - b,
+            a * (l * (nu - 1.0) / (x * x) - 1.0) + b * ((nu + 1.0 - l) / x))
+
+
 def _target(tag: str, l: int, twice_nu: int):
-    """f_df of the J target (tag "J") or the derivative target (tag "G")."""
+    """f_df of the target from the double-double pair."""
     nu = 0.5 * twice_nu
     order = Order(twice_nu)
 
     def f_df(x: float):
         a, b = bessel.eval_J_pair(order, x)
-        if tag == "J":  # J_nu' = (nu/x) J_nu - J_{nu+1}
-            return a.value, (nu / x) * a.value - b.value
-        # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
-        # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
-        return ((l / x) * a.value - b.value,
-                a.value * (l * (nu - 1.0) / (x * x) - 1.0)
-                + b.value * ((nu + 1.0 - l) / x))
+        return _combine(tag, l, nu, x, a.value, b.value)
 
     return f_df
 
 
+def _float_target(tag: str, l: int, twice_nu: int):
+    """f_df_err of the target from the float twin: (f, df, err), err
+    bounding the error of f from the twin's bound and, for g, the rounding
+    of its three operations. Validates x as eval_J_pair does."""
+    nu = 0.5 * twice_nu
+    order = Order(twice_nu)
+
+    def f_df_err(x: float):
+        x = bessel._validate_pair(order, x)
+        a, b, err = bessel._pair_float(twice_nu, x)
+        f, df = _combine(tag, l, nu, x, a, b)
+        if tag == "G":
+            c = l / x
+            err = (c + 1.0) * err + (abs(c * a) + abs(b)) * 2.0**-51
+        return f, df, err
+
+    return f_df_err
+
+
 def _sign_target(tag: str, l: int, twice_nu: int):
     """f of the same target for sign decisions: the float twin's value when
-    |f| exceeds its error propagated through f, else _target's double-double
-    value (the same sign either way). Validates x as eval_J_pair does."""
-    order = Order(twice_nu)
+    |f| exceeds its error, else _target's double-double value (the same
+    sign either way)."""
+    f_df_err = _float_target(tag, l, twice_nu)
     f_df = _target(tag, l, twice_nu)
 
     def f(x: float) -> float:
-        x = bessel._validate_pair(order, x)
-        a, b, err = bessel._pair_float(twice_nu, x)
-        if tag == "J":
-            v = a
-        else:  # g = (l/x) a - b, plus the rounding of its three operations
-            c = l / x
-            v = c * a - b
-            err = (c + 1.0) * err + (abs(c * a) + abs(b)) * 2.0**-51
+        v, _, err = f_df_err(x)
         return v if abs(v) > err else f_df(x)[0]
 
     return f
@@ -179,37 +203,56 @@ def _walk_brackets(f, start: float, start_sign: int, step: float,
 # refinement: bracket-safeguarded Newton with a verified enclosure
 
 
-def _refine(f_df, f_sign, lo: float, hi: float, sign_lo: int,
-            tol: float) -> float:
+def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
+            sign_lo: int, tol: float) -> float:
     """Zero in the sign-change bracket (lo, hi), sign-enclosed within tol.
 
     Newton from the midpoint; a step that leaves the bracket, or is more
     than half the step before last (so a bad derivative cannot stall the
-    loop), becomes a bisection. A step below h = tol*x/2 lands on x, which
-    is returned only once the target changes sign within [x - h, x + h].
-    Newton iterates call f_df; the probes at x +- h read only f_sign.
+    loop), becomes a bisection. The iterates run on the float twin
+    (_float_target) while it certifies the sign of f, so the bracket only
+    moves on certified signs; at the first point where it does not, or
+    once a step falls below h = tol*x/2, double-double (_target) takes
+    over from that point. A double-double step below h lands on x, which
+    is returned only once the target changes sign within [x - h, x + h]
+    (probes through _sign_target). So every returned zero is a
+    double-double Newton step or a certified probe.
     """
+    f_df_err = _float_target(tag, l, twice_nu)
+    f_df = _target(tag, l, twice_nu)
+    f_sign = _sign_target(tag, l, twice_nu)
     x = 0.5 * (lo + hi)
     dx_old = dx_older = hi - lo
+    twin = True
     for _ in range(100):
-        f, df = f_df(x)
-        if f == 0.0:
-            return x
+        if twin:
+            f, df, err = f_df_err(x)
+            if not abs(f) > err:  # sign not certified: double-double from x
+                twin = False
+                continue
+        else:
+            f, df = f_df(x)
+            if f == 0.0:
+                return x
         lo, hi = (x, hi) if (f > 0.0) == (sign_lo > 0) else (lo, x)
         x_new = x - f / df if df != 0.0 else math.inf
         if not lo <= x_new <= hi or abs(x_new - x) > 0.5 * dx_older:
             x_new = 0.5 * (lo + hi)
         h = 0.5 * tol * x_new
         if abs(x_new - x) <= h:
-            for p in (x_new - h, x_new + h):
-                if lo < p < hi:
-                    fp = f_sign(p)
-                    if fp == 0.0:
-                        return p
-                    lo, hi = (p, hi) if (fp > 0.0) == (sign_lo > 0) else (lo, p)
-            if x_new - h <= lo and hi <= x_new + h:
-                return x_new
-            x_new = 0.5 * (lo + hi)  # the root lies beyond a probe
+            if twin:  # converged in floats: double-double from x_new
+                twin = False
+            else:
+                for p in (x_new - h, x_new + h):
+                    if lo < p < hi:
+                        fp = f_sign(p)
+                        if fp == 0.0:
+                            return p
+                        lo, hi = ((p, hi) if (fp > 0.0) == (sign_lo > 0)
+                                  else (lo, p))
+                if x_new - h <= lo and hi <= x_new + h:
+                    return x_new
+                x_new = 0.5 * (lo + hi)  # the root lies beyond a probe
         dx_older, dx_old = dx_old, abs(x_new - x)
         x = x_new
     raise BracketFailure(
@@ -245,8 +288,7 @@ def _census_zero(tag: str, l: int, twice_nu: int, m: int, tol: float):
             f"zero #{m} of {tag}(l={l}, twice_nu={twice_nu}) lies beyond "
             f"the supported box x <= {X_MAX}"
         )
-    return _refine(_target(tag, l, twice_nu), _sign_target(tag, l, twice_nu),
-                   *cell, tol)
+    return _refine(tag, l, twice_nu, *cell, tol)
 
 
 def _key(kind: RootKind, l: int, d: int) -> tuple[str, int, int]:

@@ -336,6 +336,23 @@ class TestTopLevel:
         assert code == 1 and out == ""
         assert err.startswith(f"usage error: cannot write {target}: ")
 
+    # (argv, what the message must name, internal value it must not name)
+    @pytest.mark.parametrize("argv,names,not_named", [
+        ("courant --d 240 --bc neumann --lmax 2 --mmax 2",
+         ("d=240", "lmax=2"), "twice_nu"),
+        ("courant --d 230 --bc dirichlet --lmax 2 --mmax 4",
+         ("d=230", "lmax=2", "mmax=4"), None),
+        ("spectrum --d 241 --bc neumann --lambda-max 10",
+         ("lambda_max=10.0 ",), "10.000000000999998"),
+        ("pleijel --gamma 241", ("gamma(241)",), "d_max"),
+    ])
+    def test_domain_error_names_the_flag(self, capsys, argv, names, not_named):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ")
+        assert all(name in err for name in names), err
+        assert not_named is None or not_named not in err, err
+
 
 CSV_ARGV = [argv for argv, _, _ in GOLDEN
             if argv.endswith("--format csv") and not argv.startswith("selfcheck")]

@@ -212,7 +212,7 @@ class TestTableInvariants:
     def test_near_degenerate_pair_raises(self, monkeypatch):
         synthetic = {0: [(1, 3.0)], 1: [(1, 3.0 + 1e-13)]}
         monkeypatch.setattr(spectrum, "_candidate_degrees",
-                            lambda d, bc, r_cut: [0, 1])
+                            lambda d, bc, r_cut, lambda_max: [0, 1])
         monkeypatch.setattr(spectrum, "_modes_upto",
                             lambda l, d, bc, r_cut, lam_cut: synthetic[l])
         with pytest.raises(DegenerateOrdering):
