@@ -41,6 +41,13 @@ the whole box and costs about a quarter of an _eval_miller call (41 against
 170 us on random box points, 2-vCPU x86, Python 3.11); callers trust its
 sign only where the value clears its bound, and take no digit from it.
 
+The twin also comes in a batched shape, _ladder_float: one downward ladder
+at x yields J_k(x) for every order k of one parity (DLMF 3.6(vi)), and
+every pair (n, n + 1) it keeps gets the twin's bound with that ladder's
+length. The zero census reads one such ladder per grid point for every
+degree; a ladder sized for order n keeps every order up to
+max(n, int(x)) + 1, because _miller_start sizes it by max(order, x).
+
 The hot loops, the steps of _eval_miller and _series_sum, write the
 double-double primitives out inline in their operation order, so they give
 the primitives' bits at a fraction of the call overhead;
@@ -486,6 +493,48 @@ def _pair_float(twice_nu: int, x: float):
     j0, j1 = t0 / c, t1 / c
     scale = max(abs(j0), abs(j1), math.sqrt(2.0 / (math.pi * x)))
     return j0, j1, scale * ((n_top + 1) * cancel * 2.0**-50 + 1e-24)
+
+
+def _ladder_float(parity: int, x: float, top: int):
+    """(js, unit): js[k] = J_{k + parity/2}(x) for every k <= max(top,
+    int(x)) + 1, from one _pair_float ladder at x.
+
+    The ladder is _pair_float's for twice_nu = 2 top + parity, step for
+    step: _miller_start sizes it by max(top + 1, int(x) + 1), so every
+    order up to that index costs nothing more. The pair (n, n + 1) is
+    within max(|J_n|, |J_{n+1}|, sqrt(2/(pi x))) * unit, _pair_float's
+    bound with this ladder's length.
+    """
+    rescale_hi, rescale_mul = _RESCALE_HI, _RESCALE_MUL
+    n_top = _miller_start(top + 1, x)
+    keep = max(top, int(x)) + 1
+    ys = [0.0] * (keep + 1)
+    inv_x = 1.0 / x
+    y_next, y_cur = 0.0, 1.0  # y_{k+1}, y_k
+    acc = 2.0 * n_top + 1.0 if parity else float(n_top % 2 == 0)
+    acc_abs = acc
+    for k in range(n_top - 1, -1, -1):
+        y_next, y_cur = y_cur, (2 * k + 2 + parity) * inv_x * y_cur - y_next
+        if k <= keep:
+            ys[k] = y_cur
+        if parity:
+            acc += (2 * k + 1) * y_cur * y_cur
+        elif k % 2 == 0:
+            acc += y_cur
+            acc_abs += abs(y_cur)
+        if abs(y_cur) > rescale_hi:
+            s = rescale_mul
+            y_cur, y_next = y_cur * s, y_next * s
+            for i in range(k, keep + 1):
+                ys[i] *= s
+            acc *= s * s if parity else s
+            acc_abs *= s
+    if parity:
+        c, cancel = math.sqrt(acc * math.pi / (2.0 * x)), 1.0
+    else:
+        c = 2.0 * acc - y_cur
+        cancel = (2.0 * acc_abs - abs(y_cur)) / abs(c)
+    return [y / c for y in ys], (n_top + 1) * cancel * 2.0**-50 + 1e-24
 
 
 # ---------------------------------------------------------------------------

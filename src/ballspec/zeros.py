@@ -8,7 +8,7 @@ Two target families, each driven by one kernel pair evaluation per point:
 * ``NeumannXiPrime`` - zeros of its derivative, located through
   g(r) = (l/r) J_nu(r) - J_{nu+1}(r), which shares the derivative's zeros.
 
-The m-th zero is found by walking a sign scan with a fixed step from a
+The m-th zero is found by a sign census on a fixed grid, walked from a
 rigorous zero-free lower bound (never from an asymptotic count), so the
 returned zero is guaranteed to be the m-th one:
 
@@ -36,19 +36,33 @@ w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
   critical point c there, and c + pi/2 <= j_m (Sturm comparison with cos).
   Hence beta_{m+1} - beta_m > pi/2.
 
-Any cell of width <= pi/2 therefore holds at most one zero: the census
-steps by exactly pi/2 (DEFAULT_STEP). A cell widened to twice the step
-around a near-zero endpoint must show a sign flip (else BracketFailure),
-and then it holds exactly one zero: three would need two gaps above pi/2.
-Safeguarded Newton refines each bracket, and every returned zero x is
-sign-enclosed: the target changes sign in x +- tol*x/2.
+Any cell of width <= pi/2 therefore holds at most one zero. The census
+grid has one phase per parity of twice_nu: x_k = (k + parity/2) pi/2
+(DEFAULT_STEP apart), with X_MAX as the last point. The first cell runs
+from the scan start to the first grid point above it, the rest are grid
+cells. The phase keeps zeros off the grid: by McMahon's expansion zeros of
+half-integer orders approach multiples of pi/2 (j_{1/2,m} = m pi exactly),
+where a common k pi/2 grid would put them on grid points. A cell widened
+to the next grid point around a near-zero endpoint must show a sign flip
+(else BracketFailure), and then it holds exactly one zero: three would
+need two gaps above pi/2. Safeguarded Newton refines each bracket, and
+every returned zero x is sign-enclosed: the target changes sign in
+x +- tol*x/2.
 
-The scan cells, the enclosure probes and the edge probe of radial_zeros read
-only the target's sign (_sign_target): from the float twin
-bessel._pair_float where its bound, propagated through the target, cannot
-flip it, else from double-double. So the brackets are those of a census run
-wholly in double-double. Newton iterates run on the twin (_float_target)
-while it certifies the sign, and double-double takes the last step. A
+The grid signs come from one shared float ladder per (parity, grid point),
+bessel._ladder_float, which yields J_k at every order k of one parity; every
+degree of either target reads it (_ladder_target). The first ladder at a
+point is sized for the order that asks first, which costs what that order's
+own twin call would; an order above it rebuilds the ladder once for the
+whole box. So the scan costs one ladder per grid point, not one per degree
+and cell, and the tail of a scan past a cutoff mostly reads ladders that
+other degrees built. The enclosure probes and the edge probe of
+radial_zeros read the sign from the float twin bessel._pair_float
+(_sign_target). Either float sign is taken where its bound, propagated
+through the target, cannot flip it, else double-double decides. So the
+brackets are those of a census run wholly in double-double on the same
+grid. Newton iterates run on the twin (_float_target) while it certifies
+the sign, and double-double takes the last step. A
 double-double Newton step that starts within h = tol*x/2 of the root lands
 on the float nearest it for J, whose value does not cancel; g is formed in
 floats from the rounded pair, so a Neumann zero's last bit can depend on
@@ -65,10 +79,10 @@ from enum import Enum
 from functools import lru_cache
 
 from ballspec import bessel
-from ballspec.bessel import X_MAX, Order, _is_int
+from ballspec.bessel import TWICE_NU_MAX, X_MAX, Order, _is_int
 from ballspec.errors import BracketFailure, RangeError
 
-DEFAULT_STEP = math.pi / 2  # widest cell that holds at most one zero
+DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
 DEFAULT_TOL = 1e-13
 _TOL_FLOOR = 1e-15  # float grid + kernel noise; tighter cannot be honored
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
@@ -115,31 +129,60 @@ def _target(tag: str, l: int, twice_nu: int):
     return f_df
 
 
+def _float_f(tag: str, l: int, nu: float, x: float, a: float, b: float,
+             err: float):
+    """(f, df, err) of the target from a float pair (a, b) within err: for
+    g, err grows by the rounding of its three operations."""
+    f, df = _combine(tag, l, nu, x, a, b)
+    if tag == "G":
+        c = l / x
+        err = (c + 1.0) * err + (abs(c * a) + abs(b)) * 2.0**-51
+    return f, df, err
+
+
 def _float_target(tag: str, l: int, twice_nu: int):
     """f_df_err of the target from the float twin: (f, df, err), err
-    bounding the error of f from the twin's bound and, for g, the rounding
-    of its three operations. Validates x as eval_J_pair does."""
+    bounding the error of f. Validates x as eval_J_pair does."""
     nu = 0.5 * twice_nu
     order = Order(twice_nu)
 
     def f_df_err(x: float):
         x = bessel._validate_pair(order, x)
-        a, b, err = bessel._pair_float(twice_nu, x)
-        f, df = _combine(tag, l, nu, x, a, b)
-        if tag == "G":
-            c = l / x
-            err = (c + 1.0) * err + (abs(c * a) + abs(b)) * 2.0**-51
-        return f, df, err
+        return _float_f(tag, l, nu, x, *bessel._pair_float(twice_nu, x))
 
     return f_df_err
 
 
-def _sign_target(tag: str, l: int, twice_nu: int):
-    """f of the same target for sign decisions: the float twin's value when
-    |f| exceeds its error, else _target's double-double value (the same
-    sign either way)."""
-    f_df_err = _float_target(tag, l, twice_nu)
-    f_df = _target(tag, l, twice_nu)
+# shared float ladders of the census grid: (parity, x) -> (js, unit) of
+# bessel._ladder_float; a ladder sized for _LADDER_TOP covers the box
+_LADDERS: dict = {}
+_LADDER_TOP = TWICE_NU_MAX // 2 - 1
+
+
+def _ladder_target(tag: str, l: int, twice_nu: int):
+    """f_df_err of the target at a grid point x, read from the shared ladder
+    of the order's parity at x (bessel._ladder_float). The first ladder at
+    x is sized for the asking order; an order above it rebuilds the ladder
+    once for the whole box."""
+    n, parity = divmod(twice_nu, 2)
+    nu = 0.5 * twice_nu
+
+    def f_df_err(x: float):
+        ladder = _LADDERS.get((parity, x))
+        if ladder is None or len(ladder[0]) < n + 2:
+            top = n if ladder is None else max(n, _LADDER_TOP)
+            ladder = _LADDERS[parity, x] = bessel._ladder_float(parity, x, top)
+        js, unit = ladder
+        a, b = js[n], js[n + 1]
+        err = max(abs(a), abs(b), math.sqrt(2.0 / (math.pi * x))) * unit
+        return _float_f(tag, l, nu, x, a, b, err)
+
+    return f_df_err
+
+
+def _certified(f_df_err, f_df):
+    """f for sign decisions: the float value when |f| exceeds its error,
+    else the double-double value (the same sign either way)."""
 
     def f(x: float) -> float:
         v, _, err = f_df_err(x)
@@ -148,10 +191,17 @@ def _sign_target(tag: str, l: int, twice_nu: int):
     return f
 
 
+def _sign_target(tag: str, l: int, twice_nu: int):
+    """f of the target for sign decisions at any x, from the float twin."""
+    return _certified(_float_target(tag, l, twice_nu),
+                      _target(tag, l, twice_nu))
+
+
 def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
     """(start, sign): the target has sign ``sign`` throughout (0, start].
 
-    The one place that knows where a scan starts; the start fixes the grid.
+    The one place that knows where a scan starts: the first census cell
+    ends at the first grid point above it.
     """
     if tag == "J":
         # j_{nu,1}^2 > nu(nu+2); shrink a hair so float rounding stays safe
@@ -166,26 +216,42 @@ def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# the scan: walk cells of at most pi/2, yield the sign-change brackets
+# the scan: cells of the parity's grid, yield the sign-change brackets
 
 
-def _walk_brackets(f, start: float, start_sign: int, step: float,
-                   x_limit: float):
-    """Yield (lo, hi, sign_lo) sign-change cells over (start, x_limit].
+def _grid_points(parity: int, start: float):
+    """The grid points above start, in order: x_k = (k + parity/2) pi/2 up
+    to X_MAX, which is the last point."""
+    k = max(0, int(start / DEFAULT_STEP - 0.5 * parity) - 1)
+    while True:
+        x = (k + 0.5 * parity) * DEFAULT_STEP
+        if x >= X_MAX:
+            if X_MAX > start:
+                yield X_MAX
+            return
+        if x > start:
+            yield x
+        k += 1
+
+
+def _grid_cells(f, parity: int, start: float, start_sign: int):
+    """Yield (lo, hi, sign_lo) sign-change cells of f over (start, X_MAX]:
+    the first cell ends at the first grid point above start, the others
+    are cells of the parity's grid.
 
     The target must have the sign ``start_sign`` throughout (0, start]
     (start may be 0 for targets positive near the origin).
     """
     prev_x = start
     prev_sign = 1 if start_sign > 0 else -1
-    while prev_x < x_limit:
-        x = min(prev_x + step, x_limit)
+    points = _grid_points(parity, start)
+    for x in points:
         fx = f(x)
         if abs(fx) < _TINY:
             # endpoint sits on (or straddles underflow near) a zero: widen
-            # one step so the zero lands strictly inside the bracket
-            x2 = x + step
-            f2 = f(x2)
+            # to the next grid point so the zero lands strictly inside
+            x2 = next(points, None)
+            f2 = 0.0 if x2 is None else f(x2)
             if (f2 > 0.0) == (prev_sign > 0) or abs(f2) < _TINY:
                 raise BracketFailure(
                     f"sign did not flip across near-zero endpoint x={x!r}"
@@ -276,8 +342,8 @@ def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
         start, sign = prev[1], -prev[2]
     else:
         start, sign = _scan_start(tag, l, twice_nu)
-    return next(_walk_brackets(_sign_target(tag, l, twice_nu), start, sign,
-                               DEFAULT_STEP, X_MAX), None)
+    f = _certified(_ladder_target(tag, l, twice_nu), _target(tag, l, twice_nu))
+    return next(_grid_cells(f, twice_nu % 2, start, sign), None)
 
 
 @lru_cache(maxsize=8192)
@@ -320,14 +386,21 @@ def bessel_zero(nu: Order, m: int, tol: float = DEFAULT_TOL) -> float:
     if not isinstance(nu, Order):
         raise RangeError(f"nu must be an Order, got {nu!r}")
     _check_m(m)
-    return _census_zero("J", 0, nu.twice_nu, m, _check_tol(tol))
+    tol = _check_tol(tol)
+    what = f"zero m={m} of J_nu at twice_nu={nu.twice_nu}"
+    _check_pair(nu.twice_nu, what)
+    return _zero(("J", 0, nu.twice_nu), m, tol, what)
 
 
 def dirichlet_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
     """m-th interior-problem zero: equals j_{l+d/2-1, m} because the power
     prefactor of the scaled radial function never vanishes for r > 0."""
-    _check_l_d(l, d)
-    return bessel_zero(Order.from_l_d(l, d), m, tol)
+    key = _key(RootKind.DIRICHLET_XI, l, d)
+    _check_m(m)
+    tol = _check_tol(tol)
+    what = f"Dirichlet zero m={m} of l={l}, d={d}"
+    _check_pair(key[2], what)
+    return _zero(key, m, tol, what)
 
 
 def neumann_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
@@ -340,11 +413,11 @@ def neumann_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
     key = _key(RootKind.NEUMANN_XI_PRIME, l, d)
     _check_m(m)
     tol = _check_tol(tol)
-    if l == 0:
-        if m == 1:
-            return 0.0
-        m -= 1
-    return _census_zero(*key, m, tol)
+    if l == 0 and m == 1:
+        return 0.0
+    what = f"Neumann zero m={m} of l={l}, d={d}"
+    _check_pair(key[2], what)
+    return _zero(key, m - 1 if l == 0 else m, tol, what)
 
 
 def find_zero(kind: RootKind, l: int, d: int, m: int,
@@ -366,6 +439,8 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
     """
     tag, l_key, twice_nu = _key(kind, l, d)
     x_max = _check_x_max(x_max)
+    bc = "Neumann" if tag == "G" else "Dirichlet"
+    _check_pair(twice_nu, f"{bc} zero census of l={l}, d={d}")
     out = [0.0] if tag == "G" and l == 0 else []
     edge = x_max * (1.0 + DEFAULT_TOL)
     m = 1  # census index of the next positive zero
@@ -383,6 +458,24 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
         out.append(z)
         m += 1
     return out
+
+
+def _zero(key: tuple[str, int, int], m: int, tol: float, what: str) -> float:
+    """_census_zero of the key, or a RangeError that names the caller's
+    zero (what) if it lies past the box."""
+    if _census_bracket(*key, m) is None:
+        raise RangeError(f"{what} lies beyond the supported box x <= {X_MAX}")
+    return _census_zero(*key, m, tol)
+
+
+def _check_pair(twice_nu: int, what: str) -> None:
+    """The census evaluates the pair (nu, nu + 1): nu + 1 must lie in the
+    kernel box."""
+    if twice_nu + 2 > TWICE_NU_MAX:
+        raise RangeError(
+            f"{what} needs Bessel order {0.5 * twice_nu + 1} beyond the "
+            f"kernel box (orders up to {TWICE_NU_MAX // 2})"
+        )
 
 
 def _check_l_d(l: int, d: int) -> None:

@@ -255,6 +255,60 @@ def test_pair_float_within_its_bound():
     assert worst > 0.005  # the bound is not vacuous
 
 
+def ladder_pairs(parity: int, x: float, top: int):
+    """(n, J_n, J_{n+1}, err) of every pair one shared ladder yields."""
+    js, unit = bessel._ladder_float(parity, x, top)
+    env = math.sqrt(2.0 / (math.pi * x))
+    for n in range(len(js) - 1):
+        a, b = js[n], js[n + 1]
+        yield n, a, b, max(abs(a), abs(b), env) * unit
+
+
+def test_ladder_float_within_its_bound():
+    # one ladder per parity and x of the twin grid, sized for the whole box
+    # (small x at high order rescales, x = 200 is the box edge), and at the
+    # near-zero points one ladder sized for the zero's order
+    pts, n_grid = twin_points(), len(TWIN_ORDERS) * len(TWIN_XS)
+    checks = {(tn % 2, x, bessel.TWICE_NU_MAX // 2 - 1): None
+              for tn, x in pts[:n_grid]}
+    checks.update({(tn % 2, x, tn // 2): tn // 2 for tn, x in pts[n_grid:]})
+    worst = 0.0
+    for (parity, x, top), only in checks.items():
+        want = {}
+        for n, a, b, err in ladder_pairs(parity, x, top):
+            if only is not None and n != only:
+                continue
+            for k in (n, n + 1):
+                if k not in want:
+                    want[k] = oracle.oracle_J(2 * k + parity, x, dps=30)
+            miss = max(abs(mp.mpf(a) - want[n]), abs(mp.mpf(b) - want[n + 1]))
+            assert miss <= err, (parity, x, top, n, float(miss), err)
+            worst = max(worst, float(miss) / err)
+    assert worst > 0.005  # the bound is not vacuous
+
+
+def test_ladder_float_is_the_twin_ladder():
+    # sized for order top, the shared ladder is _pair_float's ladder for
+    # that order step for step: the same pair and bound, bit for bit
+    for tn in TWIN_ORDERS:
+        for x in TWIN_XS + (0.05, 0.3):
+            top, parity = divmod(tn, 2)
+            _, a, b, err = list(ladder_pairs(parity, x, top))[top]
+            assert (a, b, err) == bessel._pair_float(tn, x), (tn, x)
+
+
+@pytest.mark.parametrize("x", TWIN_XS)
+@pytest.mark.parametrize("parity", [0, 1])
+def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
+    # the first ladder at a grid point is sized for the asking order; a
+    # later order above it rebuilds the ladder for the whole box
+    lazy = list(ladder_pairs(parity, x, 3))
+    box = list(ladder_pairs(parity, x, bessel.TWICE_NU_MAX // 2 - 1))
+    assert len(lazy) == max(3, int(x)) + 1 and len(box) >= len(lazy)
+    for (n, a, b, err), (_, a2, b2, err2) in zip(lazy, box):
+        assert abs(a - a2) <= err + err2 and abs(b - b2) <= err + err2, n
+
+
 # ---------------------------------------------------------------------------
 # recurrence-residual grid (three-term identity for J)
 

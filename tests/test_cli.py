@@ -345,6 +345,15 @@ class TestTopLevel:
         ("spectrum --d 241 --bc neumann --lambda-max 10",
          ("lambda_max=10.0 ",), "10.000000000999998"),
         ("pleijel --gamma 241", ("gamma(241)",), "d_max"),
+        # zero-census errors name the caller's (l, d, m), not the census key
+        ("courant --d 2 --bc dirichlet --lmax 3 --mmax 70",
+         ("l=3, d=2", "m=70"), "twice_nu"),
+        ("zeros --l 1 --d 2 --bc neumann --m 90",
+         ("l=1, d=2", "m=90"), "twice_nu"),
+        ("zeros --l 0 --d 241 --bc dirichlet --count 1",
+         ("l=0, d=241", "m=1"), "twice_nu"),
+        ("zeros --l 0 --d 2 --bc neumann --m 66",
+         ("l=0, d=2", "m=66"), "m=65"),
     ])
     def test_domain_error_names_the_flag(self, capsys, argv, names, not_named):
         code, out, err = run_cli(capsys, *argv.split())

@@ -12,7 +12,9 @@ Update a digest only in a change that means to alter that output.
 
 Below them, the Miller ladders of the kernel are pinned bit for bit: the
 SHA-256 of ``repr`` of ``(J_nu, J_{nu+1}, abs_err)`` from the double-double
-``_eval_miller`` and the float ``_pair_float`` on a fixed grid. The grid
+``_eval_miller`` and the float ``_pair_float`` on a fixed grid, and of the
+shared float ladder ``_ladder_float`` (every order it keeps, and its error
+unit) at both parities on the same x values. The grid
 covers integer and half-integer orders, small x at high order (where the
 ladder rescales) and x up to 200, plus three points where only adding y_0
 last to the integer normalizer, not forming 2 * sum - y_0, keeps the last
@@ -41,7 +43,7 @@ GOLDEN = [
     ("spectrum --d 3 --bc dirichlet --lambda-max 150 --format csv", 0,
      "6ea2e177621df458da476e92eaf773b34e5ece40a08f3c198fa3df7823cd46f8"),
     ("spectrum --d 4 --bc neumann --lambda-max 80", 0,
-     "a437f0d5d7d945017639b688f9ec58c182115a9b209e5e49b3cb876bcbba2c63"),
+     "750de013ca53eed0b1c1497d22c31f081308735c5057343dda2a4364838a3812"),
     ("zeros --l 0 --d 3 --bc neumann --count 5", 0,
      "9530603afdf44a3b35e6fbc4584d0c3ed5ed6c7f849f3d732f67d692065e3662"),
     ("zeros --l 0 --d 240 --bc neumann --count 3 --format csv", 0,
@@ -110,6 +112,20 @@ def test_miller_ladder_bits(name, want_sha):
     ladder = getattr(bessel, name)
     text = "\n".join(repr(tuple(ladder(tn, x)[:3])) for tn, x in KERNEL_POINTS)
     assert hashlib.sha256(text.encode()).hexdigest() == want_sha
+
+
+# the shared float ladder, sized for a low order (it keeps every order up to
+# int(x) + 1), a middle one and the box top
+LADDER_POINTS = [(parity, x, top) for parity in (0, 1) for x in KERNEL_XS
+                 for top in (0, 40, 119)]
+LADDER_GOLDEN = (
+    "be318e832d51721263b4fcd08ca65954e742b23ae93166c1b339a7a6d3a77456")
+
+
+def test_ladder_float_bits():
+    text = "\n".join(repr(bessel._ladder_float(parity, x, top))
+                     for parity, x, top in LADDER_POINTS)
+    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_GOLDEN
 
 
 SERIES_POINTS = [(tn, x) for tn in (0, 1, 2, 3, 7, 16)

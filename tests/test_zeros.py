@@ -6,7 +6,9 @@ cross-checks call the extended-precision oracle in tests/_oracle.py.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,13 @@ from tests.test_bessel import oracle_target, twin_points
 
 def rel_err(got: float, want: float) -> float:
     return abs(got - want) / abs(want)
+
+
+def _cold() -> None:
+    """Empty the census caches and the shared ladders of the grid."""
+    zeros._census_bracket.cache_clear()
+    zeros._census_zero.cache_clear()
+    zeros._LADDERS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +243,32 @@ def test_target_matches_oracle(tag, l, twice_nu, x):
 # the sign evaluator: float twin where it certifies the sign, else _target
 
 
-def _counting(monkeypatch):
-    """Count eval_J_pair calls; returns a one-element list."""
+def _counting(monkeypatch, name: str = "eval_J_pair"):
+    """Count calls of bessel.<name>; returns a one-element list."""
     calls = [0]
-    real = bessel.eval_J_pair
+    real = getattr(bessel, name)
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(bessel, "eval_J_pair", counted)
+    monkeypatch.setattr(bessel, name, counted)
     return calls
+
+
+def _ladder_steps(monkeypatch) -> tuple[Counter, Counter]:
+    """Count the steps and the builds of the shared ladders, by grid point
+    (parity, x)."""
+    steps, builds = Counter(), Counter()
+    real = bessel._ladder_float
+
+    def counted(parity, x, top):
+        steps[parity, x] += bessel._miller_start(top + 1, x)
+        builds[parity, x] += 1
+        return real(parity, x, top)
+
+    monkeypatch.setattr(bessel, "_ladder_float", counted)
+    return steps, builds
 
 
 def test_certified_signs_match_oracle(monkeypatch):
@@ -284,65 +308,89 @@ def test_sign_target_validates_like_the_pair():
 
 
 # ---------------------------------------------------------------------------
-# bracket scans: the census walk from its start over (start, x_max]
+# bracket scans: the census grid walked on the double-double target
 
 
-def scan(kind: RootKind, l: int, d: int, x_max: float,
-         step: float = zeros.DEFAULT_STEP) -> list[tuple[float, float]]:
-    """Sign-change cells (lo, hi) of the census target, in order."""
+def dd_cells(tag: str, l: int, twice_nu: int):
+    """Sign-change cells (lo, hi) of the double-double target on the order's
+    grid, in order: x_k = (k + parity/2) pi/2 with X_MAX the last point, and
+    a first cell from the scan start to the first grid point above it."""
+    start, sign = zeros._scan_start(tag, l, twice_nu)
+    f_df = zeros._target(tag, l, twice_nu)
+    half = 0.5 * (twice_nu % 2)
+    lo, k = start, 0
+    while lo < zeros.X_MAX:
+        x = min((k + half) * math.pi / 2, zeros.X_MAX)
+        k += 1
+        if x <= start:
+            continue
+        fx = f_df(x)[0]
+        assert abs(fx) > 1e-290, x  # no grid point sits on a zero here
+        if (fx > 0.0) != (sign > 0):
+            yield lo, x
+            sign = -sign
+        lo = x
+
+
+def scan(kind: RootKind, l: int, d: int,
+         x_max: float) -> list[tuple[float, float]]:
+    """The cells of dd_cells whose zero lies in (0, x_max]."""
     tag, l_key, twice_nu = zeros._key(kind, l, d)
-    start, sign = zeros._scan_start(tag, l_key, twice_nu)
     f_df = zeros._target(tag, l_key, twice_nu)
-    return [(lo, hi) for lo, hi, _ in
-            zeros._walk_brackets(lambda x: f_df(x)[0], start, sign, step,
-                                 x_max)]
+    out = []
+    for lo, hi in dd_cells(tag, l_key, twice_nu):
+        if lo >= x_max:
+            break
+        if hi > x_max and f_df(x_max)[0] * f_df(hi)[0] < 0.0:
+            break  # the cell's zero lies past x_max
+        out.append((lo, hi))
+    return out
 
 
 # census keys (tag, l, twice_nu): J at d=2 l=0, G at d=3 l=0 and l=3, J on
-# the Miller route, and G at d=4 l=40, whose scan starts below the turning
-# point
+# the Miller route, G at d=4 l=40, whose scan starts below the turning
+# point, and J_{1/2}, whose zeros are exactly m pi
 BRACKET_KEYS = [("J", 0, 0), ("G", 0, 1), ("G", 3, 7), ("J", 0, 202),
-                ("G", 40, 82)]
-_KINDS = {"J": RootKind.DIRICHLET_XI, "G": RootKind.NEUMANN_XI_PRIME}
+                ("G", 40, 82), ("J", 0, 1)]
 
 
 @pytest.mark.parametrize("tag,l,twice_nu", BRACKET_KEYS)
 def test_census_brackets_equal_the_double_double_walk(tag, l, twice_nu):
-    # the census reads signs from the float twin where it certifies them;
-    # its cells must be exactly those of the walk on the double-double target
-    d = twice_nu + 2 - 2 * l
-    want = scan(_KINDS[tag], l, d, zeros.X_MAX)[:5]
-    zeros._census_bracket.cache_clear()
+    # the census reads signs from the shared float ladders where they
+    # certify them; its cells must be exactly those of a walk over the same
+    # grid on the double-double target
+    want = list(itertools.islice(dd_cells(tag, l, twice_nu), 5))
+    _cold()
     got = [zeros._census_bracket(tag, l, twice_nu, m)[:2] for m in range(1, 6)]
     assert got == want
 
 
 class TestScanBrackets:
     def test_sine_zeros_give_three_brackets(self):
-        got = scan(RootKind.DIRICHLET_XI, 0, 3, 10.0, step=0.5)
+        got = scan(RootKind.DIRICHLET_XI, 0, 3, 10.0)
         assert len(got) == 3
         for (lo, hi), root in zip(got, (math.pi, 2 * math.pi, 3 * math.pi)):
             assert lo < root < hi
 
     def test_neumann_scan_single_bracket(self):
-        got = scan(RootKind.NEUMANN_XI_PRIME, 0, 2, 4.0, step=0.25)
+        got = scan(RootKind.NEUMANN_XI_PRIME, 0, 2, 4.0)
         assert len(got) == 1
         assert got[0][0] < 3.831705970207512 < got[0][1]
 
     def test_dirichlet_scan_two_brackets(self):
-        got = scan(RootKind.DIRICHLET_XI, 0, 2, 6.0, step=0.25)
+        got = scan(RootKind.DIRICHLET_XI, 0, 2, 6.0)
         assert len(got) == 2
         assert got[0][0] < 2.404825557695773 < got[0][1]
         assert got[1][0] < 5.520078110286311 < got[1][1]
 
     def test_brackets_are_ordered_and_sign_changing(self):
-        brs = scan(RootKind.DIRICHLET_XI, 2, 3, 20.0, step=0.25)
+        brs = scan(RootKind.DIRICHLET_XI, 2, 3, 20.0)
         assert brs == sorted(brs)
         for lo, hi in brs:
             assert oracle.oracle_xi(2, 3, lo) * oracle.oracle_xi(2, 3, hi) < 0
 
     def test_neumann_brackets_sign_change_in_derivative(self):
-        brs = scan(RootKind.NEUMANN_XI_PRIME, 3, 3, 20.0, step=0.25)
+        brs = scan(RootKind.NEUMANN_XI_PRIME, 3, 3, 20.0)
         assert len(brs) >= 2
         for lo, hi in brs:
             flo = oracle.oracle_xi_prime(3, 3, lo)
@@ -356,7 +404,7 @@ class TestScanBrackets:
         assert len(brs) == 5
         assert brs[-1][0] < j05 < brs[-1][1]
         # consecutive zeros are more than pi/2 apart (zeros module docstring),
-        # so the widest allowed step still isolates each census zero: the
+        # so the census grid's pi/2 cells isolate each census zero: the
         # tightest J spacing (d=2, l=0), Neumann l=0 and l>=1 for d=2, 3, and
         # a high order on the Miller route
         cases = [
@@ -375,11 +423,11 @@ class TestScanBrackets:
                           for m in range(first, first + n)]
             else:
                 census = [zeros.dirichlet_zero(l, d, m) for m in range(1, n + 1)]
-            for step in (0.2, math.pi / 2):
-                brs = scan(kind, l, d, census[-1] + 0.05, step)
-                assert len(brs) == n, (kind, l, d, step)
-                for (lo, hi), z in zip(brs, census):
-                    assert lo < z < hi, (kind, l, d, step, z)
+            brs = scan(kind, l, d, census[-1] + 0.05)
+            assert len(brs) == n, (kind, l, d)
+            for (lo, hi), z in zip(brs, census):
+                assert lo < z < hi, (kind, l, d, z)
+                assert hi - lo <= math.pi / 2 + 1e-12, (kind, l, d, z)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +600,7 @@ class TestRefinement:
     def test_kernel_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
         # scan at step pi/2 plus safeguarded Newton: at most 10 pair calls
         # per zero (the counts are deterministic)
-        zeros._census_bracket.cache_clear()
-        zeros._census_zero.cache_clear()
+        _cold()
         calls = 0
         real = bessel.eval_J_pair
 
@@ -572,11 +619,11 @@ class TestRefinement:
                                                  (4, "neumann", 1900)])
     def test_double_double_calls_per_cold_zero(self, monkeypatch, d, bc,
                                                lambda_max):
-        # the scan, the enclosure probes and the Newton iterates run on the
-        # float twin, so double-double pays for the last Newton step (one a
-        # zero) and the few signs the twin cannot certify (1.00 and 1.15)
-        zeros._census_bracket.cache_clear()
-        zeros._census_zero.cache_clear()
+        # the scan reads the shared float ladders, the enclosure probes and
+        # the Newton iterates run on the float twin, so double-double pays
+        # for the last Newton step (one a zero) and the few signs the float
+        # values cannot certify (1.00 and 1.15)
+        _cold()
         calls = _counting(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
@@ -586,23 +633,61 @@ class TestRefinement:
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_twin_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # scan cells, Newton iterates and probes: 8.1 and 8.9 twin calls a
-        # zero; a float phase that stalls or bisects would cost far more
-        zeros._census_bracket.cache_clear()
-        zeros._census_zero.cache_clear()
-        calls = 0
-        real = bessel._pair_float
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(bessel, "_pair_float", counted)
+        # Newton iterates and probes: 5.10 and 5.49 twin calls a zero, now
+        # that the scan reads shared ladders; a float phase that stalls or
+        # bisects, or a scan back on the twin, would cost far more. The
+        # shared ladders cost 9.4 and 31 steps a zero, and no grid point
+        # builds its ladder more than twice (sized for the first order that
+        # asks, then once for the whole box)
+        _cold()
+        twin = _counting(monkeypatch, "_pair_float")
+        steps, builds = _ladder_steps(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
-        assert calls <= 12 * cold, calls / cold
+        assert twin[0] <= 7 * cold, twin[0] / cold
+        ladder_steps = {3: 12, 4: 40}[d]
+        assert sum(steps.values()) <= ladder_steps * cold, steps.total() / cold
+        assert max(builds.values()) <= 2
+
+    def test_grid_phase_keeps_zeros_off_the_grid(self, monkeypatch):
+        # half-integer orders have zeros near multiples of pi/2 (j_{1/2,m}
+        # = m pi); on a grid point the ladder cannot certify the sign and
+        # double-double pays. With the phase, 1.00 double-double calls a
+        # zero; a common k pi/2 grid for both parities costs 1.05
+        _cold()
+        calls = _counting(monkeypatch)
+        spectrum.enumerate_spectrum(3, "dirichlet", 3000)
+        cold = zeros._census_zero.cache_info().misses
+        assert cold > 100
+        assert calls[0] <= 1.02 * cold, calls[0] / cold
+
+    # Float ladder steps (twin calls plus shared ladders, each counted as its
+    # _miller_start length) of the lookup-sized census below, measured at
+    # commit eee72a1, the last before the shared ladders, where each key
+    # scanned its own cells with the twin (the count is deterministic, the
+    # same on any machine)
+    PER_KEY_SCAN_STEPS = 75816
+
+    def test_lookup_census_costs_no_more_than_the_per_key_scan(
+            self, monkeypatch):
+        _cold()
+        steps = [0]
+        real = bessel._pair_float
+
+        def counted(twice_nu, x):
+            steps[0] += bessel._miller_start(twice_nu // 2 + 1, x)
+            return real(twice_nu, x)
+
+        monkeypatch.setattr(bessel, "_pair_float", counted)
+        ladders, _ = _ladder_steps(monkeypatch)
+        for kind in RootKind:
+            for d in (2, 3, 4, 5):
+                for l in range(6):
+                    for m in range(1, 6):
+                        zeros.find_zero(kind, l, d, m)
+        total = steps[0] + sum(ladders.values())
+        assert total <= self.PER_KEY_SCAN_STEPS, total
 
     def test_float_derivative_does_not_set_the_digits(self, monkeypatch):
         # the float phase only picks the point the double-double Newton step
@@ -611,8 +696,7 @@ class TestRefinement:
         keys = [(tn, m) for tn in range(0, 239, 3) for m in (1, 2, 5, 20)]
 
         def census():
-            zeros._census_bracket.cache_clear()
-            zeros._census_zero.cache_clear()
+            _cold()
             out = {}
             for tn, m in keys:
                 try:
@@ -626,13 +710,15 @@ class TestRefinement:
         _skew_derivative(monkeypatch, "_float_target", 1.25)
         got = census()
         monkeypatch.undo()
-        zeros._census_bracket.cache_clear()
-        zeros._census_zero.cache_clear()
+        _cold()
         assert len(want) > 250
         assert got == want
 
-    @pytest.mark.parametrize("l,twice_nu,m", [(2, 5, 1), (6, 12, 1),
-                                              (10, 24, 24), (26, 132, 1)])
+    @pytest.mark.parametrize("l,twice_nu,m", [
+        (2, 5, 1), (6, 12, 1), (10, 24, 24), (26, 132, 1),
+        # moved by the grid census: the farthest from the oracle at each d
+        (14, 28, 1), (6, 13, 1), (10, 22, 1), (7, 17, 1), (21, 46, 1),
+        (69, 146, 1), (24, 86, 1), (33, 164, 1)])
     def test_moved_neumann_zeros_within_an_ulp(self, l, twice_nu, m):
         # the last bit of these g zeros depends on the Newton path; the
         # oracle's g must still change sign within one ulp of each
@@ -650,8 +736,7 @@ class TestRefinement:
     def test_cold_spectrum_refines_only_shipped_zeros(self, d, bc,
                                                        lambda_max):
         # no zero past the cutoff is refined only to be thrown away
-        zeros._census_bracket.cache_clear()
-        zeros._census_zero.cache_clear()
+        _cold()
         table = spectrum.enumerate_spectrum(d, bc, lambda_max)
         shipped = sum(rec.zero > 0.0 for rec in table.records)
         assert zeros._census_zero.cache_info().misses == shipped
@@ -731,7 +816,8 @@ def test_zero_grid_monotone(tn, m):
 
 
 # ---------------------------------------------------------------------------
-# scan-walker edge handling, driven by synthetic targets
+# grid-walker edge handling, driven by synthetic targets on the parity-0
+# grid (points near 4.7124, 6.2832 and 7.8540 past the start 4.5)
 
 
 class TestWalkerSynthetics:
@@ -740,37 +826,57 @@ class TestWalkerSynthetics:
         def f(x):
             return (x - 5.0) ** 2 + 0.5
 
-        got = list(zeros._walk_brackets(f, 4.5, 1, 0.2, 6.0))
+        got = list(zeros._grid_cells(f, 0, 4.5, 1))
         assert got == []
 
     def test_near_zero_endpoint_widens_bracket(self):
         def f(x):
-            if x < 5.05:
+            if x < 6.2:
                 return 1.0
-            if x <= 5.15:
+            if x <= 6.4:
                 return 1e-295  # grid point lands almost on the root
             return -1.0
 
-        got = list(zeros._walk_brackets(f, 4.5, 1, 0.2, 6.0))
+        got = list(zeros._grid_cells(f, 0, 4.5, 1))
         assert len(got) == 1
         lo, hi, sign_lo = got[0]
         assert sign_lo == 1
-        assert lo == pytest.approx(4.9) and hi == pytest.approx(5.3)
+        assert lo == 3 * math.pi / 2 and hi == 5 * math.pi / 2
 
     def test_widened_bracket_without_sign_flip_fails(self):
         def f(x):
-            if 5.05 <= x <= 5.15:
+            if 6.2 <= x <= 6.4:
                 return 1e-295
             return 1.0  # never becomes negative: tangency, not a root
 
         with pytest.raises(BracketFailure):
-            list(zeros._walk_brackets(f, 4.5, 1, 0.2, 6.0))
+            list(zeros._grid_cells(f, 0, 4.5, 1))
+
+    def test_near_zero_at_the_box_edge_fails(self):
+        # the last grid point has no next point to widen to
+        def f(x):
+            return 1e-295 if x == zeros.X_MAX else 1.0
+
+        with pytest.raises(BracketFailure):
+            list(zeros._grid_cells(f, 1, 190.0, 1))
 
     def test_plain_crossing_yields_single_bracket(self):
         def f(x):
             return 5.0 - x
 
-        got = list(zeros._walk_brackets(f, 4.5, 1, 0.2, 6.0))
+        got = list(zeros._grid_cells(f, 0, 4.5, 1))
         assert len(got) == 1
         lo, hi, sign_lo = got[0]
         assert lo < 5.0 <= hi and sign_lo == 1
+        assert (lo, hi) == (3 * math.pi / 2, 2 * math.pi)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_grid_phase_and_last_point(self, parity):
+        # x_k = (k + parity/2) pi/2, every cell at most pi/2, X_MAX last
+        pts = list(zeros._grid_points(parity, 0.0))
+        assert pts[0] == (1 - parity / 2) * math.pi / 2
+        assert pts[-1] == zeros.X_MAX
+        assert all(0.0 < b - a <= math.pi / 2 + 1e-12
+                   for a, b in zip(pts, pts[1:]))
+        assert all(x == (k + 1 - parity / 2) * math.pi / 2
+                   for k, x in enumerate(pts[:-1]))
