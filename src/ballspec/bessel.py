@@ -1,8 +1,9 @@
 """Bessel kernel: J_nu, the (J_nu, J_{nu+1}) pair, and log-gamma.
 
-Supported box: 0 < x <= 200 and orders nu = twice_nu/2 with twice_nu an
-integer in [0, 240] (every order used by the ball problems is l + d/2 - 1,
-so 2*nu is always an exact integer). Accuracy contract per evaluation:
+Supported box: X_MIN <= x <= 200 with X_MIN = 1e-18, and orders
+nu = twice_nu/2 with twice_nu an integer in [0, 240] (every order used by
+the ball problems is l + d/2 - 1, so 2*nu is always an exact integer).
+Accuracy contract per evaluation:
 
     |error| <= 1e-12 * max(|value|, 1e-3)
 
@@ -13,33 +14,30 @@ estimate cannot meet the contract the operation raises LossOfPrecision
 instead of returning garbage.
 
 Internals run in double-double ("compensated") arithmetic: about 32
-significant digits carried as an unevaluated sum of two floats. Two routes:
+significant digits carried as an unevaluated sum of two floats. One route
+covers the box, Miller's backward recurrence (Gautschi, SIAM Review 9,
+1967): run the three-term recursion downward from an index high enough
+that the unwanted solution is suppressed, then normalize - integer orders
+against the identity 1 = J_0 + 2*sum J_2k, half-integer orders against the
+cancellation-free identity sum (2n+1) J_{n+1/2}^2 = 2x/pi. Its square root
+is the scale, and the scale is positive: the ladder starts at y = 1 past x,
+and J_nu > 0 on (0, j_{nu,1}) with j_{nu,1} > nu (DLMF 10.21(i)).
 
-* ascending power series, used for x <= max(14, 1.5*nu) whenever a
-  saddle-point estimate shows the alternating-series cancellation leaves
-  enough of the 32 digits (always true for x <= 14; fails for large nu with
-  x near nu, where the series cancels ~0.43*x digits);
-* Miller's backward recurrence otherwise: run the three-term recursion
-  downward from an index high enough that the unwanted solution is
-  suppressed, then normalize - integer orders against the identity
-  1 = J_0 + 2*sum J_2k, half-integer orders against the cancellation-free
-  identity sum (2n+1) J_{n+1/2}^2 = 2x/pi. Its square root is the scale,
-  and the scale is positive: the ladder starts at y = 1 past x, and
-  J_nu > 0 on (0, j_{nu,1}) with j_{nu,1} > nu (DLMF 10.21(i)).
-
-The prefactor (x/2)^nu / Gamma(nu+1) is built from exact integer/half-integer
-products with a separate power-of-two exponent, so nothing overflows or
-underflows silently inside the box.
+The lower edge X_MIN keeps the route honest: the error model's absolute
+term 1e-24 * sqrt(2/(pi x)) alone exceeds the 1e-15 floor below about
+6e-19, and below about 3e-73 the ladder overflows. Inside the box a value
+|J| < 2^-931 cannot carry 12 digits; eval_J and eval_J_pair refuse it with
+LossOfPrecision, for either order of a pair.
 
 Every shipped value comes from double-double. A sign, or a Newton iterate
 of the zero finder, may come from the float twin _pair_float. _eval_miller
 and _pair_float are one ladder in two precisions:
 one shape (start index, loop, normalizations) and one a priori error model,
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * (n_steps * cancel * u + 1e-24)
-with u = 2^-100 in double-double and 8 * 2^-53 in floats. The twin covers
-the whole box and costs about a quarter of an _eval_miller call (41 against
-170 us on random box points, 2-vCPU x86, Python 3.11); callers trust its
-sign only where the value clears its bound, and take no digit from it.
+with u = 2^-100 in double-double and 8 * 2^-53 in floats. The twin costs
+about a quarter of an _eval_miller call (41 against 170 us on random box
+points, 2-vCPU x86, Python 3.11); callers trust its sign only where the
+value clears its bound, and take no digit from it.
 
 The twin also comes in a batched shape, _ladder_float: one downward ladder
 at x yields J_k(x) for every order k of one parity (DLMF 3.6(vi)), and
@@ -48,28 +46,27 @@ length. The zero census reads one such ladder per grid point for every
 degree; a ladder sized for order n keeps every order up to
 max(n, int(x)) + 1, because _miller_start sizes it by max(order, x).
 
-The hot loops, the steps of _eval_miller and _series_sum, write the
-double-double primitives out inline in their operation order, so they give
-the primitives' bits at a fraction of the call overhead;
-tests/test_golden.py pins both routes bit for bit.
+The hot loop, the step of _eval_miller, writes the double-double
+primitives out inline in their operation order, so it gives the
+primitives' bits at a fraction of the call overhead; tests/test_golden.py
+pins it bit for bit across the box and on a small-x, low-order grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ballspec.errors import LossOfPrecision, RangeError
 
+X_MIN = 1e-18
 X_MAX = 200.0
 TWICE_NU_MAX = 240
 
 # contract knobs (see module docstring)
 _REL_CONTRACT = 1e-12
 _NEAR_ZERO_FLOOR = 1e-3  # max(|v|, floor) turns the absolute clause into a ratio
-_UNDERFLOW_EXP = -930  # |J| < 2^-930 ~ 1.1e-280: reject, cannot carry 12 digits
-_SERIES_SAFE_LN = 30.0  # ln(prefactor * largest term) budget for the series
+_UNDERFLOW_EXP = -930  # frexp exponent below this: |J| < 2^-931, refused
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
 _RESCALE_HI = 2.0**250
@@ -116,12 +113,6 @@ def _dd_mul(ah: float, al: float, bh: float, bl: float):
     return _quick_two_sum(ph, pl)
 
 
-def _dd_mul_f(ah: float, al: float, f: float):
-    ph, pl = _two_prod(ah, f)
-    pl += al * f
-    return _quick_two_sum(ph, pl)
-
-
 def _dd_div_f(ah: float, al: float, f: float):
     q1 = ah / f
     th, tl = _two_prod(q1, f)
@@ -152,79 +143,22 @@ def _dd_sqrt(ah: float, al: float):
 
 
 _PI_DD = (3.141592653589793, 1.2246467991473532e-16)
-_SQRTPI_DD = _dd_sqrt(*_PI_DD)
 
 
 # ---------------------------------------------------------------------------
-# exponent-tracked double-double helpers: value = (hi + lo) * 2^e
+# region label of the benchmark's tracer; no evaluation routes on it
 
 
-def _norm_exp(h: float, l: float, e: int):
-    if h == 0.0:
-        return 0.0, 0.0, 0
-    ex = math.frexp(h)[1]
-    if -64 < ex < 64:
-        return h, l, e
-    s = math.ldexp(1.0, -ex)
-    return h * s, l * s, e + ex
-
-
-@lru_cache(maxsize=512)
-def _gamma_dd(twice_nu: int):
-    """Gamma(nu + 1) as (hi, lo, exp2) for 2*nu = twice_nu."""
-    n, parity = divmod(twice_nu, 2)
-    if parity:
-        # Gamma(n + 3/2) = sqrt(pi) * prod_{j=1..n+1} (2j-1)/2
-        gh, gl = _SQRTPI_DD
-        e = 0
-        for j in range(1, n + 2):
-            gh, gl = _dd_mul_f(gh, gl, (2 * j - 1) * 0.5)
-            gh, gl, e = _norm_exp(gh, gl, e)
-    else:
-        gh, gl, e = 1.0, 0.0, 0
-        for j in range(2, n + 1):
-            gh, gl = _dd_mul_f(gh, gl, float(j))
-            gh, gl, e = _norm_exp(gh, gl, e)
-    return gh, gl, e
-
-
-def _prefactor(twice_nu: int, x: float):
-    """(x/2)^nu / Gamma(nu+1) as (hi, lo, exp2)."""
-    n, parity = divmod(twice_nu, 2)
-    half_x = 0.5 * x  # exact
-    ph, pl, e = 1.0, 0.0, 0
-    bh, bl, be = half_x, 0.0, 0
-    k = n
-    while k:
-        if k & 1:
-            ph, pl = _dd_mul(ph, pl, bh, bl)
-            e += be
-            ph, pl, e = _norm_exp(ph, pl, e)
-        k >>= 1
-        if k:
-            bh, bl = _dd_mul(bh, bl, bh, bl)
-            be += be
-            bh, bl, be = _norm_exp(bh, bl, be)
-    if parity:
-        sh, sl = _dd_sqrt(half_x, 0.0)
-        ph, pl = _dd_mul(ph, pl, sh, sl)
-        ph, pl, e = _norm_exp(ph, pl, e)
-    gh, gl, ge = _gamma_dd(twice_nu)
-    qh, ql = _dd_div(ph, pl, gh, gl)
-    qh, ql, e = _norm_exp(qh, ql, e - ge)
-    return qh, ql, e
-
-
-# ---------------------------------------------------------------------------
-# route selection
+_SERIES_SAFE_LN = 30.0  # ln(prefactor * largest term) budget of the label
 
 
 def _series_cancel_ln(twice_nu: int, x: float) -> float:
     """Estimate ln(prefactor * largest series term) via the saddle point.
 
     The alternating sum sum_k (-x^2/4)^k / (k! (nu+1)_k) peaks near
-    k* = (sqrt(nu^2 + x^2) - nu)/2; the result J_nu loses roughly this many
-    e-folds to cancellation relative to the peak term times the prefactor.
+    k* = (sqrt(nu^2 + x^2) - nu)/2; an ascending series for J_nu would lose
+    roughly this many e-folds to cancellation relative to the peak term
+    times the prefactor.
     """
     nu = 0.5 * twice_nu
     ln_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
@@ -240,86 +174,16 @@ def _series_cancel_ln(twice_nu: int, x: float) -> float:
 
 
 def _use_series(twice_nu: int, x: float) -> bool:
+    """True in the region an ascending series could serve.
+
+    A label only: every evaluation runs _eval_miller. perfbench/trace_child.py
+    reads it to split kernel timings into a "series" and a "miller" region;
+    once the tracer stops importing it (ROADMAP item 1 step b), this and
+    _series_cancel_ln go.
+    """
     if x > max(14.0, 0.75 * twice_nu):
         return False
     return _series_cancel_ln(twice_nu, x) <= _SERIES_SAFE_LN
-
-
-# ---------------------------------------------------------------------------
-# ascending series route
-
-
-def _series_sum(twice_nu: int, x: float):
-    """Scaled series S = sum_k (-q)^k / (k! (nu+1)_k), q = x^2/4.
-
-    Returns (sh, sl, cmax, nterms); J_nu = prefactor * S. The step is
-    t *= -q / (k (nu + k)); s += t with _dd_mul, _dd_div_f and _dd_add
-    written out inline, operation for operation (see _eval_miller).
-    """
-    splitter = _SPLITTER
-    nu = 0.5 * twice_nu  # exact
-    qh, ql = _two_prod(x, x)
-    qh *= -0.25  # exact scaling by power of two
-    ql *= -0.25
-    u = splitter * qh
-    qa = u - (u - qh)  # Dekker split of qh, loop-invariant
-    qb = qh - qa
-    th, tl = 1.0, 0.0
-    sh, sl = 1.0, 0.0
-    cmax = 1.0
-    for k in range(1, 501):
-        denom = k * (nu + k)  # exact: both factors small integers/halves
-        # t = t * (-x^2/4)
-        u = splitter * th
-        ta = u - (u - th)
-        tb = th - ta
-        p = th * qh
-        e = ((ta * qa - p) + ta * qb + tb * qa) + tb * qb
-        e += th * ql + tl * qh
-        th = p + e
-        tl = e - (th - p)
-        # t = t / denom
-        q1 = th / denom
-        u = splitter * q1
-        ta = u - (u - q1)
-        tb = q1 - ta
-        p = q1 * denom
-        e = (ta * denom - p) + tb * denom
-        q2 = ((th - p) + (tl - e)) / denom
-        th = q1 + q2
-        tl = q2 - (th - q1)
-        # s = s + t
-        u = sh + th
-        bb = u - sh
-        e = (sh - (u - bb)) + (th - bb)
-        e += sl + tl
-        sh = u + e
-        sl = e - (sh - u)
-        a = abs(th)
-        if a > cmax:
-            cmax = a
-        elif a < 1e-34 * cmax:
-            return sh, sl, cmax, k
-    raise LossOfPrecision(
-        f"series for J(twice_nu={twice_nu}) at x={x!r} did not converge"
-    )
-
-
-def _eval_series(twice_nu: int, x: float):
-    sh, sl, cmax, nterms = _series_sum(twice_nu, x)
-    ph, pl, e = _prefactor(twice_nu, x)
-    vh, vl = _dd_mul(sh, sl, ph, pl)
-    vh, vl, e = _norm_exp(vh, vl, e)
-    if vh != 0.0 and math.frexp(vh)[1] + e < _UNDERFLOW_EXP:
-        raise LossOfPrecision(
-            f"|J(twice_nu={twice_nu}, x={x!r})| underflows the accuracy floor"
-        )
-    value = math.ldexp(vh, e) + math.ldexp(vl, e)
-    # |pref| is representable here (the underflow guard above would have
-    # fired otherwise), so the absolute error bound can live in plain floats
-    pref = abs(math.ldexp(ph, e))
-    abs_err = pref * cmax * (nterms + 4) * 2.0**-103
-    return value, abs_err
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +214,13 @@ def _eval_miller(twice_nu: int, x: float):
     the last bit of abs_err at some points.
 
     The step is y_{k} = (2k + 2 + parity) / x * y_{k+1} - y_{k+2} with
-    _dd_mul_f, _dd_mul, _dd_add and _two_prod written out inline, operation
-    for operation: CPython contracts no a*b + c into an FMA, so the bits are
-    those of the primitives. The Dekker splits of 1/x (once per call) and of
-    y_k (once per step) serve every product they enter; a small integer
-    factor f splits into (f, 0.0), so its zero terms are left out, which
-    changes no bit.
+    the double-double times float product (_two_prod of the high part, plus
+    the low part times the float), _dd_mul, _dd_add and _two_prod written
+    out inline, operation for operation: CPython contracts no a*b + c into
+    an FMA, so the bits are those of the primitives. The Dekker splits of
+    1/x (once per call) and of y_k (once per step) serve every product
+    they enter; a small integer factor f splits into (f, 0.0), so its zero
+    terms are left out, which changes no bit.
     """
     splitter, rescale_hi, rescale_mul = _SPLITTER, _RESCALE_HI, _RESCALE_MUL
     n_target, parity = divmod(twice_nu, 2)
@@ -588,8 +453,8 @@ class EvalResult:
 
 def _validate_x(x: float) -> float:
     x = float(x)
-    if not math.isfinite(x) or not 0.0 < x <= X_MAX:
-        raise RangeError(f"x={x!r} outside supported (0, {X_MAX}]")
+    if not X_MIN <= x <= X_MAX:  # also refuses nan
+        raise RangeError(f"x={x!r} outside supported [{X_MIN}, {X_MAX}]")
     return x
 
 
@@ -600,28 +465,20 @@ def _check(value: float, abs_err: float, what: str) -> EvalResult:
     return EvalResult(value, est)
 
 
-def _eval_pair_raw(twice_nu: int, x: float):
-    """(J_nu, J_{nu+1}, abs_err0, abs_err1) with routing, no validation."""
-    if _use_series(twice_nu, x) and _use_series(twice_nu + 2, x):
-        v0, e0 = _eval_series(twice_nu, x)
-        v1, e1 = _eval_series(twice_nu + 2, x)
-        return v0, v1, e0, e1
-    j0, j1, err = _eval_miller(twice_nu, x)
-    return j0, j1, err, err
-
-
-def _eval_single_raw(twice_nu: int, x: float):
-    """(J_nu, abs_err) with routing, no validation."""
-    if _use_series(twice_nu, x):
-        return _eval_series(twice_nu, x)
-    j0, _, err = _eval_miller(twice_nu, x)
-    return j0, err
+def _check_underflow(value: float, twice_nu: int, x: float) -> None:
+    """Refuse |J_nu(x)| < 2^-931. J_nu underflows only below its first
+    zero, where J_nu > 0, so a computed 0.0 is an underflow too."""
+    if value == 0.0 or math.frexp(value)[1] < _UNDERFLOW_EXP:
+        raise LossOfPrecision(
+            f"|J(twice_nu={twice_nu}, x={x!r})| underflows the accuracy floor"
+        )
 
 
 def eval_J(nu: Order, x: float) -> EvalResult:
-    """J_nu(x) for 0 < x <= 200, twice_nu in [0, 240]."""
+    """J_nu(x) for X_MIN <= x <= 200, twice_nu in [0, 240]."""
     x = _validate_x(x)
-    value, abs_err = _eval_single_raw(nu.twice_nu, x)
+    value, _, abs_err = _eval_miller(nu.twice_nu, x)
+    _check_underflow(value, nu.twice_nu, x)
     return _check(value, abs_err, f"J(twice_nu={nu.twice_nu}, x={x!r})")
 
 
@@ -636,11 +493,13 @@ def _validate_pair(nu: Order, x: float) -> float:
 
 
 def eval_J_pair(nu: Order, x: float) -> tuple[EvalResult, EvalResult]:
-    """(J_nu(x), J_{nu+1}(x)) sharing one recurrence ladder when possible."""
+    """(J_nu(x), J_{nu+1}(x)) from one recurrence ladder."""
     x = _validate_pair(nu, x)
-    v0, v1, e0, e1 = _eval_pair_raw(nu.twice_nu, x)
+    v0, v1, err = _eval_miller(nu.twice_nu, x)
+    _check_underflow(v0, nu.twice_nu, x)
+    _check_underflow(v1, nu.twice_nu + 2, x)
     tag = f"J pair(twice_nu={nu.twice_nu}, x={x!r})"
-    return _check(v0, e0, tag), _check(v1, e1, tag)
+    return _check(v0, err, tag), _check(v1, err, tag)
 
 
 def log_gamma(x: float) -> float:

@@ -15,8 +15,9 @@ class BallspecError(Exception):
 class RangeError(BallspecError):
     """Arguments fall outside the supported domain.
 
-    The evaluation kernel supports 0 < x <= 200 and orders 0 <= nu <= 120
-    (stored as 2*nu, an integer in [0, 240]).
+    The evaluation kernel supports 1e-18 <= x <= 200 (bessel.X_MIN and
+    bessel.X_MAX) and orders 0 <= nu <= 120 (stored as 2*nu, an integer in
+    [0, 240]).
     """
 
 

@@ -386,9 +386,9 @@ def test_xi_half_integer_closed_form_constancy():
 # accuracy vs the extended-precision oracle
 
 
-# Half-integer orders on the Miller route where J_nu < 0, near x = k*pi: the
-# ladder's scale is positive because it starts past x, where J > 0, so the
-# sign needs no sin/cos anchor (one would pick J_{3/2} here, as sin x ~ 0).
+# Half-integer orders where J_nu < 0, near x = k*pi: the ladder's scale is
+# positive because it starts past x, where J > 0, so the sign needs no
+# sin/cos anchor (one would pick J_{3/2} here, as sin x ~ 0).
 HALF_INTEGER_NEGATIVE_NEAR_K_PI = [
     (1, 15.76), (3, 18.83), (11, 25.11), (41, 37.68), (81, 59.67),
     (161, 91.09), (239, 131.93),
@@ -407,7 +407,7 @@ def test_kernel_matches_oracle_spot_grid():
         got = eval_J(Order(tn), x)
         want = oracle.oracle_J(tn, x, dps=30)
         if (tn, x) in HALF_INTEGER_NEGATIVE_NEAR_K_PI:
-            assert not bessel._use_series(tn, x) and want < 0, (tn, x)
+            assert want < 0, (tn, x)
         with mp.workdps(40):
             diff = abs(mp.mpf(got.value) - want)
             scale = max(abs(want), mp.mpf(1e-3))
@@ -426,6 +426,61 @@ def test_kernel_near_zero_absolute_accuracy():
 def test_underflow_raises_loss_of_precision():
     with pytest.raises(LossOfPrecision):
         eval_J(Order(240), 0.1)
+
+
+# (x, the highest twice_nu kept): |J_60(1e-3)| = 1.04e-280 lies in the
+# last binade the floor keeps, [2^-931, 2^-930); |J_31.5(10^-7.5)| =
+# 4.0e-281 in the first one it refuses
+UNDERFLOW_EDGES = [(1e-3, 120), (10.0**-7.5, 62)]
+
+
+@pytest.mark.parametrize("x,last_kept", UNDERFLOW_EDGES)
+def test_underflow_boundary(x, last_kept):
+    for tn in range(bessel.TWICE_NU_MAX + 1):
+        if tn <= last_kept:
+            assert eval_J(Order(tn), x).value > 0.0, tn
+        else:
+            with pytest.raises(LossOfPrecision, match="underflows"):
+                eval_J(Order(tn), x)
+
+
+def test_pair_refuses_when_only_the_upper_order_underflows():
+    x = 1e-3
+    for tn in (119, 120):
+        assert eval_J(Order(tn), x).value > 0.0
+        with pytest.raises(LossOfPrecision,
+                           match=rf"twice_nu={tn + 2}, .*underflows"):
+            eval_J_pair(Order(tn), x)
+
+
+# below X_MIN the ladder's absolute error term passes the 1e-15 floor, and
+# further down the ladder overflows; without the edge the first three gave
+# an OverflowError, a ValueError and a 0.0, the fourth a LossOfPrecision
+BELOW_X_MIN = [(2, 1e-310), (0, 5e-324), (6, 1e-300), (6, 1e-150),
+               (0, 1e-20), (0, math.nextafter(bessel.X_MIN, 0.0))]
+
+
+@pytest.mark.parametrize("tn,x", BELOW_X_MIN)
+def test_below_x_min_raises_range_error(tn, x):
+    for call in (eval_J, eval_J_pair):
+        with pytest.raises(RangeError, match=str(bessel.X_MIN)):
+            call(Order(tn), x)
+
+
+def test_x_min_matches_oracle_or_refuses():
+    x = bessel.X_MIN
+    returned = []
+    for tn in range(bessel.TWICE_NU_MAX + 1):
+        try:
+            got = eval_J(Order(tn), x)
+        except LossOfPrecision:
+            continue
+        returned.append(tn)
+        want = oracle.oracle_J(tn, x, dps=30)
+        with mp.workdps(40):
+            diff = abs(mp.mpf(got.value) - want)
+            assert diff <= 1e-12 * max(abs(want), mp.mpf(1e-3)), tn
+    assert returned[:3] == [0, 1, 2]
 
 
 def test_est_rel_err_within_contract_across_box():

@@ -18,13 +18,11 @@ unit) at both parities on the same x values. The grid
 covers integer and half-integer orders, small x at high order (where the
 ladder rescales) and x up to 200, plus three points where only adding y_0
 last to the integer normalizer, not forming 2 * sum - y_0, keeps the last
-bit of the error bound. The series route is pinned the same way: the
-SHA-256 of ``repr`` of ``(J_nu, abs_err)`` from ``_eval_series`` at small
-orders for x <= 14 and at high orders just inside the route's edge, x = 1.5 nu
-or, past twice_nu = 48, the x where the cancellation estimate reaches its
-budget. The series sum is pinned by itself as well, low part included: a
-reordering inside its double-double step moves ``sl`` at most points but
-the rounded value only rarely.
+bit of the error bound. ``_eval_miller`` is pinned the same way on a
+second grid, the region where an ascending series could serve
+(``_use_series``): small orders for x <= 14, and high orders at the edge of
+that region, x = 1.5 nu or, past twice_nu = 48, the x where the series'
+cancellation estimate reaches its budget.
 """
 
 from __future__ import annotations
@@ -134,17 +132,10 @@ SERIES_POINTS = [(tn, x) for tn in (0, 1, 2, 3, 7, 16)
     (101, 56.51), (120, 62.36), (159, 74.7), (200, 87.92), (239, 100.62),
     (240, 100.94), (60, 30.0), (120, 14.0), (200, 50.0), (240, 3.7)]
 SERIES_GOLDEN = (
-    "be476f668c8a4b827c1252c5d3007813ead1d5e8f08e443fab7e4c0a6198d807")
-SERIES_SUM_GOLDEN = (
-    "179609df105f67eddc3c87ab0b1789e2235b966151956d89bc474bef11c88c87")
+    "71de329bc1dec934cc2d169020b0a52657a30338f57948cadc963100d81e4536")
 
 
-def test_series_route_bits():
-    assert all(bessel._use_series(tn, x) for tn, x in SERIES_POINTS)
-    text = "\n".join(repr(bessel._eval_series(tn, x)) for tn, x in SERIES_POINTS)
+def test_miller_bits_on_series_grid():
+    text = "\n".join(repr(tuple(bessel._eval_miller(tn, x)[:3]))
+                     for tn, x in SERIES_POINTS)
     assert hashlib.sha256(text.encode()).hexdigest() == SERIES_GOLDEN
-
-
-def test_series_sum_bits():
-    text = "\n".join(repr(bessel._series_sum(tn, x)) for tn, x in SERIES_POINTS)
-    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_SUM_GOLDEN

@@ -205,9 +205,10 @@ class TestOracleSpots:
 
 
 # ---------------------------------------------------------------------------
-# census targets: f and df against the oracle on both kernel routes
+# census targets: f and df against the oracle across the box
 
-# (tag, l, twice_nu, points): series route at the low points, Miller above
+# (tag, l, twice_nu, points): small x (where an ascending series would
+# serve) at the low points, large x above
 TARGET_POINTS = [
     ("J", 0, 0, (5.0, 47.5)),
     ("G", 3, 7, (0.7, 5.0, 13.5, 47.5, 150.0, 199.5)),
