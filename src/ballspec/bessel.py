@@ -30,21 +30,20 @@ term 1e-24 * sqrt(2/(pi x)) alone exceeds the 1e-15 floor below about
 LossOfPrecision, for either order of a pair.
 
 Every shipped value comes from double-double. A sign, or a Newton iterate
-of the zero finder, may come from the float twin _pair_float. _eval_miller
-and _pair_float are one ladder in two precisions:
-one shape (start index, loop, normalizations) and one a priori error model,
+of the zero finder, may come from the float ladder _miller_float:
+_eval_miller's ladder in plain floats, with one shape (start index, loop,
+normalizations) and one a priori error model, _pair_bound,
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * (n_steps * cancel * u + 1e-24)
-with u = 2^-100 in double-double and 8 * 2^-53 in floats. The twin costs
-about a quarter of an _eval_miller call (41 against 170 us on random box
-points, 2-vCPU x86, Python 3.11); callers trust its sign only where the
-value clears its bound, and take no digit from it.
+with u = 2^-100 in double-double and 8 * 2^-53 in floats. Callers trust a
+float sign only where the value clears its bound, and take no digit from it.
 
-The twin also comes in a batched shape, _ladder_float: one downward ladder
-at x yields J_k(x) for every order k of one parity (DLMF 3.6(vi)), and
-every pair (n, n + 1) it keeps gets the twin's bound with that ladder's
-length. The zero census reads one such ladder per grid point for every
-degree; a ladder sized for order n keeps every order up to
-max(n, int(x)) + 1, because _miller_start sizes it by max(order, x).
+The float ladder is one loop with two readers. It keeps every y_k, and a
+ladder sized for order n yields J_k(x) for every order k of one parity up
+to max(n, int(x)) + 1 (DLMF 3.6(vi)), because _miller_start sizes it by
+max(order, x). _pair_float reads the pair (n, n + 1), at about a sixth of
+the cost of an _eval_miller call (52 against 328 us on random box points,
+2-vCPU x86, Python 3.11). _ladder_float reads every order it keeps; the
+zero census reads one such ladder per grid point for every degree.
 
 The hot loop, the step of _eval_miller, writes the double-double
 primitives out inline in their operation order, so it gives the
@@ -206,10 +205,15 @@ def _miller_start(n_target: int, x: float) -> int:
     return n
 
 
+def _pair_bound(a: float, b: float, x: float, unit: float) -> float:
+    """A Miller ladder's a priori bound on its pair (a, b) = (J_n, J_{n+1})."""
+    return max(abs(a), abs(b), math.sqrt(2.0 / (math.pi * x))) * unit
+
+
 def _eval_miller(twice_nu: int, x: float):
     """(J_nu, J_{nu+1}, abs_err) by backward recurrence in double-double.
 
-    The ladder of _pair_float, step for step. The integer normalizer adds
+    The ladder of _miller_float, step for step. The integer normalizer adds
     y_0 last, after 2 * sum_{k even >= 2} y_k: forming 2 * sum - y_0 moves
     the last bit of abs_err at some points.
 
@@ -315,39 +319,38 @@ def _eval_miller(twice_nu: int, x: float):
     j0, j1 = j0h + j0l, j1h + j1l
     # double-double noise grows with ladder length and any cancellation in
     # the normalizer; truncation of the start index adds ~e^-60 relative
-    scale = max(abs(j0), abs(j1), math.sqrt(2.0 / (math.pi * x)))
-    return j0, j1, scale * ((n_top + 1) * cancel * 2.0**-100 + 1e-24)
+    unit = (n_top + 1) * cancel * 2.0**-100 + 1e-24
+    return j0, j1, _pair_bound(j0, j1, x, unit)
 
 
-def _pair_float(twice_nu: int, x: float):
-    """(J_nu, J_{nu+1}, abs_err): the _eval_miller ladder in plain floats.
-
-    Same start index and normalizations, one route for the whole box, and
-    _eval_miller's bound with the float unit roundoff times 8 (the worst
-    error on 10,000 random points of the box was 0.6 of it unscaled). For
-    sign decisions only; never raises inside the box.
-    """
+def _miller_float(parity: int, x: float, n: int):
+    """(ys, c, unit): the _eval_miller ladder for twice_nu = 2 n + parity
+    in plain floats, every y_k kept: J_{k + parity/2}(x) = ys[k] / c for
+    k <= max(n, int(x)) + 1. The pair (k, k + 1) is within _pair_bound with
+    this unit, _eval_miller's with the float unit roundoff times 8 (the
+    worst error on 10,000 random box points was 0.6 of it unscaled)."""
     rescale_hi, rescale_mul = _RESCALE_HI, _RESCALE_MUL
-    n_target, parity = divmod(twice_nu, 2)
-    n_top = _miller_start(n_target + 1, x)
+    n_top = _miller_start(n + 1, x)
+    ys = [0.0] * n_top
     inv_x = 1.0 / x
     y_next, y_cur = 0.0, 1.0  # y_{k+1}, y_k
-    t0 = t1 = 0.0
+    f = float(2 * n_top + parity)  # 2k + 2 + parity, exact as it counts down
     # sum (2k+1) y_k^2 (half-integer) or sum_{k even} y_k (integer orders)
     acc = 2.0 * n_top + 1.0 if parity else float(n_top % 2 == 0)
     acc_abs = acc
     for k in range(n_top - 1, -1, -1):
-        y_next, y_cur = y_cur, (2 * k + 2 + parity) * inv_x * y_cur - y_next
-        if k == n_target:
-            t0, t1 = y_cur, y_next
+        y_next, y_cur = y_cur, f * inv_x * y_cur - y_next
+        ys[k] = y_cur
+        f -= 2.0  # now 2k + parity
         if parity:
-            acc += (2 * k + 1) * y_cur * y_cur
+            acc += f * y_cur * y_cur
         elif k % 2 == 0:
             acc += y_cur
             acc_abs += abs(y_cur)
         if abs(y_cur) > rescale_hi:
             s = rescale_mul
-            y_cur, y_next, t0, t1 = y_cur * s, y_next * s, t0 * s, t1 * s
+            y_cur, y_next = y_cur * s, y_next * s
+            ys[k:] = [y * s for y in ys[k:]]
             acc *= s * s if parity else s
             acc_abs *= s
     if parity:  # y_k = c J_k, c > 0: the ladder starts past x, where J > 0
@@ -355,51 +358,25 @@ def _pair_float(twice_nu: int, x: float):
     else:  # S = y_0 + 2 sum_{k even >= 2} y_k
         c = 2.0 * acc - y_cur
         cancel = (2.0 * acc_abs - abs(y_cur)) / abs(c)
-    j0, j1 = t0 / c, t1 / c
-    scale = max(abs(j0), abs(j1), math.sqrt(2.0 / (math.pi * x)))
-    return j0, j1, scale * ((n_top + 1) * cancel * 2.0**-50 + 1e-24)
+    return ys, c, (n_top + 1) * cancel * 2.0**-50 + 1e-24
+
+
+def _pair_float(twice_nu: int, x: float):
+    """(J_nu, J_{nu+1}, abs_err) from the float ladder _miller_float. For
+    sign decisions only; never raises inside the box."""
+    n, parity = divmod(twice_nu, 2)
+    ys, c, unit = _miller_float(parity, x, n)
+    j0, j1 = ys[n] / c, ys[n + 1] / c
+    return j0, j1, _pair_bound(j0, j1, x, unit)
 
 
 def _ladder_float(parity: int, x: float, top: int):
     """(js, unit): js[k] = J_{k + parity/2}(x) for every k <= max(top,
-    int(x)) + 1, from one _pair_float ladder at x.
-
-    The ladder is _pair_float's for twice_nu = 2 top + parity, step for
-    step: _miller_start sizes it by max(top + 1, int(x) + 1), so every
-    order up to that index costs nothing more. The pair (n, n + 1) is
-    within max(|J_n|, |J_{n+1}|, sqrt(2/(pi x))) * unit, _pair_float's
-    bound with this ladder's length.
-    """
-    rescale_hi, rescale_mul = _RESCALE_HI, _RESCALE_MUL
-    n_top = _miller_start(top + 1, x)
-    keep = max(top, int(x)) + 1
-    ys = [0.0] * (keep + 1)
-    inv_x = 1.0 / x
-    y_next, y_cur = 0.0, 1.0  # y_{k+1}, y_k
-    acc = 2.0 * n_top + 1.0 if parity else float(n_top % 2 == 0)
-    acc_abs = acc
-    for k in range(n_top - 1, -1, -1):
-        y_next, y_cur = y_cur, (2 * k + 2 + parity) * inv_x * y_cur - y_next
-        if k <= keep:
-            ys[k] = y_cur
-        if parity:
-            acc += (2 * k + 1) * y_cur * y_cur
-        elif k % 2 == 0:
-            acc += y_cur
-            acc_abs += abs(y_cur)
-        if abs(y_cur) > rescale_hi:
-            s = rescale_mul
-            y_cur, y_next = y_cur * s, y_next * s
-            for i in range(k, keep + 1):
-                ys[i] *= s
-            acc *= s * s if parity else s
-            acc_abs *= s
-    if parity:
-        c, cancel = math.sqrt(acc * math.pi / (2.0 * x)), 1.0
-    else:
-        c = 2.0 * acc - y_cur
-        cancel = (2.0 * acc_abs - abs(y_cur)) / abs(c)
-    return [y / c for y in ys], (n_top + 1) * cancel * 2.0**-50 + 1e-24
+    int(x)) + 1, from the float ladder sized for order top, which is
+    _pair_float's for twice_nu = 2 top + parity. The pair (n, n + 1) is
+    within _pair_bound(js[n], js[n + 1], x, unit)."""
+    ys, c, unit = _miller_float(parity, x, top)
+    return [y / c for y in ys[:max(top, int(x)) + 2]], unit
 
 
 # ---------------------------------------------------------------------------

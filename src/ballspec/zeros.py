@@ -174,8 +174,7 @@ def _ladder_target(tag: str, l: int, twice_nu: int):
             ladder = _LADDERS[parity, x] = bessel._ladder_float(parity, x, top)
         js, unit = ladder
         a, b = js[n], js[n + 1]
-        err = max(abs(a), abs(b), math.sqrt(2.0 / (math.pi * x))) * unit
-        return _float_f(tag, l, nu, x, a, b, err)
+        return _float_f(tag, l, nu, x, a, b, bessel._pair_bound(a, b, x, unit))
 
     return f_df_err
 
@@ -348,12 +347,9 @@ def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
 
 @lru_cache(maxsize=8192)
 def _census_zero(tag: str, l: int, twice_nu: int, m: int, tol: float):
+    """The m-th zero refined to tol; the caller (_zero) has checked that
+    its cell lies in the box."""
     cell = _census_bracket(tag, l, twice_nu, m)
-    if cell is None:
-        raise RangeError(
-            f"zero #{m} of {tag}(l={l}, twice_nu={twice_nu}) lies beyond "
-            f"the supported box x <= {X_MAX}"
-        )
     return _refine(tag, l, twice_nu, *cell, tol)
 
 

@@ -28,6 +28,7 @@ cancellation estimate reaches its budget.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import pytest
 
@@ -124,6 +125,23 @@ def test_ladder_float_bits():
     text = "\n".join(repr(bessel._ladder_float(parity, x, top))
                      for parity, x, top in LADDER_POINTS)
     assert hashlib.sha256(text.encode()).hexdigest() == LADDER_GOLDEN
+
+
+def test_pins_reach_the_rescale(monkeypatch):
+    # small x at high order drives the float ladder past _RESCALE_HI, so
+    # both float pins change when the rescale of the kept orders is off
+    def digests():
+        pair = "\n".join(repr(bessel._pair_float(tn, x))
+                         for tn, x in KERNEL_POINTS)
+        ladder = "\n".join(repr(bessel._ladder_float(parity, x, top))
+                           for parity, x, top in LADDER_POINTS)
+        return [hashlib.sha256(t.encode()).hexdigest() for t in (pair, ladder)]
+
+    assert digests() == [KERNEL_GOLDEN[1][1], LADDER_GOLDEN]
+    monkeypatch.setattr(bessel, "_RESCALE_HI", math.inf)
+    pair, ladder = digests()
+    assert pair != KERNEL_GOLDEN[1][1]
+    assert ladder != LADDER_GOLDEN
 
 
 SERIES_POINTS = [(tn, x) for tn in (0, 1, 2, 3, 7, 16)

@@ -701,8 +701,8 @@ class TestRefinement:
             out = {}
             for tn, m in keys:
                 try:
-                    out[tn, m] = zeros._census_zero("J", 0, tn, m,
-                                                    zeros.DEFAULT_TOL)
+                    out[tn, m] = zeros._zero(("J", 0, tn), m,
+                                             zeros.DEFAULT_TOL, "zero")
                 except RangeError:  # past the box at high order
                     pass
             return out
