@@ -223,8 +223,9 @@ def _eval_miller(twice_nu: int, x: float):
     out inline, operation for operation: CPython contracts no a*b + c into
     an FMA, so the bits are those of the primitives. The Dekker splits of
     1/x (once per call) and of y_k (once per step) serve every product
-    they enter; a small integer factor f splits into (f, 0.0), so its zero
-    terms are left out, which changes no bit.
+    they enter; a small integer factor splits into (factor, 0.0), so its
+    zero terms are left out, which changes no bit. The factor 2k + 2 +
+    parity is a running float, as in _miller_float.
     """
     splitter, rescale_hi, rescale_mul = _SPLITTER, _RESCALE_HI, _RESCALE_MUL
     n_target, parity = divmod(twice_nu, 2)
@@ -239,12 +240,13 @@ def _eval_miller(twice_nu: int, x: float):
     # sum (2k+1) y_k^2 (half-integer) or y_0 + 2 sum_{k even >= 2} y_k
     acc_h = 2.0 * n_top + 1.0 if parity else 2.0 * (n_top % 2 == 0)
     acc_l, acc_abs = 0.0, acc_h
+    step = float(2 * n_top + parity)  # 2k + 2 + parity, exact as it counts down
     for k in range(n_top - 1, -1, -1):
-        # c = inv_x * f
-        f = float(2 * k + 2 + parity)
-        ch = inv_xh * f
-        cl = (ia * f - ch) + ib * f
-        cl += inv_xl * f
+        # c = inv_x * step
+        ch = inv_xh * step
+        cl = (ia * step - ch) + ib * step
+        cl += inv_xl * step
+        step -= 2.0
         u = ch + cl
         cl -= u - ch
         ch = u
@@ -388,6 +390,12 @@ def _is_int(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool)
 
 
+def _check_int(name: str, n, minimum: int) -> None:
+    """The one integer-parameter check: n must be a true int >= minimum."""
+    if not _is_int(n) or n < minimum:
+        raise RangeError(f"{name} must be an int >= {minimum}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Order:
     """Bessel order nu stored exactly as twice_nu = 2*nu (an integer)."""
@@ -395,9 +403,8 @@ class Order:
     twice_nu: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.twice_nu):
-            raise RangeError(f"twice_nu must be an int, got {self.twice_nu!r}")
-        if not 0 <= self.twice_nu <= TWICE_NU_MAX:
+        _check_int("twice_nu", self.twice_nu, 0)
+        if self.twice_nu > TWICE_NU_MAX:
             raise RangeError(
                 f"twice_nu={self.twice_nu} outside supported [0, {TWICE_NU_MAX}]"
             )
@@ -409,10 +416,8 @@ class Order:
     @classmethod
     def from_l_d(cls, l: int, d: int) -> "Order":
         """Order nu = l + d/2 - 1 attached to degree l in dimension d."""
-        if not _is_int(l) or not _is_int(d):
-            raise RangeError(f"l and d must be ints, got l={l!r}, d={d!r}")
-        if l < 0 or d < 2:
-            raise RangeError(f"need l >= 0 and d >= 2, got l={l}, d={d}")
+        _check_int("l", l, 0)
+        _check_int("d", d, 2)
         return cls(2 * l + d - 2)
 
 

@@ -131,8 +131,6 @@ def _run_spectrum(args) -> int:
 
 
 def _run_zeros(args) -> int:
-    if args.m is not None and args.m < 1:
-        raise _UsageError(f"--m must be >= 1, got {args.m}")
     if args.count is not None and args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
     ms = [args.m] if args.m is not None else list(range(1, (args.count or 5) + 1))
@@ -174,7 +172,6 @@ def _run_courant(args) -> int:
 
 def _run_pleijel(args) -> int:
     if args.gamma is not None:
-        pleijel.gamma(args.gamma)  # a domain error names gamma(D), not d_max
         row = pleijel.gamma_table(args.gamma, args.gamma)[0]
         payload = {
             "d": row.d,

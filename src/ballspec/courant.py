@@ -18,7 +18,7 @@ from enum import Enum
 from functools import partial
 
 from . import zeros
-from .bessel import TWICE_NU_MAX, _is_int
+from .bessel import _check_int
 from .errors import CertificateFailure, RangeError
 from .pleijel import Check
 from .spectrum import (
@@ -49,10 +49,8 @@ class SphereLabeling:
     symmetry_bound: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.l) or self.l < 0:
-            raise RangeError(f"l must be a nonnegative int, got {self.l!r}")
-        if not _is_int(self.d) or self.d < 3:
-            raise RangeError(f"d must be an int >= 3, got {self.d!r}")
+        _check_int("l", self.l, 0)
+        _check_int("d", self.d, 3)
         if self.min_label != _min_label(self.l, self.d):
             raise RangeError("min_label does not match the labeling formula")
         want_sym = 2 * (_binom(self.l + self.d - 3, self.d - 1) + 1)
@@ -96,10 +94,8 @@ class SharpnessVerdict:
 def nodal_count_disc(l: int, m: int, bc) -> int:
     """Nodal domains of the (l, m) disc eigenfunction: m bands x 2l sectors."""
     _coerce_bc(bc)  # both conditions share the product structure
-    if not _is_int(l) or l < 0:
-        raise RangeError(f"l must be a nonnegative int, got {l!r}")
-    if not _is_int(m) or m < 1:
-        raise RangeError(f"m must be a positive int, got {m!r}")
+    _check_int("l", l, 0)
+    _check_int("m", m, 1)
     return m if l == 0 else 2 * l * m
 
 
@@ -113,10 +109,8 @@ def _min_label(l: int, d: int) -> int:
 
 def sphere_labeling(l: int, d: int) -> SphereLabeling:
     """Minimal label and nodal-count symmetry bound on the (d-1)-sphere."""
-    if not _is_int(d) or d < 3:
-        raise RangeError(f"d must be an int >= 3, got {d!r}")
-    if not _is_int(l) or l < 0:
-        raise RangeError(f"l must be a nonnegative int, got {l!r}")
+    _check_int("d", d, 3)
+    _check_int("l", l, 0)
     return SphereLabeling(
         l=l, d=d,
         min_label=_min_label(l, d),
@@ -147,10 +141,8 @@ def sphere_courant_sharp(d: int, lmax: int = 50) -> set[int]:
     is excluded by strict certificates, and the excluding binomial is
     increasing in l, so larger degrees are immediate.
     """
-    if not _is_int(d) or d < 3:
-        raise RangeError(f"d must be an int >= 3, got {d!r}")
-    if not _is_int(lmax) or lmax < 2:
-        raise RangeError(f"lmax must be an int >= 2, got {lmax!r}")
+    _check_int("d", d, 3)
+    _check_int("lmax", lmax, 2)
     _sphere_checks(d, lmax)  # raises CertificateFailure on any violation
     return {1, 2}
 
@@ -201,16 +193,10 @@ def courant_sharp_ball(d: int, bc, lmax: int = 8,
                        mmax: int = 4) -> list[SharpnessVerdict]:
     """Verdicts for every mode with l <= lmax, m <= mmax, in label order."""
     bc = _coerce_bc(bc)
-    zeros._check_l_d(0, d)
-    if not _is_int(lmax) or lmax < 1:
-        raise RangeError(f"lmax must be an int >= 1, got {lmax!r}")
-    if not _is_int(mmax) or mmax < 1:
-        raise RangeError(f"mmax must be an int >= 1, got {mmax!r}")
-    if 2 * lmax + d > TWICE_NU_MAX:  # degree lmax needs the pair at 2l+d-2
-        raise RangeError(
-            f"d={d} with lmax={lmax} needs Bessel orders beyond the kernel "
-            f"box: 2*lmax + d must be <= {TWICE_NU_MAX}"
-        )
+    _check_int("d", d, 2)
+    _check_int("lmax", lmax, 1)
+    _check_int("mmax", mmax, 1)
+    zeros._check_pair(2 * lmax + d - 2, f"d={d} with lmax={lmax}")
     finder = partial(zeros.find_zero, ROOT_KIND[bc])
     z_top = finder(lmax, d, mmax)  # zeros increase in both l and m
     try:

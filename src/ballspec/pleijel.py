@@ -50,7 +50,7 @@ from functools import lru_cache
 
 from ballspec import zeros
 from ballspec._format import dumps
-from ballspec.bessel import TWICE_NU_MAX, _is_int, log_gamma
+from ballspec.bessel import TWICE_NU_MAX, _check_int, log_gamma
 from ballspec.errors import CertificateFailure, RangeError
 
 __all__ = [
@@ -68,10 +68,10 @@ __all__ = [
     "six_decimals",
 ]
 
-# The zero census evaluates the Bessel pair (nu, nu+1) at order
-# nu = d/2 - 1, whose upper order 2(nu+1) = d must stay within the kernel's
-# order cap; the first zero itself stays far inside the argument box
-# (j_{119,1} ~ 128 < 200).
+# The largest d with a gamma(d): the zero census evaluates the Bessel pair
+# (nu, nu+1) at order nu = d/2 - 1, whose upper order 2(nu+1) = d must stay
+# within the kernel's order cap (zeros._check_pair checks it); the first
+# zero itself stays far inside the argument box (j_{119,1} ~ 128 < 200).
 D_MAX = TWICE_NU_MAX
 
 # Limit of the quotient gamma(d+1)/gamma(d) as d grows.
@@ -91,11 +91,6 @@ _REQUIRED_CHECKS = frozenset(
         "final_lt_1",
     ]
 )
-
-
-def _check_d(d: int, minimum: int, what: str = "d") -> None:
-    if not _is_int(d) or d < minimum:
-        raise RangeError(f"{what} must be an int >= {minimum}, got {d!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +114,8 @@ def gamma(d: int) -> float:
 
     Relative error <= 1e-10 (dominated by d times the first-zero tolerance).
     """
-    _check_d(d, 2)
-    if d > D_MAX:
-        raise RangeError(
-            f"gamma({d}) needs the first zero at order {d / 2 - 1}, beyond "
-            f"the supported order box (d <= {D_MAX})"
-        )
+    _check_int("d", d, 2)
+    zeros._check_pair(d - 2, f"gamma({d})")
     return math.exp(_log_gamma_value(d))
 
 
@@ -143,7 +134,7 @@ class PleijelRow:
     quotient_next: float | None
 
     def __post_init__(self) -> None:
-        _check_d(self.d, 2)
+        _check_int("d", self.d, 2)
         if not math.isfinite(self.log_gamma_value):
             raise CertificateFailure(
                 f"pleijel row d={self.d}: non-finite log_gamma_value"
@@ -168,12 +159,11 @@ class PleijelRow:
 
 def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
     """Rows for d = d_min..d_max; quotient_next is None on the last row."""
-    _check_d(d_min, 2, "d_min")
-    _check_d(d_max, 2, "d_max")
+    _check_int("d_min", d_min, 2)
+    _check_int("d_max", d_max, 2)
     if d_min > d_max:
         raise RangeError(f"need d_min <= d_max, got {d_min} > {d_max}")
-    if d_max > D_MAX:
-        raise RangeError(f"d_max={d_max} beyond supported {D_MAX}")
+    zeros._check_pair(d_max - 2, f"gamma({d_max})")
     rows = []
     for d in range(d_min, d_max + 1):
         lgv = _log_gamma_value(d)
@@ -184,15 +174,12 @@ def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
 
 def quotient_curve(d_min: int, d_max: int) -> list[tuple[int, float]]:
     """(d, gamma(d+1)/gamma(d)) for d = d_min..d_max; every quotient < 1."""
-    _check_d(d_min, 2, "d_min")
-    _check_d(d_max, 2, "d_max")
+    _check_int("d_min", d_min, 2)
+    _check_int("d_max", d_max, 2)
     if d_min > d_max:
         raise RangeError(f"need d_min <= d_max, got {d_min} > {d_max}")
-    if d_max + 1 > D_MAX:
-        raise RangeError(
-            f"quotient at d={d_max} needs gamma({d_max + 1}), beyond "
-            f"supported dimension {D_MAX}"
-        )
+    zeros._check_pair(d_max - 1,
+                      f"quotient gamma({d_max + 1})/gamma({d_max})")
     points = [(d, _quotient(d)) for d in range(d_min, d_max + 1)]
     for d, q in points:
         if not q < 1.0:
@@ -270,7 +257,7 @@ class MonotonicityCertificate:
     checks: tuple[Check, ...]
 
     def __post_init__(self) -> None:
-        _check_d(self.d, 4)
+        _check_int("d", self.d, 4)
         names = [c.name for c in self.checks]
         if len(set(names)) != len(names):
             raise RangeError(f"duplicate check names in certificate: {names}")
@@ -299,12 +286,8 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     Valid for d >= 4 (two of the algebraic links genuinely need it) up to
     d = 239 (the chain reads first zeros for dimensions d-1 .. d+1).
     """
-    _check_d(d, 4)
-    if d + 1 > D_MAX:
-        raise RangeError(
-            f"certificate at d={d} needs first zeros up to dimension "
-            f"{d + 1}; supported d <= {D_MAX - 1}"
-        )
+    _check_int("d", d, 4)
+    zeros._check_pair(d - 1, f"certificate at d={d}")
 
     # First zeros at the three consecutive half-integer-spaced orders the
     # chain touches: order (dim)/2 - 1 for dim = d-1, d, d+1.
@@ -444,7 +427,7 @@ def neumann_pleijel_bound(d: int) -> float:
     The binding constant is the one for dimension d-1; this relies on the
     strict decrease of gamma, which is asserted here for the pair involved.
     """
-    _check_d(d, 3)
+    _check_int("d", d, 3)
     value = gamma(d - 1)
     if not gamma(d) < value:
         raise CertificateFailure(

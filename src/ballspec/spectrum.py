@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from . import _format, zeros
-from .bessel import TWICE_NU_MAX, X_MAX
+from .bessel import X_MAX, _check_int
 from .errors import DegenerateOrdering, RangeError
 
 LAMBDA_MAX = X_MAX ** 2
@@ -55,7 +55,8 @@ def _binom(n: int, k: int) -> int:
 
 def multiplicity(l: int, d: int) -> int:
     """Dimension of the degree-l spherical-harmonic space in R^d."""
-    zeros._check_l_d(l, d)
+    _check_int("l", l, 0)
+    _check_int("d", d, 2)
     return _binom(l + d - 1, d - 1) - _binom(l + d - 3, d - 1)
 
 
@@ -148,14 +149,8 @@ def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float,
     out = []
     l = 0
     while zeros._first_zero_lower(kind, l, d) <= r_cut:
-        # the zero census evaluates the (nu, nu+1) pair, so the usable
-        # order box ends two index steps below the kernel maximum
-        twice_nu = 2 * l + d - 2
-        if twice_nu + 2 > TWICE_NU_MAX:
-            raise RangeError(
-                f"completeness up to lambda_max={lambda_max!r} needs "
-                f"degree l={l} (order index {twice_nu}) beyond the kernel box"
-            )
+        zeros._check_pair(2 * l + d - 2, f"completeness up to "
+                          f"lambda_max={lambda_max!r} (degree l={l})")
         out.append(l)
         l += 1
     return out
@@ -171,7 +166,7 @@ def _modes_upto(l: int, d: int, bc: BoundaryCondition, r_cut: float,
 def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
     """Every eigenvalue <= lambda_max (absolute slack 1e-9), labeled."""
     bc = _coerce_bc(bc)
-    zeros._check_l_d(0, d)
+    _check_int("d", d, 2)
     lambda_max = float(lambda_max)
     if not (math.isfinite(lambda_max) and 0.0 <= lambda_max <= LAMBDA_MAX):
         raise RangeError(
@@ -217,8 +212,9 @@ def _label_of_cached(d: int, bc_value: str, l: int, m: int) -> int:
 def label_of(d: int, bc, l: int, m: int) -> int:
     """Minimal label n with lambda_n equal to the (l, m) eigenvalue."""
     bc = _coerce_bc(bc)
-    zeros._check_l_d(l, d)
-    zeros._check_m(m)
+    _check_int("l", l, 0)
+    _check_int("d", d, 2)
+    _check_int("m", m, 1)
     return _label_of_cached(d, bc.value, l, m)
 
 
@@ -228,7 +224,7 @@ def weyl_count(d: int, lam) -> float:
     (2 pi)^-d |B_d|^2 lam^(d/2) = (lam/4)^(d/2) / Gamma(d/2 + 1)^2, formed
     in log space: 0.0 where it underflows, RangeError past the float range.
     """
-    zeros._check_l_d(0, d)
+    _check_int("d", d, 2)
     lam = float(lam)
     if not (math.isfinite(lam) and lam >= 0.0):
         raise RangeError(f"lambda must be a finite real >= 0, got {lam!r}")

@@ -79,7 +79,7 @@ from enum import Enum
 from functools import lru_cache
 
 from ballspec import bessel
-from ballspec.bessel import TWICE_NU_MAX, X_MAX, Order, _is_int
+from ballspec.bessel import TWICE_NU_MAX, X_MAX, Order, _check_int
 from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
@@ -358,7 +358,8 @@ def _key(kind: RootKind, l: int, d: int) -> tuple[str, int, int]:
     through the order, so their key carries l = 0."""
     if not isinstance(kind, RootKind):
         raise RangeError(f"kind must be a RootKind, got {kind!r}")
-    _check_l_d(l, d)
+    _check_int("l", l, 0)
+    _check_int("d", d, 2)
     twice_nu = 2 * l + d - 2
     if kind is RootKind.NEUMANN_XI_PRIME:
         return "G", l, twice_nu
@@ -381,22 +382,15 @@ def bessel_zero(nu: Order, m: int, tol: float = DEFAULT_TOL) -> float:
     """m-th positive zero j_{nu,m} of J_nu, certified by sign census."""
     if not isinstance(nu, Order):
         raise RangeError(f"nu must be an Order, got {nu!r}")
-    _check_m(m)
-    tol = _check_tol(tol)
-    what = f"zero m={m} of J_nu at twice_nu={nu.twice_nu}"
-    _check_pair(nu.twice_nu, what)
-    return _zero(("J", 0, nu.twice_nu), m, tol, what)
+    return _zero(("J", 0, nu.twice_nu), m, tol,
+                 f"zero m={m} of J_nu at twice_nu={nu.twice_nu}")
 
 
 def dirichlet_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
     """m-th interior-problem zero: equals j_{l+d/2-1, m} because the power
     prefactor of the scaled radial function never vanishes for r > 0."""
-    key = _key(RootKind.DIRICHLET_XI, l, d)
-    _check_m(m)
-    tol = _check_tol(tol)
-    what = f"Dirichlet zero m={m} of l={l}, d={d}"
-    _check_pair(key[2], what)
-    return _zero(key, m, tol, what)
+    return _zero(_key(RootKind.DIRICHLET_XI, l, d), m, tol,
+                 f"Dirichlet zero m={m} of l={l}, d={d}")
 
 
 def neumann_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
@@ -406,14 +400,8 @@ def neumann_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
     ground state), so m = 1 returns exactly 0.0 and the m-th entry for
     m >= 2 is the (m-1)-th positive zero.
     """
-    key = _key(RootKind.NEUMANN_XI_PRIME, l, d)
-    _check_m(m)
-    tol = _check_tol(tol)
-    if l == 0 and m == 1:
-        return 0.0
-    what = f"Neumann zero m={m} of l={l}, d={d}"
-    _check_pair(key[2], what)
-    return _zero(key, m - 1 if l == 0 else m, tol, what)
+    return _zero(_key(RootKind.NEUMANN_XI_PRIME, l, d), m, tol,
+                 f"Neumann zero m={m} of l={l}, d={d}")
 
 
 def find_zero(kind: RootKind, l: int, d: int, m: int,
@@ -457,33 +445,31 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
 
 
 def _zero(key: tuple[str, int, int], m: int, tol: float, what: str) -> float:
-    """_census_zero of the key, or a RangeError that names the caller's
-    zero (what) if it lies past the box."""
-    if _census_bracket(*key, m) is None:
+    """The m-th zero of the key, counted as neumann_zero counts it: the one
+    validation path of every zero request. It checks m, tol and the order
+    cap, and a RangeError names the caller's zero (what)."""
+    _check_int("m", m, 1)
+    tol = _check_tol(tol)
+    tag, l, twice_nu = key
+    if tag == "G" and l == 0:
+        if m == 1:
+            return 0.0  # the conventional zero at r = 0 needs no census
+        m -= 1
+    _check_pair(twice_nu, what)
+    if _census_bracket(tag, l, twice_nu, m) is None:
         raise RangeError(f"{what} lies beyond the supported box x <= {X_MAX}")
-    return _census_zero(*key, m, tol)
+    return _census_zero(tag, l, twice_nu, m, tol)
 
 
 def _check_pair(twice_nu: int, what: str) -> None:
-    """The census evaluates the pair (nu, nu + 1): nu + 1 must lie in the
-    kernel box."""
+    """The census order cap, checked here for every caller: the census
+    evaluates the pair (nu, nu + 1), so nu + 1 must lie in the kernel box.
+    what names the request in the caller's own parameters."""
     if twice_nu + 2 > TWICE_NU_MAX:
         raise RangeError(
             f"{what} needs Bessel order {0.5 * twice_nu + 1} beyond the "
             f"kernel box (orders up to {TWICE_NU_MAX // 2})"
         )
-
-
-def _check_l_d(l: int, d: int) -> None:
-    if not _is_int(l) or l < 0:
-        raise RangeError(f"l must be a nonnegative int, got {l!r}")
-    if not _is_int(d) or d < 2:
-        raise RangeError(f"d must be an int >= 2, got {d!r}")
-
-
-def _check_m(m: int) -> None:
-    if not _is_int(m) or m < 1:
-        raise RangeError(f"m must be a positive int, got {m!r}")
 
 
 def _check_x_max(x_max: float) -> float:

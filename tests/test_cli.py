@@ -354,6 +354,9 @@ class TestTopLevel:
          ("l=0, d=241", "m=1"), "twice_nu"),
         ("zeros --l 0 --d 2 --bc neumann --m 66",
          ("l=0, d=2", "m=66"), "m=65"),
+        ("pleijel --table 2 241", ("241",), "twice_nu"),
+        ("pleijel --curve 2 240", ("240",), "twice_nu"),
+        ("certify --d 4 --through 240", ("d=240",), "twice_nu"),
     ])
     def test_domain_error_names_the_flag(self, capsys, argv, names, not_named):
         code, out, err = run_cli(capsys, *argv.split())

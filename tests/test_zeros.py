@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballspec import bessel, courant, spectrum, zeros
+from ballspec import bessel, courant, pleijel, spectrum, zeros
 from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
 from ballspec.zeros import RootKind
@@ -84,6 +84,15 @@ class TestValidation:
             lambda: courant.nodal_count_disc(True, 1, "dirichlet"),
             lambda: Order.from_l_d(True, 2),
             lambda: Order(True),
+            lambda: pleijel.gamma(True),
+            lambda: pleijel.gamma_table(True, 3),
+            lambda: pleijel.quotient_curve(2, True),
+            lambda: pleijel.monotonicity_certificate(True),
+            lambda: pleijel.neumann_pleijel_bound(True),
+            lambda: spectrum.enumerate_spectrum(True, "dirichlet", 1.0),
+            lambda: spectrum.weyl_count(True, 1.0),
+            lambda: courant.sphere_courant_sharp(True),
+            lambda: Order.from_l_d(0, True),
         ],
     )
     def test_bools_are_not_ints(self, call):
@@ -107,6 +116,55 @@ class TestValidation:
             zeros.neumann_zero(0, 1, 1)
         with pytest.raises(RangeError):
             zeros.dirichlet_zero(0, 2, 1, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the edges of the order box: the census needs the pair (nu, nu + 1), so
+# twice_nu + 2 <= TWICE_NU_MAX; each row is the last accepted request and
+# the first refused one of one caller of that cap
+
+
+def _courant_rows(d: int) -> list:
+    return [(v.record.l, v.record.m, v.status.value, v.record.label_first)
+            for v in courant.courant_sharp_ball(d, "neumann", lmax=1, mmax=1)]
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda: [(r.d, r.gamma, r.quotient_next)
+              for r in pleijel.gamma_table(240, 240)],
+     [(240, 7.813247375101231e-37, None)]),
+    (lambda: pleijel.gamma_table(241, 241), RangeError),
+    (lambda: pleijel.quotient_curve(239, 239), [(239, 0.7201590924083663)]),
+    (lambda: pleijel.quotient_curve(240, 240), RangeError),
+    (lambda: pleijel.monotonicity_certificate(239).check("final_lt_1").lhs,
+     0.7201590924083663),
+    (lambda: pleijel.monotonicity_certificate(240), RangeError),
+    (lambda: _courant_rows(238), [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]),
+    (lambda: _courant_rows(239), RangeError),
+    (lambda: [(r.l, r.m, r.zero) for r in
+              spectrum.enumerate_spectrum(240, "neumann", 0.0).records],
+     [(0, 1, 0.0)]),
+    (lambda: spectrum.enumerate_spectrum(241, "neumann", 0.0), RangeError),
+    (lambda: spectrum.enumerate_spectrum(241, "dirichlet", 10.0).records, ()),
+    (lambda: zeros.neumann_zero(0, 500, 1), 0.0),  # r = 0 needs no census
+    (lambda: zeros.neumann_zero(0, 500, 2), RangeError),
+    (lambda: zeros.bessel_zero(Order(238), 1), 128.33786578015122),
+    (lambda: zeros.bessel_zero(Order(239), 1), RangeError),
+    (lambda: zeros.dirichlet_zero(0, 240, 1), 128.33786578015122),
+    (lambda: zeros.dirichlet_zero(0, 241, 1), RangeError),
+    (lambda: zeros.neumann_zero(1, 238, 1), 15.45989431346645),
+    (lambda: zeros.neumann_zero(1, 239, 1), RangeError),
+    (lambda: zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 0, 240, 10.0),
+     [0.0]),
+    (lambda: zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 0, 241, 10.0),
+     RangeError),
+])
+def test_order_box_edges(call, want):
+    if want is RangeError:
+        with pytest.raises(RangeError):
+            call()
+    else:
+        assert call() == want
 
 
 # ---------------------------------------------------------------------------
