@@ -133,7 +133,7 @@ def _run_spectrum(args) -> int:
 def _run_zeros(args) -> int:
     if args.count is not None and args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
-    ms = [args.m] if args.m is not None else list(range(1, (args.count or 5) + 1))
+    ms = [args.m] if args.m is not None else range(1, (args.count or 5) + 1)
     bc = spectrum._coerce_bc(args.bc)
     tol = zeros.DEFAULT_TOL if args.tol is None else args.tol
     rows = []
@@ -172,6 +172,8 @@ def _run_courant(args) -> int:
 
 def _run_pleijel(args) -> int:
     if args.gamma is not None:
+        if args.gamma < 2:  # gamma_table's own check would name d_min
+            raise _UsageError(f"--gamma must be >= 2, got {args.gamma}")
         row = pleijel.gamma_table(args.gamma, args.gamma)[0]
         payload = {
             "d": row.d,

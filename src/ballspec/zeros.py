@@ -46,8 +46,11 @@ where a common k pi/2 grid would put them on grid points. A cell widened
 to the next grid point around a near-zero endpoint must show a sign flip
 (else BracketFailure), and then it holds exactly one zero: three would
 need two gaps above pi/2. Safeguarded Newton refines each bracket, and
-every returned zero x is sign-enclosed: the target changes sign in
-x +- tol*x/2.
+every returned zero is the float nearest it (within half an ulp): the
+target changes sign between the midpoints to its two neighbouring floats,
+certified from the double-double pair of the last Newton step (_nearest).
+So a zero depends on the zero alone, not on the Newton path or on tol; it
+meets every accepted tol, which stays a checked argument.
 
 The grid signs come from one shared float ladder per (parity, grid point),
 bessel._ladder_float, which yields J_k at every order k of one parity; every
@@ -56,20 +59,14 @@ point is sized for the order that asks first, which costs what that order's
 own twin call would; an order above it rebuilds the ladder once for the
 whole box. So the scan costs one ladder per grid point, not one per degree
 and cell, and the tail of a scan past a cutoff mostly reads ladders that
-other degrees built. The enclosure probes and the edge probe of
-radial_zeros read the sign from the float twin bessel._pair_float
-(_sign_target). Either float sign is taken where its bound, propagated
-through the target, cannot flip it, else double-double decides. So the
-brackets are those of a census run wholly in double-double on the same
-grid. Newton iterates run on the twin (_float_target) while it certifies
-the sign, and double-double takes the last step. A
-double-double Newton step that starts within h = tol*x/2 of the root lands
-on the float nearest it for J, whose value does not cancel; g is formed in
-floats from the rounded pair, so a Neumann zero's last bit can depend on
-the Newton path. The kernel's one route, Miller's ladder, keeps the
-pair's relative error near 1e-16 across the box, and the first Neumann
-zeros at l = 50..53, d = 115..138, where g' is small, land within about
-an ulp of the exact zero.
+other degrees built. The edge probe of radial_zeros reads the sign from
+the float twin bessel._pair_float (_sign_target). Either float sign is
+taken where its bound, propagated through the target, cannot flip it, else
+double-double decides. So the brackets are those of a census run wholly in
+double-double on the same grid. Newton iterates run on the twin
+(_float_target) while it certifies the sign, and double-double (_target,
+which forms f from the pair's low parts) takes the last steps: about one
+double-double pair call a zero.
 """
 
 from __future__ import annotations
@@ -84,7 +81,7 @@ from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
 DEFAULT_TOL = 1e-13
-_TOL_FLOOR = 1e-15  # float grid + kernel noise; tighter cannot be honored
+_HANDOVER = 2.0**-20  # a twin step below this, relative to x, ends the float phase
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
 
 
@@ -93,13 +90,11 @@ class RootKind(Enum):
     NEUMANN_XI_PRIME = "NeumannXiPrime"
 
 
-def _check_tol(tol: float) -> float:
+def _check_tol(tol: float) -> None:
+    """The accepted range; the float nearest a zero meets every tol in it."""
     tol = float(tol)
-    if not math.isfinite(tol) or not _TOL_FLOOR <= tol <= 1e-2:
-        raise RangeError(
-            f"tol={tol!r} outside supported range [{_TOL_FLOOR}, 1e-2]"
-        )
-    return tol
+    if not math.isfinite(tol) or not 1e-15 <= tol <= 1e-2:
+        raise RangeError(f"tol={tol!r} outside supported range [1e-15, 1e-2]")
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +113,55 @@ def _combine(tag: str, l: int, nu: float, x: float, a: float, b: float):
 
 
 def _target(tag: str, l: int, twice_nu: int):
-    """f_df of the target from the double-double pair."""
+    """f_df of the target from the double-double pair: (f, df, z, nearest).
+    f is formed in double-double and rounded, z is the Newton step from x,
+    and nearest is True where _nearest certifies z."""
     nu = 0.5 * twice_nu
     order = Order(twice_nu)
 
     def f_df(x: float):
         a, b = bessel.eval_J_pair(order, x)
-        return _combine(tag, l, nu, x, a.value, b.value)
+        if tag == "J":
+            fh, fl, err = a.value, a.lo, a.dd_err
+        else:  # g = (l/x) J_nu - J_{nu+1}, each operation within 2^-100
+            ch, cl = bessel._dd_div_f(float(l), 0.0, x)
+            ph, pl = bessel._dd_mul(ch, cl, a.value, a.lo)
+            fh, fl = bessel._dd_add(ph, pl, -b.value, -b.lo)
+            err = (ch + 1.0) * a.dd_err + (abs(ph) + abs(b.value)) * 2.0**-100
+        df = _combine(tag, l, nu, x, a.value, b.value)[1]
+        z = x - (fh + fl) / df if df != 0.0 else math.inf
+        return fh, df, z, _nearest(z, x, nu, (fh, fl, err), df, a, b)
 
     return f_df
+
+
+def _nearest(z: float, x: float, nu: float, f, df: float, a, b) -> bool:
+    """True if z is certified the float nearest the zero: the target f,
+    (hi, lo, err) at x in double-double, takes opposite certified signs at
+    z -+ h, h half the smaller gap around z. df is f'(x) in floats, and a,
+    b are the pair at x (bessel.EvalResult).
+
+    At s = z -+ h, t = s - x: f(s) = f(x) + t f'(x) + R with |R| <= M t^2/2.
+    On the interval w = |z - x| + h around x, with q = (nu + 2)/(x - w) and
+    (1 + q) w <= 1, the pair (J_nu, J_{nu+1}) grows at most e-fold from its
+    size K at x (Gronwall on Y' = [[nu/s, -1], [1, -(nu+1)/s]] Y, row sums
+    <= 1 + q), and Bessel's ODE bounds |f''| of either target by
+    6 (1 + q)^3 times the pair, so M = 20 (1 + q)^3 K > 6e (1 + q)^3 K.
+    df, formed in floats, is within (1 + q)^2 (dd_err + 2^-48 K) of f'(x)."""
+    h = 0.5 * math.ulp(math.nextafter(z, 0.0))
+    w = abs(z - x) + h
+    q = (nu + 2.0) / (x - w) if w < x else math.inf
+    if (1.0 + q) * w > 1.0:
+        return False
+    fh, fl, err = f
+    k = max(abs(a.value), abs(b.value)) + a.dd_err  # |pair| <= k (1 + 2^-52)
+    m = 20.0 * (1.0 + q) ** 3 * k
+    err_df = (1.0 + q) ** 2 * (a.dd_err + 2.0**-48 * k)
+    (v0, e0), (v1, e1) = [
+        (fh + t * df + fl, err + abs(t) * err_df + 0.5 * m * t * t
+         + 2.0**-52 * (abs(fh) + abs(t * df)))  # last: rounding of the sum
+        for t in (z - x - h, z - x + h)]
+    return abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
 
 
 def _float_f(tag: str, l: int, nu: float, x: float, a: float, b: float,
@@ -269,23 +304,22 @@ def _grid_cells(f, parity: int, start: float, start_sign: int):
 
 
 def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
-            sign_lo: int, tol: float) -> float:
-    """Zero in the sign-change bracket (lo, hi), sign-enclosed within tol.
+            sign_lo: int) -> float:
+    """The float nearest the zero in the sign-change bracket (lo, hi).
 
     Newton from the midpoint; a step that leaves the bracket, or is more
     than half the step before last (so a bad derivative cannot stall the
     loop), becomes a bisection. The iterates run on the float twin
     (_float_target) while it certifies the sign of f, so the bracket only
     moves on certified signs; at the first point where it does not, or
-    once a step falls below h = tol*x/2, double-double (_target) takes
-    over from that point. A double-double step below h lands on x, which
-    is returned only once the target changes sign within [x - h, x + h]
-    (probes through _sign_target). So every returned zero is a
-    double-double Newton step or a certified probe.
+    once a step falls below _HANDOVER * x, double-double (_target) takes
+    over from that point. Each double-double call proposes its own Newton
+    step z, kept inside the bracket, and z is returned once _nearest
+    certifies it the float nearest the zero. So every returned zero is a
+    function of the zero alone, not of the Newton path.
     """
     f_df_err = _float_target(tag, l, twice_nu)
     f_df = _target(tag, l, twice_nu)
-    f_sign = _sign_target(tag, l, twice_nu)
     x = 0.5 * (lo + hi)
     dx_old = dx_older = hi - lo
     twin = True
@@ -295,33 +329,20 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
             if not abs(f) > err:  # sign not certified: double-double from x
                 twin = False
                 continue
+            x_new = x - f / df if df != 0.0 else math.inf
         else:
-            f, df = f_df(x)
-            if f == 0.0:
-                return x
+            f, _, x_new, nearest = f_df(x)
+            if nearest and lo <= x_new <= hi:
+                return x_new
         lo, hi = (x, hi) if (f > 0.0) == (sign_lo > 0) else (lo, x)
-        x_new = x - f / df if df != 0.0 else math.inf
         if not lo <= x_new <= hi or abs(x_new - x) > 0.5 * dx_older:
             x_new = 0.5 * (lo + hi)
-        h = 0.5 * tol * x_new
-        if abs(x_new - x) <= h:
-            if twin:  # converged in floats: double-double from x_new
-                twin = False
-            else:
-                for p in (x_new - h, x_new + h):
-                    if lo < p < hi:
-                        fp = f_sign(p)
-                        if fp == 0.0:
-                            return p
-                        lo, hi = ((p, hi) if (fp > 0.0) == (sign_lo > 0)
-                                  else (lo, p))
-                if x_new - h <= lo and hi <= x_new + h:
-                    return x_new
-                x_new = 0.5 * (lo + hi)  # the root lies beyond a probe
+        elif abs(x_new - x) <= _HANDOVER * x_new:
+            twin = False  # converged in floats: double-double from x_new
         dx_older, dx_old = dx_old, abs(x_new - x)
         x = x_new
     raise BracketFailure(
-        f"refinement stalled in [{lo!r}, {hi!r}] at tol={tol!r}; "
+        f"refinement stalled in [{lo!r}, {hi!r}]; "
         "kernel accuracy may be insufficient"
     )
 
@@ -346,11 +367,10 @@ def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
 
 
 @lru_cache(maxsize=8192)
-def _census_zero(tag: str, l: int, twice_nu: int, m: int, tol: float):
-    """The m-th zero refined to tol; the caller (_zero) has checked that
+def _census_zero(tag: str, l: int, twice_nu: int, m: int):
+    """The float nearest the m-th zero; the caller (_zero) has checked that
     its cell lies in the box."""
-    cell = _census_bracket(tag, l, twice_nu, m)
-    return _refine(tag, l, twice_nu, *cell, tol)
+    return _refine(tag, l, twice_nu, *_census_bracket(tag, l, twice_nu, m))
 
 
 def _key(kind: RootKind, l: int, d: int) -> tuple[str, int, int]:
@@ -417,9 +437,8 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
 
     Neumann l = 0 starts with 0.0. No zero past x_max is refined: the walk
     stops at the first bracket that starts at or past the edge
-    x_max (1 + DEFAULT_TOL), or keeps its start's sign there. Refinement
-    moves a zero by at most tol*z/2, so a zero past the edge would refine
-    to a value past x_max.
+    x_max (1 + DEFAULT_TOL), or keeps its start's sign there. A zero past
+    the edge rounds to a float past x_max.
     """
     tag, l_key, twice_nu = _key(kind, l, d)
     x_max = _check_x_max(x_max)
@@ -449,7 +468,7 @@ def _zero(key: tuple[str, int, int], m: int, tol: float, what: str) -> float:
     validation path of every zero request. It checks m, tol and the order
     cap, and a RangeError names the caller's zero (what)."""
     _check_int("m", m, 1)
-    tol = _check_tol(tol)
+    _check_tol(tol)
     tag, l, twice_nu = key
     if tag == "G" and l == 0:
         if m == 1:
@@ -458,7 +477,7 @@ def _zero(key: tuple[str, int, int], m: int, tol: float, what: str) -> float:
     _check_pair(twice_nu, what)
     if _census_bracket(tag, l, twice_nu, m) is None:
         raise RangeError(f"{what} lies beyond the supported box x <= {X_MAX}")
-    return _census_zero(tag, l, twice_nu, m, tol)
+    return _census_zero(tag, l, twice_nu, m)
 
 
 def _check_pair(twice_nu: int, what: str) -> None:

@@ -226,7 +226,7 @@ def oracle_target(tag: str, l: int, twice_nu: int, x) -> mp.mpf:
 def near_zero_points(tag: str, l: int, twice_nu: int, m: int):
     """The oracle zero as a float and the floats 1e-12 relative either side
     of it; the census zero only seeds mpmath's secant solver."""
-    seed = zeros._census_zero(tag, l, twice_nu, m, zeros.DEFAULT_TOL)
+    seed = zeros._census_zero(tag, l, twice_nu, m)
     with mp.workdps(40):
         z = float(mp.findroot(lambda t: oracle_target(tag, l, twice_nu, t),
                               mp.mpf(seed)))

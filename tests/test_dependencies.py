@@ -1,7 +1,8 @@
 """The package has no dependencies: every import in ``src/ballspec`` names
 a standard-library module or ``ballspec`` itself. And the supported box has
 one home: one integer check (``bessel._check_int``) and the order cap
-compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair)."""
+compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
+And every double-double value comes through ``bessel.eval_J_pair``."""
 
 from __future__ import annotations
 
@@ -70,5 +71,20 @@ def test_order_cap_is_compared_only_in_bessel_and_zeros():
         if name not in ("bessel.py", "zeros.py")
         for node in ast.walk(tree)
         if isinstance(node, ast.Compare) and _named(node, caps)
+    ]
+    assert found == []
+
+
+def test_only_bessel_names_the_double_double_ladder():
+    # outside the kernel, double-double values come from eval_J_pair, with
+    # its box and underflow checks and the benchmark tracer's
+    # bessel.eval_J_pair span (tests/test_benchmark_tracer.py)
+    found = [
+        (name, node.lineno)
+        for name, tree in _parsed()
+        if name != "bessel.py"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and _named(node, {"_eval_miller"})
     ]
     assert found == []

@@ -261,6 +261,34 @@ class TestOracleSpots:
         want = float(oracle.oracle_neumann_zero(3, 4, 2, dps=30))
         assert rel_err(zeros.neumann_zero(3, 4, 2), want) <= 1e-12
 
+    # census keys (tag, l, twice_nu, m) of the frozen tables and the spots
+    # above; m counts positive zeros, so NEUMANN_ZEROS_D3's (0, 2) is m = 1
+    GRID = sorted(
+        [("J", 0, tn, m) for tn, m in _frozen.BESSEL_ZEROS]
+        + [("G", tn // 2, tn, m) for tn, m in _frozen.BESSEL_DERIV_ZEROS]
+        + [("G", l, 2 * l + 1, m - (l == 0))
+           for l, m in _frozen.NEUMANN_ZEROS_D3]
+        + [("J", 0, 7, 2), ("J", 0, 13, 4), ("J", 0, 100, 3), ("J", 0, 7, 3),
+           ("G", 3, 8, 2)])
+
+    @pytest.mark.parametrize("tag,l,twice_nu,m", GRID)
+    def test_zeros_are_the_nearest_floats(self, tag, l, twice_nu, m):
+        z = zeros._census_zero(tag, l, twice_nu, m)
+        assert_nearest_float(tag, l, twice_nu, z)
+
+
+def assert_nearest_float(tag: str, l: int, twice_nu: int, z: float) -> None:
+    """The oracle's target changes sign between the midpoints from z to its
+    two neighbouring floats, so z is the float nearest the zero."""
+    def f(x):
+        ja, jb = oracle.oracle_J_pair(twice_nu, x, dps=40)
+        return ja if tag == "J" else (l / x) * ja - jb
+
+    with oracle.mp.workdps(40):
+        mids = [(oracle.mp.mpf(z) + oracle.mp.mpf(math.nextafter(z, to))) / 2
+                for to in (0.0, math.inf)]
+        assert f(mids[0]) * f(mids[1]) < 0, (tag, l, twice_nu, z)
+
 
 # ---------------------------------------------------------------------------
 # census targets: f and df against the oracle across the box
@@ -281,7 +309,7 @@ def test_target_matches_oracle(tag, l, twice_nu, x):
     # J: f = J_nu, df = J_nu'; G: f = g = (l/x) J_nu - J_{nu+1} and
     # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which the census forms
     # through the recursion J_nu (l(nu-1)/x^2 - 1) + J_{nu+1} (nu+1-l)/x
-    f, df = zeros._target(tag, l, twice_nu)(x)
+    f, df, *_ = zeros._target(tag, l, twice_nu)(x)
     ja = float(oracle.oracle_J(twice_nu, x, dps=30))
     pa = float(oracle.oracle_J_prime(twice_nu, x, dps=30))
     if tag == "J":
@@ -352,7 +380,7 @@ def test_certified_signs_match_oracle(monkeypatch):
 def test_sign_target_falls_back_on_a_zero(monkeypatch):
     calls = _counting(monkeypatch)
     for tag, l, tn in (("J", 0, 0), ("G", 3, 7), ("J", 0, 202)):
-        z = zeros._census_zero(tag, l, tn, 1, zeros.DEFAULT_TOL)
+        z = zeros._census_zero(tag, l, tn, 1)
         before = calls[0]
         v = zeros._sign_target(tag, l, tn)(z)
         assert calls[0] == before + 1
@@ -517,9 +545,10 @@ class TestCensus:
         assert rel_err(got, 3.831705970207512) <= 1e-13
 
     def test_coarse_tol_stays_within_contract(self):
+        # every zero is the float nearest it, which meets any accepted tol
         tight = zeros.bessel_zero(Order(0), 1)
         coarse = zeros.bessel_zero(Order(0), 1, tol=1e-6)
-        assert abs(coarse - tight) <= 1e-6 * tight
+        assert coarse == tight
 
     def test_results_are_cached_and_deterministic(self):
         a = zeros.dirichlet_zero(4, 3, 2)
@@ -632,26 +661,54 @@ class TestRefinement:
     def test_census_zeros_are_sign_enclosed(self, tag, l, twice_nu, tol):
         f_df = zeros._target(tag, l, twice_nu)
         for m in range(1, 4):
-            z = zeros._census_zero(tag, l, twice_nu, m, tol)
+            z = zeros._census_zero(tag, l, twice_nu, m)
             assert sign_enclosed(f_df, z, tol), (m, z)
+
+    @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
+        ("G", 1, 100)])  # d = 100: the first zero lies below the turning point
+    def test_tol_cannot_change_a_zero(self, tag, l, twice_nu):
+        # the zero is the float nearest it at every accepted tol, and tol is
+        # no part of the cache key: one cold refinement a zero
+        _cold()
+        shipped = set()
+        for m in (1, 2, 3):
+            got = {zeros._zero((tag, l, twice_nu), m, tol, "zero")
+                   for tol in (1e-6, 1e-13, 1e-15)}
+            assert len(got) == 1, (m, got)
+            shipped |= got - {0.0}
+        assert zeros._census_zero.cache_info().misses == len(shipped)
+
+    @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
+        ("G", 1, 100)])
+    def test_certificate_refuses_the_neighbouring_floats(
+            self, monkeypatch, tag, l, twice_nu):
+        # at the shipped zero, the half-ulp certificate holds for it and for
+        # neither float one ulp away
+        real = zeros._nearest
+        for z in [zeros._census_zero(tag, l, twice_nu, m) for m in (1, 2)]:
+            for to in (0.0, None, math.inf):
+                cand = z if to is None else math.nextafter(z, to)
+                monkeypatch.setattr(
+                    zeros, "_nearest", lambda _, *rest: real(cand, *rest))
+                assert zeros._target(tag, l, twice_nu)(z)[3] == (to is None)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-13, 1e-15])
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS)
     def test_bad_derivative_neither_stalls_nor_misleads(
         self, monkeypatch, tag, l, twice_nu, tol
     ):
-        # a derivative 1e6 too large, in both precisions, makes every Newton
-        # step look converged; the enclosure check must refuse those points,
-        # and the bisection safeguard must still reach the root within the
-        # iteration cap
+        # a derivative 1e6 too large, in both precisions, makes every float
+        # Newton step look converged; the half-ulp certificate, which forms
+        # its own Newton step, must refuse those points, and the bisection
+        # safeguard must still reach the root within the iteration cap
         f_df = zeros._target(tag, l, twice_nu)
         lo, hi, sign_lo = zeros._census_bracket(tag, l, twice_nu, 2)
         _skew_derivative(monkeypatch, "_target", 1e6)
         _skew_derivative(monkeypatch, "_float_target", 1e6)
-        z = zeros._refine(tag, l, twice_nu, lo, hi, sign_lo, tol)
+        z = zeros._refine(tag, l, twice_nu, lo, hi, sign_lo)
         monkeypatch.undo()
         assert sign_enclosed(f_df, z, tol)
-        want = zeros._census_zero(tag, l, twice_nu, 2, tol)
+        want = zeros._census_zero(tag, l, twice_nu, 2)
         assert abs(z - want) <= tol * want
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
@@ -749,9 +806,9 @@ class TestRefinement:
         assert total <= self.PER_KEY_SCAN_STEPS, total
 
     def test_float_derivative_does_not_set_the_digits(self, monkeypatch):
-        # the float phase only picks the point the double-double Newton step
-        # starts from; with its derivative 25% off, the linear convergence
-        # still hands over within a few h of the root and no J zero moves
+        # the float phase only picks the point the double-double Newton
+        # steps start from; with its derivative 25% off, the linear
+        # convergence hands over farther from the root, and no zero moves
         keys = [(tn, m) for tn in range(0, 239, 3) for m in (1, 2, 5, 20)]
 
         def census():
@@ -779,16 +836,10 @@ class TestRefinement:
         (14, 28, 1), (6, 13, 1), (10, 22, 1), (7, 17, 1), (21, 46, 1),
         (69, 146, 1), (24, 86, 1), (33, 164, 1)])
     def test_moved_neumann_zeros_within_an_ulp(self, l, twice_nu, m):
-        # the last bit of these g zeros depends on the Newton path; the
-        # oracle's g must still change sign within one ulp of each
+        # g zeros where a path-dependent last Newton step landed 0.5-1.3
+        # ulps off; each must be the float nearest the oracle's zero
         z = zeros.neumann_zero(l, twice_nu + 2 - 2 * l, m)
-        u = math.ulp(z)
-
-        def g(x):
-            ja, jb = oracle.oracle_J_pair(twice_nu, x, dps=40)
-            return (l / oracle.mp.mpf(x)) * ja - jb
-
-        assert g(z - u) * g(z + u) < 0, z
+        assert_nearest_float("G", l, twice_nu, z)
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(2, "dirichlet", 2000),
                                                  (4, "neumann", 1900)])
