@@ -36,10 +36,10 @@ normalizations) and one a priori error model, _pair_bound,
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * (n_steps * cancel * u + 1e-24)
 with u = 2^-100 in double-double and 8 * 2^-53 in floats. Callers trust a
 float sign only where the value clears its bound, and take no digit from it.
-An EvalResult also carries its double-double value's low part and a bound
-on it, for the zero finder's half-ulp certificate: below the turning point,
-x <= nu, that bound leaves the envelope term out and is relative to the
-pair alone, a model that ROADMAP item 4 has to prove.
+An eval_J_pair result also carries its double-double value's low part and
+a bound on it, for the zero finder's half-ulp certificate: below the
+turning point, x <= nu, that bound leaves the envelope term out and is
+relative to the pair alone, a model that ROADMAP item 4 has to prove.
 
 The float ladder is one loop with two readers. It keeps every y_k, and a
 ladder sized for order n yields J_k(x) for every order k of one parity up
@@ -209,18 +209,15 @@ def _miller_start(n_target: int, x: float) -> int:
     return n
 
 
-def _pair_bound(a: float, b: float, x: float, unit: float,
-                nu: float = 0.0) -> float:
-    """A Miller ladder's a priori bound on its pair (a, b) = (J_n, J_{n+1});
-    for x <= nu, the turning-point model of the module docstring."""
-    env = math.sqrt(2.0 / (math.pi * x)) if x > nu else 0.0
-    return max(abs(a), abs(b), env) * unit
+def _pair_bound(a: float, b: float, x: float, unit: float) -> float:
+    """A Miller ladder's a priori bound on its pair (a, b) = (J_n, J_{n+1})."""
+    return max(abs(a), abs(b), math.sqrt(2.0 / (math.pi * x))) * unit
 
 
 def _eval_miller(twice_nu: int, x: float):
     """(J_nu, J_{nu+1}, abs_err, lo_nu, lo_nu1, dd_err) by backward
     recurrence in double-double: J + lo is each order's double-double value,
-    and dd_err is _pair_bound's with the turning-point model.
+    within dd_err, which is abs_err but for the turning-point model.
 
     The ladder of _miller_float, step for step. The integer normalizer adds
     y_0 last, after 2 * sum_{k even >= 2} y_k: forming 2 * sum - y_0 moves
@@ -331,8 +328,10 @@ def _eval_miller(twice_nu: int, x: float):
     # double-double noise grows with ladder length and any cancellation in
     # the normalizer; truncation of the start index adds ~e^-60 relative
     unit = (n_top + 1) * cancel * 2.0**-100 + 1e-24
-    return (j0, j1, _pair_bound(j0, j1, x, unit), j0l - (j0 - j0h),
-            j1l - (j1 - j1h), _pair_bound(j0, j1, x, unit, 0.5 * twice_nu))
+    err = _pair_bound(j0, j1, x, unit)
+    # below the turning point, the turning-point model: relative to the pair
+    dd_err = max(abs(j0), abs(j1)) * unit if 2.0 * x <= twice_nu else err
+    return j0, j1, err, j0l - (j0 - j0h), j1l - (j1 - j1h), dd_err
 
 
 def _miller_float(parity: int, x: float, n: int):
@@ -437,14 +436,14 @@ class EvalResult:
 
     est_rel_err bounds |error| / max(|value|, 1e-3); the floor folds the
     near-zero absolute allowance into one ratio (see module docstring).
-    value + lo is the double-double value, within dd_err of J (_pair_bound
-    with the turning-point model).
+    value + lo is the double-double value of eval_J_pair, within dd_err of
+    J (the turning-point model); eval_J leaves them unset.
     """
 
     value: float
     est_rel_err: float
-    lo: float
-    dd_err: float
+    lo: float = 0.0
+    dd_err: float = math.inf
 
 
 def _validate_x(x: float) -> float:
@@ -454,12 +453,11 @@ def _validate_x(x: float) -> float:
     return x
 
 
-def _check(value: float, abs_err: float, what: str, lo: float,
-           dd_err: float) -> EvalResult:
+def _check(value: float, abs_err: float, what: str, *dd) -> EvalResult:
     est = abs_err / max(abs(value), _NEAR_ZERO_FLOOR) + 2.0**-52
     if est > _REL_CONTRACT:
         raise LossOfPrecision(f"{what}: estimated error {est:.3e} over budget")
-    return EvalResult(value, est, lo, dd_err)
+    return EvalResult(value, est, *dd)
 
 
 def _check_underflow(value: float, twice_nu: int, x: float) -> None:
@@ -474,10 +472,9 @@ def _check_underflow(value: float, twice_nu: int, x: float) -> None:
 def eval_J(nu: Order, x: float) -> EvalResult:
     """J_nu(x) for X_MIN <= x <= 200, twice_nu in [0, 240]."""
     x = _validate_x(x)
-    value, _, abs_err, lo, _, dd_err = _eval_miller(nu.twice_nu, x)
+    value, _, abs_err = _eval_miller(nu.twice_nu, x)[:3]
     _check_underflow(value, nu.twice_nu, x)
-    return _check(value, abs_err, f"J(twice_nu={nu.twice_nu}, x={x!r})", lo,
-                  dd_err)
+    return _check(value, abs_err, f"J(twice_nu={nu.twice_nu}, x={x!r})")
 
 
 def _validate_pair(nu: Order, x: float) -> float:

@@ -172,8 +172,7 @@ def _run_courant(args) -> int:
 
 def _run_pleijel(args) -> int:
     if args.gamma is not None:
-        if args.gamma < 2:  # gamma_table's own check would name d_min
-            raise _UsageError(f"--gamma must be >= 2, got {args.gamma}")
+        pleijel.gamma(args.gamma)  # checks D as d, not as d_min
         row = pleijel.gamma_table(args.gamma, args.gamma)[0]
         payload = {
             "d": row.d,

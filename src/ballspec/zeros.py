@@ -48,9 +48,11 @@ to the next grid point around a near-zero endpoint must show a sign flip
 need two gaps above pi/2. Safeguarded Newton refines each bracket, and
 every returned zero is the float nearest it (within half an ulp): the
 target changes sign between the midpoints to its two neighbouring floats,
-certified from the double-double pair of the last Newton step (_nearest).
-So a zero depends on the zero alone, not on the Newton path or on tol; it
-meets every accepted tol, which stays a checked argument.
+certified from values alone (_certificate): the double-double value at the
+last iterate, the secant to an earlier one, and a bound on f'' through
+Bessel's ODE. So a zero depends on the zero alone, not on the Newton path,
+on tol or on any derivative formula; it meets every accepted tol, which
+stays a checked argument.
 
 The grid signs come from one shared float ladder per (parity, grid point),
 bessel._ladder_float, which yields J_k at every order k of one parity; every
@@ -65,8 +67,8 @@ taken where its bound, propagated through the target, cannot flip it, else
 double-double decides. So the brackets are those of a census run wholly in
 double-double on the same grid. Newton iterates run on the twin
 (_float_target) while it certifies the sign, and double-double (_target,
-which forms f from the pair's low parts) takes the last steps: about one
-double-double pair call a zero.
+_certificate forms f from the pair's low parts) takes the last steps:
+about one double-double pair call a zero.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
 DEFAULT_TOL = 1e-13
-_HANDOVER = 2.0**-20  # a twin step below this, relative to x, ends the float phase
+_HANDOVER = 2.0**-26  # a twin step below this times x ends the float phase
+_RADIUS = 2.0**-20  # _certificate's points lie within this times x
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
 
 
@@ -113,55 +116,64 @@ def _combine(tag: str, l: int, nu: float, x: float, a: float, b: float):
 
 
 def _target(tag: str, l: int, twice_nu: int):
-    """f_df of the target from the double-double pair: (f, df, z, nearest).
-    f is formed in double-double and rounded, z is the Newton step from x,
-    and nearest is True where _nearest certifies z."""
+    """f_df of the target from the double-double pair: (f, df, a, b), a and
+    b the pair (bessel.EvalResult) for _certificate."""
     nu = 0.5 * twice_nu
     order = Order(twice_nu)
 
     def f_df(x: float):
         a, b = bessel.eval_J_pair(order, x)
-        if tag == "J":
-            fh, fl, err = a.value, a.lo, a.dd_err
-        else:  # g = (l/x) J_nu - J_{nu+1}, each operation within 2^-100
-            ch, cl = bessel._dd_div_f(float(l), 0.0, x)
-            ph, pl = bessel._dd_mul(ch, cl, a.value, a.lo)
-            fh, fl = bessel._dd_add(ph, pl, -b.value, -b.lo)
-            err = (ch + 1.0) * a.dd_err + (abs(ph) + abs(b.value)) * 2.0**-100
-        df = _combine(tag, l, nu, x, a.value, b.value)[1]
-        z = x - (fh + fl) / df if df != 0.0 else math.inf
-        return fh, df, z, _nearest(z, x, nu, (fh, fl, err), df, a, b)
+        return (*_combine(tag, l, nu, x, a.value, b.value), a, b)
 
     return f_df
 
 
-def _nearest(z: float, x: float, nu: float, f, df: float, a, b) -> bool:
-    """True if z is certified the float nearest the zero: the target f,
-    (hi, lo, err) at x in double-double, takes opposite certified signs at
-    z -+ h, h half the smaller gap around z. df is f'(x) in floats, and a,
-    b are the pair at x (bessel.EvalResult).
+def _certificate(tag: str, l: int, nu: float, x: float, a, b, pts: list):
+    """(f, err, s, e, nearest) at a double-double iterate x: f, within err,
+    is the target formed in double-double from the pair a, b
+    (bessel.EvalResult); f'(x) lies within e of s; nearest(z) is True if z
+    is certified the float nearest the zero. pts holds earlier iterates
+    (p, f(p), err_p); with none within x * _RADIUS, e is inf.
 
-    At s = z -+ h, t = s - x: f(s) = f(x) + t f'(x) + R with |R| <= M t^2/2.
-    On the interval w = |z - x| + h around x, with q = (nu + 2)/(x - w) and
-    (1 + q) w <= 1, the pair (J_nu, J_{nu+1}) grows at most e-fold from its
-    size K at x (Gronwall on Y' = [[nu/s, -1], [1, -(nu+1)/s]] Y, row sums
-    <= 1 + q), and Bessel's ODE bounds |f''| of either target by
-    6 (1 + q)^3 times the pair, so M = 20 (1 + q)^3 K > 6e (1 + q)^3 K.
-    df, formed in floats, is within (1 + q)^2 (dd_err + 2^-48 K) of f'(x)."""
-    h = 0.5 * math.ulp(math.nextafter(z, 0.0))
-    w = abs(z - x) + h
-    q = (nu + 2.0) / (x - w) if w < x else math.inf
-    if (1.0 + q) * w > 1.0:
-        return False
-    fh, fl, err = f
-    k = max(abs(a.value), abs(b.value)) + a.dd_err  # |pair| <= k (1 + 2^-52)
-    m = 20.0 * (1.0 + q) ** 3 * k
-    err_df = (1.0 + q) ** 2 * (a.dd_err + 2.0**-48 * k)
-    (v0, e0), (v1, e1) = [
-        (fh + t * df + fl, err + abs(t) * err_df + 0.5 * m * t * t
-         + 2.0**-52 * (abs(fh) + abs(t * df)))  # last: rounding of the sum
-        for t in (z - x - h, z - x + h)]
-    return abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
+    Values alone certify. The secant to the p that bounds it best gives
+    f'(x) within e = (err + err_p)/|x - p| + M |x - p|/2, and
+    f(x + t) = f(x) + t f'(x) + R, |R| <= M t^2/2, must take opposite
+    certified signs at t = z - x -+ h, h half the smaller gap around z. M
+    bounds |f''| within w = x * _RADIUS of x: there, with
+    q = (nu + 2)/(x - w) and (1 + q) w < 1 across the box, the pair
+    (J_nu, J_{nu+1}) grows at most e-fold from its size K at x (Gronwall on
+    Y' = [[nu/s, -1], [1, -(nu+1)/s]] Y, row sums <= 1 + q), and Bessel's
+    ODE bounds |f''| of either target by 6 (1 + q)^3 times the pair, so
+    M = 20 (1 + q)^3 K > 6e (1 + q)^3 K. No derivative formula enters, so
+    a wrong one can cost steps but cannot move a zero.
+    """
+    if tag == "J":
+        f, err = a.value, a.dd_err
+    else:  # g = (l/x) J_nu - J_{nu+1}, each operation within 2^-100
+        ch, cl = bessel._dd_div_f(float(l), 0.0, x)
+        ph, pl = bessel._dd_mul(ch, cl, a.value, a.lo)
+        f = bessel._dd_add(ph, pl, -b.value, -b.lo)[0]
+        err = (ch + 1.0) * a.dd_err + (abs(ph) + abs(b.value)) * 2.0**-100
+    err += 2.0**-52 * abs(f)  # the low part, and float sums with f
+    q = (nu + 2.0) / (x * (1.0 - _RADIUS))
+    m = 20.0 * (1.0 + q) ** 3 * (max(abs(a.value), abs(b.value)) + a.dd_err)
+    s, e = 0.0, math.inf
+    for p, fp, ep in pts:
+        d = abs(x - p)
+        if 0.0 < d <= _RADIUS * x and (err + ep) / d + 0.5 * m * d < e:
+            s = (f - fp) / (x - p)
+            e = (err + ep) / d + 0.5 * m * d + 2.0**-51 * abs(s)
+
+    def nearest(z: float) -> bool:
+        h = 0.5 * math.ulp(math.nextafter(z, 0.0))
+        (v0, e0), (v1, e1) = [
+            (f + t * s, err + abs(t) * e + 0.5 * m * t * t
+             + 2.0**-52 * abs(t * s))
+            for t in (z - x - h, z - x + h)]
+        return (abs(z - x) + h <= _RADIUS * x and abs(v0) > e0
+                and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0))
+
+    return f, err, s, e, nearest
 
 
 def _float_f(tag: str, l: int, nu: float, x: float, a: float, b: float,
@@ -300,7 +312,7 @@ def _grid_cells(f, parity: int, start: float, start_sign: int):
 
 
 # ---------------------------------------------------------------------------
-# refinement: bracket-safeguarded Newton with a verified enclosure
+# refinement: bracket-safeguarded Newton to a certified nearest float
 
 
 def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
@@ -314,27 +326,41 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     moves on certified signs; at the first point where it does not, or
     once a step falls below _HANDOVER * x, double-double (_target) takes
     over from that point. Each double-double call proposes its own Newton
-    step z, kept inside the bracket, and z is returned once _nearest
-    certifies it the float nearest the zero. So every returned zero is a
-    function of the zero alone, not of the Newton path.
+    step z, with the secant slope where that refutes df, kept inside the
+    bracket; z is returned once _certificate certifies it the float nearest
+    the zero. So every returned zero is a function of the zero alone, not
+    of the Newton path or of df.
     """
     f_df_err = _float_target(tag, l, twice_nu)
     f_df = _target(tag, l, twice_nu)
     x = 0.5 * (lo + hi)
     dx_old = dx_older = hi - lo
     twin = True
+    pts = []  # (x, f, err) of every iterate, for _certificate's secants
     for _ in range(100):
         if twin:
             f, df, err = f_df_err(x)
+            pts.append((x, f, err))
             if not abs(f) > err:  # sign not certified: double-double from x
+                if len(pts) == 1:  # unless x is the first: a secant partner
+                    x *= 1.0 + _HANDOVER  # for x, within the census cell
+                    continue
                 twin = False
                 continue
             x_new = x - f / df if df != 0.0 else math.inf
         else:
-            f, _, x_new, nearest = f_df(x)
-            if nearest and lo <= x_new <= hi:
+            _, df, a, b = f_df(x)
+            f, err, s, e, nearest = _certificate(
+                tag, l, 0.5 * twice_nu, x, a, b, pts)
+            if not abs(df - s) <= e:  # the secant refutes df: step with it
+                df = s
+            x_new = x - f / df if df != 0.0 else math.inf
+            if lo <= x_new <= hi and nearest(x_new):
                 return x_new
+            pts.append((x, f, err))
         lo, hi = (x, hi) if (f > 0.0) == (sign_lo > 0) else (lo, x)
+        if x_new == x and not twin:  # no step: a neighbour gives the secant
+            x_new = math.nextafter(x, hi if x == lo else lo)
         if not lo <= x_new <= hi or abs(x_new - x) > 0.5 * dx_older:
             x_new = 0.5 * (lo + hi)
         elif abs(x_new - x) <= _HANDOVER * x_new:

@@ -357,7 +357,7 @@ class TestTopLevel:
         ("pleijel --table 2 241", ("241",), "twice_nu"),
         ("pleijel --curve 2 240", ("240",), "twice_nu"),
         ("certify --d 4 --through 240", ("d=240",), "twice_nu"),
-        ("pleijel --gamma 1", ("--gamma", "got 1"), "d_min"),
+        ("pleijel --gamma 1", ("d must be an int >= 2, got 1",), "d_min"),
         # a huge --count walks m lazily up to the first zero past the box
         ("zeros --l 0 --d 2 --bc dirichlet --count 1000000000000000000",
          ("l=0, d=2", "m=64", "beyond the supported box"), "MemoryError"),

@@ -681,35 +681,65 @@ class TestRefinement:
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
         ("G", 1, 100)])
     def test_certificate_refuses_the_neighbouring_floats(
-            self, monkeypatch, tag, l, twice_nu):
-        # at the shipped zero, the half-ulp certificate holds for it and for
+            self, tag, l, twice_nu):
+        # at the shipped zero, with a double-double secant to the next float
+        # but one, the half-ulp certificate holds for the zero and for
         # neither float one ulp away
-        real = zeros._nearest
+        def certificate(x, pts):
+            a, b = zeros._target(tag, l, twice_nu)(x)[2:]
+            return zeros._certificate(tag, l, 0.5 * twice_nu, x, a, b, pts)
+
         for z in [zeros._census_zero(tag, l, twice_nu, m) for m in (1, 2)]:
-            for to in (0.0, None, math.inf):
-                cand = z if to is None else math.nextafter(z, to)
-                monkeypatch.setattr(
-                    zeros, "_nearest", lambda _, *rest: real(cand, *rest))
-                assert zeros._target(tag, l, twice_nu)(z)[3] == (to is None)
+            p = math.nextafter(math.nextafter(z, 0.0), 0.0)
+            f, err = certificate(p, [])[:2]
+            nearest = certificate(z, [(p, f, err)])[4]
+            assert nearest(z), z
+            for to in (0.0, math.inf):
+                assert not nearest(math.nextafter(z, to)), (z, to)
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-13, 1e-15])
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS)
     def test_bad_derivative_neither_stalls_nor_misleads(
         self, monkeypatch, tag, l, twice_nu, tol
     ):
-        # a derivative 1e6 too large, in both precisions, makes every float
-        # Newton step look converged; the half-ulp certificate, which forms
-        # its own Newton step, must refuse those points, and the bisection
-        # safeguard must still reach the root within the iteration cap
+        # a derivative 1e6 too large, in both precisions (_combine forms
+        # every df), makes every Newton step look converged; the half-ulp
+        # certificate, which reads values only, must refuse those points,
+        # and the safeguards must still reach the root within the iteration
+        # cap
         f_df = zeros._target(tag, l, twice_nu)
         lo, hi, sign_lo = zeros._census_bracket(tag, l, twice_nu, 2)
-        _skew_derivative(monkeypatch, "_target", 1e6)
-        _skew_derivative(monkeypatch, "_float_target", 1e6)
+        real = zeros._combine
+
+        def skewed(*args):
+            f, df = real(*args)
+            return f, 1e6 * df
+
+        monkeypatch.setattr(zeros, "_combine", skewed)
         z = zeros._refine(tag, l, twice_nu, lo, hi, sign_lo)
         monkeypatch.undo()
         assert sign_enclosed(f_df, z, tol)
         want = zeros._census_zero(tag, l, twice_nu, 2)
         assert abs(z - want) <= tol * want
+
+    @pytest.mark.parametrize("factor", [-1.0, 1e-6, 1.001, 0.0])
+    def test_no_derivative_moves_a_zero(self, monkeypatch, factor):
+        # the certificate reads values only: a df of the wrong sign, far too
+        # small, slightly off or zero costs steps but ships the same zeros,
+        # also below the turning point (d = 100)
+        keys = [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
+                + [("G", 1, 100)] for m in (1, 2, 3)]
+        want = [zeros._census_zero(*key) for key in keys]
+        cells = [zeros._census_bracket(*key) for key in keys]
+        real = zeros._combine
+
+        def skewed(*args):
+            f, df = real(*args)
+            return f, factor * df
+
+        monkeypatch.setattr(zeros, "_combine", skewed)
+        assert [zeros._refine(*key[:3], *cell)
+                for key, cell in zip(keys, cells)] == want
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
