@@ -6,11 +6,14 @@ their derivatives (Neumann). This package evaluates the Bessel kernel to a
 stated accuracy contract, locates and labels the zeros, enumerates spectra
 with exact multiplicities, decides which eigenvalues are Courant sharp, and
 computes/certifies the Pleijel constant gamma(d) and its monotonicity.
+
+Compute modules load on first access (PEP 562), as a CLI job needs them.
 """
 
 from __future__ import annotations
 
-from ballspec import bessel, courant, pleijel, spectrum, zeros
+import importlib
+
 from ballspec.errors import (
     BallspecError,
     BracketFailure,
@@ -23,12 +26,10 @@ from ballspec.errors import (
 
 __version__ = "0.1.0"
 
+_SUBMODULES = ("bessel", "zeros", "spectrum", "courant", "pleijel")
+
 __all__ = [
-    "bessel",
-    "zeros",
-    "spectrum",
-    "courant",
-    "pleijel",
+    *_SUBMODULES,
     "BallspecError",
     "NumericalError",
     "RangeError",
@@ -38,3 +39,9 @@ __all__ = [
     "CertificateFailure",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"ballspec.{name}")
+    raise AttributeError(f"module 'ballspec' has no attribute {name!r}")

@@ -58,7 +58,7 @@ pins it bit for bit across the box and on a small-x, low-order grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ballspec.errors import LossOfPrecision, RangeError
 
@@ -201,12 +201,21 @@ def _ln_j_inv(n: float, x: float) -> float:
 
 
 def _miller_start(n_target: int, x: float) -> int:
+    """The first n = n0 + 8k, k >= 0, where _ln_j_inv has grown by 60 from
+    its value at max(n_target, int(x) + 1). It does not decrease in n, so
+    k starts at the root of n ln(2n / (e x)) = base + 57 (the Lambert W
+    form, by Winitzki's approximation) and only k - 1 and k are checked."""
     floor_idx = max(n_target, int(x) + 1)
     base = _ln_j_inv(float(floor_idx), x)
-    n = max(n_target + 6, int(x) + 6)
-    while _ln_j_inv(float(n), x) - base < 60.0:
-        n += 8
-    return n
+    n0 = max(n_target + 6, int(x) + 6)
+    r = base + 57.0  # 60 less about 0.5 ln(2 pi n)
+    w = math.log1p(r / (0.5 * math.e * x))
+    k = max(0, math.ceil((r / (w - w * math.log1p(w) / (2.0 + w)) - n0) / 8))
+    while k and _ln_j_inv(float(n0 + 8 * k - 8), x) - base >= 60.0:
+        k -= 1
+    while _ln_j_inv(float(n0 + 8 * k), x) - base < 60.0:
+        k += 1
+    return n0 + 8 * k
 
 
 def _pair_bound(a: float, b: float, x: float, unit: float) -> float:
@@ -405,18 +414,19 @@ def _check_int(name: str, n, minimum: int) -> None:
         raise RangeError(f"{name} must be an int >= {minimum}, got {n!r}")
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(namedtuple("Order", "twice_nu")):
     """Bessel order nu stored exactly as twice_nu = 2*nu (an integer)."""
 
-    twice_nu: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_int("twice_nu", self.twice_nu, 0)
         if self.twice_nu > TWICE_NU_MAX:
             raise RangeError(
                 f"twice_nu={self.twice_nu} outside supported [0, {TWICE_NU_MAX}]"
             )
+        return self
 
     @property
     def nu(self) -> float:
@@ -430,20 +440,17 @@ class Order:
         return cls(2 * l + d - 2)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value est_rel_err lo dd_err",
+                            defaults=(0.0, math.inf))):
     """A function value plus a conservative error estimate.
 
     est_rel_err bounds |error| / max(|value|, 1e-3); the floor folds the
     near-zero absolute allowance into one ratio (see module docstring).
     value + lo is the double-double value of eval_J_pair, within dd_err of
-    J (the turning-point model); eval_J leaves them unset.
+    J (the turning-point model); eval_J leaves them at 0.0 and inf.
     """
 
-    value: float
-    est_rel_err: float
-    lo: float = 0.0
-    dd_err: float = math.inf
+    __slots__ = ()
 
 
 def _validate_x(x: float) -> float:

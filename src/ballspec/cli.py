@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from ballspec import __version__, courant, pleijel, selfcheck, spectrum, zeros
+# compute modules are imported in the _run_* of their subcommand, so that
+# a job loads only what it runs
+from ballspec import __version__
 # format_float is not called here; perfbench/trace_child.py wraps cli.format_float
 from ballspec._format import csv_text, dumps, format_float  # noqa: F401
 from ballspec.errors import BallspecError, NumericalError
@@ -114,7 +115,8 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        Path(args.output).write_text(text)
+        with open(args.output, "w") as out:
+            out.write(text)
     except OSError as exc:
         raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
 
@@ -125,12 +127,14 @@ def _emit(args, payload, header, rows) -> None:
 
 
 def _run_spectrum(args) -> int:
+    from ballspec import spectrum
     table = spectrum.enumerate_spectrum(args.d, args.bc, args.lambda_max)
     _write(args, table.to_json() if args.format == "json" else table.to_csv())
     return 0
 
 
 def _run_zeros(args) -> int:
+    from ballspec import spectrum, zeros
     if args.count is not None and args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
     ms = [args.m] if args.m is not None else range(1, (args.count or 5) + 1)
@@ -152,6 +156,7 @@ def _run_zeros(args) -> int:
 
 
 def _run_courant(args) -> int:
+    from ballspec import courant
     verdicts = courant.courant_sharp_ball(args.d, args.bc, args.lmax, args.mmax)
     payload = {
         "d": args.d,
@@ -171,6 +176,7 @@ def _run_courant(args) -> int:
 
 
 def _run_pleijel(args) -> int:
+    from ballspec import pleijel
     if args.gamma is not None:
         pleijel.gamma(args.gamma)  # checks D as d, not as d_min
         row = pleijel.gamma_table(args.gamma, args.gamma)[0]
@@ -204,6 +210,7 @@ def _run_pleijel(args) -> int:
 
 
 def _run_certify(args) -> int:
+    from ballspec import pleijel
     d_last = args.d if args.through is None else args.through
     if d_last < args.d:
         raise _UsageError(f"--through {d_last} is below --d {args.d}")
@@ -225,6 +232,7 @@ def _run_certify(args) -> int:
 
 
 def _run_selfcheck(args) -> int:
+    from ballspec import selfcheck
     results = selfcheck.run(fast=args.fast)
     lines = []
     for r in results:

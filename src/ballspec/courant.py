@@ -13,7 +13,7 @@ with both sides evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import partial
 
@@ -39,16 +39,14 @@ class SharpnessStatus(Enum):
     EXCLUDED_DIRECT_COUNT = "ExcludedDirectCount"
 
 
-@dataclass(frozen=True)
-class SphereLabeling:
+class SphereLabeling(namedtuple("SphereLabeling",
+                                "l d min_label symmetry_bound")):
     """Label bookkeeping for the degree-l sphere eigenvalue in R^d."""
 
-    l: int
-    d: int
-    min_label: int
-    symmetry_bound: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_int("l", self.l, 0)
         _check_int("d", self.d, 3)
         if self.min_label != _min_label(self.l, self.d):
@@ -56,18 +54,18 @@ class SphereLabeling:
         want_sym = 2 * (_binom(self.l + self.d - 3, self.d - 1) + 1)
         if self.symmetry_bound != want_sym:
             raise RangeError("symmetry_bound does not match 2*(C+1)")
+        return self
 
 
-@dataclass(frozen=True)
-class SharpnessVerdict:
-    """Decision for one eigenvalue block, with its numeric evidence."""
+class SharpnessVerdict(namedtuple("SharpnessVerdict",
+                                  "record status mu certificate")):
+    """Decision for one eigenvalue block, with its numeric evidence: a
+    tuple of strict lhs < rhs Check entries (the nodal count mu or None)."""
 
-    record: EigenvalueRecord
-    status: SharpnessStatus
-    mu: int | None
-    certificate: tuple[Check, ...]  # strict lhs < rhs entries
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.status is SharpnessStatus.SHARP:
             if self.mu != self.record.label_first:
                 raise CertificateFailure(
@@ -77,6 +75,7 @@ class SharpnessVerdict:
                 raise CertificateFailure(
                     "Sharp is an equality; it carries no inequality entries"
                 )
+        return self
 
     def as_dict(self) -> dict:
         return {

@@ -43,9 +43,7 @@ views in the certificate are for reporting only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from ballspec import zeros
@@ -124,16 +122,14 @@ def _quotient(d: int) -> float:
     return math.exp(_log_gamma_value(d + 1) - _log_gamma_value(d))
 
 
-@dataclass(frozen=True)
-class PleijelRow:
-    """One table row: dimension, gamma, its log, and the forward quotient."""
+class PleijelRow(namedtuple("PleijelRow",
+                            "d gamma log_gamma_value quotient_next")):
+    """One table row: d, gamma, its log, and the forward quotient or None."""
 
-    d: int
-    gamma: float
-    log_gamma_value: float
-    quotient_next: float | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_int("d", self.d, 2)
         if not math.isfinite(self.log_gamma_value):
             raise CertificateFailure(
@@ -155,6 +151,7 @@ class PleijelRow:
             raise CertificateFailure(
                 f"pleijel row d={self.d}: bad quotient {self.quotient_next!r}"
             )
+        return self
 
 
 def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
@@ -194,20 +191,17 @@ def quotient_curve(d_min: int, d_max: int) -> list[tuple[int, float]]:
 # monotonicity certificate
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name lhs rhs kind", defaults=(_STRICT,))):
     """One certified comparison; construction fails unless it holds.
 
     kind "strict_less" requires lhs < rhs (courant verdicts use only this);
     kind "equal" requires lhs == rhs (chain links that are exact identities).
     """
 
-    name: str
-    lhs: float
-    rhs: float
-    kind: str = _STRICT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (_STRICT, _EQUAL):
             raise RangeError(f"unknown check kind {self.kind!r}")
         if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
@@ -222,6 +216,7 @@ class Check:
                 f"pleijel/courant check '{self.name}' failed: "
                 f"lhs={self.lhs!r} {wanted} rhs={self.rhs!r} does not hold"
             )
+        return self
 
     @property
     def margin(self) -> float:
@@ -237,8 +232,8 @@ class Check:
         }
 
 
-def _exact_check(name: str, lhs: Fraction, rhs: Fraction, kind: str = _STRICT) -> Check:
-    """Decide a rational comparison exactly, then record it as floats."""
+def _exact_check(name: str, lhs, rhs, kind: str = _STRICT) -> Check:
+    """Decide a Fraction comparison exactly, then record it as floats."""
     holds = lhs < rhs if kind == _STRICT else lhs == rhs
     if not holds:
         wanted = "<" if kind == _STRICT else "=="
@@ -249,14 +244,14 @@ def _exact_check(name: str, lhs: Fraction, rhs: Fraction, kind: str = _STRICT) -
     return Check(name, float(lhs), float(rhs), kind)
 
 
-@dataclass(frozen=True)
-class MonotonicityCertificate:
-    """Every link of the strict-decrease chain, evaluated at one dimension."""
+class MonotonicityCertificate(namedtuple("MonotonicityCertificate",
+                                         "d checks")):
+    """Every link (a tuple of Check) of the strict-decrease chain at one d."""
 
-    d: int
-    checks: tuple[Check, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_int("d", self.d, 4)
         names = [c.name for c in self.checks]
         if len(set(names)) != len(names):
@@ -266,6 +261,7 @@ class MonotonicityCertificate:
             raise RangeError(
                 f"certificate at d={self.d} missing checks: {sorted(missing)}"
             )
+        return self
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.checks)
@@ -286,6 +282,7 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     Valid for d >= 4 (two of the algebraic links genuinely need it) up to
     d = 239 (the chain reads first zeros for dimensions d-1 .. d+1).
     """
+    from fractions import Fraction
     _check_int("d", d, 4)
     zeros._check_pair(d - 1, f"certificate at d={d}")
 
@@ -443,6 +440,7 @@ def neumann_pleijel_bound(d: int) -> float:
 
 def six_decimals(x: float) -> str:
     """x rounded to 6 decimal places, halves away from zero."""
+    from decimal import ROUND_HALF_UP, Decimal
     x = float(x)
     if not math.isfinite(x):
         raise RangeError(f"cannot round non-finite value {x!r}")

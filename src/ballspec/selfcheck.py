@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ballspec import bessel, courant, pleijel, spectrum, zeros
 from ballspec.bessel import Order
@@ -37,14 +37,10 @@ _TABLE_6DEC = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name ok detail elapsed")):
     """Outcome of one named invariant: ok, or a first-failure detail."""
 
-    name: str
-    ok: bool
-    detail: str
-    elapsed: float
+    __slots__ = ()
 
 
 def _check_recurrence_residual(fast: bool) -> str | None:

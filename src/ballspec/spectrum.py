@@ -12,7 +12,7 @@ loop walks every sign change from the origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import comb
@@ -60,54 +60,39 @@ def multiplicity(l: int, d: int) -> int:
     return _binom(l + d - 1, d - 1) - _binom(l + d - 3, d - 1)
 
 
-@dataclass(frozen=True)
-class EigenvalueRecord:
-    """One eigenvalue block: all modes sharing the radial zero."""
+class EigenvalueRecord(namedtuple("EigenvalueRecord", "d bc l m zero lam "
+                                  "multiplicity label_first label_last")):
+    """One eigenvalue block: all modes sharing the radial zero. bc is a
+    BoundaryCondition; lam, the eigenvalue, is serialized as "lambda"."""
 
-    d: int
-    bc: BoundaryCondition
-    l: int
-    m: int
-    zero: float
-    lam: float  # eigenvalue; serialized under the key "lambda"
-    multiplicity: int
-    label_first: int
-    label_last: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.lam != self.zero * self.zero:
             raise RangeError("lam must equal zero**2 exactly as computed")
         if self.multiplicity != multiplicity(self.l, self.d):
             raise RangeError("multiplicity does not match the degree formula")
         if self.label_last != self.label_first + self.multiplicity - 1:
             raise RangeError("label_last must be label_first+multiplicity-1")
+        return self
+
+    def row(self) -> tuple:
+        """The fields in order, bc as its name: one JSON record or CSV row."""
+        return (self.d, self.bc.value, *self[2:])
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "bc": self.bc.value,
-            "l": self.l,
-            "m": self.m,
-            "zero": self.zero,
-            "lambda": self.lam,
-            "multiplicity": self.multiplicity,
-            "label_first": self.label_first,
-            "label_last": self.label_last,
-        }
+        return dict(zip(_CSV_FIELDS, self.row()))
 
 
 _CSV_FIELDS = ("d", "bc", "l", "m", "zero", "lambda", "multiplicity",
                "label_first", "label_last")
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Ordered, labeled spectrum up to the cutoff (immutable)."""
+class SpectrumTable(namedtuple("SpectrumTable", "d bc lambda_max records")):
+    """Ordered, labeled spectrum up to the cutoff: a tuple of records."""
 
-    d: int
-    bc: BoundaryCondition
-    lambda_max: float
-    records: tuple[EigenvalueRecord, ...]
+    __slots__ = ()
 
     @property
     def n_labels(self) -> int:
@@ -134,11 +119,8 @@ class SpectrumTable:
         return _format.dumps(self.as_dict())
 
     def to_csv(self) -> str:
-        return _format.csv_text(_CSV_FIELDS, (
-            (rec.d, rec.bc.value, rec.l, rec.m, rec.zero, rec.lam,
-             rec.multiplicity, rec.label_first, rec.label_last)
-            for rec in self.records
-        ))
+        return _format.csv_text(_CSV_FIELDS,
+                                (rec.row() for rec in self.records))
 
 
 def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float,

@@ -310,6 +310,51 @@ def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
 
 
 # ---------------------------------------------------------------------------
+# the Miller start index: the linear search it replaced, on a dense grid
+
+
+def _miller_start_linear(n_target: int, x: float) -> int:
+    """The start search as a plain walk: n0, n0 + 8, ... until _ln_j_inv
+    has grown by 60 from its value at max(n_target, int(x) + 1)."""
+    base = bessel._ln_j_inv(float(max(n_target, int(x) + 1)), x)
+    n = max(n_target + 6, int(x) + 6)
+    while bessel._ln_j_inv(float(n), x) - base < 60.0:
+        n += 8
+    return n
+
+
+def _start_grid():
+    # every n_target a ladder of the box asks for (twice_nu // 2 + 1 up to
+    # 121, plus the shared ladder's top + 1), against x from the lower edge
+    # of the box through the census grid points to X_MAX
+    xs = [bessel.X_MIN, 1e-12, 1e-6, 1e-3, 0.05, 0.3]
+    xs += [0.25 * i for i in range(1, 801)]
+    xs += [k * math.pi / 4 for k in range(1, 255)]
+    xs += [x * (1 + 1e-15) for x in xs[6:]]
+    return [(n, x) for n in range(1, 123) for x in xs
+            if bessel.X_MIN <= x <= bessel.X_MAX]
+
+
+def test_miller_start_matches_the_linear_search(monkeypatch):
+    grid = _start_grid()
+    want = [_miller_start_linear(n, x) for n, x in grid]
+    calls = [0]
+    ln_j_inv = bessel._ln_j_inv
+
+    def counted(n, x):
+        calls[0] += 1
+        return ln_j_inv(n, x)
+
+    monkeypatch.setattr(bessel, "_ln_j_inv", counted)
+    got = [bessel._miller_start(n, x) for n, x in grid]
+    bad = [(p, w, g) for p, w, g in zip(grid, want, got) if w != g]
+    assert bad == []
+    # the base value and the two neighbours k - 1 and k, about once more in
+    # one call in five; the walk took about 11 on this grid
+    assert calls[0] / len(grid) < 3.5
+
+
+# ---------------------------------------------------------------------------
 # recurrence-residual grid (three-term identity for J)
 
 _GRID_X = [0.5 + i * (59.5 / 199.0) for i in range(200)]

@@ -2,13 +2,18 @@
 a standard-library module or ``ballspec`` itself. And the supported box has
 one home: one integer check (``bessel._check_int``) and the order cap
 compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
-And every double-double value comes through ``bessel.eval_J_pair``."""
+And every double-double value comes through ``bessel.eval_J_pair``. And a
+CLI job imports only the modules its subcommand runs, and never
+``dataclasses``."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ballspec"
 
@@ -88,3 +93,82 @@ def test_only_bessel_names_the_double_double_ladder():
         and _named(node, {"_eval_miller"})
     ]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# start-up cost: a CLI job imports only the modules its subcommand runs
+
+COMPUTE = {"bessel", "zeros", "spectrum", "courant", "pleijel", "selfcheck"}
+
+
+def test_no_module_imports_dataclasses():
+    found = [(name, root) for name, tree in _parsed()
+             for root in _imported_roots(tree) if root == "dataclasses"]
+    assert found == []
+
+
+def test_cli_module_level_imports():
+    # argparse, sys, the serializers and the errors; compute modules are
+    # imported inside the _run_* of their subcommand
+    allowed = {
+        "__future__": {"annotations"},
+        "argparse": None,
+        "sys": None,
+        "ballspec": {"__version__"},
+        "ballspec._format": {"csv_text", "dumps", "format_float"},
+        "ballspec.errors": {"BallspecError", "NumericalError"},
+    }
+    tree = ast.parse((SRC / "cli.py").read_text())
+    seen = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            seen += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            seen.append((node.module, {alias.name for alias in node.names}))
+    assert seen and all(
+        module in allowed
+        and (names is None or names <= (allowed[module] or set()))
+        for module, names in seen
+    ), seen
+
+
+# In a fresh interpreter without site packages (whatever a .pth file loads
+# would hide what the job loads): run one argv, then list the ballspec
+# modules and the standard-library modules this change keeps off the path.
+_CHILD = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from ballspec import cli
+if len(sys.argv) > 2:
+    sys.stdout = open(os.devnull, "w")
+    assert cli.run(sys.argv[2:]) == 0
+    sys.stdout = sys.__stdout__
+print(" ".join(m.partition(".")[2] if m.startswith("ballspec.") else m
+               for m in sys.modules))
+"""
+
+IMPORT_SETS = [
+    ("", set()),
+    ("zeros --l 1 --d 3 --bc dirichlet --count 2",
+     {"bessel", "zeros", "spectrum"}),
+    ("spectrum --d 3 --bc neumann --lambda-max 30",
+     {"bessel", "zeros", "spectrum"}),
+    ("courant --d 3 --bc dirichlet --lmax 2 --mmax 1",
+     {"bessel", "zeros", "spectrum", "courant", "pleijel"}),
+    ("pleijel --gamma 9", {"bessel", "zeros", "pleijel"}),
+    ("certify --d 11 --format csv",
+     {"bessel", "zeros", "pleijel", "fractions"}),
+    ("selfcheck --fast", COMPUTE | {"fractions"}),
+]
+
+
+@pytest.mark.parametrize("argv, want", IMPORT_SETS)
+def test_cli_job_imports_only_its_subcommand(argv, want):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _CHILD, str(SRC.parent), *argv.split()],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "dataclasses" not in loaded
+    assert loaded & (COMPUTE | {"fractions"}) == want
