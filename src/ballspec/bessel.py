@@ -41,13 +41,12 @@ a bound on it, for the zero finder's half-ulp certificate: below the
 turning point, x <= nu, that bound leaves the envelope term out and is
 relative to the pair alone, a model that ROADMAP item 4 has to prove.
 
-The float ladder is one loop with two readers. It keeps every y_k, and a
-ladder sized for order n yields J_k(x) for every order k of one parity up
-to max(n, int(x)) + 1 (DLMF 3.6(vi)), because _miller_start sizes it by
-max(order, x). _pair_float reads the pair (n, n + 1), at about a sixth of
-the cost of an _eval_miller call (52 against 328 us on random box points,
-2-vCPU x86, Python 3.11). _ladder_float reads every order it keeps; the
-zero census reads one such ladder per grid point for every degree.
+The float ladder is one loop that keeps every y_k, and a ladder sized for
+order n yields J_k(x) for every order k of one parity up to
+max(n, int(x)) + 1 (DLMF 3.6(vi)), because _miller_start sizes it by
+max(order, x). It has one reader, in the zero finder (zeros._float_target):
+a ladder sized for the order at a Newton iterate or an edge probe, and one
+shared ladder per census grid point that every degree of that parity reads.
 
 The hot loop, the step of _eval_miller, writes the double-double
 primitives out inline in their operation order, so it gives the
@@ -345,10 +344,15 @@ def _eval_miller(twice_nu: int, x: float):
 
 def _miller_float(parity: int, x: float, n: int):
     """(ys, c, unit): the _eval_miller ladder for twice_nu = 2 n + parity
-    in plain floats, every y_k kept: J_{k + parity/2}(x) = ys[k] / c for
-    k <= max(n, int(x)) + 1. The pair (k, k + 1) is within _pair_bound with
-    this unit, _eval_miller's with the float unit roundoff times 8 (the
-    worst error on 10,000 random box points was 0.6 of it unscaled)."""
+    in plain floats, every y_k kept. Read it as
+
+        J_{k + parity/2}(x) = ys[k] / c  for k <= max(n, int(x)) + 1,
+
+    and the pair (a, b) = (ys[k] / c, ys[k + 1] / c) of such k lies within
+    _pair_bound(a, b, x, unit). The unit is _eval_miller's with the float
+    unit roundoff times 8 (the worst error on 10,000 random box points was
+    0.6 of it unscaled). Callers divide only the orders they read. For
+    sign decisions only; never raises inside the box."""
     rescale_hi, rescale_mul = _RESCALE_HI, _RESCALE_MUL
     n_top = _miller_start(n + 1, x)
     ys = [0.0] * n_top
@@ -379,24 +383,6 @@ def _miller_float(parity: int, x: float, n: int):
         c = 2.0 * acc - y_cur
         cancel = (2.0 * acc_abs - abs(y_cur)) / abs(c)
     return ys, c, (n_top + 1) * cancel * 2.0**-50 + 1e-24
-
-
-def _pair_float(twice_nu: int, x: float):
-    """(J_nu, J_{nu+1}, abs_err) from the float ladder _miller_float. For
-    sign decisions only; never raises inside the box."""
-    n, parity = divmod(twice_nu, 2)
-    ys, c, unit = _miller_float(parity, x, n)
-    j0, j1 = ys[n] / c, ys[n + 1] / c
-    return j0, j1, _pair_bound(j0, j1, x, unit)
-
-
-def _ladder_float(parity: int, x: float, top: int):
-    """(js, unit): js[k] = J_{k + parity/2}(x) for every k <= max(top,
-    int(x)) + 1, from the float ladder sized for order top, which is
-    _pair_float's for twice_nu = 2 top + parity. The pair (n, n + 1) is
-    within _pair_bound(js[n], js[n + 1], x, unit)."""
-    ys, c, unit = _miller_float(parity, x, top)
-    return [y / c for y in ys[:max(top, int(x)) + 2]], unit
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,11 @@ def quotient_curve(d_min: int, d_max: int) -> list[tuple[int, float]]:
 # monotonicity certificate
 
 
+def _finite(side) -> bool:
+    """An int side is exact, so finite even past the float range."""
+    return isinstance(side, int) or math.isfinite(side)
+
+
 class Check(namedtuple("Check", "name lhs rhs kind", defaults=(_STRICT,))):
     """One certified comparison; construction fails unless it holds.
 
@@ -204,7 +209,7 @@ class Check(namedtuple("Check", "name lhs rhs kind", defaults=(_STRICT,))):
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (_STRICT, _EQUAL):
             raise RangeError(f"unknown check kind {self.kind!r}")
-        if not (math.isfinite(self.lhs) and math.isfinite(self.rhs)):
+        if not (_finite(self.lhs) and _finite(self.rhs)):
             raise CertificateFailure(
                 f"pleijel/courant check '{self.name}': non-finite side "
                 f"(lhs={self.lhs!r}, rhs={self.rhs!r})"

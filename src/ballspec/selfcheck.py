@@ -7,10 +7,9 @@ aliasing identity, exact multiplicity telescoping, the 6-decimal gamma
 table, two-sided first-zero estimates, sharp-label sets, the Courant bound
 over an enumerated spectrum, certificate sweeps, and the quotient curve.
 
-`run(fast=True)` executes a subset sized for interactive use (about 0.3 s
-on a 2-vCPU Xeon, Python 3.11); `run(fast=False)` is the full suite
-(about 0.7 s there).  Results come back as
-CheckResult records; nothing is printed here (the CLI renders them).
+`run(fast=True)` executes a subset sized for interactive use;
+`run(fast=False)` is the full suite, a few times longer.  Results come back
+as CheckResult records; nothing is printed here (the CLI renders them).
 
 The kernel is reached through the `bessel` module attribute at call time,
 so a test harness can inject a deliberate bias into `bessel.eval_J` and

@@ -54,19 +54,21 @@ Bessel's ODE. So a zero depends on the zero alone, not on the Newton path,
 on tol or on any derivative formula; it meets every accepted tol, which
 stays a checked argument.
 
-The grid signs come from one shared float ladder per (parity, grid point),
-bessel._ladder_float, which yields J_k at every order k of one parity; every
-degree of either target reads it (_ladder_target). The first ladder at a
-point is sized for the order that asks first, which costs what that order's
-own twin call would; an order above it rebuilds the ladder once for the
-whole box. So the scan costs one ladder per grid point, not one per degree
-and cell, and the tail of a scan past a cutoff mostly reads ladders that
-other degrees built. The edge probe of radial_zeros reads the sign from
-the float twin bessel._pair_float (_sign_target). Either float sign is
-taken where its bound, propagated through the target, cannot flip it, else
-double-double decides. So the brackets are those of a census run wholly in
-double-double on the same grid. Newton iterates run on the twin
-(_float_target) while it certifies the sign, and double-double (_target,
+One float reader serves every float value: _float_target reads the pair
+(J_nu, J_{nu+1}) from a ladder of bessel._miller_float, which yields J_k
+at every order k of one parity, and bounds it by bessel._pair_bound. The
+grid signs read one shared ladder per (parity, grid point), which every
+degree of either target reads (_LADDERS). The first ladder at a point is
+sized for the order that asks first, which costs what that order's own
+ladder would; an order above it rebuilds the ladder once for the whole
+box. So the scan costs one ladder per grid point, not one per degree and
+cell, and the tail of a scan past a cutoff mostly reads ladders that other
+degrees built. Newton iterates and the edge probe of radial_zeros read a
+fresh ladder sized for the order. One sign rule (_sign_target) takes the
+float sign where its bound, propagated through the target, cannot flip
+it, else double-double decides. So the brackets are those of a census run
+wholly in double-double on the same grid. Newton iterates run on the
+float ladder while it certifies the sign, and double-double (_target,
 _certificate forms f from the pair's low parts) takes the last steps:
 about one double-double pair call a zero.
 """
@@ -176,71 +178,62 @@ def _certificate(tag: str, l: int, nu: float, x: float, a, b, pts: list):
     return f, err, s, e, nearest
 
 
-def _float_f(tag: str, l: int, nu: float, x: float, a: float, b: float,
-             err: float):
-    """(f, df, err) of the target from a float pair (a, b) within err: for
-    g, err grows by the rounding of its three operations."""
-    f, df = _combine(tag, l, nu, x, a, b)
-    if tag == "G":
-        c = l / x
-        err = (c + 1.0) * err + (abs(c * a) + abs(b)) * 2.0**-51
-    return f, df, err
-
-
-def _float_target(tag: str, l: int, twice_nu: int):
-    """f_df_err of the target from the float twin: (f, df, err), err
-    bounding the error of f. Validates x as eval_J_pair does."""
-    nu = 0.5 * twice_nu
-    order = Order(twice_nu)
-
-    def f_df_err(x: float):
-        x = bessel._validate_pair(order, x)
-        return _float_f(tag, l, nu, x, *bessel._pair_float(twice_nu, x))
-
-    return f_df_err
-
-
-# shared float ladders of the census grid: (parity, x) -> (js, unit) of
-# bessel._ladder_float; a ladder sized for _LADDER_TOP covers the box
+# shared float ladders of the census grid: (parity, x) -> (top, ys, c, unit),
+# bessel._miller_float's ladder sized for order top; top = _LADDER_TOP covers
+# the box
 _LADDERS: dict = {}
 _LADDER_TOP = TWICE_NU_MAX // 2 - 1
 
 
-def _ladder_target(tag: str, l: int, twice_nu: int):
-    """f_df_err of the target at a grid point x, read from the shared ladder
-    of the order's parity at x (bessel._ladder_float). The first ladder at
-    x is sized for the asking order; an order above it rebuilds the ladder
-    once for the whole box."""
+def _float_target(tag: str, l: int, twice_nu: int, shared: bool = False):
+    """f_df_err of the target from the float ladder bessel._miller_float:
+    (f, df, err), err bounding the error of f.
+
+    The pair is (a, b) = (ys[n] / c, ys[n + 1] / c) within
+    bessel._pair_bound; for g, err grows by the rounding of its three
+    operations. With shared, x is a census grid point and the ladder is
+    the shared one of the order's parity at x (_LADDERS): the first is
+    sized for the asking order, and an order above its reach rebuilds it
+    once for the whole box. Else the ladder is a fresh one sized for the
+    order, and x is validated as eval_J_pair does."""
     n, parity = divmod(twice_nu, 2)
     nu = 0.5 * twice_nu
+    order = Order(twice_nu)
 
     def f_df_err(x: float):
-        ladder = _LADDERS.get((parity, x))
-        if ladder is None or len(ladder[0]) < n + 2:
-            top = n if ladder is None else max(n, _LADDER_TOP)
-            ladder = _LADDERS[parity, x] = bessel._ladder_float(parity, x, top)
-        js, unit = ladder
-        a, b = js[n], js[n + 1]
-        return _float_f(tag, l, nu, x, a, b, bessel._pair_bound(a, b, x, unit))
+        if shared:
+            ladder = _LADDERS.get((parity, x))
+            if ladder is None or max(ladder[0], int(x)) < n:
+                top = n if ladder is None else max(n, _LADDER_TOP)
+                ladder = _LADDERS[parity, x] = (
+                    top, *bessel._miller_float(parity, x, top))
+            _, ys, c, unit = ladder
+        else:
+            x = bessel._validate_pair(order, x)
+            ys, c, unit = bessel._miller_float(parity, x, n)
+        a, b = ys[n] / c, ys[n + 1] / c
+        f, df = _combine(tag, l, nu, x, a, b)
+        err = bessel._pair_bound(a, b, x, unit)
+        if tag == "G":
+            q = l / x
+            err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
+        return f, df, err
 
     return f_df_err
 
 
-def _certified(f_df_err, f_df):
-    """f for sign decisions: the float value when |f| exceeds its error,
-    else the double-double value (the same sign either way)."""
+def _sign_target(tag: str, l: int, twice_nu: int, shared: bool = False):
+    """f of the target for sign decisions: the float value where |f|
+    exceeds its error, else the double-double value (the same sign either
+    way). shared as for _float_target."""
+    f_df_err = _float_target(tag, l, twice_nu, shared)
+    f_df = _target(tag, l, twice_nu)
 
     def f(x: float) -> float:
         v, _, err = f_df_err(x)
         return v if abs(v) > err else f_df(x)[0]
 
     return f
-
-
-def _sign_target(tag: str, l: int, twice_nu: int):
-    """f of the target for sign decisions at any x, from the float twin."""
-    return _certified(_float_target(tag, l, twice_nu),
-                      _target(tag, l, twice_nu))
 
 
 def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
@@ -388,7 +381,7 @@ def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
         start, sign = prev[1], -prev[2]
     else:
         start, sign = _scan_start(tag, l, twice_nu)
-    f = _certified(_ladder_target(tag, l, twice_nu), _target(tag, l, twice_nu))
+    f = _sign_target(tag, l, twice_nu, shared=True)
     return next(_grid_cells(f, twice_nu % 2, start, sign), None)
 
 
@@ -417,7 +410,10 @@ def _first_zero_lower(kind: RootKind, l: int, d: int) -> float:
     tag, l_key, twice_nu = _key(kind, l, d)
     if tag == "G" and l == 0:
         return 0.0  # the conventional zero at r = 0
-    return _scan_start(tag, l_key, twice_nu)[0]
+    try:
+        return _scan_start(tag, l_key, twice_nu)[0]
+    except OverflowError:  # an order past the float range: no zero below inf
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +507,10 @@ def _check_pair(twice_nu: int, what: str) -> None:
     evaluates the pair (nu, nu + 1), so nu + 1 must lie in the kernel box.
     what names the request in the caller's own parameters."""
     if twice_nu + 2 > TWICE_NU_MAX:
+        # formed exactly: twice_nu may lie past the float range
+        nu1 = f"{twice_nu // 2 + 1}.{5 * (twice_nu % 2)}"
         raise RangeError(
-            f"{what} needs Bessel order {0.5 * twice_nu + 1} beyond the "
+            f"{what} needs Bessel order {nu1} beyond the "
             f"kernel box (orders up to {TWICE_NU_MAX // 2})"
         )
 

@@ -11,6 +11,7 @@ import pytest
 
 from tests import _frozen
 from tests import _oracle as oracle
+from tests.test_golden import float_ladder, float_pair
 from ballspec import bessel, zeros
 from ballspec.bessel import EvalResult, Order, eval_J, eval_J_pair, log_gamma
 from ballspec.errors import LossOfPrecision, RangeError
@@ -203,7 +204,7 @@ def test_log_gamma_range():
 
 
 # ---------------------------------------------------------------------------
-# float twin of the pair: its a priori bound against the oracle
+# the float ladder _miller_float: its a priori bound against the oracle
 
 TWIN_ORDERS = (0, 1, 2, 7, 40, 101, 160, 202, 238)
 TWIN_XS = (0.5, 1.7, 6.0, 23.0, 61.0, 118.0, 163.0, 200.0)
@@ -247,7 +248,7 @@ def test_pair_float_within_its_bound():
     # 1e-12 relative of zeros of J_nu and of g
     worst = 0.0
     for tn, x in twin_points():
-        j0, j1, err = bessel._pair_float(tn, x)
+        j0, j1, err = float_pair(tn, x)
         o0, o1 = oracle.oracle_J_pair(tn, x, dps=30)
         miss = max(abs(mp.mpf(j0) - o0), abs(mp.mpf(j1) - o1))
         assert miss <= err, (tn, x, float(miss), err)
@@ -257,7 +258,7 @@ def test_pair_float_within_its_bound():
 
 def ladder_pairs(parity: int, x: float, top: int):
     """(n, J_n, J_{n+1}, err) of every pair one shared ladder yields."""
-    js, unit = bessel._ladder_float(parity, x, top)
+    js, unit = float_ladder(parity, x, top)
     env = math.sqrt(2.0 / (math.pi * x))
     for n in range(len(js) - 1):
         a, b = js[n], js[n + 1]
@@ -287,14 +288,17 @@ def test_ladder_float_within_its_bound():
     assert worst > 0.005  # the bound is not vacuous
 
 
-def test_ladder_float_is_the_twin_ladder():
-    # sized for order top, the shared ladder is _pair_float's ladder for
-    # that order step for step: the same pair and bound, bit for bit
+def test_ladder_float_is_the_twin_ladder(monkeypatch):
+    # zeros' one float reader: a shared ladder at x sized for the asking
+    # order is the fresh ladder for that order step for step, so both
+    # branches give the same target and bound, bit for bit
     for tn in TWIN_ORDERS:
         for x in TWIN_XS + (0.05, 0.3):
-            top, parity = divmod(tn, 2)
-            _, a, b, err = list(ladder_pairs(parity, x, top))[top]
-            assert (a, b, err) == bessel._pair_float(tn, x), (tn, x)
+            for tag, l in (("J", 0), ("G", tn // 2 + 1)):
+                monkeypatch.setattr(zeros, "_LADDERS", {})
+                shared = zeros._float_target(tag, l, tn, True)(x)
+                assert len(zeros._LADDERS) == 1
+                assert shared == zeros._float_target(tag, l, tn)(x), (tn, x)
 
 
 @pytest.mark.parametrize("x", TWIN_XS)

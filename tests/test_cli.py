@@ -370,6 +370,34 @@ class TestTopLevel:
         assert not_named is None or not_named not in err, err
 
 
+# integer flags that set a Bessel order: a value past the float range must
+# fail (or, for a Dirichlet spectrum, print an empty table) as 1000 does
+ORDER_FLAG_ARGV = [
+    "zeros --l {} --d 2 --bc dirichlet --count 1",
+    "zeros --l 0 --d {} --bc dirichlet --count 1",
+    "spectrum --d {} --bc dirichlet --lambda-max 10",
+    "spectrum --d {} --bc neumann --lambda-max 10",
+    "pleijel --gamma {}",
+    "pleijel --curve 2 {}",
+    "certify --d {}",
+    "courant --d 2 --bc dirichlet --lmax {}",
+]
+
+
+@pytest.mark.parametrize("value", [1000, 10**400], ids=["1000", "10**400"])
+@pytest.mark.parametrize("argv", ORDER_FLAG_ARGV)
+def test_order_flags_past_the_float_range(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv.format(value).split())
+    if argv.startswith("spectrum") and "dirichlet" in argv:
+        # no degree's first zero lies below the cutoff
+        assert code == 0 and err == ""
+        assert json.loads(out)["records"] == []
+    else:
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: "), err
+        assert "needs Bessel order" in err, err
+
+
 CSV_ARGV = [argv for argv, _, _ in GOLDEN
             if argv.endswith("--format csv") and not argv.startswith("selfcheck")]
 

@@ -193,6 +193,11 @@ class TestSphereCourantSharp:
         for cert in checks.values():
             assert cert.margin >= 1
 
+    def test_binomials_past_the_float_range(self):
+        # at d = 500 the excluding binomials of high degree exceed any float
+        assert courant._sphere_checks(500, 600)[-2].rhs > 10**308
+        assert sphere_courant_sharp(500, 600) == {1, 2}
+
     def test_rejects_bad_args(self):
         with pytest.raises(RangeError):
             sphere_courant_sharp(2)

@@ -2,7 +2,8 @@
 a standard-library module or ``ballspec`` itself. And the supported box has
 one home: one integer check (``bessel._check_int``) and the order cap
 compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
-And every double-double value comes through ``bessel.eval_J_pair``. And a
+And every double-double value comes through ``bessel.eval_J_pair``, and
+every float ladder through one reader, ``zeros._float_target``. And a
 CLI job imports only the modules its subcommand runs, and never
 ``dataclasses``."""
 
@@ -93,6 +94,33 @@ def test_only_bessel_names_the_double_double_ladder():
         and _named(node, {"_eval_miller"})
     ]
     assert found == []
+
+
+def test_miller_float_has_one_reader():
+    # the float ladder is read in one place, zeros' _float_target; the
+    # kernel defines no second float reader beside it
+    calls, home = [], None
+    for name, tree in _parsed():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and _named(node.func, {"_miller_float"})):
+                calls.append((name, node.lineno))
+            if (name == "zeros.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "_float_target"):
+                home = range(node.lineno, node.end_lineno + 1)
+    assert home is not None
+    assert [(name, line) for name, line in calls
+            if name != "zeros.py" or line not in home] == []
+    assert len(calls) == 2  # the shared ladder and the fresh one
+    tests = sorted(SRC.parents[1].joinpath("tests").glob("*.py"))
+    defined = [
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py")) + tests
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_pair_float", "_ladder_float")
+    ]
+    assert tests and defined == []
 
 
 # ---------------------------------------------------------------------------

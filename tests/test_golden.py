@@ -11,10 +11,15 @@ and every table layout the CLI writes, including empty CSV cells (the last
 Update a digest only in a change that means to alter that output.
 
 Below them, the Miller ladders of the kernel are pinned bit for bit: the
-SHA-256 of ``repr`` of ``(J_nu, J_{nu+1}, abs_err)`` from the double-double
-``_eval_miller`` and the float ``_pair_float`` on a fixed grid, and of the
-shared float ladder ``_ladder_float`` (every order it keeps, and its error
-unit) at both parities on the same x values. The grid
+SHA-256 of ``repr`` of ``(J_nu, J_{nu+1}, abs_err)`` on a fixed grid from
+the double-double ``_eval_miller`` and from the float ``_miller_float``,
+read as the zero finder reads it (``float_pair``: the pair (n, n + 1) of a
+ladder sized for order n, and its ``_pair_bound``), and of the float
+ladder read in full (``float_ladder``: every order it keeps, divided by
+its scale, and its error unit) at both parities on the same x values. The
+two float pins keep the digests they had when the kernel itself had these
+two readers (``_pair_float`` and ``_ladder_float``, whose names the test
+IDs keep). The grid
 covers integer and half-integer orders, small x at high order (where the
 ladder rescales) and x up to 200, plus three points where only adding y_0
 last to the integer normalizer, not forming 2 * sum - y_0, keeps the last
@@ -97,24 +102,41 @@ KERNEL_TWICE_NU = (0, 1, 2, 3, 17, 40, 81, 120, 161, 200, 237, 238)
 KERNEL_XS = (0.05, 0.3, 1.0, 3.7, 9.9, 14.2, 31.4, 62.8, 99.0, 150.0, 200.0)
 KERNEL_POINTS = [(tn, x) for tn in KERNEL_TWICE_NU for x in KERNEL_XS] + [
     (2, 124.45930183746405), (12, 81.36552999244111), (94, 199.37993317614615)]
+
+
+def float_pair(twice_nu: int, x: float):
+    """(J_nu, J_{nu+1}, abs_err) from a _miller_float ladder sized for the
+    order, read as zeros._float_target reads it."""
+    n, parity = divmod(twice_nu, 2)
+    ys, c, unit = bessel._miller_float(parity, x, n)
+    a, b = ys[n] / c, ys[n + 1] / c
+    return a, b, bessel._pair_bound(a, b, x, unit)
+
+
+def float_ladder(parity: int, x: float, top: int):
+    """(js, unit): js[k] = J_{k + parity/2}(x) for every order k the
+    _miller_float ladder sized for top keeps, k <= max(top, int(x)) + 1."""
+    ys, c, unit = bessel._miller_float(parity, x, top)
+    return [y / c for y in ys[:max(top, int(x)) + 2]], unit
+
+
 KERNEL_GOLDEN = [
-    ("_eval_miller",
+    ("_eval_miller", lambda tn, x: bessel._eval_miller(tn, x)[:3],
      "0c80e0ec29dcdd207d66cc78b0690d26e1928cf2a7f8568e9e02a47ba09d9a37"),
-    ("_pair_float",
+    ("_pair_float", float_pair,
      "e460abe9786fd1a547e599b3539ae06ec5104fc858ec44c0f1f5705798aca025"),
 ]
 
 
-@pytest.mark.parametrize("name,want_sha", KERNEL_GOLDEN,
+@pytest.mark.parametrize("name,ladder,want_sha", KERNEL_GOLDEN,
                          ids=[g[0] for g in KERNEL_GOLDEN])
-def test_miller_ladder_bits(name, want_sha):
-    ladder = getattr(bessel, name)
-    text = "\n".join(repr(tuple(ladder(tn, x)[:3])) for tn, x in KERNEL_POINTS)
+def test_miller_ladder_bits(name, ladder, want_sha):
+    text = "\n".join(repr(tuple(ladder(tn, x))) for tn, x in KERNEL_POINTS)
     assert hashlib.sha256(text.encode()).hexdigest() == want_sha
 
 
-# the shared float ladder, sized for a low order (it keeps every order up to
-# int(x) + 1), a middle one and the box top
+# the float ladder in full, sized for a low order (it keeps every order up
+# to int(x) + 1), a middle one and the box top
 LADDER_POINTS = [(parity, x, top) for parity in (0, 1) for x in KERNEL_XS
                  for top in (0, 40, 119)]
 LADDER_GOLDEN = (
@@ -122,7 +144,7 @@ LADDER_GOLDEN = (
 
 
 def test_ladder_float_bits():
-    text = "\n".join(repr(bessel._ladder_float(parity, x, top))
+    text = "\n".join(repr(float_ladder(parity, x, top))
                      for parity, x, top in LADDER_POINTS)
     assert hashlib.sha256(text.encode()).hexdigest() == LADDER_GOLDEN
 
@@ -131,16 +153,15 @@ def test_pins_reach_the_rescale(monkeypatch):
     # small x at high order drives the float ladder past _RESCALE_HI, so
     # both float pins change when the rescale of the kept orders is off
     def digests():
-        pair = "\n".join(repr(bessel._pair_float(tn, x))
-                         for tn, x in KERNEL_POINTS)
-        ladder = "\n".join(repr(bessel._ladder_float(parity, x, top))
+        pair = "\n".join(repr(float_pair(tn, x)) for tn, x in KERNEL_POINTS)
+        ladder = "\n".join(repr(float_ladder(parity, x, top))
                            for parity, x, top in LADDER_POINTS)
         return [hashlib.sha256(t.encode()).hexdigest() for t in (pair, ladder)]
 
-    assert digests() == [KERNEL_GOLDEN[1][1], LADDER_GOLDEN]
+    assert digests() == [KERNEL_GOLDEN[1][2], LADDER_GOLDEN]
     monkeypatch.setattr(bessel, "_RESCALE_HI", math.inf)
     pair, ladder = digests()
-    assert pair != KERNEL_GOLDEN[1][1]
+    assert pair != KERNEL_GOLDEN[1][2]
     assert ladder != LADDER_GOLDEN
 
 

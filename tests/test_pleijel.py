@@ -208,6 +208,15 @@ class TestCheck:
         with pytest.raises(RangeError):
             pleijel.Check("demo", 0.0, 1.0, "at_most")
 
+    def test_int_side_past_the_float_range_is_finite(self):
+        # ints are exact: a side no float can hold still compares
+        c = pleijel.Check("c", 1, 10**400)
+        assert c.margin == 10**400 - 1
+        with pytest.raises(CertificateFailure, match="failed"):
+            pleijel.Check("c", 10**400, 1)
+        with pytest.raises(CertificateFailure, match="non-finite"):
+            pleijel.Check("c", 10**400, math.inf)
+
 
 CORE_CHECKS = {
     "gamma_ratio_bound", "gamma_eq", "control", "asb",

@@ -343,19 +343,35 @@ def _counting(monkeypatch, name: str = "eval_J_pair"):
     return calls
 
 
-def _ladder_steps(monkeypatch) -> tuple[Counter, Counter]:
-    """Count the steps and the builds of the shared ladders, by grid point
-    (parity, x)."""
-    steps, builds = Counter(), Counter()
-    real = bessel._ladder_float
+class _CountedLadders(dict):
+    """zeros._LADDERS that counts the builds of the shared ladders and
+    their steps (_miller_start of the order each is sized for), by grid
+    point (parity, x)."""
 
-    def counted(parity, x, top):
-        steps[parity, x] += bessel._miller_start(top + 1, x)
-        builds[parity, x] += 1
-        return real(parity, x, top)
+    def __init__(self):
+        super().__init__()
+        self.steps, self.builds = Counter(), Counter()
 
-    monkeypatch.setattr(bessel, "_ladder_float", counted)
-    return steps, builds
+    def __setitem__(self, key, ladder):
+        self.steps[key] += bessel._miller_start(ladder[0] + 1, key[1])
+        self.builds[key] += 1
+        super().__setitem__(key, ladder)
+
+
+def _float_ladders(monkeypatch) -> tuple[list, _CountedLadders]:
+    """(steps, shared): steps lists the length (_miller_start) of every
+    bessel._miller_float ladder, fresh or shared; shared is the census
+    cache, counting its own builds."""
+    steps, shared = [], _CountedLadders()
+    real = bessel._miller_float
+
+    def counted(parity, x, n):
+        steps.append(bessel._miller_start(n + 1, x))
+        return real(parity, x, n)
+
+    monkeypatch.setattr(bessel, "_miller_float", counted)
+    monkeypatch.setattr(zeros, "_LADDERS", shared)
+    return steps, shared
 
 
 def test_certified_signs_match_oracle(monkeypatch):
@@ -385,6 +401,55 @@ def test_sign_target_falls_back_on_a_zero(monkeypatch):
         v = zeros._sign_target(tag, l, tn)(z)
         assert calls[0] == before + 1
         assert v == zeros._target(tag, l, tn)(z)[0]
+
+
+def test_order_cap_message_is_exact():
+    # the order nu + 1 is formed from the int, as 0.5 * twice_nu + 1 prints
+    # it inside the float range and without overflow past it
+    for tn in range(239, 2000):
+        with pytest.raises(RangeError) as err:
+            zeros._check_pair(tn, "w")
+        assert f"order {0.5 * tn + 1} beyond" in str(err.value), tn
+    with pytest.raises(RangeError, match=r"order 50{398}1\.5 beyond"):
+        zeros._check_pair(10**400 + 1, "w")
+
+
+def test_first_zero_lower_past_the_float_range():
+    for kind in RootKind:
+        assert zeros._first_zero_lower(kind, 1, 10**400) == math.inf
+        assert zeros._first_zero_lower(kind, 10**400, 2) == math.inf
+    assert zeros._first_zero_lower(RootKind.NEUMANN_XI_PRIME, 0, 10**400) == 0
+
+
+def test_shared_ladders_hold_grid_points_only(monkeypatch):
+    # the census reads shared ladders at grid points; Newton iterates and
+    # the edge probe of radial_zeros read fresh ladders, so the cache never
+    # holds more ladders than a parity's grid has points
+    _cold()
+    seen = []
+    real = bessel._miller_float
+
+    def spied(parity, x, n):
+        seen.append(x)
+        return real(parity, x, n)
+
+    monkeypatch.setattr(bessel, "_miller_float", spied)
+    spectrum.enumerate_spectrum(2, "dirichlet", 2000)
+    x_max = 3.0 * zeros.DEFAULT_STEP + 0.5  # inside a cell of either parity
+    zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 3, 4, x_max)
+    assert x_max * (1.0 + zeros.DEFAULT_TOL) in seen  # the edge probe ran
+    for kind, l, d, m in [(RootKind.DIRICHLET_XI, 0, 3, 7),
+                          (RootKind.NEUMANN_XI_PRIME, 5, 2, 3),
+                          (RootKind.NEUMANN_XI_PRIME, 40, 7, 1)]:
+        zeros.find_zero(kind, l, d, m)
+    grids = {p: set(zeros._grid_points(p, 0.0)) for p in (0, 1)}
+    assert zeros._LADDERS
+    assert all(x in grids[p] for p, x in zeros._LADDERS), sorted(
+        key for key in zeros._LADDERS if key[1] not in grids[key[0]])
+    for p in (0, 1):
+        assert sum(key[0] == p for key in zeros._LADDERS) <= len(grids[p])
+    assert len(seen) > len(zeros._LADDERS)  # fresh ladders ran too
+    _cold()
 
 
 def test_sign_target_validates_like_the_pair():
@@ -779,22 +844,24 @@ class TestRefinement:
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_twin_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # Newton iterates and probes: 5.10 and 5.49 twin calls a zero, now
-        # that the scan reads shared ladders; a float phase that stalls or
-        # bisects, or a scan back on the twin, would cost far more. The
+        # Newton iterates and probes: 5.10 and 5.49 fresh float ladders a
+        # zero, now that the scan reads shared ladders; a float phase that
+        # stalls or bisects, or a scan back on fresh ladders, would cost far
+        # more. The
         # shared ladders cost 9.4 and 31 steps a zero, and no grid point
         # builds its ladder more than twice (sized for the first order that
         # asks, then once for the whole box)
         _cold()
-        twin = _counting(monkeypatch, "_pair_float")
-        steps, builds = _ladder_steps(monkeypatch)
+        ladders, shared = _float_ladders(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
-        assert twin[0] <= 7 * cold, twin[0] / cold
+        twin = len(ladders) - shared.builds.total()  # fresh ladders
+        assert twin <= 7 * cold, twin / cold
         ladder_steps = {3: 12, 4: 40}[d]
-        assert sum(steps.values()) <= ladder_steps * cold, steps.total() / cold
-        assert max(builds.values()) <= 2
+        steps = shared.steps.total()
+        assert steps <= ladder_steps * cold, steps / cold
+        assert max(shared.builds.values()) <= 2
 
     def test_grid_phase_keeps_zeros_off_the_grid(self, monkeypatch):
         # half-integer orders have zeros near multiples of pi/2 (j_{1/2,m}
@@ -808,31 +875,23 @@ class TestRefinement:
         assert cold > 100
         assert calls[0] <= 1.02 * cold, calls[0] / cold
 
-    # Float ladder steps (twin calls plus shared ladders, each counted as its
-    # _miller_start length) of the lookup-sized census below, measured at
-    # commit eee72a1, the last before the shared ladders, where each key
-    # scanned its own cells with the twin (the count is deterministic, the
-    # same on any machine)
+    # Float ladder steps (fresh and shared _miller_float ladders, each
+    # counted as its _miller_start length) of the lookup-sized census below,
+    # measured at commit eee72a1, the last before the shared ladders, where
+    # each key scanned its own cells with a fresh ladder per point (the
+    # count is deterministic, the same on any machine)
     PER_KEY_SCAN_STEPS = 75816
 
     def test_lookup_census_costs_no_more_than_the_per_key_scan(
             self, monkeypatch):
         _cold()
-        steps = [0]
-        real = bessel._pair_float
-
-        def counted(twice_nu, x):
-            steps[0] += bessel._miller_start(twice_nu // 2 + 1, x)
-            return real(twice_nu, x)
-
-        monkeypatch.setattr(bessel, "_pair_float", counted)
-        ladders, _ = _ladder_steps(monkeypatch)
+        ladders, _ = _float_ladders(monkeypatch)
         for kind in RootKind:
             for d in (2, 3, 4, 5):
                 for l in range(6):
                     for m in range(1, 6):
                         zeros.find_zero(kind, l, d, m)
-        total = steps[0] + sum(ladders.values())
+        total = sum(ladders)
         assert total <= self.PER_KEY_SCAN_STEPS, total
 
     def test_float_derivative_does_not_set_the_digits(self, monkeypatch):
