@@ -33,48 +33,78 @@ def csv_text(header, rows) -> str:
 
 
 def dumps(obj) -> str:
-    """JSON-encode dicts/lists/scalars with %.17g float rendering."""
+    """JSON-encode dicts/lists/scalars with %.17g float rendering.
+
+    One pass: the exact types the program writes are dispatched by
+    ``type(o) is``, before the isinstance chain that serves subclasses
+    (bool before int); each string and key is encoded once a call."""
     out: list[str] = []
-    _emit(obj, out, 0)
+    put = out.append
+    strings: dict = {}  # str -> its JSON
+    keys: dict = {}  # str key -> its JSON and ": "
+
+    def emit(o, depth: int) -> None:
+        kind = type(o)
+        if kind is float:
+            # o - o is nan for inf and nan: format_float refuses them
+            put("%.17g" % o if o - o == 0.0 else format_float(o))
+        elif kind is str:
+            text = strings.get(o)
+            if text is None:
+                text = strings[o] = _encode_str(o)
+            put(text)
+        elif kind is dict or kind is list or kind is tuple:
+            items(o, kind is dict, depth)
+        elif kind is int:
+            put(str(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, str):
+            put(_encode_str(o))
+        elif isinstance(o, int):
+            put(str(o))
+        elif isinstance(o, float):
+            put(format_float(o))
+        elif isinstance(o, (dict, list, tuple)):
+            items(o, isinstance(o, dict), depth)
+        else:
+            raise TypeError(f"cannot serialize {type(o).__name__} to JSON")
+
+    def items(o, is_dict: bool, depth: int) -> None:
+        if not o:
+            put("{}" if is_dict else "[]")
+            return
+        pad = _pad(depth + 1)
+        sep, comma = ("{" if is_dict else "[") + pad, "," + pad
+        if is_dict:
+            for k, v in o.items():
+                key = keys.get(k) if type(k) is str else None
+                if key is None:
+                    key = _encode_str(str(k)) + ": "
+                    if type(k) is str:
+                        keys[k] = key
+                put(sep + key)
+                emit(v, depth + 1)
+                sep = comma
+        else:
+            for v in o:
+                put(sep)
+                emit(v, depth + 1)
+                sep = comma
+        put(_pad(depth) + ("}" if is_dict else "]"))
+
+    emit(obj, 0)
     return "".join(out)
 
 
-def _emit(obj, out: list[str], depth: int) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        _emit_seq(
-            [(json.dumps(str(k)) + ": ", v) for k, v in obj.items()],
-            "{", "}", out, depth,
-        )
-    elif isinstance(obj, (list, tuple)):
-        _emit_seq([("", v) for v in obj], "[", "]", out, depth)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_PADS = ["\n" + _INDENT * depth for depth in range(16)]
 
 
-def _emit_seq(items, open_ch: str, close_ch: str, out: list[str],
-              depth: int) -> None:
-    if not items:
-        out.append(open_ch + close_ch)
-        return
-    pad = _INDENT * (depth + 1)
-    out.append(open_ch + "\n")
-    first = True
-    for prefix, value in items:
-        if not first:
-            out.append(",\n")
-        first = False
-        out.append(pad + prefix)
-        _emit(value, out, depth + 1)
-    out.append("\n" + _INDENT * depth + close_ch)
+def _pad(depth: int) -> str:
+    """A newline and the indent of the given depth."""
+    return _PADS[depth] if depth < len(_PADS) else "\n" + _INDENT * depth

@@ -13,33 +13,37 @@ carries a conservative internal estimate in the same normalization; if the
 estimate cannot meet the contract the operation raises LossOfPrecision
 instead of returning garbage.
 
-Internals run in double-double ("compensated") arithmetic: about 32
-significant digits carried as an unevaluated sum of two floats. One route
-covers the box, Miller's backward recurrence (Gautschi, SIAM Review 9,
-1967): run the three-term recursion downward from an index high enough
-that the unwanted solution is suppressed, then normalize - integer orders
-against the identity 1 = J_0 + 2*sum J_2k, half-integer orders against the
+Internals run in exact integer arithmetic. One route covers the box,
+Miller's backward recurrence (Gautschi, SIAM Review 9, 1967): run the
+three-term recursion downward from an index high enough that the unwanted
+solution is suppressed, then normalize - integer orders against the
+identity 1 = J_0 + 2*sum J_2k, half-integer orders against the
 cancellation-free identity sum (2n+1) J_{n+1/2}^2 = 2x/pi. Its square root
 is the scale, and the scale is positive: the ladder starts at y = 1 past x,
 and J_nu > 0 on (0, j_{nu,1}) with j_{nu,1} > nu (DLMF 10.21(i)).
+_eval_miller runs the ladder in fixed point on Python ints, from x = p/q
+taken exactly: its only roundings are 1/x to fixed point, one floor a step
+and the normalizer's integer square root, and each value is the float
+nearest the ladder's quotient plus the float nearest the remainder.
 
 The lower edge X_MIN keeps the route honest: the error model's absolute
 term 1e-24 * sqrt(2/(pi x)) alone exceeds the 1e-15 floor below about
-6e-19, and below about 3e-73 the ladder overflows. Inside the box a value
+6e-19, and far below it the float ladder overflows. Inside the box a value
 |J| < 2^-931 cannot carry 12 digits; eval_J and eval_J_pair refuse it with
 LossOfPrecision, for either order of a pair.
 
-Every shipped value comes from double-double. A sign, or a Newton iterate
-of the zero finder, may come from the float ladder _miller_float:
+Every shipped value comes from the integer ladder. A sign, or a Newton
+iterate of the zero finder, may come from the float ladder _miller_float:
 _eval_miller's ladder in plain floats, with one shape (start index, loop,
 normalizations) and one a priori error model, _pair_bound,
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * (n_steps * cancel * u + 1e-24)
-with u = 2^-100 in double-double and 8 * 2^-53 in floats. Callers trust a
-float sign only where the value clears its bound, and take no digit from it.
-An eval_J_pair result also carries its double-double value's low part and
-a bound on it, for the zero finder's half-ulp certificate: below the
-turning point, x <= nu, that bound leaves the envelope term out and is
-relative to the pair alone, a model that ROADMAP item 4 has to prove.
+with u = 2^-100 for the integer ladder and 8 * 2^-53 in floats. Callers
+trust a float sign only where the value clears its bound, and take no digit
+from it. An eval_J_pair result also carries the low part of its value and
+a bound on value + low part (EvalResult.lo, dd_err), for the zero finder's
+half-ulp certificate: below the turning point, x <= nu, that bound leaves
+the envelope term out and is relative to the pair alone, a model that
+ROADMAP item 4 has to prove.
 
 The float ladder is one loop that keeps every y_k, and a ladder sized for
 order n yields J_k(x) for every order k of one parity up to
@@ -47,17 +51,15 @@ max(n, int(x)) + 1 (DLMF 3.6(vi)), because _miller_start sizes it by
 max(order, x). It has one reader, in the zero finder (zeros._float_target):
 a ladder sized for the order at a Newton iterate or an edge probe, and one
 shared ladder per census grid point that every degree of that parity reads.
-
-The hot loop, the step of _eval_miller, writes the double-double
-primitives out inline in their operation order, so it gives the
-primitives' bits at a fraction of the call overhead; tests/test_golden.py
-pins it bit for bit across the box and on a small-x, low-order grid.
+tests/test_golden.py pins both ladders bit for bit across the box, and
+_eval_miller also on a small-x, low-order grid.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import mul
 
 from ballspec.errors import LossOfPrecision, RangeError
 
@@ -70,81 +72,13 @@ _REL_CONTRACT = 1e-12
 _NEAR_ZERO_FLOOR = 1e-3  # max(|v|, floor) turns the absolute clause into a ratio
 _UNDERFLOW_EXP = -930  # frexp exponent below this: |J| < 2^-931, refused
 
-_SPLITTER = 134217729.0  # 2^27 + 1, Dekker split constant
 _RESCALE_HI = 2.0**250
 _RESCALE_MUL = 2.0**-256
 
-
-# ---------------------------------------------------------------------------
-# double-double primitives; a DD number is an unevaluated pair (hi, lo)
-
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float):
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    bh = _SPLITTER * b
-    bh = bh - (bh - b)
-    bl = b - bh
-    # the left-to-right association keeps every intermediate exact
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(ah: float, al: float, bh: float, bl: float):
-    sh, sl = _two_sum(ah, bh)
-    sl += al + bl
-    return _quick_two_sum(sh, sl)
-
-
-def _dd_mul(ah: float, al: float, bh: float, bl: float):
-    ph, pl = _two_prod(ah, bh)
-    pl += ah * bl + al * bh
-    return _quick_two_sum(ph, pl)
-
-
-def _dd_div_f(ah: float, al: float, f: float):
-    q1 = ah / f
-    th, tl = _two_prod(q1, f)
-    q2 = ((ah - th) + (al - tl)) / f
-    return _quick_two_sum(q1, q2)
-
-
-def _dd_div(ah: float, al: float, bh: float, bl: float):
-    q1 = ah / bh
-    th, tl = _two_prod(q1, bh)
-    tl += q1 * bl
-    rh, rl = _dd_add(ah, al, -th, -tl)
-    q2 = rh / bh
-    th, tl = _two_prod(q2, bh)
-    tl += q2 * bl
-    rh, rl = _dd_add(rh, rl, -th, -tl)
-    q3 = rh / bh
-    qh, ql = _quick_two_sum(q1, q2)
-    return _dd_add(qh, ql, q3, 0.0)
-
-
-def _dd_sqrt(ah: float, al: float):
-    # one double-double Newton correction on the float sqrt
-    s = math.sqrt(ah)
-    th, tl = _two_prod(s, s)
-    rh, rl = _dd_add(ah, al, -th, -tl)
-    return _quick_two_sum(s, (rh + rl) / (2.0 * s))
-
-
-_PI_DD = (3.141592653589793, 1.2246467991473532e-16)
+_P = 120  # fraction bits of the integer ladder's fixed point
+# pi for the half-integer normalizer: floor(pi * 2^_PI_BITS)
+_PI_BITS = 256
+_PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
 
 
 # ---------------------------------------------------------------------------
@@ -222,124 +156,64 @@ def _pair_bound(a: float, b: float, x: float, unit: float) -> float:
     return max(abs(a), abs(b), math.sqrt(2.0 / (math.pi * x))) * unit
 
 
+def _nearest(num: int, den: int):
+    """(hi, lo) for num / den, den > 0: hi is the float nearest it and lo
+    the float nearest the exact remainder num / den - hi."""
+    hi = num / den  # int / int rounds once, to nearest
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
 def _eval_miller(twice_nu: int, x: float):
     """(J_nu, J_{nu+1}, abs_err, lo_nu, lo_nu1, dd_err) by backward
-    recurrence in double-double: J + lo is each order's double-double value,
-    within dd_err, which is abs_err but for the turning-point model.
+    recurrence in exact integers: J + lo is each order's value, within
+    dd_err, which is abs_err but for the turning-point model.
 
-    The ladder of _miller_float, step for step. The integer normalizer adds
-    y_0 last, after 2 * sum_{k even >= 2} y_k: forming 2 * sum - y_0 moves
-    the last bit of abs_err at some points.
-
-    The step is y_{k} = (2k + 2 + parity) / x * y_{k+1} - y_{k+2} with
-    the double-double times float product (_two_prod of the high part, plus
-    the low part times the float), _dd_mul, _dd_add and _two_prod written
-    out inline, operation for operation: CPython contracts no a*b + c into
-    an FMA, so the bits are those of the primitives. The Dekker splits of
-    1/x (once per call) and of y_k (once per step) serve every product
-    they enter; a small integer factor splits into (factor, 0.0), so its
-    zero terms are left out, which changes no bit. The factor 2k + 2 +
-    parity is a running float, as in _miller_float.
+    The ladder of _miller_float, step for step, in fixed point with _P
+    fraction bits: x = p / q exactly, ix = floor(2^_P q / p), and from
+    y_top = 2^_P the step is y_k = floor(c y_{k+1} / 2^_P) - y_{k+2} with
+    c = (2k + 2 + parity) ix. Its only roundings are ix's, at most
+    x 2^-_P relative, and one floor a step, below one unit of a ladder
+    whose envelope never falls under 2^_P; no rescale is needed. The
+    normalizers are exact integers:
+    S = y_0 + 2 sum_{k even >= 2} y_k, or A = sum (2k + 1) y_k^2 with
+    J = y sqrt(2x / (pi A)) through math.isqrt and the _PI literal, to
+    about 2^-(2 _P) relative. So the error unit below, 2^-100 a step, is
+    a model with room to spare, which ROADMAP item 4 has to prove.
     """
-    splitter, rescale_hi, rescale_mul = _SPLITTER, _RESCALE_HI, _RESCALE_MUL
     n_target, parity = divmod(twice_nu, 2)
     n_top = _miller_start(n_target + 1, x)
-    inv_xh, inv_xl = _dd_div_f(1.0, 0.0, x)
-    u = splitter * inv_xh
-    ia = u - (u - inv_xh)  # Dekker split of inv_xh
-    ib = inv_xh - ia
-    y_next_h, y_next_l, y_cur_h, y_cur_l = 0.0, 0.0, 1.0, 0.0  # y_{k+1}, y_k
-    ya, yb = 1.0, 0.0  # Dekker split of y_cur_h
-    t0h = t0l = t1h = t1l = 0.0
-    # sum (2k+1) y_k^2 (half-integer) or y_0 + 2 sum_{k even >= 2} y_k
-    acc_h = 2.0 * n_top + 1.0 if parity else 2.0 * (n_top % 2 == 0)
-    acc_l, acc_abs = 0.0, acc_h
-    step = float(2 * n_top + parity)  # 2k + 2 + parity, exact as it counts down
+    p, q = x.as_integer_ratio()
+    ix = (q << _P) // p
+    ys = [0] * (n_top + 1)  # ys[k] = y_k
+    ys[n_top] = y = 1 << _P
+    y_next = 0
+    c = (2 * n_top + parity) * ix  # (2k + 2 + parity) ix at k = n_top - 1
+    dc = 2 * ix
     for k in range(n_top - 1, -1, -1):
-        # c = inv_x * step
-        ch = inv_xh * step
-        cl = (ia * step - ch) + ib * step
-        cl += inv_xl * step
-        step -= 2.0
-        u = ch + cl
-        cl -= u - ch
-        ch = u
-        # p = c * y_cur
-        u = splitter * ch
-        ca = u - (u - ch)
-        cb = ch - ca
-        ph = ch * y_cur_h
-        pl = ((ca * ya - ph) + ca * yb + cb * ya) + cb * yb
-        pl += ch * y_cur_l + cl * y_cur_h
-        u = ph + pl
-        pl -= u - ph
-        ph = u
-        # y = p - y_next
-        u = ph - y_next_h
-        bb = u - ph
-        e = (ph - (u - bb)) + (-y_next_h - bb)
-        e += pl - y_next_l
-        yh = u + e
-        y_next_h, y_next_l = y_cur_h, y_cur_l
-        y_cur_h, y_cur_l = yh, e - (yh - u)
-        u = splitter * y_cur_h
-        ya = u - (u - y_cur_h)
-        yb = y_cur_h - ya
-        if k == n_target:
-            t0h, t0l, t1h, t1l = y_cur_h, y_cur_l, y_next_h, y_next_l
-        if parity or k % 2 == 0:
-            if parity:
-                # sq = y_cur^2 * (2k + 1)
-                ph = y_cur_h * y_cur_h
-                pl = ((ya * ya - ph) + ya * yb + yb * ya) + yb * yb
-                pl += y_cur_h * y_cur_l + y_cur_l * y_cur_h
-                sq_h = ph + pl
-                sq_l = pl - (sq_h - ph)
-                f = 2.0 * k + 1.0
-                u = splitter * sq_h
-                ca = u - (u - sq_h)
-                cb = sq_h - ca
-                ph = sq_h * f
-                pl = (ca * f - ph) + cb * f
-                pl += sq_l * f
-                sq_h = ph + pl
-                sq_l = pl - (sq_h - ph)
-            else:
-                w = 2.0 if k else 1.0
-                sq_h, sq_l = w * y_cur_h, w * y_cur_l
-                acc_abs += abs(sq_h)
-            # acc = acc + sq
-            u = acc_h + sq_h
-            bb = u - acc_h
-            e = (acc_h - (u - bb)) + (sq_h - bb)
-            e += acc_l + sq_l
-            acc_h = u + e
-            acc_l = e - (acc_h - u)
-        if abs(y_cur_h) > rescale_hi:
-            s = rescale_mul
-            y_cur_h, y_cur_l, y_next_h, y_next_l = (
-                y_cur_h * s, y_cur_l * s, y_next_h * s, y_next_l * s)
-            t0h, t0l, t1h, t1l = t0h * s, t0l * s, t1h * s, t1l * s
-            s2 = s * s if parity else s
-            acc_h, acc_l, acc_abs = acc_h * s2, acc_l * s2, acc_abs * s
-            u = splitter * y_cur_h
-            ya = u - (u - y_cur_h)
-            yb = y_cur_h - ya
-    if parity:  # y_k = c J_k, c > 0: the ladder starts past x, where J > 0
-        fh, fl = _dd_div(*_PI_DD, 2.0 * x, 0.0)
-        (nh, nl), cancel = _dd_sqrt(*_dd_mul(acc_h, acc_l, fh, fl)), 1.0
+        y, y_next = ((c * y) >> _P) - y_next, y
+        c -= dc
+        ys[k] = y
+    y0, y1 = ys[n_target], ys[n_target + 1]
+    if parity:  # y_k = s J_k, s > 0: the ladder starts past x, where J > 0
+        a = sum(map(mul, range(1, 2 * n_top + 2, 2), map(mul, ys, ys)))
+        t = q * _PI * a
+        # r = 2^w sqrt(2x / (pi A)) to about 2 _P bits
+        w = (4 * _P + t.bit_length() - p.bit_length() - _PI_BITS) // 2
+        r = math.isqrt((p << (_PI_BITS + 2 * w + 1)) // t)
+        y0, y1, s, cancel = y0 * r, y1 * r, 1 << w, 1.0
     else:  # S = y_0 + 2 sum_{k even >= 2} y_k
-        (nh, nl), cancel = (acc_h, acc_l), acc_abs / abs(acc_h)
-    j0h, j0l = _dd_div(t0h, t0l, nh, nl)
-    j1h, j1l = _dd_div(t1h, t1l, nh, nl)
-    j0, j1 = j0h + j0l, j1h + j1l
-    # double-double noise grows with ladder length and any cancellation in
-    # the normalizer; truncation of the start index adds ~e^-60 relative
+        even = ys[::2]
+        s = 2 * sum(even) - ys[0]
+        cancel = (2 * sum(map(abs, even)) - abs(ys[0])) / abs(s)
+    (j0, lo0), (j1, lo1) = _nearest(y0, s), _nearest(y1, s)
+    # a priori model: noise grows with ladder length and any cancellation
+    # in the normalizer; truncation of the start index adds ~e^-60 relative
     unit = (n_top + 1) * cancel * 2.0**-100 + 1e-24
     err = _pair_bound(j0, j1, x, unit)
     # below the turning point, the turning-point model: relative to the pair
     dd_err = max(abs(j0), abs(j1)) * unit if 2.0 * x <= twice_nu else err
-    return j0, j1, err, j0l - (j0 - j0h), j1l - (j1 - j1h), dd_err
+    return j0, j1, err, lo0, lo1, dd_err
 
 
 def _miller_float(parity: int, x: float, n: int):
@@ -432,8 +306,9 @@ class EvalResult(namedtuple("EvalResult", "value est_rel_err lo dd_err",
 
     est_rel_err bounds |error| / max(|value|, 1e-3); the floor folds the
     near-zero absolute allowance into one ratio (see module docstring).
-    value + lo is the double-double value of eval_J_pair, within dd_err of
-    J (the turning-point model); eval_J leaves them at 0.0 and inf.
+    value + lo is eval_J_pair's integer-ladder value to two roundings,
+    within dd_err of J (the turning-point model); eval_J leaves them at 0.0
+    and inf.
     """
 
     __slots__ = ()

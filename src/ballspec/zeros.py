@@ -48,11 +48,12 @@ to the next grid point around a near-zero endpoint must show a sign flip
 need two gaps above pi/2. Safeguarded Newton refines each bracket, and
 every returned zero is the float nearest it (within half an ulp): the
 target changes sign between the midpoints to its two neighbouring floats,
-certified from values alone (_certificate): the double-double value at the
-last iterate, the secant to an earlier one, and a bound on f'' through
-Bessel's ODE. So a zero depends on the zero alone, not on the Newton path,
-on tol or on any derivative formula; it meets every accepted tol, which
-stays a checked argument.
+certified from values alone (_certificate): the kernel's high-precision
+value at the last iterate (eval_J_pair's value + lo, with g formed from it
+in exact integers), the secant to an earlier one, and a bound on f''
+through Bessel's ODE. So a zero depends on the zero alone, not on the
+Newton path, on tol or on any derivative formula; it meets every accepted
+tol, which stays a checked argument.
 
 One float reader serves every float value: _float_target reads the pair
 (J_nu, J_{nu+1}) from a ladder of bessel._miller_float, which yields J_k
@@ -66,11 +67,14 @@ cell, and the tail of a scan past a cutoff mostly reads ladders that other
 degrees built. Newton iterates and the edge probe of radial_zeros read a
 fresh ladder sized for the order. One sign rule (_sign_target) takes the
 float sign where its bound, propagated through the target, cannot flip
-it, else double-double decides. So the brackets are those of a census run
-wholly in double-double on the same grid. Newton iterates run on the
-float ladder while it certifies the sign, and double-double (_target,
-_certificate forms f from the pair's low parts) takes the last steps:
-about one double-double pair call a zero.
+it, else the kernel's high-precision pair decides. So the brackets are
+those of a census run wholly in high precision on the same grid. Newton
+starts at the root of the quintic that matches (f, f', f'') at both grid
+ends of the cell, read from the shared ladders the census already built
+(_start), typically within 1e-4 of the zero; its iterates run on the float
+ladder while it certifies the sign, and high precision (_target;
+_certificate) takes the last step: about two fresh float ladders and one
+eval_J_pair call a zero.
 """
 
 from __future__ import annotations
@@ -117,8 +121,17 @@ def _combine(tag: str, l: int, nu: float, x: float, a: float, b: float):
             a * (l * (nu - 1.0) / (x * x) - 1.0) + b * ((nu + 1.0 - l) / x))
 
 
+def _curvature(tag: str, l: int, nu: float, x: float, a: float, b: float):
+    """f'' of the target from a = J_nu(x) and b = J_{nu+1}(x): Bessel's
+    equation for J_nu and J_{nu+1}, with their derivatives as in _combine."""
+    if tag == "J":  # J_nu'' = -J_nu'/x - (1 - nu^2/x^2) J_nu
+        return a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x
+    return (a * (l * (nu - 1.0) * (nu - 2.0) / (x * x) + 1.0 - l) / x
+            + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x)))
+
+
 def _target(tag: str, l: int, twice_nu: int):
-    """f_df of the target from the double-double pair: (f, df, a, b), a and
+    """f_df of the target from the high-precision pair: (f, df, a, b), a and
     b the pair (bessel.EvalResult) for _certificate."""
     nu = 0.5 * twice_nu
     order = Order(twice_nu)
@@ -130,10 +143,19 @@ def _target(tag: str, l: int, twice_nu: int):
     return f_df
 
 
+def _exact(r) -> tuple[int, int]:
+    """r.value + r.lo of a bessel.EvalResult exactly, as (n, d): n / d with
+    d a power of two."""
+    (n0, d0), (n1, d1) = r.value.as_integer_ratio(), r.lo.as_integer_ratio()
+    d = max(d0, d1)
+    return n0 * (d // d0) + n1 * (d // d1), d
+
+
 def _certificate(tag: str, l: int, nu: float, x: float, a, b, pts: list):
-    """(f, err, s, e, nearest) at a double-double iterate x: f, within err,
-    is the target formed in double-double from the pair a, b
-    (bessel.EvalResult); f'(x) lies within e of s; nearest(z) is True if z
+    """(f, err, s, e, nearest) at a high-precision iterate x: f, within
+    err, is the target formed from value + lo of the pair a, b
+    (bessel.EvalResult), for g exactly in integers with one rounding;
+    f'(x) lies within e of s; nearest(z) is True if z
     is certified the float nearest the zero. pts holds earlier iterates
     (p, f(p), err_p); with none within x * _RADIUS, e is inf.
 
@@ -151,11 +173,11 @@ def _certificate(tag: str, l: int, nu: float, x: float, a, b, pts: list):
     """
     if tag == "J":
         f, err = a.value, a.dd_err
-    else:  # g = (l/x) J_nu - J_{nu+1}, each operation within 2^-100
-        ch, cl = bessel._dd_div_f(float(l), 0.0, x)
-        ph, pl = bessel._dd_mul(ch, cl, a.value, a.lo)
-        f = bessel._dd_add(ph, pl, -b.value, -b.lo)[0]
-        err = (ch + 1.0) * a.dd_err + (abs(ph) + abs(b.value)) * 2.0**-100
+    else:  # g = (l/x) J_nu - J_{nu+1}, exact from the pairs' hi + lo
+        (an, ad), (bn, bd) = _exact(a), _exact(b)
+        xn, xd = x.as_integer_ratio()
+        f = (l * xd * an * bd - xn * bn * ad) / (xn * ad * bd)  # one rounding
+        err = (l / x + 1.0) * a.dd_err
     err += 2.0**-52 * abs(f)  # the low part, and float sums with f
     q = (nu + 2.0) / (x * (1.0 - _RADIUS))
     m = 20.0 * (1.0 + q) ** 3 * (max(abs(a.value), abs(b.value)) + a.dd_err)
@@ -187,7 +209,8 @@ _LADDER_TOP = TWICE_NU_MAX // 2 - 1
 
 def _float_target(tag: str, l: int, twice_nu: int, shared: bool = False):
     """f_df_err of the target from the float ladder bessel._miller_float:
-    (f, df, err), err bounding the error of f.
+    (f, df, err, d2f), err bounding the error of f, and d2f the second
+    derivative through Bessel's equation (_curvature), for Newton's start.
 
     The pair is (a, b) = (ys[n] / c, ys[n + 1] / c) within
     bessel._pair_bound; for g, err grows by the rounding of its three
@@ -217,20 +240,20 @@ def _float_target(tag: str, l: int, twice_nu: int, shared: bool = False):
         if tag == "G":
             q = l / x
             err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
-        return f, df, err
+        return f, df, err, _curvature(tag, l, nu, x, a, b)
 
     return f_df_err
 
 
 def _sign_target(tag: str, l: int, twice_nu: int, shared: bool = False):
     """f of the target for sign decisions: the float value where |f|
-    exceeds its error, else the double-double value (the same sign either
+    exceeds its error, else the high-precision value (the same sign either
     way). shared as for _float_target."""
     f_df_err = _float_target(tag, l, twice_nu, shared)
     f_df = _target(tag, l, twice_nu)
 
     def f(x: float) -> float:
-        v, _, err = f_df_err(x)
+        v, _, err, _ = f_df_err(x)
         return v if abs(v) > err else f_df(x)[0]
 
     return f
@@ -273,6 +296,10 @@ def _grid_points(parity: int, start: float):
         k += 1
 
 
+# the grid points in (0, X_MAX] of either parity: no scan has more cells
+_MAX_CELLS = int(X_MAX / DEFAULT_STEP) + 1
+
+
 def _grid_cells(f, parity: int, start: float, start_sign: int):
     """Yield (lo, hi, sign_lo) sign-change cells of f over (start, X_MAX]:
     the first cell ends at the first grid point above start, the others
@@ -308,17 +335,58 @@ def _grid_cells(f, parity: int, start: float, start_sign: int):
 # refinement: bracket-safeguarded Newton to a certified nearest float
 
 
+def _quintic_root(f0, d0, c0, f1, d1, c1) -> float:
+    """A root t in (0, 1) of the quintic p with (p, p', p'') = (f0, d0, c0)
+    at t = 0 and (f1, d1, c1) at t = 1, by Newton from the secant root,
+    safeguarded by bisection; nan where f0 and f1 share a sign."""
+    if (f0 > 0.0) == (f1 > 0.0):
+        return math.nan
+    e, k2 = f1 - f0, 0.5 * c0  # p = f0 + d0 t + k2 t^2 + ... + k5 t^5
+    k3 = 10.0 * e - 6.0 * d0 - 4.0 * d1 - 3.0 * k2 + 0.5 * c1
+    k4 = -15.0 * e + 8.0 * d0 + 7.0 * d1 + 3.0 * k2 - c1
+    k5 = 6.0 * e - 3.0 * d0 - 3.0 * d1 - k2 + 0.5 * c1
+    lo, hi, t = 0.0, 1.0, f0 / (f0 - f1)
+    for _ in range(30):
+        p = ((((k5 * t + k4) * t + k3) * t + k2) * t + d0) * t + f0
+        lo, hi = (t, hi) if (p > 0.0) == (f0 > 0.0) else (lo, t)
+        dp = (((5.0 * k5 * t + 4.0 * k4) * t + 3.0 * k3) * t
+              + 2.0 * k2) * t + d0
+        t_new = t - p / dp if dp != 0.0 else math.nan
+        if abs(t_new - t) <= 1e-12:
+            return t_new
+        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
+    return t
+
+
+def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float) -> float:
+    """Newton's first iterate in the census cell (lo, hi): the root of the
+    quintic that matches f, f' and f'' at both grid ends, read from the
+    shared ladders the census built there. The first cell begins at the
+    scan start, which is no grid point; there it is the Newton step from
+    hi. The midpoint where that start would leave the cell."""
+    jets = _float_target(tag, l, twice_nu, True)  # the shared ladders
+    f1, d1, _, c1 = jets(hi)
+    if lo == _scan_start(tag, l, twice_nu)[0]:
+        x = hi - f1 / d1 if d1 != 0.0 else lo
+    else:
+        f0, d0, _, c0 = jets(lo)
+        h = hi - lo
+        x = lo + h * _quintic_root(f0, h * d0, h * h * c0,
+                                   f1, h * d1, h * h * c1)
+    return x if lo < x < hi else 0.5 * (lo + hi)
+
+
 def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
             sign_lo: int) -> float:
-    """The float nearest the zero in the sign-change bracket (lo, hi).
+    """The float nearest the zero in the census cell (lo, hi).
 
-    Newton from the midpoint; a step that leaves the bracket, or is more
-    than half the step before last (so a bad derivative cannot stall the
-    loop), becomes a bisection. The iterates run on the float twin
+    Newton from _start; a step that leaves the bracket, or is more than
+    half the step before last (so a bad derivative cannot stall the loop),
+    becomes a bisection. The iterates run on the float twin
     (_float_target) while it certifies the sign of f, so the bracket only
     moves on certified signs; at the first point where it does not, or
-    once a step falls below _HANDOVER * x, double-double (_target) takes
-    over from that point. Each double-double call proposes its own Newton
+    once a step falls below _HANDOVER * x, high precision (_target) takes
+    over from that point. Each high-precision call proposes its own Newton
     step z, with the secant slope where that refutes df, kept inside the
     bracket; z is returned once _certificate certifies it the float nearest
     the zero. So every returned zero is a function of the zero alone, not
@@ -326,15 +394,15 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     """
     f_df_err = _float_target(tag, l, twice_nu)
     f_df = _target(tag, l, twice_nu)
-    x = 0.5 * (lo + hi)
+    x = _start(tag, l, twice_nu, lo, hi)
     dx_old = dx_older = hi - lo
     twin = True
     pts = []  # (x, f, err) of every iterate, for _certificate's secants
     for _ in range(100):
         if twin:
-            f, df, err = f_df_err(x)
+            f, df, err, _ = f_df_err(x)
             pts.append((x, f, err))
-            if not abs(f) > err:  # sign not certified: double-double from x
+            if not abs(f) > err:  # sign not certified: high precision from x
                 if len(pts) == 1:  # unless x is the first: a secant partner
                     x *= 1.0 + _HANDOVER  # for x, within the census cell
                     continue
@@ -357,7 +425,7 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
         if not lo <= x_new <= hi or abs(x_new - x) > 0.5 * dx_older:
             x_new = 0.5 * (lo + hi)
         elif abs(x_new - x) <= _HANDOVER * x_new:
-            twin = False  # converged in floats: double-double from x_new
+            twin = False  # converged in floats: high precision from x_new
         dx_older, dx_old = dx_old, abs(x_new - x)
         x = x_new
     raise BracketFailure(
@@ -373,7 +441,10 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
 @lru_cache(maxsize=8192)
 def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
     """Sign-change cell of the m-th positive zero: (lo, hi, sign_lo), None
-    past the box."""
+    past the box. Each zero has a cell of its own, so an m past _MAX_CELLS
+    is refused before the walk recurses once per index."""
+    if m > _MAX_CELLS:
+        return None
     if m > 1:
         prev = _census_bracket(tag, l, twice_nu, m - 1)
         if prev is None:

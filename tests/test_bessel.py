@@ -11,7 +11,8 @@ import pytest
 
 from tests import _frozen
 from tests import _oracle as oracle
-from tests.test_golden import float_ladder, float_pair
+from tests.test_golden import (KERNEL_POINTS, SERIES_POINTS, float_ladder,
+                               float_pair)
 from ballspec import bessel, zeros
 from ballspec.bessel import EvalResult, Order, eval_J, eval_J_pair, log_gamma
 from ballspec.errors import LossOfPrecision, RangeError
@@ -530,6 +531,40 @@ def test_x_min_matches_oracle_or_refuses():
             diff = abs(mp.mpf(got.value) - want)
             assert diff <= 1e-12 * max(abs(want), mp.mpf(1e-3)), tn
     assert returned[:3] == [0, 1, 2]
+
+
+# the points of both _eval_miller bit pins, the lower edge X_MIN and the
+# last pairs the underflow floor keeps
+HI_LO_POINTS = (
+    KERNEL_POINTS + SERIES_POINTS
+    + [(tn, x) for x in (bessel.X_MIN, 3e-18, 1e-16, 1e-12) for tn in range(8)]
+    + [(tn, x) for x, last in UNDERFLOW_EDGES
+       for tn in range(last - 6, last - 1)])
+
+
+def test_pair_value_plus_lo_within_dd_err():
+    # value + lo of eval_J_pair is the integer ladder's quotient to two
+    # roundings; the certificate of each zero trusts it within dd_err
+    checked = 0
+    for tn, x in HI_LO_POINTS:
+        try:
+            pair = eval_J_pair(Order(tn), x)
+        except (LossOfPrecision, RangeError):
+            continue  # refused: past the box or below the underflow floor
+        for res, order in zip(pair, (tn, tn + 2)):
+            want = oracle.oracle_J(order, x, dps=45)
+            with mp.workdps(60):
+                miss = abs(mp.mpf(res.value) + mp.mpf(res.lo) - want)
+            assert miss <= res.dd_err, (tn, x, order)
+            checked += 1
+    assert checked > 400
+
+
+def test_pi_literal_is_pi_to_its_last_bit():
+    # the half-integer normalizer reads pi from this literal, floor(pi 2^k)
+    assert bessel._PI_BITS >= 2 * bessel._P
+    with mp.workprec(bessel._PI_BITS + 64):
+        assert bessel._PI == int(mp.floor(mp.pi * 2**bessel._PI_BITS))
 
 
 def test_est_rel_err_within_contract_across_box():

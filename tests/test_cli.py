@@ -411,3 +411,17 @@ def test_csv_rows_match_header_width(capsys, argv):
     width = len(header.split(","))
     for row in rows:
         assert len(row.split(",")) == width, row
+
+
+# an index past any census box: refused as the box's last zeros are, not
+# by a RecursionError of the census walk (exit 2)
+@pytest.mark.parametrize("argv,names", [
+    ("zeros --l 0 --d 2 --bc dirichlet --m 500", ("m=500", "l=0, d=2")),
+    ("courant --d 2 --bc dirichlet --mmax 1000", ("m=1000",)),
+])
+def test_index_past_every_cell_is_usage_error(capsys, argv, names):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: "), err
+    assert "beyond the supported box" in err, err
+    assert all(name in err for name in names), err

@@ -2,10 +2,11 @@
 a standard-library module or ``ballspec`` itself. And the supported box has
 one home: one integer check (``bessel._check_int``) and the order cap
 compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
-And every double-double value comes through ``bessel.eval_J_pair``, and
+And every high-precision value comes through ``bessel.eval_J_pair``, and
 every float ladder through one reader, ``zeros._float_target``. And a
 CLI job imports only the modules its subcommand runs, and never
-``dataclasses``."""
+``dataclasses``. And the kernel keeps one high-precision ladder, the
+integer ``_eval_miller``, with no double-double primitive left."""
 
 from __future__ import annotations
 
@@ -82,7 +83,7 @@ def test_order_cap_is_compared_only_in_bessel_and_zeros():
 
 
 def test_only_bessel_names_the_double_double_ladder():
-    # outside the kernel, double-double values come from eval_J_pair, with
+    # outside the kernel, high-precision values come from eval_J_pair, with
     # its box and underflow checks and the benchmark tracer's
     # bessel.eval_J_pair span (tests/test_benchmark_tracer.py)
     found = [
@@ -94,6 +95,59 @@ def test_only_bessel_names_the_double_double_ladder():
         and _named(node, {"_eval_miller"})
     ]
     assert found == []
+
+
+def _functions(tree: ast.AST):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _compensated(name: str) -> bool:
+    return name.startswith(("_dd_", "_two_")) or name == "_quick_two_sum"
+
+
+def test_no_module_defines_or_calls_a_double_double_primitive():
+    # the kernel's high-precision ladder runs in exact integers, so no
+    # compensated-float primitive (_dd_*, _two_*, _quick_two_sum) remains
+    found = []
+    for name, tree in _parsed():
+        found += [(name, node.name) for node in _functions(tree)
+                  if _compensated(node.name)]
+        found += [
+            (name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and any(isinstance(n, ast.Name) and _compensated(n.id)
+                    or isinstance(n, ast.Attribute) and _compensated(n.attr)
+                    for n in ast.walk(node.func))
+        ]
+    assert found == []
+
+
+def _counts_down(node: ast.AST) -> bool:
+    """A for loop over range(..., -1, -1): a backward recurrence."""
+    return (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+            and _named(node.iter.func, {"range"})
+            and len(node.iter.args) == 3
+            and all(isinstance(a, ast.UnaryOp) and isinstance(a.op, ast.USub)
+                    and getattr(a.operand, "value", None) == 1
+                    for a in node.iter.args[1:]))
+
+
+def test_eval_miller_is_the_only_high_precision_ladder():
+    # two Miller ladders run backward: the float _miller_float and the
+    # integer _eval_miller, and only the latter runs in fixed point (>>)
+    ladders, shifts = set(), set()
+    for name, tree in _parsed():
+        for fn in _functions(tree):
+            if any(_counts_down(node) for node in ast.walk(fn)):
+                ladders.add((name, fn.name))
+            if any(isinstance(node, ast.BinOp)
+                   and isinstance(node.op, ast.RShift)
+                   for node in ast.walk(fn)):
+                shifts.add((name, fn.name))
+    assert ladders == {("bessel.py", "_eval_miller"),
+                       ("bessel.py", "_miller_float")}
+    assert shifts == {("bessel.py", "_eval_miller")}
 
 
 def test_miller_float_has_one_reader():

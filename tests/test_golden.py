@@ -12,7 +12,7 @@ Update a digest only in a change that means to alter that output.
 
 Below them, the Miller ladders of the kernel are pinned bit for bit: the
 SHA-256 of ``repr`` of ``(J_nu, J_{nu+1}, abs_err)`` on a fixed grid from
-the double-double ``_eval_miller`` and from the float ``_miller_float``,
+the integer ``_eval_miller`` and from the float ``_miller_float``,
 read as the zero finder reads it (``float_pair``: the pair (n, n + 1) of a
 ladder sized for order n, and its ``_pair_bound``), and of the float
 ladder read in full (``float_ladder``: every order it keeps, divided by
@@ -21,9 +21,9 @@ two float pins keep the digests they had when the kernel itself had these
 two readers (``_pair_float`` and ``_ladder_float``, whose names the test
 IDs keep). The grid
 covers integer and half-integer orders, small x at high order (where the
-ladder rescales) and x up to 200, plus three points where only adding y_0
-last to the integer normalizer, not forming 2 * sum - y_0, keeps the last
-bit of the error bound. ``_eval_miller`` is pinned the same way on a
+float ladder rescales) and x up to 200, plus three points where the last
+bit of the error bound rests on how the integer normalizer's cancellation
+ratio is rounded. ``_eval_miller`` is pinned the same way on a
 second grid, the region where an ascending series could serve
 (``_use_series``): small orders for x <= 14, and high orders at the edge of
 that region, x = 1.5 nu or, past twice_nu = 48, the x where the series'
@@ -122,7 +122,7 @@ def float_ladder(parity: int, x: float, top: int):
 
 KERNEL_GOLDEN = [
     ("_eval_miller", lambda tn, x: bessel._eval_miller(tn, x)[:3],
-     "0c80e0ec29dcdd207d66cc78b0690d26e1928cf2a7f8568e9e02a47ba09d9a37"),
+     "06ab9fd881556da5ca56c44b16f710ee66bda377ff85eb04e92e4b9aa536d84f"),
     ("_pair_float", float_pair,
      "e460abe9786fd1a547e599b3539ae06ec5104fc858ec44c0f1f5705798aca025"),
 ]

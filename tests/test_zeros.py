@@ -10,6 +10,7 @@ import itertools
 import math
 from collections import Counter
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -601,6 +602,20 @@ class TestCensus:
         with pytest.raises(RangeError):
             zeros.neumann_zero(0, 2, 65)
 
+    def test_index_past_every_cell_is_refused_before_the_walk(self):
+        # each zero has a cell of its own, so no index past the grid's
+        # cell count is in the box; a cold request must not recurse once
+        # per index
+        assert zeros._MAX_CELLS == max(
+            len(list(zeros._grid_points(parity, 0.0))) for parity in (0, 1))
+        _cold()
+        with pytest.raises(RangeError, match="beyond the supported box"):
+            zeros.dirichlet_zero(0, 2, 10_000)
+        assert zeros._census_bracket.cache_info().currsize == 1
+        # the last cells of the box are still walked
+        assert zeros._census_bracket("J", 0, 0, 63) is not None
+        assert zeros._census_bracket("J", 0, 0, zeros._MAX_CELLS) is None
+
     def test_find_zero_routes_by_kind(self):
         got = zeros.find_zero(RootKind.DIRICHLET_XI, 0, 3, 3)
         assert rel_err(got, 3.0 * math.pi) <= 1e-13
@@ -844,24 +859,70 @@ class TestRefinement:
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_twin_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # Newton iterates and probes: 5.10 and 5.49 fresh float ladders a
-        # zero, now that the scan reads shared ladders; a float phase that
-        # stalls or bisects, or a scan back on fresh ladders, would cost far
-        # more. The
-        # shared ladders cost 9.4 and 31 steps a zero, and no grid point
-        # builds its ladder more than twice (sized for the first order that
-        # asks, then once for the whole box)
+        # Newton iterates from the census cell's quintic start: 2.0 and
+        # 2.1 fresh float ladders a zero; a start back at the midpoint, a
+        # float phase that stalls or bisects, or a scan back on fresh
+        # ladders would cost more. The shared ladders cost 9.4 and 31 steps
+        # a zero, and no grid point builds its ladder more than twice (sized
+        # for the first order that asks, then once for the whole box)
         _cold()
         ladders, shared = _float_ladders(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
         twin = len(ladders) - shared.builds.total()  # fresh ladders
-        assert twin <= 7 * cold, twin / cold
+        assert twin <= 3 * cold, twin / cold
         ladder_steps = {3: 12, 4: 40}[d]
         steps = shared.steps.total()
         assert steps <= ladder_steps * cold, steps / cold
         assert max(shared.builds.values()) <= 2
+
+    @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
+        ("G", 1, 100), ("G", 5, 12), ("J", 0, 121)])
+    def test_start_lies_near_the_zero(self, tag, l, twice_nu):
+        # the quintic through (f, f', f'') at both grid ends puts Newton's
+        # start within 1e-3 of the zero; in the first cell, whose lower end
+        # is the scan start, the Newton step from the grid end stays inside
+        # the cell
+        start = zeros._scan_start(tag, l, twice_nu)[0]
+        for m in (1, 2, 3, 7):
+            lo, hi, _ = zeros._census_bracket(tag, l, twice_nu, m)
+            x = zeros._start(tag, l, twice_nu, lo, hi)
+            assert lo < x < hi, (m, lo, x, hi)
+            if lo != start:
+                z = zeros._census_zero(tag, l, twice_nu, m)
+                assert abs(x - z) <= 1e-3, (m, x, z)
+
+    def test_quintic_root(self):
+        # p(t) = (t - 0.3)(1 + t^2)(2 - t) and its first two derivatives
+        def jet(t):
+            c = [-0.6, 2.3, -1.6, 2.3, -1.0]  # low order first
+            p = sum(a * t**k for k, a in enumerate(c))
+            dp = sum(k * a * t**(k - 1) for k, a in enumerate(c) if k)
+            d2p = sum(k * (k - 1) * a * t**(k - 2)
+                      for k, a in enumerate(c) if k > 1)
+            return p, dp, d2p
+
+        assert zeros._quintic_root(*jet(0.0), *jet(1.0)) == pytest.approx(
+            0.3, abs=1e-12)
+        assert math.isnan(zeros._quintic_root(1.0, 0.0, 0.0, 2.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("tag,l,twice_nu,x", [
+        ("J", 0, 0, 2.5), ("J", 0, 7, 11.0), ("J", 0, 160, 95.0),
+        ("G", 0, 1, 4.0), ("G", 3, 7, 9.5), ("G", 50, 100, 60.0),
+        ("G", 2, 2, 0.9)])
+    def test_curvature_is_the_second_derivative(self, tag, l, twice_nu, x):
+        # f'' from the pair through Bessel's equation, against mpmath's
+        # derivatives of J_nu and J_{nu+1}
+        f2 = zeros._float_target(tag, l, twice_nu)(x)[3]
+        with mp.workdps(30):
+            nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
+            j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
+            want = j[2]
+            if tag == "G":  # g = (l/x) J_nu - J_{nu+1}
+                want = (l * (2 * j[0] / t**3 - 2 * j[1] / t**2 + j[2] / t)
+                        - mp.besselj(nu + 1, t, derivative=2))
+        assert abs(f2 - float(want)) <= 1e-12, (f2, want)
 
     def test_grid_phase_keeps_zeros_off_the_grid(self, monkeypatch):
         # half-integer orders have zeros near multiples of pi/2 (j_{1/2,m}
