@@ -8,7 +8,6 @@ per row, with no quoting (no cell the program writes holds a comma).
 
 from __future__ import annotations
 
-import json
 import math
 
 _INDENT = "  "
@@ -101,7 +100,30 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
-_encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+# JSON string escapes of the ASCII characters, as json.dumps writes them:
+# the short forms, else \u00XX for the control characters and DEL
+_ASCII_ESCAPES = {i: "\\u%04x" % i for i in (*range(0x20), 0x7F)}
+_ASCII_ESCAPES.update(
+    {ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+def _escape_wide(c: str) -> str:
+    """\\uXXXX of a non-ASCII character; past the BMP, a surrogate pair."""
+    n = ord(c)
+    if n < 0x10000:
+        return "\\u%04x" % n
+    hi, lo = divmod(n - 0x10000, 0x400)
+    return "\\u%04x\\u%04x" % (0xD800 + hi, 0xDC00 + lo)
+
+
+def _encode_str(s: str) -> str:
+    """A str as json.dumps writes it (ensure_ascii): quoted and escaped."""
+    s = s.translate(_ASCII_ESCAPES)
+    if not s.isascii():
+        s = "".join(c if c.isascii() else _escape_wide(c) for c in s)
+    return '"' + s + '"'
+
+
 _PADS = ["\n" + _INDENT * depth for depth in range(16)]
 
 

@@ -18,9 +18,10 @@ Miller's backward recurrence (Gautschi, SIAM Review 9, 1967): run the
 three-term recursion downward from an index high enough that the unwanted
 solution is suppressed, then normalize - integer orders against the
 identity 1 = J_0 + 2*sum J_2k, half-integer orders against the
-cancellation-free identity sum (2n+1) J_{n+1/2}^2 = 2x/pi. Its square root
-is the scale, and the scale is positive: the ladder starts at y = 1 past x,
-and J_nu > 0 on (0, j_{nu,1}) with j_{nu,1} > nu (DLMF 10.21(i)).
+cancellation-free identity J_{1/2}^2 + J_{-1/2}^2 = 2/(pi x) (DLMF 10.16.1),
+with J_{-1/2} one ladder step past J_{1/2}. Its square root is the scale,
+and the scale is positive: the ladder starts at y = 1 past x, and
+J_nu > 0 on (0, j_{nu,1}) with j_{nu,1} > nu (DLMF 10.21(i)).
 _eval_miller runs the ladder in fixed point on Python ints, from x = p/q
 taken exactly: its only roundings are 1/x to fixed point, one floor a step
 and the normalizer's integer square root, and each value is the float
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import mul
 
 from ballspec.errors import LossOfPrecision, RangeError
 
@@ -176,10 +176,11 @@ def _eval_miller(twice_nu: int, x: float):
     x 2^-_P relative, and one floor a step, below one unit of a ladder
     whose envelope never falls under 2^_P; no rescale is needed. The
     normalizers are exact integers:
-    S = y_0 + 2 sum_{k even >= 2} y_k, or A = sum (2k + 1) y_k^2 with
-    J = y sqrt(2x / (pi A)) through math.isqrt and the _PI literal, to
-    about 2^-(2 _P) relative. So the error unit below, 2^-100 a step, is
-    a model with room to spare, which ROADMAP item 4 has to prove.
+    S = y_0 + 2 sum_{k even >= 2} y_k, or B = y_0^2 + y_{-1}^2 from one
+    step past the ladder's end, with J = y sqrt(2 / (pi x B)) through
+    math.isqrt and the _PI literal, to about 2^-(2 _P) relative. So the
+    error unit below, 2^-100 a step, is a model with room to spare, which
+    ROADMAP item 4 has to prove.
     """
     n_target, parity = divmod(twice_nu, 2)
     n_top = _miller_start(n_target + 1, x)
@@ -196,11 +197,12 @@ def _eval_miller(twice_nu: int, x: float):
         ys[k] = y
     y0, y1 = ys[n_target], ys[n_target + 1]
     if parity:  # y_k = s J_k, s > 0: the ladder starts past x, where J > 0
-        a = sum(map(mul, range(1, 2 * n_top + 2, 2), map(mul, ys, ys)))
-        t = q * _PI * a
-        # r = 2^w sqrt(2x / (pi A)) to about 2 _P bits
-        w = (4 * _P + t.bit_length() - p.bit_length() - _PI_BITS) // 2
-        r = math.isqrt((p << (_PI_BITS + 2 * w + 1)) // t)
+        # one step more: y_{-1} = ((c y_0) >> _P) - y_1, where c is now ix,
+        # as the factor 2k + 2 + parity is 1 at k = -1
+        t = p * _PI * (y * y + (((c * y) >> _P) - y_next) ** 2)
+        # r = 2^w sqrt(2 / (pi x B)) to about 2 _P bits
+        w = (4 * _P + t.bit_length() - q.bit_length() - _PI_BITS) // 2
+        r = math.isqrt((q << (_PI_BITS + 2 * w + 1)) // t)
         y0, y1, s, cancel = y0 * r, y1 * r, 1 << w, 1.0
     else:  # S = y_0 + 2 sum_{k even >= 2} y_k
         even = ys[::2]
@@ -229,33 +231,26 @@ def _miller_float(parity: int, x: float, n: int):
     sign decisions only; never raises inside the box."""
     rescale_hi, rescale_mul = _RESCALE_HI, _RESCALE_MUL
     n_top = _miller_start(n + 1, x)
-    ys = [0.0] * n_top
+    ys = [0.0] * n_top + [1.0]  # ys[n_top] = y_top
     inv_x = 1.0 / x
     y_next, y_cur = 0.0, 1.0  # y_{k+1}, y_k
     f = float(2 * n_top + parity)  # 2k + 2 + parity, exact as it counts down
-    # sum (2k+1) y_k^2 (half-integer) or sum_{k even} y_k (integer orders)
-    acc = 2.0 * n_top + 1.0 if parity else float(n_top % 2 == 0)
-    acc_abs = acc
     for k in range(n_top - 1, -1, -1):
         y_next, y_cur = y_cur, f * inv_x * y_cur - y_next
         ys[k] = y_cur
-        f -= 2.0  # now 2k + parity
-        if parity:
-            acc += f * y_cur * y_cur
-        elif k % 2 == 0:
-            acc += y_cur
-            acc_abs += abs(y_cur)
+        f -= 2.0
         if abs(y_cur) > rescale_hi:
             s = rescale_mul
             y_cur, y_next = y_cur * s, y_next * s
             ys[k:] = [y * s for y in ys[k:]]
-            acc *= s * s if parity else s
-            acc_abs *= s
     if parity:  # y_k = c J_k, c > 0: the ladder starts past x, where J > 0
-        c, cancel = math.sqrt(acc * math.pi / (2.0 * x)), 1.0
+        y_m1 = inv_x * y_cur - y_next  # the factor is 1 at k = -1
+        c = math.sqrt(0.5 * math.pi * x * (y_cur * y_cur + y_m1 * y_m1))
+        cancel = 1.0
     else:  # S = y_0 + 2 sum_{k even >= 2} y_k
-        c = 2.0 * acc - y_cur
-        cancel = (2.0 * acc_abs - abs(y_cur)) / abs(c)
+        even = ys[::2]
+        c = 2.0 * sum(even) - y_cur
+        cancel = (2.0 * sum(map(abs, even)) - abs(y_cur)) / abs(c)
     return ys, c, (n_top + 1) * cancel * 2.0**-50 + 1e-24
 
 
@@ -321,10 +316,12 @@ def _validate_x(x: float) -> float:
     return x
 
 
-def _check(value: float, abs_err: float, what: str, *dd) -> EvalResult:
+def _check(value: float, abs_err: float, what: str, twice_nu: int, x: float,
+           *dd) -> EvalResult:
     est = abs_err / max(abs(value), _NEAR_ZERO_FLOOR) + 2.0**-52
-    if est > _REL_CONTRACT:
-        raise LossOfPrecision(f"{what}: estimated error {est:.3e} over budget")
+    if est > _REL_CONTRACT:  # the message is formatted only here
+        raise LossOfPrecision(f"{what}(twice_nu={twice_nu}, x={x!r}): "
+                              f"estimated error {est:.3e} over budget")
     return EvalResult(value, est, *dd)
 
 
@@ -342,7 +339,7 @@ def eval_J(nu: Order, x: float) -> EvalResult:
     x = _validate_x(x)
     value, _, abs_err = _eval_miller(nu.twice_nu, x)[:3]
     _check_underflow(value, nu.twice_nu, x)
-    return _check(value, abs_err, f"J(twice_nu={nu.twice_nu}, x={x!r})")
+    return _check(value, abs_err, "J", nu.twice_nu, x)
 
 
 def _validate_pair(nu: Order, x: float) -> float:
@@ -361,8 +358,9 @@ def eval_J_pair(nu: Order, x: float) -> tuple[EvalResult, EvalResult]:
     v0, v1, err, lo0, lo1, dd_err = _eval_miller(nu.twice_nu, x)
     _check_underflow(v0, nu.twice_nu, x)
     _check_underflow(v1, nu.twice_nu + 2, x)
-    tag = f"J pair(twice_nu={nu.twice_nu}, x={x!r})"
-    return _check(v0, err, tag, lo0, dd_err), _check(v1, err, tag, lo1, dd_err)
+    tn = nu.twice_nu
+    return (_check(v0, err, "J pair", tn, x, lo0, dd_err),
+            _check(v1, err, "J pair", tn, x, lo1, dd_err))
 
 
 def log_gamma(x: float) -> float:

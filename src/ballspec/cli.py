@@ -1,6 +1,6 @@
-"""Command-line front end.
+"""usage: ballspec COMMAND [FLAGS]
 
-Subcommands (all parameters are explicit flags, no positionals):
+Commands (all parameters are explicit flags, no positionals):
 
   spectrum   --d D --bc BC --lambda-max X        labeled eigenvalue table
   zeros      --l L --d D --bc BC [--m M | --count K] [--tol T]
@@ -9,24 +9,20 @@ Subcommands (all parameters are explicit flags, no positionals):
   certify    --d D [--through D2]                 monotonicity certificates
   selfcheck  [--fast]                             built-in invariant suite
 
+BC is dirichlet or neumann; courant's --lmax and --mmax default to 8 and 4.
 Common flags: --output PATH, --verbose (version banner on the error
 stream; data output stays byte-identical). Every subcommand but selfcheck
-also takes --format json|csv (default json).
-
-Each subcommand builds its payload and its table rows once, and one writer
-(`_emit`) prints every table: the payload as JSON through `_format.dumps`,
-or the rows as CSV through `_format.csv_text`.  The spectrum table and the
-quotient-curve JSON render themselves; selfcheck prints a text report.
+also takes --format json|csv (default json). A flag may be shortened to a
+unique prefix and given as --flag=VALUE; -h or --help prints this text.
 
 Exit codes: 0 success; 1 usage or parameter-domain error, or an --output
 path that cannot be written (message on the error stream); 2 numerical
-failure — the message carries the failing module and inequality/bracket
+failure - the message carries the failing module and inequality/bracket
 as raised by the library.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 # compute modules are imported in the _run_* of their subcommand, so that
@@ -41,71 +37,188 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting the process."""
-
-    def error(self, message):  # noqa: D102 - argparse hook
-        raise _UsageError(message)
+class _Help(Exception):
+    """-h or --help was given: print the module docstring and exit 0."""
 
 
-def _common_flags(parser: _Parser) -> None:
-    parser.add_argument("--output", default=None, metavar="PATH")
-    parser.add_argument("--verbose", action="store_true")
+class _Args:
+    """The parsed command line: command, and one attribute per flag."""
+
+    def __init__(self, fields: dict) -> None:
+        self.__dict__.update(fields)
 
 
-def _table_flags(parser: _Parser) -> None:
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
-    _common_flags(parser)
+# The flag table: each subcommand's flags and the kind of value each takes.
+# A kind is int, float or str (one value), a tuple of choices (one of them),
+# _PAIR (two ints) or _SWITCH (no value). The parse loop (_parse) accepts
+# the command lines, and sets the values and defaults, that argparse does
+# for this table, but for --FLAG=--; tests/test_cli.py checks it against
+# an argparse parser.
+_PAIR, _SWITCH = "pair", "switch"
+_BC = ("dirichlet", "neumann")
+_COMMON = {"--output": str, "--verbose": _SWITCH}
+_TABLE = {"--format": ("json", "csv"), **_COMMON}
+_FLAGS = {
+    "spectrum": {"--d": int, "--bc": _BC, "--lambda-max": float, **_TABLE},
+    "zeros": {"--l": int, "--d": int, "--bc": _BC, "--m": int,
+              "--count": int, "--tol": float, **_TABLE},
+    "courant": {"--d": int, "--bc": _BC, "--lmax": int, "--mmax": int,
+                **_TABLE},
+    "pleijel": {"--gamma": int, "--table": _PAIR, "--curve": _PAIR, **_TABLE},
+    "certify": {"--d": int, "--through": int, **_TABLE},
+    "selfcheck": {"--fast": _SWITCH, **_COMMON},
+}
+_REQUIRED = {
+    "spectrum": ("--d", "--bc", "--lambda-max"),
+    "zeros": ("--l", "--d", "--bc"),
+    "courant": ("--d", "--bc"),
+    "certify": ("--d",),
+}
+# at most one flag of a group; pleijel needs one of its group
+_ONE_OF = {"zeros": ("--m", "--count"),
+           "pleijel": ("--gamma", "--table", "--curve")}
+_ONE_REQUIRED = {"pleijel"}
+_DEFAULTS = {"--format": "json", "--lmax": 8, "--mmax": 4}
+_HELP = ("-h", "--help")
+_VALUES = ("no value", "one value", "two values")
 
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="ballspec", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
+def _negative_number(tok: str) -> bool:
+    """argparse's test that a "-..." token is a value, not a flag:
+    ^-\\d+$|^-\\d*\\.\\d+$, where $ also matches before a final newline."""
+    body = tok[1:-1] if tok.endswith("\n") else tok[1:]
+    whole, dot, frac = body.partition(".")
+    return body.isdecimal() or bool(
+        dot and (not whole or whole.isdecimal()) and frac.isdecimal())
 
-    p = sub.add_parser("spectrum", help="labeled eigenvalue table")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bc", choices=["dirichlet", "neumann"], required=True)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
-    _table_flags(p)
 
-    p = sub.add_parser("zeros", help="zeros of the radial target")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bc", choices=["dirichlet", "neumann"], required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--m", type=int, default=None)
-    group.add_argument("--count", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    _table_flags(p)
+def _classify(tok: str, flags):
+    """None for a value, else (flag, its =VALUE or None), in argparse's
+    order: the exact flag, the flag before an "=", a unique prefix (a long
+    flag may carry "=VALUE"; -h may run on into more characters), then a
+    negative number or a token with a space is a value. Any other "-..."
+    token is an unknown flag, (None, None), and so is "--"."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    if tok == "--":
+        return None, None
+    if tok in flags:
+        return tok, None
+    name, eq, value = tok.partition("=")
+    if eq and name in flags:
+        return name, value
+    if tok[1] == "-":
+        hits = [(flag, value if eq else None)
+                for flag in flags if flag.startswith(name)]
+    else:
+        hits = [(tok[:2], tok[2:])] if tok[:2] in flags else []
+    if len(hits) > 1:
+        raise _UsageError(f"ambiguous flag {tok}: could be "
+                          + ", ".join(flag for flag, _ in hits))
+    if hits:
+        return hits[0]
+    return None if _negative_number(tok) or " " in tok else (None, None)
 
-    p = sub.add_parser("courant", help="Courant sharpness verdicts")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--bc", choices=["dirichlet", "neumann"], required=True)
-    p.add_argument("--lmax", type=int, default=8)
-    p.add_argument("--mmax", type=int, default=4)
-    _table_flags(p)
 
-    p = sub.add_parser("pleijel", help="gamma values, table, quotient curve")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gamma", type=int, default=None, metavar="D")
-    group.add_argument(
-        "--table", type=int, nargs=2, default=None, metavar=("D_MIN", "D_MAX")
-    )
-    group.add_argument(
-        "--curve", type=int, nargs=2, default=None, metavar=("D_MIN", "D_MAX")
-    )
-    _table_flags(p)
+def _help(flag: str, value) -> None:
+    """Raise _Help, or _UsageError for a value given to it: -h takes none,
+    but may run on as -hh... (-h=h...), as argparse's short flags do."""
+    if value is None or flag == "-h" and value and not value.strip("h"):
+        raise _Help
+    raise _UsageError(f"{flag} takes no value, got {value!r}")
 
-    p = sub.add_parser("certify", help="monotonicity certificates")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--through", type=int, default=None, metavar="D_MAX")
-    _table_flags(p)
 
-    p = sub.add_parser("selfcheck", help="run the built-in invariant suite")
-    p.add_argument("--fast", action="store_true")
-    _common_flags(p)
+def _convert(flag: str, kind, raw: list[str]):
+    """The value of one flag from its raw strings."""
+    if kind is _SWITCH:
+        return True
+    if isinstance(kind, tuple):
+        if raw[0] not in kind:
+            raise _UsageError(f"{flag}: invalid choice {raw[0]!r} "
+                              f"(choose from {', '.join(kind)})")
+        return raw[0]
+    convert = int if kind is _PAIR else kind
+    values = []
+    for v in raw:
+        try:
+            values.append(convert(v))
+        except ValueError:
+            raise _UsageError(f"{flag}: invalid {convert.__name__} value: "
+                              f"{v!r}") from None
+    return values if kind is _PAIR else values[0]
 
-    return top
+
+def _parse(argv: list[str]) -> _Args:
+    """The command and its flags, as argparse would parse argv.
+
+    Tokens before the command may only be -h/--help; any other flag there
+    is refused at the end, unless a help flag comes first. Every token
+    after the command is classified before any is acted on (an ambiguous
+    prefix is refused first); then each flag takes its values, which must
+    be value tokens, and the last of a repeated flag wins. Everything after
+    a "--" is a stray value. argparse reads --FLAG=-- as an empty list;
+    that alone is refused here."""
+    stray = []
+    for i, tok in enumerate(argv):
+        hit = None if tok == "--" else _classify(tok, _HELP)
+        if hit is None:
+            break
+        if hit[0] is None:
+            stray.append(tok)
+        else:
+            _help(*hit)
+    else:
+        raise _UsageError("no command given; choose from " + ", ".join(_FLAGS))
+    command, rest = argv[i], argv[i + 1:]
+    flags = _FLAGS.get(command)
+    if flags is None:
+        raise _UsageError(f"unknown command {command!r}; choose from "
+                          + ", ".join(_FLAGS))
+    known = _HELP + tuple(flags)
+    cut = rest.index("--") if "--" in rest else len(rest)
+    kinds = ([_classify(tok, known) for tok in rest[:cut + 1]]
+             + [None] * (len(rest) - cut - 1))
+    fields = {"command": command}
+    for flag, kind in flags.items():
+        fields[flag[2:].replace("-", "_")] = (
+            False if kind is _SWITCH else _DEFAULTS.get(flag))
+    seen: set = set()
+    group = _ONE_OF.get(command, ())
+    j = 0
+    while j < len(rest):
+        flag, value = kinds[j] or (None, None)
+        j += 1
+        if flag is None:
+            stray.append(rest[j - 1])
+            continue
+        if flag in _HELP:
+            _help(flag, value)
+        kind = flags[flag]
+        need = 0 if kind is _SWITCH else 2 if kind is _PAIR else 1
+        if value is not None:
+            # "--" is never a value (argparse reads --FLAG=-- as [])
+            if need != 1 or value == "--":
+                raise _UsageError(f"{flag} takes {_VALUES[need]}, got ={value}")
+            raw = [value]
+        else:
+            raw = rest[j:j + need]
+            if len(raw) < need or any(kinds[j:j + need]):
+                raise _UsageError(f"{flag} takes {_VALUES[need]}")
+            j += need
+        fields[flag[2:].replace("-", "_")] = _convert(flag, kind, raw)
+        if flag in group:
+            other = [f for f in group if f != flag and f in seen]
+            if other:
+                raise _UsageError(f"{flag} is not allowed with {other[0]}")
+        seen.add(flag)
+    missing = [flag for flag in _REQUIRED.get(command, ()) if flag not in seen]
+    if missing:
+        raise _UsageError(f"{command} needs {', '.join(missing)}")
+    if command in _ONE_REQUIRED and not seen.intersection(group):
+        raise _UsageError(f"{command} needs one of {', '.join(group)}")
+    if stray:
+        raise _UsageError("unrecognized arguments: " + " ".join(stray))
+    return _Args(fields)
 
 
 def _write(args, text: str) -> None:
@@ -266,12 +379,13 @@ _DISPATCH = {
 def run(argv: list[str]) -> int:
     """Parse argv, execute one subcommand, and map errors to exit codes."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
+    except _Help:
+        sys.stdout.write(__doc__)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
 
     if args.verbose:
         print(f"ballspec {__version__}", file=sys.stderr)

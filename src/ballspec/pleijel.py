@@ -35,9 +35,9 @@ chain that proves it:
      (ninetyfive_bound_lt_1), both in exact rational arithmetic;
  13. final_lt_1     the computed quotient itself is < 1.
 
-Checks whose two sides are rational numbers are decided with exact
-arbitrary-precision arithmetic before being recorded as floats; the float
-views in the certificate are for reporting only.
+Checks whose two sides are rational numbers are decided exactly, on pairs
+of Python ints, before being recorded as floats; the float views in the
+certificate are for reporting only.
 """
 
 from __future__ import annotations
@@ -237,16 +237,36 @@ class Check(namedtuple("Check", "name lhs rhs kind", defaults=(_STRICT,))):
         }
 
 
+# exact rationals as integer pairs (n, d) with d > 0
+
+
+def _add(a, b):
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def _mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def _lowest_terms(a) -> str:
+    """n/d in lowest terms, or n when d is 1."""
+    g = math.gcd(*a)
+    return f"{a[0] // g}" if a[1] == g else f"{a[0] // g}/{a[1] // g}"
+
+
 def _exact_check(name: str, lhs, rhs, kind: str = _STRICT) -> Check:
-    """Decide a Fraction comparison exactly, then record it as floats."""
-    holds = lhs < rhs if kind == _STRICT else lhs == rhs
-    if not holds:
+    """Decide a comparison of two exact rationals (n, d) by
+    cross-multiplication, then record each side as the float n / d (int
+    true division rounds once, to nearest)."""
+    left, right = lhs[0] * rhs[1], rhs[0] * lhs[1]
+    if not (left < right if kind == _STRICT else left == right):
         wanted = "<" if kind == _STRICT else "=="
         raise CertificateFailure(
             f"pleijel monotonicity check '{name}' failed in exact "
-            f"arithmetic: {lhs} {wanted} {rhs} does not hold"
+            f"arithmetic: {_lowest_terms(lhs)} {wanted} "
+            f"{_lowest_terms(rhs)} does not hold"
         )
-    return Check(name, float(lhs), float(rhs), kind)
+    return Check(name, lhs[0] / lhs[1], rhs[0] / rhs[1], kind)
 
 
 class MonotonicityCertificate(namedtuple("MonotonicityCertificate",
@@ -287,7 +307,6 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     Valid for d >= 4 (two of the algebraic links genuinely need it) up to
     d = 239 (the chain reads first zeros for dimensions d-1 .. d+1).
     """
-    from fractions import Fraction
     _check_int("d", d, 4)
     zeros._check_pair(d - 1, f"certificate at d={d}")
 
@@ -324,8 +343,8 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     checks.append(
         _exact_check(
             "interpolation_algebra",
-            Fraction(1, 2) * (1 - Fraction(3, d + 2) + 1),
-            1 - Fraction(3, 2 * (d + 2)),
+            _mul((1, 2), _add(_add((1, 1), (-3, d + 2)), (1, 1))),
+            _add((1, 1), (-3, 2 * (d + 2))),
             _EQUAL,
         )
     )
@@ -370,18 +389,17 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     checks.append(
         _exact_check(
             "interval_bound",
-            Fraction(2 * d + 1, 2) ** 2,
-            Fraction((d - 1) * (d + 3)),
+            _mul((2 * d + 1, 2), (2 * d + 1, 2)),
+            ((d - 1) * (d + 3), 1),
         )
     )
 
     # The remaining rational factor is below 1 + 5/d, exact for d >= 4.
-    poly = (
-        Fraction((d + 1) ** 2, d**2)
-        * Fraction((d - 1) ** 2, d - 2)
-        * Fraction(4 * (d + 2), (2 * d + 1) ** 2)
+    poly = _mul(
+        _mul(((d + 1) ** 2, d**2), ((d - 1) ** 2, d - 2)),
+        (4 * (d + 2), (2 * d + 1) ** 2),
     )
-    checks.append(_exact_check("poly_bound", poly, Fraction(d + 5, d)))
+    checks.append(_exact_check("poly_bound", poly, (d + 5, d)))
 
     if d == 4:
         # Spot value anchoring the decreasing majorant of the difference
@@ -389,8 +407,8 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
         checks.append(
             _exact_check(
                 "poly_spot",
-                Fraction(-4) + Fraction(39, 16) + Fraction(41, 64),
-                Fraction(-59, 64),
+                _add(_add((-4, 1), (39, 16)), (41, 64)),
+                (-59, 64),
                 _EQUAL,
             )
         )
@@ -405,13 +423,13 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
 
     # The closing bound (95/100)(1+5/d) is decreasing, exactly 1 at d = 95
     # and strictly below 1 from d = 96 on.
-    closing = Fraction(95, 100) * (1 + Fraction(5, d))
+    closing = _mul((95, 100), _add((1, 1), (5, d)))
     if d == 95:
         checks.append(
-            _exact_check("final_bound_equality", closing, Fraction(1), _EQUAL)
+            _exact_check("final_bound_equality", closing, (1, 1), _EQUAL)
         )
     elif d >= 96:
-        checks.append(_exact_check("ninetyfive_bound_lt_1", closing, Fraction(1)))
+        checks.append(_exact_check("ninetyfive_bound_lt_1", closing, (1, 1)))
 
     # And the certified conclusion: the computed quotient is below 1.
     checks.append(Check("final_lt_1", ratio, 1.0))

@@ -478,6 +478,22 @@ def test_underflow_raises_loss_of_precision():
         eval_J(Order(240), 0.1)
 
 
+def test_estimate_over_budget_names_the_call(monkeypatch):
+    # a ladder whose error bound fails the contract: the refusal is worded
+    # as it was when every call formatted its tag up front
+    monkeypatch.setattr(bessel, "_eval_miller",
+                        lambda twice_nu, x: (0.5, -0.25, 1e-6, 0.0, 0.0, 1e-6))
+    with pytest.raises(LossOfPrecision) as info:
+        eval_J_pair(Order(3), 1.5)
+    assert str(info.value) == (
+        "J pair(twice_nu=3, x=1.5): estimated error 2.000e-06 over budget")
+    with pytest.raises(LossOfPrecision) as info:
+        eval_J(Order(4), 0.1 + 0.2)
+    assert str(info.value) == (
+        "J(twice_nu=4, x=0.30000000000000004): estimated error 2.000e-06 "
+        "over budget")
+
+
 # (x, the highest twice_nu kept): |J_60(1e-3)| = 1.04e-280 lies in the
 # last binade the floor keeps, [2^-931, 2^-930); |J_31.5(10^-7.5)| =
 # 4.0e-281 in the first one it refuses

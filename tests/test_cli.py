@@ -1,14 +1,20 @@
 """CLI tests: output shapes, schema validation, determinism, exit codes,
-and the fault-injection contract for selfcheck."""
+the fault-injection contract for selfcheck, and the flag parser against
+the argparse parser it replaced."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ballspec import bessel, cli, pleijel, zeros
 from tests.test_golden import GOLDEN
@@ -425,3 +431,274 @@ def test_index_past_every_cell_is_usage_error(capsys, argv, names):
     assert err.startswith("usage error: "), err
     assert "beyond the supported box" in err, err
     assert all(name in err for name in names), err
+
+
+# ---------------------------------------------------------------------------
+# the flag parser against the argparse parser it replaced, kept here as the
+# oracle of which command lines are accepted and what they set
+
+
+class _OracleRefusal(Exception):
+    pass
+
+
+class _Oracle(argparse.ArgumentParser):
+    def error(self, message):  # noqa: D102 - argparse hook
+        raise _OracleRefusal(message)
+
+
+def _common_flags(parser: _Oracle) -> None:
+    parser.add_argument("--output", default=None, metavar="PATH")
+    parser.add_argument("--verbose", action="store_true")
+
+
+def _table_flags(parser: _Oracle) -> None:
+    parser.add_argument("--format", choices=["json", "csv"], default="json")
+    _common_flags(parser)
+
+
+def _build_parser() -> _Oracle:
+    top = _Oracle(prog="ballspec")
+    sub = top.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    p = sub.add_parser("spectrum")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--bc", choices=["dirichlet", "neumann"], required=True)
+    p.add_argument("--lambda-max", dest="lambda_max", type=float, required=True)
+    _table_flags(p)
+
+    p = sub.add_parser("zeros")
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--bc", choices=["dirichlet", "neumann"], required=True)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--m", type=int, default=None)
+    group.add_argument("--count", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
+    _table_flags(p)
+
+    p = sub.add_parser("courant")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--bc", choices=["dirichlet", "neumann"], required=True)
+    p.add_argument("--lmax", type=int, default=8)
+    p.add_argument("--mmax", type=int, default=4)
+    _table_flags(p)
+
+    p = sub.add_parser("pleijel")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--gamma", type=int, default=None)
+    group.add_argument("--table", type=int, nargs=2, default=None)
+    group.add_argument("--curve", type=int, nargs=2, default=None)
+    _table_flags(p)
+
+    p = sub.add_parser("certify")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--through", type=int, default=None)
+    _table_flags(p)
+
+    p = sub.add_parser("selfcheck")
+    p.add_argument("--fast", action="store_true")
+    _common_flags(p)
+
+    return top
+
+
+ORACLE = _build_parser()
+
+
+def _fields(namespace) -> dict:
+    # repr tells nan, -0.0, 1 and 1.0, True and 1 apart
+    return {k: repr(v) for k, v in vars(namespace).items()}
+
+
+def oracle_parse(argv: list[str]):
+    """("ok", fields), ("help", None) or ("refused", None) from argparse."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            namespace = ORACLE.parse_args(argv)
+    except _OracleRefusal:
+        return "refused", None
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help", None
+    return "ok", _fields(namespace)
+
+
+def new_parse(argv: list[str]):
+    """The same from cli._parse."""
+    try:
+        args = cli._parse(argv)
+    except cli._Help:
+        return "help", None
+    except cli._UsageError:
+        return "refused", None
+    return "ok", _fields(args)
+
+
+def assert_parses_as_oracle(argv: list[str]) -> None:
+    want = oracle_parse(argv)
+    assert new_parse(argv) == want, argv
+    if want[0] == "ok":
+        return
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    if want[0] == "help":
+        assert (code, out.getvalue(), err.getvalue()) == (0, cli.__doc__, "")
+    else:
+        assert code == 1 and out.getvalue() == "", argv
+        assert err.getvalue().startswith("usage error: "), (argv, err.getvalue())
+
+
+# the flags of every subcommand, two that none has, and sample values per
+# flag (each list holds a value its flag refuses)
+SAMPLES = {
+    "--d": ["2", "3", "-1", "1.5"],
+    "--bc": ["dirichlet", "neumann", "robin"],
+    "--lambda-max": ["18", "-0.0", "-.5", "-1e5", "nan", "-7"],
+    "--l": ["0", "1", "-2", "x"],
+    "--m": ["1", "2", "-3", ""],
+    "--count": ["2", "-3", "1e3"],
+    "--tol": ["1e-6", "-.5", "-1.", "inf"],
+    "--format": ["json", "csv", "xml"],
+    "--output": ["out.json", "-", "-5", "", "-x y"],
+    "--verbose": ["1"],
+    "--lmax": ["2", "-1", "+3"],
+    "--mmax": ["1", " 4 ", "4.0"],
+    "--gamma": ["4", "-9", "x"],
+    "--table": ["2", "6", "-3", "y"],
+    "--curve": ["2", "5", "-\u0663", "z"],
+    "--through": ["6", "-7", "6_0"],
+    "--fast": ["yes"],
+    "--help": ["x"],
+    "--bogus": ["1"],
+    "-d": ["2"],
+}
+ARITY = {"--verbose": 0, "--fast": 0, "--help": 0, "--table": 2, "--curve": 2}
+# tokens that may stand anywhere: help, separators, unknown flags, values
+# a flag may not take, and negative numbers it may
+ANYWHERE = ["-h", "--he", "-hh", "-hx", "-h=h", "-h=", "--help=1", "--", "-",
+            "-x", "--bogus=1", "--=1", "-1e5", "-5", "-.25", "-5\n", "5 6",
+            "--d 2", ""]
+COMMANDS = ["spectrum", "zeros", "courant", "pleijel", "certify", "selfcheck"]
+TABLE_FLAGS = ["--format", "--output", "--verbose"]
+# each subcommand's required flags with accepted values, and its other flags
+REQUIRED = {
+    "spectrum": [["--d", "2"], ["--bc", "neumann"], ["--lambda-max", "18"]],
+    "zeros": [["--l", "1"], ["--d", "3"], ["--bc", "dirichlet"]],
+    "courant": [["--d", "2"], ["--bc", "dirichlet"]],
+    "pleijel": [["--gamma", "4"]],
+    "certify": [["--d", "5"]],
+    "selfcheck": [],
+}
+OPTIONAL = {
+    "spectrum": TABLE_FLAGS,
+    "zeros": ["--m", "--count", "--tol", *TABLE_FLAGS],
+    "courant": ["--lmax", "--mmax", *TABLE_FLAGS],
+    "pleijel": ["--table", "--curve", *TABLE_FLAGS],
+    "certify": ["--through", *TABLE_FLAGS],
+    "selfcheck": ["--fast", "--output", "--verbose"],
+}
+
+
+@st.composite
+def flag_groups(draw, command):
+    """A flag, mostly one of the command's, as itself or a prefix of it
+    (unique or not), with values after it (mostly as many as it takes) or
+    after an "=". Each value is mostly one of the flag's samples."""
+    own = [g[0] for g in REQUIRED.get(command, [])] + OPTIONAL.get(command, [])
+    flag = draw(st.sampled_from(own * 3 + sorted(SAMPLES)))
+    spelling = flag[:draw(st.integers(min(3, len(flag)), len(flag)))]
+
+    def value():
+        if draw(st.integers(0, 5)):
+            return draw(st.sampled_from(SAMPLES[flag]))
+        return draw(st.sampled_from(ANYWHERE))
+
+    if draw(st.integers(0, 4)) == 0:
+        explicit = value()
+        assume(explicit != "--")  # argparse reads --FLAG=-- as [] (below)
+        return [f"{spelling}={explicit}"]
+    count = draw(st.sampled_from([ARITY.get(flag, 1)] * 6 + [0, 1, 2, 3]))
+    return [spelling, *(value() for _ in range(count))]
+
+
+@st.composite
+def command_lines(draw):
+    """Tokens before a command, the command (or none, or an unknown one),
+    its required flags, each mostly kept, and more groups, in any order."""
+    before = [draw(st.sampled_from(ANYWHERE[:12]))] * (
+        draw(st.integers(0, 5)) == 0)
+    command = draw(st.sampled_from(COMMANDS * 4 + ["bogus", None]))
+    groups = [g for g in REQUIRED.get(command, [])
+              if draw(st.integers(0, 5))]
+    groups += draw(st.lists(flag_groups(command), max_size=4))
+    if draw(st.integers(0, 5)) == 0:
+        groups.append([draw(st.sampled_from(ANYWHERE))])
+    groups = draw(st.permutations(groups))
+    return before + [command] * (command is not None) + [
+        tok for group in groups for tok in group]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_parser_accepts_what_argparse_accepts(argv):
+    assert_parses_as_oracle(argv)
+
+
+def test_flag_equals_separator_is_refused():
+    # the one command line family where the parser leaves argparse on
+    # purpose: argparse strips "--" from a flag's values, so --FLAG=--
+    # sets FLAG to an empty list, unconverted; the CLI refuses it, as it
+    # refuses "--" as a value everywhere else
+    argv = "zeros --l 1 --d 2 --bc dirichlet --m=--".split()
+    assert oracle_parse(argv)[1]["m"] == "[]"
+    assert new_parse(argv) == ("refused", None)
+    assert new_parse(["selfcheck", "--output=--"]) == ("refused", None)
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --d 2 --bc neumann --lambda-max 18",
+    "spectrum --d=2 --b neumann --lambda -.5 --lambda-max=-1e5 --f csv --verb",
+    "spectrum --d 2 --bc neumann --lambda-max -1e5",
+    "spectrum --d 2 --bc neumann --lambda-max 18 --d 3 --d x",
+    "zeros --l 1 --d 2 --bc dirichlet --m 1 --m 2 --tol 1e-6",
+    "zeros --l 1 --d 2 --bc dirichlet --m 1 --count 2",
+    "zeros --l 1 --d 2 --bc dirichlet --c 2 --help",
+    "courant --d 2 --bc dirichlet --l 3 --mm=2 --output -5",
+    "pleijel --table 2 -3 --format=csv",
+    "pleijel --table=2 3",
+    "pleijel --curve 2",
+    "pleijel --gamma 4 --table 2 3",
+    "pleijel --format json",
+    "certify --d 4 --through 6 --verbose=1",
+    "certify --d 4 --",
+    "certify --d 4 -- --help",
+    "certify --d --through 5",
+    "selfcheck --f --output=",
+    "selfcheck --=x",
+    "selfcheck -hh",
+    "selfcheck -h=",
+    "--bogus selfcheck --help",
+    "--bogus selfcheck",
+    "-- selfcheck",
+    "-- --help",
+    "--he bogus",
+    "bogus --help",
+    "",
+    # an ambiguous prefix is refused before any flag acts, --help too
+    "selfcheck -h --=1",
+    # a value may start with "-" if it is a negative number (where "$"
+    # also matches before a final newline) or holds a space
+    ["zeros", "--l", "-5\n", "--d", "2", "--bc", "neumann"],
+    ["zeros", "--l", "-5\n\n", "--d", "2", "--bc", "neumann"],
+    ["selfcheck", "--output", "-x y"],
+    ["selfcheck", "--output", "-x\ty"],
+])
+def test_parser_edge_cases_match_argparse(argv):
+    assert_parses_as_oracle(argv.split() if isinstance(argv, str) else argv)
+
+
+def test_subcommand_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--help")
+    assert (code, out, err) == (0, cli.__doc__, "")

@@ -5,7 +5,7 @@ compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
 And every high-precision value comes through ``bessel.eval_J_pair``, and
 every float ladder through one reader, ``zeros._float_target``. And a
 CLI job imports only the modules its subcommand runs, and never
-``dataclasses``. And the kernel keeps one high-precision ladder, the
+``dataclasses``, an argument parser, ``json`` or ``fractions``. And the kernel keeps one high-precision ladder, the
 integer ``_eval_miller``, with no double-double primitive left."""
 
 from __future__ import annotations
@@ -190,11 +190,10 @@ def test_no_module_imports_dataclasses():
 
 
 def test_cli_module_level_imports():
-    # argparse, sys, the serializers and the errors; compute modules are
-    # imported inside the _run_* of their subcommand
+    # sys, the serializers and the errors; compute modules are imported
+    # inside the _run_* of their subcommand
     allowed = {
         "__future__": {"annotations"},
-        "argparse": None,
         "sys": None,
         "ballspec": {"__version__"},
         "ballspec._format": {"csv_text", "dumps", "format_float"},
@@ -238,10 +237,12 @@ IMPORT_SETS = [
     ("courant --d 3 --bc dirichlet --lmax 2 --mmax 1",
      {"bessel", "zeros", "spectrum", "courant", "pleijel"}),
     ("pleijel --gamma 9", {"bessel", "zeros", "pleijel"}),
-    ("certify --d 11 --format csv",
-     {"bessel", "zeros", "pleijel", "fractions"}),
-    ("selfcheck --fast", COMPUTE | {"fractions"}),
+    ("certify --d 11 --format csv", {"bessel", "zeros", "pleijel"}),
+    ("selfcheck --fast", COMPUTE),
 ]
+# standard-library modules no job loads: the flag parser, the string
+# escaper and the exact checks are the program's own
+NEVER = {"argparse", "json", "gettext", "locale", "fractions"}
 
 
 @pytest.mark.parametrize("argv, want", IMPORT_SETS)
@@ -253,4 +254,5 @@ def test_cli_job_imports_only_its_subcommand(argv, want):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "dataclasses" not in loaded
-    assert loaded & (COMPUTE | {"fractions"}) == want
+    assert loaded & COMPUTE == want
+    assert loaded & NEVER == set()

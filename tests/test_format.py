@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballspec._format import csv_text, dumps, format_float
+from ballspec._format import _encode_str, csv_text, dumps, format_float
 
 
 def test_csv_cells():
@@ -145,3 +145,10 @@ def test_dumps_nests_past_the_indent_table():
         payload = {"k": [payload]}
     assert dumps(payload) == reference_dumps(payload)
     assert json.loads(dumps(payload)) == json.loads(reference_dumps(payload))
+
+
+def test_encode_str_matches_json_on_every_code_point():
+    # in runs of 4096, surrogates and the characters past the BMP included
+    for start in range(0, 0x110000, 0x1000):
+        run = "".join(map(chr, range(start, start + 0x1000)))
+        assert _encode_str(run) == json.encoder.encode_basestring_ascii(run)

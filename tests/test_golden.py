@@ -17,9 +17,10 @@ read as the zero finder reads it (``float_pair``: the pair (n, n + 1) of a
 ladder sized for order n, and its ``_pair_bound``), and of the float
 ladder read in full (``float_ladder``: every order it keeps, divided by
 its scale, and its error unit) at both parities on the same x values. The
-two float pins keep the digests they had when the kernel itself had these
-two readers (``_pair_float`` and ``_ladder_float``, whose names the test
-IDs keep). The grid
+two float pins were taken with the ladder's two-term half-integer
+normalizer and its sums over the kept orders (the test IDs keep the names
+``_pair_float`` and ``_ladder_float`` of two readers the kernel once had).
+The grid
 covers integer and half-integer orders, small x at high order (where the
 float ladder rescales) and x up to 200, plus three points where the last
 bit of the error bound rests on how the integer normalizer's cancellation
@@ -124,7 +125,7 @@ KERNEL_GOLDEN = [
     ("_eval_miller", lambda tn, x: bessel._eval_miller(tn, x)[:3],
      "06ab9fd881556da5ca56c44b16f710ee66bda377ff85eb04e92e4b9aa536d84f"),
     ("_pair_float", float_pair,
-     "e460abe9786fd1a547e599b3539ae06ec5104fc858ec44c0f1f5705798aca025"),
+     "5b5845f5e84345c9bac26f099e630d09e01e7132c0d4b3c2bbae710080dc3511"),
 ]
 
 
@@ -140,7 +141,7 @@ def test_miller_ladder_bits(name, ladder, want_sha):
 LADDER_POINTS = [(parity, x, top) for parity in (0, 1) for x in KERNEL_XS
                  for top in (0, 40, 119)]
 LADDER_GOLDEN = (
-    "be318e832d51721263b4fcd08ca65954e742b23ae93166c1b339a7a6d3a77456")
+    "ee6a052a503efc8c9325226e97e14679095ec5de7174c2d76d73b2dfd519ff72")
 
 
 def test_ladder_float_bits():

@@ -217,6 +217,24 @@ class TestCheck:
         with pytest.raises(CertificateFailure, match="non-finite"):
             pleijel.Check("c", 10**400, math.inf)
 
+    @pytest.mark.parametrize("lhs,rhs,kind,text", [
+        ((6, 4), (9, 12), "strict_less", "3/2 < 3/4"),
+        ((-118, 128), (-59, 32), "equal", "-59/64 == -59/32"),
+        ((20, 20), (0, 7), "strict_less", "1 < 0"),
+    ])
+    def test_exact_failure_prints_lowest_terms(self, lhs, rhs, kind, text):
+        # the integer-pair sides print as their Fraction would
+        with pytest.raises(CertificateFailure) as info:
+            pleijel._exact_check("demo", lhs, rhs, kind)
+        assert str(info.value) == (
+            f"pleijel monotonicity check 'demo' failed in exact arithmetic: "
+            f"{text} does not hold")
+
+    def test_exact_check_records_the_nearest_floats(self):
+        # 1/3 and 2/3 are no floats: each side is n / d, rounded once
+        c = pleijel._exact_check("demo", (10**30, 3 * 10**30), (2, 3))
+        assert (c.lhs, c.rhs) == (1 / 3, 2 / 3)
+
 
 CORE_CHECKS = {
     "gamma_ratio_bound", "gamma_eq", "control", "asb",
