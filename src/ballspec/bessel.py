@@ -22,38 +22,25 @@ cancellation-free identity J_{1/2}^2 + J_{-1/2}^2 = 2/(pi x) (DLMF 10.16.1),
 with J_{-1/2} one ladder step past J_{1/2}. Its square root is the scale,
 and the scale is positive: the ladder starts at y = 1 past x, and
 J_nu > 0 on (0, j_{nu,1}) with j_{nu,1} > nu (DLMF 10.21(i)).
-_eval_miller runs the ladder in fixed point on Python ints, from x = p/q
-taken exactly: its only roundings are 1/x to fixed point, one floor a step
-and the normalizer's integer square root, and each value is the float
-nearest the ladder's quotient plus the float nearest the remainder.
 
 The lower edge X_MIN keeps the route honest: the error model's absolute
 term 1e-24 * sqrt(2/(pi x)) alone exceeds the 1e-15 floor below about
-6e-19, and far below it the float ladder overflows. Inside the box a value
-|J| < 2^-931 cannot carry 12 digits; eval_J and eval_J_pair refuse it with
-LossOfPrecision, for either order of a pair.
+6e-19. Inside the box a value |J| < 2^-931 cannot carry 12 digits; eval_J
+and eval_J_pair refuse it with LossOfPrecision, for either order of a pair.
 
-Every shipped value comes from the integer ladder. A sign, or a Newton
-iterate of the zero finder, may come from the float ladder _miller_float:
-_eval_miller's ladder in plain floats, with one shape (start index, loop,
-normalizations) and one a priori error model, _pair_bound,
-max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * (n_steps * cancel * u + 1e-24)
-with u = 2^-100 for the integer ladder and 8 * 2^-53 in floats. Callers
-trust a float sign only where the value clears its bound, and take no digit
-from it. An eval_J_pair result also carries the low part of its value and
-a bound on value + low part (EvalResult.lo, dd_err), for the zero finder's
-half-ulp certificate: below the turning point, x <= nu, that bound leaves
-the envelope term out and is relative to the pair alone, a model that
-ROADMAP item 4 has to prove.
-
-The float ladder is one loop that keeps every y_k, and a ladder sized for
-order n yields J_k(x) for every order k of one parity up to
-max(n, int(x)) + 1 (DLMF 3.6(vi)), because _miller_start sizes it by
-max(order, x). It has one reader, in the zero finder (zeros._float_target):
-a ladder sized for the order at a Newton iterate or an edge probe, and one
-shared ladder per census grid point that every degree of that parity reads.
-tests/test_golden.py pins both ladders bit for bit across the box, and
-_eval_miller also on a small-x, low-order grid.
+_ladder is the one ladder, in fixed point on Python ints. It keeps every
+y_k, so a ladder sized for order n yields J_k(x) for every order k of one
+parity up to max(n, int(x)) + 1 (DLMF 3.6(vi)). _eval_miller reads it at
+one order for eval_J and eval_J_pair: the float nearest the quotient plus
+the float nearest the remainder (EvalResult.lo). The zero finder reads it
+for its signs, its Newton start and its Taylor seeds: one shared ladder
+per census grid point and parity, and a fresh one at the edge probe of
+radial_zeros. _bound is
+the one error model of a pair, dd_err's and the signs':
+max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit (_pair_bound), unit about
+n_steps * cancel * 2^-100 + 1e-24, relative to the pair alone below the
+turning point, x <= nu, a model that ROADMAP item 4 has to prove.
+tests/test_golden.py pins _eval_miller bit for bit across the box.
 """
 
 from __future__ import annotations
@@ -71,9 +58,6 @@ TWICE_NU_MAX = 240
 _REL_CONTRACT = 1e-12
 _NEAR_ZERO_FLOOR = 1e-3  # max(|v|, floor) turns the absolute clause into a ratio
 _UNDERFLOW_EXP = -930  # frexp exponent below this: |J| < 2^-931, refused
-
-_RESCALE_HI = 2.0**250
-_RESCALE_MUL = 2.0**-256
 
 _P = 120  # fraction bits of the integer ladder's fixed point
 # pi for the half-integer normalizer: floor(pi * 2^_PI_BITS)
@@ -152,8 +136,16 @@ def _miller_start(n_target: int, x: float) -> int:
 
 
 def _pair_bound(a: float, b: float, x: float, unit: float) -> float:
-    """A Miller ladder's a priori bound on its pair (a, b) = (J_n, J_{n+1})."""
+    """The ladder's a priori bound on its pair (a, b) = (J_n, J_{n+1})."""
     return max(abs(a), abs(b), math.sqrt(2.0 / (math.pi * x))) * unit
+
+
+def _bound(a: float, b: float, x: float, twice_nu: int, unit: float) -> float:
+    """_pair_bound with the turning-point model: below the turning point,
+    2x <= twice_nu, the bound is relative to the pair alone."""
+    if 2.0 * x > twice_nu:
+        return _pair_bound(a, b, x, unit)
+    return max(abs(a), abs(b)) * unit
 
 
 def _nearest(num: int, den: int):
@@ -164,26 +156,24 @@ def _nearest(num: int, den: int):
     return hi, (num * b - a * den) / (den * b)
 
 
-def _eval_miller(twice_nu: int, x: float):
-    """(J_nu, J_{nu+1}, abs_err, lo_nu, lo_nu1, dd_err) by backward
-    recurrence in exact integers: J + lo is each order's value, within
-    dd_err, which is abs_err but for the turning-point model.
+def _ladder(parity: int, x: float, n: int):
+    """(ys, num, den, unit): the Miller ladder sized for order
+    n + parity/2, every y_k kept. Read it as J_{k + parity/2}(x) =
+    ys[k] num / den for k <= max(n, int(x)) + 1, a pair (a, b) of such
+    orders within _bound(a, b, x, 2k + parity, unit).
 
-    The ladder of _miller_float, step for step, in fixed point with _P
-    fraction bits: x = p / q exactly, ix = floor(2^_P q / p), and from
-    y_top = 2^_P the step is y_k = floor(c y_{k+1} / 2^_P) - y_{k+2} with
-    c = (2k + 2 + parity) ix. Its only roundings are ix's, at most
-    x 2^-_P relative, and one floor a step, below one unit of a ladder
-    whose envelope never falls under 2^_P; no rescale is needed. The
-    normalizers are exact integers:
-    S = y_0 + 2 sum_{k even >= 2} y_k, or B = y_0^2 + y_{-1}^2 from one
-    step past the ladder's end, with J = y sqrt(2 / (pi x B)) through
-    math.isqrt and the _PI literal, to about 2^-(2 _P) relative. So the
-    error unit below, 2^-100 a step, is a model with room to spare, which
-    ROADMAP item 4 has to prove.
-    """
-    n_target, parity = divmod(twice_nu, 2)
-    n_top = _miller_start(n_target + 1, x)
+    Fixed point with _P fraction bits: x = p / q exactly,
+    ix = floor(2^_P q / p), and from y_top = 2^_P the step is
+    y_k = floor(c y_{k+1} / 2^_P) - y_{k+2} with c = (2k + 2 + parity) ix.
+    Its only roundings are ix's, at most x 2^-_P relative, and one floor a
+    step, below one unit of a ladder whose envelope never falls under
+    2^_P. The normalizers are exact integers: num / den = 1 / S with
+    S = y_0 + 2 sum_{k even >= 2} y_k, or sqrt(2 / (pi x B)) with
+    B = y_0^2 + y_{-1}^2 from one step past the ladder's end, as r / 2^w
+    through math.isqrt and the _PI literal, to about 2^-(2 _P) relative.
+    So the unit, 2^-100 a step, is a model with room to spare, which
+    ROADMAP item 4 has to prove."""
+    n_top = _miller_start(n + 1, x)
     p, q = x.as_integer_ratio()
     ix = (q << _P) // p
     ys = [0] * (n_top + 1)  # ys[k] = y_k
@@ -195,63 +185,33 @@ def _eval_miller(twice_nu: int, x: float):
         y, y_next = ((c * y) >> _P) - y_next, y
         c -= dc
         ys[k] = y
-    y0, y1 = ys[n_target], ys[n_target + 1]
     if parity:  # y_k = s J_k, s > 0: the ladder starts past x, where J > 0
         # one step more: y_{-1} = ((c y_0) >> _P) - y_1, where c is now ix,
         # as the factor 2k + 2 + parity is 1 at k = -1
         t = p * _PI * (y * y + (((c * y) >> _P) - y_next) ** 2)
         # r = 2^w sqrt(2 / (pi x B)) to about 2 _P bits
         w = (4 * _P + t.bit_length() - q.bit_length() - _PI_BITS) // 2
-        r = math.isqrt((q << (_PI_BITS + 2 * w + 1)) // t)
-        y0, y1, s, cancel = y0 * r, y1 * r, 1 << w, 1.0
-    else:  # S = y_0 + 2 sum_{k even >= 2} y_k
-        even = ys[::2]
-        s = 2 * sum(even) - ys[0]
-        cancel = (2 * sum(map(abs, even)) - abs(ys[0])) / abs(s)
-    (j0, lo0), (j1, lo1) = _nearest(y0, s), _nearest(y1, s)
-    # a priori model: noise grows with ladder length and any cancellation
-    # in the normalizer; truncation of the start index adds ~e^-60 relative
-    unit = (n_top + 1) * cancel * 2.0**-100 + 1e-24
-    err = _pair_bound(j0, j1, x, unit)
-    # below the turning point, the turning-point model: relative to the pair
-    dd_err = max(abs(j0), abs(j1)) * unit if 2.0 * x <= twice_nu else err
-    return j0, j1, err, lo0, lo1, dd_err
-
-
-def _miller_float(parity: int, x: float, n: int):
-    """(ys, c, unit): the _eval_miller ladder for twice_nu = 2 n + parity
-    in plain floats, every y_k kept. Read it as
-
-        J_{k + parity/2}(x) = ys[k] / c  for k <= max(n, int(x)) + 1,
-
-    and the pair (a, b) = (ys[k] / c, ys[k + 1] / c) of such k lies within
-    _pair_bound(a, b, x, unit). The unit is _eval_miller's with the float
-    unit roundoff times 8 (the worst error on 10,000 random box points was
-    0.6 of it unscaled). Callers divide only the orders they read. For
-    sign decisions only; never raises inside the box."""
-    rescale_hi, rescale_mul = _RESCALE_HI, _RESCALE_MUL
-    n_top = _miller_start(n + 1, x)
-    ys = [0.0] * n_top + [1.0]  # ys[n_top] = y_top
-    inv_x = 1.0 / x
-    y_next, y_cur = 0.0, 1.0  # y_{k+1}, y_k
-    f = float(2 * n_top + parity)  # 2k + 2 + parity, exact as it counts down
-    for k in range(n_top - 1, -1, -1):
-        y_next, y_cur = y_cur, f * inv_x * y_cur - y_next
-        ys[k] = y_cur
-        f -= 2.0
-        if abs(y_cur) > rescale_hi:
-            s = rescale_mul
-            y_cur, y_next = y_cur * s, y_next * s
-            ys[k:] = [y * s for y in ys[k:]]
-    if parity:  # y_k = c J_k, c > 0: the ladder starts past x, where J > 0
-        y_m1 = inv_x * y_cur - y_next  # the factor is 1 at k = -1
-        c = math.sqrt(0.5 * math.pi * x * (y_cur * y_cur + y_m1 * y_m1))
+        num, den = math.isqrt((q << (_PI_BITS + 2 * w + 1)) // t), 1 << w
         cancel = 1.0
     else:  # S = y_0 + 2 sum_{k even >= 2} y_k
         even = ys[::2]
-        c = 2.0 * sum(even) - y_cur
-        cancel = (2.0 * sum(map(abs, even)) - abs(y_cur)) / abs(c)
-    return ys, c, (n_top + 1) * cancel * 2.0**-50 + 1e-24
+        num, den = 1, 2 * sum(even) - ys[0]
+        cancel = (2 * sum(map(abs, even)) - abs(ys[0])) / abs(den)
+    # a priori model: noise grows with ladder length and any cancellation
+    # in the normalizer; truncation of the start index adds ~e^-60 relative
+    return ys, num, den, (n_top + 1) * cancel * 2.0**-100 + 1e-24
+
+
+def _eval_miller(twice_nu: int, x: float):
+    """(J_nu, J_{nu+1}, abs_err, lo_nu, lo_nu1, dd_err) from the _ladder
+    sized for the order: J + lo is each order's value, within dd_err,
+    which is abs_err but for the turning-point model (_bound)."""
+    n, parity = divmod(twice_nu, 2)
+    ys, num, den, unit = _ladder(parity, x, n)
+    j0, lo0 = _nearest(ys[n] * num, den)
+    j1, lo1 = _nearest(ys[n + 1] * num, den)
+    return (j0, j1, _pair_bound(j0, j1, x, unit), lo0, lo1,
+            _bound(j0, j1, x, twice_nu, unit))
 
 
 # ---------------------------------------------------------------------------

@@ -55,25 +55,21 @@ through Bessel's ODE. So a zero depends on the zero alone, not on the
 Newton path, on tol or on any derivative formula; it meets every accepted
 tol, which stays a checked argument.
 
-One float reader serves every float value: _float_target reads the pair
-(J_nu, J_{nu+1}) from a ladder of bessel._miller_float, which yields J_k
-at every order k of one parity, and bounds it by bessel._pair_bound. The
-grid signs read one shared ladder per (parity, grid point), which every
-degree of either target reads (_LADDERS). The first ladder at a point is
-sized for the order that asks first, which costs what that order's own
-ladder would; an order above it rebuilds the ladder once for the whole
-box. So the scan costs one ladder per grid point, not one per degree and
-cell, and the tail of a scan past a cutoff mostly reads ladders that other
-degrees built. Newton iterates and the edge probe of radial_zeros read a
-fresh ladder sized for the order. One sign rule (_sign_target) takes the
-float sign where its bound, propagated through the target, cannot flip
-it, else the kernel's high-precision pair decides. So the brackets are
-those of a census run wholly in high precision on the same grid. Newton
-starts at the root of the quintic that matches (f, f', f'') at both grid
-ends of the cell, read from the shared ladders the census already built
-(_start), typically within 1e-4 of the zero; its iterates run on the float
-ladder while it certifies the sign, and high precision (_target;
-_certificate) takes the last step: about two fresh float ladders and one
+One ladder serves every value: _grid_pair reads the pair
+(J_nu, J_{nu+1}) and its bound from a bessel._ladder, which yields J_k at
+every order k of one parity. The grid signs read one shared ladder per
+(parity, grid point), which every degree of either target reads
+(_LADDERS): sized for the order that asks first, and rebuilt once for the
+whole box when an order above it asks. So the scan costs one ladder per
+grid point, not one per degree and cell. The edge probe of radial_zeros
+reads a fresh ladder sized for the order. One sign rule (_sign) takes the
+ladder's sign where its bound, propagated through the target, cannot flip
+it, else 0.0, which the widen rule takes. Newton starts at the root of the
+quintic that matches (f, f', f'') at both grid ends of the cell, read from
+the shared ladders (_start), typically within 1e-4 of the zero; its
+iterates run on the Taylor series of J_nu about the nearer grid end
+(_taylor) while it certifies the sign, and high precision (_target;
+_certificate) takes the last step: about two series evaluations and one
 eval_J_pair call a zero.
 """
 
@@ -89,9 +85,10 @@ from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
 DEFAULT_TOL = 1e-13
-_HANDOVER = 2.0**-26  # a twin step below this times x ends the float phase
+_HANDOVER = 2.0**-26  # a step below this times x ends the float phase
 _RADIUS = 2.0**-20  # _certificate's points lie within this times x
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
+_TERMS = 60  # a Taylor series that needs more terms hands over
 
 
 class RootKind(Enum):
@@ -200,61 +197,55 @@ def _certificate(tag: str, l: int, nu: float, x: float, a, b, pts: list):
     return f, err, s, e, nearest
 
 
-# shared float ladders of the census grid: (parity, x) -> (top, ys, c, unit),
-# bessel._miller_float's ladder sized for order top; top = _LADDER_TOP covers
-# the box
+# shared ladders of the census grid: (parity, x) -> (top, ys, num, den,
+# unit), bessel._ladder sized for order top; top = _LADDER_TOP covers the box
 _LADDERS: dict = {}
 _LADDER_TOP = TWICE_NU_MAX // 2 - 1
 
 
-def _float_target(tag: str, l: int, twice_nu: int, shared: bool = False):
-    """f_df_err of the target from the float ladder bessel._miller_float:
-    (f, df, err, d2f), err bounding the error of f, and d2f the second
-    derivative through Bessel's equation (_curvature), for Newton's start.
-
-    The pair is (a, b) = (ys[n] / c, ys[n + 1] / c) within
-    bessel._pair_bound; for g, err grows by the rounding of its three
-    operations. With shared, x is a census grid point and the ladder is
-    the shared one of the order's parity at x (_LADDERS): the first is
-    sized for the asking order, and an order above its reach rebuilds it
-    once for the whole box. Else the ladder is a fresh one sized for the
-    order, and x is validated as eval_J_pair does."""
+def _grid_pair(twice_nu: int, x: float, shared: bool = True):
+    """(a, b, err): the floats nearest J_nu(x) and J_{nu+1}(x) of a
+    bessel._ladder, whose quotients lie within err (bessel._bound). With
+    shared, x is a census grid point and the ladder the shared one there
+    (_LADDERS): sized for the asking order, and rebuilt once for the box
+    when an order above its reach asks. Else it is a fresh one sized for
+    the order, with x validated as eval_J_pair does."""
     n, parity = divmod(twice_nu, 2)
+    if shared:
+        ladder = _LADDERS.get((parity, x))
+        if ladder is None or max(ladder[0], int(x)) < n:
+            top = n if ladder is None else max(n, _LADDER_TOP)
+            ladder = _LADDERS[parity, x] = (
+                top, *bessel._ladder(parity, x, top))
+        _, ys, num, den, unit = ladder
+    else:
+        x = bessel._validate_pair(Order(twice_nu), x)
+        ys, num, den, unit = bessel._ladder(parity, x, n)
+    a, b = ys[n] * num / den, ys[n + 1] * num / den  # one rounding each
+    return a, b, bessel._bound(a, b, x, twice_nu, unit)
+
+
+def _target_err(tag: str, l: int, nu: float, x: float, a: float,
+                b: float, err: float):
+    """(f, df, err) of the target from the pair a, b, each within err; for
+    g, err grows by the rounding of its three operations."""
+    f, df = _combine(tag, l, nu, x, a, b)
+    if tag == "G":
+        q = l / x
+        err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
+    return f, df, err
+
+
+def _sign(tag: str, l: int, twice_nu: int, shared: bool = True):
+    """f of the target for sign decisions: the ladder's value where it
+    clears its bound, else 0.0, for _grid_cells' widen rule (shared as for
+    _grid_pair)."""
     nu = 0.5 * twice_nu
-    order = Order(twice_nu)
-
-    def f_df_err(x: float):
-        if shared:
-            ladder = _LADDERS.get((parity, x))
-            if ladder is None or max(ladder[0], int(x)) < n:
-                top = n if ladder is None else max(n, _LADDER_TOP)
-                ladder = _LADDERS[parity, x] = (
-                    top, *bessel._miller_float(parity, x, top))
-            _, ys, c, unit = ladder
-        else:
-            x = bessel._validate_pair(order, x)
-            ys, c, unit = bessel._miller_float(parity, x, n)
-        a, b = ys[n] / c, ys[n + 1] / c
-        f, df = _combine(tag, l, nu, x, a, b)
-        err = bessel._pair_bound(a, b, x, unit)
-        if tag == "G":
-            q = l / x
-            err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
-        return f, df, err, _curvature(tag, l, nu, x, a, b)
-
-    return f_df_err
-
-
-def _sign_target(tag: str, l: int, twice_nu: int, shared: bool = False):
-    """f of the target for sign decisions: the float value where |f|
-    exceeds its error, else the high-precision value (the same sign either
-    way). shared as for _float_target."""
-    f_df_err = _float_target(tag, l, twice_nu, shared)
-    f_df = _target(tag, l, twice_nu)
 
     def f(x: float) -> float:
-        v, _, err, _ = f_df_err(x)
-        return v if abs(v) > err else f_df(x)[0]
+        v, _, err = _target_err(tag, l, nu, x,
+                                *_grid_pair(twice_nu, x, shared))
+        return v if abs(v) > err else 0.0
 
     return f
 
@@ -364,16 +355,63 @@ def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float) -> float:
     shared ladders the census built there. The first cell begins at the
     scan start, which is no grid point; there it is the Newton step from
     hi. The midpoint where that start would leave the cell."""
-    jets = _float_target(tag, l, twice_nu, True)  # the shared ladders
-    f1, d1, _, c1 = jets(hi)
+    nu = 0.5 * twice_nu
+
+    def jets(x: float):
+        a, b, _ = _grid_pair(twice_nu, x)
+        return (*_combine(tag, l, nu, x, a, b),
+                _curvature(tag, l, nu, x, a, b))
+
+    f1, d1, c1 = jets(hi)
     if lo == _scan_start(tag, l, twice_nu)[0]:
         x = hi - f1 / d1 if d1 != 0.0 else lo
     else:
-        f0, d0, _, c0 = jets(lo)
+        f0, d0, c0 = jets(lo)
         h = hi - lo
         x = lo + h * _quintic_root(f0, h * d0, h * h * c0,
                                    f1, h * d1, h * h * c1)
     return x if lo < x < hi else 0.5 * (lo + hi)
+
+
+def _taylor(tag: str, l: int, twice_nu: int, lo: float, hi: float):
+    """f_df_err of the target in the census cell (lo, hi) from the series
+    J_nu(x0 + t) = sum a_k t^k about the grid end x0 nearer x (the upper
+    end in the first cell), where Bessel's equation gives x0^2 (k+1)(k+2)
+    a_{k+2} = -[x0 (k+1)(2k+1) a_{k+1} + (k^2 + x0^2 - nu^2) a_k
+    + 2 x0 a_{k-1} + a_{k-2}] (Glaser, Liu and Rokhlin, SIAM J. Sci.
+    Comput. 29, 2007), from a_0 and a_1 of the shared ladder at x0. Each
+    end's a_k are built once, as far as a call needs them. The sums stop
+    once two derivative terms in a row fall below 2^-56 of the running
+    magnitude M; err is 2^-48 M, an estimate that only has to keep Newton
+    moving (_certificate decides every zero), and inf past _TERMS terms."""
+    nu = 0.5 * twice_nu
+    first = lo == _scan_start(tag, l, twice_nu)[0]
+    series: dict = {}  # x0 -> [0, 0, a_0, a_1, ...]
+
+    def f_df_err(x: float):
+        x0 = hi if first or hi - x <= x - lo else lo
+        if x0 not in series:
+            a, b, _ = _grid_pair(twice_nu, x0)
+            series[x0] = [0.0, 0.0, a, (nu / x0) * a - b]
+        cs, t = series[x0], x - x0
+        j = dj = m = 0.0  # the sums of J and J', and their magnitude
+        tk, small, err = 1.0, 0, math.inf  # t^(k-1); small terms in a row
+        for k in range(1, _TERMS + 1):
+            if len(cs) == k + 2:  # a_k, from the recurrence at k - 2
+                cs.append(-(x0 * (k - 1) * (2 * k - 3) * cs[k + 1]
+                            + ((k - 2) ** 2 + x0 * x0 - nu * nu) * cs[k]
+                            + 2.0 * x0 * cs[k - 1] + cs[k - 2])
+                          / (x0 * x0 * (k - 1) * k))
+            tj, td = cs[k + 1] * tk, k * cs[k + 2] * tk  # of J and J'
+            j, dj, m = j + tj, dj + td, m + abs(tj) + abs(td)
+            small = small + 1 if abs(td) <= 2.0**-56 * m else 0
+            if small == 2:
+                err = 2.0**-48 * m
+                break
+            tk *= t
+        return _target_err(tag, l, nu, x, j, (nu / x) * j - dj, err)
+
+    return f_df_err
 
 
 def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
@@ -382,31 +420,32 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
 
     Newton from _start; a step that leaves the bracket, or is more than
     half the step before last (so a bad derivative cannot stall the loop),
-    becomes a bisection. The iterates run on the float twin
-    (_float_target) while it certifies the sign of f, so the bracket only
-    moves on certified signs; at the first point where it does not, or
-    once a step falls below _HANDOVER * x, high precision (_target) takes
-    over from that point. Each high-precision call proposes its own Newton
-    step z, with the secant slope where that refutes df, kept inside the
-    bracket; z is returned once _certificate certifies it the float nearest
-    the zero. So every returned zero is a function of the zero alone, not
-    of the Newton path or of df.
+    becomes a bisection. The iterates run on the cell's Taylor series
+    (_taylor) while its estimate certifies the sign of f, so the bracket
+    only moves on certified signs; at the first point where it does not,
+    or once a step taken, Newton's or a bisection's, falls below
+    _HANDOVER * x, high precision (_target) takes over from that point.
+    Each high-precision call proposes its own Newton step z, with the
+    secant slope where that refutes df, kept inside the bracket; z is
+    returned once _certificate certifies it the float nearest the zero. So
+    every returned zero is a function of the zero alone, not of the Newton
+    path or of df.
     """
-    f_df_err = _float_target(tag, l, twice_nu)
+    taylor = _taylor(tag, l, twice_nu, lo, hi)
     f_df = _target(tag, l, twice_nu)
     x = _start(tag, l, twice_nu, lo, hi)
     dx_old = dx_older = hi - lo
-    twin = True
+    floats = True  # the float phase, on the Taylor series
     pts = []  # (x, f, err) of every iterate, for _certificate's secants
     for _ in range(100):
-        if twin:
-            f, df, err, _ = f_df_err(x)
+        if floats:
+            f, df, err = taylor(x)
             pts.append((x, f, err))
             if not abs(f) > err:  # sign not certified: high precision from x
                 if len(pts) == 1:  # unless x is the first: a secant partner
                     x *= 1.0 + _HANDOVER  # for x, within the census cell
                     continue
-                twin = False
+                floats = False
                 continue
             x_new = x - f / df if df != 0.0 else math.inf
         else:
@@ -420,12 +459,12 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
                 return x_new
             pts.append((x, f, err))
         lo, hi = (x, hi) if (f > 0.0) == (sign_lo > 0) else (lo, x)
-        if x_new == x and not twin:  # no step: a neighbour gives the secant
+        if x_new == x and not floats:  # no step: a neighbour gives the secant
             x_new = math.nextafter(x, hi if x == lo else lo)
         if not lo <= x_new <= hi or abs(x_new - x) > 0.5 * dx_older:
             x_new = 0.5 * (lo + hi)
-        elif abs(x_new - x) <= _HANDOVER * x_new:
-            twin = False  # converged in floats: high precision from x_new
+        if abs(x_new - x) <= _HANDOVER * x_new:
+            floats = False  # converged in floats: high precision from x_new
         dx_older, dx_old = dx_old, abs(x_new - x)
         x = x_new
     raise BracketFailure(
@@ -452,7 +491,7 @@ def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
         start, sign = prev[1], -prev[2]
     else:
         start, sign = _scan_start(tag, l, twice_nu)
-    f = _sign_target(tag, l, twice_nu, shared=True)
+    f = _sign(tag, l, twice_nu)
     return next(_grid_cells(f, twice_nu % 2, start, sign), None)
 
 
@@ -545,7 +584,7 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
         if lo >= edge:
             break
         if hi > edge:
-            f = _sign_target(tag, l_key, twice_nu)(edge)
+            f = _sign(tag, l_key, twice_nu, shared=False)(edge)
             if abs(f) >= _TINY and (f > 0.0) == (sign_lo > 0):
                 break
         z = find_zero(kind, l, d, len(out) + 1)  # out holds zeros 1..len

@@ -2,11 +2,12 @@
 a standard-library module or ``ballspec`` itself. And the supported box has
 one home: one integer check (``bessel._check_int``) and the order cap
 compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
-And every high-precision value comes through ``bessel.eval_J_pair``, and
-every float ladder through one reader, ``zeros._float_target``. And a
+And every high-precision value comes through ``bessel.eval_J_pair``. And a
 CLI job imports only the modules its subcommand runs, and never
-``dataclasses``, an argument parser, ``json`` or ``fractions``. And the kernel keeps one high-precision ladder, the
-integer ``_eval_miller``, with no double-double primitive left."""
+``dataclasses``, an argument parser, ``json`` or ``fractions``. And the
+kernel keeps one Miller ladder, the integer ``bessel._ladder``, read by
+``_eval_miller`` and the zero finder's readers, with no float ladder and no
+double-double primitive left."""
 
 from __future__ import annotations
 
@@ -134,8 +135,8 @@ def _counts_down(node: ast.AST) -> bool:
 
 
 def test_eval_miller_is_the_only_high_precision_ladder():
-    # two Miller ladders run backward: the float _miller_float and the
-    # integer _eval_miller, and only the latter runs in fixed point (>>)
+    # one Miller ladder runs backward, the integer bessel._ladder that
+    # _eval_miller reads, and it is the only function in fixed point (>>)
     ladders, shifts = set(), set()
     for name, tree in _parsed():
         for fn in _functions(tree):
@@ -145,36 +146,43 @@ def test_eval_miller_is_the_only_high_precision_ladder():
                    and isinstance(node.op, ast.RShift)
                    for node in ast.walk(fn)):
                 shifts.add((name, fn.name))
-    assert ladders == {("bessel.py", "_eval_miller"),
-                       ("bessel.py", "_miller_float")}
-    assert shifts == {("bessel.py", "_eval_miller")}
+    assert ladders == {("bessel.py", "_ladder")}
+    assert shifts == {("bessel.py", "_ladder")}
 
 
-def test_miller_float_has_one_reader():
-    # the float ladder is read in one place, zeros' _float_target; the
-    # kernel defines no second float reader beside it
-    calls, home = [], None
+def _enclosing(tree: ast.AST, line: int) -> str:
+    """The name of the innermost top-level function around line."""
+    return next((fn.name for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)
+                 and fn.lineno <= line <= fn.end_lineno), "")
+
+
+def test_ladder_has_one_reader_per_use_and_no_float_twin():
+    # bessel._ladder is read by _eval_miller (every eval_J / eval_J_pair
+    # value) and by zeros' _grid_pair (the census's shared ladders, Newton's
+    # start and Taylor seeds, and the edge probe's fresh ladder); the float
+    # ladder, its rescale constants and its readers are gone
+    calls = []
     for name, tree in _parsed():
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and _named(node.func, {"_miller_float"})):
-                calls.append((name, node.lineno))
-            if (name == "zeros.py" and isinstance(node, ast.FunctionDef)
-                    and node.name == "_float_target"):
-                home = range(node.lineno, node.end_lineno + 1)
-    assert home is not None
-    assert [(name, line) for name, line in calls
-            if name != "zeros.py" or line not in home] == []
-    assert len(calls) == 2  # the shared ladder and the fresh one
+        calls += [(name, _enclosing(tree, node.lineno))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _named(node.func, {"_ladder"})]
+    assert sorted(calls) == [("bessel.py", "_eval_miller"),
+                             ("zeros.py", "_grid_pair"),
+                             ("zeros.py", "_grid_pair")]
+    gone = {"_miller_float", "_RESCALE_HI", "_RESCALE_MUL", "_float_target",
+            "_sign_target", "_pair_float", "_ladder_float"}
     tests = sorted(SRC.parents[1].joinpath("tests").glob("*.py"))
-    defined = [
-        (path.name, node.name)
+    found = [
+        (path.name, node.lineno)
         for path in sorted(SRC.glob("*.py")) + tests
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("_pair_float", "_ladder_float")
+        if isinstance(node, ast.FunctionDef) and node.name in gone
+        or isinstance(node, (ast.Name, ast.Attribute))
+        and _named(node, gone)
     ]
-    assert tests and defined == []
+    assert tests and found == []
 
 
 # ---------------------------------------------------------------------------

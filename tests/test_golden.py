@@ -10,31 +10,21 @@ and every table layout the CLI writes, including empty CSV cells (the last
 ``quotient`` of a gamma table, a verdict with no nodal count ``mu``).
 Update a digest only in a change that means to alter that output.
 
-Below them, the Miller ladders of the kernel are pinned bit for bit: the
-SHA-256 of ``repr`` of ``(J_nu, J_{nu+1}, abs_err)`` on a fixed grid from
-the integer ``_eval_miller`` and from the float ``_miller_float``,
-read as the zero finder reads it (``float_pair``: the pair (n, n + 1) of a
-ladder sized for order n, and its ``_pair_bound``), and of the float
-ladder read in full (``float_ladder``: every order it keeps, divided by
-its scale, and its error unit) at both parities on the same x values. The
-two float pins were taken with the ladder's two-term half-integer
-normalizer and its sums over the kept orders (the test IDs keep the names
-``_pair_float`` and ``_ladder_float`` of two readers the kernel once had).
-The grid
-covers integer and half-integer orders, small x at high order (where the
-float ladder rescales) and x up to 200, plus three points where the last
-bit of the error bound rests on how the integer normalizer's cancellation
-ratio is rounded. ``_eval_miller`` is pinned the same way on a
-second grid, the region where an ascending series could serve
-(``_use_series``): small orders for x <= 14, and high orders at the edge of
-that region, x = 1.5 nu or, past twice_nu = 48, the x where the series'
-cancellation estimate reaches its budget.
+Below them, the kernel's one Miller ladder is pinned bit for bit: the
+SHA-256 of ``repr`` of ``(J_nu, J_{nu+1}, abs_err)`` from ``_eval_miller``,
+the reader of ``_ladder`` at one order, on a fixed grid. The grid covers
+integer and half-integer orders, small x at high order and x up to 200,
+plus three points where the last bit of the error bound rests on how the
+integer normalizer's cancellation ratio is rounded. ``_eval_miller`` is
+pinned the same way on a second grid, the region where an ascending series
+could serve (``_use_series``): small orders for x <= 14, and high orders
+at the edge of that region, x = 1.5 nu or, past twice_nu = 48, the x where
+the series' cancellation estimate reaches its budget.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 
 import pytest
 
@@ -105,27 +95,9 @@ KERNEL_POINTS = [(tn, x) for tn in KERNEL_TWICE_NU for x in KERNEL_XS] + [
     (2, 124.45930183746405), (12, 81.36552999244111), (94, 199.37993317614615)]
 
 
-def float_pair(twice_nu: int, x: float):
-    """(J_nu, J_{nu+1}, abs_err) from a _miller_float ladder sized for the
-    order, read as zeros._float_target reads it."""
-    n, parity = divmod(twice_nu, 2)
-    ys, c, unit = bessel._miller_float(parity, x, n)
-    a, b = ys[n] / c, ys[n + 1] / c
-    return a, b, bessel._pair_bound(a, b, x, unit)
-
-
-def float_ladder(parity: int, x: float, top: int):
-    """(js, unit): js[k] = J_{k + parity/2}(x) for every order k the
-    _miller_float ladder sized for top keeps, k <= max(top, int(x)) + 1."""
-    ys, c, unit = bessel._miller_float(parity, x, top)
-    return [y / c for y in ys[:max(top, int(x)) + 2]], unit
-
-
 KERNEL_GOLDEN = [
     ("_eval_miller", lambda tn, x: bessel._eval_miller(tn, x)[:3],
      "06ab9fd881556da5ca56c44b16f710ee66bda377ff85eb04e92e4b9aa536d84f"),
-    ("_pair_float", float_pair,
-     "5b5845f5e84345c9bac26f099e630d09e01e7132c0d4b3c2bbae710080dc3511"),
 ]
 
 
@@ -134,36 +106,6 @@ KERNEL_GOLDEN = [
 def test_miller_ladder_bits(name, ladder, want_sha):
     text = "\n".join(repr(tuple(ladder(tn, x))) for tn, x in KERNEL_POINTS)
     assert hashlib.sha256(text.encode()).hexdigest() == want_sha
-
-
-# the float ladder in full, sized for a low order (it keeps every order up
-# to int(x) + 1), a middle one and the box top
-LADDER_POINTS = [(parity, x, top) for parity in (0, 1) for x in KERNEL_XS
-                 for top in (0, 40, 119)]
-LADDER_GOLDEN = (
-    "ee6a052a503efc8c9325226e97e14679095ec5de7174c2d76d73b2dfd519ff72")
-
-
-def test_ladder_float_bits():
-    text = "\n".join(repr(float_ladder(parity, x, top))
-                     for parity, x, top in LADDER_POINTS)
-    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_GOLDEN
-
-
-def test_pins_reach_the_rescale(monkeypatch):
-    # small x at high order drives the float ladder past _RESCALE_HI, so
-    # both float pins change when the rescale of the kept orders is off
-    def digests():
-        pair = "\n".join(repr(float_pair(tn, x)) for tn, x in KERNEL_POINTS)
-        ladder = "\n".join(repr(float_ladder(parity, x, top))
-                           for parity, x, top in LADDER_POINTS)
-        return [hashlib.sha256(t.encode()).hexdigest() for t in (pair, ladder)]
-
-    assert digests() == [KERNEL_GOLDEN[1][2], LADDER_GOLDEN]
-    monkeypatch.setattr(bessel, "_RESCALE_HI", math.inf)
-    pair, ladder = digests()
-    assert pair != KERNEL_GOLDEN[1][2]
-    assert ladder != LADDER_GOLDEN
 
 
 SERIES_POINTS = [(tn, x) for tn in (0, 1, 2, 3, 7, 16)

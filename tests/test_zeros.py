@@ -328,7 +328,7 @@ def test_target_matches_oracle(tag, l, twice_nu, x):
 
 
 # ---------------------------------------------------------------------------
-# the sign evaluator: float twin where it certifies the sign, else _target
+# the sign rule: the integer ladder's sign where its bound clears it, else 0.0
 
 
 def _counting(monkeypatch, name: str = "eval_J_pair"):
@@ -359,49 +359,55 @@ class _CountedLadders(dict):
         super().__setitem__(key, ladder)
 
 
-def _float_ladders(monkeypatch) -> tuple[list, _CountedLadders]:
+def _ladders(monkeypatch) -> tuple[list, _CountedLadders]:
     """(steps, shared): steps lists the length (_miller_start) of every
-    bessel._miller_float ladder, fresh or shared; shared is the census
-    cache, counting its own builds."""
+    bessel._ladder, shared, fresh or under eval_J_pair; shared is the
+    census cache, counting its own builds."""
     steps, shared = [], _CountedLadders()
-    real = bessel._miller_float
+    real = bessel._ladder
 
     def counted(parity, x, n):
         steps.append(bessel._miller_start(n + 1, x))
         return real(parity, x, n)
 
-    monkeypatch.setattr(bessel, "_miller_float", counted)
+    monkeypatch.setattr(bessel, "_ladder", counted)
     monkeypatch.setattr(zeros, "_LADDERS", shared)
     return steps, shared
 
 
-def test_certified_signs_match_oracle(monkeypatch):
-    # grid and near-zero points of test_bessel; J and g at every order
-    calls = _counting(monkeypatch)
-    certified = fallbacks = 0
+def test_certified_signs_match_oracle():
+    # grid and near-zero points of test_bessel; J and g at every order: a
+    # sign the ladder's bound clears is the oracle's, and one it cannot
+    # clear is 0.0 (for g near its zeros, where the float operations' own
+    # rounding covers the value)
+    certified = uncleared = 0
     for tn, x in twin_points():
         for tag, l in (("J", 0), ("G", 0), ("G", tn // 2)):
-            before = calls[0]
-            v = zeros._sign_target(tag, l, tn)(x)
-            if calls[0] == before:
-                certified += 1
-                want = oracle_target(tag, l, tn, x)
-                assert want != 0 and (v > 0.0) == (want > 0), (tag, l, tn, x)
-            else:
-                fallbacks += 1
-                assert v == zeros._target(tag, l, tn)(x)[0]
-    # the twin declines deep below the turning point and on the zeros
-    assert certified > 200 and fallbacks > 0
+            v = zeros._sign(tag, l, tn, False)(x)
+            if v == 0.0:
+                uncleared += 1
+                continue
+            certified += 1
+            want = oracle_target(tag, l, tn, x)
+            assert want != 0 and (v > 0.0) == (want > 0), (tag, l, tn, x)
+    assert certified > 300 and uncleared < certified / 100
 
 
 def test_sign_target_falls_back_on_a_zero(monkeypatch):
-    calls = _counting(monkeypatch)
-    for tag, l, tn in (("J", 0, 0), ("G", 3, 7), ("J", 0, 202)):
-        z = zeros._census_zero(tag, l, tn, 1)
-        before = calls[0]
-        v = zeros._sign_target(tag, l, tn)(z)
-        assert calls[0] == before + 1
-        assert v == zeros._target(tag, l, tn)(z)[0]
+    # a grid sign the ladder cannot clear is 0.0, and the census widens its
+    # cell to the next grid point: the widened cell holds the same zero
+    lo, hi, sign_lo = zeros._census_bracket("J", 0, 0, 2)
+    want = zeros._census_zero("J", 0, 0, 2)
+    real = bessel._bound
+    monkeypatch.setattr(bessel, "_bound", lambda a, b, x, tn, unit: (
+        math.inf if x == hi else real(a, b, x, tn, unit)))
+    _cold()
+    assert zeros._sign("J", 0, 0)(hi) == 0.0
+    wide = zeros._census_bracket("J", 0, 0, 2)
+    assert wide == (lo, next(zeros._grid_points(0, hi)), sign_lo)
+    assert zeros._census_zero("J", 0, 0, 2) == want
+    monkeypatch.undo()
+    _cold()
 
 
 def test_order_cap_message_is_exact():
@@ -423,18 +429,19 @@ def test_first_zero_lower_past_the_float_range():
 
 
 def test_shared_ladders_hold_grid_points_only(monkeypatch):
-    # the census reads shared ladders at grid points; Newton iterates and
-    # the edge probe of radial_zeros read fresh ladders, so the cache never
-    # holds more ladders than a parity's grid has points
+    # the census, Newton's start and its Taylor series read shared ladders
+    # at grid points; the edge probe of radial_zeros and eval_J_pair read
+    # fresh ladders, so the cache never holds more ladders than a parity's
+    # grid has points
     _cold()
     seen = []
-    real = bessel._miller_float
+    real = bessel._ladder
 
     def spied(parity, x, n):
         seen.append(x)
         return real(parity, x, n)
 
-    monkeypatch.setattr(bessel, "_miller_float", spied)
+    monkeypatch.setattr(bessel, "_ladder", spied)
     spectrum.enumerate_spectrum(2, "dirichlet", 2000)
     x_max = 3.0 * zeros.DEFAULT_STEP + 0.5  # inside a cell of either parity
     zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 3, 4, x_max)
@@ -454,10 +461,11 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
 
 
 def test_sign_target_validates_like_the_pair():
+    # the edge probe's fresh ladder
     with pytest.raises(RangeError, match=r"x=0\.0 outside"):
-        zeros._sign_target("J", 0, 0)(0.0)
+        zeros._sign("J", 0, 0, False)(0.0)
     with pytest.raises(RangeError, match="above the supported box"):
-        zeros._sign_target("J", 0, 239)(5.0)
+        zeros._sign("J", 0, 239, False)(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +517,9 @@ BRACKET_KEYS = [("J", 0, 0), ("G", 0, 1), ("G", 3, 7), ("J", 0, 202),
 
 @pytest.mark.parametrize("tag,l,twice_nu", BRACKET_KEYS)
 def test_census_brackets_equal_the_double_double_walk(tag, l, twice_nu):
-    # the census reads signs from the shared float ladders where they
-    # certify them; its cells must be exactly those of a walk over the same
-    # grid on the double-double target
+    # the census reads signs from the shared integer ladders where their
+    # bound clears them; its cells must be exactly those of a walk over the
+    # same grid on the double-double target
     want = list(itertools.islice(dd_cells(tag, l, twice_nu), 5))
     _cold()
     got = [zeros._census_bracket(tag, l, twice_nu, m)[:2] for m in range(1, 6)]
@@ -821,6 +829,29 @@ class TestRefinement:
         assert [zeros._refine(*key[:3], *cell)
                 for key, cell in zip(keys, cells)] == want
 
+    def test_float_phase_that_only_bisects_hands_over(self, monkeypatch):
+        # with no derivative and a float error of 0, every float sign is
+        # taken and every step bisects; the float phase must still hand
+        # over once a step falls below _HANDOVER, not bisect down to
+        # adjacent floats until the iteration cap refuses the zero
+        keys = [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
+                for m in (1, 2, 3)]
+        want = [zeros._census_zero(*key) for key in keys]
+        cells = [zeros._census_bracket(*key) for key in keys]
+        real_combine, real_taylor = zeros._combine, zeros._taylor
+
+        def no_df(*args):
+            return real_combine(*args)[0], 0.0
+
+        def no_err(*cell):
+            f_df_err = real_taylor(*cell)
+            return lambda x: (*f_df_err(x)[:2], 0.0)
+
+        monkeypatch.setattr(zeros, "_combine", no_df)
+        monkeypatch.setattr(zeros, "_taylor", no_err)
+        assert [zeros._refine(*key[:3], *cell)
+                for key, cell in zip(keys, cells)] == want
+
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_kernel_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
@@ -845,10 +876,9 @@ class TestRefinement:
                                                  (4, "neumann", 1900)])
     def test_double_double_calls_per_cold_zero(self, monkeypatch, d, bc,
                                                lambda_max):
-        # the scan reads the shared float ladders, the enclosure probes and
-        # the Newton iterates run on the float twin, so double-double pays
-        # for the last Newton step (one a zero) and the few signs the float
-        # values cannot certify (1.00 and 1.15)
+        # the scan reads the shared integer ladders and the Newton iterates
+        # their Taylor series, so eval_J_pair pays for the last Newton step,
+        # about one a zero
         _cold()
         calls = _counting(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
@@ -856,22 +886,48 @@ class TestRefinement:
         assert cold > 100
         assert calls[0] <= 2 * cold, calls[0] / cold
 
+    def test_neumann_zeros_below_the_turning_point_cost_two_calls(
+            self, monkeypatch):
+        # the first Neumann zeros at d = 100, l = 1..14, lie below the
+        # turning point, where J_nu ~ 1e-20 and the bound is relative to the
+        # pair: the census clears every sign, and the Taylor iterates hand
+        # over close enough that eval_J_pair runs at most twice a zero, cold
+        calls = _counting(monkeypatch)
+        for l in range(1, 15):
+            _cold()
+            before = calls[0]
+            assert zeros._census_zero("G", l, 2 * l + 98, 1) < l + 49
+            assert calls[0] - before <= 2, (l, calls[0] - before)
+        _cold()
+
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_twin_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # Newton iterates from the census cell's quintic start: 2.0 and
-        # 2.1 fresh float ladders a zero; a start back at the midpoint, a
-        # float phase that stalls or bisects, or a scan back on fresh
-        # ladders would cost more. The shared ladders cost 9.4 and 31 steps
-        # a zero, and no grid point builds its ladder more than twice (sized
-        # for the first order that asks, then once for the whole box)
+        # Newton iterates from the census cell's quintic start on the Taylor
+        # series of the cell's grid ends: TAYLOR_CALLS evaluations a zero; a
+        # start back at the midpoint, a float phase that stalls or bisects,
+        # or a series that hands over early would cost more. The shared
+        # ladders cost 9.4 and 31 steps a zero, and no grid point builds its
+        # ladder more than twice (sized for the first order that asks, then
+        # once for the whole box)
         _cold()
-        ladders, shared = _float_ladders(monkeypatch)
+        evals = [0]
+        real = zeros._taylor
+
+        def counted(*cell):
+            f_df_err = real(*cell)
+
+            def f(x):
+                evals[0] += 1
+                return f_df_err(x)
+            return f
+
+        monkeypatch.setattr(zeros, "_taylor", counted)
+        _, shared = _ladders(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
-        twin = len(ladders) - shared.builds.total()  # fresh ladders
-        assert twin <= 3 * cold, twin / cold
+        assert evals[0] <= 2.0 * cold, evals[0] / cold
         ladder_steps = {3: 12, 4: 40}[d]
         steps = shared.steps.total()
         assert steps <= ladder_steps * cold, steps / cold
@@ -914,7 +970,8 @@ class TestRefinement:
     def test_curvature_is_the_second_derivative(self, tag, l, twice_nu, x):
         # f'' from the pair through Bessel's equation, against mpmath's
         # derivatives of J_nu and J_{nu+1}
-        f2 = zeros._float_target(tag, l, twice_nu)(x)[3]
+        a, b, _ = zeros._grid_pair(twice_nu, x, False)
+        f2 = zeros._curvature(tag, l, 0.5 * twice_nu, x, a, b)
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
             j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
@@ -924,11 +981,39 @@ class TestRefinement:
                         - mp.besselj(nu + 1, t, derivative=2))
         assert abs(f2 - float(want)) <= 1e-12, (f2, want)
 
+    # census cells (tag, l, twice_nu, m) for the Taylor series: those of
+    # the enclosure targets, the first below the turning point, and the
+    # first cells of the lowest orders, where |t| / x0 is largest
+    TAYLOR_CELLS = (
+        [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
+         for m in (1, 2, 3)]
+        + [("G", 1, 100, 1)] + [("J", 0, tn, 1) for tn in range(7)])
+
+    def test_taylor_estimate_covers_the_oracle(self, monkeypatch):
+        # across each cell the Taylor value lies within its error estimate,
+        # which is not vacuous; a series that does not converge within the
+        # term cap returns err = inf, which hands over to high precision
+        worst, checked = 0.0, 0
+        for tag, l, tn, m in self.TAYLOR_CELLS:
+            lo, hi, _ = zeros._census_bracket(tag, l, tn, m)
+            f_df_err = zeros._taylor(tag, l, tn, lo, hi)
+            for i in range(1, 20):
+                x = lo + (hi - lo) * i / 20
+                f, _, err = f_df_err(x)
+                assert err < math.inf, (tag, l, tn, m, x)
+                with mp.workdps(40):
+                    miss = abs(mp.mpf(f) - oracle_target(tag, l, tn, x))
+                assert miss <= err, (tag, l, tn, m, x, float(miss), err)
+                worst, checked = max(worst, float(miss) / err), checked + 1
+        assert checked == 19 * len(self.TAYLOR_CELLS) and worst > 1e-3
+        monkeypatch.setattr(zeros, "_TERMS", 3)
+        lo, hi, _ = zeros._census_bracket("J", 0, 0, 2)
+        assert zeros._taylor("J", 0, 0, lo, hi)(lo + 0.3)[2] == math.inf
+
     def test_grid_phase_keeps_zeros_off_the_grid(self, monkeypatch):
         # half-integer orders have zeros near multiples of pi/2 (j_{1/2,m}
-        # = m pi); on a grid point the ladder cannot certify the sign and
-        # double-double pays. With the phase, 1.00 double-double calls a
-        # zero; a common k pi/2 grid for both parities costs 1.05
+        # = m pi); the phase keeps them mid-cell, and eval_J_pair pays for
+        # the last Newton step only: 1.00 calls a zero
         _cold()
         calls = _counting(monkeypatch)
         spectrum.enumerate_spectrum(3, "dirichlet", 3000)
@@ -936,17 +1021,19 @@ class TestRefinement:
         assert cold > 100
         assert calls[0] <= 1.02 * cold, calls[0] / cold
 
-    # Float ladder steps (fresh and shared _miller_float ladders, each
-    # counted as its _miller_start length) of the lookup-sized census below,
-    # measured at commit eee72a1, the last before the shared ladders, where
-    # each key scanned its own cells with a fresh ladder per point (the
-    # count is deterministic, the same on any machine)
+    # Ladder steps of the lookup-sized census below, each ladder counted as
+    # its _miller_start length (the counts are deterministic, the same on
+    # any machine): the float steps at commit eee72a1, the last before the
+    # shared ladders, where each key scanned its own cells with a fresh
+    # ladder per point, and the float plus integer steps at 5d87ab0, the
+    # last with a float ladder beside the integer one (21,696 + 10,092)
     PER_KEY_SCAN_STEPS = 75816
+    TWO_LADDER_STEPS = 31788
 
     def test_lookup_census_costs_no_more_than_the_per_key_scan(
             self, monkeypatch):
         _cold()
-        ladders, _ = _float_ladders(monkeypatch)
+        ladders, _ = _ladders(monkeypatch)
         for kind in RootKind:
             for d in (2, 3, 4, 5):
                 for l in range(6):
@@ -954,11 +1041,14 @@ class TestRefinement:
                         zeros.find_zero(kind, l, d, m)
         total = sum(ladders)
         assert total <= self.PER_KEY_SCAN_STEPS, total
+        assert total <= self.TWO_LADDER_STEPS, total
+        _cold()
 
     def test_float_derivative_does_not_set_the_digits(self, monkeypatch):
-        # the float phase only picks the point the double-double Newton
-        # steps start from; with its derivative 25% off, the linear
-        # convergence hands over farther from the root, and no zero moves
+        # the float phase only picks the point the high-precision Newton
+        # steps start from; with the Taylor series' derivative 25% off, the
+        # linear convergence hands over farther from the root, and no zero
+        # moves
         keys = [(tn, m) for tn in range(0, 239, 3) for m in (1, 2, 5, 20)]
 
         def census():
@@ -973,7 +1063,7 @@ class TestRefinement:
             return out
 
         want = census()
-        _skew_derivative(monkeypatch, "_float_target", 1.25)
+        _skew_derivative(monkeypatch, "_taylor", 1.25)
         got = census()
         monkeypatch.undo()
         _cold()
