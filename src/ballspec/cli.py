@@ -16,9 +16,9 @@ also takes --format json|csv (default json). A flag may be shortened to a
 unique prefix and given as --flag=VALUE; -h or --help prints this text.
 
 Exit codes: 0 success; 1 usage or parameter-domain error, or an --output
-path that cannot be written (message on the error stream); 2 numerical
-failure - the message carries the failing module and inequality/bracket
-as raised by the library.
+path or a stdout that cannot be written (message on the error stream); 2
+numerical failure - the message carries the failing module and
+inequality/bracket as raised by the library.
 """
 
 from __future__ import annotations
@@ -225,7 +225,12 @@ def _write(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if not args.output:
-        sys.stdout.write(text)
+        if sys.stdout is None:  # fd 1 was closed when the process started
+            raise _UsageError("cannot write stdout: Bad file descriptor")
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write stdout: {exc.strerror}") from exc
         return
     try:
         with open(args.output, "w") as out:
@@ -288,10 +293,25 @@ def _run_courant(args) -> int:
     return 0
 
 
+def _check_dims(args) -> None:
+    """pleijel's dimensions, checked under their flag's name: --gamma D
+    needs D >= 2, --table and --curve A B need 2 <= A <= B."""
+    if args.gamma is not None:
+        if args.gamma < 2:
+            raise _UsageError(f"--gamma must be >= 2, got {args.gamma}")
+        return
+    flag, (a, b) = (("--table", args.table) if args.table is not None
+                    else ("--curve", args.curve))
+    if a < 2:
+        raise _UsageError(f"{flag} A must be >= 2, got {a}")
+    if b < a:
+        raise _UsageError(f"{flag} B {b} is below A {a}")
+
+
 def _run_pleijel(args) -> int:
     from ballspec import pleijel
+    _check_dims(args)
     if args.gamma is not None:
-        pleijel.gamma(args.gamma)  # checks D as d, not as d_min
         row = pleijel.gamma_table(args.gamma, args.gamma)[0]
         payload = {
             "d": row.d,
@@ -407,7 +427,30 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run sys.argv's command, then end the process with its exit code.
+
+    stdout and stderr are flushed, then os._exit skips the interpreter's
+    teardown: the atexit handlers, module cleanup and the freeing of every
+    cached ladder and zero, which compute nothing after the last byte is
+    written. An --output file is already closed by then. A stdout that
+    fails at this flush is a usage error, unless the job had already failed:
+    a failed write leaves its bytes buffered, so the flush fails again."""
+    import os  # loaded at interpreter start, so this import costs nothing
+    code = run(sys.argv[1:])
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            if code == 0:
+                print(f"usage error: cannot write stdout: {exc.strerror}",
+                      file=sys.stderr)
+                code = 1
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass  # nowhere is left to report it
+    os._exit(code)
 
 
 if __name__ == "__main__":
