@@ -221,16 +221,21 @@ def _parse(argv: list[str]) -> _Args:
     return _Args(fields)
 
 
+def _stdout(text: str) -> None:
+    """Write text to stdout; a stdout that is gone is a usage error."""
+    if sys.stdout is None:  # fd 1 was closed when the process started
+        raise _UsageError("cannot write stdout: Bad file descriptor")
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write stdout: {exc.strerror}") from exc
+
+
 def _write(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if not args.output:
-        if sys.stdout is None:  # fd 1 was closed when the process started
-            raise _UsageError("cannot write stdout: Bad file descriptor")
-        try:
-            sys.stdout.write(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write stdout: {exc.strerror}") from exc
+        _stdout(text)
         return
     try:
         with open(args.output, "w") as out:
@@ -399,18 +404,13 @@ _DISPATCH = {
 def run(argv: list[str]) -> int:
     """Parse argv, execute one subcommand, and map errors to exit codes."""
     try:
-        args = _parse(argv)
-    except _Help:
-        sys.stdout.write(__doc__)
-        return 0
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-
-    if args.verbose:
-        print(f"ballspec {__version__}", file=sys.stderr)
-
-    try:
+        try:
+            args = _parse(argv)
+        except _Help:
+            _stdout(__doc__)
+            return 0
+        if args.verbose:
+            print(f"ballspec {__version__}", file=sys.stderr)
         return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

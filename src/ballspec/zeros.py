@@ -48,12 +48,13 @@ to the next grid point around a near-zero endpoint must show a sign flip
 need two gaps above pi/2. Safeguarded Newton refines each bracket, and
 every returned zero is the float nearest it (within half an ulp): the
 target changes sign between the midpoints to its two neighbouring floats,
-certified from values alone (_certificate): the kernel's high-precision
-value at the last iterate (eval_J_pair's value + lo, with g formed from it
-in exact integers), the secant to an earlier one, and a bound on f''
-through Bessel's ODE. So a zero depends on the zero alone, not on the
-Newton path, on tol or on any derivative formula; it meets every accepted
-tol, which stays a checked argument.
+certified from one high-precision pair (_certificate): eval_J_pair's
+value + lo (g formed from it in exact integers), the slope from the same
+pair by J_nu' = (nu/x) J_nu - J_{nu+1} (DLMF 10.6.2), each bounded
+through dd_err and the rounding of every float operation, and a bound on
+f'' through Bessel's ODE. So a zero rests on dd_err and the zero alone,
+not on the Newton path, on tol or on the float phase; it meets every
+accepted tol, which stays a checked argument.
 
 One ladder serves every value: _grid_pair reads the pair
 (J_nu, J_{nu+1}) and its bound from a bessel._ladder, which yields J_k at
@@ -69,7 +70,7 @@ quintic that matches (f, f', f'') at both grid ends of the cell, read from
 the shared ladders (_start), typically within 1e-4 of the zero; its
 iterates run on the Taylor series of J_nu about the nearer grid end
 (_taylor) while it certifies the sign, and high precision (_target;
-_certificate) takes the last step: about two series evaluations and one
+_certificate) takes the last step: about one series evaluation and one
 eval_J_pair call a zero.
 """
 
@@ -85,8 +86,14 @@ from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
 DEFAULT_TOL = 1e-13
-_HANDOVER = 2.0**-26  # a step below this times x ends the float phase
-_RADIUS = 2.0**-20  # _certificate's points lie within this times x
+# A float step s below _HANDOVER x ends the float phase: Newton's next
+# point lies about s^2/(2x) <= 2^-33 x from the zero (f''/f' = -1/x at a
+# zero of J_nu). _certificate reaches a step t from there while M t^2/2,
+# about 10 K t^2 in the wave zone, stays below |f'| ~ K times a quarter
+# ulp, 2^-54 x: t <= 2^-29 sqrt(x). So one high-precision step certifies
+# up to x = 256 > X_MAX; a smaller _HANDOVER only adds float steps
+_HANDOVER = 2.0**-16
+_RADIUS = 2.0**-20  # _certificate's M holds within this times x
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
 _TERMS = 60  # a Taylor series that needs more terms hands over
 
@@ -107,20 +114,25 @@ def _check_tol(tol: float) -> None:
 # targets: value-and-derivative callables built on one kernel pair call
 
 
+def _slope(tag: str, l: int, nu: float, x: float):
+    """(p, r): the target's derivative is p J_nu(x) + r J_{nu+1}(x)."""
+    if tag == "J":  # J_nu' = (nu/x) J_nu - J_{nu+1} (DLMF 10.6.2)
+        return nu / x, -1.0
+    # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
+    # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
+    return l * (nu - 1.0) / (x * x) - 1.0, (nu + 1.0 - l) / x
+
+
 def _combine(tag: str, l: int, nu: float, x: float, a: float, b: float):
     """(f, df) of the J target (tag "J") or the derivative target (tag
     "G") from a = J_nu(x) and b = J_{nu+1}(x)."""
-    if tag == "J":  # J_nu' = (nu/x) J_nu - J_{nu+1}
-        return a, (nu / x) * a - b
-    # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
-    # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
-    return ((l / x) * a - b,
-            a * (l * (nu - 1.0) / (x * x) - 1.0) + b * ((nu + 1.0 - l) / x))
+    p, r = _slope(tag, l, nu, x)
+    return a if tag == "J" else (l / x) * a - b, p * a + r * b
 
 
 def _curvature(tag: str, l: int, nu: float, x: float, a: float, b: float):
     """f'' of the target from a = J_nu(x) and b = J_{nu+1}(x): Bessel's
-    equation for J_nu and J_{nu+1}, with their derivatives as in _combine."""
+    equation for J_nu and J_{nu+1}, with their derivatives as in _slope."""
     if tag == "J":  # J_nu'' = -J_nu'/x - (1 - nu^2/x^2) J_nu
         return a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x
     return (a * (l * (nu - 1.0) * (nu - 2.0) / (x * x) + 1.0 - l) / x
@@ -128,14 +140,13 @@ def _curvature(tag: str, l: int, nu: float, x: float, a: float, b: float):
 
 
 def _target(tag: str, l: int, twice_nu: int):
-    """f_df of the target from the high-precision pair: (f, df, a, b), a and
-    b the pair (bessel.EvalResult) for _certificate."""
+    """f_df of the target in high precision: _certificate's (f, s, e,
+    nearest) at x, from eval_J_pair's pair there."""
     nu = 0.5 * twice_nu
     order = Order(twice_nu)
 
     def f_df(x: float):
-        a, b = bessel.eval_J_pair(order, x)
-        return (*_combine(tag, l, nu, x, a.value, b.value), a, b)
+        return _certificate(tag, l, nu, x, *bessel.eval_J_pair(order, x))
 
     return f_df
 
@@ -148,24 +159,25 @@ def _exact(r) -> tuple[int, int]:
     return n0 * (d // d0) + n1 * (d // d1), d
 
 
-def _certificate(tag: str, l: int, nu: float, x: float, a, b, pts: list):
-    """(f, err, s, e, nearest) at a high-precision iterate x: f, within
-    err, is the target formed from value + lo of the pair a, b
-    (bessel.EvalResult), for g exactly in integers with one rounding;
-    f'(x) lies within e of s; nearest(z) is True if z
-    is certified the float nearest the zero. pts holds earlier iterates
-    (p, f(p), err_p); with none within x * _RADIUS, e is inf.
+def _certificate(tag: str, l: int, nu: float, x: float, a, b):
+    """(f, s, e, nearest) at a high-precision point x from its pair a, b
+    (bessel.EvalResult): f, within err, is the target formed from value +
+    lo, for g exactly in integers with one rounding; f'(x) lies within e
+    of s; nearest(z) is True if z is certified the float nearest the zero.
 
-    Values alone certify. The secant to the p that bounds it best gives
-    f'(x) within e = (err + err_p)/|x - p| + M |x - p|/2, and
-    f(x + t) = f(x) + t f'(x) + R, |R| <= M t^2/2, must take opposite
-    certified signs at t = z - x -+ h, h half the smaller gap around z. M
-    bounds |f''| within w = x * _RADIUS of x: there, with
-    q = (nu + 2)/(x - w) and (1 + q) w < 1 across the box, the pair
-    (J_nu, J_{nu+1}) grows at most e-fold from its size K at x (Gronwall on
+    The pair alone certifies. s = p a + r b with _slope's p and r, within
+    2^-50 (|p| + 1) and 2^-50 |r| of exact (three roundings at most, one
+    of them of l(nu-1)/x^2 - 1); each J lies within dd_err plus its lo
+    (2^-53 of the value) of the value, and s rounds twice, so with
+    K = max |value| + dd_err, e = (|p| + |r|) dd_err
+    + 2^-49 (|p| + |r| + 1) K. f(x + t) = f(x) + t f'(x) + R,
+    |R| <= M t^2/2, must take opposite certified signs at t = z - x -+ h,
+    h half the smaller gap around z. M bounds |f''| within w = x * _RADIUS
+    of x: there, with q = (nu + 2)/(x - w) and (1 + q) w < 1 across the
+    box, the pair grows at most e-fold from K (Gronwall on
     Y' = [[nu/s, -1], [1, -(nu+1)/s]] Y, row sums <= 1 + q), and Bessel's
     ODE bounds |f''| of either target by 6 (1 + q)^3 times the pair, so
-    M = 20 (1 + q)^3 K > 6e (1 + q)^3 K. No derivative formula enters, so
+    M = 20 (1 + q)^3 K > 6e (1 + q)^3 K. _combine's df does not enter, so
     a wrong one can cost steps but cannot move a zero.
     """
     if tag == "J":
@@ -176,14 +188,11 @@ def _certificate(tag: str, l: int, nu: float, x: float, a, b, pts: list):
         f = (l * xd * an * bd - xn * bn * ad) / (xn * ad * bd)  # one rounding
         err = (l / x + 1.0) * a.dd_err
     err += 2.0**-52 * abs(f)  # the low part, and float sums with f
-    q = (nu + 2.0) / (x * (1.0 - _RADIUS))
-    m = 20.0 * (1.0 + q) ** 3 * (max(abs(a.value), abs(b.value)) + a.dd_err)
-    s, e = 0.0, math.inf
-    for p, fp, ep in pts:
-        d = abs(x - p)
-        if 0.0 < d <= _RADIUS * x and (err + ep) / d + 0.5 * m * d < e:
-            s = (f - fp) / (x - p)
-            e = (err + ep) / d + 0.5 * m * d + 2.0**-51 * abs(s)
+    k = max(abs(a.value), abs(b.value)) + a.dd_err
+    p, r = _slope(tag, l, nu, x)
+    s = p * a.value + r * b.value
+    e = (abs(p) + abs(r)) * a.dd_err + 2.0**-49 * (abs(p) + abs(r) + 1.0) * k
+    m = 20.0 * (1.0 + (nu + 2.0) / (x * (1.0 - _RADIUS))) ** 3 * k
 
     def nearest(z: float) -> bool:
         h = 0.5 * math.ulp(math.nextafter(z, 0.0))
@@ -194,7 +203,7 @@ def _certificate(tag: str, l: int, nu: float, x: float, a, b, pts: list):
         return (abs(z - x) + h <= _RADIUS * x and abs(v0) > e0
                 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0))
 
-    return f, err, s, e, nearest
+    return f, s, e, nearest
 
 
 # shared ladders of the census grid: (parity, x) -> (top, ys, num, den,
@@ -425,42 +434,28 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     only moves on certified signs; at the first point where it does not,
     or once a step taken, Newton's or a bisection's, falls below
     _HANDOVER * x, high precision (_target) takes over from that point.
-    Each high-precision call proposes its own Newton step z, with the
-    secant slope where that refutes df, kept inside the bracket; z is
-    returned once _certificate certifies it the float nearest the zero. So
-    every returned zero is a function of the zero alone, not of the Newton
-    path or of df.
+    Each high-precision point steps with _certificate's slope, kept inside
+    the bracket, and its step z is returned once _certificate certifies it
+    the float nearest the zero. So every returned zero is a function of
+    the zero alone, not of the Newton path or of _combine's df.
     """
     taylor = _taylor(tag, l, twice_nu, lo, hi)
     f_df = _target(tag, l, twice_nu)
     x = _start(tag, l, twice_nu, lo, hi)
     dx_old = dx_older = hi - lo
     floats = True  # the float phase, on the Taylor series
-    pts = []  # (x, f, err) of every iterate, for _certificate's secants
     for _ in range(100):
         if floats:
             f, df, err = taylor(x)
-            pts.append((x, f, err))
             if not abs(f) > err:  # sign not certified: high precision from x
-                if len(pts) == 1:  # unless x is the first: a secant partner
-                    x *= 1.0 + _HANDOVER  # for x, within the census cell
-                    continue
                 floats = False
                 continue
-            x_new = x - f / df if df != 0.0 else math.inf
         else:
-            _, df, a, b = f_df(x)
-            f, err, s, e, nearest = _certificate(
-                tag, l, 0.5 * twice_nu, x, a, b, pts)
-            if not abs(df - s) <= e:  # the secant refutes df: step with it
-                df = s
-            x_new = x - f / df if df != 0.0 else math.inf
-            if lo <= x_new <= hi and nearest(x_new):
-                return x_new
-            pts.append((x, f, err))
+            f, df, _, nearest = f_df(x)
+        x_new = x - f / df if df != 0.0 else math.inf
+        if not floats and lo <= x_new <= hi and nearest(x_new):
+            return x_new
         lo, hi = (x, hi) if (f > 0.0) == (sign_lo > 0) else (lo, x)
-        if x_new == x and not floats:  # no step: a neighbour gives the secant
-            x_new = math.nextafter(x, hi if x == lo else lo)
         if not lo <= x_new <= hi or abs(x_new - x) > 0.5 * dx_older:
             x_new = 0.5 * (lo + hi)
         if abs(x_new - x) <= _HANDOVER * x_new:

@@ -78,6 +78,12 @@ def test_closed_stdout_is_a_usage_error():
     assert proc.stderr == f"{STDOUT_GONE}Bad file descriptor\n".encode()
 
 
+def test_help_into_a_closed_stdout_is_a_usage_error():
+    proc = _closed_stdout("-h")
+    assert proc.returncode == 1
+    assert proc.stderr == f"{STDOUT_GONE}Bad file descriptor\n".encode()
+
+
 def test_closed_stdout_is_not_needed_with_output(tmp_path):
     target = tmp_path / "zeros.json"
     proc = _closed_stdout(f"{SMALL} --output {target}")
