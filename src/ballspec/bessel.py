@@ -33,9 +33,8 @@ y_k, so a ladder sized for order n yields J_k(x) for every order k of one
 parity up to max(n, int(x)) + 1 (DLMF 3.6(vi)). _eval_miller reads it at
 one order for eval_J and eval_J_pair: the float nearest the quotient plus
 the float nearest the remainder (EvalResult.lo). The zero finder reads it
-for its signs, its Newton start and its Taylor seeds: one shared ladder
-per census grid point and parity, and a fresh one at the edge probe of
-radial_zeros. _bound is
+for its signs, its Newton start and its Taylor seeds, all from one shared
+ladder per census grid point and parity. _bound is
 the one error model of a pair, dd_err's and the signs':
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit (_pair_bound), unit about
 n_steps * cancel * 2^-100 + 1e-24, relative to the pair alone below the

@@ -56,22 +56,23 @@ f'' through Bessel's ODE. So a zero rests on dd_err and the zero alone,
 not on the Newton path, on tol or on the float phase; it meets every
 accepted tol, which stays a checked argument.
 
-One ladder serves every value: _grid_pair reads the pair
+One ladder path serves every float value: _grid_pair reads the pair
 (J_nu, J_{nu+1}) and its bound from a bessel._ladder, which yields J_k at
-every order k of one parity. The grid signs read one shared ladder per
-(parity, grid point), which every degree of either target reads
-(_LADDERS): sized for the order that asks first, and rebuilt once for the
-whole box when an order above it asks. So the scan costs one ladder per
-grid point, not one per degree and cell. The edge probe of radial_zeros
-reads a fresh ladder sized for the order. One sign rule (_sign) takes the
-ladder's sign where its bound, propagated through the target, cannot flip
-it, else 0.0, which the widen rule takes. Newton starts at the root of the
-quintic that matches (f, f', f'') at both grid ends of the cell, read from
-the shared ladders (_start), typically within 1e-4 of the zero; its
-iterates run on the Taylor series of J_nu about the nearer grid end
-(_taylor) while it certifies the sign, and high precision (_target;
-_certificate) takes the last step: about one series evaluation and one
-eval_J_pair call a zero.
+every order k of one parity. It reads one shared ladder per (parity, grid
+point), which every degree of either target reads (_LADDERS): sized for
+the order that asks first, and rebuilt once for the whole box when an
+order above it asks. So the scan costs one ladder per grid point, not one
+per degree and cell, and no ladder is built off the grid. One sign rule
+(_sign) takes the ladder's sign where its bound, propagated through the
+target, cannot flip it, else 0.0, which the widen rule takes. Newton
+starts at the root of the quintic that matches (f, f', f'') at both grid
+ends of the cell, read from the shared ladders (_start), typically within
+1e-4 of the zero; its iterates run on the Taylor series of J_nu about the
+nearer grid end (_taylor) while it certifies the sign, and high precision
+(_target; _certificate) takes the last step: about one series evaluation
+and one eval_J_pair call a zero. radial_zeros refines the zero of every
+cell that starts below its edge and drops one past x_max, so it discards
+at most one refinement a degree.
 """
 
 from __future__ import annotations
@@ -212,24 +213,18 @@ _LADDERS: dict = {}
 _LADDER_TOP = TWICE_NU_MAX // 2 - 1
 
 
-def _grid_pair(twice_nu: int, x: float, shared: bool = True):
-    """(a, b, err): the floats nearest J_nu(x) and J_{nu+1}(x) of a
-    bessel._ladder, whose quotients lie within err (bessel._bound). With
-    shared, x is a census grid point and the ladder the shared one there
-    (_LADDERS): sized for the asking order, and rebuilt once for the box
-    when an order above its reach asks. Else it is a fresh one sized for
-    the order, with x validated as eval_J_pair does."""
+def _grid_pair(twice_nu: int, x: float):
+    """(a, b, err): the floats nearest J_nu(x) and J_{nu+1}(x) of the
+    shared bessel._ladder at the census grid point x (_LADDERS), whose
+    quotients lie within err (bessel._bound). The ladder is sized for the
+    order that asks first, and rebuilt once for the box when an order
+    above its reach asks."""
     n, parity = divmod(twice_nu, 2)
-    if shared:
-        ladder = _LADDERS.get((parity, x))
-        if ladder is None or max(ladder[0], int(x)) < n:
-            top = n if ladder is None else max(n, _LADDER_TOP)
-            ladder = _LADDERS[parity, x] = (
-                top, *bessel._ladder(parity, x, top))
-        _, ys, num, den, unit = ladder
-    else:
-        x = bessel._validate_pair(Order(twice_nu), x)
-        ys, num, den, unit = bessel._ladder(parity, x, n)
+    ladder = _LADDERS.get((parity, x))
+    if ladder is None or max(ladder[0], int(x)) < n:
+        top = n if ladder is None else max(n, _LADDER_TOP)
+        ladder = _LADDERS[parity, x] = (top, *bessel._ladder(parity, x, top))
+    _, ys, num, den, unit = ladder
     a, b = ys[n] * num / den, ys[n + 1] * num / den  # one rounding each
     return a, b, bessel._bound(a, b, x, twice_nu, unit)
 
@@ -245,15 +240,14 @@ def _target_err(tag: str, l: int, nu: float, x: float, a: float,
     return f, df, err
 
 
-def _sign(tag: str, l: int, twice_nu: int, shared: bool = True):
-    """f of the target for sign decisions: the ladder's value where it
-    clears its bound, else 0.0, for _grid_cells' widen rule (shared as for
-    _grid_pair)."""
+def _sign(tag: str, l: int, twice_nu: int):
+    """f of the target for sign decisions at census grid points: the
+    shared ladder's value where it clears its bound, else 0.0, for
+    _grid_cells' widen rule."""
     nu = 0.5 * twice_nu
 
     def f(x: float) -> float:
-        v, _, err = _target_err(tag, l, nu, x,
-                                *_grid_pair(twice_nu, x, shared))
+        v, _, err = _target_err(tag, l, nu, x, *_grid_pair(twice_nu, x))
         return v if abs(v) > err else 0.0
 
     return f
@@ -562,10 +556,10 @@ def find_zero(kind: RootKind, l: int, d: int, m: int,
 def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
     """The zeros find_zero(kind, l, d, m), m = 1, 2, ..., in [0, x_max].
 
-    Neumann l = 0 starts with 0.0. No zero past x_max is refined: the walk
-    stops at the first bracket that starts at or past the edge
-    x_max (1 + DEFAULT_TOL), or keeps its start's sign there. A zero past
-    the edge rounds to a float past x_max.
+    Neumann l = 0 starts with 0.0. The walk stops at the first census
+    cell that starts at or past the edge x_max (1 + DEFAULT_TOL), whose
+    zero rounds to a float past x_max, or at the first refined zero past
+    x_max: so at most one refined zero is discarded.
     """
     tag, l_key, twice_nu = _key(kind, l, d)
     x_max = _check_x_max(x_max)
@@ -574,14 +568,8 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
     out = [0.0] if tag == "G" and l == 0 else []
     edge = x_max * (1.0 + DEFAULT_TOL)
     m = 1  # census index of the next positive zero
-    while (cell := _census_bracket(tag, l_key, twice_nu, m)) is not None:
-        lo, hi, sign_lo = cell
-        if lo >= edge:
-            break
-        if hi > edge:
-            f = _sign(tag, l_key, twice_nu, shared=False)(edge)
-            if abs(f) >= _TINY and (f > 0.0) == (sign_lo > 0):
-                break
+    while ((cell := _census_bracket(tag, l_key, twice_nu, m)) is not None
+           and cell[0] < edge):
         z = find_zero(kind, l, d, len(out) + 1)  # out holds zeros 1..len
         if z > x_max:
             break

@@ -109,6 +109,10 @@ def test_pair_tiny_argument_leading_terms():
 def test_pair_order_cap():
     with pytest.raises(RangeError):
         eval_J_pair(Order(240), 10.0)
+    with pytest.raises(RangeError, match="above the supported box"):
+        eval_J_pair(Order(239), 5.0)
+    with pytest.raises(RangeError, match=r"x=0\.0 outside"):
+        eval_J_pair(Order(0), 0.0)
 
 
 def test_pair_consistent_with_singles():
@@ -285,18 +289,22 @@ def test_ladder_float_within_its_bound():
 
 
 def test_ladder_float_is_the_twin_ladder(monkeypatch):
-    # a shared ladder at x sized for the asking order is the fresh ladder
-    # for that order step for step, so the census and the edge probe read
-    # the same pair, bound and sign, bit for bit
+    # a shared ladder at x sized for the asking order is bessel._ladder
+    # for that order step for step, so the census reads its pair and bound
+    # bit for bit, and its signs are the pair's
     for tn in TWIN_ORDERS:
+        n, parity = divmod(tn, 2)
         for x in TWIN_XS + (0.05, 0.3):
             monkeypatch.setattr(zeros, "_LADDERS", {})
             shared = zeros._grid_pair(tn, x)
             assert len(zeros._LADDERS) == 1
-            assert shared == zeros._grid_pair(tn, x, False), (tn, x)
+            ys, num, den, unit = bessel._ladder(parity, x, n)
+            a, b = ys[n] * num / den, ys[n + 1] * num / den
+            assert shared == (a, b, bessel._bound(a, b, x, tn, unit)), (tn, x)
             for tag, l in (("J", 0), ("G", tn // 2 + 1)):
+                v, _, err = zeros._target_err(tag, l, 0.5 * tn, x, *shared)
                 assert (zeros._sign(tag, l, tn)(x)
-                        == zeros._sign(tag, l, tn, False)(x)), (tn, x, tag)
+                        == (v if abs(v) > err else 0.0)), (tn, x, tag)
 
 
 @pytest.mark.parametrize("x", TWIN_XS)

@@ -160,8 +160,8 @@ def _enclosing(tree: ast.AST, line: int) -> str:
 def test_ladder_has_one_reader_per_use_and_no_float_twin():
     # bessel._ladder is read by _eval_miller (every eval_J / eval_J_pair
     # value) and by zeros' _grid_pair (the census's shared ladders, Newton's
-    # start and Taylor seeds, and the edge probe's fresh ladder); the float
-    # ladder, its rescale constants and its readers are gone
+    # start and Taylor seeds); the float ladder, its rescale constants and
+    # its readers are gone
     calls = []
     for name, tree in _parsed():
         calls += [(name, _enclosing(tree, node.lineno))
@@ -169,7 +169,6 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
                   if isinstance(node, ast.Call)
                   and _named(node.func, {"_ladder"})]
     assert sorted(calls) == [("bessel.py", "_eval_miller"),
-                             ("zeros.py", "_grid_pair"),
                              ("zeros.py", "_grid_pair")]
     gone = {"_miller_float", "_RESCALE_HI", "_RESCALE_MUL", "_float_target",
             "_sign_target", "_pair_float", "_ladder_float"}

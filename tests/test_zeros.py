@@ -375,15 +375,16 @@ def _ladders(monkeypatch) -> tuple[list, _CountedLadders]:
     return steps, shared
 
 
-def test_certified_signs_match_oracle():
+def test_certified_signs_match_oracle(monkeypatch):
     # grid and near-zero points of test_bessel; J and g at every order: a
     # sign the ladder's bound clears is the oracle's, and one it cannot
     # clear is 0.0 (for g near its zeros, where the float operations' own
     # rounding covers the value)
     certified = uncleared = 0
     for tn, x in twin_points():
+        monkeypatch.setattr(zeros, "_LADDERS", {})  # a ladder for the order
         for tag, l in (("J", 0), ("G", 0), ("G", tn // 2)):
-            v = zeros._sign(tag, l, tn, False)(x)
+            v = zeros._sign(tag, l, tn)(x)
             if v == 0.0:
                 uncleared += 1
                 continue
@@ -430,9 +431,9 @@ def test_first_zero_lower_past_the_float_range():
 
 def test_shared_ladders_hold_grid_points_only(monkeypatch):
     # the census, Newton's start and its Taylor series read shared ladders
-    # at grid points; the edge probe of radial_zeros and eval_J_pair read
-    # fresh ladders, so the cache never holds more ladders than a parity's
-    # grid has points
+    # at grid points only, X_MAX the last of them, and eval_J_pair builds
+    # its own; so the cache never holds more ladders than a parity's grid
+    # has points, even where radial_zeros stops inside a cell
     _cold()
     seen = []
     real = bessel._ladder
@@ -445,27 +446,20 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
     spectrum.enumerate_spectrum(2, "dirichlet", 2000)
     x_max = 3.0 * zeros.DEFAULT_STEP + 0.5  # inside a cell of either parity
     zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 3, 4, x_max)
-    assert x_max * (1.0 + zeros.DEFAULT_TOL) in seen  # the edge probe ran
+    zeros.radial_zeros(RootKind.DIRICHLET_XI, 0, 3, zeros.X_MAX)
     for kind, l, d, m in [(RootKind.DIRICHLET_XI, 0, 3, 7),
                           (RootKind.NEUMANN_XI_PRIME, 5, 2, 3),
                           (RootKind.NEUMANN_XI_PRIME, 40, 7, 1)]:
         zeros.find_zero(kind, l, d, m)
     grids = {p: set(zeros._grid_points(p, 0.0)) for p in (0, 1)}
-    assert zeros._LADDERS
+    assert all(zeros.X_MAX in grid for grid in grids.values())
+    assert (1, zeros.X_MAX) in zeros._LADDERS  # d = 3, l = 0: parity 1
     assert all(x in grids[p] for p, x in zeros._LADDERS), sorted(
         key for key in zeros._LADDERS if key[1] not in grids[key[0]])
     for p in (0, 1):
         assert sum(key[0] == p for key in zeros._LADDERS) <= len(grids[p])
-    assert len(seen) > len(zeros._LADDERS)  # fresh ladders ran too
+    assert len(seen) > len(zeros._LADDERS)  # eval_J_pair's ladders ran too
     _cold()
-
-
-def test_sign_target_validates_like_the_pair():
-    # the edge probe's fresh ladder
-    with pytest.raises(RangeError, match=r"x=0\.0 outside"):
-        zeros._sign("J", 0, 0, False)(0.0)
-    with pytest.raises(RangeError, match="above the supported box"):
-        zeros._sign("J", 0, 239, False)(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -992,10 +986,12 @@ class TestRefinement:
         ("J", 0, 0, 2.5), ("J", 0, 7, 11.0), ("J", 0, 160, 95.0),
         ("G", 0, 1, 4.0), ("G", 3, 7, 9.5), ("G", 50, 100, 60.0),
         ("G", 2, 2, 0.9)])
-    def test_curvature_is_the_second_derivative(self, tag, l, twice_nu, x):
+    def test_curvature_is_the_second_derivative(self, monkeypatch, tag, l,
+                                                twice_nu, x):
         # f'' from the pair through Bessel's equation, against mpmath's
         # derivatives of J_nu and J_{nu+1}
-        a, b, _ = zeros._grid_pair(twice_nu, x, False)
+        monkeypatch.setattr(zeros, "_LADDERS", {})  # a ladder for the order
+        a, b, _ = zeros._grid_pair(twice_nu, x)
         f2 = zeros._curvature(tag, l, 0.5 * twice_nu, x, a, b)
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
@@ -1108,13 +1104,24 @@ class TestRefinement:
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(2, "dirichlet", 2000),
                                                  (4, "neumann", 1900)])
-    def test_cold_spectrum_refines_only_shipped_zeros(self, d, bc,
-                                                       lambda_max):
-        # no zero past the cutoff is refined only to be thrown away
+    def test_cold_spectrum_discards_one_zero_a_degree(self, monkeypatch, d,
+                                                      bc, lambda_max):
+        # radial_zeros refines the zero of each cell that starts below its
+        # edge, so at most one refined zero a degree walked is thrown away
         _cold()
+        walked = []
+        real = zeros.radial_zeros
+
+        def spied(kind, l, d, x_max):
+            walked.append(l)
+            return real(kind, l, d, x_max)
+
+        monkeypatch.setattr(zeros, "radial_zeros", spied)
         table = spectrum.enumerate_spectrum(d, bc, lambda_max)
         shipped = sum(rec.zero > 0.0 for rec in table.records)
-        assert zeros._census_zero.cache_info().misses == shipped
+        misses = zeros._census_zero.cache_info().misses
+        assert len(walked) == len(set(walked)) > 10
+        assert shipped <= misses <= shipped + len(walked)
 
 
 # ---------------------------------------------------------------------------
