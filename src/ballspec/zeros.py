@@ -62,9 +62,9 @@ every order k of one parity. It reads one shared ladder per (parity, grid
 point), which every degree of either target reads (_LADDERS): sized for
 the order that asks first, and rebuilt once for the whole box when an
 order above it asks. So the scan costs one ladder per grid point, not one
-per degree and cell, and no ladder is built off the grid. One sign rule
-(_sign) takes the ladder's sign where its bound, propagated through the
-target, cannot flip it, else 0.0, which the widen rule takes. Newton
+per degree and cell, and _grid_pair is read at grid points only. One sign
+rule (_sign) takes the ladder's sign where its bound, propagated through
+the target, cannot flip it, else 0.0, which the widen rule takes. Newton
 starts at the root of the quintic that matches (f, f', f'') at both grid
 ends of the cell, read from the shared ladders (_start), typically within
 1e-4 of the zero; its iterates run on the Taylor series of J_nu about the

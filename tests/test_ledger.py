@@ -66,17 +66,14 @@ def _sample(ledger):
     return flat[::SAMPLE_STRIDE]
 
 
-def test_sample_is_spread(ledger):
+def test_sample_zeros_are_nearest_floats(ledger):
     sample = _sample(ledger)
     assert 190 <= len(sample) <= 210
     assert {kind for kind, *_ in sample} == set(RootKind)
     assert {d for _, _, d, _, _ in sample} == set(DIMS)
-    assert len({l for _, l, *_ in sample}) == len(DEGREES)
+    assert {l for _, l, *_ in sample} == set(DEGREES)
     assert max(m for *_, m, _ in sample) > 50
-
-
-def test_sample_zeros_are_nearest_floats(ledger):
-    for kind, l, d, m, z in _sample(ledger):
+    for kind, l, d, m, z in sample:
         tag, l_key, twice_nu = zeros._key(kind, l, d)
         assert z == zeros.find_zero(kind, l, d, m)
         assert_nearest_float(tag, l_key, twice_nu, z)
