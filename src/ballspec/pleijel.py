@@ -22,7 +22,7 @@ chain that proves it:
   4. control        combining 2. and 3.: j(d/2-1)^2/j(d/2-1/2)^2
                      < 1 - 3/(2(d+2));
   5. jest_lower/upper  two-sided classical estimates for the first zero,
-                    sqrt(nu(nu+2)) < j < sqrt(nu+1)(sqrt(nu+2)+1);
+                    read from their one home, zeros._first_zero_bounds;
   6. gamma_ratio_bound  the assembled bound on gamma(d+1)/gamma(d);
   7. exp_bound      (1 - 3/(2(d+2)))^((d+2)/2) < e^(-3/4);
   8. interval_bound (d+1/2)^2 < (d-1)(d+3) for d >= 4 (exact integers);
@@ -154,13 +154,18 @@ class PleijelRow(namedtuple("PleijelRow",
         return self
 
 
-def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
-    """Rows for d = d_min..d_max; quotient_next is None on the last row."""
+def _check_d_range(d_min: int, d_max: int, twice_nu: int, what: str) -> None:
+    """d_min..d_max, whose top zero (what) needs census order twice_nu."""
     _check_int("d_min", d_min, 2)
     _check_int("d_max", d_max, 2)
     if d_min > d_max:
         raise RangeError(f"need d_min <= d_max, got {d_min} > {d_max}")
-    zeros._check_pair(d_max - 2, f"gamma({d_max})")
+    zeros._check_pair(twice_nu, what)
+
+
+def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
+    """Rows for d = d_min..d_max; quotient_next is None on the last row."""
+    _check_d_range(d_min, d_max, d_max - 2, f"gamma({d_max})")
     rows = []
     for d in range(d_min, d_max + 1):
         lgv = _log_gamma_value(d)
@@ -171,12 +176,8 @@ def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
 
 def quotient_curve(d_min: int, d_max: int) -> list[tuple[int, float]]:
     """(d, gamma(d+1)/gamma(d)) for d = d_min..d_max; every quotient < 1."""
-    _check_int("d_min", d_min, 2)
-    _check_int("d_max", d_max, 2)
-    if d_min > d_max:
-        raise RangeError(f"need d_min <= d_max, got {d_min} > {d_max}")
-    zeros._check_pair(d_max - 1,
-                      f"quotient gamma({d_max + 1})/gamma({d_max})")
+    _check_d_range(d_min, d_max, d_max - 1,
+                   f"quotient gamma({d_max + 1})/gamma({d_max})")
     points = [(d, _quotient(d)) for d in range(d_min, d_max + 1)]
     for d, q in points:
         if not q < 1.0:
@@ -355,15 +356,9 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     )
 
     # Two-sided first-zero estimates at the order entering the quotient.
-    nu = 0.5 * (d - 1.0)
-    checks.append(Check("jest_lower", math.sqrt(nu * (nu + 2.0)), j_dp1))
-    checks.append(
-        Check(
-            "jest_upper",
-            j_dp1,
-            math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0),
-        )
-    )
+    lower, upper = zeros._first_zero_bounds("J", 0, d - 1)
+    checks.append(Check("jest_lower", lower, j_dp1))
+    checks.append(Check("jest_upper", j_dp1, upper))
 
     # Assembled bound on the quotient itself.
     assembled = (

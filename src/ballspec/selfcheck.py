@@ -129,15 +129,18 @@ def _check_table_values(fast: bool) -> str | None:
 
 
 def _check_first_zero_bounds(fast: bool) -> str | None:
-    """Two-sided estimate sqrt(nu(nu+2)) < j < sqrt(nu+1)(sqrt(nu+2)+1)."""
-    tn_max = 40 if fast else 80
-    for tn in range(tn_max + 1):
-        nu = 0.5 * tn
-        j = zeros.bessel_zero(Order(tn), 1)
-        lower = math.sqrt(nu * (nu + 2.0))
-        upper = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-        if not lower < j < upper:
-            return f"first-zero bounds fail at twice_nu={tn}: {lower!r}, {j!r}, {upper!r}"
+    """zeros._first_zero_bounds bracket the first positive zero at every J
+    order of the box and every Neumann degree of a few d (fast: a sample)."""
+    step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
+    keys = [("J", 0, tn) for tn in range(0, 239, step)] + [
+        ("G", l, 2 * l + d - 2) for d in dims
+        for l in range(0, (240 - d) // 2 + 1, step)]
+    for tag, l, tn in keys:
+        lower, upper = zeros._first_zero_bounds(tag, l, tn)
+        z = (zeros.bessel_zero(Order(tn), 1) if tag == "J"  # G, l = 0: r = 0 first
+             else zeros.neumann_zero(l, tn - 2 * l + 2, 2 if l == 0 else 1))
+        if not lower < z < upper:
+            return f"first-zero bounds fail at {tag}, l={l}, twice_nu={tn}: {lower!r}, {z!r}, {upper!r}"
     return None
 
 

@@ -9,18 +9,9 @@ Two target families, each driven by one kernel pair evaluation per point:
   g(r) = (l/r) J_nu(r) - J_{nu+1}(r), which shares the derivative's zeros.
 
 The m-th zero is found by a sign census on a fixed grid, walked from a
-rigorous zero-free lower bound (never from an asymptotic count), so the
-returned zero is guaranteed to be the m-th one:
-
-* first J_nu zero satisfies j_{nu,1}^2 > nu(nu+2);
-* first Neumann zero (l >= 1) satisfies
-  beta^2 > 2l(nu+1) / (1 + 2l(nu+1)/(nu(nu+2))), obtained from the Rayleigh
-  sum of inverse squared zeros; below these bounds the targets keep a known
-  sign, which seeds the scan.
-* l = 0 Neumann targets reduce to -J_{nu+1} (the degree-zero derivative
-  recursion), so their positive zeros use the J bound at order nu+1 and the
-  scan starts with negative sign; the conventional zero at r = 0 is
-  special-cased, never scanned.
+rigorous zero-free lower bound (_first_zero_bounds; never from an
+asymptotic count), so the returned zero is guaranteed to be the m-th one.
+The conventional Neumann l = 0 zero at r = 0 is never scanned.
 
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
@@ -253,22 +244,30 @@ def _sign(tag: str, l: int, twice_nu: int):
     return f
 
 
-def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
-    """(start, sign): the target has sign ``sign`` throughout (0, start].
-
-    The one place that knows where a scan starts: the first census cell
-    ends at the first grid point above it.
-    """
+def _first_zero_bounds(tag: str, l: int, twice_nu: int) -> tuple[float, float]:
+    """(lower, upper) around the target's first positive zero, nu =
+    twice_nu/2; OverflowError past the float range. J: nu(nu+2) <
+    j_{nu,1}^2 (Watson, Treatise, ch. 15), j_{nu,1} < sqrt(nu+1)(sqrt(nu+2)
+    + 1) (Chambers, Math. Comp. 38, 1982). G at l = 0 is exactly -J_{nu+1}:
+    the J bounds at nu+1. G at l >= 1: beta_{l,1}^2 > 2l(nu+1) / (1 +
+    2l(nu+1)/(nu(nu+2))) by the Rayleigh sum of inverse squared zeros, and
+    beta_{l,1} < j_{nu,1} by the interlacing above."""
+    if tag == "G" and l == 0:
+        return _first_zero_bounds("J", 0, twice_nu + 2)
+    nu = 0.5 * twice_nu
+    upper = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
+    nn = twice_nu * (twice_nu + 4)  # = 4 nu(nu+2)
     if tag == "J":
-        # j_{nu,1}^2 > nu(nu+2); shrink a hair so float rounding stays safe
-        return math.sqrt(twice_nu * (twice_nu + 4)) * 0.5 * (1.0 - 1e-9), 1
-    if l == 0:
-        # derivative target is exactly -J_{nu+1}: negative near 0+
-        return _scan_start("J", 0, twice_nu + 2)[0], -1
-    # beta_{l,1}^2 > 2l(nu+1) / (1 + 2l(nu+1)/(nu(nu+2))) for l >= 1
+        return math.sqrt(nn) * 0.5, upper
     a = l * (twice_nu + 2)  # = 2l(nu+1)
-    dsq = twice_nu * (twice_nu + 4) / 4.0  # = nu(nu+2)
-    return math.sqrt(a / (1.0 + a / dsq)) * (1.0 - 1e-9), 1
+    return math.sqrt(a / (1.0 + a / (nn / 4.0))), upper
+
+
+def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
+    """(start, sign), the one scan start: the target has sign ``sign`` on
+    (0, start], the first zero's lower bound shrunk a hair for rounding."""
+    sign = -1 if tag == "G" and l == 0 else 1  # -J_{nu+1} near 0+
+    return _first_zero_bounds(tag, l, twice_nu)[0] * (1.0 - 1e-9), sign
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +351,8 @@ def _quintic_root(f0, d0, c0, f1, d1, c1) -> float:
     return t
 
 
-def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float) -> float:
+def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float,
+           first: bool) -> float:
     """Newton's first iterate in the census cell (lo, hi): the root of the
     quintic that matches f, f' and f'' at both grid ends, read from the
     shared ladders the census built there. The first cell begins at the
@@ -366,7 +366,7 @@ def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float) -> float:
                 _curvature(tag, l, nu, x, a, b))
 
     f1, d1, c1 = jets(hi)
-    if lo == _scan_start(tag, l, twice_nu)[0]:
+    if first:
         x = hi - f1 / d1 if d1 != 0.0 else lo
     else:
         f0, d0, c0 = jets(lo)
@@ -376,7 +376,8 @@ def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float) -> float:
     return x if lo < x < hi else 0.5 * (lo + hi)
 
 
-def _taylor(tag: str, l: int, twice_nu: int, lo: float, hi: float):
+def _taylor(tag: str, l: int, twice_nu: int, lo: float, hi: float,
+            first: bool):
     """f_df_err of the target in the census cell (lo, hi) from the series
     J_nu(x0 + t) = sum a_k t^k about the grid end x0 nearer x (the upper
     end in the first cell), where Bessel's equation gives x0^2 (k+1)(k+2)
@@ -388,7 +389,6 @@ def _taylor(tag: str, l: int, twice_nu: int, lo: float, hi: float):
     magnitude M; err is 2^-48 M, an estimate that only has to keep Newton
     moving (_certificate decides every zero), and inf past _TERMS terms."""
     nu = 0.5 * twice_nu
-    first = lo == _scan_start(tag, l, twice_nu)[0]
     series: dict = {}  # x0 -> [0, 0, a_0, a_1, ...]
 
     def f_df_err(x: float):
@@ -433,9 +433,10 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     the float nearest the zero. So every returned zero is a function of
     the zero alone, not of the Newton path or of _combine's df.
     """
-    taylor = _taylor(tag, l, twice_nu, lo, hi)
+    first = lo == _scan_start(tag, l, twice_nu)[0]  # lo is off the grid
+    taylor = _taylor(tag, l, twice_nu, lo, hi, first)
     f_df = _target(tag, l, twice_nu)
-    x = _start(tag, l, twice_nu, lo, hi)
+    x = _start(tag, l, twice_nu, lo, hi, first)
     dx_old = dx_older = hi - lo
     floats = True  # the float phase, on the Taylor series
     for _ in range(100):

@@ -307,13 +307,18 @@ class TestMonotonicityCertificate:
         assert check.rhs == 0.95
 
     def test_jest_bounds_bracket_the_zero(self):
-        d = 20
-        cert = pleijel.monotonicity_certificate(d)
-        j = zeros.dirichlet_zero(0, d + 1, 1)
-        assert cert.check("jest_lower").rhs == j
-        assert cert.check("jest_upper").lhs == j
-        nu = 0.5 * (d - 1.0)
-        assert cert.check("jest_lower").lhs == math.sqrt(nu * (nu + 2.0))
+        # the bounds come from zeros._first_zero_bounds, bit for bit the
+        # expressions the chain wrote out before, at both ends of the box
+        # and on both sides of the d = 95 switch
+        for d in (4, 20, 95, 96, 239):
+            cert = pleijel.monotonicity_certificate(d)
+            j = zeros.dirichlet_zero(0, d + 1, 1)
+            assert cert.check("jest_lower").rhs == j
+            assert cert.check("jest_upper").lhs == j
+            nu = 0.5 * (d - 1.0)
+            assert cert.check("jest_lower").lhs == math.sqrt(nu * (nu + 2.0))
+            assert cert.check("jest_upper").rhs == (
+                math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0))
 
     def test_check_lookup_unknown_name(self):
         cert = pleijel.monotonicity_certificate(6)

@@ -429,6 +429,32 @@ def test_first_zero_lower_past_the_float_range():
     assert zeros._first_zero_lower(RootKind.NEUMANN_XI_PRIME, 0, 10**400) == 0
 
 
+def test_first_zero_bounds_bracket_the_first_zero():
+    # the one home of the first-zero bounds brackets the census's first
+    # positive zero at every J order of the box, and at every Neumann
+    # degree of the ledger's d; the scan starts at its lower bound shrunk a
+    # hair, bit for bit. The smallest relative slacks show that no bound
+    # is vacuous: a looser one fails here
+    slack = {"J": [], "G": []}  # (lower, upper) relative slacks
+    keys = [("J", 0, tn) for tn in range(239)]
+    keys += [("G", l, 2 * l + d - 2) for d in (2, 3, 5, 30, 120, 238)
+             for l in range((240 - d) // 2 + 1)]
+    for tag, l, tn in keys:
+        lower, upper = zeros._first_zero_bounds(tag, l, tn)
+        if tag == "J":
+            z = zeros.bessel_zero(Order(tn), 1)
+        else:  # Neumann l = 0 counts the conventional zero at r = 0 first
+            z = zeros.neumann_zero(l, tn - 2 * l + 2, 2 if l == 0 else 1)
+        assert lower < z < upper, (tag, l, tn, lower, z, upper)
+        sign = -1 if tag == "G" and l == 0 else 1
+        assert zeros._scan_start(tag, l, tn) == (lower * (1.0 - 1e-9), sign)
+        # G at l = 0 is -J_{nu+1}, so its bounds are J's
+        slack["G" if l else "J"].append((1.0 - lower / z, upper / z - 1.0))
+    for group, want in (("J", [0.0650, 0.00390]), ("G", [0.00618, 0.0688])):
+        got = [min(s) for s in zip(*slack[group])]
+        assert got == pytest.approx(want, rel=1e-2), group
+
+
 def test_shared_ladders_hold_grid_points_only(monkeypatch):
     # the census, Newton's start and its Taylor series read shared ladders
     # at grid points only, X_MAX the last of them, and eval_J_pair builds
@@ -962,7 +988,7 @@ class TestRefinement:
         start = zeros._scan_start(tag, l, twice_nu)[0]
         for m in (1, 2, 3, 7):
             lo, hi, _ = zeros._census_bracket(tag, l, twice_nu, m)
-            x = zeros._start(tag, l, twice_nu, lo, hi)
+            x = zeros._start(tag, l, twice_nu, lo, hi, lo == start)
             assert lo < x < hi, (m, lo, x, hi)
             if lo != start:
                 z = zeros._census_zero(tag, l, twice_nu, m)
@@ -1017,7 +1043,8 @@ class TestRefinement:
         worst, checked = 0.0, 0
         for tag, l, tn, m in self.TAYLOR_CELLS:
             lo, hi, _ = zeros._census_bracket(tag, l, tn, m)
-            f_df_err = zeros._taylor(tag, l, tn, lo, hi)
+            first = lo == zeros._scan_start(tag, l, tn)[0]
+            f_df_err = zeros._taylor(tag, l, tn, lo, hi, first)
             for i in range(1, 20):
                 x = lo + (hi - lo) * i / 20
                 f, _, err = f_df_err(x)
@@ -1029,7 +1056,7 @@ class TestRefinement:
         assert checked == 19 * len(self.TAYLOR_CELLS) and worst > 1e-3
         monkeypatch.setattr(zeros, "_TERMS", 3)
         lo, hi, _ = zeros._census_bracket("J", 0, 0, 2)
-        assert zeros._taylor("J", 0, 0, lo, hi)(lo + 0.3)[2] == math.inf
+        assert zeros._taylor("J", 0, 0, lo, hi, False)(lo + 0.3)[2] == math.inf
 
     def test_grid_phase_keeps_zeros_off_the_grid(self, monkeypatch):
         # half-integer orders have zeros near multiples of pi/2 (j_{1/2,m}
