@@ -254,6 +254,12 @@ class Order(namedtuple("Order", "twice_nu")):
         return cls(2 * l + d - 2)
 
 
+def _check_order(nu) -> None:
+    """The one order check of every entry point: nu must be an Order."""
+    if not isinstance(nu, Order):
+        raise RangeError(f"nu must be an Order, got {nu!r}")
+
+
 class EvalResult(namedtuple("EvalResult", "value est_rel_err lo dd_err",
                             defaults=(0.0, math.inf))):
     """A function value plus a conservative error estimate.
@@ -295,6 +301,7 @@ def _check_underflow(value: float, twice_nu: int, x: float) -> None:
 
 def eval_J(nu: Order, x: float) -> EvalResult:
     """J_nu(x) for X_MIN <= x <= 200, twice_nu in [0, 240]."""
+    _check_order(nu)
     x = _validate_x(x)
     value, _, abs_err = _eval_miller(nu.twice_nu, x)[:3]
     _check_underflow(value, nu.twice_nu, x)
@@ -302,7 +309,9 @@ def eval_J(nu: Order, x: float) -> EvalResult:
 
 
 def _validate_pair(nu: Order, x: float) -> float:
-    """x as a float, once it and the pair's upper order lie in the box."""
+    """x as a float, once nu is an Order and x and the pair's upper order
+    lie in the box."""
+    _check_order(nu)
     x = _validate_x(x)
     if nu.twice_nu + 2 > TWICE_NU_MAX:
         raise RangeError(

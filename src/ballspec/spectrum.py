@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache
 from math import comb
 
 from . import _format, zeros
@@ -183,21 +182,14 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
                          records=tuple(records))
 
 
-@lru_cache(maxsize=4096)
-def _label_of_cached(d: int, bc_value: str, l: int, m: int) -> int:
-    bc = BoundaryCondition(bc_value)
-    z = zeros.find_zero(ROOT_KIND[bc], l, d, m)
-    table = enumerate_spectrum(d, bc, z * z)
-    return table.record_for(l, m).label_first
-
-
 def label_of(d: int, bc, l: int, m: int) -> int:
     """Minimal label n with lambda_n equal to the (l, m) eigenvalue."""
     bc = _coerce_bc(bc)
     _check_int("l", l, 0)
     _check_int("d", d, 2)
     _check_int("m", m, 1)
-    return _label_of_cached(d, bc.value, l, m)
+    z = zeros.find_zero(ROOT_KIND[bc], l, d, m)
+    return enumerate_spectrum(d, bc, z * z).record_for(l, m).label_first
 
 
 def weyl_count(d: int, lam) -> float:

@@ -8,10 +8,11 @@ Two target families, each driven by one kernel pair evaluation per point:
 * ``NeumannXiPrime`` - zeros of its derivative, located through
   g(r) = (l/r) J_nu(r) - J_{nu+1}(r), which shares the derivative's zeros.
 
-The m-th zero is found by a sign census on a fixed grid, walked from a
-rigorous zero-free lower bound (_first_zero_bounds; never from an
-asymptotic count), so the returned zero is guaranteed to be the m-th one.
-The conventional Neumann l = 0 zero at r = 0 is never scanned.
+The m-th zero is found by a sign census on a fixed grid, walked from the
+last grid point at or below a rigorous zero-free lower bound
+(_first_zero_bounds; never from an asymptotic count), so the returned zero
+is guaranteed to be the m-th one. The conventional Neumann l = 0 zero at
+r = 0 is never scanned.
 
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
@@ -29,23 +30,21 @@ w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
 
 Any cell of width <= pi/2 therefore holds at most one zero. The census
 grid has one phase per parity of twice_nu: x_k = (k + parity/2) pi/2
-(DEFAULT_STEP apart), with X_MAX as the last point. The first cell runs
-from the scan start to the first grid point above it, the rest are grid
-cells. The phase keeps zeros off the grid: by McMahon's expansion zeros of
-half-integer orders approach multiples of pi/2 (j_{1/2,m} = m pi exactly),
-where a common k pi/2 grid would put them on grid points. A cell widened
-to the next grid point around a near-zero endpoint must show a sign flip
-(else BracketFailure), and then it holds exactly one zero: three would
-need two gaps above pi/2. Safeguarded Newton refines each bracket, and
-every returned zero is the float nearest it (within half an ulp): the
-target changes sign between the midpoints to its two neighbouring floats,
-certified from one high-precision pair (_certificate): eval_J_pair's
-value + lo (g formed from it in exact integers), the slope from the same
-pair by J_nu' = (nu/x) J_nu - J_{nu+1} (DLMF 10.6.2), each bounded
-through dd_err and the rounding of every float operation, and a bound on
-f'' through Bessel's ODE. So a zero rests on dd_err and the zero alone,
-not on the Newton path, on tol or on the float phase; it meets every
-accepted tol, which stays a checked argument.
+(DEFAULT_STEP apart), with X_MAX as the last point, and every cell runs
+between grid points. The phase keeps zeros off the grid: by McMahon's
+expansion zeros of half-integer orders approach multiples of pi/2
+(j_{1/2,m} = m pi exactly), where a common k pi/2 grid would put them on
+grid points. A cell widened to the next grid point around a near-zero
+endpoint must show a sign flip (else BracketFailure), and then it holds
+exactly one zero: three would need two gaps above pi/2. Safeguarded Newton
+refines each bracket, and every returned zero is the float nearest it
+(within half an ulp): the target changes sign between the midpoints to its
+two neighbouring floats, certified from one high-precision pair
+(_certificate): eval_J_pair's value + lo (g formed from it in exact
+integers), the slope from the same pair by J_nu' = (nu/x) J_nu - J_{nu+1}
+(DLMF 10.6.2), each bounded through dd_err and the rounding of every float
+operation, and a bound on f'' through Bessel's ODE. So a zero rests on
+dd_err and the zero alone, not on the Newton path or on the float phase.
 
 One ladder path serves every float value: _grid_pair reads the pair
 (J_nu, J_{nu+1}) and its bound from a bessel._ladder, which yields J_k at
@@ -93,13 +92,6 @@ _TERMS = 60  # a Taylor series that needs more terms hands over
 class RootKind(Enum):
     DIRICHLET_XI = "DirichletXi"
     NEUMANN_XI_PRIME = "NeumannXiPrime"
-
-
-def _check_tol(tol: float) -> None:
-    """The accepted range; the float nearest a zero meets every tol in it."""
-    tol = float(tol)
-    if not math.isfinite(tol) or not 1e-15 <= tol <= 1e-2:
-        raise RangeError(f"tol={tol!r} outside supported range [1e-15, 1e-2]")
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +257,15 @@ def _first_zero_bounds(tag: str, l: int, twice_nu: int) -> tuple[float, float]:
 
 def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
     """(start, sign), the one scan start: the target has sign ``sign`` on
-    (0, start], the first zero's lower bound shrunk a hair for rounding."""
+    (0, start], the last grid point of the order's parity at or below the
+    first zero's lower bound shrunk a hair for rounding. x_0 = 0 of the
+    even grid starts J at nu = 0 and G at l = 1, nu = 1, whose zeros lie
+    past pi/2; so every cell that holds a zero has both ends on the grid."""
     sign = -1 if tag == "G" and l == 0 else 1  # -J_{nu+1} near 0+
-    return _first_zero_bounds(tag, l, twice_nu)[0] * (1.0 - 1e-9), sign
+    lower = _first_zero_bounds(tag, l, twice_nu)[0] * (1.0 - 1e-9)
+    half = 0.5 * (twice_nu % 2)
+    k = math.floor(lower / DEFAULT_STEP - half)
+    return (k + half) * DEFAULT_STEP, sign  # as _grid_points forms it
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +292,10 @@ _MAX_CELLS = int(X_MAX / DEFAULT_STEP) + 1
 
 
 def _grid_cells(f, parity: int, start: float, start_sign: int):
-    """Yield (lo, hi, sign_lo) sign-change cells of f over (start, X_MAX]:
-    the first cell ends at the first grid point above start, the others
-    are cells of the parity's grid.
+    """Yield (lo, hi, sign_lo) sign-change cells of f over (start, X_MAX],
+    cells of the parity's grid from the grid point start.
 
-    The target must have the sign ``start_sign`` throughout (0, start]
-    (start may be 0 for targets positive near the origin).
+    The target must have the sign ``start_sign`` throughout (0, start].
     """
     prev_x = start
     prev_sign = 1 if start_sign > 0 else -1
@@ -351,13 +347,10 @@ def _quintic_root(f0, d0, c0, f1, d1, c1) -> float:
     return t
 
 
-def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float,
-           first: bool) -> float:
+def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float) -> float:
     """Newton's first iterate in the census cell (lo, hi): the root of the
     quintic that matches f, f' and f'' at both grid ends, read from the
-    shared ladders the census built there. The first cell begins at the
-    scan start, which is no grid point; there it is the Newton step from
-    hi. The midpoint where that start would leave the cell."""
+    shared ladders there; the midpoint where that root leaves the cell."""
     nu = 0.5 * twice_nu
 
     def jets(x: float):
@@ -365,34 +358,27 @@ def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float,
         return (*_combine(tag, l, nu, x, a, b),
                 _curvature(tag, l, nu, x, a, b))
 
-    f1, d1, c1 = jets(hi)
-    if first:
-        x = hi - f1 / d1 if d1 != 0.0 else lo
-    else:
-        f0, d0, c0 = jets(lo)
-        h = hi - lo
-        x = lo + h * _quintic_root(f0, h * d0, h * h * c0,
-                                   f1, h * d1, h * h * c1)
+    (f0, d0, c0), (f1, d1, c1), h = jets(lo), jets(hi), hi - lo
+    x = lo + h * _quintic_root(f0, h * d0, h * h * c0, f1, h * d1, h * h * c1)
     return x if lo < x < hi else 0.5 * (lo + hi)
 
 
-def _taylor(tag: str, l: int, twice_nu: int, lo: float, hi: float,
-            first: bool):
+def _taylor(tag: str, l: int, twice_nu: int, lo: float, hi: float):
     """f_df_err of the target in the census cell (lo, hi) from the series
-    J_nu(x0 + t) = sum a_k t^k about the grid end x0 nearer x (the upper
-    end in the first cell), where Bessel's equation gives x0^2 (k+1)(k+2)
-    a_{k+2} = -[x0 (k+1)(2k+1) a_{k+1} + (k^2 + x0^2 - nu^2) a_k
-    + 2 x0 a_{k-1} + a_{k-2}] (Glaser, Liu and Rokhlin, SIAM J. Sci.
-    Comput. 29, 2007), from a_0 and a_1 of the shared ladder at x0. Each
-    end's a_k are built once, as far as a call needs them. The sums stop
-    once two derivative terms in a row fall below 2^-56 of the running
-    magnitude M; err is 2^-48 M, an estimate that only has to keep Newton
-    moving (_certificate decides every zero), and inf past _TERMS terms."""
+    J_nu(x0 + t) = sum a_k t^k about the grid end x0 nearer x, where
+    Bessel's equation gives x0^2 (k+1)(k+2) a_{k+2} = -[x0 (k+1)(2k+1)
+    a_{k+1} + (k^2 + x0^2 - nu^2) a_k + 2 x0 a_{k-1} + a_{k-2}] (Glaser,
+    Liu and Rokhlin, SIAM J. Sci. Comput. 29, 2007), from a_0 and a_1 of
+    the shared ladder at x0. Each end's a_k are built once, as far as a
+    call needs them. The sums stop once two derivative terms in a row fall
+    below 2^-56 of the running magnitude M; err is 2^-48 M, an estimate
+    that only has to keep Newton moving (_certificate decides every zero),
+    and inf past _TERMS terms."""
     nu = 0.5 * twice_nu
     series: dict = {}  # x0 -> [0, 0, a_0, a_1, ...]
 
     def f_df_err(x: float):
-        x0 = hi if first or hi - x <= x - lo else lo
+        x0 = hi if hi - x <= x - lo else lo
         if x0 not in series:
             a, b, _ = _grid_pair(twice_nu, x0)
             series[x0] = [0.0, 0.0, a, (nu / x0) * a - b]
@@ -433,10 +419,9 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     the float nearest the zero. So every returned zero is a function of
     the zero alone, not of the Newton path or of _combine's df.
     """
-    first = lo == _scan_start(tag, l, twice_nu)[0]  # lo is off the grid
-    taylor = _taylor(tag, l, twice_nu, lo, hi, first)
+    taylor = _taylor(tag, l, twice_nu, lo, hi)
     f_df = _target(tag, l, twice_nu)
-    x = _start(tag, l, twice_nu, lo, hi, first)
+    x = _start(tag, l, twice_nu, lo, hi)
     dx_old = dx_older = hi - lo
     floats = True  # the float phase, on the Taylor series
     for _ in range(100):
@@ -506,12 +491,13 @@ def _key(kind: RootKind, l: int, d: int) -> tuple[str, int, int]:
 
 
 def _first_zero_lower(kind: RootKind, l: int, d: int) -> float:
-    """Lower bound on the first zero find_zero counts, increasing in l."""
+    """Lower bound on the first zero find_zero counts, increasing in l: the
+    first zero's lower bound shrunk a hair for rounding."""
     tag, l_key, twice_nu = _key(kind, l, d)
     if tag == "G" and l == 0:
         return 0.0  # the conventional zero at r = 0
     try:
-        return _scan_start(tag, l_key, twice_nu)[0]
+        return _first_zero_bounds(tag, l_key, twice_nu)[0] * (1.0 - 1e-9)
     except OverflowError:  # an order past the float range: no zero below inf
         return math.inf
 
@@ -520,38 +506,36 @@ def _first_zero_lower(kind: RootKind, l: int, d: int) -> float:
 # public API
 
 
-def bessel_zero(nu: Order, m: int, tol: float = DEFAULT_TOL) -> float:
+def bessel_zero(nu: Order, m: int) -> float:
     """m-th positive zero j_{nu,m} of J_nu, certified by sign census."""
-    if not isinstance(nu, Order):
-        raise RangeError(f"nu must be an Order, got {nu!r}")
-    return _zero(("J", 0, nu.twice_nu), m, tol,
+    bessel._check_order(nu)
+    return _zero(("J", 0, nu.twice_nu), m,
                  f"zero m={m} of J_nu at twice_nu={nu.twice_nu}")
 
 
-def dirichlet_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
+def dirichlet_zero(l: int, d: int, m: int) -> float:
     """m-th interior-problem zero: equals j_{l+d/2-1, m} because the power
     prefactor of the scaled radial function never vanishes for r > 0."""
-    return _zero(_key(RootKind.DIRICHLET_XI, l, d), m, tol,
+    return _zero(_key(RootKind.DIRICHLET_XI, l, d), m,
                  f"Dirichlet zero m={m} of l={l}, d={d}")
 
 
-def neumann_zero(l: int, d: int, m: int, tol: float = DEFAULT_TOL) -> float:
+def neumann_zero(l: int, d: int, m: int) -> float:
     """m-th zero of the scaled radial derivative.
 
     For l = 0 the count starts at the conventional zero at r = 0 (the
     ground state), so m = 1 returns exactly 0.0 and the m-th entry for
     m >= 2 is the (m-1)-th positive zero.
     """
-    return _zero(_key(RootKind.NEUMANN_XI_PRIME, l, d), m, tol,
+    return _zero(_key(RootKind.NEUMANN_XI_PRIME, l, d), m,
                  f"Neumann zero m={m} of l={l}, d={d}")
 
 
-def find_zero(kind: RootKind, l: int, d: int, m: int,
-              tol: float = DEFAULT_TOL) -> float:
+def find_zero(kind: RootKind, l: int, d: int, m: int) -> float:
     """m-th zero of the (kind, l, d) target, counted as neumann_zero or
     dirichlet_zero counts it."""
     tag = _key(kind, l, d)[0]
-    return (neumann_zero if tag == "G" else dirichlet_zero)(l, d, m, tol)
+    return (neumann_zero if tag == "G" else dirichlet_zero)(l, d, m)
 
 
 def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
@@ -579,12 +563,11 @@ def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
     return out
 
 
-def _zero(key: tuple[str, int, int], m: int, tol: float, what: str) -> float:
+def _zero(key: tuple[str, int, int], m: int, what: str) -> float:
     """The m-th zero of the key, counted as neumann_zero counts it: the one
-    validation path of every zero request. It checks m, tol and the order
-    cap, and a RangeError names the caller's zero (what)."""
+    validation path of every zero request. It checks m and the order cap,
+    and a RangeError names the caller's zero (what)."""
     _check_int("m", m, 1)
-    _check_tol(tol)
     tag, l, twice_nu = key
     if tag == "G" and l == 0:
         if m == 1:

@@ -44,6 +44,9 @@ def test_order_range_checks():
         Order.from_l_d(-1, 3)
     with pytest.raises(RangeError):
         Order.from_l_d(0, 1)
+    for call in (eval_J, eval_J_pair):  # a plain int is not an Order
+        with pytest.raises(RangeError, match="nu must be an Order, got 5"):
+            call(5, 1.0)
 
 
 def test_x_range_checks():

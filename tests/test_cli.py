@@ -142,11 +142,21 @@ class TestZerosCommand:
         assert code == 1 and "usage error" in err
 
     def test_tol_out_of_range_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "zeros", "--l", "1", "--d", "2", "--bc", "dirichlet",
-            "--tol", "1e-20",
-        )
-        assert code == 1 and "usage error" in err
+        # --tol is range-checked and echoed; no zero depends on it
+        argv = ["zeros", "--l", "1", "--d", "2", "--bc", "dirichlet"]
+        for tol in ("1e-20", "1e-16", "2e-2", "0.0", "nan"):
+            code, out, err = run_cli(capsys, *argv, "--tol", tol)
+            assert (code, out) == (1, ""), tol
+            assert err == (f"usage error: tol={float(tol)!r} outside "
+                           "supported range [1e-15, 1e-2]\n"), tol
+        for tol in ("1e-15", "1e-2"):
+            code, out, _ = run_cli(capsys, *argv, "--tol", tol)
+            assert code == 0 and json.loads(out)["tol"] == float(tol)
+        # the tol is checked before the other zero parameters
+        code, _, err = run_cli(capsys, "zeros", "--l", "-1", "--d", "2",
+                               "--bc", "dirichlet", "--tol", "1e-20")
+        assert (code, err) == (1, "usage error: tol=1e-20 outside "
+                                  "supported range [1e-15, 1e-2]\n")
 
 
 class TestCourantCommand:

@@ -7,6 +7,7 @@ cross-checks call the extended-precision oracle in tests/_oracle.py.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballspec import bessel, courant, pleijel, spectrum, zeros
+from ballspec import bessel, cli, courant, pleijel, spectrum, zeros
 from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
 from ballspec.zeros import RootKind
@@ -41,10 +42,10 @@ def _cold() -> None:
 
 
 class TestValidation:
-    # a root request is find_zero's (kind, l, d, m, tol)
+    # a root request is find_zero's (kind, l, d, m)
     def test_root_request_accepts_good_args(self):
-        got = zeros.find_zero(RootKind.DIRICHLET_XI, l=2, d=3, m=4, tol=1e-12)
-        assert got == zeros.dirichlet_zero(2, 3, 4, tol=1e-12)
+        got = zeros.find_zero(RootKind.DIRICHLET_XI, l=2, d=3, m=4)
+        assert got == zeros.dirichlet_zero(2, 3, 4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -53,9 +54,9 @@ class TestValidation:
             dict(kind=RootKind.DIRICHLET_XI, l=-1, d=2, m=1),
             dict(kind=RootKind.DIRICHLET_XI, l=0, d=1, m=1),
             dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=0),
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=1, tol=1e-16),
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=1, tol=0.5),
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=1, tol=float("nan")),
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=1.0),
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=10_000),  # past X_MAX
+            dict(kind=RootKind.DIRICHLET_XI, l=0, d=241, m=1),  # order cap
             # bool is an int subclass, but never a degree or an index
             dict(kind=RootKind.DIRICHLET_XI, l=True, d=2, m=1),
             dict(kind=RootKind.NEUMANN_XI_PRIME, l=False, d=2, m=2),
@@ -105,18 +106,12 @@ class TestValidation:
             zeros.bessel_zero(1.0, 1)  # plain float is not an Order
         with pytest.raises(RangeError):
             zeros.bessel_zero(Order(0), 0)
-        with pytest.raises(RangeError):
-            zeros.bessel_zero(Order(0), 1, tol=1e-16)
-        with pytest.raises(RangeError):
-            zeros.bessel_zero(Order(0), 1, tol=2e-2)
 
     def test_l_d_validation(self):
         with pytest.raises(RangeError):
             zeros.dirichlet_zero(-1, 2, 1)
         with pytest.raises(RangeError):
             zeros.neumann_zero(0, 1, 1)
-        with pytest.raises(RangeError):
-            zeros.dirichlet_zero(0, 2, 1, tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +427,12 @@ def test_first_zero_lower_past_the_float_range():
 def test_first_zero_bounds_bracket_the_first_zero():
     # the one home of the first-zero bounds brackets the census's first
     # positive zero at every J order of the box, and at every Neumann
-    # degree of the ledger's d; the scan starts at its lower bound shrunk a
-    # hair, bit for bit. The smallest relative slacks show that no bound
-    # is vacuous: a looser one fails here
+    # degree of the ledger's d; spectrum's degree loop reads its lower bound
+    # shrunk a hair, bit for bit, and the scan starts at the last grid
+    # point at or below that, x_0 = 0 at two keys only. The smallest
+    # relative slacks show that no bound is vacuous: a looser one fails here
     slack = {"J": [], "G": []}  # (lower, upper) relative slacks
+    zero_starts = []  # keys whose bound lies below the first positive point
     keys = [("J", 0, tn) for tn in range(239)]
     keys += [("G", l, 2 * l + d - 2) for d in (2, 3, 5, 30, 120, 238)
              for l in range((240 - d) // 2 + 1)]
@@ -446,10 +443,22 @@ def test_first_zero_bounds_bracket_the_first_zero():
         else:  # Neumann l = 0 counts the conventional zero at r = 0 first
             z = zeros.neumann_zero(l, tn - 2 * l + 2, 2 if l == 0 else 1)
         assert lower < z < upper, (tag, l, tn, lower, z, upper)
-        sign = -1 if tag == "G" and l == 0 else 1
-        assert zeros._scan_start(tag, l, tn) == (lower * (1.0 - 1e-9), sign)
+        hair = lower * (1.0 - 1e-9)
+        kind = RootKind.NEUMANN_XI_PRIME if tag == "G" else RootKind.DIRICHLET_XI
+        d = tn - 2 * l + 2
+        assert zeros._first_zero_lower(kind, l, d) == (
+            0.0 if tag == "G" and l == 0 else hair)
+        start, sign = zeros._scan_start(tag, l, tn)
+        assert sign == (-1 if tag == "G" and l == 0 else 1)
+        half = 0.5 * (tn % 2)
+        k = round(start / zeros.DEFAULT_STEP - half)
+        assert start == (k + half) * zeros.DEFAULT_STEP, (tag, l, tn, start)
+        assert start <= hair < (k + 1 + half) * zeros.DEFAULT_STEP
+        if start == 0.0:
+            zero_starts.append((tag, l, tn))
         # G at l = 0 is -J_{nu+1}, so its bounds are J's
         slack["G" if l else "J"].append((1.0 - lower / z, upper / z - 1.0))
+    assert zero_starts == [("J", 0, 0), ("G", 1, 2)]
     for group, want in (("J", [0.0650, 0.00390]), ("G", [0.00618, 0.0688])):
         got = [min(s) for s in zip(*slack[group])]
         assert got == pytest.approx(want, rel=1e-2), group
@@ -494,8 +503,8 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
 
 def dd_cells(tag: str, l: int, twice_nu: int):
     """Sign-change cells (lo, hi) of the double-double target on the order's
-    grid, in order: x_k = (k + parity/2) pi/2 with X_MAX the last point, and
-    a first cell from the scan start to the first grid point above it."""
+    grid, in order, from the scan start: x_k = (k + parity/2) pi/2 with
+    X_MAX the last point."""
     start, sign = zeros._scan_start(tag, l, twice_nu)
     f_df = zeros._target(tag, l, twice_nu)
     half = 0.5 * (twice_nu % 2)
@@ -652,12 +661,6 @@ class TestCensus:
         got = zeros.find_zero(RootKind.NEUMANN_XI_PRIME, 0, 2, 2)
         assert rel_err(got, 3.831705970207512) <= 1e-13
 
-    def test_coarse_tol_stays_within_contract(self):
-        # every zero is the float nearest it, which meets any accepted tol
-        tight = zeros.bessel_zero(Order(0), 1)
-        coarse = zeros.bessel_zero(Order(0), 1, tol=1e-6)
-        assert coarse == tight
-
     def test_results_are_cached_and_deterministic(self):
         a = zeros.dirichlet_zero(4, 3, 2)
         b = zeros.dirichlet_zero(4, 3, 2)
@@ -774,16 +777,21 @@ class TestRefinement:
 
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
         ("G", 1, 100)])  # d = 100: the first zero lies below the turning point
-    def test_tol_cannot_change_a_zero(self, tag, l, twice_nu):
-        # the zero is the float nearest it at every accepted tol, and tol is
-        # no part of the cache key: one cold refinement a zero
+    def test_tol_cannot_change_a_zero(self, capsys, tag, l, twice_nu):
+        # the zeros command only echoes its --tol: each zero is the float
+        # nearest it at every accepted tol, one cold refinement a zero
         _cold()
-        shipped = set()
-        for m in (1, 2, 3):
-            got = {zeros._zero((tag, l, twice_nu), m, tol, "zero")
-                   for tol in (1e-6, 1e-13, 1e-15)}
-            assert len(got) == 1, (m, got)
-            shipped |= got - {0.0}
+        argv = ["zeros", "--l", str(l), "--d", str(twice_nu - 2 * l + 2),
+                "--bc", "neumann" if tag == "G" else "dirichlet",
+                "--count", "3"]
+        got = set()
+        for tol in ("1e-6", "1e-13", "1e-15"):
+            assert cli.run([*argv, "--tol", tol]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["tol"] == float(tol)
+            got.add(tuple(z["zero"] for z in payload["zeros"]))
+        assert len(got) == 1, got
+        shipped = set(got.pop()) - {0.0}
         assert zeros._census_zero.cache_info().misses == len(shipped)
 
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
@@ -982,15 +990,14 @@ class TestRefinement:
         ("G", 1, 100), ("G", 5, 12), ("J", 0, 121)])
     def test_start_lies_near_the_zero(self, tag, l, twice_nu):
         # the quintic through (f, f', f'') at both grid ends puts Newton's
-        # start within 1e-3 of the zero; in the first cell, whose lower end
-        # is the scan start, the Newton step from the grid end stays inside
-        # the cell
-        start = zeros._scan_start(tag, l, twice_nu)[0]
+        # start within 1e-3 of the zero, in the first cell too; in a cell
+        # below the turning point (2x <= twice_nu), where J_nu grows too
+        # steeply for a quintic, it stays inside the cell
         for m in (1, 2, 3, 7):
             lo, hi, _ = zeros._census_bracket(tag, l, twice_nu, m)
-            x = zeros._start(tag, l, twice_nu, lo, hi, lo == start)
+            x = zeros._start(tag, l, twice_nu, lo, hi)
             assert lo < x < hi, (m, lo, x, hi)
-            if lo != start:
+            if 2.0 * hi > twice_nu:
                 z = zeros._census_zero(tag, l, twice_nu, m)
                 assert abs(x - z) <= 1e-3, (m, x, z)
 
@@ -1043,8 +1050,7 @@ class TestRefinement:
         worst, checked = 0.0, 0
         for tag, l, tn, m in self.TAYLOR_CELLS:
             lo, hi, _ = zeros._census_bracket(tag, l, tn, m)
-            first = lo == zeros._scan_start(tag, l, tn)[0]
-            f_df_err = zeros._taylor(tag, l, tn, lo, hi, first)
+            f_df_err = zeros._taylor(tag, l, tn, lo, hi)
             for i in range(1, 20):
                 x = lo + (hi - lo) * i / 20
                 f, _, err = f_df_err(x)
@@ -1056,7 +1062,7 @@ class TestRefinement:
         assert checked == 19 * len(self.TAYLOR_CELLS) and worst > 1e-3
         monkeypatch.setattr(zeros, "_TERMS", 3)
         lo, hi, _ = zeros._census_bracket("J", 0, 0, 2)
-        assert zeros._taylor("J", 0, 0, lo, hi, False)(lo + 0.3)[2] == math.inf
+        assert zeros._taylor("J", 0, 0, lo, hi)(lo + 0.3)[2] == math.inf
 
     def test_grid_phase_keeps_zeros_off_the_grid(self, monkeypatch):
         # half-integer orders have zeros near multiples of pi/2 (j_{1/2,m}
@@ -1104,8 +1110,7 @@ class TestRefinement:
             out = {}
             for tn, m in keys:
                 try:
-                    out[tn, m] = zeros._zero(("J", 0, tn), m,
-                                             zeros.DEFAULT_TOL, "zero")
+                    out[tn, m] = zeros._zero(("J", 0, tn), m, "zero")
                 except RangeError:  # past the box at high order
                     pass
             return out
