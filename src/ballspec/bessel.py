@@ -32,10 +32,12 @@ _ladder is the one ladder, in fixed point on Python ints. It keeps every
 y_k, so a ladder sized for order n yields J_k(x) for every order k of one
 parity up to max(n, int(x)) + 1 (DLMF 3.6(vi)). _eval_miller reads it at
 one order for eval_J and eval_J_pair: the float nearest the quotient plus
-the float nearest the remainder (EvalResult.lo). The zero finder reads it
-for its signs, its Newton start and its Taylor seeds, all from one shared
-ladder per census grid point and parity. _bound is
-the one error model of a pair, dd_err's and the signs':
+the float nearest the remainder (EvalResult.lo). The zero finder reads one
+shared ladder per census grid point and parity: for its census signs at
+the point, and through _multiply, by the multiplication theorem, for every
+value of a refinement in the cells around it, its certificate included.
+_bound is the one error model of a pair, dd_err's, the census signs' and,
+term by term, the certificate's:
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit (_pair_bound), unit about
 n_steps * cancel * 2^-100 + 1e-24, relative to the pair alone below the
 turning point, x <= nu, a model that ROADMAP item 4 has to prove.
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import mul
 
 from ballspec.errors import LossOfPrecision, RangeError
 
@@ -59,6 +62,7 @@ _NEAR_ZERO_FLOOR = 1e-3  # max(|v|, floor) turns the absolute clause into a rati
 _UNDERFLOW_EXP = -930  # frexp exponent below this: |J| < 2^-931, refused
 
 _P = 120  # fraction bits of the integer ladder's fixed point
+_SPAN = 30  # most terms of a _multiply series: orders it reads past nu
 # pi for the half-integer normalizer: floor(pi * 2^_PI_BITS)
 _PI_BITS = 256
 _PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
@@ -199,6 +203,100 @@ def _ladder(parity: int, x: float, n: int):
     # a priori model: noise grows with ladder length and any cancellation
     # in the normalizer; truncation of the start index adds ~e^-60 relative
     return ys, num, den, (n_top + 1) * cancel * 2.0**-100 + 1e-24
+
+
+def _multiply(ladder, x0: float, twice_nu: int):
+    """(pair, value): J near x0 from the _ladder at x0 sized for order
+    n + _SPAN, nu = n + parity/2, by the multiplication theorem (DLMF
+    10.23.1; for J it holds at every x/x0 > 0): J_mu(x) = (x/x0)^mu P_mu(w),
+    P_mu(w) = sum_k (-w)^k / k! J_{mu+k}(x0), w = (x^2 - x0^2) / (2 x0).
+    pair(x) is the float sums (J_nu(x), J_{nu+1}(x)), an estimate. value(z,
+    l) is (v, err) at each midpoint x from the float z to its neighbours:
+    the float v of f(x), x taken exactly, within err of it; f = J_nu, or
+    g = (l/x) J_nu - J_{nu+1} for an int l.
+
+    value sums P_nu, P_{nu+1}, P_{nu+2} at z in fixed point, and reaches a
+    midpoint delta = (x^2 - z^2) / (2 x0) away in w by P_mu(w + delta) =
+    P_mu(w) - delta P_{mu+1}(w) + R, as P_mu' = -P_{mu+1}. C_0 = 2^_P and
+    C_k = floor(C_{k-1} (-w) / k), -w rounded down to a unit, lie within
+    2 e^|w| units of 2^_P (-w)^k / k!, and the sums of C_k y are exact. So
+    a sum's error has three parts: its terms' ladder _bound, at most lad,
+    that of its largest value, times sum |c_k| <= e^|w|; the coefficients'
+    rounding; and the tail. B_mu = min(1, (x0/2)^mu / Gamma(mu+1)) bounds
+    |J_mu(x0)| (DLMF 10.14.1, 10.14.4) and does not increase in mu (it is 1
+    while x0/2 > mu + 1, as Gamma(mu+1) <= (mu+1)^mu), so once 2|w| <= k + 1
+    the tail past k terms is at most 2 |c_k| B_{nu+k}, and |R| <= delta^2
+    e^(|w| + delta) B_nu. The sum stops once its tail is below half the
+    ladder part, a bound relative to the values it sums, or at _SPAN terms,
+    the most a census cell needs."""
+    ys, num, den, unit = ladder
+    n = twice_nu // 2
+    nu, half = 0.5 * twice_nu, 0.5 * x0
+    span = ys[n:n + _SPAN + 2]  # J_{nu+k}(x0) for k <= _SPAN + 1, shifted
+    shift = max(0, max(map(abs, span)).bit_length() - 1000)  # to floats
+    scale = (num << shift) / den
+    js = [(y >> shift) * scale for y in span]
+    top = max(map(abs, js))
+    small = 2.0**-56 * (abs(js[0]) + abs(js[1])) / top  # pair's last |c_k|
+    lad = _bound(top, 0.0, x0, twice_nu, unit)  # at least each term's _bound
+    lim = 0.25 * lad  # a tail below 2 lim ends the sum
+    # (x0/2)^nu / Gamma(nu+1): with |c_k| it bounds the tail terms
+    power = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    p0, q0 = x0.as_integer_ratio()
+
+    def pair(x: float):
+        w = (x - x0) * (x + x0) / (2.0 * x0)
+        s0, s1, c = 0.0, 0.0, 1.0  # the sums and c_k
+        for k in range(_SPAN):
+            s0, s1 = s0 + c * js[k], s1 + c * js[k + 1]
+            c *= -w / (k + 1)
+            if -small < c < small:
+                break
+        return (x / x0) ** nu * s0, (x / x0) ** (nu + 1.0) * s1
+
+    def value(z: float, l=None):
+        ends = z, math.nextafter(z, 0.0), math.nextafter(z, math.inf)
+        ratios = [t.as_integer_ratio() for t in ends]
+        q = max(q0, *(d for _, d in ratios))  # powers of two
+        # points as integers over 2q: z = zz / 2q, x0 = xx / 2q; -w at z
+        # is wn / wd, and a midpoint's w lies dn / wd past it
+        zz, xx = 2 * ratios[0][0] * (q // ratios[0][1]), 2 * p0 * (q // q0)
+        mids = [zz // 2 + t * (q // d) for t, d in ratios[1:]]
+        wn, wd = xx * xx - zz * zz, 4 * q * xx
+        aw = abs(wn / wd)
+        c, u, k = 1.0, power, 0  # |c_k|, |c_k| (x0/2)^(nu+k) / Gamma(nu+k+1)
+        while (c > lim < u or 2.0 * aw > k + 1) and k < _SPAN:
+            k += 1
+            r = aw / k
+            c, u = c * r, u * r * half / (nu + k)
+        tail = 2.0 * min(c, u) if 2.0 * aw <= k + 1 else math.inf
+        grow = math.exp(aw)
+        bound = lad * grow + top * 2 * k * grow * 2.0**-_P + tail
+        mw = (wn << _P) // wd  # -w 2^_P, within one unit
+        cs = [1 << _P]  # C_j
+        for j in range(1, k):
+            cs.append(((cs[-1] * mw) >> _P) // j)
+        t0, t1, t2 = (sum(map(mul, cs, ys[n + i:n + i + k])) for i in range(3))
+        out = []
+        for mm in mids:
+            dn = mm * mm - zz * zz
+            d = abs(dn / wd)
+            err = (bound * (1.0 + d) + d * d * math.exp(aw + d) * min(
+                1.0, power)) * (1.0 + 2.0**-20)
+            x = mm / (2 * q)
+            lam = (x / x0) ** nu  # > 0, within (nu + 3) 2^-52 relative
+            if l is None:
+                v = (wd * t0 - dn * t1) * num / ((den * wd) << _P) * lam
+                err *= lam
+            else:  # g / lam = t num / (den mm xx wd 2^_P)
+                t = (2 * q * l * xx * (wd * t0 - dn * t1)
+                     - mm * mm * (wd * t1 - dn * t2))
+                v = t * num / ((den * mm * xx * wd) << _P) * lam
+                err *= lam * (l / x + x / x0)
+            out.append((v, err + abs(v) * (nu + 4.0) * 2.0**-51))
+        return out
+
+    return pair, value
 
 
 def _eval_miller(twice_nu: int, x: float):

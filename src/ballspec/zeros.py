@@ -36,33 +36,32 @@ expansion zeros of half-integer orders approach multiples of pi/2
 (j_{1/2,m} = m pi exactly), where a common k pi/2 grid would put them on
 grid points. A cell widened to the next grid point around a near-zero
 endpoint must show a sign flip (else BracketFailure), and then it holds
-exactly one zero: three would need two gaps above pi/2. Safeguarded Newton
-refines each bracket, and every returned zero is the float nearest it
-(within half an ulp): the target changes sign between the midpoints to its
-two neighbouring floats, certified from one high-precision pair
-(_certificate): eval_J_pair's value + lo (g formed from it in exact
-integers), the slope from the same pair by J_nu' = (nu/x) J_nu - J_{nu+1}
-(DLMF 10.6.2), each bounded through dd_err and the rounding of every float
-operation, and a bound on f'' through Bessel's ODE. So a zero rests on
-dd_err and the zero alone, not on the Newton path or on the float phase.
+exactly one zero: three would need two gaps above pi/2.
 
-One ladder path serves every float value: _grid_pair reads the pair
-(J_nu, J_{nu+1}) and its bound from a bessel._ladder, which yields J_k at
-every order k of one parity. It reads one shared ladder per (parity, grid
-point), which every degree of either target reads (_LADDERS): sized for
-the order that asks first, and rebuilt once for the whole box when an
-order above it asks. So the scan costs one ladder per grid point, not one
-per degree and cell, and _grid_pair is read at grid points only. One sign
-rule (_sign) takes the ladder's sign where its bound, propagated through
-the target, cannot flip it, else 0.0, which the widen rule takes. Newton
-starts at the root of the quintic that matches (f, f', f'') at both grid
-ends of the cell, read from the shared ladders (_start), typically within
-1e-4 of the zero; its iterates run on the Taylor series of J_nu about the
-nearer grid end (_taylor) while it certifies the sign, and high precision
-(_target; _certificate) takes the last step: about one series evaluation
-and one eval_J_pair call a zero. radial_zeros refines the zero of every
-cell that starts below its edge and drops one past x_max, so it discards
-at most one refinement a degree.
+Safeguarded Newton refines each bracket, and every returned zero is the
+float nearest it: the target takes certified opposite signs at the
+midpoints to its two neighbouring floats. All values of a refinement come
+from one series (bessel._multiply, Lommel's multiplication theorem, DLMF
+10.23.1) on the orders nu, nu + 1, ... at the cell's upper grid end, which
+the census evaluated. Newton starts at the root of the quintic through
+(f, f', f'') at both cell ends, of g / J_nu below the turning point
+(_start); its steps run on the series' float sums, and the certificate
+reads one fixed-point sum bounded through bessel._bound term by term, the
+rounding of its coefficients and a tail from |J_mu| <= min(1, (x/2)^mu /
+Gamma(mu+1)) (DLMF 10.14.1, 10.14.4). Where a float iterate does not
+certify, Newton steps on the fixed-point values (_refine). So a zero rests
+on bessel._bound alone, as the census signs do, not on the Newton path.
+
+One ladder path serves every value: the shared bessel._ladder per (parity,
+grid point) that every degree of either target reads (_LADDERS), sized
+once for max(n, int(x)) + bessel._SPAN orders, those of the order that
+asks first and of its series, and rebuilt once for the whole box when an
+order above it asks (_grid_ladder). So the scan costs one ladder per grid
+point, and no zero builds one of its own. One sign rule (_sign) takes the
+ladder's sign (_grid_pair) where its bound, propagated through the target,
+cannot flip it, else 0.0, which the widen rule takes. radial_zeros refines
+the zero of every cell that starts below its edge and drops one past
+x_max, so it discards at most one refinement a degree.
 """
 
 from __future__ import annotations
@@ -77,16 +76,7 @@ from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
 DEFAULT_TOL = 1e-13
-# A float step s below _HANDOVER x ends the float phase: Newton's next
-# point lies about s^2/(2x) <= 2^-33 x from the zero (f''/f' = -1/x at a
-# zero of J_nu). _certificate reaches a step t from there while M t^2/2,
-# about 10 K t^2 in the wave zone, stays below |f'| ~ K times a quarter
-# ulp, 2^-54 x: t <= 2^-29 sqrt(x). So one high-precision step certifies
-# up to x = 256 > X_MAX; a smaller _HANDOVER only adds float steps
-_HANDOVER = 2.0**-16
-_RADIUS = 2.0**-20  # _certificate's M holds within this times x
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
-_TERMS = 60  # a Taylor series that needs more terms hands over
 
 
 class RootKind(Enum):
@@ -98,116 +88,52 @@ class RootKind(Enum):
 # targets: value-and-derivative callables built on one kernel pair call
 
 
-def _slope(tag: str, l: int, nu: float, x: float):
-    """(p, r): the target's derivative is p J_nu(x) + r J_{nu+1}(x)."""
-    if tag == "J":  # J_nu' = (nu/x) J_nu - J_{nu+1} (DLMF 10.6.2)
-        return nu / x, -1.0
-    # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
-    # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
-    return l * (nu - 1.0) / (x * x) - 1.0, (nu + 1.0 - l) / x
-
-
 def _combine(tag: str, l: int, nu: float, x: float, a: float, b: float):
     """(f, df) of the J target (tag "J") or the derivative target (tag
     "G") from a = J_nu(x) and b = J_{nu+1}(x)."""
-    p, r = _slope(tag, l, nu, x)
-    return a if tag == "J" else (l / x) * a - b, p * a + r * b
+    if tag == "J":  # J_nu' = (nu/x) J_nu - J_{nu+1} (DLMF 10.6.2)
+        return a, (nu / x) * a - b
+    # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
+    # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
+    return ((l / x) * a - b,
+            (l * (nu - 1.0) / (x * x) - 1.0) * a + (nu + 1.0 - l) / x * b)
 
 
 def _curvature(tag: str, l: int, nu: float, x: float, a: float, b: float):
     """f'' of the target from a = J_nu(x) and b = J_{nu+1}(x): Bessel's
-    equation for J_nu and J_{nu+1}, with their derivatives as in _slope."""
+    equation for J_nu and J_{nu+1}, with their derivatives as in
+    _combine."""
     if tag == "J":  # J_nu'' = -J_nu'/x - (1 - nu^2/x^2) J_nu
         return a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x
     return (a * (l * (nu - 1.0) * (nu - 2.0) / (x * x) + 1.0 - l) / x
             + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x)))
 
 
-def _target(tag: str, l: int, twice_nu: int):
-    """f_df of the target in high precision: _certificate's (f, s, e,
-    nearest) at x, from eval_J_pair's pair there."""
-    nu = 0.5 * twice_nu
-    order = Order(twice_nu)
-
-    def f_df(x: float):
-        return _certificate(tag, l, nu, x, *bessel.eval_J_pair(order, x))
-
-    return f_df
-
-
-def _exact(r) -> tuple[int, int]:
-    """r.value + r.lo of a bessel.EvalResult exactly, as (n, d): n / d with
-    d a power of two."""
-    (n0, d0), (n1, d1) = r.value.as_integer_ratio(), r.lo.as_integer_ratio()
-    d = max(d0, d1)
-    return n0 * (d // d0) + n1 * (d // d1), d
-
-
-def _certificate(tag: str, l: int, nu: float, x: float, a, b):
-    """(f, s, e, nearest) at a high-precision point x from its pair a, b
-    (bessel.EvalResult): f, within err, is the target formed from value +
-    lo, for g exactly in integers with one rounding; f'(x) lies within e
-    of s; nearest(z) is True if z is certified the float nearest the zero.
-
-    The pair alone certifies. s = p a + r b with _slope's p and r, within
-    2^-50 (|p| + 1) and 2^-50 |r| of exact (three roundings at most, one
-    of them of l(nu-1)/x^2 - 1); each J lies within dd_err plus its lo
-    (2^-53 of the value) of the value, and s rounds twice, so with
-    K = max |value| + dd_err, e = (|p| + |r|) dd_err
-    + 2^-49 (|p| + |r| + 1) K. f(x + t) = f(x) + t f'(x) + R,
-    |R| <= M t^2/2, must take opposite certified signs at t = z - x -+ h,
-    h half the smaller gap around z. M bounds |f''| within w = x * _RADIUS
-    of x: there, with q = (nu + 2)/(x - w) and (1 + q) w < 1 across the
-    box, the pair grows at most e-fold from K (Gronwall on
-    Y' = [[nu/s, -1], [1, -(nu+1)/s]] Y, row sums <= 1 + q), and Bessel's
-    ODE bounds |f''| of either target by 6 (1 + q)^3 times the pair, so
-    M = 20 (1 + q)^3 K > 6e (1 + q)^3 K. _combine's df does not enter, so
-    a wrong one can cost steps but cannot move a zero.
-    """
-    if tag == "J":
-        f, err = a.value, a.dd_err
-    else:  # g = (l/x) J_nu - J_{nu+1}, exact from the pairs' hi + lo
-        (an, ad), (bn, bd) = _exact(a), _exact(b)
-        xn, xd = x.as_integer_ratio()
-        f = (l * xd * an * bd - xn * bn * ad) / (xn * ad * bd)  # one rounding
-        err = (l / x + 1.0) * a.dd_err
-    err += 2.0**-52 * abs(f)  # the low part, and float sums with f
-    k = max(abs(a.value), abs(b.value)) + a.dd_err
-    p, r = _slope(tag, l, nu, x)
-    s = p * a.value + r * b.value
-    e = (abs(p) + abs(r)) * a.dd_err + 2.0**-49 * (abs(p) + abs(r) + 1.0) * k
-    m = 20.0 * (1.0 + (nu + 2.0) / (x * (1.0 - _RADIUS))) ** 3 * k
-
-    def nearest(z: float) -> bool:
-        h = 0.5 * math.ulp(math.nextafter(z, 0.0))
-        (v0, e0), (v1, e1) = [
-            (f + t * s, err + abs(t) * e + 0.5 * m * t * t
-             + 2.0**-52 * abs(t * s))
-            for t in (z - x - h, z - x + h)]
-        return (abs(z - x) + h <= _RADIUS * x and abs(v0) > e0
-                and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0))
-
-    return f, s, e, nearest
-
-
 # shared ladders of the census grid: (parity, x) -> (top, ys, num, den,
-# unit), bessel._ladder sized for order top; top = _LADDER_TOP covers the box
+# unit), serving every order up to top and its series; _LADDER_TOP the box
 _LADDERS: dict = {}
 _LADDER_TOP = TWICE_NU_MAX // 2 - 1
 
 
+def _grid_ladder(parity: int, x: float, n: int):
+    """(ys, num, den, unit): the shared bessel._ladder at the census grid
+    point x for order n + parity/2 and its multiplication series, sized for
+    max(n, int(x)) + bessel._SPAN orders, rebuilt once for the box when an
+    order above its top asks."""
+    ladder = _LADDERS.get((parity, x))
+    if ladder is None or ladder[0] < n:
+        top = max(n, int(x)) if ladder is None else max(n, _LADDER_TOP)
+        ladder = _LADDERS[parity, x] = (
+            top, *bessel._ladder(parity, x, top + bessel._SPAN))
+    return ladder[1:]
+
+
 def _grid_pair(twice_nu: int, x: float):
     """(a, b, err): the floats nearest J_nu(x) and J_{nu+1}(x) of the
-    shared bessel._ladder at the census grid point x (_LADDERS), whose
-    quotients lie within err (bessel._bound). The ladder is sized for the
-    order that asks first, and rebuilt once for the box when an order
-    above its reach asks."""
+    shared ladder at the census grid point x, whose quotients lie within
+    err (bessel._bound)."""
     n, parity = divmod(twice_nu, 2)
-    ladder = _LADDERS.get((parity, x))
-    if ladder is None or max(ladder[0], int(x)) < n:
-        top = n if ladder is None else max(n, _LADDER_TOP)
-        ladder = _LADDERS[parity, x] = (top, *bessel._ladder(parity, x, top))
-    _, ys, num, den, unit = ladder
+    ys, num, den, unit = _grid_ladder(parity, x, n)
     a, b = ys[n] * num / den, ys[n + 1] * num / den  # one rounding each
     return a, b, bessel._bound(a, b, x, twice_nu, unit)
 
@@ -347,99 +273,74 @@ def _quintic_root(f0, d0, c0, f1, d1, c1) -> float:
     return t
 
 
-def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float) -> float:
+def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float,
+           pair) -> float:
     """Newton's first iterate in the census cell (lo, hi): the root of the
-    quintic that matches f, f' and f'' at both grid ends, read from the
-    shared ladders there; the midpoint where that root leaves the cell."""
+    quintic through (f, f', f'') at both ends, from the float series pair;
+    the midpoint where it leaves the cell. Below the turning point (2 hi <=
+    twice_nu), where J_nu > 0 grows too steeply for a quintic, it takes
+    g / J_nu = l/x - R, R = J_{nu+1} / J_nu, with the Riccati equation
+    R' = 1 - (2 nu + 1) R / x + R^2 of the J recursions."""
     nu = 0.5 * twice_nu
+    ratio = tag == "G" and 2.0 * hi <= twice_nu
 
     def jets(x: float):
-        a, b, _ = _grid_pair(twice_nu, x)
-        return (*_combine(tag, l, nu, x, a, b),
-                _curvature(tag, l, nu, x, a, b))
+        a, b = pair(x)
+        if not ratio:
+            return (*_combine(tag, l, nu, x, a, b),
+                    _curvature(tag, l, nu, x, a, b))
+        r, s = b / a, (2.0 * nu + 1.0) / x
+        dr = 1.0 - s * r + r * r
+        return (l / x - r, -l / (x * x) - dr,
+                2.0 * l / x**3 - (s * (r / x - dr) + 2.0 * r * dr))
 
     (f0, d0, c0), (f1, d1, c1), h = jets(lo), jets(hi), hi - lo
     x = lo + h * _quintic_root(f0, h * d0, h * h * c0, f1, h * d1, h * h * c1)
     return x if lo < x < hi else 0.5 * (lo + hi)
 
 
-def _taylor(tag: str, l: int, twice_nu: int, lo: float, hi: float):
-    """f_df_err of the target in the census cell (lo, hi) from the series
-    J_nu(x0 + t) = sum a_k t^k about the grid end x0 nearer x, where
-    Bessel's equation gives x0^2 (k+1)(k+2) a_{k+2} = -[x0 (k+1)(2k+1)
-    a_{k+1} + (k^2 + x0^2 - nu^2) a_k + 2 x0 a_{k-1} + a_{k-2}] (Glaser,
-    Liu and Rokhlin, SIAM J. Sci. Comput. 29, 2007), from a_0 and a_1 of
-    the shared ladder at x0. Each end's a_k are built once, as far as a
-    call needs them. The sums stop once two derivative terms in a row fall
-    below 2^-56 of the running magnitude M; err is 2^-48 M, an estimate
-    that only has to keep Newton moving (_certificate decides every zero),
-    and inf past _TERMS terms."""
-    nu = 0.5 * twice_nu
-    series: dict = {}  # x0 -> [0, 0, a_0, a_1, ...]
-
-    def f_df_err(x: float):
-        x0 = hi if hi - x <= x - lo else lo
-        if x0 not in series:
-            a, b, _ = _grid_pair(twice_nu, x0)
-            series[x0] = [0.0, 0.0, a, (nu / x0) * a - b]
-        cs, t = series[x0], x - x0
-        j = dj = m = 0.0  # the sums of J and J', and their magnitude
-        tk, small, err = 1.0, 0, math.inf  # t^(k-1); small terms in a row
-        for k in range(1, _TERMS + 1):
-            if len(cs) == k + 2:  # a_k, from the recurrence at k - 2
-                cs.append(-(x0 * (k - 1) * (2 * k - 3) * cs[k + 1]
-                            + ((k - 2) ** 2 + x0 * x0 - nu * nu) * cs[k]
-                            + 2.0 * x0 * cs[k - 1] + cs[k - 2])
-                          / (x0 * x0 * (k - 1) * k))
-            tj, td = cs[k + 1] * tk, k * cs[k + 2] * tk  # of J and J'
-            j, dj, m = j + tj, dj + td, m + abs(tj) + abs(td)
-            small = small + 1 if abs(td) <= 2.0**-56 * m else 0
-            if small == 2:
-                err = 2.0**-48 * m
-                break
-            tk *= t
-        return _target_err(tag, l, nu, x, j, (nu / x) * j - dj, err)
-
-    return f_df_err
-
-
 def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
             sign_lo: int) -> float:
-    """The float nearest the zero in the census cell (lo, hi).
-
-    Newton from _start; a step that leaves the bracket, or is more than
-    half the step before last (so a bad derivative cannot stall the loop),
-    becomes a bisection. The iterates run on the cell's Taylor series
-    (_taylor) while its estimate certifies the sign of f, so the bracket
-    only moves on certified signs; at the first point where it does not,
-    or once a step taken, Newton's or a bisection's, falls below
-    _HANDOVER * x, high precision (_target) takes over from that point.
-    Each high-precision point steps with _certificate's slope, kept inside
-    the bracket, and its step z is returned once _certificate certifies it
-    the float nearest the zero. So every returned zero is a function of
-    the zero alone, not of the Newton path or of _combine's df.
+    """The float nearest the zero in the census cell (lo, hi), every value
+    from the series at hi, which the census evaluated (lo may be the scan
+    start). Newton from _start runs on the float pair while its steps at
+    least halve inside the cell, until its next step, f'' s^2 / (2 f') for
+    a step s, is below an ulp. Then an iterate z is returned once the
+    fixed-point values at the midpoints to its neighbours take certified
+    opposite signs; else the bracket moves on the certified signs and
+    Newton steps by the secant through those values. A step that leaves the
+    bracket, or is more than half the step before last, becomes a
+    bisection. So the float phase and _combine's df cannot move a zero.
     """
-    taylor = _taylor(tag, l, twice_nu, lo, hi)
-    f_df = _target(tag, l, twice_nu)
-    x = _start(tag, l, twice_nu, lo, hi)
+    nu = 0.5 * twice_nu
+    n, parity = divmod(twice_nu, 2)
+    pair, value = bessel._multiply(_grid_ladder(parity, hi, n), hi, twice_nu)
+    x = _start(tag, l, twice_nu, lo, hi, pair)
+    step = hi - lo
+    while True:  # the float phase
+        a, b = pair(x)
+        f, df = _combine(tag, l, nu, x, a, b)
+        x_new = x - f / df if df != 0.0 else math.nan
+        if not (lo < x_new < hi and abs(x_new - x) < 0.5 * step):
+            break
+        ddf, step, x = _curvature(tag, l, nu, x, a, b), abs(x_new - x), x_new
+        if abs(ddf) * step * step <= abs(df) * math.ulp(x):
+            break
     dx_old = dx_older = hi - lo
-    floats = True  # the float phase, on the Taylor series
     for _ in range(100):
-        if floats:
-            f, df, err = taylor(x)
-            if not abs(f) > err:  # sign not certified: high precision from x
-                floats = False
-                continue
-        else:
-            f, df, _, nearest = f_df(x)
-        x_new = x - f / df if df != 0.0 else math.inf
-        if not floats and lo <= x_new <= hi and nearest(x_new):
-            return x_new
-        lo, hi = (x, hi) if (f > 0.0) == (sign_lo > 0) else (lo, x)
-        if not lo <= x_new <= hi or abs(x_new - x) > 0.5 * dx_older:
+        below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
+        (v0, e0), (v1, e1) = value(x, None if tag == "J" else l)
+        if abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0):
+            return x
+        if abs(v1) > e1 and (v1 > 0.0) == (sign_lo > 0):
+            lo = x  # the zero lies past the upper midpoint
+        if abs(v0) > e0 and (v0 > 0.0) != (sign_lo > 0):
+            hi = x  # ... or below the lower one
+        h0, h1 = 0.5 * (x - below), 0.5 * (above - x)
+        x_new = (x - (h0 + v0 * (h0 + h1) / (v1 - v0)) if v1 != v0
+                 else math.nan)
+        if not lo < x_new < hi or abs(x_new - x) > 0.5 * dx_older:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= _HANDOVER * x_new:
-            floats = False  # converged in floats: high precision from x_new
         dx_older, dx_old = dx_old, abs(x_new - x)
         x = x_new
     raise BracketFailure(

@@ -5,9 +5,11 @@ pair, the zero finders, the serializers); a refactor that deletes or renames
 one of them breaks the traced benchmark with an AttributeError. Each case
 runs the tracer in a fresh process on a golden argv and checks its header
 (the spans of the layers that subcommand runs) and the CLI's stdout behind
-it. The CLI imports each compute module inside the subcommand that runs
-it, so a wrapped function must stay a module or class attribute that the
-CLI looks up at call time.
+it. No CLI path calls the kernel pair ``bessel.eval_J_pair`` any more (the
+zero finder reads the census's shared ladders), so its span is wrapped but
+never opened. The CLI imports each compute module inside the subcommand
+that runs it, so a wrapped function must stay a module or class attribute
+that the CLI looks up at call time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from tests.test_golden import GOLDEN
 
 ROOT = Path(__file__).resolve().parent.parent
 # one argv per subcommand the benchmark runs, with the spans of the layers
-# it wraps for that subcommand (besides the kernel pair and a zero finder)
+# it wraps for that subcommand (besides a zero finder)
 TRACED = {
     "zeros --l 3 --d 3 --bc neumann --count 2 --format csv": {"cli.run"},
     "certify --d 4 --through 5":
@@ -52,7 +54,7 @@ def test_tracer_runs_golden_argv(argv):
     head = json.loads(header)
     assert head["rc"] == 0
     names = {span[0] for span in head["spans"]}
-    assert "bessel.eval_J_pair" in names
+    assert "bessel.eval_J_pair" not in names
     assert any(name.startswith("zeros.") for name in names), names
     assert TRACED[argv] <= names, names
     want = {a: sha for a, _, sha in GOLDEN}[argv]

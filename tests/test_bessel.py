@@ -5,6 +5,7 @@ zeros); cross-checks against the extended-precision oracle in _oracle.py.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -140,8 +141,22 @@ def xi(l: int, d: int, r: float) -> float:
     return r ** (0.5 * (2 - d)) * eval_J(Order.from_l_d(l, d), r).value
 
 
+def pair_target(tag: str, l: int, twice_nu: int):
+    """The census target J_nu (tag "J") or g = (l/x) J_nu - J_{nu+1} at x,
+    from eval_J_pair's value + lo, g formed exactly and rounded once: a
+    reference for the zero finder that reads its own ladder at x."""
+    order = Order(twice_nu)
+
+    def f(x: float) -> float:
+        a, b = (Fraction(r.value) + Fraction(r.lo)
+                for r in eval_J_pair(order, x))
+        return float(a if tag == "J" else l / Fraction(x) * a - b)
+
+    return f
+
+
 def xi_prime(l: int, d: int, r: float) -> float:
-    return r ** (0.5 * (2 - d)) * zeros._target("G", l, 2 * l + d - 2)(r)[0]
+    return r ** (0.5 * (2 - d)) * pair_target("G", l, 2 * l + d - 2)(r)
 
 
 def test_xi_l0_d3_zero_at_pi():
@@ -292,16 +307,19 @@ def test_ladder_float_within_its_bound():
 
 
 def test_ladder_float_is_the_twin_ladder(monkeypatch):
-    # a shared ladder at x sized for the asking order is bessel._ladder
-    # for that order step for step, so the census reads its pair and bound
-    # bit for bit, and its signs are the pair's
+    # a shared ladder at x is bessel._ladder sized for max(n, int(x)) +
+    # bessel._SPAN, the order that asks first and the orders its
+    # multiplication series reads, step for step; so the census reads its
+    # pair and bound bit for bit, and its signs are the pair's
     for tn in TWIN_ORDERS:
         n, parity = divmod(tn, 2)
         for x in TWIN_XS + (0.05, 0.3):
             monkeypatch.setattr(zeros, "_LADDERS", {})
             shared = zeros._grid_pair(tn, x)
             assert len(zeros._LADDERS) == 1
-            ys, num, den, unit = bessel._ladder(parity, x, n)
+            ys, num, den, unit = bessel._ladder(
+                parity, x, max(n, int(x)) + bessel._SPAN)
+            assert zeros._LADDERS[parity, x][1:] == (ys, num, den, unit)
             a, b = ys[n] * num / den, ys[n + 1] * num / den
             assert shared == (a, b, bessel._bound(a, b, x, tn, unit)), (tn, x)
             for tag, l in (("J", 0), ("G", tn // 2 + 1)):
@@ -313,11 +331,14 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
 @pytest.mark.parametrize("x", TWIN_XS)
 @pytest.mark.parametrize("parity", [0, 1])
 def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
-    # the first ladder at a grid point is sized for the asking order; a
-    # later order above it rebuilds the ladder for the whole box
-    lazy = list(ladder_pairs(parity, x, 3))
-    box = list(ladder_pairs(parity, x, bessel.TWICE_NU_MAX // 2 - 1))
-    assert len(lazy) == max(3, int(x)) + 1 and len(box) >= len(lazy)
+    # the first ladder at a grid point is sized for the asking order and
+    # its series, max(n, int(x)) + bessel._SPAN; a later order above n
+    # rebuilds the ladder for the whole box, and both agree on every pair
+    top = max(3, int(x)) + bessel._SPAN
+    lazy = list(ladder_pairs(parity, x, top))
+    box = list(ladder_pairs(parity, x, max(bessel.TWICE_NU_MAX // 2 - 1,
+                                           int(x)) + bessel._SPAN))
+    assert len(lazy) == top + 1 and len(box) >= len(lazy)
     for (n, a, b, err), (_, a2, b2, err2) in zip(lazy, box):
         assert abs(a - a2) <= err + err2 and abs(b - b2) <= err + err2, n
 

@@ -2,12 +2,14 @@
 a standard-library module or ``ballspec`` itself. And the supported box has
 one home: one integer check (``bessel._check_int``) and the order cap
 compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
-And every high-precision value comes through ``bessel.eval_J_pair``. And a
-CLI job imports only the modules its subcommand runs, and never
+And a CLI job imports only the modules its subcommand runs, and never
 ``dataclasses``, an argument parser, ``json`` or ``fractions``. And the
-kernel keeps one Miller ladder, the integer ``bessel._ladder``, read by
-``_eval_miller`` and the zero finder's readers, with no float ladder and no
-double-double primitive left."""
+kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
+``_eval_miller`` and the zero finder's shared ladders, with no float ladder
+and no double-double primitive left; the zero finder takes every value from
+those shared ladders, none from ``bessel.eval_J_pair``, and the only
+fixed-point functions are ``bessel._ladder`` and its multiplication-series
+reader ``bessel._multiply``."""
 
 from __future__ import annotations
 
@@ -84,9 +86,8 @@ def test_order_cap_is_compared_only_in_bessel_and_zeros():
 
 
 def test_only_bessel_names_the_double_double_ladder():
-    # outside the kernel, high-precision values come from eval_J_pair, with
-    # its box and underflow checks and the benchmark tracer's
-    # bessel.eval_J_pair span (tests/test_benchmark_tracer.py)
+    # outside the kernel, no value comes from _eval_miller's reading of a
+    # ladder: eval_J and eval_J_pair check the box and underflow around it
     found = [
         (name, node.lineno)
         for name, tree in _parsed()
@@ -95,6 +96,17 @@ def test_only_bessel_names_the_double_double_ladder():
         if isinstance(node, (ast.Name, ast.Attribute))
         and _named(node, {"_eval_miller"})
     ]
+    assert found == []
+
+
+def test_zero_finder_takes_no_value_from_eval_j_pair():
+    # every zero, its census signs and its certificate read the census's
+    # shared ladders (zeros._grid_ladder), so a zero rests on bessel._bound
+    # of those ladders alone
+    tree = dict(_parsed())["zeros.py"]
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and _named(node, {"eval_J_pair", "eval_J"})]
     assert found == []
 
 
@@ -135,19 +147,21 @@ def _counts_down(node: ast.AST) -> bool:
 
 
 def test_eval_miller_is_the_only_high_precision_ladder():
-    # one Miller ladder runs backward, the integer bessel._ladder that
-    # _eval_miller reads, and it is the only function in fixed point (>>)
-    ladders, shifts = set(), set()
-    for name, tree in _parsed():
-        for fn in _functions(tree):
-            if any(_counts_down(node) for node in ast.walk(fn)):
-                ladders.add((name, fn.name))
-            if any(isinstance(node, ast.BinOp)
-                   and isinstance(node.op, ast.RShift)
-                   for node in ast.walk(fn)):
-                shifts.add((name, fn.name))
+    # one Miller ladder runs backward, the integer bessel._ladder
+    ladders = {(name, fn.name) for name, tree in _parsed()
+               for fn in _functions(tree)
+               if any(_counts_down(node) for node in ast.walk(fn))}
     assert ladders == {("bessel.py", "_ladder")}
-    assert shifts == {("bessel.py", "_ladder")}
+
+
+def test_only_the_ladder_and_its_series_reader_run_in_fixed_point():
+    # a shift (<< or >>) marks fixed point: only bessel._ladder and
+    # bessel._multiply, the multiplication series that reads it, shift
+    shifts = {(name, _enclosing(tree, node.lineno))
+              for name, tree in _parsed() for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp)
+              and isinstance(node.op, (ast.LShift, ast.RShift))}
+    assert shifts == {("bessel.py", "_ladder"), ("bessel.py", "_multiply")}
 
 
 def _enclosing(tree: ast.AST, line: int) -> str:
@@ -158,10 +172,11 @@ def _enclosing(tree: ast.AST, line: int) -> str:
 
 
 def test_ladder_has_one_reader_per_use_and_no_float_twin():
-    # bessel._ladder is read by _eval_miller (every eval_J / eval_J_pair
-    # value) and by zeros' _grid_pair (the census's shared ladders, Newton's
-    # start and Taylor seeds); the float ladder, its rescale constants and
-    # its readers are gone
+    # bessel._ladder is built by _eval_miller (every eval_J / eval_J_pair
+    # value) and by zeros' _grid_ladder (the census's shared ladders, which
+    # the census signs, Newton and the certificate read); the float ladder,
+    # its rescale constants and readers, the Taylor phase and the
+    # pair-based certificate are gone
     calls = []
     for name, tree in _parsed():
         calls += [(name, _enclosing(tree, node.lineno))
@@ -169,9 +184,11 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
                   if isinstance(node, ast.Call)
                   and _named(node.func, {"_ladder"})]
     assert sorted(calls) == [("bessel.py", "_eval_miller"),
-                             ("zeros.py", "_grid_pair")]
+                             ("zeros.py", "_grid_ladder")]
     gone = {"_miller_float", "_RESCALE_HI", "_RESCALE_MUL", "_float_target",
-            "_sign_target", "_pair_float", "_ladder_float"}
+            "_sign_target", "_pair_float", "_ladder_float", "_taylor",
+            "_TERMS", "_HANDOVER", "_RADIUS", "_exact", "_certificate",
+            "_target"}
     tests = sorted(SRC.parents[1].joinpath("tests").glob("*.py"))
     found = [
         (path.name, node.lineno)

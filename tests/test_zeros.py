@@ -6,10 +6,13 @@ cross-checks call the extended-precision oracle in tests/_oracle.py.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -23,7 +26,7 @@ from ballspec.zeros import RootKind
 
 from tests import _frozen
 from tests import _oracle as oracle
-from tests.test_bessel import oracle_target, twin_points
+from tests.test_bessel import oracle_target, pair_target, twin_points
 
 
 def rel_err(got: float, want: float) -> float:
@@ -287,39 +290,125 @@ def assert_nearest_float(tag: str, l: int, twice_nu: int, z: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# census targets: f and df against the oracle across the box
+# the multiplication series: f and df against the oracle across the box
 
-# (tag, l, twice_nu, points): small x (where an ascending series would
-# serve) at the low points, large x above
+# (tag, l, twice_nu, points): small x at the low points, large x above; G at
+# l = 1 for d = 120 and d = 238, deep below the turning point, and the first
+# Neumann zero at d = 5, l = 26, near sqrt(l (l + d - 2)) where |g'| is small
+# (the zeros themselves where a point carries all its digits)
 TARGET_POINTS = [
     ("J", 0, 0, (5.0, 47.5)),
     ("G", 3, 7, (0.7, 5.0, 13.5, 47.5, 150.0, 199.5)),
     ("G", 100, 202, (80.0, 110.0, 150.0, 199.5)),
     ("J", 0, 202, (80.0, 105.0, 150.0, 199.5)),
+    ("G", 1, 120, (11.000744736195989, 12.0)),
+    ("G", 1, 238, (14.5, 15.45989431346645)),
+    ("G", 26, 55, (29.624863030562352,)),
 ]
+
+
+def cell_series(tag: str, l: int, twice_nu: int, x: float):
+    """bessel._multiply's (pair, value) from the shared ladder at the upper
+    end of the grid cell around x, as zeros._refine reads it."""
+    parity = twice_nu % 2
+    hi = next(zeros._grid_points(parity, x))
+    ladder = zeros._grid_ladder(parity, hi, twice_nu // 2)
+    pair, value = bessel._multiply(ladder, hi, twice_nu)
+    return pair, lambda z: value(z, None if tag == "J" else l)
 
 
 @pytest.mark.parametrize("tag,l,twice_nu,x", [
     (tag, l, tn, x) for tag, l, tn, points in TARGET_POINTS for x in points])
-def test_target_matches_oracle(tag, l, twice_nu, x):
+def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
     # J: f = J_nu, df = J_nu'; G: f = g = (l/x) J_nu - J_{nu+1} and
-    # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which _slope forms
-    # through the recursion J_nu (l(nu-1)/x^2 - 1) + J_{nu+1} (nu+1-l)/x
-    f, df, *_ = zeros._target(tag, l, twice_nu)(x)
-    ja = float(oracle.oracle_J(twice_nu, x, dps=30))
-    pa = float(oracle.oracle_J_prime(twice_nu, x, dps=30))
-    if tag == "J":
-        terms = (ja, pa)
-        want_f, want_df = ja, pa
-    else:
-        jb = float(oracle.oracle_J(twice_nu + 2, x, dps=30))
-        pb = float(oracle.oracle_J_prime(twice_nu + 2, x, dps=30))
-        terms = ((l / x) * ja, jb, (l / (x * x)) * ja, (l / x) * pa, pb)
-        want_f = terms[0] - terms[1]
-        want_df = -terms[2] + terms[3] - terms[4]
-    bound = 1e-13 * max(max(abs(t) for t in terms), 1e-3)
-    assert abs(f - want_f) <= bound, (f, want_f)
-    assert abs(df - want_df) <= bound, (df, want_df)
+    # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which _combine forms
+    # through the recursion J_nu (l(nu-1)/x^2 - 1) + J_{nu+1} (nu+1-l)/x.
+    # The float pair of the series gives (f, df) to about 1e-13 of the
+    # largest term; the fixed-point value at the midpoints around x lies
+    # within its stated bound of the oracle: a few 1e-24 of the pair, plus
+    # the value's own rounding to a float
+    monkeypatch.setattr(zeros, "_LADDERS", {})
+    pair, value = cell_series(tag, l, twice_nu, x)
+    f, df = zeros._combine(tag, l, 0.5 * twice_nu, x, *pair(x))
+    with mp.workdps(40):
+        ja, pa, jb, pb = (mp.besselj(mp.mpf(tn) / 2, x, derivative=k)
+                          for tn in (twice_nu, twice_nu + 2) for k in (0, 1))
+        if tag == "J":
+            terms = (ja, pa)
+            want_f, want_df = ja, pa
+        else:
+            terms = ((l / mp.mpf(x)) * ja, jb, (l / mp.mpf(x)**2) * ja,
+                     (l / mp.mpf(x)) * pa, pb)
+            want_f = terms[0] - terms[1]
+            want_df = -terms[2] + terms[3] - terms[4]
+        scale = max(max(abs(t) for t in terms), abs(jb))
+        assert abs(f - want_f) <= 1e-13 * scale, (f, want_f)
+        assert abs(df - want_df) <= 1e-13 * scale, (df, want_df)
+        mids = [(mp.mpf(x) + mp.mpf(math.nextafter(x, to))) / 2
+                for to in (0.0, math.inf)]
+        for mid, (v, err) in zip(mids, value(x)):
+            miss = abs(mp.mpf(v) - oracle_target(tag, l, twice_nu, mid))
+            assert miss <= err, (mid, v, float(miss), err)
+            assert err <= 1e-22 * scale + 1e-13 * abs(v), (err, v)
+
+
+@pytest.mark.parametrize("tag,l,twice_nu", [
+    ("J", 0, 0), ("G", 3, 7), ("J", 0, 202), ("G", 1, 238)])
+def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
+                                                       twice_nu):
+    # a ladder whose quotients J_{nu+k}(x0) each sit 0.95 of the ladder's
+    # own _bound from the truth, with the signs of their coefficients in f,
+    # moves the series by most of its ladder part; at the first zero (G at
+    # d = 238 below the turning point) the fixed-point value from it must
+    # still lie within its bound of the truth at the midpoints around it
+    monkeypatch.setattr(zeros, "_LADDERS", {})
+    n, parity = divmod(twice_nu, 2)
+    z = zeros._census_zero(tag, l, twice_nu, 1)
+    x0 = next(zeros._grid_points(parity, z))
+    ys, num, den, unit = zeros._grid_ladder(parity, x0, n)
+    w = (z * z - x0 * x0) / (2.0 * x0)
+    c = [(-w) ** k / math.factorial(k) for k in range(bessel._SPAN + 2)]
+    worst = 0.0
+    with mp.workdps(150):
+        skewed = list(ys)
+        for k in range(bessel._SPAN + 2):  # J_{nu+k}(x0)'s weight in f
+            weight = c[k] if tag == "J" else l / z * c[k] - z / x0 * (
+                c[k - 1] if k else 0.0)
+            a, b = (ys[i] * num / den for i in (n + k, n + k + 1))
+            step = 0.95 * bessel._bound(a, b, x0, twice_nu + 2 * k, unit)
+            truth = mp.besselj(mp.mpf(twice_nu) / 2 + k, x0)
+            skewed[n + k] = int(mp.nint(
+                (truth + math.copysign(step, weight)) * den / num))
+        _, value = bessel._multiply((skewed, num, den, unit), x0, twice_nu)
+        mids = [(mp.mpf(z) + mp.mpf(math.nextafter(z, to))) / 2
+                for to in (0.0, math.inf)]
+        for mid, (v, err) in zip(mids, value(z, None if tag == "J" else l)):
+            miss = abs(mp.mpf(v) - oracle_target(tag, l, twice_nu, mid))
+            assert miss <= err, (mid, v, float(miss), err)
+            worst = max(worst, float(miss / err))
+    assert worst > 0.05  # the skew fills a good part of the bound
+
+
+def test_series_cut_short_keeps_its_tail_in_its_bound(monkeypatch):
+    # with the series capped at 6 terms the tail past them dominates the
+    # error, and the fixed-point value still lies within its bound of the
+    # oracle, a bound within 1e3 of the miss
+    monkeypatch.setattr(bessel, "_SPAN", 6)
+    monkeypatch.setattr(zeros, "_LADDERS", {})
+    worst = 0.0
+    for tag, l, twice_nu, points in TARGET_POINTS:
+        for x in points:
+            _, value = cell_series(tag, l, twice_nu, x)
+            with mp.workdps(40):
+                mids = [(mp.mpf(x) + mp.mpf(math.nextafter(x, to))) / 2
+                        for to in (0.0, math.inf)]
+                for mid, (v, err) in zip(mids, value(x)):
+                    miss = abs(mp.mpf(v) - oracle_target(tag, l, twice_nu,
+                                                         mid))
+                    assert miss <= err, (tag, l, twice_nu, mid, float(miss),
+                                         err)
+                    worst = max(worst, float(miss / err))
+    assert worst > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +554,16 @@ def test_first_zero_bounds_bracket_the_first_zero():
 
 
 def test_shared_ladders_hold_grid_points_only(monkeypatch):
-    # the census, Newton's start and its Taylor series read shared ladders
-    # at grid points only, X_MAX the last of them, and eval_J_pair builds
-    # its own; so the cache never holds more ladders than a parity's grid
-    # has points, even where radial_zeros stops inside a cell
+    # the census and every refinement read shared ladders at grid points
+    # only, X_MAX the last of them, and build no other ladder; so the cache
+    # never holds more ladders than a parity's grid has points, even where
+    # radial_zeros stops inside a cell
     _cold()
     seen = []
     real = bessel._ladder
 
     def spied(parity, x, n):
-        seen.append(x)
+        seen.append((parity, x))
         return real(parity, x, n)
 
     monkeypatch.setattr(bessel, "_ladder", spied)
@@ -493,20 +582,22 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
         key for key in zeros._LADDERS if key[1] not in grids[key[0]])
     for p in (0, 1):
         assert sum(key[0] == p for key in zeros._LADDERS) <= len(grids[p])
-    assert len(seen) > len(zeros._LADDERS)  # eval_J_pair's ladders ran too
+    # every build is a shared ladder, rebuilt at most once for the box
+    assert set(seen) == set(zeros._LADDERS)
+    assert max(Counter(seen).values()) <= 2
     _cold()
 
 
 # ---------------------------------------------------------------------------
-# bracket scans: the census grid walked on the double-double target
+# bracket scans: the census grid walked on eval_J_pair's target
 
 
 def dd_cells(tag: str, l: int, twice_nu: int):
-    """Sign-change cells (lo, hi) of the double-double target on the order's
-    grid, in order, from the scan start: x_k = (k + parity/2) pi/2 with
-    X_MAX the last point."""
+    """Sign-change cells (lo, hi) of eval_J_pair's target (pair_target) on
+    the order's grid, in order, from the scan start: x_k = (k + parity/2)
+    pi/2 with X_MAX the last point."""
     start, sign = zeros._scan_start(tag, l, twice_nu)
-    f_df = zeros._target(tag, l, twice_nu)
+    f = pair_target(tag, l, twice_nu)
     half = 0.5 * (twice_nu % 2)
     lo, k = start, 0
     while lo < zeros.X_MAX:
@@ -514,7 +605,7 @@ def dd_cells(tag: str, l: int, twice_nu: int):
         k += 1
         if x <= start:
             continue
-        fx = f_df(x)[0]
+        fx = f(x)
         assert abs(fx) > 1e-290, x  # no grid point sits on a zero here
         if (fx > 0.0) != (sign > 0):
             yield lo, x
@@ -526,12 +617,12 @@ def scan(kind: RootKind, l: int, d: int,
          x_max: float) -> list[tuple[float, float]]:
     """The cells of dd_cells whose zero lies in (0, x_max]."""
     tag, l_key, twice_nu = zeros._key(kind, l, d)
-    f_df = zeros._target(tag, l_key, twice_nu)
+    f = pair_target(tag, l_key, twice_nu)
     out = []
     for lo, hi in dd_cells(tag, l_key, twice_nu):
         if lo >= x_max:
             break
-        if hi > x_max and f_df(x_max)[0] * f_df(hi)[0] < 0.0:
+        if hi > x_max and f(x_max) * f(hi) < 0.0:
             break  # the cell's zero lies past x_max
         out.append((lo, hi))
     return out
@@ -548,7 +639,7 @@ BRACKET_KEYS = [("J", 0, 0), ("G", 0, 1), ("G", 3, 7), ("J", 0, 202),
 def test_census_brackets_equal_the_double_double_walk(tag, l, twice_nu):
     # the census reads signs from the shared integer ladders where their
     # bound clears them; its cells must be exactly those of a walk over the
-    # same grid on the double-double target
+    # same grid on eval_J_pair's target
     want = list(itertools.islice(dd_cells(tag, l, twice_nu), 5))
     _cold()
     got = [zeros._census_bracket(tag, l, twice_nu, m)[:2] for m in range(1, 6)]
@@ -739,41 +830,116 @@ class TestRadialZeros:
 
 
 # ---------------------------------------------------------------------------
-# refinement: verified enclosures and the kernel-call budget
+# refinement: verified enclosures and the series budget
 
 # (tag, l, twice_nu) of census targets: J at d=2 l=0 (tightest spacing),
 # Neumann l=0 and l=3 at d=3, Dirichlet l=100 at d=4 (Miller route)
 ENCLOSURE_TARGETS = [("J", 0, 0), ("G", 0, 1), ("G", 3, 7), ("J", 0, 202)]
 
 
-def sign_enclosed(f_df, z: float, tol: float) -> bool:
+def sign_enclosed(f, z: float, tol: float) -> bool:
     h = 0.5 * tol * z
-    return f_df(z - h)[0] * f_df(z + h)[0] < 0.0
+    return f(z - h) * f(z + h) < 0.0
 
 
-def _skew_derivative(monkeypatch, name: str, factor: float) -> None:
-    """Make the evaluators zeros.<name> builds return df times factor."""
-    real = getattr(zeros, name)
+def _skew_derivative(monkeypatch, factor: float) -> None:
+    """Make zeros._combine, which forms Newton's df from the float series,
+    return df times factor."""
+    real = zeros._combine
 
-    def skewed(*key):
-        good = real(*key)
+    def skewed(*args):
+        f, df = real(*args)
+        return f, factor * df
 
-        def f_df(x):
-            f, df, *err = good(x)
-            return (f, factor * df, *err)
-        return f_df
+    monkeypatch.setattr(zeros, "_combine", skewed)
 
-    monkeypatch.setattr(zeros, name, skewed)
+
+def _certifies(tag: str, l: int, twice_nu: int, x0: float, z: float):
+    """True if the fixed-point series from the shared ladder at the grid
+    point x0 takes certified opposite signs at the midpoints around z."""
+    ladder = zeros._grid_ladder(twice_nu % 2, x0, twice_nu // 2)
+    _, value = bessel._multiply(ladder, x0, twice_nu)
+    (v0, e0), (v1, e1) = value(z, None if tag == "J" else l)
+    return abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
+
+
+def _counting_series(monkeypatch):
+    """Counter of bessel._multiply's series: bases, float pairs and
+    fixed-point values."""
+    counts = Counter()
+    real = bessel._multiply
+
+    def counted(*args):
+        counts["base"] += 1
+        pair, value = real(*args)
+
+        def counted_pair(x):
+            counts["pair"] += 1
+            return pair(x)
+
+        def counted_value(z, l=None):
+            counts["value"] += 1
+            return value(z, l)
+        return counted_pair, counted_value
+
+    monkeypatch.setattr(bessel, "_multiply", counted)
+    return counts
+
+
+def _benchmark_pool():
+    """perfbench/pool.py, the benchmark's workload pools."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "pool.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_pool", path)
+    pool = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pool)
+    return pool
+
+
+def test_cold_ladders_are_the_census_own(monkeypatch, capsys):
+    # cold, one request at a time as the benchmark's processes run them:
+    # on the six spectrum strata and the lookup pool's zeros and courant
+    # requests every bessel._ladder is built at a grid point that the
+    # census's sign rule (_sign) evaluated, and no zero calls eval_J_pair
+    pool = _benchmark_pool()
+    argvs = [e for s in pool.SPECTRUM.strata for e in s.entries]
+    argvs += [e for s in pool.LOOKUP.strata for e in s.entries
+              if e[0] in ("zeros", "courant")]
+    evaluated, built = set(), []
+    real_sign, real_ladder = zeros._sign, bessel._ladder
+    pairs = _counting(monkeypatch)
+
+    def sign(tag, l, twice_nu):
+        f = real_sign(tag, l, twice_nu)
+
+        def spied(x):
+            evaluated.add((twice_nu % 2, x))
+            return f(x)
+        return spied
+
+    def ladder(parity, x, n):
+        built.append((parity, x))
+        return real_ladder(parity, x, n)
+
+    monkeypatch.setattr(zeros, "_sign", sign)
+    monkeypatch.setattr(bessel, "_ladder", ladder)
+    assert len(argvs) == 12 + 72
+    for argv in argvs:
+        _cold()
+        assert cli.run(list(argv)) == 0, argv
+        capsys.readouterr()
+    assert pairs[0] == 0
+    assert len(built) > 1000 and set(built) <= evaluated
+    _cold()
 
 
 class TestRefinement:
     @pytest.mark.parametrize("tol", [1e-6, 1e-13, 1e-15])
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS)
     def test_census_zeros_are_sign_enclosed(self, tag, l, twice_nu, tol):
-        f_df = zeros._target(tag, l, twice_nu)
+        f = pair_target(tag, l, twice_nu)
         for m in range(1, 4):
             z = zeros._census_zero(tag, l, twice_nu, m)
-            assert sign_enclosed(f_df, z, tol), (m, z)
+            assert sign_enclosed(f, z, tol), (m, z)
 
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
         ("G", 1, 100)])  # d = 100: the first zero lies below the turning point
@@ -798,189 +964,151 @@ class TestRefinement:
         ("G", 1, 100)])
     def test_certificate_refuses_the_neighbouring_floats(
             self, tag, l, twice_nu):
-        # from the pair at the shipped zero, or at the float two ulps below
-        # it, the half-ulp certificate holds for the zero and for neither
-        # float one ulp away
-        for z in [zeros._census_zero(tag, l, twice_nu, m) for m in (1, 2)]:
-            for x in (z, math.nextafter(math.nextafter(z, 0.0), 0.0)):
-                nearest = zeros._target(tag, l, twice_nu)(x)[3]
-                assert nearest(z), (z, x)
+        # from the series at the cell's upper end, and at its lower end
+        # where the census evaluated it, the certificate holds for the
+        # shipped zero and for neither float one ulp away
+        start = zeros._scan_start(tag, l, twice_nu)[0]
+        for m in (1, 2):
+            z = zeros._census_zero(tag, l, twice_nu, m)
+            lo, hi, _ = zeros._census_bracket(tag, l, twice_nu, m)
+            for x0 in [hi] + [lo] * (lo != start):
+                assert _certifies(tag, l, twice_nu, x0, z), (z, x0)
                 for to in (0.0, math.inf):
-                    assert not nearest(math.nextafter(z, to)), (z, x, to)
+                    assert not _certifies(tag, l, twice_nu, x0,
+                                          math.nextafter(z, to)), (z, x0, to)
 
     @pytest.mark.parametrize("tag,l,twice_nu,x", [
         (tag, l, tn, None) for tag, l, tn in ENCLOSURE_TARGETS + [
-            ("G", 1, 100)]]  # d = 100: below the turning point
-        # where l(nu-1)/x^2 - 1 cancels: x^2 = l(nu-1)
-        + [("G", 3, 7, math.sqrt(7.5)), ("G", 50, 100, math.sqrt(2450.0))])
+            ("G", 1, 100)]])  # d = 100: below the turning point
     def test_certificate_slope_lies_within_its_bound(self, tag, l, twice_nu,
                                                      x):
-        # the slope from the pair (DLMF 10.6.2) against mpmath's derivative,
-        # at x, or at the first zero and 2^-20 of it either side; the bound
-        # is a few ulps of the pair, not vacuous
-        if x is None:
-            z = zeros._census_zero(tag, l, twice_nu, 1)
-            points = [z * (1.0 + k * 2.0**-20) for k in (-1, 0, 1)]
-        else:
-            points = [x]
-        for x in points:
-            _, s, e, _ = zeros._target(tag, l, twice_nu)(x)
-            a, b = bessel.eval_J_pair(Order(twice_nu), x)
-            with mp.workdps(30):
+        # the certified phase steps by the secant through the fixed-point
+        # values at the two midpoints around x; at the first zero (x None)
+        # and 2^-20 of it either side it lies within the values' bounds
+        # over the midpoints' distance, plus 2 |f''| times that distance,
+        # of mpmath's derivative at x, and that bound is below 1e-3 of the
+        # pair. Away from a zero the values' own rounding swamps the secant,
+        # and the certified phase does not step there
+        z = zeros._census_zero(tag, l, twice_nu, 1)
+        for x in [z * (1.0 + k * 2.0**-20) for k in (-1, 0, 1)]:
+            _, value = cell_series(tag, l, twice_nu, x)
+            (v0, e0), (v1, e1) = value(x)
+            with mp.workdps(40):
+                m0, m1 = ((mp.mpf(x) + mp.mpf(math.nextafter(x, to))) / 2
+                          for to in (0.0, math.inf))
                 nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
-                want = mp.besselj(nu, t, derivative=1)
+                j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
+                want, curve = j[1], j[2]
                 if tag == "G":  # g = (l/x) J_nu - J_{nu+1}
-                    want = (l * (want / t - mp.besselj(nu, t) / t**2)
+                    want = (l * (j[1] / t - j[0] / t**2)
                             - mp.besselj(nu + 1, t, derivative=1))
-                miss = abs(mp.mpf(s) - want)
-            assert miss <= e, (x, s, float(want), float(miss), e)
-            assert e <= 1e-13 * max(abs(a.value), abs(b.value)), (x, e)
+                    curve = (l * (2 * j[0] / t**3 - 2 * j[1] / t**2
+                                  + j[2] / t)
+                             - mp.besselj(nu + 1, t, derivative=2))
+                slope = (mp.mpf(v1) - mp.mpf(v0)) / (m1 - m0)
+                bound = (e0 + e1) / (m1 - m0) + 2 * abs(curve) * (m1 - m0)
+                miss = abs(slope - want)
+                pair = max(abs(j[0]), abs(mp.besselj(nu + 1, t)))
+            assert miss <= bound, (x, float(slope), float(want), float(miss))
+            assert bound <= 1e-3 * pair, (x, float(bound))
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-13, 1e-15])
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS)
     def test_bad_derivative_neither_stalls_nor_misleads(
         self, monkeypatch, tag, l, twice_nu, tol
     ):
-        # a derivative 1e6 too large from _combine, which forms every df of
-        # the float phase, makes every float step look converged, so the
-        # float phase hands over far from the root; the high-precision steps
-        # take the certificate's slope from the pair through _slope, not
-        # _combine's, and must still reach the root within the iteration cap
-        f_df = zeros._target(tag, l, twice_nu)
+        # a derivative of the float series 1e6 too large (_combine forms it)
+        # makes every float step look converged, so the float phase hands
+        # over far from the root; the certified phase steps by the secant
+        # through its fixed-point values, not by that derivative, and must
+        # still reach the root within the iteration cap
+        f = pair_target(tag, l, twice_nu)
         lo, hi, sign_lo = zeros._census_bracket(tag, l, twice_nu, 2)
-        real = zeros._combine
-
-        def skewed(*args):
-            f, df = real(*args)
-            return f, 1e6 * df
-
-        monkeypatch.setattr(zeros, "_combine", skewed)
+        _skew_derivative(monkeypatch, 1e6)
         z = zeros._refine(tag, l, twice_nu, lo, hi, sign_lo)
         monkeypatch.undo()
-        assert sign_enclosed(f_df, z, tol)
+        assert sign_enclosed(f, z, tol)
         want = zeros._census_zero(tag, l, twice_nu, 2)
         assert abs(z - want) <= tol * want
 
     @pytest.mark.parametrize("factor", [-1.0, 1e-6, 1.001, 0.0])
     def test_no_derivative_moves_a_zero(self, monkeypatch, factor):
-        # the certificate's slope comes from the pair through _slope, not
-        # from _combine: a float-phase df of the wrong sign, far too small,
-        # slightly off or zero costs steps but ships the same zeros, also
-        # below the turning point (d = 100)
+        # the certificate reads the fixed-point series alone: a float df of
+        # the wrong sign, far too small, slightly off or zero costs steps
+        # but ships the same zeros, also below the turning point (d = 100)
         keys = [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
                 + [("G", 1, 100)] for m in (1, 2, 3)]
         want = [zeros._census_zero(*key) for key in keys]
         cells = [zeros._census_bracket(*key) for key in keys]
-        real = zeros._combine
-
-        def skewed(*args):
-            f, df = real(*args)
-            return f, factor * df
-
-        monkeypatch.setattr(zeros, "_combine", skewed)
-        assert [zeros._refine(*key[:3], *cell)
-                for key, cell in zip(keys, cells)] == want
-
-    def test_float_phase_that_only_bisects_hands_over(self, monkeypatch):
-        # with no derivative and a float error of 0, every float sign is
-        # taken and every step bisects; the float phase must still hand
-        # over once a step falls below _HANDOVER, not bisect down to
-        # adjacent floats until the iteration cap refuses the zero
-        keys = [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
-                for m in (1, 2, 3)]
-        want = [zeros._census_zero(*key) for key in keys]
-        cells = [zeros._census_bracket(*key) for key in keys]
-        real_combine, real_taylor = zeros._combine, zeros._taylor
-
-        def no_df(*args):
-            return real_combine(*args)[0], 0.0
-
-        def no_err(*cell):
-            f_df_err = real_taylor(*cell)
-            return lambda x: (*f_df_err(x)[:2], 0.0)
-
-        monkeypatch.setattr(zeros, "_combine", no_df)
-        monkeypatch.setattr(zeros, "_taylor", no_err)
+        _skew_derivative(monkeypatch, factor)
         assert [zeros._refine(*key[:3], *cell)
                 for key, cell in zip(keys, cells)] == want
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_kernel_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # scan at step pi/2 plus safeguarded Newton: at most 10 pair calls
-        # per zero (the counts are deterministic)
+        # scan at step pi/2 plus safeguarded Newton: at most 6 series
+        # evaluations, float or fixed point, per zero, and no eval_J_pair
+        # call (the counts are deterministic)
         _cold()
-        calls = 0
-        real = bessel.eval_J_pair
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(bessel, "eval_J_pair", counted)
+        pairs = _counting(monkeypatch)
+        counts = _counting_series(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
-        assert cold > 100
-        assert calls <= 10 * cold, calls / cold
+        assert cold > 100 and pairs[0] == 0
+        calls = counts["pair"] + counts["value"]
+        assert calls <= 6 * cold, calls / cold
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_double_double_calls_per_cold_zero(self, monkeypatch, d, bc,
                                                lambda_max):
-        # the scan reads the shared integer ladders and the Newton iterates
-        # their Taylor series, so eval_J_pair pays for the last Newton step,
-        # about one a zero
+        # the scan reads the shared integer ladders and Newton the float
+        # series, so the fixed-point series (the high-precision value)
+        # pays for the certificate, about one a zero: 1.03 and 1.08, one
+        # series base a zero
         _cold()
-        calls = _counting(monkeypatch)
+        counts = _counting_series(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
-        assert cold > 100
-        assert calls[0] <= 2 * cold, calls[0] / cold
+        assert cold > 100 and counts["base"] == cold
+        assert counts["value"] <= 1.15 * cold, counts["value"] / cold
 
     def test_neumann_zeros_below_the_turning_point_cost_two_calls(
             self, monkeypatch):
         # the first Neumann zeros at d = 100, l = 1..14, lie below the
-        # turning point, where J_nu ~ 1e-20 and the bound is relative to the
-        # pair: the census clears every sign, and the Taylor iterates hand
-        # over close enough that eval_J_pair runs at most twice a zero, cold
-        calls = _counting(monkeypatch)
+        # turning point, where J_nu ~ 1e-20 and the bounds are relative to
+        # the pair: the census clears every sign, Newton starts within 1e-6
+        # of the zero, and each zero takes 3 or 4 float series evaluations
+        # and 1 or 2 fixed-point ones, cold: 43 and 23 for the 14 zeros
+        # (deterministic counts)
+        counts = _counting_series(monkeypatch)
         for l in range(1, 15):
             _cold()
-            before = calls[0]
+            before = counts.copy()
             assert zeros._census_zero("G", l, 2 * l + 98, 1) < l + 49
-            assert calls[0] - before <= 2, (l, calls[0] - before)
+            used = counts - before
+            assert used["pair"] <= 4 and used["value"] <= 2, (l, used)
+        assert counts == {"base": 14, "pair": 43, "value": 23}, counts
         _cold()
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_twin_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # Newton iterates from the census cell's quintic start on the Taylor
-        # series of the cell's grid ends, and the first step below
-        # _HANDOVER hands over: 1.01-1.02 evaluations a zero, most zeros
-        # one. A start back at the midpoint, a float phase that stalls or
-        # bisects, or a handover that waits for a second float step would
-        # cost more. The shared ladders cost 9.4 and 31 steps a zero, and no
+        # Newton iterates from the census cell's quintic start on the float
+        # series, two of its evaluations the start's jets, and ends once its
+        # next step falls below an ulp: 3.9 float evaluations a zero. A start
+        # back at the midpoint or a float phase that stalls would cost
+        # more. The shared ladders cost 10.6 and 36 steps a zero, and no
         # grid point builds its ladder more than twice (sized for the first
         # order that asks, then once for the whole box)
         _cold()
-        evals = [0]
-        real = zeros._taylor
-
-        def counted(*cell):
-            f_df_err = real(*cell)
-
-            def f(x):
-                evals[0] += 1
-                return f_df_err(x)
-            return f
-
-        monkeypatch.setattr(zeros, "_taylor", counted)
+        counts = _counting_series(monkeypatch)
         _, shared = _ladders(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
-        assert evals[0] <= 1.1 * cold, evals[0] / cold
+        assert counts["pair"] <= 4 * cold, counts["pair"] / cold
         ladder_steps = {3: 12, 4: 40}[d]
         steps = shared.steps.total()
         assert steps <= ladder_steps * cold, steps / cold
@@ -991,15 +1119,14 @@ class TestRefinement:
     def test_start_lies_near_the_zero(self, tag, l, twice_nu):
         # the quintic through (f, f', f'') at both grid ends puts Newton's
         # start within 1e-3 of the zero, in the first cell too; in a cell
-        # below the turning point (2x <= twice_nu), where J_nu grows too
-        # steeply for a quintic, it stays inside the cell
+        # below the turning point (2 hi <= twice_nu) it matches g / J_nu,
+        # which J_nu's steep growth leaves smooth
         for m in (1, 2, 3, 7):
             lo, hi, _ = zeros._census_bracket(tag, l, twice_nu, m)
-            x = zeros._start(tag, l, twice_nu, lo, hi)
-            assert lo < x < hi, (m, lo, x, hi)
-            if 2.0 * hi > twice_nu:
-                z = zeros._census_zero(tag, l, twice_nu, m)
-                assert abs(x - z) <= 1e-3, (m, x, z)
+            pair, _ = cell_series(tag, l, twice_nu, lo)
+            x = zeros._start(tag, l, twice_nu, lo, hi, pair)
+            z = zeros._census_zero(tag, l, twice_nu, m)
+            assert lo < x < hi and abs(x - z) <= 1e-3, (m, lo, x, z, hi)
 
     def test_quintic_root(self):
         # p(t) = (t - 0.3)(1 + t^2)(2 - t) and its first two derivatives
@@ -1035,45 +1162,16 @@ class TestRefinement:
                         - mp.besselj(nu + 1, t, derivative=2))
         assert abs(f2 - float(want)) <= 1e-12, (f2, want)
 
-    # census cells (tag, l, twice_nu, m) for the Taylor series: those of
-    # the enclosure targets, the first below the turning point, and the
-    # first cells of the lowest orders, where |t| / x0 is largest
-    TAYLOR_CELLS = (
-        [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
-         for m in (1, 2, 3)]
-        + [("G", 1, 100, 1)] + [("J", 0, tn, 1) for tn in range(7)])
-
-    def test_taylor_estimate_covers_the_oracle(self, monkeypatch):
-        # across each cell the Taylor value lies within its error estimate,
-        # which is not vacuous; a series that does not converge within the
-        # term cap returns err = inf, which hands over to high precision
-        worst, checked = 0.0, 0
-        for tag, l, tn, m in self.TAYLOR_CELLS:
-            lo, hi, _ = zeros._census_bracket(tag, l, tn, m)
-            f_df_err = zeros._taylor(tag, l, tn, lo, hi)
-            for i in range(1, 20):
-                x = lo + (hi - lo) * i / 20
-                f, _, err = f_df_err(x)
-                assert err < math.inf, (tag, l, tn, m, x)
-                with mp.workdps(40):
-                    miss = abs(mp.mpf(f) - oracle_target(tag, l, tn, x))
-                assert miss <= err, (tag, l, tn, m, x, float(miss), err)
-                worst, checked = max(worst, float(miss) / err), checked + 1
-        assert checked == 19 * len(self.TAYLOR_CELLS) and worst > 1e-3
-        monkeypatch.setattr(zeros, "_TERMS", 3)
-        lo, hi, _ = zeros._census_bracket("J", 0, 0, 2)
-        assert zeros._taylor("J", 0, 0, lo, hi)(lo + 0.3)[2] == math.inf
-
     def test_grid_phase_keeps_zeros_off_the_grid(self, monkeypatch):
         # half-integer orders have zeros near multiples of pi/2 (j_{1/2,m}
-        # = m pi); the phase keeps them mid-cell, and eval_J_pair pays for
-        # the last Newton step only: 1.00 calls a zero
+        # = m pi); the phase keeps them mid-cell, and the fixed-point series
+        # pays for the certificate only: 1.03 evaluations a zero
         _cold()
-        calls = _counting(monkeypatch)
+        counts = _counting_series(monkeypatch)
         spectrum.enumerate_spectrum(3, "dirichlet", 3000)
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
-        assert calls[0] <= 1.02 * cold, calls[0] / cold
+        assert counts["value"] <= 1.05 * cold, counts["value"] / cold
 
     # Ladder steps of the lookup-sized census below, each ladder counted as
     # its _miller_start length (the counts are deterministic, the same on
@@ -1099,10 +1197,9 @@ class TestRefinement:
         _cold()
 
     def test_float_derivative_does_not_set_the_digits(self, monkeypatch):
-        # the float phase only picks the point the high-precision Newton
-        # steps start from; with the Taylor series' derivative 25% off, the
-        # linear convergence hands over farther from the root, and no zero
-        # moves
+        # the float phase only picks the point the fixed-point Newton steps
+        # start from; with the float series' derivative 25% off, the linear
+        # convergence hands over farther from the root, and no zero moves
         keys = [(tn, m) for tn in range(0, 239, 3) for m in (1, 2, 5, 20)]
 
         def census():
@@ -1116,7 +1213,7 @@ class TestRefinement:
             return out
 
         want = census()
-        _skew_derivative(monkeypatch, "_taylor", 1.25)
+        _skew_derivative(monkeypatch, 1.25)
         got = census()
         monkeypatch.undo()
         _cold()
