@@ -589,7 +589,8 @@ HI_LO_POINTS = (
 
 def test_pair_value_plus_lo_within_dd_err():
     # value + lo of eval_J_pair is the integer ladder's quotient to two
-    # roundings; the certificate of each zero trusts it within dd_err
+    # roundings, within dd_err; pair_target, the zero tests' reference,
+    # reads it
     checked = 0
     for tn, x in HI_LO_POINTS:
         try:
