@@ -69,47 +69,6 @@ _PI = 0x3243F6A8885A308D313198A2E03707344A4093822299F31D0082EFA98EC4E6C89
 
 
 # ---------------------------------------------------------------------------
-# region label of the benchmark's tracer; no evaluation routes on it
-
-
-_SERIES_SAFE_LN = 30.0  # ln(prefactor * largest term) budget of the label
-
-
-def _series_cancel_ln(twice_nu: int, x: float) -> float:
-    """Estimate ln(prefactor * largest series term) via the saddle point.
-
-    The alternating sum sum_k (-x^2/4)^k / (k! (nu+1)_k) peaks near
-    k* = (sqrt(nu^2 + x^2) - nu)/2; an ascending series for J_nu would lose
-    roughly this many e-folds to cancellation relative to the peak term
-    times the prefactor.
-    """
-    nu = 0.5 * twice_nu
-    ln_pref = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
-    kstar = 0.5 * (math.hypot(nu, x) - nu)
-    if kstar < 1.0:
-        return ln_pref
-    ln_cmax = (
-        kstar * math.log(0.25 * x * x)
-        - math.lgamma(kstar + 1.0)
-        - (math.lgamma(nu + kstar + 1.0) - math.lgamma(nu + 1.0))
-    )
-    return ln_pref + max(0.0, ln_cmax)
-
-
-def _use_series(twice_nu: int, x: float) -> bool:
-    """True in the region an ascending series could serve.
-
-    A label only: every evaluation runs _eval_miller. perfbench/trace_child.py
-    reads it to split kernel timings into a "series" and a "miller" region;
-    once the tracer stops importing it (ROADMAP item 1 step b), this and
-    _series_cancel_ln go.
-    """
-    if x > max(14.0, 0.75 * twice_nu):
-        return False
-    return _series_cancel_ln(twice_nu, x) <= _SERIES_SAFE_LN
-
-
-# ---------------------------------------------------------------------------
 # Miller backward-recurrence route
 
 

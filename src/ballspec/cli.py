@@ -257,17 +257,17 @@ def _run_spectrum(args) -> int:
 
 
 def _run_zeros(args) -> int:
-    from ballspec import spectrum, zeros
+    from ballspec import zeros
     if args.count is not None and args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
     tol = zeros.DEFAULT_TOL if args.tol is None else args.tol
     if not 1e-15 <= tol <= 1e-2:  # echoed only: no zero depends on it
         raise _UsageError(f"tol={tol!r} outside supported range [1e-15, 1e-2]")
     ms = [args.m] if args.m is not None else range(1, (args.count or 5) + 1)
-    bc = spectrum._coerce_bc(args.bc)
+    bc = zeros._coerce_bc(args.bc)
     rows = []
     for m in ms:
-        z = zeros.find_zero(spectrum.ROOT_KIND[bc], args.l, args.d, m)
+        z = zeros.find_zero(bc, args.l, args.d, m)
         rows.append((m, z, z * z))
     payload = {
         "d": args.d,

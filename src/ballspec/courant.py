@@ -21,14 +21,7 @@ from . import zeros
 from .bessel import _check_int
 from .errors import CertificateFailure, RangeError
 from .pleijel import Check
-from .spectrum import (
-    ROOT_KIND,
-    BoundaryCondition,
-    EigenvalueRecord,
-    _binom,
-    _coerce_bc,
-    enumerate_spectrum,
-)
+from .spectrum import EigenvalueRecord, _binom, enumerate_spectrum
 
 
 class SharpnessStatus(Enum):
@@ -92,7 +85,7 @@ class SharpnessVerdict(namedtuple("SharpnessVerdict",
 
 def nodal_count_disc(l: int, m: int, bc) -> int:
     """Nodal domains of the (l, m) disc eigenfunction: m bands x 2l sectors."""
-    _coerce_bc(bc)  # both conditions share the product structure
+    zeros._coerce_bc(bc)  # both conditions share the product structure
     _check_int("l", l, 0)
     _check_int("m", m, 1)
     return m if l == 0 else 2 * l * m
@@ -146,11 +139,11 @@ def sphere_courant_sharp(d: int, lmax: int = 50) -> set[int]:
     return {1, 2}
 
 
-def _verdict(rec: EigenvalueRecord, bc: BoundaryCondition,
-             lam_11: float, lam_02: float) -> SharpnessVerdict:
+def _verdict(rec: EigenvalueRecord, lam_11: float,
+             lam_02: float) -> SharpnessVerdict:
     d, l, m = rec.d, rec.l, rec.m
     label = rec.label_first
-    mu = nodal_count_disc(l, m, bc) if d == 2 else None
+    mu = nodal_count_disc(l, m, rec.bc) if d == 2 else None
 
     if label <= 2:
         if d == 2 and mu != label:
@@ -191,12 +184,12 @@ def _verdict(rec: EigenvalueRecord, bc: BoundaryCondition,
 def courant_sharp_ball(d: int, bc, lmax: int = 8,
                        mmax: int = 4) -> list[SharpnessVerdict]:
     """Verdicts for every mode with l <= lmax, m <= mmax, in label order."""
-    bc = _coerce_bc(bc)
+    bc = zeros._coerce_bc(bc)
     _check_int("d", d, 2)
     _check_int("lmax", lmax, 1)
     _check_int("mmax", mmax, 1)
     zeros._check_pair(2 * lmax + d - 2, f"d={d} with lmax={lmax}")
-    finder = partial(zeros.find_zero, ROOT_KIND[bc])
+    finder = partial(zeros.find_zero, bc)
     z_top = finder(lmax, d, mmax)  # zeros increase in both l and m
     try:
         table = enumerate_spectrum(d, bc, z_top * z_top)
@@ -208,7 +201,7 @@ def courant_sharp_ball(d: int, bc, lmax: int = 8,
     lam_11 = finder(1, d, 1) ** 2
     lam_02 = finder(0, d, 2) ** 2
     verdicts = [
-        _verdict(table.record_for(l, m), bc, lam_11, lam_02)
+        _verdict(table.record_for(l, m), lam_11, lam_02)
         for l in range(0, lmax + 1)
         for m in range(1, mmax + 1)
     ]

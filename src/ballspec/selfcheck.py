@@ -175,7 +175,7 @@ def _check_min_gap(fast: bool) -> str | None:
     for d in (2, 3):
         table = {
             l: [z for z in zeros.radial_zeros(
-                zeros.RootKind.NEUMANN_XI_PRIME, l, d, 60.0) if z > 0.0]
+                zeros.BoundaryCondition.NEUMANN, l, d, 60.0) if z > 0.0]
             for l in range(l_top + p_top + 1)
         }
         for l in range(l_top + 1):

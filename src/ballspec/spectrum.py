@@ -13,38 +13,16 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from enum import Enum
 from math import comb
 
 from . import _format, zeros
 from .bessel import X_MAX, _check_int
 from .errors import DegenerateOrdering, RangeError
+from .zeros import BoundaryCondition, _coerce_bc  # BoundaryCondition: public here too
 
 LAMBDA_MAX = X_MAX ** 2
 CUTOFF_SLACK = 1e-9  # lambda_max is inclusive, with this absolute slack
 _GAP_REL = 1e-8  # consecutive eigenvalues closer than this signal a bug
-
-
-class BoundaryCondition(Enum):
-    DIRICHLET = "Dirichlet"
-    NEUMANN = "Neumann"
-
-
-def _coerce_bc(bc) -> BoundaryCondition:
-    if isinstance(bc, BoundaryCondition):
-        return bc
-    if isinstance(bc, str):
-        for member in BoundaryCondition:
-            if bc.lower() == member.value.lower():
-                return member
-    raise RangeError(f"bc must be Dirichlet or Neumann, got {bc!r}")
-
-
-# the zeros target whose m-th zero is the (l, m) radial frequency
-ROOT_KIND = {
-    BoundaryCondition.DIRICHLET: zeros.RootKind.DIRICHLET_XI,
-    BoundaryCondition.NEUMANN: zeros.RootKind.NEUMANN_XI_PRIME,
-}
 
 
 def _binom(n: int, k: int) -> int:
@@ -126,10 +104,9 @@ def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float,
                        lambda_max: float) -> list[int]:
     """Degrees whose first zero may lie at or below r_cut, the radius of
     the cutoff lambda_max (named in the error)."""
-    kind = ROOT_KIND[bc]
     out = []
     l = 0
-    while zeros._first_zero_lower(kind, l, d) <= r_cut:
+    while zeros._first_zero_lower(bc, l, d) <= r_cut:
         zeros._check_pair(2 * l + d - 2, f"completeness up to "
                           f"lambda_max={lambda_max!r} (degree l={l})")
         out.append(l)
@@ -140,7 +117,7 @@ def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float,
 def _modes_upto(l: int, d: int, bc: BoundaryCondition, r_cut: float,
                 lam_cut: float) -> list[tuple[int, float]]:
     """(m, zero) pairs with zero <= r_cut and zero^2 <= lam_cut, in order."""
-    found = zeros.radial_zeros(ROOT_KIND[bc], l, d, r_cut)
+    found = zeros.radial_zeros(bc, l, d, r_cut)
     return [(m, z) for m, z in enumerate(found, 1) if z * z <= lam_cut]
 
 
@@ -188,7 +165,7 @@ def label_of(d: int, bc, l: int, m: int) -> int:
     _check_int("l", l, 0)
     _check_int("d", d, 2)
     _check_int("m", m, 1)
-    z = zeros.find_zero(ROOT_KIND[bc], l, d, m)
+    z = zeros.find_zero(bc, l, d, m)
     return enumerate_spectrum(d, bc, z * z).record_for(l, m).label_first
 
 

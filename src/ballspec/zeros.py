@@ -1,11 +1,12 @@
 """Certified location of Bessel-derived zeros by exhaustive sign census.
 
-Two target families, each driven by one kernel pair evaluation per point:
+One target per BoundaryCondition, each driven by one kernel pair evaluation
+per point:
 
-* ``DirichletXi``  - zeros of the scaled radial function, which are the
-  zeros j_{nu,m} of J_nu because the power prefactor never vanishes for
-  r > 0;
-* ``NeumannXiPrime`` - zeros of its derivative, located through
+* Dirichlet (census tag "J") - zeros of the scaled radial function, which
+  are the zeros j_{nu,m} of J_nu because the power prefactor never vanishes
+  for r > 0;
+* Neumann (census tag "G") - zeros of its derivative, located through
   g(r) = (l/r) J_nu(r) - J_{nu+1}(r), which shares the derivative's zeros.
 
 The m-th zero is found by a sign census on a fixed grid, walked from the
@@ -79,9 +80,21 @@ DEFAULT_TOL = 1e-13
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
 
 
-class RootKind(Enum):
-    DIRICHLET_XI = "DirichletXi"
-    NEUMANN_XI_PRIME = "NeumannXiPrime"
+class BoundaryCondition(Enum):
+    DIRICHLET = "Dirichlet"
+    NEUMANN = "Neumann"
+
+
+def _coerce_bc(bc) -> BoundaryCondition:
+    """The library's one boundary-condition check: a BoundaryCondition, or
+    its name in any case."""
+    if isinstance(bc, BoundaryCondition):
+        return bc
+    if isinstance(bc, str):
+        for member in BoundaryCondition:
+            if bc.lower() == member.value.lower():
+                return member
+    raise RangeError(f"bc must be Dirichlet or Neumann, got {bc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -378,23 +391,21 @@ def _census_zero(tag: str, l: int, twice_nu: int, m: int):
     return _refine(tag, l, twice_nu, *_census_bracket(tag, l, twice_nu, m))
 
 
-def _key(kind: RootKind, l: int, d: int) -> tuple[str, int, int]:
-    """Checked census key (tag, l, twice_nu); J zeros depend on l only
-    through the order, so their key carries l = 0."""
-    if not isinstance(kind, RootKind):
-        raise RangeError(f"kind must be a RootKind, got {kind!r}")
+def _key(bc: BoundaryCondition, l: int, d: int) -> tuple[str, int, int]:
+    """Census key (tag, l, twice_nu) of a coerced bc, with l and d checked;
+    J zeros depend on l only through the order, so their key carries l = 0."""
     _check_int("l", l, 0)
     _check_int("d", d, 2)
     twice_nu = 2 * l + d - 2
-    if kind is RootKind.NEUMANN_XI_PRIME:
+    if bc is BoundaryCondition.NEUMANN:
         return "G", l, twice_nu
     return "J", 0, twice_nu
 
 
-def _first_zero_lower(kind: RootKind, l: int, d: int) -> float:
+def _first_zero_lower(bc, l: int, d: int) -> float:
     """Lower bound on the first zero find_zero counts, increasing in l: the
     first zero's lower bound shrunk a hair for rounding."""
-    tag, l_key, twice_nu = _key(kind, l, d)
+    tag, l_key, twice_nu = _key(_coerce_bc(bc), l, d)
     if tag == "G" and l == 0:
         return 0.0  # the conventional zero at r = 0
     try:
@@ -417,7 +428,7 @@ def bessel_zero(nu: Order, m: int) -> float:
 def dirichlet_zero(l: int, d: int, m: int) -> float:
     """m-th interior-problem zero: equals j_{l+d/2-1, m} because the power
     prefactor of the scaled radial function never vanishes for r > 0."""
-    return _zero(_key(RootKind.DIRICHLET_XI, l, d), m,
+    return _zero(_key(BoundaryCondition.DIRICHLET, l, d), m,
                  f"Dirichlet zero m={m} of l={l}, d={d}")
 
 
@@ -428,35 +439,37 @@ def neumann_zero(l: int, d: int, m: int) -> float:
     ground state), so m = 1 returns exactly 0.0 and the m-th entry for
     m >= 2 is the (m-1)-th positive zero.
     """
-    return _zero(_key(RootKind.NEUMANN_XI_PRIME, l, d), m,
+    return _zero(_key(BoundaryCondition.NEUMANN, l, d), m,
                  f"Neumann zero m={m} of l={l}, d={d}")
 
 
-def find_zero(kind: RootKind, l: int, d: int, m: int) -> float:
-    """m-th zero of the (kind, l, d) target, counted as neumann_zero or
-    dirichlet_zero counts it."""
-    tag = _key(kind, l, d)[0]
-    return (neumann_zero if tag == "G" else dirichlet_zero)(l, d, m)
+def find_zero(bc, l: int, d: int, m: int) -> float:
+    """m-th zero of the (bc, l, d) target, bc a BoundaryCondition or its
+    name: neumann_zero or dirichlet_zero, called by the names that
+    perfbench/trace_child.py times."""
+    if _coerce_bc(bc) is BoundaryCondition.NEUMANN:
+        return neumann_zero(l, d, m)
+    return dirichlet_zero(l, d, m)
 
 
-def radial_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
-    """The zeros find_zero(kind, l, d, m), m = 1, 2, ..., in [0, x_max].
+def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
+    """The zeros find_zero(bc, l, d, m), m = 1, 2, ..., in [0, x_max].
 
     Neumann l = 0 starts with 0.0. The walk stops at the first census
     cell that starts at or past the edge x_max (1 + DEFAULT_TOL), whose
     zero rounds to a float past x_max, or at the first refined zero past
     x_max: so at most one refined zero is discarded.
     """
-    tag, l_key, twice_nu = _key(kind, l, d)
+    bc = _coerce_bc(bc)
+    tag, l_key, twice_nu = _key(bc, l, d)
     x_max = _check_x_max(x_max)
-    bc = "Neumann" if tag == "G" else "Dirichlet"
-    _check_pair(twice_nu, f"{bc} zero census of l={l}, d={d}")
+    _check_pair(twice_nu, f"{bc.value} zero census of l={l}, d={d}")
     out = [0.0] if tag == "G" and l == 0 else []
     edge = x_max * (1.0 + DEFAULT_TOL)
     m = 1  # census index of the next positive zero
     while ((cell := _census_bracket(tag, l_key, twice_nu, m)) is not None
            and cell[0] < edge):
-        z = find_zero(kind, l, d, len(out) + 1)  # out holds zeros 1..len
+        z = find_zero(bc, l, d, len(out) + 1)  # out holds zeros 1..len
         if z > x_max:
             break
         out.append(z)

@@ -254,8 +254,7 @@ print(" ".join(m.partition(".")[2] if m.startswith("ballspec.") else m
 
 IMPORT_SETS = [
     ("", set()),
-    ("zeros --l 1 --d 3 --bc dirichlet --count 2",
-     {"bessel", "zeros", "spectrum"}),
+    ("zeros --l 1 --d 3 --bc dirichlet --count 2", {"bessel", "zeros"}),
     ("spectrum --d 3 --bc neumann --lambda-max 30",
      {"bessel", "zeros", "spectrum"}),
     ("courant --d 3 --bc dirichlet --lmax 2 --mmax 1",

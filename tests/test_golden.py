@@ -17,9 +17,9 @@ integer and half-integer orders, small x at high order and x up to 200,
 plus three points where the last bit of the error bound rests on how the
 integer normalizer's cancellation ratio is rounded. ``_eval_miller`` is
 pinned the same way on a second grid, the region where an ascending series
-could serve (``_use_series``): small orders for x <= 14, and high orders
-at the edge of that region, x = 1.5 nu or, past twice_nu = 48, the x where
-the series' cancellation estimate reaches its budget.
+could serve: small orders for x <= 14, and high orders at the edge of that
+region, x = 1.5 nu or, past twice_nu = 48, the x where an ascending
+series would lose about e^30 to cancellation.
 """
 
 from __future__ import annotations

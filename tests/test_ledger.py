@@ -1,16 +1,17 @@
 """The zero ledger: every radial zero of a fixed check set, pinned.
 
-The check set is both root kinds, d in {2, 3, 5, 30, 120, 238} and
-l = 0..11, each enumerated by ``radial_zeros(kind, l, d, 199.9)``: 6,562
+The check set is both boundary conditions, d in {2, 3, 5, 30, 120, 238}
+and l = 0..11, each enumerated by ``radial_zeros(bc, l, d, 199.9)``: 6,562
 zeros and 20 refusals (d = 238, l >= 2, whose pair order leaves the
 kernel box). Its digest is the SHA-256 of ``repr`` of the list of
-``(kind.name, d, l, zeros or the RangeError text)``.
+``(LABEL[bc], d, l, zeros or the RangeError text)``, with the labels of
+``tests/ledger_sweep.py``.
 
 A change that is meant to keep every zero must keep the digest. A change
 that means to move a zero updates it and lists each moved zero, with its
 distance in ulps, in CHANGES.md.
 
-Beside the digest, a fixed sample of ledger zeros, spread over both kinds,
+Beside the digest, a fixed sample of ledger zeros, spread over both conditions,
 every d and a range of l and m, is checked against the mpmath oracle: each
 is the float nearest its zero.
 """
@@ -23,8 +24,9 @@ import pytest
 
 from ballspec import zeros
 from ballspec.errors import RangeError
-from ballspec.zeros import RootKind
+from ballspec.zeros import BoundaryCondition
 
+from tests.ledger_sweep import LABEL
 from tests.test_zeros import _cold, assert_nearest_float
 
 DIMS = (2, 3, 5, 30, 120, 238)
@@ -38,14 +40,14 @@ SAMPLE_STRIDE = 33  # every 33rd positive zero: 198 of the 6,542
 def ledger():
     _cold()
     rows = []
-    for kind in RootKind:
+    for bc in BoundaryCondition:
         for d in DIMS:
             for l in DEGREES:
                 try:
-                    got = zeros.radial_zeros(kind, l, d, X_MAX)
+                    got = zeros.radial_zeros(bc, l, d, X_MAX)
                 except RangeError as err:
                     got = str(err)
-                rows.append((kind.name, d, l, got))
+                rows.append((LABEL[bc], d, l, got))
     return rows
 
 
@@ -58,10 +60,11 @@ def test_ledger_digest(ledger):
 
 
 def _sample(ledger):
-    """(kind, l, d, m, z) of every SAMPLE_STRIDE-th positive ledger zero,
+    """(bc, l, d, m, z) of every SAMPLE_STRIDE-th positive ledger zero,
     in ledger order; m counts as find_zero counts."""
-    flat = [(RootKind[name], l, d, m, z)
-            for name, d, l, got in ledger if isinstance(got, list)
+    bc_of = {label: bc for bc, label in LABEL.items()}
+    flat = [(bc_of[label], l, d, m, z)
+            for label, d, l, got in ledger if isinstance(got, list)
             for m, z in enumerate(got, 1) if z > 0.0]
     return flat[::SAMPLE_STRIDE]
 
@@ -69,11 +72,11 @@ def _sample(ledger):
 def test_sample_zeros_are_nearest_floats(ledger):
     sample = _sample(ledger)
     assert 190 <= len(sample) <= 210
-    assert {kind for kind, *_ in sample} == set(RootKind)
+    assert {bc for bc, *_ in sample} == set(BoundaryCondition)
     assert {d for _, _, d, _, _ in sample} == set(DIMS)
     assert {l for _, l, *_ in sample} == set(DEGREES)
     assert max(m for *_, m, _ in sample) > 50
-    for kind, l, d, m, z in sample:
-        tag, l_key, twice_nu = zeros._key(kind, l, d)
-        assert z == zeros.find_zero(kind, l, d, m)
+    for bc, l, d, m, z in sample:
+        tag, l_key, twice_nu = zeros._key(bc, l, d)
+        assert z == zeros.find_zero(bc, l, d, m)
         assert_nearest_float(tag, l_key, twice_nu, z)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from ballspec import bessel, cli, courant, pleijel, spectrum, zeros
 from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
-from ballspec.zeros import RootKind
+from ballspec.zeros import BoundaryCondition
 
 from tests import _frozen
 from tests import _oracle as oracle
@@ -45,31 +45,35 @@ def _cold() -> None:
 
 
 class TestValidation:
-    # a root request is find_zero's (kind, l, d, m)
+    # a root request is find_zero's (bc, l, d, m)
     def test_root_request_accepts_good_args(self):
-        got = zeros.find_zero(RootKind.DIRICHLET_XI, l=2, d=3, m=4)
+        got = zeros.find_zero(BoundaryCondition.DIRICHLET, l=2, d=3, m=4)
         assert got == zeros.dirichlet_zero(2, 3, 4)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(kind="DirichletXi", l=0, d=2, m=1),
-            dict(kind=RootKind.DIRICHLET_XI, l=-1, d=2, m=1),
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=1, m=1),
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=0),
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=1.0),
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=10_000),  # past X_MAX
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=241, m=1),  # order cap
+            dict(bc="DirichletXi", l=0, d=2, m=1),
+            dict(bc=BoundaryCondition.DIRICHLET, l=-1, d=2, m=1),
+            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=1, m=1),
+            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=0),
+            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=1.0),
+            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=10_000),  # past X_MAX
+            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=241, m=1),  # order cap
             # bool is an int subclass, but never a degree or an index
-            dict(kind=RootKind.DIRICHLET_XI, l=True, d=2, m=1),
-            dict(kind=RootKind.NEUMANN_XI_PRIME, l=False, d=2, m=2),
-            dict(kind=RootKind.DIRICHLET_XI, l=0, d=2, m=True),
-            dict(kind=RootKind.NEUMANN_XI_PRIME, l=1, d=3, m=True),
+            dict(bc=BoundaryCondition.DIRICHLET, l=True, d=2, m=1),
+            dict(bc=BoundaryCondition.NEUMANN, l=False, d=2, m=2),
+            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=True),
+            dict(bc=BoundaryCondition.NEUMANN, l=1, d=3, m=True),
+            dict(bc=0, l=0, d=2, m=1),
         ],
     )
     def test_root_request_rejects_bad_args(self, kwargs):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError) as err:
             zeros.find_zero(**kwargs)
+        if not isinstance(kwargs["bc"], BoundaryCondition):
+            assert str(err.value) == (
+                f"bc must be Dirichlet or Neumann, got {kwargs['bc']!r}")
 
     @pytest.mark.parametrize(
         "call",
@@ -77,9 +81,9 @@ class TestValidation:
             lambda: zeros.dirichlet_zero(True, 2, 1),
             lambda: zeros.neumann_zero(0, 3, True),
             lambda: zeros.bessel_zero(Order(0), True),
-            lambda: zeros.radial_zeros(RootKind.DIRICHLET_XI, True, 2, 10.0),
-            lambda: zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, False, 3, 10.0),
-            lambda: zeros.radial_zeros(RootKind.DIRICHLET_XI, 0, True, 10.0),
+            lambda: zeros.radial_zeros(BoundaryCondition.DIRICHLET, True, 2, 10.0),
+            lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, False, 3, 10.0),
+            lambda: zeros.radial_zeros(BoundaryCondition.DIRICHLET, 0, True, 10.0),
             lambda: spectrum.multiplicity(True, 3),
             lambda: spectrum.multiplicity(2, True),
             lambda: spectrum.label_of(2, "dirichlet", 1, True),
@@ -153,9 +157,9 @@ def _courant_rows(d: int) -> list:
     (lambda: zeros.dirichlet_zero(0, 241, 1), RangeError),
     (lambda: zeros.neumann_zero(1, 238, 1), 15.45989431346645),
     (lambda: zeros.neumann_zero(1, 239, 1), RangeError),
-    (lambda: zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 0, 240, 10.0),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 240, 10.0),
      [0.0]),
-    (lambda: zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 0, 241, 10.0),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 10.0),
      RangeError),
 ])
 def test_order_box_edges(call, want):
@@ -507,10 +511,10 @@ def test_order_cap_message_is_exact():
 
 
 def test_first_zero_lower_past_the_float_range():
-    for kind in RootKind:
-        assert zeros._first_zero_lower(kind, 1, 10**400) == math.inf
-        assert zeros._first_zero_lower(kind, 10**400, 2) == math.inf
-    assert zeros._first_zero_lower(RootKind.NEUMANN_XI_PRIME, 0, 10**400) == 0
+    for bc in BoundaryCondition:
+        assert zeros._first_zero_lower(bc, 1, 10**400) == math.inf
+        assert zeros._first_zero_lower(bc, 10**400, 2) == math.inf
+    assert zeros._first_zero_lower(BoundaryCondition.NEUMANN, 0, 10**400) == 0
 
 
 def test_first_zero_bounds_bracket_the_first_zero():
@@ -533,9 +537,9 @@ def test_first_zero_bounds_bracket_the_first_zero():
             z = zeros.neumann_zero(l, tn - 2 * l + 2, 2 if l == 0 else 1)
         assert lower < z < upper, (tag, l, tn, lower, z, upper)
         hair = lower * (1.0 - 1e-9)
-        kind = RootKind.NEUMANN_XI_PRIME if tag == "G" else RootKind.DIRICHLET_XI
         d = tn - 2 * l + 2
-        assert zeros._first_zero_lower(kind, l, d) == (
+        assert zeros._first_zero_lower("Neumann" if tag == "G" else
+                                       "Dirichlet", l, d) == (
             0.0 if tag == "G" and l == 0 else hair)
         start, sign = zeros._scan_start(tag, l, tn)
         assert sign == (-1 if tag == "G" and l == 0 else 1)
@@ -569,12 +573,12 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
     monkeypatch.setattr(bessel, "_ladder", spied)
     spectrum.enumerate_spectrum(2, "dirichlet", 2000)
     x_max = 3.0 * zeros.DEFAULT_STEP + 0.5  # inside a cell of either parity
-    zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 3, 4, x_max)
-    zeros.radial_zeros(RootKind.DIRICHLET_XI, 0, 3, zeros.X_MAX)
-    for kind, l, d, m in [(RootKind.DIRICHLET_XI, 0, 3, 7),
-                          (RootKind.NEUMANN_XI_PRIME, 5, 2, 3),
-                          (RootKind.NEUMANN_XI_PRIME, 40, 7, 1)]:
-        zeros.find_zero(kind, l, d, m)
+    zeros.radial_zeros(BoundaryCondition.NEUMANN, 3, 4, x_max)
+    zeros.radial_zeros(BoundaryCondition.DIRICHLET, 0, 3, zeros.X_MAX)
+    for bc, l, d, m in [(BoundaryCondition.DIRICHLET, 0, 3, 7),
+                          (BoundaryCondition.NEUMANN, 5, 2, 3),
+                          (BoundaryCondition.NEUMANN, 40, 7, 1)]:
+        zeros.find_zero(bc, l, d, m)
     grids = {p: set(zeros._grid_points(p, 0.0)) for p in (0, 1)}
     assert all(zeros.X_MAX in grid for grid in grids.values())
     assert (1, zeros.X_MAX) in zeros._LADDERS  # d = 3, l = 0: parity 1
@@ -613,10 +617,10 @@ def dd_cells(tag: str, l: int, twice_nu: int):
         lo = x
 
 
-def scan(kind: RootKind, l: int, d: int,
+def scan(bc: BoundaryCondition, l: int, d: int,
          x_max: float) -> list[tuple[float, float]]:
     """The cells of dd_cells whose zero lies in (0, x_max]."""
-    tag, l_key, twice_nu = zeros._key(kind, l, d)
+    tag, l_key, twice_nu = zeros._key(bc, l, d)
     f = pair_target(tag, l_key, twice_nu)
     out = []
     for lo, hi in dd_cells(tag, l_key, twice_nu):
@@ -648,30 +652,30 @@ def test_census_brackets_equal_the_double_double_walk(tag, l, twice_nu):
 
 class TestScanBrackets:
     def test_sine_zeros_give_three_brackets(self):
-        got = scan(RootKind.DIRICHLET_XI, 0, 3, 10.0)
+        got = scan(BoundaryCondition.DIRICHLET, 0, 3, 10.0)
         assert len(got) == 3
         for (lo, hi), root in zip(got, (math.pi, 2 * math.pi, 3 * math.pi)):
             assert lo < root < hi
 
     def test_neumann_scan_single_bracket(self):
-        got = scan(RootKind.NEUMANN_XI_PRIME, 0, 2, 4.0)
+        got = scan(BoundaryCondition.NEUMANN, 0, 2, 4.0)
         assert len(got) == 1
         assert got[0][0] < 3.831705970207512 < got[0][1]
 
     def test_dirichlet_scan_two_brackets(self):
-        got = scan(RootKind.DIRICHLET_XI, 0, 2, 6.0)
+        got = scan(BoundaryCondition.DIRICHLET, 0, 2, 6.0)
         assert len(got) == 2
         assert got[0][0] < 2.404825557695773 < got[0][1]
         assert got[1][0] < 5.520078110286311 < got[1][1]
 
     def test_brackets_are_ordered_and_sign_changing(self):
-        brs = scan(RootKind.DIRICHLET_XI, 2, 3, 20.0)
+        brs = scan(BoundaryCondition.DIRICHLET, 2, 3, 20.0)
         assert brs == sorted(brs)
         for lo, hi in brs:
             assert oracle.oracle_xi(2, 3, lo) * oracle.oracle_xi(2, 3, hi) < 0
 
     def test_neumann_brackets_sign_change_in_derivative(self):
-        brs = scan(RootKind.NEUMANN_XI_PRIME, 3, 3, 20.0)
+        brs = scan(BoundaryCondition.NEUMANN, 3, 3, 20.0)
         assert len(brs) >= 2
         for lo, hi in brs:
             flo = oracle.oracle_xi_prime(3, 3, lo)
@@ -681,7 +685,7 @@ class TestScanBrackets:
     def test_bracket_count_matches_zero_census(self):
         # 5 zeros of J_0 below j_{0,5} + 0.05 and the scan finds all 5
         j05 = zeros.bessel_zero(Order(0), 5)
-        brs = scan(RootKind.DIRICHLET_XI, 0, 2, j05 + 0.05)
+        brs = scan(BoundaryCondition.DIRICHLET, 0, 2, j05 + 0.05)
         assert len(brs) == 5
         assert brs[-1][0] < j05 < brs[-1][1]
         # consecutive zeros are more than pi/2 apart (zeros module docstring),
@@ -689,26 +693,26 @@ class TestScanBrackets:
         # tightest J spacing (d=2, l=0), Neumann l=0 and l>=1 for d=2, 3, and
         # a high order on the Miller route
         cases = [
-            (RootKind.DIRICHLET_XI, 0, 2, 8),
-            (RootKind.NEUMANN_XI_PRIME, 0, 2, 6),
-            (RootKind.NEUMANN_XI_PRIME, 0, 3, 6),
-            (RootKind.NEUMANN_XI_PRIME, 1, 2, 6),
-            (RootKind.NEUMANN_XI_PRIME, 3, 3, 6),
-            (RootKind.DIRICHLET_XI, 100, 4, 4),
+            (BoundaryCondition.DIRICHLET, 0, 2, 8),
+            (BoundaryCondition.NEUMANN, 0, 2, 6),
+            (BoundaryCondition.NEUMANN, 0, 3, 6),
+            (BoundaryCondition.NEUMANN, 1, 2, 6),
+            (BoundaryCondition.NEUMANN, 3, 3, 6),
+            (BoundaryCondition.DIRICHLET, 100, 4, 4),
         ]
-        for kind, l, d, n in cases:
-            if kind is RootKind.NEUMANN_XI_PRIME:
+        for bc, l, d, n in cases:
+            if bc is BoundaryCondition.NEUMANN:
                 # neumann_zero counts the conventional zero at r = 0 for l = 0
                 first = 2 if l == 0 else 1
                 census = [zeros.neumann_zero(l, d, m)
                           for m in range(first, first + n)]
             else:
                 census = [zeros.dirichlet_zero(l, d, m) for m in range(1, n + 1)]
-            brs = scan(kind, l, d, census[-1] + 0.05)
-            assert len(brs) == n, (kind, l, d)
+            brs = scan(bc, l, d, census[-1] + 0.05)
+            assert len(brs) == n, (bc, l, d)
             for (lo, hi), z in zip(brs, census):
-                assert lo < z < hi, (kind, l, d, z)
-                assert hi - lo <= math.pi / 2 + 1e-12, (kind, l, d, z)
+                assert lo < z < hi, (bc, l, d, z)
+                assert hi - lo <= math.pi / 2 + 1e-12, (bc, l, d, z)
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +749,14 @@ class TestCensus:
         assert zeros._census_bracket("J", 0, 0, zeros._MAX_CELLS) is None
 
     def test_find_zero_routes_by_kind(self):
-        got = zeros.find_zero(RootKind.DIRICHLET_XI, 0, 3, 3)
+        got = zeros.find_zero(BoundaryCondition.DIRICHLET, 0, 3, 3)
         assert rel_err(got, 3.0 * math.pi) <= 1e-13
-        got = zeros.find_zero(RootKind.DIRICHLET_XI, 1, 3, 1)
+        got = zeros.find_zero(BoundaryCondition.DIRICHLET, 1, 3, 1)
         assert rel_err(got, 4.493409457909064) <= 1e-13
-        got = zeros.find_zero(RootKind.NEUMANN_XI_PRIME, 0, 2, 2)
+        got = zeros.find_zero(BoundaryCondition.NEUMANN, 0, 2, 2)
         assert rel_err(got, 3.831705970207512) <= 1e-13
+        # a BoundaryCondition's name, in any case, names the same target
+        assert zeros.find_zero("neumann", 0, 2, 2) == zeros.neumann_zero(0, 2, 2)
 
     def test_results_are_cached_and_deterministic(self):
         a = zeros.dirichlet_zero(4, 3, 2)
@@ -762,52 +768,57 @@ class TestCensus:
 # radial_zeros: every zero of a target up to a cutoff
 
 
-def counted_zeros(kind: RootKind, l: int, d: int, x_max: float) -> list[float]:
+def counted_zeros(bc: BoundaryCondition, l: int, d: int, x_max: float) -> list[float]:
     """find_zero's zeros, m = 1, 2, ..., up to x_max, one by one."""
     out = []
     for m in range(1, 100):
-        z = zeros.find_zero(kind, l, d, m)
+        z = zeros.find_zero(bc, l, d, m)
         if z > x_max:
             return out
         out.append(z)
     raise AssertionError("no zero past x_max")
 
 
+# the test ids keep the names these cases were first collected under
+_CASE_ID = {BoundaryCondition.DIRICHLET: "RootKind.DIRICHLET_XI",
+            BoundaryCondition.NEUMANN: "RootKind.NEUMANN_XI_PRIME"}
+
+
 class TestRadialZeros:
-    @pytest.mark.parametrize("kind,l,d,x_max", [
-        (RootKind.DIRICHLET_XI, 3, 3, 40.0),
-        (RootKind.DIRICHLET_XI, 0, 2, 25.0),
-        (RootKind.NEUMANN_XI_PRIME, 2, 4, 40.0),
-        (RootKind.NEUMANN_XI_PRIME, 0, 2, 40.0),
-        (RootKind.NEUMANN_XI_PRIME, 0, 5, 33.3),
-        (RootKind.DIRICHLET_XI, 100, 4, 130.0),
-    ])
-    def test_equals_the_counted_zeros(self, kind, l, d, x_max):
-        got = zeros.radial_zeros(kind, l, d, x_max)
-        assert got == counted_zeros(kind, l, d, x_max)
+    @pytest.mark.parametrize("bc,l,d,x_max", [
+        (BoundaryCondition.DIRICHLET, 3, 3, 40.0),
+        (BoundaryCondition.DIRICHLET, 0, 2, 25.0),
+        (BoundaryCondition.NEUMANN, 2, 4, 40.0),
+        (BoundaryCondition.NEUMANN, 0, 2, 40.0),
+        (BoundaryCondition.NEUMANN, 0, 5, 33.3),
+        (BoundaryCondition.DIRICHLET, 100, 4, 130.0),
+    ], ids=_CASE_ID.get)
+    def test_equals_the_counted_zeros(self, bc, l, d, x_max):
+        got = zeros.radial_zeros(bc, l, d, x_max)
+        assert got == counted_zeros(bc, l, d, x_max)
         assert len(got) >= 3
-        if kind is RootKind.NEUMANN_XI_PRIME and l == 0:
+        if bc is BoundaryCondition.NEUMANN and l == 0:
             assert got[0] == 0.0
 
-    @pytest.mark.parametrize("kind,l,d", [
-        (RootKind.DIRICHLET_XI, 1, 2),
-        (RootKind.NEUMANN_XI_PRIME, 3, 3),
-        (RootKind.NEUMANN_XI_PRIME, 0, 2),
-    ])
-    def test_cutoff_on_a_zero_includes_it(self, kind, l, d):
-        z = zeros.find_zero(kind, l, d, 4)
-        assert zeros.radial_zeros(kind, l, d, z) == counted_zeros(kind, l, d, z)
-        assert zeros.radial_zeros(kind, l, d, z)[-1] == z
+    @pytest.mark.parametrize("bc,l,d", [
+        (BoundaryCondition.DIRICHLET, 1, 2),
+        (BoundaryCondition.NEUMANN, 3, 3),
+        (BoundaryCondition.NEUMANN, 0, 2),
+    ], ids=_CASE_ID.get)
+    def test_cutoff_on_a_zero_includes_it(self, bc, l, d):
+        z = zeros.find_zero(bc, l, d, 4)
+        assert zeros.radial_zeros(bc, l, d, z) == counted_zeros(bc, l, d, z)
+        assert zeros.radial_zeros(bc, l, d, z)[-1] == z
         below = math.nextafter(z, 0.0)
-        assert zeros.radial_zeros(kind, l, d, below)[-1] < z
+        assert zeros.radial_zeros(bc, l, d, below)[-1] < z
 
     def test_cutoff_below_the_first_zero(self):
-        assert zeros.radial_zeros(RootKind.DIRICHLET_XI, 0, 2, 2.4) == []
-        assert zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 1, 2, 1.8) == []
-        assert zeros.radial_zeros(RootKind.NEUMANN_XI_PRIME, 0, 2, 1e-9) == [0.0]
+        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, 0, 2, 2.4) == []
+        assert zeros.radial_zeros(BoundaryCondition.NEUMANN, 1, 2, 1.8) == []
+        assert zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 2, 1e-9) == [0.0]
 
     def test_stops_at_the_box(self):
-        got = zeros.radial_zeros(RootKind.DIRICHLET_XI, 0, 2, bessel.X_MAX)
+        got = zeros.radial_zeros(BoundaryCondition.DIRICHLET, 0, 2, bessel.X_MAX)
         assert len(got) == 63
         assert got[-1] == zeros.bessel_zero(Order(0), 63)
 
@@ -815,14 +826,14 @@ class TestRadialZeros:
         # the (nu, nu+1) pair at nu = 120 leaves the kernel box: an error,
         # never an empty list
         with pytest.raises(RangeError):
-            zeros.radial_zeros(RootKind.DIRICHLET_XI, 120, 2, 50.0)
+            zeros.radial_zeros(BoundaryCondition.DIRICHLET, 120, 2, 50.0)
 
     @pytest.mark.parametrize("args", [
         ("DirichletXi", 0, 2, 10.0),
-        (RootKind.DIRICHLET_XI, -1, 2, 10.0),
-        (RootKind.DIRICHLET_XI, 0, 1, 10.0),
-        (RootKind.DIRICHLET_XI, 0, 2, 0.0),
-        (RootKind.DIRICHLET_XI, 0, 2, 201.0),
+        (BoundaryCondition.DIRICHLET, -1, 2, 10.0),
+        (BoundaryCondition.DIRICHLET, 0, 1, 10.0),
+        (BoundaryCondition.DIRICHLET, 0, 2, 0.0),
+        (BoundaryCondition.DIRICHLET, 0, 2, 201.0),
     ])
     def test_rejects_bad_args(self, args):
         with pytest.raises(RangeError):
@@ -1186,11 +1197,11 @@ class TestRefinement:
             self, monkeypatch):
         _cold()
         ladders, _ = _ladders(monkeypatch)
-        for kind in RootKind:
+        for bc in BoundaryCondition:
             for d in (2, 3, 4, 5):
                 for l in range(6):
                     for m in range(1, 6):
-                        zeros.find_zero(kind, l, d, m)
+                        zeros.find_zero(bc, l, d, m)
         total = sum(ladders)
         assert total <= self.PER_KEY_SCAN_STEPS, total
         assert total <= self.TWO_LADDER_STEPS, total
@@ -1241,9 +1252,9 @@ class TestRefinement:
         walked = []
         real = zeros.radial_zeros
 
-        def spied(kind, l, d, x_max):
+        def spied(bc, l, d, x_max):
             walked.append(l)
-            return real(kind, l, d, x_max)
+            return real(bc, l, d, x_max)
 
         monkeypatch.setattr(zeros, "radial_zeros", spied)
         table = spectrum.enumerate_spectrum(d, bc, lambda_max)
