@@ -31,13 +31,12 @@ and eval_J_pair refuse it with LossOfPrecision, for either order of a pair.
 _ladder is the one ladder, in fixed point on Python ints. It keeps every
 y_k, so a ladder sized for order n yields J_k(x) for every order k of one
 parity up to max(n, int(x)) + 1 (DLMF 3.6(vi)). _eval_miller reads it at
-one order for eval_J and eval_J_pair: the float nearest the quotient plus
-the float nearest the remainder (EvalResult.lo). The zero finder reads one
-shared ladder per census grid point and parity: for its census signs at
-the point, and through _multiply, by the multiplication theorem, for every
-value of a refinement in the cells around it, its certificate included.
-_bound is the one error model of a pair, dd_err's, the census signs' and,
-term by term, the certificate's:
+one pair of orders for eval_J and eval_J_pair: the float nearest each
+quotient. The zero finder reads one shared ladder per census grid point
+and parity: for its census signs at the point, and through _multiply, by
+the multiplication theorem, for every value of a refinement in the cells
+around it, its certificate included. _bound is the one error model of a
+pair, the census signs' and, term by term, the certificate's:
 max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit (_pair_bound), unit about
 n_steps * cancel * 2^-100 + 1e-24, relative to the pair alone below the
 turning point, x <= nu, a model that ROADMAP item 4 has to prove.
@@ -108,14 +107,6 @@ def _bound(a: float, b: float, x: float, twice_nu: int, unit: float) -> float:
     if 2.0 * x > twice_nu:
         return _pair_bound(a, b, x, unit)
     return max(abs(a), abs(b)) * unit
-
-
-def _nearest(num: int, den: int):
-    """(hi, lo) for num / den, den > 0: hi is the float nearest it and lo
-    the float nearest the exact remainder num / den - hi."""
-    hi = num / den  # int / int rounds once, to nearest
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b)
 
 
 def _ladder(parity: int, x: float, n: int):
@@ -259,15 +250,12 @@ def _multiply(ladder, x0: float, twice_nu: int):
 
 
 def _eval_miller(twice_nu: int, x: float):
-    """(J_nu, J_{nu+1}, abs_err, lo_nu, lo_nu1, dd_err) from the _ladder
-    sized for the order: J + lo is each order's value, within dd_err,
-    which is abs_err but for the turning-point model (_bound)."""
+    """(J_nu, J_{nu+1}, abs_err) from the _ladder sized for the order:
+    each value is the float nearest its quotient (int / int rounds once)."""
     n, parity = divmod(twice_nu, 2)
     ys, num, den, unit = _ladder(parity, x, n)
-    j0, lo0 = _nearest(ys[n] * num, den)
-    j1, lo1 = _nearest(ys[n + 1] * num, den)
-    return (j0, j1, _pair_bound(j0, j1, x, unit), lo0, lo1,
-            _bound(j0, j1, x, twice_nu, unit))
+    j0, j1 = ys[n] * num / den, ys[n + 1] * num / den
+    return j0, j1, _pair_bound(j0, j1, x, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +305,11 @@ def _check_order(nu) -> None:
         raise RangeError(f"nu must be an Order, got {nu!r}")
 
 
-class EvalResult(namedtuple("EvalResult", "value est_rel_err lo dd_err",
-                            defaults=(0.0, math.inf))):
+class EvalResult(namedtuple("EvalResult", "value est_rel_err")):
     """A function value plus a conservative error estimate.
 
     est_rel_err bounds |error| / max(|value|, 1e-3); the floor folds the
     near-zero absolute allowance into one ratio (see module docstring).
-    value + lo is eval_J_pair's integer-ladder value to two roundings,
-    within dd_err of J (the turning-point model); eval_J leaves them at 0.0
-    and inf.
     """
 
     __slots__ = ()
@@ -338,13 +322,13 @@ def _validate_x(x: float) -> float:
     return x
 
 
-def _check(value: float, abs_err: float, what: str, twice_nu: int, x: float,
-           *dd) -> EvalResult:
+def _check(value: float, abs_err: float, what: str, twice_nu: int,
+           x: float) -> EvalResult:
     est = abs_err / max(abs(value), _NEAR_ZERO_FLOOR) + 2.0**-52
     if est > _REL_CONTRACT:  # the message is formatted only here
         raise LossOfPrecision(f"{what}(twice_nu={twice_nu}, x={x!r}): "
                               f"estimated error {est:.3e} over budget")
-    return EvalResult(value, est, *dd)
+    return EvalResult(value, est)
 
 
 def _check_underflow(value: float, twice_nu: int, x: float) -> None:
@@ -360,7 +344,7 @@ def eval_J(nu: Order, x: float) -> EvalResult:
     """J_nu(x) for X_MIN <= x <= 200, twice_nu in [0, 240]."""
     _check_order(nu)
     x = _validate_x(x)
-    value, _, abs_err = _eval_miller(nu.twice_nu, x)[:3]
+    value, _, abs_err = _eval_miller(nu.twice_nu, x)
     _check_underflow(value, nu.twice_nu, x)
     return _check(value, abs_err, "J", nu.twice_nu, x)
 
@@ -380,12 +364,11 @@ def _validate_pair(nu: Order, x: float) -> float:
 def eval_J_pair(nu: Order, x: float) -> tuple[EvalResult, EvalResult]:
     """(J_nu(x), J_{nu+1}(x)) from one recurrence ladder."""
     x = _validate_pair(nu, x)
-    v0, v1, err, lo0, lo1, dd_err = _eval_miller(nu.twice_nu, x)
+    v0, v1, err = _eval_miller(nu.twice_nu, x)
     _check_underflow(v0, nu.twice_nu, x)
     _check_underflow(v1, nu.twice_nu + 2, x)
     tn = nu.twice_nu
-    return (_check(v0, err, "J pair", tn, x, lo0, dd_err),
-            _check(v1, err, "J pair", tn, x, lo1, dd_err))
+    return _check(v0, err, "J pair", tn, x), _check(v1, err, "J pair", tn, x)
 
 
 def log_gamma(x: float) -> float:

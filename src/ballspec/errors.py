@@ -41,11 +41,11 @@ class BracketFailure(NumericalError):
 
 
 class DegenerateOrdering(NumericalError):
-    """Two enumerated eigenvalues are too close to order reliably.
+    """Two modes' certified zeros (or their squares) are the same float.
 
-    Distinctness of the eigenvalues across angular orders is a theorem;
-    a violation at working precision signals a kernel accuracy bug, so it is
-    reported rather than merged.
+    Zeros are certified nearest floats and rounding is monotone, so distinct
+    floats order the eigenvalues. A tie asks for more precision, not a
+    merge: J_n, J_{n+k} share no positive zero (Bourget; Siegel, 1929).
     """
 
 

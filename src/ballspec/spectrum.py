@@ -22,7 +22,6 @@ from .zeros import BoundaryCondition, _coerce_bc  # BoundaryCondition: public he
 
 LAMBDA_MAX = X_MAX ** 2
 CUTOFF_SLACK = 1e-9  # lambda_max is inclusive, with this absolute slack
-_GAP_REL = 1e-8  # consecutive eigenvalues closer than this signal a bug
 
 
 def _binom(n: int, k: int) -> int:
@@ -122,7 +121,8 @@ def _modes_upto(l: int, d: int, bc: BoundaryCondition, r_cut: float,
 
 
 def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
-    """Every eigenvalue <= lambda_max (absolute slack 1e-9), labeled."""
+    """Every eigenvalue <= lambda_max (absolute slack 1e-9), labeled in
+    the order of the certified zeros (see DegenerateOrdering)."""
     bc = _coerce_bc(bc)
     _check_int("d", d, 2)
     lambda_max = float(lambda_max)
@@ -133,28 +133,25 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
     lambda_max = abs(lambda_max)  # -0.0 passes the check; the table says 0.0
     lam_cut = lambda_max + CUTOFF_SLACK
     r_cut = min(math.sqrt(lam_cut), X_MAX)
-    raw = []
-    for l in _candidate_degrees(d, bc, r_cut, lambda_max):
-        mult = multiplicity(l, d)
-        for m, z in _modes_upto(l, d, bc, r_cut, lam_cut):
-            raw.append((z * z, l, m, z, mult))
-    raw.sort()
-
+    modes = sorted((z, l, m, multiplicity(l, d))
+                   for l in _candidate_degrees(d, bc, r_cut, lambda_max)
+                   for m, z in _modes_upto(l, d, bc, r_cut, lam_cut))
     records = []
     next_label = 1
-    prev_lam = None
-    for lam, l, m, z, mult in raw:
-        if prev_lam is not None and lam - prev_lam <= _GAP_REL * max(1.0, lam):
+    for z, l, m, mult in modes:
+        lam = z * z
+        if records and lam == records[-1].lam:  # as it must if z ties
+            prev = records[-1]
             raise DegenerateOrdering(
-                f"eigenvalues at lambda={prev_lam!r} and {lam!r} are too "
-                f"close to order reliably (gap {lam - prev_lam!r})"
+                f"modes (l={prev.l}, m={prev.m}) and (l={l}, m={m}) share "
+                f"the eigenvalue float lambda={lam!r} (zeros {prev.zero!r} "
+                f"and {z!r}), so their order is not certified"
             )
         records.append(EigenvalueRecord(
             d=d, bc=bc, l=l, m=m, zero=z, lam=lam, multiplicity=mult,
             label_first=next_label, label_last=next_label + mult - 1,
         ))
         next_label += mult
-        prev_lam = lam
     return SpectrumTable(d=d, bc=bc, lambda_max=lambda_max,
                          records=tuple(records))
 

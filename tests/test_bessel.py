@@ -143,13 +143,14 @@ def xi(l: int, d: int, r: float) -> float:
 
 def pair_target(tag: str, l: int, twice_nu: int):
     """The census target J_nu (tag "J") or g = (l/x) J_nu - J_{nu+1} at x,
-    from eval_J_pair's value + lo, g formed exactly and rounded once: a
-    reference for the zero finder that reads its own ladder at x."""
-    order = Order(twice_nu)
+    from the exact quotients of the kernel's _ladder at x, g formed exactly
+    and rounded once: a reference for the zero finder that reads its own
+    ladder at x."""
+    n, parity = divmod(twice_nu, 2)
 
     def f(x: float) -> float:
-        a, b = (Fraction(r.value) + Fraction(r.lo)
-                for r in eval_J_pair(order, x))
+        ys, num, den, _ = bessel._ladder(parity, x, n)
+        a, b = Fraction(ys[n] * num, den), Fraction(ys[n + 1] * num, den)
         return float(a if tag == "J" else l / Fraction(x) * a - b)
 
     return f
@@ -511,7 +512,7 @@ def test_estimate_over_budget_names_the_call(monkeypatch):
     # a ladder whose error bound fails the contract: the refusal is worded
     # as it was when every call formatted its tag up front
     monkeypatch.setattr(bessel, "_eval_miller",
-                        lambda twice_nu, x: (0.5, -0.25, 1e-6, 0.0, 0.0, 1e-6))
+                        lambda twice_nu, x: (0.5, -0.25, 1e-6))
     with pytest.raises(LossOfPrecision) as info:
         eval_J_pair(Order(3), 1.5)
     assert str(info.value) == (
@@ -580,28 +581,31 @@ def test_x_min_matches_oracle_or_refuses():
 
 # the points of both _eval_miller bit pins, the lower edge X_MIN and the
 # last pairs the underflow floor keeps
-HI_LO_POINTS = (
+QUOTIENT_POINTS = (
     KERNEL_POINTS + SERIES_POINTS
     + [(tn, x) for x in (bessel.X_MIN, 3e-18, 1e-16, 1e-12) for tn in range(8)]
     + [(tn, x) for x, last in UNDERFLOW_EDGES
        for tn in range(last - 6, last - 1)])
 
 
-def test_pair_value_plus_lo_within_dd_err():
-    # value + lo of eval_J_pair is the integer ladder's quotient to two
-    # roundings, within dd_err; pair_target, the zero tests' reference,
-    # reads it
+def test_ladder_quotient_within_bound():
+    # the integer ladder's exact quotient ys[k] num / den, which
+    # pair_target, the zero tests' reference, reads, lies within the pair's
+    # _bound (its turning-point model included) of the oracle
     checked = 0
-    for tn, x in HI_LO_POINTS:
+    for tn, x in QUOTIENT_POINTS:
         try:
             pair = eval_J_pair(Order(tn), x)
         except (LossOfPrecision, RangeError):
             continue  # refused: past the box or below the underflow floor
-        for res, order in zip(pair, (tn, tn + 2)):
+        n, parity = divmod(tn, 2)
+        ys, num, den, unit = bessel._ladder(parity, x, n)
+        bound = bessel._bound(pair[0].value, pair[1].value, x, tn, unit)
+        for k, order in ((n, tn), (n + 1, tn + 2)):
             want = oracle.oracle_J(order, x, dps=45)
             with mp.workdps(60):
-                miss = abs(mp.mpf(res.value) + mp.mpf(res.lo) - want)
-            assert miss <= res.dd_err, (tn, x, order)
+                miss = abs(mp.mpf(ys[k] * num) / den - want)
+            assert miss <= bound, (tn, x, order)
             checked += 1
     assert checked > 400
 

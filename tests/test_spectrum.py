@@ -209,14 +209,37 @@ class TestTableInvariants:
         for d in range(2, 21):
             assert zeros.neumann_zero(1, d, 1) < zeros.neumann_zero(0, d, 2)
 
-    def test_near_degenerate_pair_raises(self, monkeypatch):
-        synthetic = {0: [(1, 3.0)], 1: [(1, 3.0 + 1e-13)]}
+    @staticmethod
+    def _two_degrees(monkeypatch, z0: float, z1: float) -> None:
+        """Degrees 0 and 1 with one synthetic first zero each."""
+        synthetic = {0: [(1, z0)], 1: [(1, z1)]}
         monkeypatch.setattr(spectrum, "_candidate_degrees",
                             lambda d, bc, r_cut, lambda_max: [0, 1])
         monkeypatch.setattr(spectrum, "_modes_upto",
                             lambda l, d, bc, r_cut, lam_cut: synthetic[l])
-        with pytest.raises(DegenerateOrdering):
+
+    def test_tied_zeros_raise_naming_both_modes(self, monkeypatch):
+        self._two_degrees(monkeypatch, 3.0, 3.0)
+        with pytest.raises(DegenerateOrdering) as info:
             enumerate_spectrum(2, D, 100.0)
+        assert str(info.value) == (
+            "modes (l=0, m=1) and (l=1, m=1) share the eigenvalue float "
+            "lambda=9.0 (zeros 3.0 and 3.0), so their order is not certified")
+
+    @pytest.mark.parametrize("z1", [3.0 + 1e-13, math.nextafter(3.0, 4.0)])
+    def test_close_zeros_are_ordered_by_the_zero(self, monkeypatch, z1):
+        # certified nearest floats that differ order their zeros, however
+        # close: 1e-13 (about 225 ulps) or one ulp apart
+        for d in (2, 5):
+            for l_low, l_high in ((0, 1), (1, 0)):
+                zs = {l_low: 3.0, l_high: z1}
+                self._two_degrees(monkeypatch, zs[0], zs[1])
+                first, second = enumerate_spectrum(d, D, 100.0).records
+                assert (first.l, first.zero, second.l, second.zero) == (
+                    l_low, 3.0, l_high, z1)
+                assert first.lam < second.lam
+                assert first.label_first == 1
+                assert second.label_first == 1 + multiplicity(l_low, d)
 
 
 # ---------------------------------------------------------------------------
