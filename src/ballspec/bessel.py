@@ -160,7 +160,9 @@ def _multiply(ladder, x0: float, twice_nu: int):
     n + _SPAN, nu = n + parity/2, by the multiplication theorem (DLMF
     10.23.1; for J it holds at every x/x0 > 0): J_mu(x) = (x/x0)^mu P_mu(w),
     P_mu(w) = sum_k (-w)^k / k! J_{mu+k}(x0), w = (x^2 - x0^2) / (2 x0).
-    pair(x) is the float sums (J_nu(x), J_{nu+1}(x)), an estimate. value(z,
+    pair(x) is the float sums (J_nu(x), J_{nu+1}(x)), an estimate, over
+    the floats nearest the quotients ys[n+k] num / den (int / int rounds
+    once), so pair(x0) is those floats at k = 0, 1 bit for bit. value(z,
     l) is (v, err) at each midpoint x from the float z to its neighbours:
     the float v of f(x), x taken exactly, within err of it; f = J_nu, or
     g = (l/x) J_nu - J_{nu+1} for an int l.
@@ -182,10 +184,8 @@ def _multiply(ladder, x0: float, twice_nu: int):
     ys, num, den, unit = ladder
     n = twice_nu // 2
     nu, half = 0.5 * twice_nu, 0.5 * x0
-    span = ys[n:n + _SPAN + 2]  # J_{nu+k}(x0) for k <= _SPAN + 1, shifted
-    shift = max(0, max(map(abs, span)).bit_length() - 1000)  # to floats
-    scale = (num << shift) / den
-    js = [(y >> shift) * scale for y in span]
+    # J_{nu+k}(x0) for k <= _SPAN + 1, each the float nearest its quotient
+    js = [y * num / den for y in ys[n:n + _SPAN + 2]]
     top = max(map(abs, js))
     small = 2.0**-56 * (abs(js[0]) + abs(js[1])) / top  # pair's last |c_k|
     lad = _bound(top, 0.0, x0, twice_nu, unit)  # at least each term's _bound

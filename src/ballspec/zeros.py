@@ -35,9 +35,10 @@ grid has one phase per parity of twice_nu: x_k = (k + parity/2) pi/2
 between grid points. The phase keeps zeros off the grid: by McMahon's
 expansion zeros of half-integer orders approach multiples of pi/2
 (j_{1/2,m} = m pi exactly), where a common k pi/2 grid would put them on
-grid points. A cell widened to the next grid point around a near-zero
-endpoint must show a sign flip (else BracketFailure), and then it holds
-exactly one zero: three would need two gaps above pi/2.
+grid points. Each zero's cell is the first sign change past the previous
+zero's cell (_first_cell); one widened to the next grid point around a
+near-zero endpoint must show a sign flip (else BracketFailure), and then
+it holds exactly one zero: three would need two gaps above pi/2.
 
 Safeguarded Newton refines each bracket, and every returned zero is the
 float nearest it: the target takes certified opposite signs at the
@@ -61,7 +62,7 @@ order above it asks (_grid_ladder). So the scan costs one ladder per grid
 point, and no zero builds one of its own. One sign rule (_sign) takes the
 ladder's sign (_grid_pair) where its bound, propagated through the target,
 cannot flip it, else 0.0, which the widen rule takes. radial_zeros refines
-the zero of every cell that starts below its edge and drops one past
+the zero of every cell that starts at or below x_max and drops one past
 x_max, so it discards at most one refinement a degree.
 """
 
@@ -76,7 +77,7 @@ from ballspec.bessel import TWICE_NU_MAX, X_MAX, Order, _check_int
 from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
-DEFAULT_TOL = 1e-13
+DEFAULT_TOL = 1e-13  # the CLI's echoed --tol default: no zero reads it
 _TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
 
 
@@ -98,28 +99,22 @@ def _coerce_bc(bc) -> BoundaryCondition:
 
 
 # ---------------------------------------------------------------------------
-# targets: value-and-derivative callables built on one kernel pair call
+# targets: value and derivatives from one pair (J_nu, J_{nu+1})
 
 
-def _combine(tag: str, l: int, nu: float, x: float, a: float, b: float):
-    """(f, df) of the J target (tag "J") or the derivative target (tag
-    "G") from a = J_nu(x) and b = J_{nu+1}(x)."""
-    if tag == "J":  # J_nu' = (nu/x) J_nu - J_{nu+1} (DLMF 10.6.2)
-        return a, (nu / x) * a - b
-    # g(r) = (l/r) J_nu - J_{nu+1};  g'(r) from the two J recursions:
+def _jet(tag: str, l: int, nu: float, x: float, a: float, b: float):
+    """(f, f', f'') of the J target (tag "J") or the derivative target (tag
+    "G") from a = J_nu(x) and b = J_{nu+1}(x): f' by the two J recursions,
+    f'' by Bessel's equation for J_nu and J_{nu+1}."""
+    if tag == "J":  # J' = (nu/x) J - J_{nu+1}, J'' = -J'/x - (1 - nu^2/x^2) J
+        return (a, (nu / x) * a - b,
+                a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x)
+    # g(r) = (l/r) J_nu - J_{nu+1}, whose derivative is
     # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
     return ((l / x) * a - b,
-            (l * (nu - 1.0) / (x * x) - 1.0) * a + (nu + 1.0 - l) / x * b)
-
-
-def _curvature(tag: str, l: int, nu: float, x: float, a: float, b: float):
-    """f'' of the target from a = J_nu(x) and b = J_{nu+1}(x): Bessel's
-    equation for J_nu and J_{nu+1}, with their derivatives as in
-    _combine."""
-    if tag == "J":  # J_nu'' = -J_nu'/x - (1 - nu^2/x^2) J_nu
-        return a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x
-    return (a * (l * (nu - 1.0) * (nu - 2.0) / (x * x) + 1.0 - l) / x
-            + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x)))
+            (l * (nu - 1.0) / (x * x) - 1.0) * a + (nu + 1.0 - l) / x * b,
+            (a * (l * (nu - 1.0) * (nu - 2.0) / (x * x) + 1.0 - l) / x
+             + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x))))
 
 
 # shared ladders of the census grid: (parity, x) -> (top, ys, num, den,
@@ -151,25 +146,18 @@ def _grid_pair(twice_nu: int, x: float):
     return a, b, bessel._bound(a, b, x, twice_nu, unit)
 
 
-def _target_err(tag: str, l: int, nu: float, x: float, a: float,
-                b: float, err: float):
-    """(f, df, err) of the target from the pair a, b, each within err; for
-    g, err grows by the rounding of its three operations."""
-    f, df = _combine(tag, l, nu, x, a, b)
-    if tag == "G":
-        q = l / x
-        err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
-    return f, df, err
-
-
 def _sign(tag: str, l: int, twice_nu: int):
-    """f of the target for sign decisions at census grid points: the
-    shared ladder's value where it clears its bound, else 0.0, for
-    _grid_cells' widen rule."""
-    nu = 0.5 * twice_nu
+    """f of the target for sign decisions at census grid points, straight
+    from _grid_pair: its value where it clears the pair's bound, grown for
+    g by g's three roundings, else 0.0, for _first_cell's widen rule."""
 
     def f(x: float) -> float:
-        v, _, err = _target_err(tag, l, nu, x, *_grid_pair(twice_nu, x))
+        a, b, err = _grid_pair(twice_nu, x)
+        v = a
+        if tag == "G":
+            q = l / x
+            v = q * a - b
+            err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
         return v if abs(v) > err else 0.0
 
     return f
@@ -208,7 +196,7 @@ def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# the scan: cells of the parity's grid, yield the sign-change brackets
+# the scan: the first sign-change cell of the parity's grid
 
 
 def _grid_points(parity: int, start: float):
@@ -230,15 +218,13 @@ def _grid_points(parity: int, start: float):
 _MAX_CELLS = int(X_MAX / DEFAULT_STEP) + 1
 
 
-def _grid_cells(f, parity: int, start: float, start_sign: int):
-    """Yield (lo, hi, sign_lo) sign-change cells of f over (start, X_MAX],
-    cells of the parity's grid from the grid point start.
-
-    The target must have the sign ``start_sign`` throughout (0, start].
-    """
-    prev_x = start
-    prev_sign = 1 if start_sign > 0 else -1
-    points = _grid_points(parity, start)
+def _first_cell(f, parity: int, start: float, sign: int):
+    """(lo, hi, sign): the first cell of the parity's grid over (start,
+    X_MAX] across which f leaves the sign ``sign`` (+1 or -1), which f has
+    throughout (0, start]; None if it keeps it to X_MAX. A grid point
+    where |f| < _TINY widens the cell to the next grid point, which must
+    show the flip, else BracketFailure."""
+    lo, points = start, _grid_points(parity, start)
     for x in points:
         fx = f(x)
         if abs(fx) < _TINY:
@@ -246,17 +232,15 @@ def _grid_cells(f, parity: int, start: float, start_sign: int):
             # to the next grid point so the zero lands strictly inside
             x2 = next(points, None)
             f2 = 0.0 if x2 is None else f(x2)
-            if (f2 > 0.0) == (prev_sign > 0) or abs(f2) < _TINY:
+            if (f2 > 0.0) == (sign > 0) or abs(f2) < _TINY:
                 raise BracketFailure(
                     f"sign did not flip across near-zero endpoint x={x!r}"
                 )
-            yield prev_x, x2, prev_sign
-            prev_x, prev_sign = x2, -prev_sign
-            continue
-        sign = 1 if fx > 0.0 else -1
-        if sign != prev_sign:
-            yield prev_x, x, prev_sign
-        prev_x, prev_sign = x, sign
+            return lo, x2, sign
+        if (fx > 0.0) != (sign > 0):
+            return lo, x, sign
+        lo = x
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +284,7 @@ def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     def jets(x: float):
         a, b = pair(x)
         if not ratio:
-            return (*_combine(tag, l, nu, x, a, b),
-                    _curvature(tag, l, nu, x, a, b))
+            return _jet(tag, l, nu, x, a, b)
         r, s = b / a, (2.0 * nu + 1.0) / x
         dr = 1.0 - s * r + r * r
         return (l / x - r, -l / (x * x) - dr,
@@ -323,7 +306,7 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     opposite signs; else the bracket moves on the certified signs and
     Newton steps by the secant through those values. A step that leaves the
     bracket, or is more than half the step before last, becomes a
-    bisection. So the float phase and _combine's df cannot move a zero.
+    bisection. So the float phase and _jet's f' cannot move a zero.
     """
     nu = 0.5 * twice_nu
     n, parity = divmod(twice_nu, 2)
@@ -331,12 +314,11 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     x = _start(tag, l, twice_nu, lo, hi, pair)
     step = hi - lo
     while True:  # the float phase
-        a, b = pair(x)
-        f, df = _combine(tag, l, nu, x, a, b)
+        f, df, ddf = _jet(tag, l, nu, x, *pair(x))
         x_new = x - f / df if df != 0.0 else math.nan
         if not (lo < x_new < hi and abs(x_new - x) < 0.5 * step):
             break
-        ddf, step, x = _curvature(tag, l, nu, x, a, b), abs(x_new - x), x_new
+        step, x = abs(x_new - x), x_new
         if abs(ddf) * step * step <= abs(df) * math.ulp(x):
             break
     dx_old = dx_older = hi - lo
@@ -380,8 +362,7 @@ def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
         start, sign = prev[1], -prev[2]
     else:
         start, sign = _scan_start(tag, l, twice_nu)
-    f = _sign(tag, l, twice_nu)
-    return next(_grid_cells(f, twice_nu % 2, start, sign), None)
+    return _first_cell(_sign(tag, l, twice_nu), twice_nu % 2, start, sign)
 
 
 @lru_cache(maxsize=8192)
@@ -456,19 +437,18 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     """The zeros find_zero(bc, l, d, m), m = 1, 2, ..., in [0, x_max].
 
     Neumann l = 0 starts with 0.0. The walk stops at the first census
-    cell that starts at or past the edge x_max (1 + DEFAULT_TOL), whose
-    zero rounds to a float past x_max, or at the first refined zero past
-    x_max: so at most one refined zero is discarded.
+    cell that starts past x_max, whose zero lies past x_max, so none is
+    refined there, or at the first refined zero past x_max: so at most one
+    refined zero is discarded.
     """
     bc = _coerce_bc(bc)
     tag, l_key, twice_nu = _key(bc, l, d)
     x_max = _check_x_max(x_max)
     _check_pair(twice_nu, f"{bc.value} zero census of l={l}, d={d}")
     out = [0.0] if tag == "G" and l == 0 else []
-    edge = x_max * (1.0 + DEFAULT_TOL)
     m = 1  # census index of the next positive zero
     while ((cell := _census_bracket(tag, l_key, twice_nu, m)) is not None
-           and cell[0] < edge):
+           and cell[0] <= x_max):
         z = find_zero(bc, l, d, len(out) + 1)  # out holds zeros 1..len
         if z > x_max:
             break

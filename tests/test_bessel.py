@@ -323,8 +323,11 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
             assert zeros._LADDERS[parity, x][1:] == (ys, num, den, unit)
             a, b = ys[n] * num / den, ys[n + 1] * num / den
             assert shared == (a, b, bessel._bound(a, b, x, tn, unit)), (tn, x)
-            for tag, l in (("J", 0), ("G", tn // 2 + 1)):
-                v, _, err = zeros._target_err(tag, l, 0.5 * tn, x, *shared)
+            # g = (l/x) a - b, its bound grown by its three roundings
+            q = (tn // 2 + 1) / x
+            g_err = (q + 1.0) * shared[2] + (abs(q * a) + abs(b)) * 2.0**-51
+            for tag, l, v, err in (("J", 0, a, shared[2]),
+                                   ("G", tn // 2 + 1, q * a - b, g_err)):
                 assert (zeros._sign(tag, l, tn)(x)
                         == (v if abs(v) > err else 0.0)), (tn, x, tag)
 

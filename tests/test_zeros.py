@@ -325,7 +325,7 @@ def cell_series(tag: str, l: int, twice_nu: int, x: float):
     (tag, l, tn, x) for tag, l, tn, points in TARGET_POINTS for x in points])
 def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
     # J: f = J_nu, df = J_nu'; G: f = g = (l/x) J_nu - J_{nu+1} and
-    # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which _combine forms
+    # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which _jet forms
     # through the recursion J_nu (l(nu-1)/x^2 - 1) + J_{nu+1} (nu+1-l)/x.
     # The float pair of the series gives (f, df) to about 1e-13 of the
     # largest term; the fixed-point value at the midpoints around x lies
@@ -333,7 +333,7 @@ def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
     # the value's own rounding to a float
     monkeypatch.setattr(zeros, "_LADDERS", {})
     pair, value = cell_series(tag, l, twice_nu, x)
-    f, df = zeros._combine(tag, l, 0.5 * twice_nu, x, *pair(x))
+    f, df, _ = zeros._jet(tag, l, 0.5 * twice_nu, x, *pair(x))
     with mp.workdps(40):
         ja, pa, jb, pb = (mp.besselj(mp.mpf(tn) / 2, x, derivative=k)
                           for tn in (twice_nu, twice_nu + 2) for k in (0, 1))
@@ -413,6 +413,47 @@ def test_series_cut_short_keeps_its_tail_in_its_bound(monkeypatch):
                                          err)
                     worst = max(worst, float(miss / err))
     assert worst > 1e-3
+
+
+def test_series_centre_is_the_census_pair(monkeypatch):
+    # _multiply rounds each ladder quotient of its span once, as _grid_pair
+    # does, so its float pair at the grid point itself is the census's
+    # pair bit for bit: at every order from 180 up at the first grid points
+    # pi/4 and pi/2, where the ladder's normalizer dwarfs the span, and at
+    # a stride over the rest of the census grid
+    monkeypatch.setattr(zeros, "_LADDERS", {})
+    grid = [(tn, x) for parity in (0, 1)
+            for x in zeros._grid_points(parity, 0.0)
+            for tn in range(parity, bessel.TWICE_NU_MAX - 1, 2)]
+    edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
+    assert len(grid) > 30000 and len(edge) == 59
+    for tn, x0 in edge + grid[::7]:
+        ladder = zeros._grid_ladder(tn % 2, x0, tn // 2)
+        pair, _ = bessel._multiply(ladder, x0, tn)
+        assert pair(x0) == zeros._grid_pair(tn, x0)[:2], (tn, x0)
+
+
+def test_series_reads_a_ladder_sized_past_the_box():
+    # the even ladder at x0 = 3 pi sized for order 231, as a rebuild for a
+    # box grown past twice_nu = 240 sizes it: its normalizer outgrows the
+    # span at twice_nu = 84 by far, and the series' values at the
+    # midpoints around the first Neumann zero of l = 1, d = 84 in the cell
+    # below x0 still lie within their bounds of the oracle and certify it
+    x0, twice_nu = 3 * math.pi, 84
+    _, value = bessel._multiply(bessel._ladder(0, x0, 231), x0, twice_nu)
+    z = zeros.neumann_zero(1, 84, 1)
+    assert x0 - zeros.DEFAULT_STEP < z < x0
+    for tag, l in (("J", None), ("G", 1)):
+        got = value(z, l)
+        with mp.workdps(40):
+            mids = [(mp.mpf(z) + mp.mpf(math.nextafter(z, to))) / 2
+                    for to in (0.0, math.inf)]
+            for mid, (v, err) in zip(mids, got):
+                miss = abs(mp.mpf(v) - oracle_target(tag, l or 0, twice_nu,
+                                                     mid))
+                assert miss <= err, (tag, mid, v, float(miss), err)
+    (v0, e0), (v1, e1) = got
+    assert abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -854,15 +895,15 @@ def sign_enclosed(f, z: float, tol: float) -> bool:
 
 
 def _skew_derivative(monkeypatch, factor: float) -> None:
-    """Make zeros._combine, which forms Newton's df from the float series,
+    """Make zeros._jet, which forms Newton's df from the float series,
     return df times factor."""
-    real = zeros._combine
+    real = zeros._jet
 
     def skewed(*args):
-        f, df = real(*args)
-        return f, factor * df
+        f, df, ddf = real(*args)
+        return f, factor * df, ddf
 
-    monkeypatch.setattr(zeros, "_combine", skewed)
+    monkeypatch.setattr(zeros, "_jet", skewed)
 
 
 def _certifies(tag: str, l: int, twice_nu: int, x0: float, z: float):
@@ -941,6 +982,28 @@ def test_cold_ladders_are_the_census_own(monkeypatch, capsys):
     assert pairs[0] == 0
     assert len(built) > 1000 and set(built) <= evaluated
     _cold()
+
+
+@pytest.mark.parametrize("bc,l,d,m", [("dirichlet", 0, 2, 3),
+                                       ("neumann", 0, 3, 2),
+                                       ("neumann", 3, 5, 4)])
+def test_radial_zeros_refine_no_cell_past_x_max(monkeypatch, bc, l, d, m):
+    # with x_max one ulp below the start of the m-th census cell, that
+    # cell's zero lies past x_max: radial_zeros stops at the cell and
+    # refines only the zeros it returns
+    _cold()
+    key = zeros._key(zeros._coerce_bc(bc), l, d)
+    x_max = math.nextafter(zeros._census_bracket(*key, m)[0], 0.0)
+    refined = []
+    real = zeros._refine
+    monkeypatch.setattr(zeros, "_refine",
+                        lambda *args: refined.append(args) or real(*args))
+    got = zeros.radial_zeros(bc, l, d, x_max)
+    monkeypatch.undo()
+    positive = [z for z in got if z > 0.0]
+    assert len(refined) == len(positive) == m - 1
+    assert positive == [zeros._census_zero(*key, k) for k in range(1, m)]
+    assert all(z <= x_max for z in got)
 
 
 class TestRefinement:
@@ -1028,7 +1091,7 @@ class TestRefinement:
     def test_bad_derivative_neither_stalls_nor_misleads(
         self, monkeypatch, tag, l, twice_nu, tol
     ):
-        # a derivative of the float series 1e6 too large (_combine forms it)
+        # a derivative of the float series 1e6 too large (_jet forms it)
         # makes every float step look converged, so the float phase hands
         # over far from the root; the certified phase steps by the secant
         # through its fixed-point values, not by that derivative, and must
@@ -1091,7 +1154,7 @@ class TestRefinement:
         # turning point, where J_nu ~ 1e-20 and the bounds are relative to
         # the pair: the census clears every sign, Newton starts within 1e-6
         # of the zero, and each zero takes 3 or 4 float series evaluations
-        # and 1 or 2 fixed-point ones, cold: 43 and 23 for the 14 zeros
+        # and 1 or 2 fixed-point ones, cold: 43 and 22 for the 14 zeros
         # (deterministic counts)
         counts = _counting_series(monkeypatch)
         for l in range(1, 15):
@@ -1100,7 +1163,7 @@ class TestRefinement:
             assert zeros._census_zero("G", l, 2 * l + 98, 1) < l + 49
             used = counts - before
             assert used["pair"] <= 4 and used["value"] <= 2, (l, used)
-        assert counts == {"base": 14, "pair": 43, "value": 23}, counts
+        assert counts == {"base": 14, "pair": 43, "value": 22}, counts
         _cold()
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
@@ -1163,7 +1226,7 @@ class TestRefinement:
         # derivatives of J_nu and J_{nu+1}
         monkeypatch.setattr(zeros, "_LADDERS", {})  # a ladder for the order
         a, b, _ = zeros._grid_pair(twice_nu, x)
-        f2 = zeros._curvature(tag, l, 0.5 * twice_nu, x, a, b)
+        f2 = zeros._jet(tag, l, 0.5 * twice_nu, x, a, b)[2]
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
             j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
@@ -1246,8 +1309,9 @@ class TestRefinement:
                                                  (4, "neumann", 1900)])
     def test_cold_spectrum_discards_one_zero_a_degree(self, monkeypatch, d,
                                                       bc, lambda_max):
-        # radial_zeros refines the zero of each cell that starts below its
-        # edge, so at most one refined zero a degree walked is thrown away
+        # radial_zeros refines the zero of each cell that starts at or
+        # below x_max, so at most one refined zero a degree walked is thrown
+        # away
         _cold()
         walked = []
         real = zeros.radial_zeros
@@ -1348,8 +1412,7 @@ class TestWalkerSynthetics:
         def f(x):
             return (x - 5.0) ** 2 + 0.5
 
-        got = list(zeros._grid_cells(f, 0, 4.5, 1))
-        assert got == []
+        assert zeros._first_cell(f, 0, 4.5, 1) is None
 
     def test_near_zero_endpoint_widens_bracket(self):
         def f(x):
@@ -1359,11 +1422,8 @@ class TestWalkerSynthetics:
                 return 1e-295  # grid point lands almost on the root
             return -1.0
 
-        got = list(zeros._grid_cells(f, 0, 4.5, 1))
-        assert len(got) == 1
-        lo, hi, sign_lo = got[0]
-        assert sign_lo == 1
-        assert lo == 3 * math.pi / 2 and hi == 5 * math.pi / 2
+        got = zeros._first_cell(f, 0, 4.5, 1)
+        assert got == (3 * math.pi / 2, 5 * math.pi / 2, 1)
 
     def test_widened_bracket_without_sign_flip_fails(self):
         def f(x):
@@ -1372,7 +1432,7 @@ class TestWalkerSynthetics:
             return 1.0  # never becomes negative: tangency, not a root
 
         with pytest.raises(BracketFailure):
-            list(zeros._grid_cells(f, 0, 4.5, 1))
+            zeros._first_cell(f, 0, 4.5, 1)
 
     def test_near_zero_at_the_box_edge_fails(self):
         # the last grid point has no next point to widen to
@@ -1380,17 +1440,16 @@ class TestWalkerSynthetics:
             return 1e-295 if x == zeros.X_MAX else 1.0
 
         with pytest.raises(BracketFailure):
-            list(zeros._grid_cells(f, 1, 190.0, 1))
+            zeros._first_cell(f, 1, 190.0, 1)
 
     def test_plain_crossing_yields_single_bracket(self):
-        def f(x):
-            return 5.0 - x
+        # the cell of the crossing, from a start of either sign
+        for sign in (1, -1):
+            def f(x, sign=sign):
+                return sign * (5.0 - x)
 
-        got = list(zeros._grid_cells(f, 0, 4.5, 1))
-        assert len(got) == 1
-        lo, hi, sign_lo = got[0]
-        assert lo < 5.0 <= hi and sign_lo == 1
-        assert (lo, hi) == (3 * math.pi / 2, 2 * math.pi)
+            got = zeros._first_cell(f, 0, 4.5, sign)
+            assert got == (3 * math.pi / 2, 2 * math.pi, sign)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_grid_phase_and_last_point(self, parity):
