@@ -163,9 +163,11 @@ def _multiply(ladder, x0: float, twice_nu: int):
     pair(x) is the float sums (J_nu(x), J_{nu+1}(x)), an estimate, over
     the floats nearest the quotients ys[n+k] num / den (int / int rounds
     once), so pair(x0) is those floats at k = 0, 1 bit for bit. value(z,
-    l) is (v, err) at each midpoint x from the float z to its neighbours:
-    the float v of f(x), x taken exactly, within err of it; f = J_nu, or
-    g = (l/x) J_nu - J_{nu+1} for an int l.
+    l) returns at: at(i) is (v, err) at the i-th of the four midpoints x
+    between consecutive floats from two below z to two above, in ascending
+    order, so at(1) and at(2) lie around z and at(0) and at(3) 3/2 ulp
+    out. v is the float of f(x), x taken exactly, within err of it;
+    f = J_nu, or g = (l/x) J_nu - J_{nu+1} for an int l.
 
     value sums P_nu, P_{nu+1}, P_{nu+2} at z in fixed point, and reaches a
     midpoint delta = (x^2 - z^2) / (2 x0) away in w by P_mu(w + delta) =
@@ -205,13 +207,16 @@ def _multiply(ladder, x0: float, twice_nu: int):
         return (x / x0) ** nu * s0, (x / x0) ** (nu + 1.0) * s1
 
     def value(z: float, l=None):
-        ends = z, math.nextafter(z, 0.0), math.nextafter(z, math.inf)
+        below, above = math.nextafter(z, 0.0), math.nextafter(z, math.inf)
+        ends = (math.nextafter(below, 0.0), below, z, above,
+                math.nextafter(above, math.inf))
         ratios = [t.as_integer_ratio() for t in ends]
         q = max(q0, *(d for _, d in ratios))  # powers of two
         # points as integers over 2q: z = zz / 2q, x0 = xx / 2q; -w at z
         # is wn / wd, and a midpoint's w lies dn / wd past it
-        zz, xx = 2 * ratios[0][0] * (q // ratios[0][1]), 2 * p0 * (q // q0)
-        mids = [zz // 2 + t * (q // d) for t, d in ratios[1:]]
+        tq = [t * (q // d) for t, d in ratios]  # each end times q
+        zz, xx = 2 * tq[2], 2 * p0 * (q // q0)
+        mids = [a + b for a, b in zip(tq, tq[1:])]
         wn, wd = xx * xx - zz * zz, 4 * q * xx
         aw = abs(wn / wd)
         c, u, k = 1.0, power, 0  # |c_k|, |c_k| (x0/2)^(nu+k) / Gamma(nu+k+1)
@@ -227,8 +232,9 @@ def _multiply(ladder, x0: float, twice_nu: int):
         for j in range(1, k):
             cs.append(((cs[-1] * mw) >> _P) // j)
         t0, t1, t2 = (sum(map(mul, cs, ys[n + i:n + i + k])) for i in range(3))
-        out = []
-        for mm in mids:
+
+        def at(i: int):
+            mm = mids[i]
             dn = mm * mm - zz * zz
             d = abs(dn / wd)
             err = (bound * (1.0 + d) + d * d * math.exp(aw + d) * min(
@@ -243,8 +249,9 @@ def _multiply(ladder, x0: float, twice_nu: int):
                      - mm * mm * (wd * t1 - dn * t2))
                 v = t * num / ((den * mm * xx * wd) << _P) * lam
                 err *= lam * (l / x + x / x0)
-            out.append((v, err + abs(v) * (nu + 4.0) * 2.0**-51))
-        return out
+            return v, err + abs(v) * (nu + 4.0) * 2.0**-51
+
+        return at
 
     return pair, value
 

@@ -11,9 +11,9 @@ per point:
 
 The m-th zero is found by a sign census on a fixed grid, walked from the
 last grid point at or below a rigorous zero-free lower bound
-(_first_zero_bounds; never from an asymptotic count), so the returned zero
-is guaranteed to be the m-th one. The conventional Neumann l = 0 zero at
-r = 0 is never scanned.
+(_first_zero_bounds, for Neumann l >= 1 the Sturm bound below; never from
+an asymptotic count), so the returned zero is the m-th one. The
+conventional Neumann l = 0 zero at r = 0 is never scanned.
 
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
@@ -51,8 +51,10 @@ the census evaluated. Newton starts at the root of the quintic through
 reads one fixed-point sum bounded through bessel._bound term by term, the
 rounding of its coefficients and a tail from |J_mu| <= min(1, (x/2)^mu /
 Gamma(mu+1)) (DLMF 10.14.1, 10.14.4). Where a float iterate does not
-certify, Newton steps on the fixed-point values (_refine). So a zero rests
-on bessel._bound alone, as the census signs do, not on the Newton path.
+certify, the same sum certifies a neighbouring float whose two midpoints
+flip, else Newton steps on the fixed-point values (_refine). So a zero
+rests on bessel._bound alone, as the census signs do, not on the Newton
+path.
 
 One ladder path serves every value: the shared bessel._ladder per (parity,
 grid point) that every degree of either target reads (_LADDERS), sized
@@ -168,18 +170,16 @@ def _first_zero_bounds(tag: str, l: int, twice_nu: int) -> tuple[float, float]:
     twice_nu/2; OverflowError past the float range. J: nu(nu+2) <
     j_{nu,1}^2 (Watson, Treatise, ch. 15), j_{nu,1} < sqrt(nu+1)(sqrt(nu+2)
     + 1) (Chambers, Math. Comp. 38, 1982). G at l = 0 is exactly -J_{nu+1}:
-    the J bounds at nu+1. G at l >= 1: beta_{l,1}^2 > 2l(nu+1) / (1 +
-    2l(nu+1)/(nu(nu+2))) by the Rayleigh sum of inverse squared zeros, and
-    beta_{l,1} < j_{nu,1} by the interlacing above."""
+    the J bounds at nu+1. G at l >= 1: beta_{l,1}^2 > l(l+d-2) = l(twice_nu
+    - l), the Sturm bound above, and beta_{l,1} < j_{nu,1} by the
+    interlacing above."""
     if tag == "G" and l == 0:
         return _first_zero_bounds("J", 0, twice_nu + 2)
     nu = 0.5 * twice_nu
     upper = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-    nn = twice_nu * (twice_nu + 4)  # = 4 nu(nu+2)
     if tag == "J":
-        return math.sqrt(nn) * 0.5, upper
-    a = l * (twice_nu + 2)  # = 2l(nu+1)
-    return math.sqrt(a / (1.0 + a / (nn / 4.0))), upper
+        return math.sqrt(twice_nu * (twice_nu + 4)) * 0.5, upper
+    return math.sqrt(l * (twice_nu - l)), upper
 
 
 def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
@@ -295,6 +295,12 @@ def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     return x if lo < x < hi else 0.5 * (lo + hi)
 
 
+def _certified(v: float, err: float) -> int:
+    """The sign of a value v within err of the truth, 0 where err covers
+    it."""
+    return 0 if abs(v) <= err else 1 if v > 0.0 else -1
+
+
 def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
             sign_lo: int) -> float:
     """The float nearest the zero in the census cell (lo, hi), every value
@@ -303,10 +309,12 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     least halve inside the cell, until its next step, f'' s^2 / (2 f') for
     a step s, is below an ulp. Then an iterate z is returned once the
     fixed-point values at the midpoints to its neighbours take certified
-    opposite signs; else the bracket moves on the certified signs and
-    Newton steps by the secant through those values. A step that leaves the
-    bracket, or is more than half the step before last, becomes a
-    bisection. So the float phase and _jet's f' cannot move a zero.
+    opposite signs, and a neighbour of z once the same pass certifies the
+    flip between its two midpoints; else the bracket moves on the certified
+    signs and Newton steps by the secant through the values around z. A
+    step that leaves the bracket, or is more than half the step before
+    last, becomes a bisection. So the float phase and _jet's f' cannot
+    move a zero.
     """
     nu = 0.5 * twice_nu
     n, parity = divmod(twice_nu, 2)
@@ -324,12 +332,18 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     dx_old = dx_older = hi - lo
     for _ in range(100):
         below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
-        (v0, e0), (v1, e1) = value(x, None if tag == "J" else l)
-        if abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0):
+        at = value(x, None if tag == "J" else l)
+        (v0, e0), (v1, e1) = at(1), at(2)
+        s0, s1 = _certified(v0, e0), _certified(v1, e1)
+        if s0 and s1 == -s0:
             return x
-        if abs(v1) > e1 and (v1 > 0.0) == (sign_lo > 0):
+        if s1 == sign_lo:
+            if _certified(*at(3)) == -sign_lo:
+                return above
             lo = x  # the zero lies past the upper midpoint
-        if abs(v0) > e0 and (v0 > 0.0) != (sign_lo > 0):
+        if s0 == -sign_lo:
+            if _certified(*at(0)) == sign_lo:
+                return below
             hi = x  # ... or below the lower one
         h0, h1 = 0.5 * (x - below), 0.5 * (above - x)
         x_new = (x - (h0 + v0 * (h0 + h1) / (v1 - v0)) if v1 != v0

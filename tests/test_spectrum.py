@@ -20,6 +20,7 @@ from ballspec.spectrum import (
 )
 
 from tests import _frozen
+from tests.test_zeros import assert_nearest_float
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -367,6 +368,26 @@ class TestEnumerationValidation:
         # completeness would need degrees past the kernel's order range
         with pytest.raises(RangeError):
             enumerate_spectrum(2, D, 40000.0)
+
+    @pytest.mark.parametrize("d,inside,limit", [(2, 14399, 14400),
+                                                (30, 14203, 14204),
+                                                (100, 11998, 11999)])
+    def test_neumann_enumerates_up_to_the_order_box(self, d, inside, limit):
+        # the Neumann degree loop reads the Sturm bound sqrt(l(l+d-2)), so
+        # a Neumann spectrum is refused only where a candidate degree's
+        # census pair leaves the order box, as a Dirichlet one is: just
+        # inside that point it enumerates, and the top degree's zeros are
+        # the floats nearest the oracle's; at the point the degree loop
+        # refuses and names lambda_max
+        table = enumerate_spectrum(d, N, inside)
+        top = max(rec.l for rec in table.records)
+        tops = [rec.zero for rec in table.records if rec.l == top]
+        assert top > 60 and tops
+        for z in tops:
+            assert_nearest_float("G", top, 2 * top + d - 2, z)
+        with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
+                           r"\(degree l=\d+\) needs Bessel order 121"):
+            enumerate_spectrum(d, N, limit)
 
     def test_record_for_missing_mode(self):
         table = enumerate_spectrum(2, D, 40.0)
