@@ -179,10 +179,12 @@ def _multiply(ladder, x0: float, twice_nu: int):
     rounding; and the tail. B_mu = min(1, (x0/2)^mu / Gamma(mu+1)) bounds
     |J_mu(x0)| (DLMF 10.14.1, 10.14.4) and does not increase in mu (it is 1
     while x0/2 > mu + 1, as Gamma(mu+1) <= (mu+1)^mu), so once 2|w| <= k + 1
-    the tail past k terms is at most 2 |c_k| B_{nu+k}, and |R| <= delta^2
-    e^(|w| + delta) B_nu. The sum stops once its tail is below half the
-    ladder part, a bound relative to the values it sums, or at _SPAN terms,
-    the most a census cell needs."""
+    the tail past k terms is at most 2 |c_k| B_{nu+k}. R = int int P_{nu+2},
+    and |P_{nu+2}(w)| <= e^|w| M, M the largest |J_mu(x0)|, mu >= nu + 2:
+    so |R| <= delta^2 e^(|w| + delta) M, M from the ladder's span, each
+    value plus lad, and B_{nu+_SPAN+2} past it. The sum stops once its
+    tail is below half the ladder part, a bound relative to the values it
+    sums, or at _SPAN terms, the most a census cell needs."""
     ys, num, den, unit = ladder
     n = twice_nu // 2
     nu, half = 0.5 * twice_nu, 0.5 * x0
@@ -194,6 +196,9 @@ def _multiply(ladder, x0: float, twice_nu: int):
     lim = 0.25 * lad  # a tail below 2 lim ends the sum
     # (x0/2)^nu / Gamma(nu+1): with |c_k| it bounds the tail terms
     power = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    # M of the remainder: the span's values plus lad, then B_{nu+_SPAN+2}
+    rem = max(max(map(abs, js[2:])) + lad, min(1.0, math.exp(
+        (nu + _SPAN + 2) * math.log(half) - math.lgamma(nu + _SPAN + 3.0))))
     p0, q0 = x0.as_integer_ratio()
 
     def pair(x: float):
@@ -237,8 +242,8 @@ def _multiply(ladder, x0: float, twice_nu: int):
             mm = mids[i]
             dn = mm * mm - zz * zz
             d = abs(dn / wd)
-            err = (bound * (1.0 + d) + d * d * math.exp(aw + d) * min(
-                1.0, power)) * (1.0 + 2.0**-20)
+            err = (bound * (1.0 + d) + d * d * math.exp(aw + d) * rem) * (
+                1.0 + 2.0**-20)
             x = mm / (2 * q)
             lam = (x / x0) ** nu  # > 0, within (nu + 3) 2^-52 relative
             if l is None:

@@ -132,9 +132,10 @@ def _check_first_zero_bounds(fast: bool) -> str | None:
     """zeros._first_zero_bounds bracket the first positive zero at every J
     order of the box and every Neumann degree of a few d (fast: a sample)."""
     step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
-    keys = [("J", 0, tn) for tn in range(0, 239, step)] + [
+    cap = bessel.TWICE_NU_MAX  # the census pair (nu, nu + 1) lies in the box
+    keys = [("J", 0, tn) for tn in range(0, cap - 1, step)] + [
         ("G", l, 2 * l + d - 2) for d in dims
-        for l in range(0, (240 - d) // 2 + 1, step)]
+        for l in range(0, (cap - d) // 2 + 1, step)]
     for tag, l, tn in keys:
         lower, upper = zeros._first_zero_bounds(tag, l, tn)
         z = (zeros.bessel_zero(Order(tn), 1) if tag == "J"  # G, l = 0: r = 0 first

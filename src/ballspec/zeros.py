@@ -30,8 +30,9 @@ w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
   Hence beta_{m+1} - beta_m > pi/2.
 
 Any cell of width <= pi/2 therefore holds at most one zero. The census
-grid has one phase per parity of twice_nu: x_k = (k + parity/2) pi/2
-(DEFAULT_STEP apart), with X_MAX as the last point, and every cell runs
+grid is one table per parity of twice_nu (_GRID), which the scan start,
+the walk and the cell cap read: 0.0, x_k = (k + parity/2) pi/2
+(DEFAULT_STEP apart) below X_MAX, and X_MAX last; every cell runs
 between grid points. The phase keeps zeros off the grid: by McMahon's
 expansion zeros of half-integer orders approach multiples of pi/2
 (j_{1/2,m} = m pi exactly), where a common k pi/2 grid would put them on
@@ -49,8 +50,9 @@ the census evaluated. Newton starts at the root of the quintic through
 (f, f', f'') at both cell ends, of g / J_nu below the turning point
 (_start); its steps run on the series' float sums, and the certificate
 reads one fixed-point sum bounded through bessel._bound term by term, the
-rounding of its coefficients and a tail from |J_mu| <= min(1, (x/2)^mu /
-Gamma(mu+1)) (DLMF 10.14.1, 10.14.4). Where a float iterate does not
+rounding of its coefficients, a tail from |J_mu| <= min(1, (x/2)^mu /
+Gamma(mu+1)) (DLMF 10.14.1, 10.14.4) and a remainder from the largest
+|J_mu| the ladder holds past nu + 1. Where a float iterate does not
 certify, the same sum certifies a neighbouring float whose two midpoints
 flip, else Newton steps on the fixed-point values (_refine). So a zero
 rests on bessel._bound alone, as the census signs do, not on the Newton
@@ -71,6 +73,7 @@ x_max, so it discards at most one refinement a degree.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
 
@@ -80,7 +83,8 @@ from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
 DEFAULT_TOL = 1e-13  # the CLI's echoed --tol default: no zero reads it
-_TINY = 1e-290  # endpoint magnitudes below this trigger the widen rule
+_TINY = 1e-290  # below it a grid value widens its cell and is no sign, as
+# _sign's relative rounding term of g, 2^-51 (|q a| + |b|), bounds no subnormal
 
 
 class BoundaryCondition(Enum):
@@ -182,40 +186,33 @@ def _first_zero_bounds(tag: str, l: int, twice_nu: int) -> tuple[float, float]:
     return math.sqrt(l * (twice_nu - l)), upper
 
 
+def _lower(tag: str, l: int, twice_nu: int) -> float:
+    """The first zero's lower bound shrunk a hair for rounding."""
+    return _first_zero_bounds(tag, l, twice_nu)[0] * (1.0 - 1e-9)
+
+
 def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
     """(start, sign), the one scan start: the target has sign ``sign`` on
-    (0, start], the last grid point of the order's parity at or below the
-    first zero's lower bound shrunk a hair for rounding. x_0 = 0 of the
+    (0, start], the last _GRID point at or below _lower. x_0 = 0 of the
     even grid starts J at nu = 0 and G at l = 1, nu = 1, whose zeros lie
     past pi/2; so every cell that holds a zero has both ends on the grid."""
     sign = -1 if tag == "G" and l == 0 else 1  # -J_{nu+1} near 0+
-    lower = _first_zero_bounds(tag, l, twice_nu)[0] * (1.0 - 1e-9)
-    half = 0.5 * (twice_nu % 2)
-    k = math.floor(lower / DEFAULT_STEP - half)
-    return (k + half) * DEFAULT_STEP, sign  # as _grid_points forms it
+    grid = _GRID[twice_nu % 2]
+    return grid[bisect_right(grid, _lower(tag, l, twice_nu)) - 1], sign
 
 
 # ---------------------------------------------------------------------------
 # the scan: the first sign-change cell of the parity's grid
 
 
-def _grid_points(parity: int, start: float):
-    """The grid points above start, in order: x_k = (k + parity/2) pi/2 up
-    to X_MAX, which is the last point."""
-    k = max(0, int(start / DEFAULT_STEP - 0.5 * parity) - 1)
-    while True:
-        x = (k + 0.5 * parity) * DEFAULT_STEP
-        if x >= X_MAX:
-            if X_MAX > start:
-                yield X_MAX
-            return
-        if x > start:
-            yield x
-        k += 1
-
-
-# the grid points in (0, X_MAX] of either parity: no scan has more cells
-_MAX_CELLS = int(X_MAX / DEFAULT_STEP) + 1
+# the census grid of each parity: 0.0, x_k = (k + parity/2) pi/2 in (0,
+# X_MAX), DEFAULT_STEP apart, and X_MAX last; no scan has more cells
+_GRID = tuple(
+    (0.0, *(x for x in ((k + 0.5 * parity) * DEFAULT_STEP
+                        for k in range(int(X_MAX / DEFAULT_STEP) + 1))
+            if 0.0 < x < X_MAX), X_MAX)
+    for parity in (0, 1))
+_MAX_CELLS = len(_GRID[0]) - 1
 
 
 def _first_cell(f, parity: int, start: float, sign: int):
@@ -224,7 +221,8 @@ def _first_cell(f, parity: int, start: float, sign: int):
     throughout (0, start]; None if it keeps it to X_MAX. A grid point
     where |f| < _TINY widens the cell to the next grid point, which must
     show the flip, else BracketFailure."""
-    lo, points = start, _grid_points(parity, start)
+    grid = _GRID[parity]
+    lo, points = start, iter(grid[bisect_right(grid, start):])
     for x in points:
         fx = f(x)
         if abs(fx) < _TINY:
@@ -404,7 +402,7 @@ def _first_zero_lower(bc, l: int, d: int) -> float:
     if tag == "G" and l == 0:
         return 0.0  # the conventional zero at r = 0
     try:
-        return _first_zero_bounds(tag, l_key, twice_nu)[0] * (1.0 - 1e-9)
+        return _lower(tag, l_key, twice_nu)
     except OverflowError:  # an order past the float range: no zero below inf
         return math.inf
 

@@ -189,7 +189,7 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
             "_sign_target", "_pair_float", "_ladder_float", "_taylor",
             "_TERMS", "_HANDOVER", "_RADIUS", "_exact", "_certificate",
             "_target", "_nearest", "_GAP_REL", "_target_err", "_grid_cells",
-            "_combine", "_curvature"}
+            "_combine", "_curvature", "_grid_points"}
     tests = sorted(SRC.parents[1].joinpath("tests").glob("*.py"))
     found = [
         (path.name, node.lineno)

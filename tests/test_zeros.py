@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import sys
+from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +39,12 @@ def _cold() -> None:
     zeros._census_bracket.cache_clear()
     zeros._census_zero.cache_clear()
     zeros._LADDERS.clear()
+
+
+def next_point(parity: int, x: float) -> float:
+    """The first point of the parity's census grid past x."""
+    grid = zeros._GRID[parity]
+    return grid[bisect_right(grid, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +323,7 @@ def cell_series(tag: str, l: int, twice_nu: int, x: float):
     a float, from the shared ladder at the upper end of the grid cell
     around x, as zeros._refine reads them."""
     parity = twice_nu % 2
-    hi = next(zeros._grid_points(parity, x))
+    hi = next_point(parity, x)
     ladder = zeros._grid_ladder(parity, hi, twice_nu // 2)
     pair, value = bessel._multiply(ladder, hi, twice_nu)
     return pair, lambda z: [*map(value(z, None if tag == "J" else l),
@@ -378,7 +385,7 @@ def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
     monkeypatch.setattr(zeros, "_LADDERS", {})
     n, parity = divmod(twice_nu, 2)
     z = zeros._census_zero(tag, l, twice_nu, 1)
-    x0 = next(zeros._grid_points(parity, z))
+    x0 = next_point(parity, z)
     ys, num, den, unit = zeros._grid_ladder(parity, x0, n)
     w = (z * z - x0 * x0) / (2.0 * x0)
     c = [(-w) ** k / math.factorial(k) for k in range(bessel._SPAN + 2)]
@@ -432,7 +439,7 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     # a stride over the rest of the census grid
     monkeypatch.setattr(zeros, "_LADDERS", {})
     grid = [(tn, x) for parity in (0, 1)
-            for x in zeros._grid_points(parity, 0.0)
+            for x in zeros._GRID[parity][1:]
             for tn in range(parity, bessel.TWICE_NU_MAX - 1, 2)]
     edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
     assert len(grid) > 30000 and len(edge) == 59
@@ -461,6 +468,30 @@ def test_series_reads_a_ladder_sized_past_the_box():
                 assert miss <= err, (tag, mid, v, float(miss), err)
     (v0, e0), (v1, e1) = got[1:3]
     assert abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
+
+
+@pytest.mark.parametrize("l,twice_nu,lo,hi,want", [
+    (45, 293, 106.02875205865551, 107.59954838545042, 106.1573809239527),
+    (53, 310, 116.23892818282235, 117.80972450961724, 117.2762694667824),
+    (57, 323, 123.30751165339937, 124.87830798019428, 123.71812268008004)])
+def test_zero_near_a_midpoint_certifies_past_the_order_cap(
+        monkeypatch, l, twice_nu, lo, hi, want):
+    # Neumann zeros of d = 205, 206 and 211, past the order cap, each
+    # within a few thousandths of an ulp of a midpoint between floats,
+    # below the turning point: with the series remainder bounded by
+    # B_nu = (x0/2)^nu / Gamma(nu+1) no sign there certified and _refine
+    # stalled; bounded by the span the ladder holds, each certifies, and
+    # the values around the zero still lie within their bounds of the
+    # oracle
+    monkeypatch.setattr(zeros, "_LADDERS", {})
+    z = zeros._refine("G", l, twice_nu, lo, hi, 1)
+    assert z == want
+    assert_nearest_float("G", l, twice_nu, z)
+    _, value = cell_series("G", l, twice_nu, z)
+    with mp.workdps(40):
+        for mid, (v, err) in zip(midpoints(z), value(z), strict=True):
+            miss = abs(mp.mpf(v) - oracle_target("G", l, twice_nu, mid))
+            assert miss <= err, (mid, v, float(miss), err)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +572,7 @@ def test_sign_target_falls_back_on_a_zero(monkeypatch):
     _cold()
     assert zeros._sign("J", 0, 0)(hi) == 0.0
     wide = zeros._census_bracket("J", 0, 0, 2)
-    assert wide == (lo, next(zeros._grid_points(0, hi)), sign_lo)
+    assert wide == (lo, next_point(0, hi), sign_lo)
     assert zeros._census_zero("J", 0, 0, 2) == want
     monkeypatch.undo()
     _cold()
@@ -605,6 +636,19 @@ def test_first_zero_bounds_bracket_the_first_zero():
         assert got == pytest.approx(want, rel=1e-2), group
 
 
+def test_scan_start_is_the_last_table_point_below_the_bound():
+    # at every census key of the box, 239 J orders and the Neumann keys
+    # of every d >= 2, the scan starts at the last point of the parity's
+    # _GRID at or below the first zero's lower bound shrunk a hair
+    keys = [("J", 0, tn) for tn in range(239)] + [
+        ("G", l, tn) for tn in range(239) for l in range(tn // 2 + 1)]
+    assert len(keys) == 14639
+    for tag, l, tn in keys:
+        hair = zeros._first_zero_bounds(tag, l, tn)[0] * (1.0 - 1e-9)
+        start = max(x for x in zeros._GRID[tn % 2] if x <= hair)
+        assert zeros._scan_start(tag, l, tn)[0] == start, (tag, l, tn)
+
+
 def _rayleigh_start(l: int, twice_nu: int) -> float:
     """The reference Neumann scan start at l >= 1 from the Rayleigh bound
     beta_{l,1}^2 > 2l(nu+1) / (1 + 2l(nu+1)/(nu(nu+2))), a rigorous bound
@@ -661,7 +705,7 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
                           (BoundaryCondition.NEUMANN, 5, 2, 3),
                           (BoundaryCondition.NEUMANN, 40, 7, 1)]:
         zeros.find_zero(bc, l, d, m)
-    grids = {p: set(zeros._grid_points(p, 0.0)) for p in (0, 1)}
+    grids = {p: set(zeros._GRID[p][1:]) for p in (0, 1)}
     assert all(zeros.X_MAX in grid for grid in grids.values())
     assert (1, zeros.X_MAX) in zeros._LADDERS  # d = 3, l = 0: parity 1
     assert all(x in grids[p] for p, x in zeros._LADDERS), sorted(
@@ -820,8 +864,8 @@ class TestCensus:
         # each zero has a cell of its own, so no index past the grid's
         # cell count is in the box; a cold request must not recurse once
         # per index
-        assert zeros._MAX_CELLS == max(
-            len(list(zeros._grid_points(parity, 0.0))) for parity in (0, 1))
+        assert all(zeros._MAX_CELLS == len(zeros._GRID[parity]) - 1
+                   for parity in (0, 1))
         _cold()
         with pytest.raises(RangeError, match="beyond the supported box"):
             zeros.dirichlet_zero(0, 2, 10_000)
@@ -1527,11 +1571,14 @@ class TestWalkerSynthetics:
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_grid_phase_and_last_point(self, parity):
-        # x_k = (k + parity/2) pi/2, every cell at most pi/2, X_MAX last
-        pts = list(zeros._grid_points(parity, 0.0))
-        assert pts[0] == (1 - parity / 2) * math.pi / 2
-        assert pts[-1] == zeros.X_MAX
+        # 0.0 first, then x_k = (k + parity/2) pi/2 bit for bit below
+        # X_MAX, every cell at most pi/2, and X_MAX last
+        grid = zeros._GRID[parity]
+        k0 = 1 - parity  # the first k with x_k > 0
+        assert grid[0] == 0.0 and grid[-1] == zeros.X_MAX
         assert all(0.0 < b - a <= math.pi / 2 + 1e-12
-                   for a, b in zip(pts, pts[1:]))
-        assert all(x == (k + 1 - parity / 2) * math.pi / 2
-                   for k, x in enumerate(pts[:-1]))
+                   for a, b in zip(grid, grid[1:]))
+        assert list(grid[1:-1]) == [
+            (k + parity / 2) * math.pi / 2
+            for k in range(k0, k0 + len(grid) - 2)]
+        assert (k0 + len(grid) - 2 + parity / 2) * math.pi / 2 >= zeros.X_MAX
