@@ -79,21 +79,13 @@ def _ln_j_inv(n: float, x: float) -> float:
 
 
 def _miller_start(n_target: int, x: float) -> int:
-    """The first n = n0 + 8k, k >= 0, where _ln_j_inv has grown by 60 from
-    its value at max(n_target, int(x) + 1). It does not decrease in n, so
-    k starts at the root of n ln(2n / (e x)) = base + 57 (the Lambert W
-    form, by Winitzki's approximation) and only k - 1 and k are checked."""
-    floor_idx = max(n_target, int(x) + 1)
-    base = _ln_j_inv(float(floor_idx), x)
-    n0 = max(n_target + 6, int(x) + 6)
-    r = base + 57.0  # 60 less about 0.5 ln(2 pi n)
-    w = math.log1p(r / (0.5 * math.e * x))
-    k = max(0, math.ceil((r / (w - w * math.log1p(w) / (2.0 + w)) - n0) / 8))
-    while k and _ln_j_inv(float(n0 + 8 * k - 8), x) - base >= 60.0:
-        k -= 1
-    while _ln_j_inv(float(n0 + 8 * k), x) - base < 60.0:
-        k += 1
-    return n0 + 8 * k
+    """The first n = max(n_target, int(x)) + 6 + 8k, k >= 0, at which
+    _ln_j_inv has grown by 60 from its value at max(n_target, int(x) + 1)."""
+    base = _ln_j_inv(float(max(n_target, int(x) + 1)), x)
+    n = max(n_target, int(x)) + 6
+    while _ln_j_inv(float(n), x) - base < 60.0:
+        n += 8
+    return n
 
 
 def _pair_bound(a: float, b: float, x: float, unit: float) -> float:
@@ -169,7 +161,7 @@ def _multiply(ladder, x0: float, twice_nu: int):
     out. v is the float of f(x), x taken exactly, within err of it;
     f = J_nu, or g = (l/x) J_nu - J_{nu+1} for an int l.
 
-    value sums P_nu, P_{nu+1}, P_{nu+2} at z in fixed point, and reaches a
+    value sums P_nu, P_{nu+1} (g: P_{nu+2}) at z in fixed point, and reaches a
     midpoint delta = (x^2 - z^2) / (2 x0) away in w by P_mu(w + delta) =
     P_mu(w) - delta P_{mu+1}(w) + R, as P_mu' = -P_{mu+1}. C_0 = 2^_P and
     C_k = floor(C_{k-1} (-w) / k), -w rounded down to a unit, lie within
@@ -236,7 +228,9 @@ def _multiply(ladder, x0: float, twice_nu: int):
         cs = [1 << _P]  # C_j
         for j in range(1, k):
             cs.append(((cs[-1] * mw) >> _P) // j)
-        t0, t1, t2 = (sum(map(mul, cs, ys[n + i:n + i + k])) for i in range(3))
+        t0, t1 = (sum(map(mul, cs, ys[n + i:n + i + k])) for i in range(2))
+        if l is not None:  # only g reads P_{nu+2}
+            t2 = sum(map(mul, cs, ys[n + 2:n + 2 + k]))
 
         def at(i: int):
             mm = mids[i]

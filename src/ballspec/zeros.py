@@ -10,10 +10,11 @@ per point:
   g(r) = (l/r) J_nu(r) - J_{nu+1}(r), which shares the derivative's zeros.
 
 The m-th zero is found by a sign census on a fixed grid, walked from the
-last grid point at or below a rigorous zero-free lower bound
-(_first_zero_bounds, for Neumann l >= 1 the Sturm bound below; never from
-an asymptotic count), so the returned zero is the m-th one. The
-conventional Neumann l = 0 zero at r = 0 is never scanned.
+last grid point at or below a rigorous zero-free lower bound (never from
+an asymptotic count; for J Qu and Wong's, Trans. AMS 351, 1999, where it
+beats Watson's, and for Neumann l >= 1 the Sturm bound below), so the
+returned zero is the m-th one. The conventional Neumann l = 0 zero at
+r = 0 is never scanned.
 
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
@@ -186,19 +187,22 @@ def _first_zero_bounds(tag: str, l: int, twice_nu: int) -> tuple[float, float]:
     return math.sqrt(l * (twice_nu - l)), upper
 
 
-def _lower(tag: str, l: int, twice_nu: int) -> float:
-    """The first zero's lower bound shrunk a hair for rounding."""
-    return _first_zero_bounds(tag, l, twice_nu)[0] * (1.0 - 1e-9)
-
-
 def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
     """(start, sign), the one scan start: the target has sign ``sign`` on
-    (0, start], the last _GRID point at or below _lower. x_0 = 0 of the
-    even grid starts J at nu = 0 and G at l = 1, nu = 1, whose zeros lie
-    past pi/2; so every cell that holds a zero has both ends on the grid."""
+    (0, start], the last _GRID point at or below its first zero's lower
+    bound shrunk a hair; for J and G at l = 0 (-J_{nu+1}) the larger of
+    Watson's (_first_zero_bounds, certify's jest_lower) and Qu and Wong's
+    nu + 1.855757 nu^(1/3) (|a_1| 2^(-1/3) rounded down; DLMF 10.21(vii)).
+    x_0 = 0 of the even grid starts J at nu = 0 and G at l = 1, nu = 1,
+    whose zeros lie past pi/2; so every cell with a zero has both ends on
+    the grid."""
     sign = -1 if tag == "G" and l == 0 else 1  # -J_{nu+1} near 0+
+    lower = _first_zero_bounds(tag, l, twice_nu)[0]
+    if l == 0:  # J keys carry l = 0 too
+        nu = 0.5 * twice_nu + (tag == "G")
+        lower = max(lower, nu + 1.855757 * nu ** (1.0 / 3.0))
     grid = _GRID[twice_nu % 2]
-    return grid[bisect_right(grid, _lower(tag, l, twice_nu)) - 1], sign
+    return grid[bisect_right(grid, lower * (1.0 - 1e-9)) - 1], sign
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +406,7 @@ def _first_zero_lower(bc, l: int, d: int) -> float:
     if tag == "G" and l == 0:
         return 0.0  # the conventional zero at r = 0
     try:
-        return _lower(tag, l_key, twice_nu)
+        return _first_zero_bounds(tag, l_key, twice_nu)[0] * (1.0 - 1e-9)
     except OverflowError:  # an order past the float range: no zero below inf
         return math.inf
 

@@ -348,17 +348,7 @@ def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
 
 
 # ---------------------------------------------------------------------------
-# the Miller start index: the linear search it replaced, on a dense grid
-
-
-def _miller_start_linear(n_target: int, x: float) -> int:
-    """The start search as a plain walk: n0, n0 + 8, ... until _ln_j_inv
-    has grown by 60 from its value at max(n_target, int(x) + 1)."""
-    base = bessel._ln_j_inv(float(max(n_target, int(x) + 1)), x)
-    n = max(n_target + 6, int(x) + 6)
-    while bessel._ln_j_inv(float(n), x) - base < 60.0:
-        n += 8
-    return n
+# the Miller start index: the first index of its search, on a dense grid
 
 
 def _start_grid():
@@ -373,23 +363,19 @@ def _start_grid():
             if bessel.X_MIN <= x <= bessel.X_MAX]
 
 
-def test_miller_start_matches_the_linear_search(monkeypatch):
-    grid = _start_grid()
-    want = [_miller_start_linear(n, x) for n, x in grid]
-    calls = [0]
-    ln_j_inv = bessel._ln_j_inv
-
-    def counted(n, x):
-        calls[0] += 1
-        return ln_j_inv(n, x)
-
-    monkeypatch.setattr(bessel, "_ln_j_inv", counted)
-    got = [bessel._miller_start(n, x) for n, x in grid]
-    bad = [(p, w, g) for p, w, g in zip(grid, want, got) if w != g]
-    assert bad == []
-    # the base value and the two neighbours k - 1 and k, about once more in
-    # one call in five; the walk took about 11 on this grid
-    assert calls[0] / len(grid) < 3.5
+def test_miller_start_matches_the_linear_search():
+    # the start is the first index of the search n0, n0 + 8, ... from n0 =
+    # max(n_target, int(x)) + 6 at which _ln_j_inv has grown by 60 from
+    # its value at max(n_target, int(x) + 1): grown by 60 there, and not
+    # yet at the index before it, unless the start is n0
+    for n_target, x in _start_grid():
+        n = bessel._miller_start(n_target, x)
+        n0 = max(n_target, int(x)) + 6
+        base = bessel._ln_j_inv(float(max(n_target, int(x) + 1)), x)
+        assert n >= n0 and (n - n0) % 8 == 0, (n_target, x, n)
+        assert bessel._ln_j_inv(float(n), x) - base >= 60.0, (n_target, x)
+        assert n == n0 or bessel._ln_j_inv(float(n - 8), x) - base < 60.0, (
+            n_target, x, n)
 
 
 # ---------------------------------------------------------------------------

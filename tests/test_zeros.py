@@ -596,13 +596,30 @@ def test_first_zero_lower_past_the_float_range():
     assert zeros._first_zero_lower(BoundaryCondition.NEUMANN, 0, 10**400) == 0
 
 
+def _qu_wong(twice_nu: int) -> float:
+    """Qu and Wong's j_{nu,1} > nu + |a_1| 2^(-1/3) nu^(1/3), the constant
+    rounded down to 1.855757."""
+    nu = 0.5 * twice_nu
+    return nu + 1.855757 * nu ** (1.0 / 3.0)
+
+
+def _scan_bound(tag: str, l: int, twice_nu: int) -> float:
+    """The bound the scan starts below, shrunk a hair: the first zero's
+    lower bound, for J and G at l = 0 (-J_{nu+1}) at least Qu and Wong's."""
+    lower = zeros._first_zero_bounds(tag, l, twice_nu)[0]
+    if tag == "J" or l == 0:
+        lower = max(lower, _qu_wong(twice_nu + 2 * (tag == "G")))
+    return lower * (1.0 - 1e-9)
+
+
 def test_first_zero_bounds_bracket_the_first_zero():
     # the one home of the first-zero bounds brackets the census's first
     # positive zero at every J order of the box, and at every Neumann
     # degree of the ledger's d; spectrum's degree loop reads its lower bound
     # shrunk a hair, bit for bit, and the scan starts at the last grid
-    # point at or below that, x_0 = 0 at two keys only. The smallest
-    # relative slacks show that no bound is vacuous: a looser one fails here
+    # point at or below the scan's bound, x_0 = 0 at two keys only. The
+    # smallest relative slacks show that no bound is vacuous: a looser one
+    # fails here
     slack = {"J": [], "G": []}  # (lower, upper) relative slacks
     zero_starts = []  # keys whose bound lies below the first positive point
     keys = [("J", 0, tn) for tn in range(239)]
@@ -625,7 +642,8 @@ def test_first_zero_bounds_bracket_the_first_zero():
         half = 0.5 * (tn % 2)
         k = round(start / zeros.DEFAULT_STEP - half)
         assert start == (k + half) * zeros.DEFAULT_STEP, (tag, l, tn, start)
-        assert start <= hair < (k + 1 + half) * zeros.DEFAULT_STEP
+        assert start <= _scan_bound(tag, l, tn) < (
+            k + 1 + half) * zeros.DEFAULT_STEP
         if start == 0.0:
             zero_starts.append((tag, l, tn))
         # G at l = 0 is -J_{nu+1}, so its bounds are J's
@@ -639,14 +657,39 @@ def test_first_zero_bounds_bracket_the_first_zero():
 def test_scan_start_is_the_last_table_point_below_the_bound():
     # at every census key of the box, 239 J orders and the Neumann keys
     # of every d >= 2, the scan starts at the last point of the parity's
-    # _GRID at or below the first zero's lower bound shrunk a hair
+    # _GRID at or below the scan's bound (_scan_bound)
     keys = [("J", 0, tn) for tn in range(239)] + [
         ("G", l, tn) for tn in range(239) for l in range(tn // 2 + 1)]
     assert len(keys) == 14639
     for tag, l, tn in keys:
-        hair = zeros._first_zero_bounds(tag, l, tn)[0] * (1.0 - 1e-9)
+        hair = _scan_bound(tag, l, tn)
         start = max(x for x in zeros._GRID[tn % 2] if x <= hair)
         assert zeros._scan_start(tag, l, tn)[0] == start, (tag, l, tn)
+
+
+def test_qu_wong_bound_lies_below_every_first_zero():
+    # the constant is |a_1| 2^(-1/3) rounded down, and the bound lies below
+    # j_{nu,1} at every twice_nu = 1..240 (J keys, then G at l = 0, which is
+    # -J_{nu+1}, past the J keys' cap): the census's first zero, which lies
+    # in the first sign-change cell of a walk from Watson's start, so a
+    # bound past j_{nu,1} cannot hide it. The smallest slack shows that the
+    # bound is not vacuous
+    assert 1.855757 < -mp.airyaizero(1) / mp.cbrt(2) < 1.855758
+    slack = []
+    for tn in range(1, 241):
+        key = ("J", 0, tn) if tn <= 238 else ("G", 0, tn - 2)
+        z = zeros._census_zero(*key, 1)
+        sign = -1 if key[0] == "G" else 1
+        watson = zeros._first_zero_bounds(*key)[0] * (1.0 - 1e-9)
+        grid = zeros._GRID[key[2] % 2]
+        start = grid[bisect_right(grid, watson) - 1]
+        lo, hi, _ = zeros._first_cell(zeros._sign(*key), key[2] % 2, start,
+                                      sign)
+        assert lo < z < hi, (tn, lo, z, hi)
+        assert _qu_wong(tn) < z, (tn, z)
+        slack.append((z / _qu_wong(tn) - 1.0, tn))
+    assert min(slack)[1] == 240
+    assert min(slack)[0] == pytest.approx(0.00162, rel=1e-2)
 
 
 def _rayleigh_start(l: int, twice_nu: int) -> float:
@@ -1092,6 +1135,37 @@ def test_spectrum_jobs_build_few_ladders(monkeypatch, capsys):
         capsys.readouterr()
     assert len(built) <= 190 and sum(built) <= 18530, (len(built),
                                                         sum(built))
+    _cold()
+
+
+def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
+    # cold, one job at a time as the benchmark's processes run them: the
+    # seed-0 lookup jobs evaluate at most 689 census pairs (_grid_pair) on
+    # ladders of at most 36,272 steps (len(ys)) in all, because the J scans
+    # start at Qu and Wong's bound (deterministic counts; the Watson start
+    # took 1,139 pairs and 80,017 steps)
+    jobs = _benchmark_pool().LOOKUP.jobs(0)
+    assert len(jobs) == 100
+    pairs, steps = [0], [0]
+    real_pair, real_ladder = zeros._grid_pair, bessel._ladder
+
+    def grid_pair(twice_nu, x):
+        pairs[0] += 1
+        return real_pair(twice_nu, x)
+
+    def ladder(parity, x, n):
+        out = real_ladder(parity, x, n)
+        steps[0] += len(out[0])
+        return out
+
+    monkeypatch.setattr(zeros, "_grid_pair", grid_pair)
+    monkeypatch.setattr(bessel, "_ladder", ladder)
+    for argv in jobs:
+        _cold()
+        pleijel._log_gamma_value.cache_clear()
+        assert cli.run(list(argv)) == 0, argv
+        capsys.readouterr()
+    assert pairs[0] <= 689 and steps[0] <= 36272, (pairs[0], steps[0])
     _cold()
 
 
