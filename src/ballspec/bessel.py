@@ -33,14 +33,18 @@ y_k, so a ladder sized for order n yields J_k(x) for every order k of one
 parity up to max(n, int(x)) + 1 (DLMF 3.6(vi)). _eval_miller reads it at
 one pair of orders for eval_J and eval_J_pair: the float nearest each
 quotient. The zero finder reads one shared ladder per census grid point
-and parity: for its census signs at the point, and through _multiply, by
-the multiplication theorem, for every value of a refinement in the cells
-around it, its certificate included. _bound is the one error model of a
-pair, the census signs' and, term by term, the certificate's:
-max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit (_pair_bound), unit about
-n_steps * cancel * 2^-100 + 1e-24, relative to the pair alone below the
-turning point, x <= nu, a model that ROADMAP item 4 has to prove.
-tests/test_golden.py pins _eval_miller bit for bit across the box.
+and parity (_LADDERS): _grid_pair for its census signs at the point, and
+_grid_series, _multiply by the multiplication theorem, for every value of
+a refinement in the cells around it, its certificate included.
+_grid_ladder sizes it for max(n, int(x)) + _SPAN orders, of the order that
+asks first and its series, and rebuilds it once for the box (_LADDER_TOP)
+when an order above it asks: one ladder per grid point, none per zero.
+_bound is the one error model of a pair, the census signs' and, term by
+term, the certificate's: max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit
+(_pair_bound), unit about n_steps * cancel * 2^-100 + 1e-24, relative to
+the pair alone below the turning point, x <= nu, a model that ROADMAP
+item 4 has to prove. tests/test_golden.py pins _eval_miller bit for bit
+across the box.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from ballspec.errors import LossOfPrecision, RangeError
 X_MIN = 1e-18
 X_MAX = 200.0
 TWICE_NU_MAX = 240
+_LADDER_TOP = TWICE_NU_MAX // 2 - 1  # a rebuilt grid ladder's top order
 
 # contract knobs (see module docstring)
 _REL_CONTRACT = 1e-12
@@ -253,6 +258,36 @@ def _multiply(ladder, x0: float, twice_nu: int):
         return at
 
     return pair, value
+
+
+# the census grid's shared ladders: (parity, x) -> (top, ys, num, den, unit)
+_LADDERS: dict = {}
+
+
+def _grid_ladder(parity: int, x: float, n: int):
+    """(ys, num, den, unit): the shared _ladder at the census grid point x,
+    sized for max(n, int(x)) + _SPAN orders by the first order n + parity/2
+    that asks, rebuilt once for the box when an order above its top asks."""
+    ladder = _LADDERS.get((parity, x))
+    if ladder is None or ladder[0] < n:
+        top = max(n, int(x)) if ladder is None else max(n, _LADDER_TOP)
+        ladder = _LADDERS[parity, x] = (top, *_ladder(parity, x, top + _SPAN))
+    return ladder[1:]
+
+
+def _grid_pair(twice_nu: int, x: float):
+    """(a, b, err): the floats nearest J_nu(x) and J_{nu+1}(x) of the grid
+    ladder at x, whose quotients lie within err (_bound)."""
+    n, parity = divmod(twice_nu, 2)
+    ys, num, den, unit = _grid_ladder(parity, x, n)
+    a, b = ys[n] * num / den, ys[n + 1] * num / den  # one rounding each
+    return a, b, _bound(a, b, x, twice_nu, unit)
+
+
+def _grid_series(twice_nu: int, x: float):
+    """_multiply's (pair, value) of order nu from the grid ladder at x."""
+    n, parity = divmod(twice_nu, 2)
+    return _multiply(_grid_ladder(parity, x, n), x, twice_nu)
 
 
 def _eval_miller(twice_nu: int, x: float):

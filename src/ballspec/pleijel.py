@@ -110,7 +110,9 @@ def _log_gamma_value(d: int) -> float:
 def gamma(d: int) -> float:
     """Pleijel constant of the d-dimensional unit ball, d = 2..240.
 
-    Relative error <= 1e-10 (dominated by d times the first-zero tolerance).
+    Not certified: against mpmath (besseljzero, 40 digits) its relative
+    error is at most 3.5e-13 (2,684 ulp, at d = 230); ROADMAP item 21
+    plans a certified gamma.
     """
     _check_int("d", d, 2)
     zeros._check_pair(d - 2, f"gamma({d})")

@@ -45,30 +45,23 @@ it holds exactly one zero: three would need two gaps above pi/2.
 Safeguarded Newton refines each bracket, and every returned zero is the
 float nearest it: the target takes certified opposite signs at the
 midpoints to its two neighbouring floats. All values of a refinement come
-from one series (bessel._multiply, Lommel's multiplication theorem, DLMF
-10.23.1) on the orders nu, nu + 1, ... at the cell's upper grid end, which
-the census evaluated. Newton starts at the root of the quintic through
-(f, f', f'') at both cell ends, of g / J_nu below the turning point
-(_start); its steps run on the series' float sums, and the certificate
-reads one fixed-point sum bounded through bessel._bound term by term, the
-rounding of its coefficients, a tail from |J_mu| <= min(1, (x/2)^mu /
-Gamma(mu+1)) (DLMF 10.14.1, 10.14.4) and a remainder from the largest
-|J_mu| the ladder holds past nu + 1. Where a float iterate does not
-certify, the same sum certifies a neighbouring float whose two midpoints
-flip, else Newton steps on the fixed-point values (_refine). So a zero
-rests on bessel._bound alone, as the census signs do, not on the Newton
-path.
+from one series (bessel._grid_series, Lommel's multiplication theorem,
+DLMF 10.23.1) on the orders nu, nu + 1, ... at the cell's upper grid end,
+which the census evaluated. Newton starts at the root of the quintic
+through (f, f', f'') at both cell ends, of g / J_nu below the turning
+point (_start); its steps run on the series' float sums, and the
+certificate reads one fixed-point sum within its stated bound. Where a
+float iterate does not certify, the same sum certifies a neighbouring
+float whose two midpoints flip, else Newton steps on the fixed-point
+values (_refine). So a zero rests on the kernel's error model alone, as
+the census signs do, not on the Newton path.
 
-One ladder path serves every value: the shared bessel._ladder per (parity,
-grid point) that every degree of either target reads (_LADDERS), sized
-once for max(n, int(x)) + bessel._SPAN orders, those of the order that
-asks first and of its series, and rebuilt once for the whole box when an
-order above it asks (_grid_ladder). So the scan costs one ladder per grid
-point, and no zero builds one of its own. One sign rule (_sign) takes the
-ladder's sign (_grid_pair) where its bound, propagated through the target,
-cannot flip it, else 0.0, which the widen rule takes. radial_zeros refines
-the zero of every cell that starts at or below x_max and drops one past
-x_max, so it discards at most one refinement a degree.
+Every degree of either target reads bessel's one shared ladder per
+(parity, grid point): one sign rule (_sign) takes the sign of its census
+pair (bessel._grid_pair) where the pair's bound, propagated through the
+target, cannot flip it, else 0.0, which the widen rule takes.
+radial_zeros refines the zero of every cell that starts at or below x_max
+and drops one past x_max, so it discards at most one refinement a degree.
 """
 
 from __future__ import annotations
@@ -124,42 +117,13 @@ def _jet(tag: str, l: int, nu: float, x: float, a: float, b: float):
              + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x))))
 
 
-# shared ladders of the census grid: (parity, x) -> (top, ys, num, den,
-# unit), serving every order up to top and its series; _LADDER_TOP the box
-_LADDERS: dict = {}
-_LADDER_TOP = TWICE_NU_MAX // 2 - 1
-
-
-def _grid_ladder(parity: int, x: float, n: int):
-    """(ys, num, den, unit): the shared bessel._ladder at the census grid
-    point x for order n + parity/2 and its multiplication series, sized for
-    max(n, int(x)) + bessel._SPAN orders, rebuilt once for the box when an
-    order above its top asks."""
-    ladder = _LADDERS.get((parity, x))
-    if ladder is None or ladder[0] < n:
-        top = max(n, int(x)) if ladder is None else max(n, _LADDER_TOP)
-        ladder = _LADDERS[parity, x] = (
-            top, *bessel._ladder(parity, x, top + bessel._SPAN))
-    return ladder[1:]
-
-
-def _grid_pair(twice_nu: int, x: float):
-    """(a, b, err): the floats nearest J_nu(x) and J_{nu+1}(x) of the
-    shared ladder at the census grid point x, whose quotients lie within
-    err (bessel._bound)."""
-    n, parity = divmod(twice_nu, 2)
-    ys, num, den, unit = _grid_ladder(parity, x, n)
-    a, b = ys[n] * num / den, ys[n + 1] * num / den  # one rounding each
-    return a, b, bessel._bound(a, b, x, twice_nu, unit)
-
-
 def _sign(tag: str, l: int, twice_nu: int):
-    """f of the target for sign decisions at census grid points, straight
-    from _grid_pair: its value where it clears the pair's bound, grown for
-    g by g's three roundings, else 0.0, for _first_cell's widen rule."""
+    """f of the target for sign decisions at census grid points, from
+    bessel._grid_pair: its value where it clears the pair's bound, grown
+    for g by g's three roundings, else 0.0, for _first_cell's widen rule."""
 
     def f(x: float) -> float:
-        a, b, err = _grid_pair(twice_nu, x)
+        a, b, err = bessel._grid_pair(twice_nu, x)
         v = a
         if tag == "G":
             q = l / x
@@ -319,8 +283,7 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     move a zero.
     """
     nu = 0.5 * twice_nu
-    n, parity = divmod(twice_nu, 2)
-    pair, value = bessel._multiply(_grid_ladder(parity, hi, n), hi, twice_nu)
+    pair, value = bessel._grid_series(twice_nu, hi)
     x = _start(tag, l, twice_nu, lo, hi, pair)
     step = hi - lo
     while True:  # the float phase

@@ -270,7 +270,7 @@ def twin_points():
 def ladder_pairs(parity: int, x: float, top: int):
     """(n, q_n, q_{n+1}, err) of every pair the ladder sized for top
     yields: q the exact quotients ys[k] num / den, and err the _bound of
-    the floats nearest them, as zeros._grid_pair reads it."""
+    the floats nearest them, as bessel._grid_pair reads it."""
     ys, num, den, unit = bessel._ladder(parity, x, top)
     with mp.workdps(80):
         qs = [mp.mpf(y * num) / den for y in ys[:max(top, int(x)) + 2]]
@@ -315,12 +315,12 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
     for tn in TWIN_ORDERS:
         n, parity = divmod(tn, 2)
         for x in TWIN_XS + (0.05, 0.3):
-            monkeypatch.setattr(zeros, "_LADDERS", {})
-            shared = zeros._grid_pair(tn, x)
-            assert len(zeros._LADDERS) == 1
+            monkeypatch.setattr(bessel, "_LADDERS", {})
+            shared = bessel._grid_pair(tn, x)
+            assert len(bessel._LADDERS) == 1
             ys, num, den, unit = bessel._ladder(
                 parity, x, max(n, int(x)) + bessel._SPAN)
-            assert zeros._LADDERS[parity, x][1:] == (ys, num, den, unit)
+            assert bessel._LADDERS[parity, x][1:] == (ys, num, den, unit)
             a, b = ys[n] * num / den, ys[n + 1] * num / den
             assert shared == (a, b, bessel._bound(a, b, x, tn, unit)), (tn, x)
             # g = (l/x) a - b, its bound grown by its three roundings

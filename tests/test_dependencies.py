@@ -5,15 +5,17 @@ compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
 And a CLI job imports only the modules its subcommand runs, and never
 ``dataclasses``, an argument parser, ``json`` or ``fractions``. And the
 kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
-``_eval_miller`` and the zero finder's shared ladders, with no float ladder
-and no double-double primitive left; the zero finder takes every value from
-those shared ladders, none from ``bessel.eval_J_pair``, and the only
-fixed-point functions are ``bessel._ladder`` and its multiplication-series
-reader ``bessel._multiply``."""
+``_eval_miller`` and the census grid's shared ladders, with no float ladder
+and no double-double primitive left; the kernel owns those shared ladders,
+and the zero finder takes every value from them, none from
+``bessel.eval_J_pair``, and names no part of them; the only fixed-point
+functions are ``bessel._ladder`` and its multiplication-series reader
+``bessel._multiply``."""
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,13 +103,26 @@ def test_only_bessel_names_the_double_double_ladder():
 
 def test_zero_finder_takes_no_value_from_eval_j_pair():
     # every zero, its census signs and its certificate read the census's
-    # shared ladders (zeros._grid_ladder), so a zero rests on bessel._bound
+    # shared ladders (bessel._grid_ladder), so a zero rests on bessel._bound
     # of those ladders alone
     tree = dict(_parsed())["zeros.py"]
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))
              and _named(node, {"eval_J_pair", "eval_J"})]
     assert found == []
+
+
+def test_zero_finder_names_no_part_of_the_census_ladder():
+    # bessel builds, caches, sizes and reads the census grid's shared
+    # ladders; zeros reaches them through bessel._grid_pair and
+    # bessel._grid_series only, and names none of their parts, in code,
+    # comments or docstrings
+    parts = re.compile(r"\b(_ladder|_multiply|_bound|_pair_bound|_SPAN"
+                       r"|_LADDERS|_LADDER_TOP|_grid_ladder)\b")
+    text = (SRC / "zeros.py").read_text()
+    assert parts.findall(text) == []
+    assert {"_grid_pair", "_grid_series"} <= set(re.findall(r"_grid_\w+",
+                                                            text))
 
 
 def _functions(tree: ast.AST):
@@ -173,8 +188,8 @@ def _enclosing(tree: ast.AST, line: int) -> str:
 
 def test_ladder_has_one_reader_per_use_and_no_float_twin():
     # bessel._ladder is built by _eval_miller (every eval_J / eval_J_pair
-    # value) and by zeros' _grid_ladder (the census's shared ladders, which
-    # the census signs, Newton and the certificate read); the float ladder,
+    # value) and by _grid_ladder (the census's shared ladders, which the
+    # census signs, Newton and the certificate read); the float ladder,
     # its rescale constants and readers, the Taylor phase and the
     # pair-based certificate are gone
     calls = []
@@ -184,7 +199,7 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
                   if isinstance(node, ast.Call)
                   and _named(node.func, {"_ladder"})]
     assert sorted(calls) == [("bessel.py", "_eval_miller"),
-                             ("zeros.py", "_grid_ladder")]
+                             ("bessel.py", "_grid_ladder")]
     gone = {"_miller_float", "_RESCALE_HI", "_RESCALE_MUL", "_float_target",
             "_sign_target", "_pair_float", "_ladder_float", "_taylor",
             "_TERMS", "_HANDOVER", "_RADIUS", "_exact", "_certificate",

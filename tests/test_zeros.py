@@ -38,7 +38,7 @@ def _cold() -> None:
     """Empty the census caches and the shared ladders of the grid."""
     zeros._census_bracket.cache_clear()
     zeros._census_zero.cache_clear()
-    zeros._LADDERS.clear()
+    bessel._LADDERS.clear()
 
 
 def next_point(parity: int, x: float) -> float:
@@ -319,13 +319,10 @@ TARGET_POINTS = [
 
 
 def cell_series(tag: str, l: int, twice_nu: int, x: float):
-    """bessel._multiply's pair, and its value at all four midpoints around
-    a float, from the shared ladder at the upper end of the grid cell
-    around x, as zeros._refine reads them."""
-    parity = twice_nu % 2
-    hi = next_point(parity, x)
-    ladder = zeros._grid_ladder(parity, hi, twice_nu // 2)
-    pair, value = bessel._multiply(ladder, hi, twice_nu)
+    """bessel._grid_series's pair, and its value at all four midpoints
+    around a float, from the shared ladder at the upper end of the grid
+    cell around x, as zeros._refine reads them."""
+    pair, value = bessel._grid_series(twice_nu, next_point(twice_nu % 2, x))
     return pair, lambda z: [*map(value(z, None if tag == "J" else l),
                                  range(4))]
 
@@ -350,7 +347,7 @@ def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
     # largest term; the fixed-point value at the midpoints around x lies
     # within its stated bound of the oracle: a few 1e-24 of the pair, plus
     # the value's own rounding to a float
-    monkeypatch.setattr(zeros, "_LADDERS", {})
+    monkeypatch.setattr(bessel, "_LADDERS", {})
     pair, value = cell_series(tag, l, twice_nu, x)
     f, df, _ = zeros._jet(tag, l, 0.5 * twice_nu, x, *pair(x))
     with mp.workdps(40):
@@ -382,11 +379,11 @@ def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
     # moves the series by most of its ladder part; at the first zero (G at
     # d = 238 below the turning point) the fixed-point value from it must
     # still lie within its bound of the truth at the midpoints around it
-    monkeypatch.setattr(zeros, "_LADDERS", {})
+    monkeypatch.setattr(bessel, "_LADDERS", {})
     n, parity = divmod(twice_nu, 2)
     z = zeros._census_zero(tag, l, twice_nu, 1)
     x0 = next_point(parity, z)
-    ys, num, den, unit = zeros._grid_ladder(parity, x0, n)
+    ys, num, den, unit = bessel._grid_ladder(parity, x0, n)
     w = (z * z - x0 * x0) / (2.0 * x0)
     c = [(-w) ** k / math.factorial(k) for k in range(bessel._SPAN + 2)]
     worst = 0.0
@@ -415,7 +412,7 @@ def test_series_cut_short_keeps_its_tail_in_its_bound(monkeypatch):
     # error, and the fixed-point value still lies within its bound of the
     # oracle, a bound within 1e3 of the miss
     monkeypatch.setattr(bessel, "_SPAN", 6)
-    monkeypatch.setattr(zeros, "_LADDERS", {})
+    monkeypatch.setattr(bessel, "_LADDERS", {})
     worst = 0.0
     for tag, l, twice_nu, points in TARGET_POINTS:
         for x in points:
@@ -437,16 +434,15 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     # pair bit for bit: at every order from 180 up at the first grid points
     # pi/4 and pi/2, where the ladder's normalizer dwarfs the span, and at
     # a stride over the rest of the census grid
-    monkeypatch.setattr(zeros, "_LADDERS", {})
+    monkeypatch.setattr(bessel, "_LADDERS", {})
     grid = [(tn, x) for parity in (0, 1)
             for x in zeros._GRID[parity][1:]
             for tn in range(parity, bessel.TWICE_NU_MAX - 1, 2)]
     edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
     assert len(grid) > 30000 and len(edge) == 59
     for tn, x0 in edge + grid[::7]:
-        ladder = zeros._grid_ladder(tn % 2, x0, tn // 2)
-        pair, _ = bessel._multiply(ladder, x0, tn)
-        assert pair(x0) == zeros._grid_pair(tn, x0)[:2], (tn, x0)
+        pair, _ = bessel._grid_series(tn, x0)
+        assert pair(x0) == bessel._grid_pair(tn, x0)[:2], (tn, x0)
 
 
 def test_series_reads_a_ladder_sized_past_the_box():
@@ -483,7 +479,7 @@ def test_zero_near_a_midpoint_certifies_past_the_order_cap(
     # stalled; bounded by the span the ladder holds, each certifies, and
     # the values around the zero still lie within their bounds of the
     # oracle
-    monkeypatch.setattr(zeros, "_LADDERS", {})
+    monkeypatch.setattr(bessel, "_LADDERS", {})
     z = zeros._refine("G", l, twice_nu, lo, hi, 1)
     assert z == want
     assert_nearest_float("G", l, twice_nu, z)
@@ -512,33 +508,34 @@ def _counting(monkeypatch, name: str = "eval_J_pair"):
 
 
 class _CountedLadders(dict):
-    """zeros._LADDERS that counts the builds of the shared ladders and
-    their steps (_miller_start of the order each is sized for), by grid
-    point (parity, x)."""
+    """bessel._LADDERS that counts the builds of the shared ladders and
+    their steps (len(ys): the ladder keeps every y_k), by grid point
+    (parity, x)."""
 
     def __init__(self):
         super().__init__()
         self.steps, self.builds = Counter(), Counter()
 
     def __setitem__(self, key, ladder):
-        self.steps[key] += bessel._miller_start(ladder[0] + 1, key[1])
+        self.steps[key] += len(ladder[1])
         self.builds[key] += 1
         super().__setitem__(key, ladder)
 
 
 def _ladders(monkeypatch) -> tuple[list, _CountedLadders]:
-    """(steps, shared): steps lists the length (_miller_start) of every
+    """(steps, shared): steps lists the length (len(ys)) of every
     bessel._ladder, shared, fresh or under eval_J_pair; shared is the
     census cache, counting its own builds."""
     steps, shared = [], _CountedLadders()
     real = bessel._ladder
 
     def counted(parity, x, n):
-        steps.append(bessel._miller_start(n + 1, x))
-        return real(parity, x, n)
+        out = real(parity, x, n)
+        steps.append(len(out[0]))
+        return out
 
     monkeypatch.setattr(bessel, "_ladder", counted)
-    monkeypatch.setattr(zeros, "_LADDERS", shared)
+    monkeypatch.setattr(bessel, "_LADDERS", shared)
     return steps, shared
 
 
@@ -549,7 +546,7 @@ def test_certified_signs_match_oracle(monkeypatch):
     # rounding covers the value)
     certified = uncleared = 0
     for tn, x in twin_points():
-        monkeypatch.setattr(zeros, "_LADDERS", {})  # a ladder for the order
+        monkeypatch.setattr(bessel, "_LADDERS", {})  # a ladder for the order
         for tag, l in (("J", 0), ("G", 0), ("G", tn // 2)):
             v = zeros._sign(tag, l, tn)(x)
             if v == 0.0:
@@ -750,13 +747,13 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
         zeros.find_zero(bc, l, d, m)
     grids = {p: set(zeros._GRID[p][1:]) for p in (0, 1)}
     assert all(zeros.X_MAX in grid for grid in grids.values())
-    assert (1, zeros.X_MAX) in zeros._LADDERS  # d = 3, l = 0: parity 1
-    assert all(x in grids[p] for p, x in zeros._LADDERS), sorted(
-        key for key in zeros._LADDERS if key[1] not in grids[key[0]])
+    assert (1, zeros.X_MAX) in bessel._LADDERS  # d = 3, l = 0: parity 1
+    assert all(x in grids[p] for p, x in bessel._LADDERS), sorted(
+        key for key in bessel._LADDERS if key[1] not in grids[key[0]])
     for p in (0, 1):
-        assert sum(key[0] == p for key in zeros._LADDERS) <= len(grids[p])
+        assert sum(key[0] == p for key in bessel._LADDERS) <= len(grids[p])
     # every build is a shared ladder, rebuilt at most once for the box
-    assert set(seen) == set(zeros._LADDERS)
+    assert set(seen) == set(bessel._LADDERS)
     assert max(Counter(seen).values()) <= 2
     _cold()
 
@@ -1037,8 +1034,7 @@ def _skew_derivative(monkeypatch, factor: float) -> None:
 def _certifies(tag: str, l: int, twice_nu: int, x0: float, z: float):
     """True if the fixed-point series from the shared ladder at the grid
     point x0 takes certified opposite signs at the midpoints around z."""
-    ladder = zeros._grid_ladder(twice_nu % 2, x0, twice_nu // 2)
-    _, value = bessel._multiply(ladder, x0, twice_nu)
+    _, value = bessel._grid_series(twice_nu, x0)
     at = value(z, None if tag == "J" else l)
     (v0, e0), (v1, e1) = at(1), at(2)
     return abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
@@ -1147,7 +1143,7 @@ def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
     jobs = _benchmark_pool().LOOKUP.jobs(0)
     assert len(jobs) == 100
     pairs, steps = [0], [0]
-    real_pair, real_ladder = zeros._grid_pair, bessel._ladder
+    real_pair, real_ladder = bessel._grid_pair, bessel._ladder
 
     def grid_pair(twice_nu, x):
         pairs[0] += 1
@@ -1158,7 +1154,7 @@ def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
         steps[0] += len(out[0])
         return out
 
-    monkeypatch.setattr(zeros, "_grid_pair", grid_pair)
+    monkeypatch.setattr(bessel, "_grid_pair", grid_pair)
     monkeypatch.setattr(bessel, "_ladder", ladder)
     for argv in jobs:
         _cold()
@@ -1166,6 +1162,24 @@ def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
     assert pairs[0] <= 689 and steps[0] <= 36272, (pairs[0], steps[0])
+    _cold()
+
+
+@pytest.mark.parametrize("d,lambda_max,builds", [(100, 11998, 143),
+                                                  (30, 14203, 150)])
+def test_box_rebuild_builds_each_grid_ladder_at_most_twice(monkeypatch, d,
+                                                           lambda_max,
+                                                           builds):
+    # a shared ladder is sized for the first order that asks and rebuilt
+    # once for the whole box when a higher order asks: on these Neumann
+    # enumerations no grid point builds more than two ladders
+    # (deterministic counts). A rebuild sized only for the order that
+    # asks built 849 and 218 ladders, up to 21 and 7 at one grid point
+    _cold()
+    _, shared = _ladders(monkeypatch)
+    spectrum.enumerate_spectrum(d, "neumann", lambda_max)
+    assert max(shared.builds.values()) <= 2
+    assert shared.builds.total() <= builds, shared.builds.total()
     _cold()
 
 
@@ -1365,9 +1379,9 @@ class TestRefinement:
         # series, two of its evaluations the start's jets, and ends once its
         # next step falls below an ulp: 3.9 float evaluations a zero. A start
         # back at the midpoint or a float phase that stalls would cost
-        # more. The shared ladders cost 9.2 and 11.8 steps a zero, and no
-        # grid point builds its ladder more than twice (sized for the first
-        # order that asks, then once for the whole box)
+        # more. The shared ladders cost 10.7 and 14.4 steps (len(ys)) a
+        # zero, and no grid point builds its ladder more than twice (sized
+        # for the first order that asks, then once for the whole box)
         _cold()
         counts = _counting_series(monkeypatch)
         _, shared = _ladders(monkeypatch)
@@ -1375,7 +1389,7 @@ class TestRefinement:
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
         assert counts["pair"] <= 4 * cold, counts["pair"] / cold
-        ladder_steps = {3: 12, 4: 14}[d]
+        ladder_steps = {3: 12, 4: 15}[d]
         steps = shared.steps.total()
         assert steps <= ladder_steps * cold, steps / cold
         assert max(shared.builds.values()) <= 2
@@ -1416,8 +1430,8 @@ class TestRefinement:
                                                 twice_nu, x):
         # f'' from the pair through Bessel's equation, against mpmath's
         # derivatives of J_nu and J_{nu+1}
-        monkeypatch.setattr(zeros, "_LADDERS", {})  # a ladder for the order
-        a, b, _ = zeros._grid_pair(twice_nu, x)
+        monkeypatch.setattr(bessel, "_LADDERS", {})  # a ladder for the order
+        a, b, _ = bessel._grid_pair(twice_nu, x)
         f2 = zeros._jet(tag, l, 0.5 * twice_nu, x, a, b)[2]
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
@@ -1439,12 +1453,14 @@ class TestRefinement:
         assert cold > 100
         assert counts["value"] <= 1.05 * cold, counts["value"] / cold
 
-    # Ladder steps of the lookup-sized census below, each ladder counted as
-    # its _miller_start length (the counts are deterministic, the same on
-    # any machine): the float steps at commit eee72a1, the last before the
-    # shared ladders, where each key scanned its own cells with a fresh
-    # ladder per point, and the float plus integer steps at 5d87ab0, the
-    # last with a float ladder beside the integer one (21,696 + 10,092)
+    # Ladder steps of the lookup-sized census below (2,352), each ladder
+    # counted as its length, len(ys), against two references counted as
+    # _miller_start lengths, one step a ladder fewer (the counts are
+    # deterministic, the same on any machine): the float steps at commit
+    # eee72a1, the last before the shared ladders, where each key scanned
+    # its own cells with a fresh ladder per point, and the float plus
+    # integer steps at 5d87ab0, the last with a float ladder beside the
+    # integer one (21,696 + 10,092)
     PER_KEY_SCAN_STEPS = 75816
     TWO_LADDER_STEPS = 31788
 
