@@ -47,14 +47,14 @@ float nearest it: the target takes certified opposite signs at the
 midpoints to its two neighbouring floats. All values of a refinement come
 from one series (bessel._grid_series, Lommel's multiplication theorem,
 DLMF 10.23.1) on the orders nu, nu + 1, ... at the cell's upper grid end,
-which the census evaluated. Newton starts at the root of the quintic
-through (f, f', f'') at both cell ends, of g / J_nu below the turning
-point (_start); its steps run on the series' float sums, and the
-certificate reads one fixed-point sum within its stated bound. Where a
-float iterate does not certify, the same sum certifies a neighbouring
-float whose two midpoints flip, else Newton steps on the fixed-point
-values (_refine). So a zero rests on the kernel's error model alone, as
-the census signs do, not on the Newton path.
+which the census evaluated. Newton starts from the tangent at that end,
+the series' centre, and steps on its float sums (on g / J_nu below the
+turning point) inside a float bracket of its own, bisecting a step that
+leaves it; the certificate reads one fixed-point sum within its stated
+bound. Where a float iterate does not certify, the same sum certifies a
+neighbouring float whose two midpoints flip, else Newton steps on the
+fixed-point values (_refine). So a zero rests on the kernel's error model
+alone, as the census signs do, not on the Newton path.
 
 Every degree of either target reads bessel's one shared ladder per
 (parity, grid point): one sign rule (_sign) takes the sign of its census
@@ -102,10 +102,19 @@ def _coerce_bc(bc) -> BoundaryCondition:
 # targets: value and derivatives from one pair (J_nu, J_{nu+1})
 
 
-def _jet(tag: str, l: int, nu: float, x: float, a: float, b: float):
+def _jet(tag: str, l: int, nu: float, x: float, a: float, b: float,
+         ratio: bool = False):
     """(f, f', f'') of the J target (tag "J") or the derivative target (tag
     "G") from a = J_nu(x) and b = J_{nu+1}(x): f' by the two J recursions,
-    f'' by Bessel's equation for J_nu and J_{nu+1}."""
+    f'' by Bessel's equation for J_nu and J_{nu+1}. With ratio, of g / J_nu
+    = l/x - R, R = b / a, by the Riccati equation R' = 1 - (2 nu + 1) R / x
+    + R^2 of the J recursions: below the turning point, where J_nu > 0 grows
+    steeply, it has g's zeros and signs and is smooth."""
+    if ratio:
+        r, s = b / a, (2.0 * nu + 1.0) / x
+        dr = 1.0 - s * r + r * r
+        return (l / x - r, -l / (x * x) - dr,
+                2.0 * l / x**3 - (s * (r / x - dr) + 2.0 * r * dr))
     if tag == "J":  # J' = (nu/x) J - J_{nu+1}, J'' = -J'/x - (1 - nu^2/x^2) J
         return (a, (nu / x) * a - b,
                 a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x)
@@ -213,54 +222,6 @@ def _first_cell(f, parity: int, start: float, sign: int):
 # refinement: bracket-safeguarded Newton to a certified nearest float
 
 
-def _quintic_root(f0, d0, c0, f1, d1, c1) -> float:
-    """A root t in (0, 1) of the quintic p with (p, p', p'') = (f0, d0, c0)
-    at t = 0 and (f1, d1, c1) at t = 1, by Newton from the secant root,
-    safeguarded by bisection; nan where f0 and f1 share a sign."""
-    if (f0 > 0.0) == (f1 > 0.0):
-        return math.nan
-    e, k2 = f1 - f0, 0.5 * c0  # p = f0 + d0 t + k2 t^2 + ... + k5 t^5
-    k3 = 10.0 * e - 6.0 * d0 - 4.0 * d1 - 3.0 * k2 + 0.5 * c1
-    k4 = -15.0 * e + 8.0 * d0 + 7.0 * d1 + 3.0 * k2 - c1
-    k5 = 6.0 * e - 3.0 * d0 - 3.0 * d1 - k2 + 0.5 * c1
-    lo, hi, t = 0.0, 1.0, f0 / (f0 - f1)
-    for _ in range(30):
-        p = ((((k5 * t + k4) * t + k3) * t + k2) * t + d0) * t + f0
-        lo, hi = (t, hi) if (p > 0.0) == (f0 > 0.0) else (lo, t)
-        dp = (((5.0 * k5 * t + 4.0 * k4) * t + 3.0 * k3) * t
-              + 2.0 * k2) * t + d0
-        t_new = t - p / dp if dp != 0.0 else math.nan
-        if abs(t_new - t) <= 1e-12:
-            return t_new
-        t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
-    return t
-
-
-def _start(tag: str, l: int, twice_nu: int, lo: float, hi: float,
-           pair) -> float:
-    """Newton's first iterate in the census cell (lo, hi): the root of the
-    quintic through (f, f', f'') at both ends, from the float series pair;
-    the midpoint where it leaves the cell. Below the turning point (2 hi <=
-    twice_nu), where J_nu > 0 grows too steeply for a quintic, it takes
-    g / J_nu = l/x - R, R = J_{nu+1} / J_nu, with the Riccati equation
-    R' = 1 - (2 nu + 1) R / x + R^2 of the J recursions."""
-    nu = 0.5 * twice_nu
-    ratio = tag == "G" and 2.0 * hi <= twice_nu
-
-    def jets(x: float):
-        a, b = pair(x)
-        if not ratio:
-            return _jet(tag, l, nu, x, a, b)
-        r, s = b / a, (2.0 * nu + 1.0) / x
-        dr = 1.0 - s * r + r * r
-        return (l / x - r, -l / (x * x) - dr,
-                2.0 * l / x**3 - (s * (r / x - dr) + 2.0 * r * dr))
-
-    (f0, d0, c0), (f1, d1, c1), h = jets(lo), jets(hi), hi - lo
-    x = lo + h * _quintic_root(f0, h * d0, h * h * c0, f1, h * d1, h * h * c1)
-    return x if lo < x < hi else 0.5 * (lo + hi)
-
-
 def _certified(v: float, err: float) -> int:
     """The sign of a value v within err of the truth, 0 where err covers
     it."""
@@ -271,29 +232,42 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
             sign_lo: int) -> float:
     """The float nearest the zero in the census cell (lo, hi), every value
     from the series at hi, which the census evaluated (lo may be the scan
-    start). Newton from _start runs on the float pair while its steps at
-    least halve inside the cell, until its next step, f'' s^2 / (2 f') for
-    a step s, is below an ulp. Then an iterate z is returned once the
-    fixed-point values at the midpoints to its neighbours take certified
-    opposite signs, and a neighbour of z once the same pass certifies the
-    flip between its two midpoints; else the bracket moves on the certified
+    start). Newton runs on the float pair from the tangent at hi, on g /
+    J_nu below the turning point (2 hi <= twice_nu), inside a bracket of its
+    own that the float signs narrow; a step that leaves it, or has no f',
+    becomes a bisection, and the phase ends once its next step, f'' s^2 /
+    (2 f') for a step s, is below an ulp, once a step rounds to nothing, or
+    once the bracket holds no float.
+    Then an iterate z is returned once the fixed-point values at the
+    midpoints to its neighbours take certified opposite signs, and a
+    neighbour of z once the same pass certifies the flip between its two
+    midpoints; else the certified bracket (lo, hi) moves on the certified
     signs and Newton steps by the secant through the values around z. A
-    step that leaves the bracket, or is more than half the step before
-    last, becomes a bisection. So the float phase and _jet's f' cannot
+    step that leaves (lo, hi), or is more than half the step before last,
+    becomes a bisection. So the float phase, its signs and _jet's f' cannot
     move a zero.
     """
     nu = 0.5 * twice_nu
     pair, value = bessel._grid_series(twice_nu, hi)
-    x = _start(tag, l, twice_nu, lo, hi, pair)
-    step = hi - lo
+    ratio = tag == "G" and 2.0 * hi <= twice_nu
+    a, b, x = lo, hi, hi  # the float bracket: sign_lo at a, -sign_lo at b
     while True:  # the float phase
-        f, df, ddf = _jet(tag, l, nu, x, *pair(x))
+        f, df, ddf = _jet(tag, l, nu, x, *pair(x), ratio)
+        if (f > 0.0) == (sign_lo > 0):
+            a = x
+        else:
+            b = x
         x_new = x - f / df if df != 0.0 else math.nan
-        if not (lo < x_new < hi and abs(x_new - x) < 0.5 * step):
+        if x_new == x:  # a step below half an ulp, or f = 0
             break
-        step, x = abs(x_new - x), x_new
-        if abs(ddf) * step * step <= abs(df) * math.ulp(x):
+        if not a < x_new < b:  # a step out of the float bracket, or none
+            x_new = 0.5 * (a + b)
+            if not a < x_new < b:  # no float left inside
+                break
+        elif abs(ddf) * (x_new - x) ** 2 <= abs(df) * math.ulp(x_new):
+            x = x_new
             break
+        x = x_new
     dx_old = dx_older = hi - lo
     for _ in range(100):
         below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)

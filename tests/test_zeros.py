@@ -1317,12 +1317,41 @@ class TestRefinement:
         assert [zeros._refine(*key[:3], *cell)
                 for key, cell in zip(keys, cells)] == want
 
+    @pytest.mark.parametrize("ulps", [-32, 32])
+    def test_no_float_sign_moves_a_zero(self, monkeypatch, ulps):
+        # the float phase narrows a float bracket of its own on the float
+        # signs, apart from the certified cell: with the float value f
+        # biased by 32 ulps of its scale (the pair, or l/x for g / J_nu),
+        # some float sign falls on the wrong side of its zero, so that
+        # bracket loses the zero, and the same zeros ship
+        keys = [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
+                + [("G", 1, 100)] for m in (1, 2, 3)]
+        want = [zeros._census_zero(*key) for key in keys]
+        cells = [zeros._census_bracket(*key) for key in keys]
+        real, seen = zeros._jet, []
+
+        def biased(tag, l, nu, x, a, b, ratio=False):
+            f, df, ddf = real(tag, l, nu, x, a, b, ratio)
+            f += ulps * math.ulp(l / x if ratio else max(abs(a), abs(b)))
+            seen.append((x, f))
+            return f, df, ddf
+
+        monkeypatch.setattr(zeros, "_jet", biased)
+        wrong = 0  # float signs on the far side of the zero
+        for key, (lo, hi, sign_lo), z in zip(keys, cells, want):
+            seen.clear()
+            assert zeros._refine(*key[:3], lo, hi, sign_lo) == z, key
+            wrong += sum((f > 0.0) == (sign_lo > 0) and x > z
+                         or (f > 0.0) != (sign_lo > 0) and x < z
+                         for x, f in seen)
+        assert wrong > 0
+
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_kernel_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # scan at step pi/2 plus safeguarded Newton: at most 6 series
-        # evaluations, float or fixed point, per zero, and no eval_J_pair
-        # call (the counts are deterministic)
+        # scan at step pi/2 plus safeguarded Newton: at most 5.5 series
+        # evaluations, float or fixed point, per zero (5.30 and 5.32), and
+        # no eval_J_pair call (the counts are deterministic)
         _cold()
         pairs = _counting(monkeypatch)
         counts = _counting_series(monkeypatch)
@@ -1330,7 +1359,7 @@ class TestRefinement:
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100 and pairs[0] == 0
         calls = counts["pair"] + counts["value"]
-        assert calls <= 6 * cold, calls / cold
+        assert calls <= 5.5 * cold, calls / cold
 
     @pytest.mark.parametrize("d,bc,lambda_max", [
         (3, "dirichlet", 3000), (2, "dirichlet", 2000),
@@ -1340,87 +1369,60 @@ class TestRefinement:
                                                lambda_max):
         # the scan reads the shared integer ladders and Newton the float
         # series, so the fixed-point series (the high-precision value)
-        # pays for the certificate, one a zero, and one series base a zero:
-        # the float phase hands over one ulp from the nearest float at
-        # 2-15% of the zeros, Neumann targets the most, and the first sum
+        # pays for the certificate, about one a zero, and one series base a
+        # zero: the float phase hands over one ulp from the nearest float at
+        # 5-20% of the zeros, Neumann targets the most, and the first sum
         # certifies that neighbour too (the benchmark's spectrum strata
-        # and d = 30)
+        # and d = 30); at d = 30 one zero, G(5, 38, 1), is handed over two
+        # ulps off and takes a second sum, 80 for 79 zeros
         _cold()
         counts = _counting_series(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
         assert cold > 70 and counts["base"] == cold
-        assert counts["value"] <= 1.01 * cold, counts["value"] / cold
+        assert counts["value"] <= 1.02 * cold, counts["value"] / cold
 
     def test_neumann_zeros_below_the_turning_point_cost_two_calls(
             self, monkeypatch):
         # the first Neumann zeros at d = 100, l = 1..14, lie below the
         # turning point, where J_nu ~ 1e-20 and the bounds are relative to
-        # the pair: the census clears every sign, Newton starts within 1e-6
-        # of the zero, and each zero takes 3 or 4 float series evaluations
-        # and 1 or 2 fixed-point ones, cold: 43 and 16 for the 14 zeros
-        # (deterministic counts). Only l = 7 and l = 14 take a second
-        # fixed-point sum, where the float phase hands over two ulps off
-        # the zero; from one ulp off the first sum certifies the neighbour
+        # the pair: the census clears every sign, Newton on g / J_nu hands
+        # over at most one ulp from the zero, and each zero takes 3 or 4
+        # float series evaluations and one fixed-point one, cold: 49 and 14
+        # for the 14 zeros (deterministic counts). From one ulp off the
+        # first sum certifies the neighbour; from two ulps off it cannot
         counts = _counting_series(monkeypatch)
         for l in range(1, 15):
             _cold()
             before = counts.copy()
             assert zeros._census_zero("G", l, 2 * l + 98, 1) < l + 49
             used = counts - before
-            assert used["pair"] <= 4 and used["value"] <= 2, (l, used)
-        assert counts == {"base": 14, "pair": 43, "value": 16}, counts
+            assert used["pair"] <= 4 and used["value"] == 1, (l, used)
+        assert counts == {"base": 14, "pair": 49, "value": 14}, counts
         _cold()
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_twin_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # Newton iterates from the census cell's quintic start on the float
-        # series, two of its evaluations the start's jets, and ends once its
-        # next step falls below an ulp: 3.9 float evaluations a zero. A start
-        # back at the midpoint or a float phase that stalls would cost
-        # more. The shared ladders cost 10.7 and 14.4 steps (len(ys)) a
-        # zero, and no grid point builds its ladder more than twice (sized
-        # for the first order that asks, then once for the whole box)
+        # Newton iterates from the tangent at the census cell's upper end,
+        # the series centre (a one-term sum), on the float series, and ends
+        # once its next step falls below an ulp or rounds to nothing: 4.30
+        # and 4.32 float evaluations a zero. Bisecting on past a step that rounds to nothing cost 4.51 at
+        # d = 3, 45 at its worst zero. The shared ladders cost 10.7 and
+        # 14.4 steps (len(ys)) a zero, and no grid point builds its ladder
+        # more than twice (sized for the first order that asks, then once
+        # for the whole box)
         _cold()
         counts = _counting_series(monkeypatch)
         _, shared = _ladders(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
         cold = zeros._census_zero.cache_info().misses
         assert cold > 100
-        assert counts["pair"] <= 4 * cold, counts["pair"] / cold
+        assert counts["pair"] <= 4.4 * cold, counts["pair"] / cold
         ladder_steps = {3: 12, 4: 15}[d]
         steps = shared.steps.total()
         assert steps <= ladder_steps * cold, steps / cold
         assert max(shared.builds.values()) <= 2
-
-    @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
-        ("G", 1, 100), ("G", 5, 12), ("J", 0, 121)])
-    def test_start_lies_near_the_zero(self, tag, l, twice_nu):
-        # the quintic through (f, f', f'') at both grid ends puts Newton's
-        # start within 1e-3 of the zero, in the first cell too; in a cell
-        # below the turning point (2 hi <= twice_nu) it matches g / J_nu,
-        # which J_nu's steep growth leaves smooth
-        for m in (1, 2, 3, 7):
-            lo, hi, _ = zeros._census_bracket(tag, l, twice_nu, m)
-            pair, _ = cell_series(tag, l, twice_nu, lo)
-            x = zeros._start(tag, l, twice_nu, lo, hi, pair)
-            z = zeros._census_zero(tag, l, twice_nu, m)
-            assert lo < x < hi and abs(x - z) <= 1e-3, (m, lo, x, z, hi)
-
-    def test_quintic_root(self):
-        # p(t) = (t - 0.3)(1 + t^2)(2 - t) and its first two derivatives
-        def jet(t):
-            c = [-0.6, 2.3, -1.6, 2.3, -1.0]  # low order first
-            p = sum(a * t**k for k, a in enumerate(c))
-            dp = sum(k * a * t**(k - 1) for k, a in enumerate(c) if k)
-            d2p = sum(k * (k - 1) * a * t**(k - 2)
-                      for k, a in enumerate(c) if k > 1)
-            return p, dp, d2p
-
-        assert zeros._quintic_root(*jet(0.0), *jet(1.0)) == pytest.approx(
-            0.3, abs=1e-12)
-        assert math.isnan(zeros._quintic_root(1.0, 0.0, 0.0, 2.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("tag,l,twice_nu,x", [
         ("J", 0, 0, 2.5), ("J", 0, 7, 11.0), ("J", 0, 160, 95.0),
@@ -1454,15 +1456,16 @@ class TestRefinement:
         assert counts["value"] <= 1.05 * cold, counts["value"] / cold
 
     # Ladder steps of the lookup-sized census below (2,352), each ladder
-    # counted as its length, len(ys), against two references counted as
-    # _miller_start lengths, one step a ladder fewer (the counts are
-    # deterministic, the same on any machine): the float steps at commit
-    # eee72a1, the last before the shared ladders, where each key scanned
-    # its own cells with a fresh ladder per point, and the float plus
-    # integer steps at 5d87ab0, the last with a float ladder beside the
-    # integer one (21,696 + 10,092)
+    # counted as its length, len(ys), against today's count plus 2% and
+    # two references counted as _miller_start lengths, one step a ladder
+    # fewer (the counts are deterministic, the same on any machine): the
+    # float steps at commit eee72a1, the last before the shared ladders,
+    # where each key scanned its own cells with a fresh ladder per point,
+    # and the float plus integer steps at 5d87ab0, the last with a float
+    # ladder beside the integer one (21,696 + 10,092)
     PER_KEY_SCAN_STEPS = 75816
     TWO_LADDER_STEPS = 31788
+    LOOKUP_STEPS = 2352 + 47  # today's count, plus 2%
 
     def test_lookup_census_costs_no_more_than_the_per_key_scan(
             self, monkeypatch):
@@ -1476,6 +1479,7 @@ class TestRefinement:
         total = sum(ladders)
         assert total <= self.PER_KEY_SCAN_STEPS, total
         assert total <= self.TWO_LADDER_STEPS, total
+        assert total <= self.LOOKUP_STEPS, total
         _cold()
 
     def test_float_derivative_does_not_set_the_digits(self, monkeypatch):
