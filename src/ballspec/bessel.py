@@ -164,7 +164,7 @@ def _multiply(ladder, x0: float, twice_nu: int):
     between consecutive floats from two below z to two above, in ascending
     order, so at(1) and at(2) lie around z and at(0) and at(3) 3/2 ulp
     out. v is the float of f(x), x taken exactly, within err of it;
-    f = J_nu, or g = (l/x) J_nu - J_{nu+1} for an int l.
+    f = J_nu at l = 0, else g = (l/x) J_nu - J_{nu+1}, for an int l.
 
     value sums P_nu, P_{nu+1} (g: P_{nu+2}) at z in fixed point, and reaches a
     midpoint delta = (x^2 - z^2) / (2 x0) away in w by P_mu(w + delta) =
@@ -208,7 +208,7 @@ def _multiply(ladder, x0: float, twice_nu: int):
                 break
         return (x / x0) ** nu * s0, (x / x0) ** (nu + 1.0) * s1
 
-    def value(z: float, l=None):
+    def value(z: float, l: int):
         below, above = math.nextafter(z, 0.0), math.nextafter(z, math.inf)
         ends = (math.nextafter(below, 0.0), below, z, above,
                 math.nextafter(above, math.inf))
@@ -234,7 +234,7 @@ def _multiply(ladder, x0: float, twice_nu: int):
         for j in range(1, k):
             cs.append(((cs[-1] * mw) >> _P) // j)
         t0, t1 = (sum(map(mul, cs, ys[n + i:n + i + k])) for i in range(2))
-        if l is not None:  # only g reads P_{nu+2}
+        if l:  # only g reads P_{nu+2}
             t2 = sum(map(mul, cs, ys[n + 2:n + 2 + k]))
 
         def at(i: int):
@@ -245,7 +245,7 @@ def _multiply(ladder, x0: float, twice_nu: int):
                 1.0 + 2.0**-20)
             x = mm / (2 * q)
             lam = (x / x0) ** nu  # > 0, within (nu + 3) 2^-52 relative
-            if l is None:
+            if l == 0:
                 v = (wd * t0 - dn * t1) * num / ((den * wd) << _P) * lam
                 err *= lam
             else:  # g / lam = t num / (den mm xx wd 2^_P)

@@ -19,8 +19,9 @@ class RangeError(BallspecError):
     bessel.X_MAX) and orders 0 <= nu <= 120 (stored as 2*nu, an integer in
     [0, 240]); bessel checks that box. The zero census evaluates the pair
     (nu, nu + 1), so it needs 2*nu + 2 <= 240; zeros._check_pair checks
-    that cap for every zero, spectrum, Courant and Pleijel request. Integer
-    parameters are checked by bessel._check_int.
+    that cap on the order of every zero, spectrum, Courant and Pleijel
+    request that needs a census. Integer parameters are checked by
+    bessel._check_int.
     """
 
 

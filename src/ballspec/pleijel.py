@@ -358,7 +358,7 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     )
 
     # Two-sided first-zero estimates at the order entering the quotient.
-    lower, upper = zeros._first_zero_bounds("J", 0, d - 1)
+    lower, upper = zeros._first_zero_bounds(0, d - 1)
     checks.append(Check("jest_lower", lower, j_dp1))
     checks.append(Check("jest_upper", j_dp1, upper))
 

@@ -86,16 +86,16 @@ def _check_interlacing(fast: bool) -> str | None:
 
 
 def _check_derivative_alias(fast: bool) -> str | None:
-    """The (m+1)-th radial-derivative zero at degree 0 equals the m-th
-    interior zero at degree 1 (d/dr of the degree-0 profile is the
-    degree-1 profile up to sign)."""
+    """The (m+1)-th radial-derivative zero at degree 0 is the m-th interior
+    zero at degree 1, the same float: zeros._key gives both one census key
+    (d/dr of the degree-0 profile is the degree-1 profile up to sign)."""
     dims = (2, 3) if fast else (2, 3, 4, 5)
     m_max = 4 if fast else 6
     for d in dims:
         for m in range(1, m_max + 1):
             beta = zeros.neumann_zero(0, d, m + 1)
             alpha = zeros.dirichlet_zero(1, d, m)
-            if abs(beta - alpha) / alpha > 1e-11:
+            if beta != alpha:
                 return (
                     f"derivative alias off at d={d}, m={m}: "
                     f"{beta!r} vs {alpha!r}"
@@ -130,18 +130,18 @@ def _check_table_values(fast: bool) -> str | None:
 
 def _check_first_zero_bounds(fast: bool) -> str | None:
     """zeros._first_zero_bounds bracket the first positive zero at every J
-    order of the box and every Neumann degree of a few d (fast: a sample)."""
+    order of the box and every Neumann l >= 1 of a few d (fast: a sample)."""
     step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
     cap = bessel.TWICE_NU_MAX  # the census pair (nu, nu + 1) lies in the box
-    keys = [("J", 0, tn) for tn in range(0, cap - 1, step)] + [
-        ("G", l, 2 * l + d - 2) for d in dims
-        for l in range(0, (cap - d) // 2 + 1, step)]
-    for tag, l, tn in keys:
-        lower, upper = zeros._first_zero_bounds(tag, l, tn)
-        z = (zeros.bessel_zero(Order(tn), 1) if tag == "J"  # G, l = 0: r = 0 first
-             else zeros.neumann_zero(l, tn - 2 * l + 2, 2 if l == 0 else 1))
+    keys = [(0, tn) for tn in range(0, cap - 1, step)] + [
+        (l, 2 * l + d - 2) for d in dims
+        for l in range(1, (cap - d) // 2 + 1, step)]
+    for l, tn in keys:
+        lower, upper = zeros._first_zero_bounds(l, tn)
+        z = (zeros.bessel_zero(Order(tn), 1) if l == 0
+             else zeros.neumann_zero(l, tn - 2 * l + 2, 1))
         if not lower < z < upper:
-            return f"first-zero bounds fail at {tag}, l={l}, twice_nu={tn}: {lower!r}, {z!r}, {upper!r}"
+            return f"first-zero bounds fail at l={l}, twice_nu={tn}: {lower!r}, {z!r}, {upper!r}"
     return None
 
 

@@ -100,17 +100,14 @@ class SpectrumTable(namedtuple("SpectrumTable", "d bc lambda_max records")):
 
 
 def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float,
-                       lambda_max: float) -> list[int]:
-    """Degrees whose first zero may lie at or below r_cut, the radius of
+                       lambda_max: float) -> range:
+    """Degrees with a zero that may lie at or below r_cut, the radius of
     the cutoff lambda_max (named in the error)."""
-    out = []
     l = 0
-    while zeros._first_zero_lower(bc, l, d) <= r_cut:
-        zeros._check_pair(2 * l + d - 2, f"completeness up to "
-                          f"lambda_max={lambda_max!r} (degree l={l})")
-        out.append(l)
+    while zeros._may_hold(bc, l, d, r_cut, f"completeness up to "
+                          f"lambda_max={lambda_max!r} (degree l={l})"):
         l += 1
-    return out
+    return range(l)
 
 
 def _modes_upto(l: int, d: int, bc: BoundaryCondition, r_cut: float,

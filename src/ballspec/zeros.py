@@ -1,29 +1,29 @@
 """Certified location of Bessel-derived zeros by exhaustive sign census.
 
-One target per BoundaryCondition, each driven by one kernel pair evaluation
-per point:
+A census key (l, twice_nu) names one of two targets (_key), each driven
+by one kernel pair evaluation per point:
 
-* Dirichlet (census tag "J") - zeros of the scaled radial function, which
-  are the zeros j_{nu,m} of J_nu because the power prefactor never vanishes
-  for r > 0;
-* Neumann (census tag "G") - zeros of its derivative, located through
-  g(r) = (l/r) J_nu(r) - J_{nu+1}(r), which shares the derivative's zeros.
+* l = 0, J_nu - the Dirichlet zeros j_{nu,m}, as the power prefactor of
+  the scaled radial function never vanishes for r > 0, and the Neumann
+  l = 0 zeros past the conventional one at r = 0, which is never scanned,
+  at nu + 1: that derivative is -r^(1-d/2) J_{nu+1}(r) (DLMF 10.6.6);
+* l >= 1, g(r) = (l/r) J_nu(r) - J_{nu+1}(r) - the Neumann zeros, which
+  g shares with the radial derivative.
 
 The m-th zero is found by a sign census on a fixed grid, walked from the
 last grid point at or below a rigorous zero-free lower bound (never from
 an asymptotic count; for J Qu and Wong's, Trans. AMS 351, 1999, where it
-beats Watson's, and for Neumann l >= 1 the Sturm bound below), so the
-returned zero is the m-th one. The conventional Neumann l = 0 zero at
-r = 0 is never scanned.
+beats Watson's, and for g the Sturm bound below), so the returned zero
+is the m-th one.
 
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
 
 * for nu >= 1/2, Sturm comparison with sin puts consecutive zeros of J_nu
   at least pi apart; for nu = 0 they are more than 3.0 apart, because the
-  coefficient stays below 1.05 past j_{0,1}. This covers the Dirichlet
-  targets and the l = 0 Neumann target, which is exactly -J_{nu+1};
-* for Neumann l >= 1 (so nu >= 1), the critical points of
+  coefficient stays below 1.05 past j_{0,1}. This covers every J_nu key,
+  the Neumann l = 0 ones included;
+* for g (Neumann l >= 1, so nu >= 1), the critical points of
   u = r^(1-d/2) J_nu lie past sqrt(l(l+d-2)) and each is a strict extremum,
   so exactly one of them sits between consecutive zeros of u:
   beta_m < j_m < beta_{m+1}. On (beta_m, j_m) w' changes sign, so w has a
@@ -56,7 +56,7 @@ neighbouring float whose two midpoints flip, else Newton steps on the
 fixed-point values (_refine). So a zero rests on the kernel's error model
 alone, as the census signs do, not on the Newton path.
 
-Every degree of either target reads bessel's one shared ladder per
+Every key of either target reads bessel's one shared ladder per
 (parity, grid point): one sign rule (_sign) takes the sign of its census
 pair (bessel._grid_pair) where the pair's bound, propagated through the
 target, cannot flip it, else 0.0, which the widen rule takes.
@@ -102,10 +102,10 @@ def _coerce_bc(bc) -> BoundaryCondition:
 # targets: value and derivatives from one pair (J_nu, J_{nu+1})
 
 
-def _jet(tag: str, l: int, nu: float, x: float, a: float, b: float,
+def _jet(l: int, nu: float, x: float, a: float, b: float,
          ratio: bool = False):
-    """(f, f', f'') of the J target (tag "J") or the derivative target (tag
-    "G") from a = J_nu(x) and b = J_{nu+1}(x): f' by the two J recursions,
+    """(f, f', f'') of the key's target, J_nu at l = 0 or g at l >= 1, from
+    a = J_nu(x) and b = J_{nu+1}(x): f' by the two J recursions,
     f'' by Bessel's equation for J_nu and J_{nu+1}. With ratio, of g / J_nu
     = l/x - R, R = b / a, by the Riccati equation R' = 1 - (2 nu + 1) R / x
     + R^2 of the J recursions: below the turning point, where J_nu > 0 grows
@@ -115,7 +115,7 @@ def _jet(tag: str, l: int, nu: float, x: float, a: float, b: float,
         dr = 1.0 - s * r + r * r
         return (l / x - r, -l / (x * x) - dr,
                 2.0 * l / x**3 - (s * (r / x - dr) + 2.0 * r * dr))
-    if tag == "J":  # J' = (nu/x) J - J_{nu+1}, J'' = -J'/x - (1 - nu^2/x^2) J
+    if l == 0:  # J' = (nu/x) J - J_{nu+1}, J'' = -J'/x - (1 - nu^2/x^2) J
         return (a, (nu / x) * a - b,
                 a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x)
     # g(r) = (l/r) J_nu - J_{nu+1}, whose derivative is
@@ -126,7 +126,7 @@ def _jet(tag: str, l: int, nu: float, x: float, a: float, b: float,
              + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x))))
 
 
-def _sign(tag: str, l: int, twice_nu: int):
+def _sign(l: int, twice_nu: int):
     """f of the target for sign decisions at census grid points, from
     bessel._grid_pair: its value where it clears the pair's bound, grown
     for g by g's three roundings, else 0.0, for _first_cell's widen rule."""
@@ -134,7 +134,7 @@ def _sign(tag: str, l: int, twice_nu: int):
     def f(x: float) -> float:
         a, b, err = bessel._grid_pair(twice_nu, x)
         v = a
-        if tag == "G":
+        if l:
             q = l / x
             v = q * a - b
             err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
@@ -143,39 +143,34 @@ def _sign(tag: str, l: int, twice_nu: int):
     return f
 
 
-def _first_zero_bounds(tag: str, l: int, twice_nu: int) -> tuple[float, float]:
-    """(lower, upper) around the target's first positive zero, nu =
-    twice_nu/2; OverflowError past the float range. J: nu(nu+2) <
-    j_{nu,1}^2 (Watson, Treatise, ch. 15), j_{nu,1} < sqrt(nu+1)(sqrt(nu+2)
-    + 1) (Chambers, Math. Comp. 38, 1982). G at l = 0 is exactly -J_{nu+1}:
-    the J bounds at nu+1. G at l >= 1: beta_{l,1}^2 > l(l+d-2) = l(twice_nu
-    - l), the Sturm bound above, and beta_{l,1} < j_{nu,1} by the
-    interlacing above."""
-    if tag == "G" and l == 0:
-        return _first_zero_bounds("J", 0, twice_nu + 2)
+def _first_zero_bounds(l: int, twice_nu: int) -> tuple[float, float]:
+    """(lower, upper) around the key's first positive zero, nu =
+    twice_nu/2; OverflowError past the float range. J_nu (l = 0): nu(nu+2)
+    < j_{nu,1}^2 (Watson, Treatise, ch. 15), j_{nu,1} < sqrt(nu+1)(sqrt(nu+2)
+    + 1) (Chambers, Math. Comp. 38, 1982). g, for l >= 1 only: beta_{l,1}^2
+    > l(l+d-2) = l(twice_nu - l), the Sturm bound above, and beta_{l,1} <
+    j_{nu,1} by the interlacing above."""
     nu = 0.5 * twice_nu
     upper = math.sqrt(nu + 1.0) * (math.sqrt(nu + 2.0) + 1.0)
-    if tag == "J":
+    if l == 0:
         return math.sqrt(twice_nu * (twice_nu + 4)) * 0.5, upper
     return math.sqrt(l * (twice_nu - l)), upper
 
 
-def _scan_start(tag: str, l: int, twice_nu: int) -> tuple[float, int]:
-    """(start, sign), the one scan start: the target has sign ``sign`` on
-    (0, start], the last _GRID point at or below its first zero's lower
-    bound shrunk a hair; for J and G at l = 0 (-J_{nu+1}) the larger of
-    Watson's (_first_zero_bounds, certify's jest_lower) and Qu and Wong's
-    nu + 1.855757 nu^(1/3) (|a_1| 2^(-1/3) rounded down; DLMF 10.21(vii)).
-    x_0 = 0 of the even grid starts J at nu = 0 and G at l = 1, nu = 1,
-    whose zeros lie past pi/2; so every cell with a zero has both ends on
-    the grid."""
-    sign = -1 if tag == "G" and l == 0 else 1  # -J_{nu+1} near 0+
-    lower = _first_zero_bounds(tag, l, twice_nu)[0]
-    if l == 0:  # J keys carry l = 0 too
-        nu = 0.5 * twice_nu + (tag == "G")
+def _scan_start(l: int, twice_nu: int) -> float:
+    """The one scan start: the last _GRID point at or below the key's first
+    zero's lower bound shrunk a hair, so its target is positive on (0,
+    start]; for J_nu the larger of Watson's (_first_zero_bounds, certify's
+    jest_lower) and Qu and Wong's nu + 1.855757 nu^(1/3) (|a_1| 2^(-1/3)
+    rounded down; DLMF 10.21(vii)). x_0 = 0 of the even grid starts J at
+    nu = 0 and g at l = 1, nu = 1, whose zeros lie past pi/2; so every cell
+    with a zero has both ends on the grid."""
+    lower = _first_zero_bounds(l, twice_nu)[0]
+    if l == 0:
+        nu = 0.5 * twice_nu
         lower = max(lower, nu + 1.855757 * nu ** (1.0 / 3.0))
     grid = _GRID[twice_nu % 2]
-    return grid[bisect_right(grid, lower * (1.0 - 1e-9)) - 1], sign
+    return grid[bisect_right(grid, lower * (1.0 - 1e-9)) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +223,7 @@ def _certified(v: float, err: float) -> int:
     return 0 if abs(v) <= err else 1 if v > 0.0 else -1
 
 
-def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
+def _refine(l: int, twice_nu: int, lo: float, hi: float,
             sign_lo: int) -> float:
     """The float nearest the zero in the census cell (lo, hi), every value
     from the series at hi, which the census evaluated (lo may be the scan
@@ -249,10 +244,10 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     """
     nu = 0.5 * twice_nu
     pair, value = bessel._grid_series(twice_nu, hi)
-    ratio = tag == "G" and 2.0 * hi <= twice_nu
+    ratio = l > 0 and 2.0 * hi <= twice_nu
     a, b, x = lo, hi, hi  # the float bracket: sign_lo at a, -sign_lo at b
     while True:  # the float phase
-        f, df, ddf = _jet(tag, l, nu, x, *pair(x), ratio)
+        f, df, ddf = _jet(l, nu, x, *pair(x), ratio)
         if (f > 0.0) == (sign_lo > 0):
             a = x
         else:
@@ -271,7 +266,7 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
     dx_old = dx_older = hi - lo
     for _ in range(100):
         below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
-        at = value(x, None if tag == "J" else l)
+        at = value(x, l)
         (v0, e0), (v1, e1) = at(1), at(2)
         s0, s1 = _certified(v0, e0), _certified(v1, e1)
         if s0 and s1 == -s0:
@@ -302,50 +297,60 @@ def _refine(tag: str, l: int, twice_nu: int, lo: float, hi: float,
 
 
 @lru_cache(maxsize=8192)
-def _census_bracket(tag: str, l: int, twice_nu: int, m: int):
+def _census_bracket(l: int, twice_nu: int, m: int):
     """Sign-change cell of the m-th positive zero: (lo, hi, sign_lo), None
     past the box. Each zero has a cell of its own, so an m past _MAX_CELLS
     is refused before the walk recurses once per index."""
     if m > _MAX_CELLS:
         return None
     if m > 1:
-        prev = _census_bracket(tag, l, twice_nu, m - 1)
+        prev = _census_bracket(l, twice_nu, m - 1)
         if prev is None:
             return None
         start, sign = prev[1], -prev[2]
     else:
-        start, sign = _scan_start(tag, l, twice_nu)
-    return _first_cell(_sign(tag, l, twice_nu), twice_nu % 2, start, sign)
+        start, sign = _scan_start(l, twice_nu), 1
+    return _first_cell(_sign(l, twice_nu), twice_nu % 2, start, sign)
 
 
 @lru_cache(maxsize=8192)
-def _census_zero(tag: str, l: int, twice_nu: int, m: int):
+def _census_zero(l: int, twice_nu: int, m: int):
     """The float nearest the m-th zero; the caller (_zero) has checked that
     its cell lies in the box."""
-    return _refine(tag, l, twice_nu, *_census_bracket(tag, l, twice_nu, m))
+    return _refine(l, twice_nu, *_census_bracket(l, twice_nu, m))
 
 
-def _key(bc: BoundaryCondition, l: int, d: int) -> tuple[str, int, int]:
-    """Census key (tag, l, twice_nu) of a coerced bc, with l and d checked;
-    J zeros depend on l only through the order, so their key carries l = 0."""
+def _key(bc: BoundaryCondition, l: int, d: int):
+    """(key, ground) of a coerced bc, with l and d checked: the census key
+    (l, twice_nu) and the count of zeros at r = 0 before the key's."""
     _check_int("l", l, 0)
     _check_int("d", d, 2)
     twice_nu = 2 * l + d - 2
-    if bc is BoundaryCondition.NEUMANN:
-        return "G", l, twice_nu
-    return "J", 0, twice_nu
+    if bc is BoundaryCondition.DIRICHLET:
+        return (0, twice_nu), 0
+    if l == 0:
+        return (0, twice_nu + 2), 1
+    return (l, twice_nu), 0
 
 
-def _first_zero_lower(bc, l: int, d: int) -> float:
-    """Lower bound on the first zero find_zero counts, increasing in l: the
-    first zero's lower bound shrunk a hair for rounding."""
-    tag, l_key, twice_nu = _key(_coerce_bc(bc), l, d)
-    if tag == "G" and l == 0:
-        return 0.0  # the conventional zero at r = 0
+def _first_zero_lower(key: tuple[int, int]) -> float:
+    """Lower bound on the key's first positive zero, shrunk a hair for
+    rounding; at fixed d it increases in l, Neumann l = 0's key aside."""
     try:
-        return _first_zero_bounds(tag, l_key, twice_nu)[0] * (1.0 - 1e-9)
+        return _first_zero_bounds(*key)[0] * (1.0 - 1e-9)
     except OverflowError:  # an order past the float range: no zero below inf
         return math.inf
+
+
+def _may_hold(bc, l: int, d: int, x_max: float, what: str) -> bool:
+    """Whether [0, x_max] may hold a zero of (bc, l, d), bc coerced: its
+    ground state, or a census zero once the cap on the order 2l + d - 2 is
+    checked (what names the request). Past l = 0, False stays False in l."""
+    key, ground = _key(bc, l, d)
+    if _first_zero_lower(key) > x_max:
+        return bool(ground)
+    _check_pair(2 * l + d - 2, what)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +360,14 @@ def _first_zero_lower(bc, l: int, d: int) -> float:
 def bessel_zero(nu: Order, m: int) -> float:
     """m-th positive zero j_{nu,m} of J_nu, certified by sign census."""
     bessel._check_order(nu)
-    return _zero(("J", 0, nu.twice_nu), m,
+    return _zero((0, nu.twice_nu), 0, m,
                  f"zero m={m} of J_nu at twice_nu={nu.twice_nu}")
 
 
 def dirichlet_zero(l: int, d: int, m: int) -> float:
     """m-th interior-problem zero: equals j_{l+d/2-1, m} because the power
     prefactor of the scaled radial function never vanishes for r > 0."""
-    return _zero(_key(BoundaryCondition.DIRICHLET, l, d), m,
+    return _zero(*_key(BoundaryCondition.DIRICHLET, l, d), m,
                  f"Dirichlet zero m={m} of l={l}, d={d}")
 
 
@@ -371,9 +376,9 @@ def neumann_zero(l: int, d: int, m: int) -> float:
 
     For l = 0 the count starts at the conventional zero at r = 0 (the
     ground state), so m = 1 returns exactly 0.0 and the m-th entry for
-    m >= 2 is the (m-1)-th positive zero.
+    m >= 2 is the (m-1)-th positive zero, j_{d/2, m-1}.
     """
-    return _zero(_key(BoundaryCondition.NEUMANN, l, d), m,
+    return _zero(*_key(BoundaryCondition.NEUMANN, l, d), m,
                  f"Neumann zero m={m} of l={l}, d={d}")
 
 
@@ -389,18 +394,22 @@ def find_zero(bc, l: int, d: int, m: int) -> float:
 def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     """The zeros find_zero(bc, l, d, m), m = 1, 2, ..., in [0, x_max].
 
-    Neumann l = 0 starts with 0.0. The walk stops at the first census
-    cell that starts past x_max, whose zero lies past x_max, so none is
-    refined there, or at the first refined zero past x_max: so at most one
-    refined zero is discarded.
+    Neumann l = 0 starts with 0.0, and runs no census where it cannot
+    reach x_max. The walk stops at the first cell that starts past x_max,
+    whose zero lies past x_max, so none is refined there, or at the first
+    refined zero past x_max: so at most one refined zero is discarded.
     """
     bc = _coerce_bc(bc)
-    tag, l_key, twice_nu = _key(bc, l, d)
-    x_max = _check_x_max(x_max)
-    _check_pair(twice_nu, f"{bc.value} zero census of l={l}, d={d}")
-    out = [0.0] if tag == "G" and l == 0 else []
+    key, ground = _key(bc, l, d)
+    x_max = float(x_max)
+    if not 0.0 < x_max <= X_MAX:
+        raise RangeError(f"x_max={x_max!r} outside (0, {X_MAX}]")
+    out = [0.0] * ground
+    if ground and _first_zero_lower(key) > x_max:
+        return out  # the ground state alone needs no census
+    _check_pair(2 * l + d - 2, f"{bc.value} zero census of l={l}, d={d}")
     m = 1  # census index of the next positive zero
-    while ((cell := _census_bracket(tag, l_key, twice_nu, m)) is not None
+    while ((cell := _census_bracket(*key, m)) is not None
            and cell[0] <= x_max):
         z = find_zero(bc, l, d, len(out) + 1)  # out holds zeros 1..len
         if z > x_max:
@@ -410,20 +419,19 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     return out
 
 
-def _zero(key: tuple[str, int, int], m: int, what: str) -> float:
-    """The m-th zero of the key, counted as neumann_zero counts it: the one
-    validation path of every zero request. It checks m and the order cap,
-    and a RangeError names the caller's zero (what)."""
+def _zero(key: tuple[int, int], ground: int, m: int, what: str) -> float:
+    """The m-th zero of a request, its ground zeros at r = 0 first: the one
+    validation path of every zero request. It checks m and the request's
+    order cap, and a RangeError names the caller's zero (what)."""
     _check_int("m", m, 1)
-    tag, l, twice_nu = key
-    if tag == "G" and l == 0:
-        if m == 1:
-            return 0.0  # the conventional zero at r = 0 needs no census
-        m -= 1
-    _check_pair(twice_nu, what)
-    if _census_bracket(tag, l, twice_nu, m) is None:
+    if m <= ground:
+        return 0.0  # the conventional zero at r = 0 needs no census
+    l, twice_nu = key
+    # the request's order 2l + d - 2: a ground state's key is one order up
+    _check_pair(twice_nu - 2 * ground, what)
+    if _census_bracket(l, twice_nu, m - ground) is None:
         raise RangeError(f"{what} lies beyond the supported box x <= {X_MAX}")
-    return _census_zero(tag, l, twice_nu, m)
+    return _census_zero(l, twice_nu, m - ground)
 
 
 def _check_pair(twice_nu: int, what: str) -> None:
@@ -437,10 +445,3 @@ def _check_pair(twice_nu: int, what: str) -> None:
             f"{what} needs Bessel order {nu1} beyond the "
             f"kernel box (orders up to {TWICE_NU_MAX // 2})"
         )
-
-
-def _check_x_max(x_max: float) -> float:
-    x_max = float(x_max)
-    if not 0.0 < x_max <= X_MAX:
-        raise RangeError(f"x_max={x_max!r} outside (0, {X_MAX}]")
-    return x_max

@@ -141,23 +141,30 @@ def xi(l: int, d: int, r: float) -> float:
     return r ** (0.5 * (2 - d)) * eval_J(Order.from_l_d(l, d), r).value
 
 
-def pair_target(tag: str, l: int, twice_nu: int):
-    """The census target J_nu (tag "J") or g = (l/x) J_nu - J_{nu+1} at x,
-    from the exact quotients of the kernel's _ladder at x, g formed exactly
+def ladder_pair(twice_nu: int, x: float) -> tuple[Fraction, Fraction]:
+    """(J_nu(x), J_{nu+1}(x)), the exact quotients of the kernel's _ladder
+    at x."""
+    n, parity = divmod(twice_nu, 2)
+    ys, num, den, _ = bessel._ladder(parity, x, n)
+    return Fraction(ys[n] * num, den), Fraction(ys[n + 1] * num, den)
+
+
+def pair_target(l: int, twice_nu: int):
+    """The target of the census key (l, twice_nu) at x, J_nu at l = 0 and
+    g = (l/x) J_nu - J_{nu+1} at l >= 1, from ladder_pair, g formed exactly
     and rounded once: a reference for the zero finder that reads its own
     ladder at x."""
-    n, parity = divmod(twice_nu, 2)
 
     def f(x: float) -> float:
-        ys, num, den, _ = bessel._ladder(parity, x, n)
-        a, b = Fraction(ys[n] * num, den), Fraction(ys[n + 1] * num, den)
-        return float(a if tag == "J" else l / Fraction(x) * a - b)
+        a, b = ladder_pair(twice_nu, x)
+        return float(a if l == 0 else l / Fraction(x) * a - b)
 
     return f
 
 
 def xi_prime(l: int, d: int, r: float) -> float:
-    return r ** (0.5 * (2 - d)) * pair_target("G", l, 2 * l + d - 2)(r)
+    a, b = ladder_pair(2 * l + d - 2, r)
+    return r ** (0.5 * (2 - d)) * float(l / Fraction(r) * a - b)
 
 
 def test_xi_l0_d3_zero_at_pi():
@@ -232,28 +239,29 @@ def test_log_gamma_range():
 
 TWIN_ORDERS = (0, 1, 2, 7, 40, 101, 160, 202, 238)
 TWIN_XS = (0.5, 1.7, 6.0, 23.0, 61.0, 118.0, 163.0, 200.0)
-# census zeros (tag, l, twice_nu, m) spread over the box, on both routes
-TWIN_ZEROS = [("J", 0, 0, 1), ("J", 0, 0, 63), ("J", 0, 1, 3), ("J", 0, 7, 4),
-              ("J", 0, 202, 1), ("J", 0, 238, 2), ("G", 0, 1, 2),
-              ("G", 3, 7, 1), ("G", 3, 7, 60), ("G", 40, 82, 1),
-              ("G", 119, 238, 1)]
+# census zeros (l, twice_nu, m) spread over the box, on both routes; (0,
+# 3, 1) is also the second Neumann l = 0 zero at d = 3
+TWIN_ZEROS = [(0, 0, 1), (0, 0, 63), (0, 1, 3), (0, 7, 4), (0, 202, 1),
+              (0, 238, 2), (0, 3, 1), (3, 7, 1), (3, 7, 60), (40, 82, 1),
+              (119, 238, 1)]
 
 
-def oracle_target(tag: str, l: int, twice_nu: int, x) -> mp.mpf:
-    """The census target J_nu (tag "J") or g = (l/x) J_nu - J_{nu+1}."""
+def oracle_target(l: int, twice_nu: int, x) -> mp.mpf:
+    """The target of the census key (l, twice_nu): J_nu at l = 0, else
+    g = (l/x) J_nu - J_{nu+1}."""
     with mp.workdps(40):
         ja = oracle.oracle_J(twice_nu, x, dps=40)
-        if tag == "J":
+        if l == 0:
             return ja
         return (l / mp.mpf(x)) * ja - oracle.oracle_J(twice_nu + 2, x, dps=40)
 
 
-def near_zero_points(tag: str, l: int, twice_nu: int, m: int):
+def near_zero_points(l: int, twice_nu: int, m: int):
     """The oracle zero as a float and the floats 1e-12 relative either side
     of it; the census zero only seeds mpmath's secant solver."""
-    seed = zeros._census_zero(tag, l, twice_nu, m)
+    seed = zeros._census_zero(l, twice_nu, m)
     with mp.workdps(40):
-        z = float(mp.findroot(lambda t: oracle_target(tag, l, twice_nu, t),
+        z = float(mp.findroot(lambda t: oracle_target(l, twice_nu, t),
                               mp.mpf(seed)))
     assert abs(z - seed) <= 1e-13 * z
     return [z * (1.0 - 1e-12), z, z * (1.0 + 1e-12)]
@@ -262,8 +270,8 @@ def near_zero_points(tag: str, l: int, twice_nu: int, m: int):
 def twin_points():
     """(twice_nu, x) of the grid plus the near-zero points."""
     pts = [(tn, x) for tn in TWIN_ORDERS for x in TWIN_XS]
-    for tag, l, tn, m in TWIN_ZEROS:
-        pts += [(tn, x) for x in near_zero_points(tag, l, tn, m)]
+    for l, tn, m in TWIN_ZEROS:
+        pts += [(tn, x) for x in near_zero_points(l, tn, m)]
     return pts
 
 
@@ -326,10 +334,10 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
             # g = (l/x) a - b, its bound grown by its three roundings
             q = (tn // 2 + 1) / x
             g_err = (q + 1.0) * shared[2] + (abs(q * a) + abs(b)) * 2.0**-51
-            for tag, l, v, err in (("J", 0, a, shared[2]),
-                                   ("G", tn // 2 + 1, q * a - b, g_err)):
-                assert (zeros._sign(tag, l, tn)(x)
-                        == (v if abs(v) > err else 0.0)), (tn, x, tag)
+            for l, v, err in ((0, a, shared[2]),
+                              (tn // 2 + 1, q * a - b, g_err)):
+                assert (zeros._sign(l, tn)(x)
+                        == (v if abs(v) > err else 0.0)), (tn, x, l)
 
 
 @pytest.mark.parametrize("x", TWIN_XS)

@@ -358,8 +358,10 @@ class TestTopLevel:
          ("d=240", "lmax=2"), "twice_nu"),
         ("courant --d 230 --bc dirichlet --lmax 2 --mmax 4",
          ("d=230", "lmax=2", "mmax=4"), None),
-        ("spectrum --d 241 --bc neumann --lambda-max 10",
-         ("lambda_max=10.0 ",), "10.000000000999998"),
+        # the first refused cutoff at d = 241: below it only the Neumann
+        # ground state lies, which needs no census
+        ("spectrum --d 241 --bc neumann --lambda-max 240",
+         ("lambda_max=240.0 ",), "240.00000000100002"),
         ("pleijel --gamma 241", ("gamma(241)",), "d_max"),
         # zero-census errors name the caller's (l, d, m), not the census key
         ("courant --d 2 --bc dirichlet --lmax 3 --mmax 70",
@@ -389,7 +391,8 @@ class TestTopLevel:
 
 
 # integer flags that set a Bessel order: a value past the float range must
-# fail (or, for a Dirichlet spectrum, print an empty table) as 1000 does
+# fail (or, for a spectrum, print the table of the eigenvalues below the
+# cutoff: none for Dirichlet, the ground state for Neumann) as 1000 does
 ORDER_FLAG_ARGV = [
     "zeros --l {} --d 2 --bc dirichlet --count 1",
     "zeros --l 0 --d {} --bc dirichlet --count 1",
@@ -406,10 +409,15 @@ ORDER_FLAG_ARGV = [
 @pytest.mark.parametrize("argv", ORDER_FLAG_ARGV)
 def test_order_flags_past_the_float_range(capsys, argv, value):
     code, out, err = run_cli(capsys, *argv.format(value).split())
-    if argv.startswith("spectrum") and "dirichlet" in argv:
-        # no degree's first zero lies below the cutoff
+    if argv.startswith("spectrum"):
+        # no degree's first positive zero lies below the cutoff
         assert code == 0 and err == ""
-        assert json.loads(out)["records"] == []
+        records = json.loads(out)["records"]
+        if "dirichlet" in argv:
+            assert records == []
+        else:
+            assert [(r["l"], r["m"], r["zero"], r["label_first"])
+                    for r in records] == [(0, 1, 0.0, 1)]
     else:
         assert code == 1 and out == ""
         assert err.startswith("usage error: "), err

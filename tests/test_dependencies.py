@@ -125,6 +125,19 @@ def test_zero_finder_names_no_part_of_the_census_ladder():
                                                             text))
 
 
+def test_census_key_carries_no_target_tag():
+    # a census key is (l, twice_nu): l = 0 is the J_nu target and l >= 1
+    # is g, so no zeros function takes a tag and no "J" or "G" literal
+    # picks a target
+    tree = dict(_parsed())["zeros.py"]
+    takes_tag = [fn.name for fn in _functions(tree)
+                 if "tag" in {a.arg for a in ast.walk(fn.args)
+                              if isinstance(a, ast.arg)}]
+    literals = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and node.value in ("J", "G")]
+    assert takes_tag == [] and literals == []
+
+
 def _functions(tree: ast.AST):
     return [node for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]

@@ -369,6 +369,35 @@ class TestEnumerationValidation:
         with pytest.raises(RangeError):
             enumerate_spectrum(2, D, 40000.0)
 
+    @pytest.mark.parametrize("d,inside,limit", [
+        (241, 239, 240), (300, 298, 299), (1000, 998, 999), (240, 238, 239),
+        (238, 475, 476), (2, 14399, 14400)])
+    def test_neumann_limit_by_integer_bisection(self, d, inside, limit):
+        # bisection on the integer cutoff between 0 and past LAMBDA_MAX
+        # finds the largest lambda_max that enumerates and the first one
+        # refused. Past the order cap (d >= 241) the Neumann l = 0 census
+        # runs only where J_{nu+1}'s first zero may lie below the cutoff, so
+        # the ground state alone enumerates until the first zero of l = 1,
+        # past sqrt(d - 1), needs an order past the box
+        def enumerates(lam):
+            try:
+                enumerate_spectrum(d, N, lam)
+            except RangeError:
+                return False
+            return True
+
+        lo, hi = 0, int(spectrum.LAMBDA_MAX) + 1
+        assert enumerates(lo) and not enumerates(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if enumerates(mid) else (lo, mid)
+        assert (lo, hi) == (inside, limit)
+        if d > 240:
+            records = enumerate_spectrum(d, N, inside).records
+            assert [(r.l, r.m, r.zero) for r in records] == [(0, 1, 0.0)]
+            with pytest.raises(RangeError, match=r"\(degree l=1\) needs"):
+                enumerate_spectrum(d, N, limit)
+
     @pytest.mark.parametrize("d,inside,limit", [(2, 14399, 14400),
                                                 (30, 14203, 14204),
                                                 (100, 11998, 11999)])
@@ -384,7 +413,7 @@ class TestEnumerationValidation:
         tops = [rec.zero for rec in table.records if rec.l == top]
         assert top > 60 and tops
         for z in tops:
-            assert_nearest_float("G", top, 2 * top + d - 2, z)
+            assert_nearest_float(top, 2 * top + d - 2, z)
         with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
                            r"\(degree l=\d+\) needs Bessel order 121"):
             enumerate_spectrum(d, N, limit)

@@ -41,6 +41,15 @@ def _cold() -> None:
     bessel._LADDERS.clear()
 
 
+def census_key(tag: str, l: int, twice_nu: int) -> tuple[int, int]:
+    """The census key (l, twice_nu) of a test row: ("J", 0, twice_nu) is
+    J_nu's; ("G", l, twice_nu) is the Neumann target of degree l at that
+    order, whose l = 0 key is J's at twice_nu + 2 (zeros._key)."""
+    if tag == "J":
+        return 0, twice_nu
+    return (0, twice_nu + 2) if l == 0 else (l, twice_nu)
+
+
 def next_point(parity: int, x: float) -> float:
     """The first point of the parity's census grid past x."""
     grid = zeros._GRID[parity]
@@ -151,10 +160,12 @@ def _courant_rows(d: int) -> list:
     (lambda: pleijel.monotonicity_certificate(240), RangeError),
     (lambda: _courant_rows(238), [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]),
     (lambda: _courant_rows(239), RangeError),
+    # past the cap a Neumann cutoff below the first positive zero of every
+    # degree holds the ground state alone, which needs no census
     (lambda: [(r.l, r.m, r.zero) for r in
-              spectrum.enumerate_spectrum(240, "neumann", 0.0).records],
+              spectrum.enumerate_spectrum(241, "neumann", 239.0).records],
      [(0, 1, 0.0)]),
-    (lambda: spectrum.enumerate_spectrum(241, "neumann", 0.0), RangeError),
+    (lambda: spectrum.enumerate_spectrum(241, "neumann", 240.0), RangeError),
     (lambda: spectrum.enumerate_spectrum(241, "dirichlet", 10.0).records, ()),
     (lambda: zeros.neumann_zero(0, 500, 1), 0.0),  # r = 0 needs no census
     (lambda: zeros.neumann_zero(0, 500, 2), RangeError),
@@ -164,9 +175,10 @@ def _courant_rows(d: int) -> list:
     (lambda: zeros.dirichlet_zero(0, 241, 1), RangeError),
     (lambda: zeros.neumann_zero(1, 238, 1), 15.45989431346645),
     (lambda: zeros.neumann_zero(1, 239, 1), RangeError),
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 240, 10.0),
+    # Watson's bound on j_{121.5,1} is 121.4959: no census below it
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 121.49),
      [0.0]),
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 10.0),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 121.5),
      RangeError),
 ])
 def test_order_box_edges(call, want):
@@ -271,8 +283,9 @@ class TestOracleSpots:
         want = float(oracle.oracle_neumann_zero(3, 4, 2, dps=30))
         assert rel_err(zeros.neumann_zero(3, 4, 2), want) <= 1e-12
 
-    # census keys (tag, l, twice_nu, m) of the frozen tables and the spots
-    # above; m counts positive zeros, so NEUMANN_ZEROS_D3's (0, 2) is m = 1
+    # rows (tag, l, twice_nu, m) of the frozen tables and the spots above,
+    # each read through its census_key; m counts positive zeros, so
+    # NEUMANN_ZEROS_D3's (0, 2) is m = 1
     GRID = sorted(
         [("J", 0, tn, m) for tn, m in _frozen.BESSEL_ZEROS]
         + [("G", tn // 2, tn, m) for tn, m in _frozen.BESSEL_DERIV_ZEROS]
@@ -283,27 +296,29 @@ class TestOracleSpots:
 
     @pytest.mark.parametrize("tag,l,twice_nu,m", GRID)
     def test_zeros_are_the_nearest_floats(self, tag, l, twice_nu, m):
-        z = zeros._census_zero(tag, l, twice_nu, m)
-        assert_nearest_float(tag, l, twice_nu, z)
+        key = census_key(tag, l, twice_nu)
+        assert_nearest_float(*key, zeros._census_zero(*key, m))
 
 
-def assert_nearest_float(tag: str, l: int, twice_nu: int, z: float) -> None:
-    """The oracle's target changes sign between the midpoints from z to its
-    two neighbouring floats, so z is the float nearest the zero."""
+def assert_nearest_float(l: int, twice_nu: int, z: float) -> None:
+    """The oracle's target of the census key (l, twice_nu) changes sign
+    between the midpoints from z to its two neighbouring floats, so z is
+    the float nearest the zero."""
     def f(x):
         ja, jb = oracle.oracle_J_pair(twice_nu, x, dps=40)
-        return ja if tag == "J" else (l / x) * ja - jb
+        return ja if l == 0 else (l / x) * ja - jb
 
     with oracle.mp.workdps(40):
         mids = [(oracle.mp.mpf(z) + oracle.mp.mpf(math.nextafter(z, to))) / 2
                 for to in (0.0, math.inf)]
-        assert f(mids[0]) * f(mids[1]) < 0, (tag, l, twice_nu, z)
+        assert f(mids[0]) * f(mids[1]) < 0, (l, twice_nu, z)
 
 
 # ---------------------------------------------------------------------------
 # the multiplication series: f and df against the oracle across the box
 
-# (tag, l, twice_nu, points): small x at the low points, large x above; G at
+# (tag, l, twice_nu, points), each read through its census_key: small x at
+# the low points, large x above; G at
 # l = 1 for d = 120 and d = 238, deep below the turning point, and the first
 # Neumann zero at d = 5, l = 26, near sqrt(l (l + d - 2)) where |g'| is small
 # (the zeros themselves where a point carries all its digits)
@@ -318,13 +333,13 @@ TARGET_POINTS = [
 ]
 
 
-def cell_series(tag: str, l: int, twice_nu: int, x: float):
-    """bessel._grid_series's pair, and its value at all four midpoints
-    around a float, from the shared ladder at the upper end of the grid
-    cell around x, as zeros._refine reads them."""
+def cell_series(l: int, twice_nu: int, x: float):
+    """bessel._grid_series's pair, and its value of the census key (l,
+    twice_nu) at all four midpoints around a float, from the shared ladder
+    at the upper end of the grid cell around x, as zeros._refine reads
+    them."""
     pair, value = bessel._grid_series(twice_nu, next_point(twice_nu % 2, x))
-    return pair, lambda z: [*map(value(z, None if tag == "J" else l),
-                                 range(4))]
+    return pair, lambda z: [*map(value(z, l), range(4))]
 
 
 def midpoints(z: float) -> list:
@@ -348,12 +363,13 @@ def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
     # within its stated bound of the oracle: a few 1e-24 of the pair, plus
     # the value's own rounding to a float
     monkeypatch.setattr(bessel, "_LADDERS", {})
-    pair, value = cell_series(tag, l, twice_nu, x)
-    f, df, _ = zeros._jet(tag, l, 0.5 * twice_nu, x, *pair(x))
+    l, twice_nu = census_key(tag, l, twice_nu)
+    pair, value = cell_series(l, twice_nu, x)
+    f, df, _ = zeros._jet(l, 0.5 * twice_nu, x, *pair(x))
     with mp.workdps(40):
         ja, pa, jb, pb = (mp.besselj(mp.mpf(tn) / 2, x, derivative=k)
                           for tn in (twice_nu, twice_nu + 2) for k in (0, 1))
-        if tag == "J":
+        if l == 0:
             terms = (ja, pa)
             want_f, want_df = ja, pa
         else:
@@ -365,7 +381,7 @@ def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
         assert abs(f - want_f) <= 1e-13 * scale, (f, want_f)
         assert abs(df - want_df) <= 1e-13 * scale, (df, want_df)
         for mid, (v, err) in zip(midpoints(x), value(x), strict=True):
-            miss = abs(mp.mpf(v) - oracle_target(tag, l, twice_nu, mid))
+            miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
             assert miss <= err, (mid, v, float(miss), err)
             assert err <= 1e-22 * scale + 1e-13 * abs(v), (err, v)
 
@@ -380,8 +396,9 @@ def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
     # d = 238 below the turning point) the fixed-point value from it must
     # still lie within its bound of the truth at the midpoints around it
     monkeypatch.setattr(bessel, "_LADDERS", {})
+    l, twice_nu = census_key(tag, l, twice_nu)
     n, parity = divmod(twice_nu, 2)
-    z = zeros._census_zero(tag, l, twice_nu, 1)
+    z = zeros._census_zero(l, twice_nu, 1)
     x0 = next_point(parity, z)
     ys, num, den, unit = bessel._grid_ladder(parity, x0, n)
     w = (z * z - x0 * x0) / (2.0 * x0)
@@ -390,7 +407,7 @@ def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
     with mp.workdps(150):
         skewed = list(ys)
         for k in range(bessel._SPAN + 2):  # J_{nu+k}(x0)'s weight in f
-            weight = c[k] if tag == "J" else l / z * c[k] - z / x0 * (
+            weight = c[k] if l == 0 else l / z * c[k] - z / x0 * (
                 c[k - 1] if k else 0.0)
             a, b = (ys[i] * num / den for i in (n + k, n + k + 1))
             step = 0.95 * bessel._bound(a, b, x0, twice_nu + 2 * k, unit)
@@ -398,10 +415,9 @@ def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
             skewed[n + k] = int(mp.nint(
                 (truth + math.copysign(step, weight)) * den / num))
         _, value = bessel._multiply((skewed, num, den, unit), x0, twice_nu)
-        for mid, (v, err) in zip(midpoints(z),
-                                 map(value(z, None if tag == "J" else l),
-                                     range(4)), strict=True):
-            miss = abs(mp.mpf(v) - oracle_target(tag, l, twice_nu, mid))
+        for mid, (v, err) in zip(midpoints(z), map(value(z, l), range(4)),
+                                 strict=True):
+            miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
             assert miss <= err, (mid, v, float(miss), err)
             worst = max(worst, float(miss / err))
     assert worst > 0.05  # the skew fills a good part of the bound
@@ -415,15 +431,14 @@ def test_series_cut_short_keeps_its_tail_in_its_bound(monkeypatch):
     monkeypatch.setattr(bessel, "_LADDERS", {})
     worst = 0.0
     for tag, l, twice_nu, points in TARGET_POINTS:
+        l, twice_nu = census_key(tag, l, twice_nu)
         for x in points:
-            _, value = cell_series(tag, l, twice_nu, x)
+            _, value = cell_series(l, twice_nu, x)
             with mp.workdps(40):
                 for mid, (v, err) in zip(midpoints(x), value(x),
                                          strict=True):
-                    miss = abs(mp.mpf(v) - oracle_target(tag, l, twice_nu,
-                                                         mid))
-                    assert miss <= err, (tag, l, twice_nu, mid, float(miss),
-                                         err)
+                    miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
+                    assert miss <= err, (l, twice_nu, mid, float(miss), err)
                     worst = max(worst, float(miss / err))
     assert worst > 1e-3
 
@@ -455,13 +470,12 @@ def test_series_reads_a_ladder_sized_past_the_box():
     _, value = bessel._multiply(bessel._ladder(0, x0, 231), x0, twice_nu)
     z = zeros.neumann_zero(1, 84, 1)
     assert x0 - zeros.DEFAULT_STEP < z < x0
-    for tag, l in (("J", None), ("G", 1)):
+    for l in (0, 1):
         got = [*map(value(z, l), range(4))]
         with mp.workdps(40):
             for mid, (v, err) in zip(midpoints(z), got, strict=True):
-                miss = abs(mp.mpf(v) - oracle_target(tag, l or 0, twice_nu,
-                                                     mid))
-                assert miss <= err, (tag, mid, v, float(miss), err)
+                miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
+                assert miss <= err, (l, mid, v, float(miss), err)
     (v0, e0), (v1, e1) = got[1:3]
     assert abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
 
@@ -480,13 +494,13 @@ def test_zero_near_a_midpoint_certifies_past_the_order_cap(
     # the values around the zero still lie within their bounds of the
     # oracle
     monkeypatch.setattr(bessel, "_LADDERS", {})
-    z = zeros._refine("G", l, twice_nu, lo, hi, 1)
+    z = zeros._refine(l, twice_nu, lo, hi, 1)
     assert z == want
-    assert_nearest_float("G", l, twice_nu, z)
-    _, value = cell_series("G", l, twice_nu, z)
+    assert_nearest_float(l, twice_nu, z)
+    _, value = cell_series(l, twice_nu, z)
     with mp.workdps(40):
         for mid, (v, err) in zip(midpoints(z), value(z), strict=True):
-            miss = abs(mp.mpf(v) - oracle_target("G", l, twice_nu, mid))
+            miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
             assert miss <= err, (mid, v, float(miss), err)
 
 
@@ -540,38 +554,58 @@ def _ladders(monkeypatch) -> tuple[list, _CountedLadders]:
 
 
 def test_certified_signs_match_oracle(monkeypatch):
-    # grid and near-zero points of test_bessel; J and g at every order: a
-    # sign the ladder's bound clears is the oracle's, and one it cannot
-    # clear is 0.0 (for g near its zeros, where the float operations' own
-    # rounding covers the value)
+    # grid and near-zero points of test_bessel; J_nu, J_{nu+1} (the key of
+    # Neumann l = 0 at the order) and g at every order: a sign the ladder's
+    # bound clears is the oracle's, and one it cannot clear is 0.0 (for g
+    # near its zeros, where the float operations' own rounding covers the
+    # value)
     certified = uncleared = 0
     for tn, x in twin_points():
         monkeypatch.setattr(bessel, "_LADDERS", {})  # a ladder for the order
-        for tag, l in (("J", 0), ("G", 0), ("G", tn // 2)):
-            v = zeros._sign(tag, l, tn)(x)
+        for l, key_tn in ((0, tn), (0, tn + 2), (tn // 2, tn)):
+            v = zeros._sign(l, key_tn)(x)
             if v == 0.0:
                 uncleared += 1
                 continue
             certified += 1
-            want = oracle_target(tag, l, tn, x)
-            assert want != 0 and (v > 0.0) == (want > 0), (tag, l, tn, x)
+            want = oracle_target(l, key_tn, x)
+            assert want != 0 and (v > 0.0) == (want > 0), (l, key_tn, x)
     assert certified > 300 and uncleared < certified / 100
 
 
 def test_sign_target_falls_back_on_a_zero(monkeypatch):
     # a grid sign the ladder cannot clear is 0.0, and the census widens its
     # cell to the next grid point: the widened cell holds the same zero
-    lo, hi, sign_lo = zeros._census_bracket("J", 0, 0, 2)
-    want = zeros._census_zero("J", 0, 0, 2)
+    lo, hi, sign_lo = zeros._census_bracket(0, 0, 2)
+    want = zeros._census_zero(0, 0, 2)
     real = bessel._bound
     monkeypatch.setattr(bessel, "_bound", lambda a, b, x, tn, unit: (
         math.inf if x == hi else real(a, b, x, tn, unit)))
     _cold()
-    assert zeros._sign("J", 0, 0)(hi) == 0.0
-    wide = zeros._census_bracket("J", 0, 0, 2)
+    assert zeros._sign(0, 0)(hi) == 0.0
+    wide = zeros._census_bracket(0, 0, 2)
     assert wide == (lo, next_point(0, hi), sign_lo)
-    assert zeros._census_zero("J", 0, 0, 2) == want
+    assert zeros._census_zero(0, 0, 2) == want
     monkeypatch.undo()
+    _cold()
+
+
+def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key():
+    # d/dr of the degree-0 profile is -r^(1-d/2) J_{d/2} (DLMF 10.6.6), so
+    # past the ground state the Neumann l = 0 zeros are the census zeros of
+    # J_{d/2}, the key of Dirichlet l = 1, which reads them from the cache;
+    # d = 239 and 240, whose Dirichlet l = 1 order is past the cap, are
+    # still served, as the cap reads the request's order
+    _cold()
+    for d in range(2, 241):
+        assert zeros._key(BoundaryCondition.NEUMANN, 0, d) == ((0, d), 1)
+        for m in range(1, 4):
+            z = zeros.neumann_zero(0, d, m + 1)
+            assert z == zeros._census_zero(0, d, m), (d, m)
+            if d <= 238:
+                misses = zeros._census_zero.cache_info().misses
+                assert zeros.dirichlet_zero(1, d, m) == z, (d, m)
+                assert zeros._census_zero.cache_info().misses == misses
     _cold()
 
 
@@ -587,10 +621,13 @@ def test_order_cap_message_is_exact():
 
 
 def test_first_zero_lower_past_the_float_range():
+    # no census can reach the box, so no order is checked, and only the
+    # Neumann ground state lies in it
     for bc in BoundaryCondition:
-        assert zeros._first_zero_lower(bc, 1, 10**400) == math.inf
-        assert zeros._first_zero_lower(bc, 10**400, 2) == math.inf
-    assert zeros._first_zero_lower(BoundaryCondition.NEUMANN, 0, 10**400) == 0
+        for l, d in ((1, 10**400), (10**400, 2), (0, 10**400)):
+            assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == math.inf
+            assert zeros._may_hold(bc, l, d, zeros.X_MAX, "w") == (
+                bc is BoundaryCondition.NEUMANN and l == 0)
 
 
 def _qu_wong(twice_nu: int) -> float:
@@ -600,88 +637,86 @@ def _qu_wong(twice_nu: int) -> float:
     return nu + 1.855757 * nu ** (1.0 / 3.0)
 
 
-def _scan_bound(tag: str, l: int, twice_nu: int) -> float:
-    """The bound the scan starts below, shrunk a hair: the first zero's
-    lower bound, for J and G at l = 0 (-J_{nu+1}) at least Qu and Wong's."""
-    lower = zeros._first_zero_bounds(tag, l, twice_nu)[0]
-    if tag == "J" or l == 0:
-        lower = max(lower, _qu_wong(twice_nu + 2 * (tag == "G")))
+def _scan_bound(l: int, twice_nu: int) -> float:
+    """The bound the scan of the census key starts below, shrunk a hair:
+    the first zero's lower bound, for J_nu (l = 0) at least Qu and
+    Wong's."""
+    lower = zeros._first_zero_bounds(l, twice_nu)[0]
+    if l == 0:
+        lower = max(lower, _qu_wong(twice_nu))
     return lower * (1.0 - 1e-9)
 
 
 def test_first_zero_bounds_bracket_the_first_zero():
     # the one home of the first-zero bounds brackets the census's first
     # positive zero at every J order of the box, and at every Neumann
-    # degree of the ledger's d; spectrum's degree loop reads its lower bound
-    # shrunk a hair, bit for bit, and the scan starts at the last grid
-    # point at or below the scan's bound, x_0 = 0 at two keys only. The
-    # smallest relative slacks show that no bound is vacuous: a looser one
-    # fails here
+    # degree l >= 1 of the ledger's d; spectrum's degree loop reads its
+    # lower bound shrunk a hair, bit for bit (the Neumann l = 0 census key
+    # is J's two orders up, after the ground state), and the scan
+    # starts at the last grid point at or below the scan's bound, x_0 = 0
+    # at two keys only. The smallest relative slacks show that no bound is
+    # vacuous: a looser one fails here
     slack = {"J": [], "G": []}  # (lower, upper) relative slacks
     zero_starts = []  # keys whose bound lies below the first positive point
-    keys = [("J", 0, tn) for tn in range(239)]
-    keys += [("G", l, 2 * l + d - 2) for d in (2, 3, 5, 30, 120, 238)
-             for l in range((240 - d) // 2 + 1)]
-    for tag, l, tn in keys:
-        lower, upper = zeros._first_zero_bounds(tag, l, tn)
-        if tag == "J":
-            z = zeros.bessel_zero(Order(tn), 1)
-        else:  # Neumann l = 0 counts the conventional zero at r = 0 first
-            z = zeros.neumann_zero(l, tn - 2 * l + 2, 2 if l == 0 else 1)
-        assert lower < z < upper, (tag, l, tn, lower, z, upper)
-        hair = lower * (1.0 - 1e-9)
+    keys = [(0, tn) for tn in range(239)]
+    keys += [(l, 2 * l + d - 2) for d in (2, 3, 5, 30, 120, 238)
+             for l in range(1, (240 - d) // 2 + 1)]
+    for l, tn in keys:
+        lower, upper = zeros._first_zero_bounds(l, tn)
         d = tn - 2 * l + 2
-        assert zeros._first_zero_lower("Neumann" if tag == "G" else
-                                       "Dirichlet", l, d) == (
-            0.0 if tag == "G" and l == 0 else hair)
-        start, sign = zeros._scan_start(tag, l, tn)
-        assert sign == (-1 if tag == "G" and l == 0 else 1)
+        z = (zeros.bessel_zero(Order(tn), 1) if l == 0
+             else zeros.neumann_zero(l, d, 1))
+        assert lower < z < upper, (l, tn, lower, z, upper)
+        hair = lower * (1.0 - 1e-9)
+        bc = BoundaryCondition.NEUMANN if l else BoundaryCondition.DIRICHLET
+        assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == hair
+        if l == 0 and tn >= 2:  # Neumann l = 0 at d = tn has this key
+            assert zeros._key(BoundaryCondition.NEUMANN, 0, tn) == ((0, tn),
+                                                                   1)
+        start = zeros._scan_start(l, tn)
         half = 0.5 * (tn % 2)
         k = round(start / zeros.DEFAULT_STEP - half)
-        assert start == (k + half) * zeros.DEFAULT_STEP, (tag, l, tn, start)
-        assert start <= _scan_bound(tag, l, tn) < (
+        assert start == (k + half) * zeros.DEFAULT_STEP, (l, tn, start)
+        assert start <= _scan_bound(l, tn) < (
             k + 1 + half) * zeros.DEFAULT_STEP
         if start == 0.0:
-            zero_starts.append((tag, l, tn))
-        # G at l = 0 is -J_{nu+1}, so its bounds are J's
+            zero_starts.append((l, tn))
         slack["G" if l else "J"].append((1.0 - lower / z, upper / z - 1.0))
-    assert zero_starts == [("J", 0, 0), ("G", 1, 2)]
+    assert zero_starts == [(0, 0), (1, 2)]
     for group, want in (("J", [0.0650, 0.00390]), ("G", [0.00421, 0.0688])):
         got = [min(s) for s in zip(*slack[group])]
         assert got == pytest.approx(want, rel=1e-2), group
 
 
 def test_scan_start_is_the_last_table_point_below_the_bound():
-    # at every census key of the box, 239 J orders and the Neumann keys
-    # of every d >= 2, the scan starts at the last point of the parity's
-    # _GRID at or below the scan's bound (_scan_bound)
-    keys = [("J", 0, tn) for tn in range(239)] + [
-        ("G", l, tn) for tn in range(239) for l in range(tn // 2 + 1)]
-    assert len(keys) == 14639
-    for tag, l, tn in keys:
-        hair = _scan_bound(tag, l, tn)
+    # at every census key of the box, 241 J orders (the Neumann l = 0 keys
+    # reach twice_nu = 240) and the Neumann keys l >= 1 of every d >= 2,
+    # the scan starts at the last point of the parity's _GRID at or below
+    # the scan's bound (_scan_bound)
+    keys = [(0, tn) for tn in range(241)] + [
+        (l, tn) for tn in range(239) for l in range(1, tn // 2 + 1)]
+    assert len(keys) == 14402
+    for l, tn in keys:
+        hair = _scan_bound(l, tn)
         start = max(x for x in zeros._GRID[tn % 2] if x <= hair)
-        assert zeros._scan_start(tag, l, tn)[0] == start, (tag, l, tn)
+        assert zeros._scan_start(l, tn) == start, (l, tn)
 
 
 def test_qu_wong_bound_lies_below_every_first_zero():
     # the constant is |a_1| 2^(-1/3) rounded down, and the bound lies below
-    # j_{nu,1} at every twice_nu = 1..240 (J keys, then G at l = 0, which is
-    # -J_{nu+1}, past the J keys' cap): the census's first zero, which lies
-    # in the first sign-change cell of a walk from Watson's start, so a
-    # bound past j_{nu,1} cannot hide it. The smallest slack shows that the
-    # bound is not vacuous
+    # j_{nu,1} at every twice_nu = 1..240 (the J keys, which the Neumann
+    # l = 0 requests extend past the Dirichlet cap): the census's first
+    # zero, which lies in the first sign-change cell of a walk from
+    # Watson's start, so a bound past j_{nu,1} cannot hide it. The smallest
+    # slack shows that the bound is not vacuous
     assert 1.855757 < -mp.airyaizero(1) / mp.cbrt(2) < 1.855758
     slack = []
     for tn in range(1, 241):
-        key = ("J", 0, tn) if tn <= 238 else ("G", 0, tn - 2)
-        z = zeros._census_zero(*key, 1)
-        sign = -1 if key[0] == "G" else 1
-        watson = zeros._first_zero_bounds(*key)[0] * (1.0 - 1e-9)
-        grid = zeros._GRID[key[2] % 2]
+        z = zeros._census_zero(0, tn, 1)
+        watson = zeros._first_zero_bounds(0, tn)[0] * (1.0 - 1e-9)
+        grid = zeros._GRID[tn % 2]
         start = grid[bisect_right(grid, watson) - 1]
-        lo, hi, _ = zeros._first_cell(zeros._sign(*key), key[2] % 2, start,
-                                      sign)
+        lo, hi, _ = zeros._first_cell(zeros._sign(0, tn), tn % 2, start, 1)
         assert lo < z < hi, (tn, lo, z, hi)
         assert _qu_wong(tn) < z, (tn, z)
         slack.append((z / _qu_wong(tn) - 1.0, tn))
@@ -705,21 +740,20 @@ def test_sturm_start_is_never_below_the_rayleigh_start():
     # at every Neumann key of the box with l >= 1 the scan starts at the
     # Sturm bound sqrt(l(l+d-2)): never at a grid point below the start of
     # the Rayleigh bound, and past it at most keys; spectrum's degree loop
-    # stops at the first degree whose lower bound clears the cutoff, so
-    # that bound must not decrease in l, in any d
+    # stops at the first degree past 0 whose lower bound clears the
+    # cutoff, so past degree 0 that bound must not decrease in l, in any d
     keys = [(l, tn) for tn in range(239) for l in range(1, tn // 2 + 1)]
     assert len(keys) == 14161
     later = 0
     for l, tn in keys:
-        start, rayleigh = zeros._scan_start("G", l, tn)[0], _rayleigh_start(
-            l, tn)
+        start, rayleigh = zeros._scan_start(l, tn), _rayleigh_start(l, tn)
         assert start >= rayleigh, (l, tn, start, rayleigh)
         later += start > rayleigh
     assert later == 13328
     for d in range(2, 239):
         for bc in BoundaryCondition:
-            lows = [zeros._first_zero_lower(bc, l, d)
-                    for l in range((242 - d) // 2 + 1)]
+            lows = [zeros._first_zero_lower(zeros._key(bc, l, d)[0])
+                    for l in range(1, (242 - d) // 2 + 1)]
             assert lows == sorted(lows), (bc, d)
 
 
@@ -762,12 +796,12 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
 # bracket scans: the census grid walked on eval_J_pair's target
 
 
-def dd_cells(tag: str, l: int, twice_nu: int):
-    """Sign-change cells (lo, hi) of eval_J_pair's target (pair_target) on
-    the order's grid, in order, from the scan start: x_k = (k + parity/2)
-    pi/2 with X_MAX the last point."""
-    start, sign = zeros._scan_start(tag, l, twice_nu)
-    f = pair_target(tag, l, twice_nu)
+def dd_cells(l: int, twice_nu: int):
+    """Sign-change cells (lo, hi) of the census key's target (pair_target)
+    on the order's grid, in order, from the scan start, where it is
+    positive: x_k = (k + parity/2) pi/2 with X_MAX the last point."""
+    start, sign = zeros._scan_start(l, twice_nu), 1
+    f = pair_target(l, twice_nu)
     half = 0.5 * (twice_nu % 2)
     lo, k = start, 0
     while lo < zeros.X_MAX:
@@ -786,10 +820,10 @@ def dd_cells(tag: str, l: int, twice_nu: int):
 def scan(bc: BoundaryCondition, l: int, d: int,
          x_max: float) -> list[tuple[float, float]]:
     """The cells of dd_cells whose zero lies in (0, x_max]."""
-    tag, l_key, twice_nu = zeros._key(bc, l, d)
-    f = pair_target(tag, l_key, twice_nu)
+    key, _ = zeros._key(bc, l, d)
+    f = pair_target(*key)
     out = []
-    for lo, hi in dd_cells(tag, l_key, twice_nu):
+    for lo, hi in dd_cells(*key):
         if lo >= x_max:
             break
         if hi > x_max and f(x_max) * f(hi) < 0.0:
@@ -798,9 +832,10 @@ def scan(bc: BoundaryCondition, l: int, d: int,
     return out
 
 
-# census keys (tag, l, twice_nu): J at d=2 l=0, G at d=3 l=0 and l=3, J on
-# the Miller route, G at d=4 l=40, whose scan starts below the turning
-# point, and J_{1/2}, whose zeros are exactly m pi
+# rows (tag, l, twice_nu), each read through its census_key: J at d=2 l=0,
+# G at d=3 l=0 (J_{3/2}) and l=3, J on the Miller route, G at d=4 l=40,
+# whose scan starts below the turning point, and J_{1/2}, whose zeros are
+# exactly m pi
 BRACKET_KEYS = [("J", 0, 0), ("G", 0, 1), ("G", 3, 7), ("J", 0, 202),
                 ("G", 40, 82), ("J", 0, 1)]
 
@@ -810,9 +845,10 @@ def test_census_brackets_equal_the_double_double_walk(tag, l, twice_nu):
     # the census reads signs from the shared integer ladders where their
     # bound clears them; its cells must be exactly those of a walk over the
     # same grid on eval_J_pair's target
-    want = list(itertools.islice(dd_cells(tag, l, twice_nu), 5))
+    key = census_key(tag, l, twice_nu)
+    want = list(itertools.islice(dd_cells(*key), 5))
     _cold()
-    got = [zeros._census_bracket(tag, l, twice_nu, m)[:2] for m in range(1, 6)]
+    got = [zeros._census_bracket(*key, m)[:2] for m in range(1, 6)]
     assert got == want
 
 
@@ -911,8 +947,8 @@ class TestCensus:
             zeros.dirichlet_zero(0, 2, 10_000)
         assert zeros._census_bracket.cache_info().currsize == 1
         # the last cells of the box are still walked
-        assert zeros._census_bracket("J", 0, 0, 63) is not None
-        assert zeros._census_bracket("J", 0, 0, zeros._MAX_CELLS) is None
+        assert zeros._census_bracket(0, 0, 63) is not None
+        assert zeros._census_bracket(0, 0, zeros._MAX_CELLS) is None
 
     def test_find_zero_routes_by_kind(self):
         got = zeros.find_zero(BoundaryCondition.DIRICHLET, 0, 3, 3)
@@ -1009,8 +1045,9 @@ class TestRadialZeros:
 # ---------------------------------------------------------------------------
 # refinement: verified enclosures and the series budget
 
-# (tag, l, twice_nu) of census targets: J at d=2 l=0 (tightest spacing),
-# Neumann l=0 and l=3 at d=3, Dirichlet l=100 at d=4 (Miller route)
+# rows (tag, l, twice_nu), each read through its census_key: J at d=2 l=0
+# (tightest spacing), Neumann l=0 (J_{3/2}) and l=3 at d=3, Dirichlet
+# l=100 at d=4 (Miller route)
 ENCLOSURE_TARGETS = [("J", 0, 0), ("G", 0, 1), ("G", 3, 7), ("J", 0, 202)]
 
 
@@ -1031,11 +1068,12 @@ def _skew_derivative(monkeypatch, factor: float) -> None:
     monkeypatch.setattr(zeros, "_jet", skewed)
 
 
-def _certifies(tag: str, l: int, twice_nu: int, x0: float, z: float):
-    """True if the fixed-point series from the shared ladder at the grid
-    point x0 takes certified opposite signs at the midpoints around z."""
+def _certifies(l: int, twice_nu: int, x0: float, z: float):
+    """True if the fixed-point series of the census key from the shared
+    ladder at the grid point x0 takes certified opposite signs at the
+    midpoints around z."""
     _, value = bessel._grid_series(twice_nu, x0)
-    at = value(z, None if tag == "J" else l)
+    at = value(z, l)
     (v0, e0), (v1, e1) = at(1), at(2)
     return abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
 
@@ -1054,7 +1092,7 @@ def _counting_series(monkeypatch):
             counts["pair"] += 1
             return pair(x)
 
-        def counted_value(z, l=None):
+        def counted_value(z, l):
             counts["value"] += 1
             return value(z, l)
         return counted_pair, counted_value
@@ -1085,8 +1123,8 @@ def test_cold_ladders_are_the_census_own(monkeypatch, capsys):
     real_sign, real_ladder = zeros._sign, bessel._ladder
     pairs = _counting(monkeypatch)
 
-    def sign(tag, l, twice_nu):
-        f = real_sign(tag, l, twice_nu)
+    def sign(l, twice_nu):
+        f = real_sign(l, twice_nu)
 
         def spied(x):
             evaluated.add((twice_nu % 2, x))
@@ -1191,7 +1229,7 @@ def test_radial_zeros_refine_no_cell_past_x_max(monkeypatch, bc, l, d, m):
     # cell's zero lies past x_max: radial_zeros stops at the cell and
     # refines only the zeros it returns
     _cold()
-    key = zeros._key(zeros._coerce_bc(bc), l, d)
+    key, _ = zeros._key(zeros._coerce_bc(bc), l, d)
     x_max = math.nextafter(zeros._census_bracket(*key, m)[0], 0.0)
     refined = []
     real = zeros._refine
@@ -1209,9 +1247,10 @@ class TestRefinement:
     @pytest.mark.parametrize("tol", [1e-6, 1e-13, 1e-15])
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS)
     def test_census_zeros_are_sign_enclosed(self, tag, l, twice_nu, tol):
-        f = pair_target(tag, l, twice_nu)
+        l, twice_nu = census_key(tag, l, twice_nu)
+        f = pair_target(l, twice_nu)
         for m in range(1, 4):
-            z = zeros._census_zero(tag, l, twice_nu, m)
+            z = zeros._census_zero(l, twice_nu, m)
             assert sign_enclosed(f, z, tol), (m, z)
 
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
@@ -1240,14 +1279,15 @@ class TestRefinement:
         # from the series at the cell's upper end, and at its lower end
         # where the census evaluated it, the certificate holds for the
         # shipped zero and for neither float one ulp away
-        start = zeros._scan_start(tag, l, twice_nu)[0]
+        l, twice_nu = census_key(tag, l, twice_nu)
+        start = zeros._scan_start(l, twice_nu)
         for m in (1, 2):
-            z = zeros._census_zero(tag, l, twice_nu, m)
-            lo, hi, _ = zeros._census_bracket(tag, l, twice_nu, m)
+            z = zeros._census_zero(l, twice_nu, m)
+            lo, hi, _ = zeros._census_bracket(l, twice_nu, m)
             for x0 in [hi] + [lo] * (lo != start):
-                assert _certifies(tag, l, twice_nu, x0, z), (z, x0)
+                assert _certifies(l, twice_nu, x0, z), (z, x0)
                 for to in (0.0, math.inf):
-                    assert not _certifies(tag, l, twice_nu, x0,
+                    assert not _certifies(l, twice_nu, x0,
                                           math.nextafter(z, to)), (z, x0, to)
 
     @pytest.mark.parametrize("tag,l,twice_nu,x", [
@@ -1262,9 +1302,10 @@ class TestRefinement:
         # of mpmath's derivative at x, and that bound is below 1e-3 of the
         # pair. Away from a zero the values' own rounding swamps the secant,
         # and the certified phase does not step there
-        z = zeros._census_zero(tag, l, twice_nu, 1)
+        l, twice_nu = census_key(tag, l, twice_nu)
+        z = zeros._census_zero(l, twice_nu, 1)
         for x in [z * (1.0 + k * 2.0**-20) for k in (-1, 0, 1)]:
-            _, value = cell_series(tag, l, twice_nu, x)
+            _, value = cell_series(l, twice_nu, x)
             (v0, e0), (v1, e1) = value(x)[1:3]
             with mp.workdps(40):
                 m0, m1 = ((mp.mpf(x) + mp.mpf(math.nextafter(x, to))) / 2
@@ -1272,7 +1313,7 @@ class TestRefinement:
                 nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
                 j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
                 want, curve = j[1], j[2]
-                if tag == "G":  # g = (l/x) J_nu - J_{nu+1}
+                if l:  # g = (l/x) J_nu - J_{nu+1}
                     want = (l * (j[1] / t - j[0] / t**2)
                             - mp.besselj(nu + 1, t, derivative=1))
                     curve = (l * (2 * j[0] / t**3 - 2 * j[1] / t**2
@@ -1295,13 +1336,14 @@ class TestRefinement:
         # over far from the root; the certified phase steps by the secant
         # through its fixed-point values, not by that derivative, and must
         # still reach the root within the iteration cap
-        f = pair_target(tag, l, twice_nu)
-        lo, hi, sign_lo = zeros._census_bracket(tag, l, twice_nu, 2)
+        l, twice_nu = census_key(tag, l, twice_nu)
+        f = pair_target(l, twice_nu)
+        lo, hi, sign_lo = zeros._census_bracket(l, twice_nu, 2)
         _skew_derivative(monkeypatch, 1e6)
-        z = zeros._refine(tag, l, twice_nu, lo, hi, sign_lo)
+        z = zeros._refine(l, twice_nu, lo, hi, sign_lo)
         monkeypatch.undo()
         assert sign_enclosed(f, z, tol)
-        want = zeros._census_zero(tag, l, twice_nu, 2)
+        want = zeros._census_zero(l, twice_nu, 2)
         assert abs(z - want) <= tol * want
 
     @pytest.mark.parametrize("factor", [-1.0, 1e-6, 1.001, 0.0])
@@ -1309,12 +1351,12 @@ class TestRefinement:
         # the certificate reads the fixed-point series alone: a float df of
         # the wrong sign, far too small, slightly off or zero costs steps
         # but ships the same zeros, also below the turning point (d = 100)
-        keys = [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
+        keys = [(*census_key(*row), m) for row in ENCLOSURE_TARGETS
                 + [("G", 1, 100)] for m in (1, 2, 3)]
         want = [zeros._census_zero(*key) for key in keys]
         cells = [zeros._census_bracket(*key) for key in keys]
         _skew_derivative(monkeypatch, factor)
-        assert [zeros._refine(*key[:3], *cell)
+        assert [zeros._refine(*key[:2], *cell)
                 for key, cell in zip(keys, cells)] == want
 
     @pytest.mark.parametrize("ulps", [-32, 32])
@@ -1324,14 +1366,14 @@ class TestRefinement:
         # biased by 32 ulps of its scale (the pair, or l/x for g / J_nu),
         # some float sign falls on the wrong side of its zero, so that
         # bracket loses the zero, and the same zeros ship
-        keys = [(tag, l, tn, m) for tag, l, tn in ENCLOSURE_TARGETS
+        keys = [(*census_key(*row), m) for row in ENCLOSURE_TARGETS
                 + [("G", 1, 100)] for m in (1, 2, 3)]
         want = [zeros._census_zero(*key) for key in keys]
         cells = [zeros._census_bracket(*key) for key in keys]
         real, seen = zeros._jet, []
 
-        def biased(tag, l, nu, x, a, b, ratio=False):
-            f, df, ddf = real(tag, l, nu, x, a, b, ratio)
+        def biased(l, nu, x, a, b, ratio=False):
+            f, df, ddf = real(l, nu, x, a, b, ratio)
             f += ulps * math.ulp(l / x if ratio else max(abs(a), abs(b)))
             seen.append((x, f))
             return f, df, ddf
@@ -1340,7 +1382,7 @@ class TestRefinement:
         wrong = 0  # float signs on the far side of the zero
         for key, (lo, hi, sign_lo), z in zip(keys, cells, want):
             seen.clear()
-            assert zeros._refine(*key[:3], lo, hi, sign_lo) == z, key
+            assert zeros._refine(*key[:2], lo, hi, sign_lo) == z, key
             wrong += sum((f > 0.0) == (sign_lo > 0) and x > z
                          or (f > 0.0) != (sign_lo > 0) and x < z
                          for x, f in seen)
@@ -1395,7 +1437,7 @@ class TestRefinement:
         for l in range(1, 15):
             _cold()
             before = counts.copy()
-            assert zeros._census_zero("G", l, 2 * l + 98, 1) < l + 49
+            assert zeros._census_zero(l, 2 * l + 98, 1) < l + 49
             used = counts - before
             assert used["pair"] <= 4 and used["value"] == 1, (l, used)
         assert counts == {"base": 14, "pair": 49, "value": 14}, counts
@@ -1433,13 +1475,14 @@ class TestRefinement:
         # f'' from the pair through Bessel's equation, against mpmath's
         # derivatives of J_nu and J_{nu+1}
         monkeypatch.setattr(bessel, "_LADDERS", {})  # a ladder for the order
+        l, twice_nu = census_key(tag, l, twice_nu)
         a, b, _ = bessel._grid_pair(twice_nu, x)
-        f2 = zeros._jet(tag, l, 0.5 * twice_nu, x, a, b)[2]
+        f2 = zeros._jet(l, 0.5 * twice_nu, x, a, b)[2]
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
             j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
             want = j[2]
-            if tag == "G":  # g = (l/x) J_nu - J_{nu+1}
+            if l:  # g = (l/x) J_nu - J_{nu+1}
                 want = (l * (2 * j[0] / t**3 - 2 * j[1] / t**2 + j[2] / t)
                         - mp.besselj(nu + 1, t, derivative=2))
         assert abs(f2 - float(want)) <= 1e-12, (f2, want)
@@ -1493,7 +1536,7 @@ class TestRefinement:
             out = {}
             for tn, m in keys:
                 try:
-                    out[tn, m] = zeros._zero(("J", 0, tn), m, "zero")
+                    out[tn, m] = zeros._zero((0, tn), 0, m, "zero")
                 except RangeError:  # past the box at high order
                     pass
             return out
@@ -1515,7 +1558,7 @@ class TestRefinement:
         # g zeros where a path-dependent last Newton step landed 0.5-1.3
         # ulps off; each must be the float nearest the oracle's zero
         z = zeros.neumann_zero(l, twice_nu + 2 - 2 * l, m)
-        assert_nearest_float("G", l, twice_nu, z)
+        assert_nearest_float(l, twice_nu, z)
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(2, "dirichlet", 2000),
                                                  (4, "neumann", 1900)])
