@@ -321,16 +321,17 @@ def _census_zero(l: int, twice_nu: int, m: int):
 
 
 def _key(bc: BoundaryCondition, l: int, d: int):
-    """(key, ground) of a coerced bc, with l and d checked: the census key
-    (l, twice_nu) and the count of zeros at r = 0 before the key's."""
+    """(key, ground, twice_nu) of a coerced bc, l and d checked: the census
+    key (l, twice_nu), whether the ground state at r = 0 precedes the key's
+    zeros, and the request's order 2l + d - 2, which the cap reads."""
     _check_int("l", l, 0)
     _check_int("d", d, 2)
     twice_nu = 2 * l + d - 2
     if bc is BoundaryCondition.DIRICHLET:
-        return (0, twice_nu), 0
+        return (0, twice_nu), False, twice_nu
     if l == 0:
-        return (0, twice_nu + 2), 1
-    return (l, twice_nu), 0
+        return (0, twice_nu + 2), True, twice_nu
+    return (l, twice_nu), False, twice_nu
 
 
 def _first_zero_lower(key: tuple[int, int]) -> float:
@@ -346,10 +347,10 @@ def _may_hold(bc, l: int, d: int, x_max: float, what: str) -> bool:
     """Whether [0, x_max] may hold a zero of (bc, l, d), bc coerced: its
     ground state, or a census zero once the cap on the order 2l + d - 2 is
     checked (what names the request). Past l = 0, False stays False in l."""
-    key, ground = _key(bc, l, d)
+    key, ground, twice_nu = _key(bc, l, d)
     if _first_zero_lower(key) > x_max:
-        return bool(ground)
-    _check_pair(2 * l + d - 2, what)
+        return ground
+    _check_pair(twice_nu, what)
     return True
 
 
@@ -360,7 +361,7 @@ def _may_hold(bc, l: int, d: int, x_max: float, what: str) -> bool:
 def bessel_zero(nu: Order, m: int) -> float:
     """m-th positive zero j_{nu,m} of J_nu, certified by sign census."""
     bessel._check_order(nu)
-    return _zero((0, nu.twice_nu), 0, m,
+    return _zero((0, nu.twice_nu), False, nu.twice_nu, m,
                  f"zero m={m} of J_nu at twice_nu={nu.twice_nu}")
 
 
@@ -400,14 +401,14 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     refined zero past x_max: so at most one refined zero is discarded.
     """
     bc = _coerce_bc(bc)
-    key, ground = _key(bc, l, d)
+    key, ground, twice_nu = _key(bc, l, d)
     x_max = float(x_max)
     if not 0.0 < x_max <= X_MAX:
         raise RangeError(f"x_max={x_max!r} outside (0, {X_MAX}]")
-    out = [0.0] * ground
+    out = [0.0] if ground else []
     if ground and _first_zero_lower(key) > x_max:
         return out  # the ground state alone needs no census
-    _check_pair(2 * l + d - 2, f"{bc.value} zero census of l={l}, d={d}")
+    _check_pair(twice_nu, f"{bc.value} zero census of l={l}, d={d}")
     m = 1  # census index of the next positive zero
     while ((cell := _census_bracket(*key, m)) is not None
            and cell[0] <= x_max):
@@ -419,19 +420,19 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     return out
 
 
-def _zero(key: tuple[int, int], ground: int, m: int, what: str) -> float:
-    """The m-th zero of a request, its ground zeros at r = 0 first: the one
-    validation path of every zero request. It checks m and the request's
-    order cap, and a RangeError names the caller's zero (what)."""
+def _zero(key: tuple[int, int], ground: bool, twice_nu: int, m: int,
+          what: str) -> float:
+    """The m-th zero of a request, its ground state at r = 0 first: the one
+    validation path of every zero request. It checks m and the cap on the
+    request's order twice_nu, and a RangeError names its zero (what)."""
     _check_int("m", m, 1)
-    if m <= ground:
+    if ground and m == 1:
         return 0.0  # the conventional zero at r = 0 needs no census
-    l, twice_nu = key
-    # the request's order 2l + d - 2: a ground state's key is one order up
-    _check_pair(twice_nu - 2 * ground, what)
-    if _census_bracket(l, twice_nu, m - ground) is None:
+    _check_pair(twice_nu, what)
+    n = m - 1 if ground else m  # the census index of the zero
+    if _census_bracket(*key, n) is None:
         raise RangeError(f"{what} lies beyond the supported box x <= {X_MAX}")
-    return _census_zero(l, twice_nu, m - ground)
+    return _census_zero(*key, n)
 
 
 def _check_pair(twice_nu: int, what: str) -> None:

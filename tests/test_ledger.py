@@ -77,6 +77,6 @@ def test_sample_zeros_are_nearest_floats(ledger):
     assert {l for _, l, *_ in sample} == set(DEGREES)
     assert max(m for *_, m, _ in sample) > 50
     for bc, l, d, m, z in sample:
-        key, _ = zeros._key(bc, l, d)
+        key = zeros._key(bc, l, d)[0]
         assert z == zeros.find_zero(bc, l, d, m)
         assert_nearest_float(*key, z)

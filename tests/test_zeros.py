@@ -598,7 +598,8 @@ def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key():
     # still served, as the cap reads the request's order
     _cold()
     for d in range(2, 241):
-        assert zeros._key(BoundaryCondition.NEUMANN, 0, d) == ((0, d), 1)
+        assert zeros._key(BoundaryCondition.NEUMANN, 0, d) == ((0, d), True,
+                                                              d - 2)
         for m in range(1, 4):
             z = zeros.neumann_zero(0, d, m + 1)
             assert z == zeros._census_zero(0, d, m), (d, m)
@@ -671,8 +672,8 @@ def test_first_zero_bounds_bracket_the_first_zero():
         bc = BoundaryCondition.NEUMANN if l else BoundaryCondition.DIRICHLET
         assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == hair
         if l == 0 and tn >= 2:  # Neumann l = 0 at d = tn has this key
-            assert zeros._key(BoundaryCondition.NEUMANN, 0, tn) == ((0, tn),
-                                                                   1)
+            assert zeros._key(BoundaryCondition.NEUMANN, 0, tn) == (
+                (0, tn), True, tn - 2)
         start = zeros._scan_start(l, tn)
         half = 0.5 * (tn % 2)
         k = round(start / zeros.DEFAULT_STEP - half)
@@ -740,8 +741,10 @@ def test_sturm_start_is_never_below_the_rayleigh_start():
     # at every Neumann key of the box with l >= 1 the scan starts at the
     # Sturm bound sqrt(l(l+d-2)): never at a grid point below the start of
     # the Rayleigh bound, and past it at most keys; spectrum's degree loop
-    # stops at the first degree past 0 whose lower bound clears the
-    # cutoff, so past degree 0 that bound must not decrease in l, in any d
+    # stops at the first degree whose lower bound clears the cutoff, the
+    # Neumann ground state's degree 0 aside, so that bound must not
+    # decrease in l, in any d: from l = 0 for Dirichlet, from l = 1 for
+    # Neumann
     keys = [(l, tn) for tn in range(239) for l in range(1, tn // 2 + 1)]
     assert len(keys) == 14161
     later = 0
@@ -753,7 +756,8 @@ def test_sturm_start_is_never_below_the_rayleigh_start():
     for d in range(2, 239):
         for bc in BoundaryCondition:
             lows = [zeros._first_zero_lower(zeros._key(bc, l, d)[0])
-                    for l in range(1, (242 - d) // 2 + 1)]
+                    for l in range(0 if bc is BoundaryCondition.DIRICHLET
+                                   else 1, (242 - d) // 2 + 1)]
             assert lows == sorted(lows), (bc, d)
 
 
@@ -820,7 +824,7 @@ def dd_cells(l: int, twice_nu: int):
 def scan(bc: BoundaryCondition, l: int, d: int,
          x_max: float) -> list[tuple[float, float]]:
     """The cells of dd_cells whose zero lies in (0, x_max]."""
-    key, _ = zeros._key(bc, l, d)
+    key = zeros._key(bc, l, d)[0]
     f = pair_target(*key)
     out = []
     for lo, hi in dd_cells(*key):
@@ -1229,7 +1233,7 @@ def test_radial_zeros_refine_no_cell_past_x_max(monkeypatch, bc, l, d, m):
     # cell's zero lies past x_max: radial_zeros stops at the cell and
     # refines only the zeros it returns
     _cold()
-    key, _ = zeros._key(zeros._coerce_bc(bc), l, d)
+    key = zeros._key(zeros._coerce_bc(bc), l, d)[0]
     x_max = math.nextafter(zeros._census_bracket(*key, m)[0], 0.0)
     refined = []
     real = zeros._refine
@@ -1536,7 +1540,7 @@ class TestRefinement:
             out = {}
             for tn, m in keys:
                 try:
-                    out[tn, m] = zeros._zero((0, tn), 0, m, "zero")
+                    out[tn, m] = zeros._zero((0, tn), False, tn, m, "zero")
                 except RangeError:  # past the box at high order
                     pass
             return out
