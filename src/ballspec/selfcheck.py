@@ -138,10 +138,11 @@ def _check_first_zero_bounds(fast: bool) -> str | None:
         for l in range(1, (cap - d) // 2 + 1, step)]
     for l, tn in keys:
         lower, upper = zeros._first_zero_bounds(l, tn)
+        census = zeros._first_zero_lower((l, tn))  # the bound that refuses
         z = (zeros.bessel_zero(Order(tn), 1) if l == 0
              else zeros.neumann_zero(l, tn - 2 * l + 2, 1))
-        if not lower < z < upper:
-            return f"first-zero bounds fail at l={l}, twice_nu={tn}: {lower!r}, {z!r}, {upper!r}"
+        if not (lower < z < upper and census < z):
+            return f"first-zero bounds fail at l={l}, twice_nu={tn}: {lower!r} (census {census!r}), {z!r}, {upper!r}"
     return None
 
 

@@ -11,10 +11,10 @@ by one kernel pair evaluation per point:
   g shares with the radial derivative.
 
 The m-th zero is found by a sign census on a fixed grid, walked from the
-last grid point at or below a rigorous zero-free lower bound (never from
-an asymptotic count; for J Qu and Wong's, Trans. AMS 351, 1999, where it
-beats Watson's, and for g the Sturm bound below), so the returned zero
-is the m-th one.
+last grid point at or below a rigorous zero-free lower bound, never from
+an asymptotic count (_first_zero_lower: for J Qu and Wong's, for g the
+Sturm bound below), so the returned zero is the m-th one. Where that bound
+clears a cutoff, no census runs and no order cap is checked.
 
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
@@ -60,8 +60,6 @@ Every key of either target reads bessel's one shared ladder per
 (parity, grid point): one sign rule (_sign) takes the sign of its census
 pair (bessel._grid_pair) where the pair's bound, propagated through the
 target, cannot flip it, else 0.0, which the widen rule takes.
-radial_zeros refines the zero of every cell that starts at or below x_max
-and drops one past x_max, so it discards at most one refinement a degree.
 """
 
 from __future__ import annotations
@@ -157,20 +155,30 @@ def _first_zero_bounds(l: int, twice_nu: int) -> tuple[float, float]:
     return math.sqrt(l * (twice_nu - l)), upper
 
 
+def _first_zero_lower(key: tuple[int, int]) -> float:
+    """The census bound: below the key's first positive zero, shrunk a hair;
+    inf past the float range. It starts the scan and decides admission and
+    refusal. J: Qu and Wong's nu + 1.855757 nu^(1/3) (|a_1| 2^(-1/3) rounded
+    down; Trans. AMS 351, 1999; DLMF 10.21(vii)); g: Sturm's. At fixed d it
+    increases in l, Neumann l = 0's key aside."""
+    try:
+        if key[0]:
+            lower = _first_zero_bounds(*key)[0]
+        else:
+            nu = 0.5 * key[1]
+            lower = nu + 1.855757 * nu ** (1.0 / 3.0)
+        return lower * (1.0 - 1e-9)
+    except OverflowError:  # an order past the float range: no zero below inf
+        return math.inf
+
+
 def _scan_start(l: int, twice_nu: int) -> float:
-    """The one scan start: the last _GRID point at or below the key's first
-    zero's lower bound shrunk a hair, so its target is positive on (0,
-    start]; for J_nu the larger of Watson's (_first_zero_bounds, certify's
-    jest_lower) and Qu and Wong's nu + 1.855757 nu^(1/3) (|a_1| 2^(-1/3)
-    rounded down; DLMF 10.21(vii)). x_0 = 0 of the even grid starts J at
-    nu = 0 and g at l = 1, nu = 1, whose zeros lie past pi/2; so every cell
-    with a zero has both ends on the grid."""
-    lower = _first_zero_bounds(l, twice_nu)[0]
-    if l == 0:
-        nu = 0.5 * twice_nu
-        lower = max(lower, nu + 1.855757 * nu ** (1.0 / 3.0))
+    """The last _GRID point at or below the census bound, so the target is
+    positive on (0, start]. x_0 = 0 of the even grid starts J at nu = 0 and
+    g at l = 1, nu = 1, whose zeros lie past pi/2; so every cell with a
+    zero has both ends on the grid."""
     grid = _GRID[twice_nu % 2]
-    return grid[bisect_right(grid, lower * (1.0 - 1e-9)) - 1]
+    return grid[bisect_right(grid, _first_zero_lower((l, twice_nu))) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +342,6 @@ def _key(bc: BoundaryCondition, l: int, d: int):
     return (l, twice_nu), False, twice_nu
 
 
-def _first_zero_lower(key: tuple[int, int]) -> float:
-    """Lower bound on the key's first positive zero, shrunk a hair for
-    rounding; at fixed d it increases in l, Neumann l = 0's key aside."""
-    try:
-        return _first_zero_bounds(*key)[0] * (1.0 - 1e-9)
-    except OverflowError:  # an order past the float range: no zero below inf
-        return math.inf
-
-
 def _may_hold(bc, l: int, d: int, x_max: float, what: str) -> bool:
     """Whether [0, x_max] may hold a zero of (bc, l, d), bc coerced: its
     ground state, or a census zero once the cap on the order 2l + d - 2 is
@@ -395,10 +394,10 @@ def find_zero(bc, l: int, d: int, m: int) -> float:
 def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     """The zeros find_zero(bc, l, d, m), m = 1, 2, ..., in [0, x_max].
 
-    Neumann l = 0 starts with 0.0, and runs no census where it cannot
-    reach x_max. The walk stops at the first cell that starts past x_max,
-    whose zero lies past x_max, so none is refined there, or at the first
-    refined zero past x_max: so at most one refined zero is discarded.
+    Neumann l = 0 starts with 0.0; where the census bound lies past x_max,
+    no census runs and no cap is checked. The walk stops at the first cell
+    past x_max, whose zero lies past x_max, so none is refined there, or at
+    the first refined zero past x_max: so at most one is discarded.
     """
     bc = _coerce_bc(bc)
     key, ground, twice_nu = _key(bc, l, d)
@@ -406,8 +405,8 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     if not 0.0 < x_max <= X_MAX:
         raise RangeError(f"x_max={x_max!r} outside (0, {X_MAX}]")
     out = [0.0] if ground else []
-    if ground and _first_zero_lower(key) > x_max:
-        return out  # the ground state alone needs no census
+    if _first_zero_lower(key) > x_max:
+        return out  # no census zero lies in [0, x_max]: no census runs
     _check_pair(twice_nu, f"{bc.value} zero census of l={l}, d={d}")
     m = 1  # census index of the next positive zero
     while ((cell := _census_bracket(*key, m)) is not None

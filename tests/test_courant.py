@@ -296,6 +296,24 @@ class TestCourantSharpBall:
                     assert v.record.l >= 1 and v.record.m >= 2
                     assert v.certificate == ()
 
+    @pytest.mark.parametrize("d,lmax,want", [
+        (238, 1, [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]),
+        (236, 2, [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2),
+                  (2, 1, "ExcludedSphereLabel", 238)]),
+    ])
+    def test_dirichlet_window_on_the_order_cap_edge(self, d, lmax, want):
+        # the window's top zero j_{119,1} lies below the census bound of the
+        # next degree, Qu and Wong's 129.15338 on j_{120,1}, so its spectrum
+        # needs no order past the box, as the same Neumann windows; with
+        # mmax = 2 the top zero j_{119,2} lies past it, and the spectrum
+        # below it is refused after that one zero
+        verdicts = courant_sharp_ball(d, D, lmax, 1)
+        assert [(v.record.l, v.record.m, v.status.value, v.record.label_first)
+                for v in verdicts] == want
+        with pytest.raises(RangeError, match=rf"needs the spectrum below "
+                           rf"the \({lmax}, 2\) mode: .*Bessel order 121"):
+            courant_sharp_ball(d, D, lmax, 2)
+
     def test_rejects_bad_args(self):
         with pytest.raises(RangeError):
             courant_sharp_ball(1, D)

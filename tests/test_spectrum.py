@@ -371,7 +371,7 @@ class TestEnumerationValidation:
 
     @pytest.mark.parametrize("d,inside,limit", [
         (241, 239, 240), (300, 298, 299), (1000, 998, 999), (240, 238, 239),
-        (238, 475, 476), (2, 14399, 14400)])
+        (238, 475, 476), (2, 14399, 14400), (3, 14279, 14280)])
     def test_neumann_limit_by_integer_bisection(self, d, inside, limit):
         # bisection on the integer cutoff between 0 and past LAMBDA_MAX
         # finds the largest lambda_max that enumerates and the first one
@@ -417,6 +417,46 @@ class TestEnumerationValidation:
         with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
                            r"\(degree l=\d+\) needs Bessel order 121"):
             enumerate_spectrum(d, N, limit)
+
+    @pytest.mark.parametrize("d,inside,limit,order", [
+        (2, 16680, 16681, "121.0"), (238, 16680, 16681, "121.0"),
+        (3, 16548, 16549, "120.5")])
+    def test_dirichlet_enumerates_up_to_the_census_bound(self, d, inside,
+                                                         limit, order):
+        # the Dirichlet degree loop reads Qu and Wong's bound on j_{nu,1}, so
+        # a spectrum is refused only where that bound of the first degree
+        # past the order box lies at or below the cutoff: 129.15338^2 =
+        # 16680.6 (nu = 120, even d) and 128.64065^2 = 16548.4 (nu = 119.5,
+        # odd d). Just inside it enumerates, and the top degrees' zeros,
+        # orders 117 and up, past Watson's old limit, are the floats nearest
+        # the oracle's; at the limit the degree loop refuses and names
+        # lambda_max
+        table = enumerate_spectrum(d, D, inside)
+        tops = [rec for rec in table.records if 2 * rec.l + d - 2 >= 234]
+        assert len(tops) >= 2
+        for rec in tops:
+            assert rec.zero > math.sqrt(14640.0)
+            assert_nearest_float(0, 2 * rec.l + d - 2, rec.zero)
+        with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
+                           rf"\(degree l=\d+\) needs Bessel order {order} "):
+            enumerate_spectrum(d, D, limit)
+
+    @pytest.mark.parametrize("d,inside,limit,order", [
+        (241, 16548, 16549, "120.5"), (242, 16680, 16681, "121.0"),
+        (300, 25229, 25230, "150.0"), (380, 39860, 39861, "190.0"),
+        (381, 40000, None, None)])
+    def test_dirichlet_past_the_cap_is_empty_below_the_census_bound(
+            self, d, inside, limit, order):
+        # past the order cap no Dirichlet degree has a census, so a spectrum
+        # is the empty table while degree 0's census bound, Qu and Wong's on
+        # j_{d/2-1,1}, lies past the cutoff, and refused from there on; at
+        # d >= 381 that bound passes 200, so every cutoff enumerates
+        assert enumerate_spectrum(d, D, inside).records == ()
+        if limit is not None:
+            with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
+                               rf"\(degree l=0\) needs Bessel order "
+                               rf"{order} "):
+                enumerate_spectrum(d, D, limit)
 
     def test_record_for_missing_mode(self):
         table = enumerate_spectrum(2, D, 40.0)

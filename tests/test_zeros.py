@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballspec import bessel, cli, courant, pleijel, spectrum, zeros
+from ballspec import bessel, cli, courant, pleijel, selfcheck, spectrum, zeros
 from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
 from ballspec.zeros import BoundaryCondition
@@ -175,10 +175,11 @@ def _courant_rows(d: int) -> list:
     (lambda: zeros.dirichlet_zero(0, 241, 1), RangeError),
     (lambda: zeros.neumann_zero(1, 238, 1), 15.45989431346645),
     (lambda: zeros.neumann_zero(1, 239, 1), RangeError),
-    # Watson's bound on j_{121.5,1} is 121.4959: no census below it
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 121.49),
+    # the census bound on j_{121.5,1}, Qu and Wong's, is 129.66608: no
+    # census below it
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 129.66),
      [0.0]),
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 121.5),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 129.67),
      RangeError),
 ])
 def test_order_box_edges(call, want):
@@ -651,10 +652,10 @@ def _scan_bound(l: int, twice_nu: int) -> float:
 def test_first_zero_bounds_bracket_the_first_zero():
     # the one home of the first-zero bounds brackets the census's first
     # positive zero at every J order of the box, and at every Neumann
-    # degree l >= 1 of the ledger's d; spectrum's degree loop reads its
-    # lower bound shrunk a hair, bit for bit (the Neumann l = 0 census key
-    # is J's two orders up, after the ground state), and the scan
-    # starts at the last grid point at or below the scan's bound, x_0 = 0
+    # degree l >= 1 of the ledger's d; the census bound, which spectrum's
+    # degree loop reads, is the scan's bound bit for bit (the Neumann l = 0
+    # census key is J's two orders up, after the ground state), and the
+    # scan starts at the last grid point at or below it, x_0 = 0
     # at two keys only. The smallest relative slacks show that no bound is
     # vacuous: a looser one fails here
     slack = {"J": [], "G": []}  # (lower, upper) relative slacks
@@ -668,9 +669,9 @@ def test_first_zero_bounds_bracket_the_first_zero():
         z = (zeros.bessel_zero(Order(tn), 1) if l == 0
              else zeros.neumann_zero(l, d, 1))
         assert lower < z < upper, (l, tn, lower, z, upper)
-        hair = lower * (1.0 - 1e-9)
         bc = BoundaryCondition.NEUMANN if l else BoundaryCondition.DIRICHLET
-        assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == hair
+        assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == (
+            _scan_bound(l, tn))
         if l == 0 and tn >= 2:  # Neumann l = 0 at d = tn has this key
             assert zeros._key(BoundaryCondition.NEUMANN, 0, tn) == (
                 (0, tn), True, tn - 2)
@@ -687,6 +688,18 @@ def test_first_zero_bounds_bracket_the_first_zero():
     for group, want in (("J", [0.0650, 0.00390]), ("G", [0.00421, 0.0688])):
         got = [min(s) for s in zip(*slack[group])]
         assert got == pytest.approx(want, rel=1e-2), group
+
+
+def test_selfcheck_reads_the_census_bound(monkeypatch):
+    # the first_zero_bounds suite also checks the bound that refuses: with
+    # the census warm, so that no scan reads it, a census bound at the
+    # upper bound, past the first zero, fails the suite, which names it
+    assert selfcheck._check_first_zero_bounds(True) is None
+    monkeypatch.setattr(zeros, "_first_zero_lower",
+                        lambda key: zeros._first_zero_bounds(*key)[1])
+    detail = selfcheck._check_first_zero_bounds(True)
+    assert detail.startswith("first-zero bounds fail at l=0, twice_nu=0: "
+                             "0.0 (census 2.414"), detail
 
 
 def test_scan_start_is_the_last_table_point_below_the_bound():
@@ -1028,11 +1041,19 @@ class TestRadialZeros:
         assert len(got) == 63
         assert got[-1] == zeros.bessel_zero(Order(0), 63)
 
-    def test_kernel_order_box_error_propagates(self):
-        # the (nu, nu+1) pair at nu = 120 leaves the kernel box: an error,
-        # never an empty list
-        with pytest.raises(RangeError):
-            zeros.radial_zeros(BoundaryCondition.DIRICHLET, 120, 2, 50.0)
+    def test_kernel_order_box_error_propagates(self, monkeypatch):
+        # the (nu, nu+1) pair at nu = 120 leaves the kernel box: past the
+        # census bound on j_{120,1}, Qu and Wong's 129.15338, an error,
+        # never an empty list; below it no zero can lie, so the list is
+        # empty and no ladder is built
+        steps, _ = _ladders(monkeypatch)
+        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, 120, 2,
+                                  50.0) == []
+        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, 120, 2,
+                                  129.15) == []
+        assert steps == []
+        with pytest.raises(RangeError, match=r"order 121\.0 beyond"):
+            zeros.radial_zeros(BoundaryCondition.DIRICHLET, 120, 2, 129.16)
 
     @pytest.mark.parametrize("args", [
         ("DirichletXi", 0, 2, 10.0),
