@@ -78,7 +78,7 @@ _REQUIRED = {
 _ONE_OF = {"zeros": ("--m", "--count"),
            "pleijel": ("--gamma", "--table", "--curve")}
 _ONE_REQUIRED = {"pleijel"}
-_DEFAULTS = {"--format": "json", "--lmax": 8, "--mmax": 4}
+_DEFAULTS = {"--format": "json", "--lmax": 8, "--mmax": 4, "--tol": 1e-13}
 _HELP = ("-h", "--help")
 _VALUES = ("no value", "one value", "two values")
 
@@ -260,9 +260,9 @@ def _run_zeros(args) -> int:
     from ballspec import zeros
     if args.count is not None and args.count < 1:
         raise _UsageError(f"--count must be >= 1, got {args.count}")
-    tol = zeros.DEFAULT_TOL if args.tol is None else args.tol
-    if not 1e-15 <= tol <= 1e-2:  # echoed only: no zero depends on it
-        raise _UsageError(f"tol={tol!r} outside supported range [1e-15, 1e-2]")
+    if not 1e-15 <= args.tol <= 1e-2:  # echoed only: no zero depends on it
+        raise _UsageError(
+            f"tol={args.tol!r} outside supported range [1e-15, 1e-2]")
     ms = [args.m] if args.m is not None else range(1, (args.count or 5) + 1)
     bc = zeros._coerce_bc(args.bc)
     rows = []
@@ -273,7 +273,7 @@ def _run_zeros(args) -> int:
         "d": args.d,
         "bc": bc.value,
         "l": args.l,
-        "tol": tol,
+        "tol": args.tol,
         "zeros": [{"m": m, "zero": z, "lambda": lam} for m, z, lam in rows],
     }
     _emit(args, payload, ("m", "zero", "lambda"), rows)

@@ -88,17 +88,23 @@ def _check_interlacing(fast: bool) -> str | None:
 def _check_derivative_alias(fast: bool) -> str | None:
     """The (m+1)-th radial-derivative zero at degree 0 is the m-th interior
     zero at degree 1, the same float: zeros._key gives both one census key
-    (d/dr of the degree-0 profile is the degree-1 profile up to sign)."""
+    (d/dr of the degree-0 profile is the degree-1 profile up to sign). As
+    both read one cached zero, a fresh eval_J ladder must also take signs
+    clear of its bound, and opposite, at 2^-40 of it either side."""
     dims = (2, 3) if fast else (2, 3, 4, 5)
     m_max = 4 if fast else 6
     for d in dims:
         for m in range(1, m_max + 1):
             beta = zeros.neumann_zero(0, d, m + 1)
             alpha = zeros.dirichlet_zero(1, d, m)
-            if beta != alpha:
+            lo, hi = (bessel.eval_J(Order(d), beta * (1.0 + s * 2.0**-40))
+                      for s in (-1.0, 1.0))
+            if beta != alpha or lo.value * hi.value >= 0.0 or any(
+                    abs(v) <= e * max(abs(v), bessel._NEAR_ZERO_FLOOR)
+                    for v, e in (lo, hi)):
                 return (
-                    f"derivative alias off at d={d}, m={m}: "
-                    f"{beta!r} vs {alpha!r}"
+                    f"derivative alias off at d={d}, m={m}: {beta!r} vs "
+                    f"{alpha!r}, J_(d/2) {lo.value:.3e}, {hi.value:.3e}"
                 )
     return None
 

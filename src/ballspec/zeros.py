@@ -10,11 +10,11 @@ by one kernel pair evaluation per point:
 * l >= 1, g(r) = (l/r) J_nu(r) - J_{nu+1}(r) - the Neumann zeros, which
   g shares with the radial derivative.
 
-The m-th zero is found by a sign census on a fixed grid, walked from the
-last grid point at or below a rigorous zero-free lower bound, never from
-an asymptotic count (_first_zero_lower: for J Qu and Wong's, for g the
-Sturm bound below), so the returned zero is the m-th one. Where that bound
-clears a cutoff, no census runs and no order cap is checked.
+The m-th zero is found by a sign census on a fixed grid, walked from a
+rigorous zero-free lower bound itself, never from an asymptotic count
+(_first_zero_lower: for J Qu and Wong's, for g the Sturm bound below), so
+the returned zero is the m-th one. Where that bound clears a cutoff, no
+census runs and no order cap is checked.
 
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
@@ -31,10 +31,10 @@ w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
   Hence beta_{m+1} - beta_m > pi/2.
 
 Any cell of width <= pi/2 therefore holds at most one zero. The census
-grid is one table per parity of twice_nu (_GRID), which the scan start,
-the walk and the cell cap read: 0.0, x_k = (k + parity/2) pi/2
-(DEFAULT_STEP apart) below X_MAX, and X_MAX last; every cell runs
-between grid points. The phase keeps zeros off the grid: by McMahon's
+grid is one table per parity of twice_nu (_GRID), which the walk and the
+cell cap read: x_k = (k + parity/2) pi/2 (DEFAULT_STEP apart) below
+X_MAX, and X_MAX last; a cell runs between grid points, or from the bound
+to the first one past it. The phase keeps zeros off the grid: by McMahon's
 expansion zeros of half-integer orders approach multiples of pi/2
 (j_{1/2,m} = m pi exactly), where a common k pi/2 grid would put them on
 grid points. Each zero's cell is the first sign change past the previous
@@ -74,7 +74,6 @@ from ballspec.bessel import TWICE_NU_MAX, X_MAX, Order, _check_int
 from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
-DEFAULT_TOL = 1e-13  # the CLI's echoed --tol default: no zero reads it
 _TINY = 1e-290  # below it a grid value widens its cell and is no sign, as
 # _sign's relative rounding term of g, 2^-51 (|q a| + |b|), bounds no subnormal
 
@@ -172,35 +171,26 @@ def _first_zero_lower(key: tuple[int, int]) -> float:
         return math.inf
 
 
-def _scan_start(l: int, twice_nu: int) -> float:
-    """The last _GRID point at or below the census bound, so the target is
-    positive on (0, start]. x_0 = 0 of the even grid starts J at nu = 0 and
-    g at l = 1, nu = 1, whose zeros lie past pi/2; so every cell with a
-    zero has both ends on the grid."""
-    grid = _GRID[twice_nu % 2]
-    return grid[bisect_right(grid, _first_zero_lower((l, twice_nu))) - 1]
-
-
 # ---------------------------------------------------------------------------
 # the scan: the first sign-change cell of the parity's grid
 
 
-# the census grid of each parity: 0.0, x_k = (k + parity/2) pi/2 in (0,
-# X_MAX), DEFAULT_STEP apart, and X_MAX last; no scan has more cells
+# the census grid of each parity: x_k = (k + parity/2) pi/2 in (0, X_MAX),
+# DEFAULT_STEP apart, and X_MAX last; no scan has more cells
 _GRID = tuple(
-    (0.0, *(x for x in ((k + 0.5 * parity) * DEFAULT_STEP
-                        for k in range(int(X_MAX / DEFAULT_STEP) + 1))
-            if 0.0 < x < X_MAX), X_MAX)
+    (*(x for x in ((k + 0.5 * parity) * DEFAULT_STEP
+                   for k in range(int(X_MAX / DEFAULT_STEP) + 1))
+       if 0.0 < x < X_MAX), X_MAX)
     for parity in (0, 1))
-_MAX_CELLS = len(_GRID[0]) - 1
+_MAX_CELLS = len(_GRID[0])
 
 
 def _first_cell(f, parity: int, start: float, sign: int):
     """(lo, hi, sign): the first cell of the parity's grid over (start,
-    X_MAX] across which f leaves the sign ``sign`` (+1 or -1), which f has
-    throughout (0, start]; None if it keeps it to X_MAX. A grid point
-    where |f| < _TINY widens the cell to the next grid point, which must
-    show the flip, else BracketFailure."""
+    X_MAX] across which f leaves the sign ``sign`` (+1 or -1), which it has
+    on (0, start], start the census bound or a previous hi; else None. A
+    grid point where |f| < _TINY widens the cell to the next grid point,
+    which must show the flip, else BracketFailure."""
     grid = _GRID[parity]
     lo, points = start, iter(grid[bisect_right(grid, start):])
     for x in points:
@@ -234,8 +224,8 @@ def _certified(v: float, err: float) -> int:
 def _refine(l: int, twice_nu: int, lo: float, hi: float,
             sign_lo: int) -> float:
     """The float nearest the zero in the census cell (lo, hi), every value
-    from the series at hi, which the census evaluated (lo may be the scan
-    start). Newton runs on the float pair from the tangent at hi, on g /
+    from the series at hi, which the census evaluated (lo may be the census
+    bound). Newton runs on the float pair from the tangent at hi, on g /
     J_nu below the turning point (2 hi <= twice_nu), inside a bracket of its
     own that the float signs narrow; a step that leaves it, or has no f',
     becomes a bisection, and the phase ends once its next step, f'' s^2 /
@@ -317,7 +307,7 @@ def _census_bracket(l: int, twice_nu: int, m: int):
             return None
         start, sign = prev[1], -prev[2]
     else:
-        start, sign = _scan_start(l, twice_nu), 1
+        start, sign = _first_zero_lower((l, twice_nu)), 1
     return _first_cell(_sign(l, twice_nu), twice_nu % 2, start, sign)
 
 
@@ -435,9 +425,10 @@ def _zero(key: tuple[int, int], ground: bool, twice_nu: int, m: int,
 
 
 def _check_pair(twice_nu: int, what: str) -> None:
-    """The census order cap, checked here for every caller: the census
-    evaluates the pair (nu, nu + 1), so nu + 1 must lie in the kernel box.
-    what names the request in the caller's own parameters."""
+    """The census order cap on the request's order (2l + d - 2 for a radial
+    zero), for every caller: nu + 1 in the kernel box. Neumann l = 0's key
+    (0, d) is one order up, so at d = 239, 240 its pair reaches twice_nu =
+    d + 2 (bessel_zero(Order(d), 1) is refused). what names the request."""
     if twice_nu + 2 > TWICE_NU_MAX:
         # formed exactly: twice_nu may lie past the float range
         nu1 = f"{twice_nu // 2 + 1}.{5 * (twice_nu % 2)}"

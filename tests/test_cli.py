@@ -494,7 +494,7 @@ def _build_parser() -> _Oracle:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--m", type=int, default=None)
     group.add_argument("--count", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=1e-13)
     _table_flags(p)
 
     p = sub.add_parser("courant")

@@ -204,7 +204,8 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
     # value) and by _grid_ladder (the census's shared ladders, which the
     # census signs, Newton and the certificate read); the float ladder,
     # its rescale constants and readers, the Taylor phase and the
-    # pair-based certificate are gone
+    # pair-based certificate are gone, as are the scan start rounded down
+    # to the grid and zeros' copy of the CLI's --tol default
     calls = []
     for name, tree in _parsed():
         calls += [(name, _enclosing(tree, node.lineno))
@@ -217,7 +218,8 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
             "_sign_target", "_pair_float", "_ladder_float", "_taylor",
             "_TERMS", "_HANDOVER", "_RADIUS", "_exact", "_certificate",
             "_target", "_nearest", "_GAP_REL", "_target_err", "_grid_cells",
-            "_combine", "_curvature", "_grid_points"}
+            "_combine", "_curvature", "_grid_points", "_scan_start",
+            "DEFAULT_TOL"}
     tests = sorted(SRC.parents[1].joinpath("tests").glob("*.py"))
     found = [
         (path.name, node.lineno)

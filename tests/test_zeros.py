@@ -452,7 +452,7 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     # a stride over the rest of the census grid
     monkeypatch.setattr(bessel, "_LADDERS", {})
     grid = [(tn, x) for parity in (0, 1)
-            for x in zeros._GRID[parity][1:]
+            for x in zeros._GRID[parity]
             for tn in range(parity, bessel.TWICE_NU_MAX - 1, 2)]
     edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
     assert len(grid) > 30000 and len(edge) == 59
@@ -653,13 +653,11 @@ def test_first_zero_bounds_bracket_the_first_zero():
     # the one home of the first-zero bounds brackets the census's first
     # positive zero at every J order of the box, and at every Neumann
     # degree l >= 1 of the ledger's d; the census bound, which spectrum's
-    # degree loop reads, is the scan's bound bit for bit (the Neumann l = 0
-    # census key is J's two orders up, after the ground state), and the
-    # scan starts at the last grid point at or below it, x_0 = 0
-    # at two keys only. The smallest relative slacks show that no bound is
+    # degree loop reads and the scan starts at, is the scan's bound bit for
+    # bit (the Neumann l = 0 census key is J's two orders up, after the
+    # ground state). The smallest relative slacks show that no bound is
     # vacuous: a looser one fails here
     slack = {"J": [], "G": []}  # (lower, upper) relative slacks
-    zero_starts = []  # keys whose bound lies below the first positive point
     keys = [(0, tn) for tn in range(239)]
     keys += [(l, 2 * l + d - 2) for d in (2, 3, 5, 30, 120, 238)
              for l in range(1, (240 - d) // 2 + 1)]
@@ -675,16 +673,7 @@ def test_first_zero_bounds_bracket_the_first_zero():
         if l == 0 and tn >= 2:  # Neumann l = 0 at d = tn has this key
             assert zeros._key(BoundaryCondition.NEUMANN, 0, tn) == (
                 (0, tn), True, tn - 2)
-        start = zeros._scan_start(l, tn)
-        half = 0.5 * (tn % 2)
-        k = round(start / zeros.DEFAULT_STEP - half)
-        assert start == (k + half) * zeros.DEFAULT_STEP, (l, tn, start)
-        assert start <= _scan_bound(l, tn) < (
-            k + 1 + half) * zeros.DEFAULT_STEP
-        if start == 0.0:
-            zero_starts.append((l, tn))
         slack["G" if l else "J"].append((1.0 - lower / z, upper / z - 1.0))
-    assert zero_starts == [(0, 0), (1, 2)]
     for group, want in (("J", [0.0650, 0.00390]), ("G", [0.00421, 0.0688])):
         got = [min(s) for s in zip(*slack[group])]
         assert got == pytest.approx(want, rel=1e-2), group
@@ -702,18 +691,52 @@ def test_selfcheck_reads_the_census_bound(monkeypatch):
                              "0.0 (census 2.414"), detail
 
 
-def test_scan_start_is_the_last_table_point_below_the_bound():
+def test_selfcheck_derivative_alias_reads_a_fresh_ladder(monkeypatch):
+    # neumann_zero(0, d, m + 1) and dirichlet_zero(1, d, m) read one cached
+    # census zero of the key (0, d), so their equality alone cannot fail:
+    # that zero biased by 1e-9 must fail the suite through eval_J's signs
+    for fast in (True, False):
+        assert selfcheck._check_derivative_alias(fast) is None
+    real = zeros._census_zero
+    monkeypatch.setattr(zeros, "_census_zero", lambda l, tn, m: (
+        real(l, tn, m) * (1.0 + 1e-9 * (l == 0 and 2 <= tn <= 5))))
+    assert zeros.neumann_zero(0, 2, 2) == zeros.dirichlet_zero(1, 2, 1)
+    for fast in (True, False):
+        detail = selfcheck._check_derivative_alias(fast)
+        assert detail.startswith("derivative alias off at d=2, m=1: "
+                                 "3.8317059740"), detail
+
+
+def test_first_cell_starts_at_the_census_bound(monkeypatch):
     # at every census key of the box, 241 J orders (the Neumann l = 0 keys
     # reach twice_nu = 240) and the Neumann keys l >= 1 of every d >= 2,
-    # the scan starts at the last point of the parity's _GRID at or below
-    # the scan's bound (_scan_bound)
+    # the first cell starts at the scan's bound (_scan_bound), or at a grid
+    # point past it, and the census evaluates no point at or below the
+    # bound: its first point is the parity's first grid point past it
     keys = [(0, tn) for tn in range(241)] + [
         (l, tn) for tn in range(239) for l in range(1, tn // 2 + 1)]
     assert len(keys) == 14402
+    seen = []
+    real = bessel._grid_pair
+
+    def spied(twice_nu, x):
+        seen.append((twice_nu, x))
+        return real(twice_nu, x)
+
+    monkeypatch.setattr(bessel, "_grid_pair", spied)
+    zeros._census_bracket.cache_clear()
+    at_bound = 0
     for l, tn in keys:
-        hair = _scan_bound(l, tn)
-        start = max(x for x in zeros._GRID[tn % 2] if x <= hair)
-        assert zeros._scan_start(l, tn) == start, (l, tn)
+        bound, grid = _scan_bound(l, tn), zeros._GRID[tn % 2]
+        seen.clear()
+        lo, hi, sign = zeros._census_bracket(l, tn, 1)
+        assert sign == 1 and hi in grid, (l, tn)
+        assert lo == bound or lo in grid and lo > bound, (l, tn, lo, bound)
+        at_bound += lo == bound
+        assert seen[0] == (tn, next_point(tn % 2, bound)), (l, tn)
+        assert all(x > bound and t == tn for t, x in seen), (l, tn)
+    assert at_bound == 6152
+    zeros._census_bracket.cache_clear()
 
 
 def test_qu_wong_bound_lies_below_every_first_zero():
@@ -721,16 +744,14 @@ def test_qu_wong_bound_lies_below_every_first_zero():
     # j_{nu,1} at every twice_nu = 1..240 (the J keys, which the Neumann
     # l = 0 requests extend past the Dirichlet cap): the census's first
     # zero, which lies in the first sign-change cell of a walk from
-    # Watson's start, so a bound past j_{nu,1} cannot hide it. The smallest
+    # Watson's bound, so a bound past j_{nu,1} cannot hide it. The smallest
     # slack shows that the bound is not vacuous
     assert 1.855757 < -mp.airyaizero(1) / mp.cbrt(2) < 1.855758
     slack = []
     for tn in range(1, 241):
         z = zeros._census_zero(0, tn, 1)
         watson = zeros._first_zero_bounds(0, tn)[0] * (1.0 - 1e-9)
-        grid = zeros._GRID[tn % 2]
-        start = grid[bisect_right(grid, watson) - 1]
-        lo, hi, _ = zeros._first_cell(zeros._sign(0, tn), tn % 2, start, 1)
+        lo, hi, _ = zeros._first_cell(zeros._sign(0, tn), tn % 2, watson, 1)
         assert lo < z < hi, (tn, lo, z, hi)
         assert _qu_wong(tn) < z, (tn, z)
         slack.append((z / _qu_wong(tn) - 1.0, tn))
@@ -738,22 +759,21 @@ def test_qu_wong_bound_lies_below_every_first_zero():
     assert min(slack)[0] == pytest.approx(0.00162, rel=1e-2)
 
 
-def _rayleigh_start(l: int, twice_nu: int) -> float:
-    """The reference Neumann scan start at l >= 1 from the Rayleigh bound
+def _rayleigh_bound(l: int, twice_nu: int) -> float:
+    """The reference Neumann bound at l >= 1 from the Rayleigh bound
     beta_{l,1}^2 > 2l(nu+1) / (1 + 2l(nu+1)/(nu(nu+2))), a rigorous bound
-    from the sum of inverse squared zeros, formed as _scan_start forms a
-    start."""
+    from the sum of inverse squared zeros, shrunk as _first_zero_lower
+    shrinks a bound."""
     nn, a = twice_nu * (twice_nu + 4), l * (twice_nu + 2)
-    lower = math.sqrt(a / (1.0 + a / (nn / 4.0))) * (1.0 - 1e-9)
-    half = 0.5 * (twice_nu % 2)
-    k = math.floor(lower / zeros.DEFAULT_STEP - half)
-    return (k + half) * zeros.DEFAULT_STEP
+    return math.sqrt(a / (1.0 + a / (nn / 4.0))) * (1.0 - 1e-9)
 
 
 def test_sturm_start_is_never_below_the_rayleigh_start():
     # at every Neumann key of the box with l >= 1 the scan starts at the
-    # Sturm bound sqrt(l(l+d-2)): never at a grid point below the start of
-    # the Rayleigh bound, and past it at most keys; spectrum's degree loop
+    # Sturm bound sqrt(l(l+d-2)): past the Rayleigh bound at all but ten
+    # keys of twice_nu <= 8, and at those so little below it that no grid
+    # point lies between them, so no scan evaluates a point at or below
+    # the Rayleigh bound; spectrum's degree loop
     # stops at the first degree whose lower bound clears the cutoff, the
     # Neumann ground state's degree 0 aside, so that bound must not
     # decrease in l, in any d: from l = 0 for Dirichlet, from l = 1 for
@@ -762,10 +782,12 @@ def test_sturm_start_is_never_below_the_rayleigh_start():
     assert len(keys) == 14161
     later = 0
     for l, tn in keys:
-        start, rayleigh = zeros._scan_start(l, tn), _rayleigh_start(l, tn)
-        assert start >= rayleigh, (l, tn, start, rayleigh)
-        later += start > rayleigh
-    assert later == 13328
+        sturm = zeros._first_zero_lower((l, tn))
+        rayleigh = _rayleigh_bound(l, tn)
+        assert next_point(tn % 2, sturm) > rayleigh, (l, tn, sturm, rayleigh)
+        later += sturm > rayleigh
+        assert sturm > rayleigh or tn <= 8, (l, tn, sturm, rayleigh)
+    assert later == 14151
     for d in range(2, 239):
         for bc in BoundaryCondition:
             lows = [zeros._first_zero_lower(zeros._key(bc, l, d)[0])
@@ -796,7 +818,7 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
                           (BoundaryCondition.NEUMANN, 5, 2, 3),
                           (BoundaryCondition.NEUMANN, 40, 7, 1)]:
         zeros.find_zero(bc, l, d, m)
-    grids = {p: set(zeros._GRID[p][1:]) for p in (0, 1)}
+    grids = {p: set(zeros._GRID[p]) for p in (0, 1)}
     assert all(zeros.X_MAX in grid for grid in grids.values())
     assert (1, zeros.X_MAX) in bessel._LADDERS  # d = 3, l = 0: parity 1
     assert all(x in grids[p] for p, x in bessel._LADDERS), sorted(
@@ -815,9 +837,10 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
 
 def dd_cells(l: int, twice_nu: int):
     """Sign-change cells (lo, hi) of the census key's target (pair_target)
-    on the order's grid, in order, from the scan start, where it is
-    positive: x_k = (k + parity/2) pi/2 with X_MAX the last point."""
-    start, sign = zeros._scan_start(l, twice_nu), 1
+    on the order's grid, in order, from the census bound (_scan_bound),
+    below which it is positive: x_k = (k + parity/2) pi/2 with X_MAX the
+    last point."""
+    start, sign = _scan_bound(l, twice_nu), 1
     f = pair_target(l, twice_nu)
     half = 0.5 * (twice_nu % 2)
     lo, k = start, 0
@@ -957,7 +980,7 @@ class TestCensus:
         # each zero has a cell of its own, so no index past the grid's
         # cell count is in the box; a cold request must not recurse once
         # per index
-        assert all(zeros._MAX_CELLS == len(zeros._GRID[parity]) - 1
+        assert all(zeros._MAX_CELLS == len(zeros._GRID[parity])
                    for parity in (0, 1))
         _cold()
         with pytest.raises(RangeError, match="beyond the supported box"):
@@ -1305,11 +1328,10 @@ class TestRefinement:
         # where the census evaluated it, the certificate holds for the
         # shipped zero and for neither float one ulp away
         l, twice_nu = census_key(tag, l, twice_nu)
-        start = zeros._scan_start(l, twice_nu)
         for m in (1, 2):
             z = zeros._census_zero(l, twice_nu, m)
             lo, hi, _ = zeros._census_bracket(l, twice_nu, m)
-            for x0 in [hi] + [lo] * (lo != start):
+            for x0 in [hi] + [lo] * (lo in zeros._GRID[twice_nu % 2]):
                 assert _certifies(l, twice_nu, x0, z), (z, x0)
                 for to in (0.0, math.inf):
                     assert not _certifies(l, twice_nu, x0,
@@ -1733,14 +1755,14 @@ class TestWalkerSynthetics:
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_grid_phase_and_last_point(self, parity):
-        # 0.0 first, then x_k = (k + parity/2) pi/2 bit for bit below
-        # X_MAX, every cell at most pi/2, and X_MAX last
+        # x_k = (k + parity/2) pi/2 bit for bit from the first positive
+        # one below X_MAX, every cell at most pi/2, and X_MAX last
         grid = zeros._GRID[parity]
         k0 = 1 - parity  # the first k with x_k > 0
-        assert grid[0] == 0.0 and grid[-1] == zeros.X_MAX
+        assert grid[-1] == zeros.X_MAX
         assert all(0.0 < b - a <= math.pi / 2 + 1e-12
                    for a, b in zip(grid, grid[1:]))
-        assert list(grid[1:-1]) == [
+        assert list(grid[:-1]) == [
             (k + parity / 2) * math.pi / 2
-            for k in range(k0, k0 + len(grid) - 2)]
-        assert (k0 + len(grid) - 2 + parity / 2) * math.pi / 2 >= zeros.X_MAX
+            for k in range(k0, k0 + len(grid) - 1)]
+        assert (k0 + len(grid) - 1 + parity / 2) * math.pi / 2 >= zeros.X_MAX
