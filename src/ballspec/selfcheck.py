@@ -134,15 +134,24 @@ def _check_table_values(fast: bool) -> str | None:
     return None
 
 
-def _check_first_zero_bounds(fast: bool) -> str | None:
-    """zeros._first_zero_bounds bracket the first positive zero at every J
-    order of the box and every Neumann l >= 1 of a few d (fast: a sample)."""
+def _first_zero_keys(fast: bool) -> list[tuple[int, int]]:
+    """The census keys of the first_zero_bounds suite: every J order and
+    every Neumann l >= 1 of a few d (fast: a sample) whose census pair
+    (nu, nu + 1) lies in the box and whose first zero provably does (its
+    upper bound is at most X_MAX)."""
     step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
-    cap = bessel.TWICE_NU_MAX  # the census pair (nu, nu + 1) lies in the box
+    cap = bessel.TWICE_NU_MAX
     keys = [(0, tn) for tn in range(0, cap - 1, step)] + [
         (l, 2 * l + d - 2) for d in dims
         for l in range(1, (cap - d) // 2 + 1, step)]
-    for l, tn in keys:
+    return [key for key in keys
+            if zeros._first_zero_bounds(*key)[1] <= bessel.X_MAX]
+
+
+def _check_first_zero_bounds(fast: bool) -> str | None:
+    """zeros._first_zero_bounds bracket the first positive zero at every
+    key of _first_zero_keys."""
+    for l, tn in _first_zero_keys(fast):
         lower, upper = zeros._first_zero_bounds(l, tn)
         census = zeros._first_zero_lower((l, tn))  # the bound that refuses
         z = (zeros.bessel_zero(Order(tn), 1) if l == 0

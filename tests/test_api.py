@@ -21,6 +21,7 @@ from ballspec.bessel import EvalResult, Order
 from ballspec.errors import CertificateFailure, RangeError
 from ballspec.pleijel import Check
 from ballspec.spectrum import BoundaryCondition, EigenvalueRecord
+from tests import _box
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -79,8 +80,8 @@ def test_record_keywords_and_defaults():
 
 
 @pytest.mark.parametrize("make, error, message", [
-    (lambda: Order(241), RangeError,
-     "twice_nu=241 outside supported [0, 240]"),
+    (lambda: Order(_box.CAP + 1), RangeError,
+     f"twice_nu={_box.CAP + 1} outside supported [0, {_box.CAP}]"),
     (lambda: Order(-1), RangeError, "twice_nu must be an int >= 0, got -1"),
     (lambda: Order(True), RangeError,
      "twice_nu must be an int >= 0, got True"),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from tests import _frozen
+from tests import _box, _frozen
 from tests import _oracle as oracle
 from tests.test_golden import KERNEL_POINTS, SERIES_POINTS
 from ballspec import bessel, zeros
@@ -38,7 +38,7 @@ def test_order_range_checks():
     with pytest.raises(RangeError):
         Order(-1)
     with pytest.raises(RangeError):
-        Order(241)
+        Order(_box.CAP + 1)
     with pytest.raises(RangeError):
         Order(1.5)  # type: ignore[arg-type]
     with pytest.raises(RangeError):
@@ -112,9 +112,9 @@ def test_pair_tiny_argument_leading_terms():
 
 def test_pair_order_cap():
     with pytest.raises(RangeError):
-        eval_J_pair(Order(240), 10.0)
+        eval_J_pair(Order(_box.CAP), 10.0)
     with pytest.raises(RangeError, match="above the supported box"):
-        eval_J_pair(Order(239), 5.0)
+        eval_J_pair(Order(_box.EDGES["last_order"] + 1), 5.0)
     with pytest.raises(RangeError, match=r"x=0\.0 outside"):
         eval_J_pair(Order(0), 0.0)
 

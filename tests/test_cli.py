@@ -16,10 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ballspec import bessel, cli, pleijel, zeros
+from ballspec import bessel, cli, pleijel, spectrum, zeros
+from tests import _box
 from tests.test_golden import GOLDEN
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+CAP, D_MAX = _box.CAP, _box.EDGES["d_max"]
+GROUND_LIMIT = _box.EDGES["neumann", CAP + 1].limit  # Neumann past the cap
 
 TABLE_6DEC = [
     "0.691660", "0.455945", "0.296901", "0.192940", "0.125581",
@@ -352,29 +355,34 @@ class TestTopLevel:
         assert code == 1 and out == ""
         assert err.startswith(f"usage error: cannot write {target}: ")
 
-    # (argv, what the message must name, internal value it must not name)
+    # (argv, what the message must name, internal value it must not name);
+    # the box's edges come from tests/_box.py, and the Dirichlet window
+    # refused for its spectrum is one only where the order cap binds in
+    # the argument box
     @pytest.mark.parametrize("argv,names,not_named", [
-        ("courant --d 240 --bc neumann --lmax 2 --mmax 2",
-         ("d=240", "lmax=2"), "twice_nu"),
-        ("courant --d 230 --bc dirichlet --lmax 2 --mmax 4",
-         ("d=230", "lmax=2", "mmax=4"), None),
-        # the first refused cutoff at d = 241: below it only the Neumann
+        (f"courant --d {CAP} --bc neumann --lmax 2 --mmax 2",
+         (f"d={CAP}", "lmax=2"), "twice_nu"),
+        *[(f"courant --d {d} --bc dirichlet --lmax {lmax} --mmax {mmax}",
+           (f"d={d}", f"lmax={lmax}", f"mmax={mmax}"), None)
+          for d, lmax, mmax in filter(None, [_box.EDGES["courant_refused"]])],
+        # the first refused cutoff past the cap: below it only the Neumann
         # ground state lies, which needs no census
-        ("spectrum --d 241 --bc neumann --lambda-max 240",
-         ("lambda_max=240.0 ",), "240.00000000100002"),
-        ("pleijel --gamma 241", ("gamma(241)",), "d_max"),
+        (f"spectrum --d {CAP + 1} --bc neumann --lambda-max {GROUND_LIMIT}",
+         (f"lambda_max={GROUND_LIMIT}.0 ",),
+         repr(GROUND_LIMIT + spectrum.CUTOFF_SLACK)),
+        (f"pleijel --gamma {D_MAX + 1}", (f"gamma({D_MAX + 1})",), "d_max"),
         # zero-census errors name the caller's (l, d, m), not the census key
         ("courant --d 2 --bc dirichlet --lmax 3 --mmax 70",
          ("l=3, d=2", "m=70"), "twice_nu"),
         ("zeros --l 1 --d 2 --bc neumann --m 90",
          ("l=1, d=2", "m=90"), "twice_nu"),
-        ("zeros --l 0 --d 241 --bc dirichlet --count 1",
-         ("l=0, d=241", "m=1"), "twice_nu"),
+        (f"zeros --l 0 --d {CAP + 1} --bc dirichlet --count 1",
+         (f"l=0, d={CAP + 1}", "m=1"), "twice_nu"),
         ("zeros --l 0 --d 2 --bc neumann --m 66",
          ("l=0, d=2", "m=66"), "m=65"),
-        ("pleijel --table 2 241", ("241",), "twice_nu"),
-        ("pleijel --curve 2 240", ("240",), "twice_nu"),
-        ("certify --d 4 --through 240", ("d=240",), "twice_nu"),
+        (f"pleijel --table 2 {D_MAX + 1}", (f"{D_MAX + 1}",), "twice_nu"),
+        (f"pleijel --curve 2 {D_MAX}", (f"{D_MAX}",), "twice_nu"),
+        (f"certify --d 4 --through {D_MAX}", (f"d={D_MAX}",), "twice_nu"),
         ("pleijel --gamma 1", ("--gamma must be >= 2, got 1",), "d_min"),
         # a huge --count walks m lazily up to the first zero past the box
         ("zeros --l 0 --d 2 --bc dirichlet --count 1000000000000000000",

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from ballspec import cli
+from tests import _box
 from tests.test_cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,7 +46,7 @@ def test_stdout_past_a_pipe_buffer_is_run_s_output(capsys, fmt):
 @pytest.mark.parametrize("argv, want", [
     ("zeros --l 0", 1),
     ("pleijel --gamma 1", 1),
-    ("pleijel --gamma 241", 1),
+    (f"pleijel --gamma {_box.EDGES['d_max'] + 1}", 1),
     ("spectrum -h", 0),
     (SMALL, 0),
 ])

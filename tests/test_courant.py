@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ballspec.courant import (
 from ballspec.errors import CertificateFailure, RangeError
 from ballspec.pleijel import Check
 from ballspec.spectrum import BoundaryCondition, enumerate_spectrum, multiplicity
+from tests import _box
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -296,22 +298,25 @@ class TestCourantSharpBall:
                     assert v.record.l >= 1 and v.record.m >= 2
                     assert v.certificate == ()
 
+    # the windows whose top order is the box's last, where the next
+    # degree's census bound lies in the argument box (none where it does
+    # not); the top degree of lmax = 2 takes labels from d + 2 on
     @pytest.mark.parametrize("d,lmax,want", [
-        (238, 1, [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]),
-        (236, 2, [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2),
-                  (2, 1, "ExcludedSphereLabel", 238)]),
-    ])
+        (d, lmax, [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]
+         + [(2, 1, "ExcludedSphereLabel", d + 2)] * (lmax == 2))
+        for d, lmax in _box.EDGES["courant_windows"]])
     def test_dirichlet_window_on_the_order_cap_edge(self, d, lmax, want):
-        # the window's top zero j_{119,1} lies below the census bound of the
-        # next degree, Qu and Wong's 129.15338 on j_{120,1}, so its spectrum
-        # needs no order past the box, as the same Neumann windows; with
-        # mmax = 2 the top zero j_{119,2} lies past it, and the spectrum
-        # below it is refused after that one zero
+        # the window's top zero (j_{119,1} at cap 240) lies below the
+        # census bound of the next degree (Qu and Wong's 129.15338 on
+        # j_{120,1}), so its spectrum needs no order past the box, as the
+        # same Neumann windows; with mmax = 2 the top zero (j_{119,2}) lies
+        # past it, and the spectrum below it is refused after that one zero
         verdicts = courant_sharp_ball(d, D, lmax, 1)
         assert [(v.record.l, v.record.m, v.status.value, v.record.label_first)
                 for v in verdicts] == want
+        order = re.escape(_box.order_named(2 * lmax + d))
         with pytest.raises(RangeError, match=rf"needs the spectrum below "
-                           rf"the \({lmax}, 2\) mode: .*Bessel order 121"):
+                           rf"the \({lmax}, 2\) mode: .*Bessel order {order}"):
             courant_sharp_ball(d, D, lmax, 2)
 
     def test_rejects_bad_args(self):

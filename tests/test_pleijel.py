@@ -10,7 +10,7 @@ import pytest
 
 from ballspec import pleijel, zeros
 from ballspec.errors import CertificateFailure, RangeError
-from tests import _frozen
+from tests import _box, _frozen
 
 # The 20 published 6-decimal table values for d = 2..21.
 TABLE_6DEC = [
@@ -60,11 +60,15 @@ class TestGammaValues:
             assert 0.0 < pleijel.gamma(d) < 1.0
 
     def test_gamma_at_order_box_edge(self):
-        # the census needs the (nu, nu+1) pair, so d = 240 is the last
-        # supported dimension and 241 the first rejected one
-        assert 0.0 < pleijel.gamma(240) < pleijel.gamma(239)
+        # the census needs the (nu, nu+1) pair in the order box and the
+        # first zero's census bound in the argument box, so D_MAX (240 at
+        # cap 240) is the last supported dimension and the next the first
+        # rejected one
+        d_max = _box.EDGES["d_max"]
+        assert pleijel.D_MAX == d_max
+        assert 0.0 < pleijel.gamma(d_max) < pleijel.gamma(d_max - 1)
         with pytest.raises(RangeError):
-            pleijel.gamma(241)
+            pleijel.gamma(d_max + 1)
 
     @pytest.mark.parametrize("bad", [1, 0, -3, True, 2.0, "4", None])
     def test_gamma_rejects_bad_dimension(self, bad):
@@ -127,7 +131,9 @@ class TestGammaTable:
             assert 0.0 < row.gamma < 1.0
             assert row.gamma == math.exp(row.log_gamma_value)
 
-    @pytest.mark.parametrize("lo,hi", [(6, 2), (1, 5), (2, 241), (2, True)])
+    @pytest.mark.parametrize("lo,hi", [(6, 2), (1, 5),
+                                       (2, _box.EDGES["d_max"] + 1),
+                                       (2, True)])
     def test_table_rejects_bad_range(self, lo, hi):
         with pytest.raises(RangeError):
             pleijel.gamma_table(lo, hi)
@@ -156,7 +162,8 @@ class TestQuotientCurve:
 
     def test_limit_at_largest_computable_dimensions(self):
         # the ten largest d whose quotient the order box still reaches
-        points = pleijel.quotient_curve(230, 239)
+        top = _box.EDGES["d_max"] - 1
+        points = pleijel.quotient_curve(top - 9, top)
         assert len(points) == 10
         for _, q in points:
             assert abs(q - TWO_OVER_E) <= 0.05
@@ -166,7 +173,8 @@ class TestQuotientCurve:
         for d, q in pleijel.quotient_curve(5, 8):
             assert q == pytest.approx(pleijel.gamma(d + 1) / pleijel.gamma(d), rel=1e-13)
 
-    @pytest.mark.parametrize("lo,hi", [(1, 5), (10, 9), (2, 240)])
+    @pytest.mark.parametrize("lo,hi", [(1, 5), (10, 9),
+                                       (2, _box.EDGES["d_max"])])
     def test_curve_rejects_bad_range(self, lo, hi):
         with pytest.raises(RangeError):
             pleijel.quotient_curve(lo, hi)
@@ -325,7 +333,10 @@ class TestMonotonicityCertificate:
         with pytest.raises(RangeError):
             cert.check("nonexistent")
 
-    @pytest.mark.parametrize("bad", [3, 2, 0, -1, True, 4.0, 240, 300])
+    # D_MAX needs gamma(D_MAX + 1); D_MAX + 60 lies well past the box
+    @pytest.mark.parametrize("bad", [3, 2, 0, -1, True, 4.0,
+                                     _box.EDGES["d_max"],
+                                     _box.EDGES["d_max"] + 60])
     def test_certificate_rejects_out_of_range(self, bad):
         with pytest.raises(RangeError):
             pleijel.monotonicity_certificate(bad)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from ballspec.spectrum import (
     weyl_count,
 )
 
-from tests import _frozen
+from tests import _box, _frozen
 from tests.test_zeros import assert_nearest_float
 
 D = BoundaryCondition.DIRICHLET
@@ -365,20 +366,26 @@ class TestEnumerationValidation:
             enumerate_spectrum(1, D, 10.0)
 
     def test_cutoff_beyond_order_box_is_reported(self):
-        # completeness would need degrees past the kernel's order range
-        with pytest.raises(RangeError):
-            enumerate_spectrum(2, D, 40000.0)
+        # completeness would need degrees past the kernel's order range,
+        # wherever the first degree out of the box has its census bound at
+        # or below sqrt(LAMBDA_MAX)
+        if _box.EDGES["dirichlet", 2].limit is None:
+            enumerate_spectrum(2, D, spectrum.LAMBDA_MAX)
+        else:
+            with pytest.raises(RangeError):
+                enumerate_spectrum(2, D, spectrum.LAMBDA_MAX)
 
     @pytest.mark.parametrize("d,inside,limit", [
-        (241, 239, 240), (300, 298, 299), (1000, 998, 999), (240, 238, 239),
-        (238, 475, 476), (2, 14399, 14400), (3, 14279, 14280)])
+        (d, *_box.EDGES["neumann", d][:2])
+        for d in _box.dims()["neumann bisection"]])
     def test_neumann_limit_by_integer_bisection(self, d, inside, limit):
         # bisection on the integer cutoff between 0 and past LAMBDA_MAX
         # finds the largest lambda_max that enumerates and the first one
-        # refused. Past the order cap (d >= 241) the Neumann l = 0 census
-        # runs only where J_{nu+1}'s first zero may lie below the cutoff, so
-        # the ground state alone enumerates until the first zero of l = 1,
-        # past sqrt(d - 1), needs an order past the box
+        # refused (past LAMBDA_MAX where every cutoff enumerates). Past the
+        # order cap the Neumann l = 0 census runs only where J_{nu+1}'s
+        # first zero may lie below the cutoff, so the ground state alone
+        # enumerates until the first zero of l = 1, past sqrt(d - 1), needs
+        # an order past the box
         def enumerates(lam):
             try:
                 enumerate_spectrum(d, N, lam)
@@ -391,16 +398,16 @@ class TestEnumerationValidation:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if enumerates(mid) else (lo, mid)
-        assert (lo, hi) == (inside, limit)
-        if d > 240:
+        assert (lo, hi) == (inside, limit or int(spectrum.LAMBDA_MAX) + 1)
+        if d > _box.CAP:
             records = enumerate_spectrum(d, N, inside).records
             assert [(r.l, r.m, r.zero) for r in records] == [(0, 1, 0.0)]
             with pytest.raises(RangeError, match=r"\(degree l=1\) needs"):
                 enumerate_spectrum(d, N, limit)
 
-    @pytest.mark.parametrize("d,inside,limit", [(2, 14399, 14400),
-                                                (30, 14203, 14204),
-                                                (100, 11998, 11999)])
+    @pytest.mark.parametrize("d,inside,limit", [
+        (d, *_box.EDGES["neumann", d][:2])
+        for d in _box.dims()["neumann top degree"]])
     def test_neumann_enumerates_up_to_the_order_box(self, d, inside, limit):
         # the Neumann degree loop reads the Sturm bound sqrt(l(l+d-2)), so
         # a Neumann spectrum is refused only where a candidate degree's
@@ -414,48 +421,44 @@ class TestEnumerationValidation:
         assert top > 60 and tops
         for z in tops:
             assert_nearest_float(top, 2 * top + d - 2, z)
-        with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
-                           r"\(degree l=\d+\) needs Bessel order 121"):
-            enumerate_spectrum(d, N, limit)
-
-    @pytest.mark.parametrize("d,inside,limit,order", [
-        (2, 16680, 16681, "121.0"), (238, 16680, 16681, "121.0"),
-        (3, 16548, 16549, "120.5")])
-    def test_dirichlet_enumerates_up_to_the_census_bound(self, d, inside,
-                                                         limit, order):
-        # the Dirichlet degree loop reads Qu and Wong's bound on j_{nu,1}, so
-        # a spectrum is refused only where that bound of the first degree
-        # past the order box lies at or below the cutoff: 129.15338^2 =
-        # 16680.6 (nu = 120, even d) and 128.64065^2 = 16548.4 (nu = 119.5,
-        # odd d). Just inside it enumerates, and the top degrees' zeros,
-        # orders 117 and up, past Watson's old limit, are the floats nearest
-        # the oracle's; at the limit the degree loop refuses and names
-        # lambda_max
-        table = enumerate_spectrum(d, D, inside)
-        tops = [rec for rec in table.records if 2 * rec.l + d - 2 >= 234]
-        assert len(tops) >= 2
-        for rec in tops:
-            assert rec.zero > math.sqrt(14640.0)
-            assert_nearest_float(0, 2 * rec.l + d - 2, rec.zero)
-        with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
-                           rf"\(degree l=\d+\) needs Bessel order {order} "):
-            enumerate_spectrum(d, D, limit)
-
-    @pytest.mark.parametrize("d,inside,limit,order", [
-        (241, 16548, 16549, "120.5"), (242, 16680, 16681, "121.0"),
-        (300, 25229, 25230, "150.0"), (380, 39860, 39861, "190.0"),
-        (381, 40000, None, None)])
-    def test_dirichlet_past_the_cap_is_empty_below_the_census_bound(
-            self, d, inside, limit, order):
-        # past the order cap no Dirichlet degree has a census, so a spectrum
-        # is the empty table while degree 0's census bound, Qu and Wong's on
-        # j_{d/2-1,1}, lies past the cutoff, and refused from there on; at
-        # d >= 381 that bound passes 200, so every cutoff enumerates
-        assert enumerate_spectrum(d, D, inside).records == ()
         if limit is not None:
+            order = re.escape(_box.EDGES["neumann", d].order)
             with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
-                               rf"\(degree l=0\) needs Bessel order "
+                               rf"\(degree l=\d+\) needs Bessel order "
                                rf"{order} "):
+                enumerate_spectrum(d, N, limit)
+
+    @pytest.mark.parametrize("d,inside,limit,order", [
+        (d, *_box.EDGES["dirichlet", d]) for d in _box.dims()["dirichlet"]])
+    def test_dirichlet_limit_is_the_census_bound(self, d, inside, limit,
+                                                 order):
+        # the Dirichlet degree loop reads Qu and Wong's bound on j_{nu,1},
+        # so a spectrum is refused only where that bound of the first
+        # degree past the order box lies at or below the cutoff: 129.15338^2
+        # = 16680.6 (nu = 120, even d) and 128.64065^2 = 16548.4 (nu =
+        # 119.5, odd d) at cap 240. Just inside it enumerates, and the top
+        # degrees' zeros, the orders within 6 of the cap, past Watson's old
+        # limit on the first degree out, are the floats nearest the
+        # oracle's; at the limit the degree loop refuses and names
+        # lambda_max. Past the order cap no degree has a census, so a
+        # spectrum is the empty table while degree 0's census bound lies
+        # past the cutoff; where that bound passes X_MAX every cutoff
+        # enumerates
+        table = enumerate_spectrum(d, D, inside)
+        if d > _box.CAP:
+            assert table.records == ()
+        elif limit is not None:
+            tops = [rec for rec in table.records
+                    if 2 * rec.l + d - 2 >= _box.CAP - 6]
+            assert len(tops) >= 2
+            for rec in tops:
+                assert rec.zero > _box.watson(_box.CAP)
+                assert_nearest_float(0, 2 * rec.l + d - 2, rec.zero)
+        if limit is not None:
+            l = _box.first_degree_out(d)
+            with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
+                               rf"\(degree l={l}\) needs Bessel order "
+                               rf"{re.escape(order)} "):
                 enumerate_spectrum(d, D, limit)
 
     def test_record_for_missing_mode(self):

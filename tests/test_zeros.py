@@ -10,6 +10,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -25,7 +26,7 @@ from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
 from ballspec.zeros import BoundaryCondition
 
-from tests import _frozen
+from tests import _box, _frozen
 from tests import _oracle as oracle
 from tests.test_bessel import oracle_target, pair_target, twin_points
 
@@ -75,7 +76,8 @@ class TestValidation:
             dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=0),
             dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=1.0),
             dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=10_000),  # past X_MAX
-            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=241, m=1),  # order cap
+            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=_box.CAP + 1,
+                 m=1),  # order cap
             # bool is an int subclass, but never a degree or an index
             dict(bc=BoundaryCondition.DIRICHLET, l=True, d=2, m=1),
             dict(bc=BoundaryCondition.NEUMANN, l=False, d=2, m=2),
@@ -139,8 +141,13 @@ class TestValidation:
 
 # ---------------------------------------------------------------------------
 # the edges of the order box: the census needs the pair (nu, nu + 1), so
-# twice_nu + 2 <= TWICE_NU_MAX; each row is the last accepted request and
-# the first refused one of one caller of that cap
+# twice_nu + 2 <= TWICE_NU_MAX. Each pair of rows is one caller's last
+# accepted request at cap 240, whose output it pins, and its first refused
+# request at this cap, from tests/_box.py; tests/test_box.py checks that at
+# cap 240 the two are adjacent
+
+E, P = _box.EDGES, _box.PINNED
+D_PAST, X_IN, _ = P["ground_x"]  # Neumann l = 0 past the cap
 
 
 def _courant_rows(d: int) -> list:
@@ -150,37 +157,42 @@ def _courant_rows(d: int) -> list:
 
 @pytest.mark.parametrize("call,want", [
     (lambda: [(r.d, r.gamma, r.quotient_next)
-              for r in pleijel.gamma_table(240, 240)],
-     [(240, 7.813247375101231e-37, None)]),
-    (lambda: pleijel.gamma_table(241, 241), RangeError),
-    (lambda: pleijel.quotient_curve(239, 239), [(239, 0.7201590924083663)]),
-    (lambda: pleijel.quotient_curve(240, 240), RangeError),
-    (lambda: pleijel.monotonicity_certificate(239).check("final_lt_1").lhs,
-     0.7201590924083663),
-    (lambda: pleijel.monotonicity_certificate(240), RangeError),
-    (lambda: _courant_rows(238), [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]),
-    (lambda: _courant_rows(239), RangeError),
+              for r in pleijel.gamma_table(P["d_max"], P["d_max"])],
+     [(P["d_max"], 7.813247375101231e-37, None)]),
+    (lambda: pleijel.gamma_table(E["d_max"] + 1, E["d_max"] + 1), RangeError),
+    (lambda: pleijel.quotient_curve(P["d_max"] - 1, P["d_max"] - 1),
+     [(P["d_max"] - 1, 0.7201590924083663)]),
+    (lambda: pleijel.quotient_curve(E["d_max"], E["d_max"]), RangeError),
+    (lambda: pleijel.monotonicity_certificate(P["d_max"] - 1).check(
+        "final_lt_1").lhs, 0.7201590924083663),
+    (lambda: pleijel.monotonicity_certificate(E["d_max"]), RangeError),
+    (lambda: _courant_rows(P["last_order"]),
+     [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]),
+    (lambda: _courant_rows(E["last_order"] + 1), RangeError),
     # past the cap a Neumann cutoff below the first positive zero of every
     # degree holds the ground state alone, which needs no census
-    (lambda: [(r.l, r.m, r.zero) for r in
-              spectrum.enumerate_spectrum(241, "neumann", 239.0).records],
+    (lambda: [(r.l, r.m, r.zero) for r in spectrum.enumerate_spectrum(
+        D_PAST, "neumann", float(P["neumann", D_PAST][0])).records],
      [(0, 1, 0.0)]),
-    (lambda: spectrum.enumerate_spectrum(241, "neumann", 240.0), RangeError),
-    (lambda: spectrum.enumerate_spectrum(241, "dirichlet", 10.0).records, ()),
+    (lambda: spectrum.enumerate_spectrum(
+        E["ground_x"][0], "neumann", E["neumann", E["ground_x"][0]].limit),
+     RangeError),
+    (lambda: spectrum.enumerate_spectrum(
+        E["order_cap"] + 1, "dirichlet", 10.0).records, ()),
     (lambda: zeros.neumann_zero(0, 500, 1), 0.0),  # r = 0 needs no census
     (lambda: zeros.neumann_zero(0, 500, 2), RangeError),
-    (lambda: zeros.bessel_zero(Order(238), 1), 128.33786578015122),
-    (lambda: zeros.bessel_zero(Order(239), 1), RangeError),
-    (lambda: zeros.dirichlet_zero(0, 240, 1), 128.33786578015122),
-    (lambda: zeros.dirichlet_zero(0, 241, 1), RangeError),
-    (lambda: zeros.neumann_zero(1, 238, 1), 15.45989431346645),
-    (lambda: zeros.neumann_zero(1, 239, 1), RangeError),
+    (lambda: zeros.bessel_zero(Order(P["last_order"]), 1), 128.33786578015122),
+    (lambda: zeros.bessel_zero(Order(E["last_order"] + 1), 1), RangeError),
+    (lambda: zeros.dirichlet_zero(0, P["order_cap"], 1), 128.33786578015122),
+    (lambda: zeros.dirichlet_zero(0, E["order_cap"] + 1, 1), RangeError),
+    (lambda: zeros.neumann_zero(1, P["last_order"], 1), 15.45989431346645),
+    (lambda: zeros.neumann_zero(1, E["last_order"] + 1, 1), RangeError),
     # the census bound on j_{121.5,1}, Qu and Wong's, is 129.66608: no
     # census below it
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 129.66),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, D_PAST, X_IN),
      [0.0]),
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 241, 129.67),
-     RangeError),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0,
+                                *E["ground_x"][::2]), RangeError),
 ])
 def test_order_box_edges(call, want):
     if want is RangeError:
@@ -455,7 +467,7 @@ def test_series_centre_is_the_census_pair(monkeypatch):
             for x in zeros._GRID[parity]
             for tn in range(parity, bessel.TWICE_NU_MAX - 1, 2)]
     edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
-    assert len(grid) > 30000 and len(edge) == 59
+    assert len(grid) > 30000 and len(edge) == _box.EDGES["series_edge_keys"]
     for tn, x0 in edge + grid[::7]:
         pair, _ = bessel._grid_series(tn, x0)
         assert pair(x0) == bessel._grid_pair(tn, x0)[:2], (tn, x0)
@@ -595,16 +607,16 @@ def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key():
     # d/dr of the degree-0 profile is -r^(1-d/2) J_{d/2} (DLMF 10.6.6), so
     # past the ground state the Neumann l = 0 zeros are the census zeros of
     # J_{d/2}, the key of Dirichlet l = 1, which reads them from the cache;
-    # d = 239 and 240, whose Dirichlet l = 1 order is past the cap, are
-    # still served, as the cap reads the request's order
+    # the two largest d of the box, whose Dirichlet l = 1 order is past the
+    # cap, are still served, as the cap reads the request's order
     _cold()
-    for d in range(2, 241):
+    for d in _box.ground_dims():
         assert zeros._key(BoundaryCondition.NEUMANN, 0, d) == ((0, d), True,
                                                               d - 2)
         for m in range(1, 4):
             z = zeros.neumann_zero(0, d, m + 1)
             assert z == zeros._census_zero(0, d, m), (d, m)
-            if d <= 238:
+            if d + 2 <= _box.CAP:
                 misses = zeros._census_zero.cache_info().misses
                 assert zeros.dirichlet_zero(1, d, m) == z, (d, m)
                 assert zeros._census_zero.cache_info().misses == misses
@@ -614,7 +626,7 @@ def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key():
 def test_order_cap_message_is_exact():
     # the order nu + 1 is formed from the int, as 0.5 * twice_nu + 1 prints
     # it inside the float range and without overflow past it
-    for tn in range(239, 2000):
+    for tn in range(_box.EDGES["last_order"] + 1, 2000):
         with pytest.raises(RangeError) as err:
             zeros._check_pair(tn, "w")
         assert f"order {0.5 * tn + 1} beyond" in str(err.value), tn
@@ -632,23 +644,6 @@ def test_first_zero_lower_past_the_float_range():
                 bc is BoundaryCondition.NEUMANN and l == 0)
 
 
-def _qu_wong(twice_nu: int) -> float:
-    """Qu and Wong's j_{nu,1} > nu + |a_1| 2^(-1/3) nu^(1/3), the constant
-    rounded down to 1.855757."""
-    nu = 0.5 * twice_nu
-    return nu + 1.855757 * nu ** (1.0 / 3.0)
-
-
-def _scan_bound(l: int, twice_nu: int) -> float:
-    """The bound the scan of the census key starts below, shrunk a hair:
-    the first zero's lower bound, for J_nu (l = 0) at least Qu and
-    Wong's."""
-    lower = zeros._first_zero_bounds(l, twice_nu)[0]
-    if l == 0:
-        lower = max(lower, _qu_wong(twice_nu))
-    return lower * (1.0 - 1e-9)
-
-
 def test_first_zero_bounds_bracket_the_first_zero():
     # the one home of the first-zero bounds brackets the census's first
     # positive zero at every J order of the box, and at every Neumann
@@ -656,11 +651,11 @@ def test_first_zero_bounds_bracket_the_first_zero():
     # degree loop reads and the scan starts at, is the scan's bound bit for
     # bit (the Neumann l = 0 census key is J's two orders up, after the
     # ground state). The smallest relative slacks show that no bound is
-    # vacuous: a looser one fails here
+    # vacuous: a looser one fails here (pinned over the keys of cap 240)
     slack = {"J": [], "G": []}  # (lower, upper) relative slacks
-    keys = [(0, tn) for tn in range(239)]
+    keys = [(0, tn) for tn in _box.j_orders()]
     keys += [(l, 2 * l + d - 2) for d in (2, 3, 5, 30, 120, 238)
-             for l in range(1, (240 - d) // 2 + 1)]
+             for l in _box.neumann_degrees(d)]
     for l, tn in keys:
         lower, upper = zeros._first_zero_bounds(l, tn)
         d = tn - 2 * l + 2
@@ -669,14 +664,29 @@ def test_first_zero_bounds_bracket_the_first_zero():
         assert lower < z < upper, (l, tn, lower, z, upper)
         bc = BoundaryCondition.NEUMANN if l else BoundaryCondition.DIRICHLET
         assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == (
-            _scan_bound(l, tn))
+            _box.scan_bound(l, tn))
         if l == 0 and tn >= 2:  # Neumann l = 0 at d = tn has this key
             assert zeros._key(BoundaryCondition.NEUMANN, 0, tn) == (
                 (0, tn), True, tn - 2)
-        slack["G" if l else "J"].append((1.0 - lower / z, upper / z - 1.0))
+        if tn <= _box.PINNED["last_order"]:
+            slack["G" if l else "J"].append((1.0 - lower / z,
+                                             upper / z - 1.0))
     for group, want in (("J", [0.0650, 0.00390]), ("G", [0.00421, 0.0688])):
         got = [min(s) for s in zip(*slack[group])]
         assert got == pytest.approx(want, rel=1e-2), group
+
+
+def test_selfcheck_first_zero_keys_read_the_box(monkeypatch):
+    # the suite ranges over the keys whose census pair and first zero lie
+    # in the box; at cap 240 these are the keys of the cap's arithmetic
+    monkeypatch.setattr(bessel, "TWICE_NU_MAX", _box.PINNED_CAP)
+    cap = _box.PINNED_CAP
+    for fast in (True, False):
+        step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
+        assert selfcheck._first_zero_keys(fast) == [
+            (0, tn) for tn in range(0, cap - 1, step)] + [
+            (l, 2 * l + d - 2) for d in dims
+            for l in range(1, (cap - d) // 2 + 1, step)]
 
 
 def test_selfcheck_reads_the_census_bound(monkeypatch):
@@ -708,14 +718,15 @@ def test_selfcheck_derivative_alias_reads_a_fresh_ladder(monkeypatch):
 
 
 def test_first_cell_starts_at_the_census_bound(monkeypatch):
-    # at every census key of the box, 241 J orders (the Neumann l = 0 keys
-    # reach twice_nu = 240) and the Neumann keys l >= 1 of every d >= 2,
-    # the first cell starts at the scan's bound (_scan_bound), or at a grid
-    # point past it, and the census evaluates no point at or below the
-    # bound: its first point is the parity's first grid point past it
-    keys = [(0, tn) for tn in range(241)] + [
-        (l, tn) for tn in range(239) for l in range(1, tn // 2 + 1)]
-    assert len(keys) == 14402
+    # at every census key of the box, the J orders (the Neumann l = 0 keys
+    # reach twice_nu = TWICE_NU_MAX) and the Neumann keys l >= 1 of every
+    # d >= 2, the first cell starts at the scan's bound (_box.scan_bound),
+    # or at a grid point past it, and the census evaluates no point at or
+    # below the bound: its first point is the parity's first grid point
+    # past it. The count at the bound is pinned over the keys of cap 240
+    keys = _box.census_keys()
+    assert len(keys) == _box.EDGES["census_keys"]
+    pinned = set(_box.census_keys(_box.PINNED_CAP))
     seen = []
     real = bessel._grid_pair
 
@@ -727,12 +738,12 @@ def test_first_cell_starts_at_the_census_bound(monkeypatch):
     zeros._census_bracket.cache_clear()
     at_bound = 0
     for l, tn in keys:
-        bound, grid = _scan_bound(l, tn), zeros._GRID[tn % 2]
+        bound, grid = _box.scan_bound(l, tn), zeros._GRID[tn % 2]
         seen.clear()
         lo, hi, sign = zeros._census_bracket(l, tn, 1)
         assert sign == 1 and hi in grid, (l, tn)
         assert lo == bound or lo in grid and lo > bound, (l, tn, lo, bound)
-        at_bound += lo == bound
+        at_bound += lo == bound and (l, tn) in pinned
         assert seen[0] == (tn, next_point(tn % 2, bound)), (l, tn)
         assert all(x > bound and t == tn for t, x in seen), (l, tn)
     assert at_bound == 6152
@@ -753,8 +764,8 @@ def test_qu_wong_bound_lies_below_every_first_zero():
         watson = zeros._first_zero_bounds(0, tn)[0] * (1.0 - 1e-9)
         lo, hi, _ = zeros._first_cell(zeros._sign(0, tn), tn % 2, watson, 1)
         assert lo < z < hi, (tn, lo, z, hi)
-        assert _qu_wong(tn) < z, (tn, z)
-        slack.append((z / _qu_wong(tn) - 1.0, tn))
+        assert _box.qu_wong(tn) < z, (tn, z)
+        slack.append((z / _box.qu_wong(tn) - 1.0, tn))
     assert min(slack)[1] == 240
     assert min(slack)[0] == pytest.approx(0.00162, rel=1e-2)
 
@@ -837,10 +848,10 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
 
 def dd_cells(l: int, twice_nu: int):
     """Sign-change cells (lo, hi) of the census key's target (pair_target)
-    on the order's grid, in order, from the census bound (_scan_bound),
+    on the order's grid, in order, from the census bound (_box.scan_bound),
     below which it is positive: x_k = (k + parity/2) pi/2 with X_MAX the
     last point."""
-    start, sign = _scan_bound(l, twice_nu), 1
+    start, sign = _box.scan_bound(l, twice_nu), 1
     f = pair_target(l, twice_nu)
     half = 0.5 * (twice_nu % 2)
     lo, k = start, 0
@@ -1065,18 +1076,22 @@ class TestRadialZeros:
         assert got[-1] == zeros.bessel_zero(Order(0), 63)
 
     def test_kernel_order_box_error_propagates(self, monkeypatch):
-        # the (nu, nu+1) pair at nu = 120 leaves the kernel box: past the
-        # census bound on j_{120,1}, Qu and Wong's 129.15338, an error,
-        # never an empty list; below it no zero can lie, so the list is
-        # empty and no ladder is built
+        # the (nu, nu+1) pair of d = 2's first degree out of the box (nu =
+        # 120 at cap 240) leaves the kernel box: past its census bound (Qu
+        # and Wong's 129.15338 on j_{120,1}), an error, never an empty
+        # list; below it no zero can lie, so the list is empty and no
+        # ladder is built
+        l, x_in, x_out, order = _box.EDGES["dirichlet_x"]
         steps, _ = _ladders(monkeypatch)
-        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, 120, 2,
+        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, l, 2,
                                   50.0) == []
-        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, 120, 2,
-                                  129.15) == []
+        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, l, 2,
+                                  x_in) == []
         assert steps == []
-        with pytest.raises(RangeError, match=r"order 121\.0 beyond"):
-            zeros.radial_zeros(BoundaryCondition.DIRICHLET, 120, 2, 129.16)
+        if x_out <= bessel.X_MAX:
+            with pytest.raises(RangeError,
+                               match=rf"order {re.escape(order)} beyond"):
+                zeros.radial_zeros(BoundaryCondition.DIRICHLET, l, 2, x_out)
 
     @pytest.mark.parametrize("args", [
         ("DirichletXi", 0, 2, 10.0),
