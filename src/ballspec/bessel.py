@@ -188,6 +188,9 @@ def _multiply(ladder, x0: float, twice_nu: int):
     # J_{nu+k}(x0) for k <= _SPAN + 1, each the float nearest its quotient
     js = [y * num / den for y in ys[n:n + _SPAN + 2]]
     top = max(map(abs, js))
+    if top == 0.0:  # no term to scale by: past the float range at x0
+        raise LossOfPrecision(f"every J of the series span underflows at "
+                              f"twice_nu={twice_nu}, x0={x0!r}")
     small = 2.0**-56 * (abs(js[0]) + abs(js[1])) / top  # pair's last |c_k|
     lad = _bound(top, 0.0, x0, twice_nu, unit)  # at least each term's _bound
     lim = 0.25 * lad  # a tail below 2 lim ends the sum

@@ -4,15 +4,20 @@ A mode with angular degree l has radial profile proportional to the scaled
 Bessel function whose zeros (Dirichlet) or derivative zeros (Neumann) set
 the admissible frequencies; the eigenvalue is the squared zero and its
 multiplicity is the dimension of the degree-l spherical-harmonic space.
-Enumeration is certified complete: the degree loop stops only once a
-rigorous lower bound on the first zero clears the cutoff, and the index
-loop walks every sign change from the origin.
+Enumeration is certified complete. The degree loop stops at the first
+degree with no zero at or below the cutoff: by min-max on the radial
+Rayleigh quotient, whose potential l(l+d-2)/r^2 grows with l, each degree's
+first zero lies strictly past the one before (Neumann's from l = 1 on, as
+l = 0 always holds its ground state at r = 0), and rounding to the nearest
+float is monotone, so no later degree holds one either. Within a degree,
+zeros.radial_zeros walks every sign change from the origin.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import count
 from math import comb
 
 from . import _format, zeros
@@ -99,24 +104,6 @@ class SpectrumTable(namedtuple("SpectrumTable", "d bc lambda_max records")):
                                 (rec.row() for rec in self.records))
 
 
-def _candidate_degrees(d: int, bc: BoundaryCondition, r_cut: float,
-                       lambda_max: float) -> range:
-    """Degrees with a zero that may lie at or below r_cut, the radius of
-    the cutoff lambda_max (named in the error)."""
-    l = 0
-    while zeros._may_hold(bc, l, d, r_cut, f"completeness up to "
-                          f"lambda_max={lambda_max!r} (degree l={l})"):
-        l += 1
-    return range(l)
-
-
-def _modes_upto(l: int, d: int, bc: BoundaryCondition, r_cut: float,
-                lam_cut: float) -> list[tuple[int, float]]:
-    """(m, zero) pairs with zero <= r_cut and zero^2 <= lam_cut, in order."""
-    found = zeros.radial_zeros(bc, l, d, r_cut)
-    return [(m, z) for m, z in enumerate(found, 1) if z * z <= lam_cut]
-
-
 def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
     """Every eigenvalue <= lambda_max (absolute slack 1e-9), labeled in
     the order of the certified zeros (see DegenerateOrdering)."""
@@ -130,9 +117,20 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
     lambda_max = abs(lambda_max)  # -0.0 passes the check; the table says 0.0
     lam_cut = lambda_max + CUTOFF_SLACK
     r_cut = min(math.sqrt(lam_cut), X_MAX)
-    modes = sorted((z, l, m, multiplicity(l, d))
-                   for l in _candidate_degrees(d, bc, r_cut, lambda_max)
-                   for m, z in _modes_upto(l, d, bc, r_cut, lam_cut))
+    modes = []
+    for l in count():
+        try:
+            found = zeros.radial_zeros(bc, l, d, r_cut)
+        except RangeError:  # the order cap, its one refusal: name the cutoff
+            zeros._check_pair(2 * l + d - 2, f"completeness up to "
+                              f"lambda_max={lambda_max!r} (degree l={l})")
+            raise
+        if not found:  # so is every later degree: see the module docstring
+            break
+        mult = multiplicity(l, d)
+        modes += [(z, l, m, mult) for m, z in enumerate(found, 1)
+                  if z * z <= lam_cut]
+    modes.sort()
     records = []
     next_label = 1
     for z, l, m, mult in modes:

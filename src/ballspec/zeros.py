@@ -156,10 +156,11 @@ def _first_zero_bounds(l: int, twice_nu: int) -> tuple[float, float]:
 
 def _first_zero_lower(key: tuple[int, int]) -> float:
     """The census bound: below the key's first positive zero, shrunk a hair;
-    inf past the float range. It starts the scan and decides admission and
-    refusal. J: Qu and Wong's nu + 1.855757 nu^(1/3) (|a_1| 2^(-1/3) rounded
-    down; Trans. AMS 351, 1999; DLMF 10.21(vii)); g: Sturm's. At fixed d it
-    increases in l, Neumann l = 0's key aside."""
+    inf past the float range. It starts the scan, and where it lies past a
+    cutoff radial_zeros runs no census and checks no order cap. J: Qu and
+    Wong's nu + 1.855757 nu^(1/3) (|a_1| 2^(-1/3) rounded down; Trans. AMS
+    351, 1999; DLMF 10.21(vii)); g: Sturm's. At fixed d it increases in l,
+    Neumann l = 0's key aside."""
     try:
         if key[0]:
             lower = _first_zero_bounds(*key)[0]
@@ -239,6 +240,10 @@ def _refine(l: int, twice_nu: int, lo: float, hi: float,
     step that leaves (lo, hi), or is more than half the step before last,
     becomes a bisection. So the float phase, its signs and _jet's f' cannot
     move a zero.
+    The g / J_nu mode saves work, not zeros: over the 461 zeros of the
+    Neumann spectra (d, lambda_max) = (100, 11998) and (30, 1500), 96 of
+    them in the mode, Newton on g itself took 1,969 float sums and 7 second
+    fixed-point passes, against 1,719 and 3, for the same floats.
     """
     nu = 0.5 * twice_nu
     pair, value = bessel._grid_series(twice_nu, hi)
@@ -330,17 +335,6 @@ def _key(bc: BoundaryCondition, l: int, d: int):
     if l == 0:
         return (0, twice_nu + 2), True, twice_nu
     return (l, twice_nu), False, twice_nu
-
-
-def _may_hold(bc, l: int, d: int, x_max: float, what: str) -> bool:
-    """Whether [0, x_max] may hold a zero of (bc, l, d), bc coerced: its
-    ground state, or a census zero once the cap on the order 2l + d - 2 is
-    checked (what names the request). Past l = 0, False stays False in l."""
-    key, ground, twice_nu = _key(bc, l, d)
-    if _first_zero_lower(key) > x_max:
-        return ground
-    _check_pair(twice_nu, what)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,24 +16,30 @@ from the code under test:
   sqrt(l (l + d - 2)).
 
 A degree's census bound is Qu and Wong's for a J key and Sturm's for a
-Neumann key l >= 1, shrunk by 1 - 1e-9. Spectrum's degree loop walks
-l = 0, 1, ... and stops at the first degree whose bound clears the cutoff
-radius, Neumann l = 0 aside (its ground state needs no census); the bounds
-increase in l, so a cutoff is refused exactly where the bound of the first
-degree whose order 2l + d - 2 leaves the box is at or below it.
+Neumann key l >= 1, shrunk by 1 - 1e-9; where it lies inside the cutoff
+radius, radial_zeros checks the degree's order 2l + d - 2 against the cap.
+Spectrum's degree loop walks l = 0, 1, ... and ends at the first degree
+with no zero inside the cutoff radius (Neumann l = 0 holds its ground
+state at r = 0). First zeros increase in l, so the loop reaches the first
+degree out of the box once the degree below it has its first zero inside,
+and a cutoff is refused once that zero, from the oracle (tests/_oracle.py),
+and the out-of-box degree's census bound both lie inside it.
 
 Every derivation takes the cap, so that tests/test_box.py checks PINNED,
-the edges as the tests wrote them at cap 240, against derived(240) at any
-cap; EDGES is derived(TWICE_NU_MAX), which the edge tests read.
+the edges at cap 240 written out, against derived(240) at any cap; EDGES
+is derived(TWICE_NU_MAX), which the edge tests read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 from itertools import count
 
 from ballspec import bessel, spectrum
+
+from tests import _oracle
 
 CAP = bessel.TWICE_NU_MAX
 X_MAX = bessel.X_MAX
@@ -93,6 +99,29 @@ def census_key(bc: str, l: int, d: int) -> tuple[int, int]:
     return (0, twice_nu + 2) if l == 0 else (l, twice_nu)
 
 
+@lru_cache(maxsize=None)
+def first_zero(key: tuple[int, int]) -> float:
+    """The float nearest the first positive zero of the census key (l,
+    twice_nu), from the oracle (20 digits settle the float); inf where its
+    census bound lies past X_MAX."""
+    l, twice_nu = key
+    if scan_bound(l, twice_nu) > X_MAX:
+        return math.inf
+    if l:
+        return float(_oracle.oracle_neumann_zero(l, twice_nu - 2 * l + 2, 1,
+                                                 dps=20))
+    return float(_oracle.oracle_bessel_zero(twice_nu, 1, dps=20))
+
+
+def reach(bc: str, l: int, d: int) -> float:
+    """The radius from which spectrum's degree loop reaches degree l: the
+    first zero of degree l - 1, or 0.0 where every cutoff reaches it (l = 0,
+    and Neumann l = 1, past the ground state of l = 0 at r = 0)."""
+    if l == 0 or bc == "neumann" and l == 1:
+        return 0.0
+    return first_zero(census_key(bc, l - 1, d))
+
+
 Edge = namedtuple("Edge", "inside limit order")
 
 
@@ -104,12 +133,15 @@ def first_degree_out(d: int, cap: int = CAP) -> int:
 def edge(bc: str, d: int, cap: int = CAP) -> Edge:
     """The largest integer lambda_max that a (bc, d) spectrum enumerates,
     the first one refused and the order its refusal names; (LAMBDA_MAX,
-    None, None) where every cutoff up to LAMBDA_MAX enumerates. Past the
-    cap Neumann l = 0 and l = 1 both leave the box (l = 0's ground state
-    aside), and the smaller of their bounds refuses."""
+    None, None) where every cutoff up to LAMBDA_MAX enumerates. A cutoff
+    is refused from the radius where the first degree out of the box is
+    both reached and has its census bound inside. Past the cap Neumann
+    l = 0 and l = 1 both leave the box (l = 0's ground state aside), the
+    loop reaches both, and the smaller of their bounds refuses."""
     first = first_degree_out(d, cap)
     degrees = (0, 1) if bc == "neumann" and first == 0 else (first,)
-    r, twice_nu = min((scan_bound(*census_key(bc, l, d)), 2 * l + d - 2)
+    r, twice_nu = min((max(scan_bound(*census_key(bc, l, d)),
+                           reach(bc, l, d)), 2 * l + d - 2)
                       for l in degrees)
     if r > X_MAX:
         return Edge(LAMBDA_MAX, None, None)
@@ -223,7 +255,7 @@ def derived(cap: int = CAP) -> dict:
 
 EDGES = derived()
 
-# The edges as the tests wrote them at cap 240, before they were derived
+# The edges at cap 240, written out
 PINNED_CAP = 240
 PINNED = {
     "order_cap": 240,
@@ -248,8 +280,8 @@ PINNED = {
     ("neumann", 1000): (998, 999, "501.0"),
     ("neumann", 240): (238, 239, "121.0"),
     ("neumann", 238): (475, 476, "121.0"),
-    ("neumann", 2): (14399, 14400, "121.0"),
-    ("neumann", 3): (14279, 14280, "120.5"),
-    ("neumann", 30): (14203, 14204, "121.0"),
+    ("neumann", 2): (15126, 15127, "121.0"),
+    ("neumann", 3): (14987, 14988, "120.5"),
+    ("neumann", 30): (14583, 14584, "121.0"),
     ("neumann", 100): (11998, 11999, "121.0"),
 }

@@ -537,6 +537,16 @@ def test_underflow_boundary(x, last_kept):
                 eval_J(Order(tn), x)
 
 
+def test_series_refuses_a_span_that_underflows():
+    # at x0 = pi/4 every J_{220+k}, k <= 31, underflows to 0.0, so the
+    # multiplication series has no term to scale by: it refuses, naming
+    # the order and the centre, where it divided by zero
+    x0 = math.pi / 4
+    with pytest.raises(LossOfPrecision,
+                       match=rf"twice_nu=440, x0={x0!r}$"):
+        bessel._multiply(bessel._ladder(0, x0, 250), x0, 440)
+
+
 def test_pair_refuses_when_only_the_upper_order_underflows():
     x = 1e-3
     for tn in (119, 120):

@@ -213,12 +213,11 @@ class TestTableInvariants:
 
     @staticmethod
     def _two_degrees(monkeypatch, z0: float, z1: float) -> None:
-        """Degrees 0 and 1 with one synthetic first zero each."""
-        synthetic = {0: [(1, z0)], 1: [(1, z1)]}
-        monkeypatch.setattr(spectrum, "_candidate_degrees",
-                            lambda d, bc, r_cut, lambda_max: [0, 1])
-        monkeypatch.setattr(spectrum, "_modes_upto",
-                            lambda l, d, bc, r_cut, lam_cut: synthetic[l])
+        """Degrees 0 and 1 with one synthetic first zero each, and none
+        past them."""
+        synthetic = {0: [z0], 1: [z1]}
+        monkeypatch.setattr(zeros, "radial_zeros",
+                            lambda bc, l, d, x_max: synthetic.get(l, []))
 
     def test_tied_zeros_raise_naming_both_modes(self, monkeypatch):
         self._two_degrees(monkeypatch, 3.0, 3.0)
@@ -242,6 +241,50 @@ class TestTableInvariants:
                 assert first.lam < second.lam
                 assert first.label_first == 1
                 assert second.label_first == 1 + multiplicity(l_low, d)
+
+
+class TestDegreeLoop:
+    @pytest.mark.parametrize("d", [2, 3, 30, 100, 238])
+    def test_first_zeros_increase_in_the_degree(self, d):
+        # min-max on the radial quotient, whose potential l(l+d-2)/r^2 grows
+        # with l: each degree's first zero lies strictly past the one
+        # before (Neumann's past its l = 0 ground state, 0.0), and so does
+        # its certified float, at every degree of the box whose first zero
+        # provably lies in it; the degree loop's stop rests on this
+        dirichlet = [zeros.dirichlet_zero(l, d, 1)
+                     for l in range(_box.first_degree_out(d))
+                     if 2 * l + d - 2 in _box.j_orders()]
+        neumann = [zeros.neumann_zero(l, d, 1)
+                   for l in (0, *_box.neumann_degrees(d))]
+        for first in (dirichlet, neumann):
+            assert all(a < b for a, b in zip(first, first[1:])), d
+
+    @pytest.mark.parametrize("d,bc,lam_max,empty", [
+        (2, D, 1.0, 0),  # below j_{0,1}: no zero at all
+        (2, N, 1.0, 1),  # the ground state alone
+        # j'_{10,1} = 11.706 lies past the cutoff radius 11.40, though the
+        # Sturm bounds of l = 10 and 11 do not
+        (2, N, 130.0, 10),
+        (3, D, 150.0, 8),
+        (30, N, 40.0, 2),
+    ])
+    def test_loop_ends_at_its_first_empty_degree(self, monkeypatch, d, bc,
+                                                 lam_max, empty):
+        # radial_zeros is called once a degree, l = 0, 1, ..., and for no
+        # degree past the first one with no zero inside the cutoff
+        calls = []
+        real = zeros.radial_zeros
+
+        def spied(bc, l, d, x_max):
+            found = real(bc, l, d, x_max)
+            calls.append((l, found))
+            return found
+
+        monkeypatch.setattr(zeros, "radial_zeros", spied)
+        table = enumerate_spectrum(d, bc, lam_max)
+        assert [l for l, _ in calls] == list(range(empty + 1))
+        assert all(found for _, found in calls[:-1]) and calls[-1][1] == []
+        assert {rec.l for rec in table.records} == set(range(empty))
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +452,13 @@ class TestEnumerationValidation:
         (d, *_box.EDGES["neumann", d][:2])
         for d in _box.dims()["neumann top degree"]])
     def test_neumann_enumerates_up_to_the_order_box(self, d, inside, limit):
-        # the Neumann degree loop reads the Sturm bound sqrt(l(l+d-2)), so
-        # a Neumann spectrum is refused only where a candidate degree's
-        # census pair leaves the order box, as a Dirichlet one is: just
-        # inside that point it enumerates, and the top degree's zeros are
-        # the floats nearest the oracle's; at the point the degree loop
-        # refuses and names lambda_max
+        # a Neumann spectrum is refused once the degree loop reaches the
+        # first degree out of the order box (the degree below has its first
+        # zero inside the cutoff) and that degree's Sturm bound
+        # sqrt(l(l+d-2)) lies inside it too: just inside that point it
+        # enumerates, and the top degree's zeros are the floats nearest the
+        # oracle's; at the point the degree loop refuses and names
+        # lambda_max
         table = enumerate_spectrum(d, N, inside)
         top = max(rec.l for rec in table.records)
         tops = [rec.zero for rec in table.records if rec.l == top]
@@ -432,9 +476,10 @@ class TestEnumerationValidation:
         (d, *_box.EDGES["dirichlet", d]) for d in _box.dims()["dirichlet"]])
     def test_dirichlet_limit_is_the_census_bound(self, d, inside, limit,
                                                  order):
-        # the Dirichlet degree loop reads Qu and Wong's bound on j_{nu,1},
-        # so a spectrum is refused only where that bound of the first
-        # degree past the order box lies at or below the cutoff: 129.15338^2
+        # a Dirichlet spectrum is refused where Qu and Wong's bound on
+        # j_{nu,1} of the first degree past the order box lies at or below
+        # the cutoff, as the first zero of the degree below lies under that
+        # bound, so the degree loop reaches it: 129.15338^2
         # = 16680.6 (nu = 120, even d) and 128.64065^2 = 16548.4 (nu =
         # 119.5, odd d) at cap 240. Just inside it enumerates, and the top
         # degrees' zeros, the orders within 6 of the cap, past Watson's old

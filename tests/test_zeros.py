@@ -640,15 +640,16 @@ def test_first_zero_lower_past_the_float_range():
     for bc in BoundaryCondition:
         for l, d in ((1, 10**400), (10**400, 2), (0, 10**400)):
             assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == math.inf
-            assert zeros._may_hold(bc, l, d, zeros.X_MAX, "w") == (
-                bc is BoundaryCondition.NEUMANN and l == 0)
+            ground = bc is BoundaryCondition.NEUMANN and l == 0
+            assert zeros.radial_zeros(bc, l, d, zeros.X_MAX) == (
+                [0.0] if ground else [])
 
 
 def test_first_zero_bounds_bracket_the_first_zero():
     # the one home of the first-zero bounds brackets the census's first
     # positive zero at every J order of the box, and at every Neumann
-    # degree l >= 1 of the ledger's d; the census bound, which spectrum's
-    # degree loop reads and the scan starts at, is the scan's bound bit for
+    # degree l >= 1 of the ledger's d; the census bound, which
+    # radial_zeros reads and the scan starts at, is the scan's bound bit for
     # bit (the Neumann l = 0 census key is J's two orders up, after the
     # ground state). The smallest relative slacks show that no bound is
     # vacuous: a looser one fails here (pinned over the keys of cap 240)
@@ -752,20 +753,24 @@ def test_first_cell_starts_at_the_census_bound(monkeypatch):
 
 def test_qu_wong_bound_lies_below_every_first_zero():
     # the constant is |a_1| 2^(-1/3) rounded down, and the bound lies below
-    # j_{nu,1} at every twice_nu = 1..240 (the J keys, which the Neumann
-    # l = 0 requests extend past the Dirichlet cap): the census's first
-    # zero, which lies in the first sign-change cell of a walk from
-    # Watson's bound, so a bound past j_{nu,1} cannot hide it. The smallest
-    # slack shows that the bound is not vacuous
+    # j_{nu,1} at every J order of the box but 0 (the J keys, which the
+    # Neumann l = 0 requests extend past the Dirichlet cap): the census's
+    # first zero, which lies in the first sign-change cell of a walk from
+    # Watson's bound, so a bound past j_{nu,1} cannot hide it. The bound at
+    # nu + 1 lies past j_{nu,1}, so a Dirichlet refusal is the bound's, not
+    # the first zero's of the degree below. The smallest slack, pinned over
+    # the keys of cap 240, shows that the bound is not vacuous
     assert 1.855757 < -mp.airyaizero(1) / mp.cbrt(2) < 1.855758
+    pinned = set(_box.census_keys(_box.PINNED_CAP))
     slack = []
-    for tn in range(1, 241):
+    for tn in _box.j_orders(neumann=True)[1:]:
         z = zeros._census_zero(0, tn, 1)
         watson = zeros._first_zero_bounds(0, tn)[0] * (1.0 - 1e-9)
         lo, hi, _ = zeros._first_cell(zeros._sign(0, tn), tn % 2, watson, 1)
         assert lo < z < hi, (tn, lo, z, hi)
-        assert _box.qu_wong(tn) < z, (tn, z)
-        slack.append((z / _box.qu_wong(tn) - 1.0, tn))
+        assert _box.qu_wong(tn) < z < _box.qu_wong(tn + 2), (tn, z)
+        if (0, tn) in pinned:
+            slack.append((z / _box.qu_wong(tn) - 1.0, tn))
     assert min(slack)[1] == 240
     assert min(slack)[0] == pytest.approx(0.00162, rel=1e-2)
 
@@ -784,26 +789,26 @@ def test_sturm_start_is_never_below_the_rayleigh_start():
     # Sturm bound sqrt(l(l+d-2)): past the Rayleigh bound at all but ten
     # keys of twice_nu <= 8, and at those so little below it that no grid
     # point lies between them, so no scan evaluates a point at or below
-    # the Rayleigh bound; spectrum's degree loop
-    # stops at the first degree whose lower bound clears the cutoff, the
-    # Neumann ground state's degree 0 aside, so that bound must not
-    # decrease in l, in any d: from l = 0 for Dirichlet, from l = 1 for
-    # Neumann
-    keys = [(l, tn) for tn in range(239) for l in range(1, tn // 2 + 1)]
-    assert len(keys) == 14161
+    # the Rayleigh bound (counts pinned over the keys of cap 240). At
+    # fixed d the census bound increases in l, as the first zeros it
+    # bounds do, through the first degree out of the box: from l = 0 for
+    # Dirichlet, from l = 1 for Neumann
+    keys = [key for key in _box.census_keys() if key[0]]
+    pinned = {key for key in _box.census_keys(_box.PINNED_CAP) if key[0]}
+    assert len(pinned) == 14161
     later = 0
     for l, tn in keys:
         sturm = zeros._first_zero_lower((l, tn))
         rayleigh = _rayleigh_bound(l, tn)
         assert next_point(tn % 2, sturm) > rayleigh, (l, tn, sturm, rayleigh)
-        later += sturm > rayleigh
+        later += sturm > rayleigh and (l, tn) in pinned
         assert sturm > rayleigh or tn <= 8, (l, tn, sturm, rayleigh)
     assert later == 14151
-    for d in range(2, 239):
+    for d in range(2, _box.j_orders()[-1] + 1):
         for bc in BoundaryCondition:
             lows = [zeros._first_zero_lower(zeros._key(bc, l, d)[0])
                     for l in range(0 if bc is BoundaryCondition.DIRICHLET
-                                   else 1, (242 - d) // 2 + 1)]
+                                   else 1, _box.first_degree_out(d) + 1)]
             assert lows == sorted(lows), (bc, d)
 
 
