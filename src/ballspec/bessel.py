@@ -37,8 +37,8 @@ and parity (_LADDERS): _grid_pair for its census signs at the point, and
 _grid_series, _multiply by the multiplication theorem, for every value of
 a refinement in the cells around it, its certificate included.
 _grid_ladder sizes it for max(n, int(x)) + _SPAN orders, of the order that
-asks first and its series, and rebuilds it once for the box (_LADDER_TOP)
-when an order above it asks: one ladder per grid point, none per zero.
+asks first and its series, and rebuilds it for max(n, 2 top) when an order n
+above its top asks: a few ladders per grid point at any cap, none per zero.
 _bound is the one error model of a pair, the census signs' and, term by
 term, the certificate's: max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit
 (_pair_bound), unit about n_steps * cancel * 2^-100 + 1e-24, relative to
@@ -58,7 +58,6 @@ from ballspec.errors import LossOfPrecision, RangeError
 X_MIN = 1e-18
 X_MAX = 200.0
 TWICE_NU_MAX = 240
-_LADDER_TOP = TWICE_NU_MAX // 2 - 1  # a rebuilt grid ladder's top order
 
 # contract knobs (see module docstring)
 _REL_CONTRACT = 1e-12
@@ -269,11 +268,11 @@ _LADDERS: dict = {}
 
 def _grid_ladder(parity: int, x: float, n: int):
     """(ys, num, den, unit): the shared _ladder at the census grid point x,
-    sized for max(n, int(x)) + _SPAN orders by the first order n + parity/2
-    that asks, rebuilt once for the box when an order above its top asks."""
+    sized for top + _SPAN orders, top = max(n, int(x)) for the first order
+    n + parity/2 that asks, and rebuilt for max(n, 2 top) by an n above it."""
     ladder = _LADDERS.get((parity, x))
     if ladder is None or ladder[0] < n:
-        top = max(n, int(x)) if ladder is None else max(n, _LADDER_TOP)
+        top = max(n, int(x)) if ladder is None else max(n, 2 * ladder[0])
         ladder = _LADDERS[parity, x] = (top, *_ladder(parity, x, top + _SPAN))
     return ladder[1:]
 

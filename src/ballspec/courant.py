@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import partial
 
 from . import zeros
 from .bessel import _check_int
 from .errors import CertificateFailure, RangeError
 from .pleijel import Check
-from .spectrum import EigenvalueRecord, _binom, enumerate_spectrum
+from .spectrum import (EigenvalueRecord, SpectrumTable, _binom,
+                       enumerate_spectrum)
 
 
 class SharpnessStatus(Enum):
@@ -139,8 +139,7 @@ def sphere_courant_sharp(d: int, lmax: int = 50) -> set[int]:
     return {1, 2}
 
 
-def _verdict(rec: EigenvalueRecord, lam_11: float,
-             lam_02: float) -> SharpnessVerdict:
+def _verdict(rec: EigenvalueRecord, table: SpectrumTable) -> SharpnessVerdict:
     d, l, m = rec.d, rec.l, rec.m
     label = rec.label_first
     mu = nodal_count_disc(l, m, rec.bc) if d == 2 else None
@@ -156,7 +155,8 @@ def _verdict(rec: EigenvalueRecord, lam_11: float,
         # domains, so the count always stays below the label: rule only
         return SharpnessVerdict(rec, SharpnessStatus.EXCLUDED_TWIST, mu, ())
     if l == 0 and m >= 2:
-        certs = [Check("radial_ordering", lam_11, lam_02)]
+        certs = [Check("radial_ordering", table.record_for(1, 1).lam,
+                       table.record_for(0, 2).lam)]
         if d == 2:
             certs.append(Check("count_vs_label", mu, label))
         return SharpnessVerdict(
@@ -188,25 +188,17 @@ def courant_sharp_ball(d: int, bc, lmax: int = 8,
     _check_int("d", d, 2)
     _check_int("lmax", lmax, 1)
     _check_int("mmax", mmax, 1)
-    zeros._check_pair(2 * lmax + d - 2, f"d={d} with lmax={lmax}")
-    finder = partial(zeros.find_zero, bc)
-    z_top = finder(lmax, d, mmax)  # zeros increase in both l and m
     try:
+        z_top = zeros.find_zero(bc, lmax, d, mmax)  # zeros increase in l, m
         table = enumerate_spectrum(d, bc, z_top * z_top)
-    except RangeError as exc:  # the window's top mode needs more degrees
+    except RangeError as exc:  # the top mode, or the spectrum below it
         raise RangeError(
             f"d={d} with lmax={lmax} and mmax={mmax} needs the spectrum "
             f"below the ({lmax}, {mmax}) mode: {exc}"
         ) from None
-    lam_11 = finder(1, d, 1) ** 2
-    lam_02 = finder(0, d, 2) ** 2
-    verdicts = [
-        _verdict(table.record_for(l, m), lam_11, lam_02)
-        for l in range(0, lmax + 1)
-        for m in range(1, mmax + 1)
-    ]
-    verdicts.sort(key=lambda v: v.record.label_first)
-    return verdicts
+    return sorted((_verdict(table.record_for(l, m), table)
+                   for l in range(0, lmax + 1) for m in range(1, mmax + 1)),
+                  key=lambda v: v.record.label_first)
 
 
 def sharp_labels(verdicts: list[SharpnessVerdict]) -> set[int]:

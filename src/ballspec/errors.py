@@ -18,10 +18,11 @@ class RangeError(BallspecError):
     The evaluation kernel supports 1e-18 <= x <= 200 (bessel.X_MIN and
     bessel.X_MAX) and orders 0 <= nu <= 120 (stored as 2*nu, an integer in
     [0, 240]); bessel checks that box. zeros._check_pair caps the order nu
-    of every zero, spectrum, Courant and Pleijel request that needs a
-    census (2 nu = 2l + d - 2 for a radial zero) at 2*nu + 2 <= 240, so
-    that J_nu's census pair (nu, nu + 1) lies in the box. A Neumann l = 0
-    census reads J_{nu+1}, so at d = 239 and 240 its pair reaches past it.
+    of every zero (2 nu = 2l + d - 2 for a radial zero) at 2*nu + 2 <= 240,
+    so that J_nu's census pair (nu, nu + 1) lies in the box; spectrum,
+    Courant and Pleijel name their request in the refusals of its zeros. A
+    Neumann l = 0 census reads J_{nu+1}, so at d = 239 and 240 its pair
+    reaches past it.
     Integer parameters are checked by bessel._check_int.
     """
 

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from ballspec import zeros
 from ballspec._format import dumps
-from ballspec.bessel import TWICE_NU_MAX, _check_int, log_gamma
+from ballspec.bessel import TWICE_NU_MAX, X_MAX, _check_int, log_gamma
 from ballspec.errors import CertificateFailure, RangeError
 
 __all__ = [
@@ -66,11 +66,11 @@ __all__ = [
     "six_decimals",
 ]
 
-# The largest d with a gamma(d): the zero census evaluates the Bessel pair
-# (nu, nu+1) at order nu = d/2 - 1, whose upper order 2(nu+1) = d must stay
-# within the kernel's order cap (zeros._check_pair checks it); the first
-# zero itself stays far inside the argument box (j_{119,1} ~ 128 < 200).
-D_MAX = TWICE_NU_MAX
+# The largest d with a gamma(d): the census pair (nu, nu+1) of j_{nu,1},
+# nu = d/2 - 1, lies in the order box (d <= cap) and its census bound in the
+# argument box; scanned downward, one bound at cap 240 (j_{119,1} ~ 128).
+D_MAX = next(d for d in range(TWICE_NU_MAX, 1, -1)
+             if zeros._first_zero_lower((0, d - 2)) <= X_MAX)
 
 # Limit of the quotient gamma(d+1)/gamma(d) as d grows.
 TWO_OVER_E = 2.0 / math.e
@@ -107,15 +107,24 @@ def _log_gamma_value(d: int) -> float:
     )
 
 
+def _top_zero(d: int, what: str) -> float:
+    """j_{d/2-1,1}, the request's top first zero, asked first (it is cached),
+    so that a census refusal names the request (what) before any refinement."""
+    try:
+        return zeros.dirichlet_zero(0, d, 1)
+    except RangeError as exc:
+        raise RangeError(f"{what}: {exc}") from None
+
+
 def gamma(d: int) -> float:
-    """Pleijel constant of the d-dimensional unit ball, d = 2..240.
+    """Pleijel constant of the d-dimensional unit ball, d = 2..D_MAX.
 
     Not certified: against mpmath (besseljzero, 40 digits) its relative
     error is at most 3.5e-13 (2,684 ulp, at d = 230); ROADMAP item 21
     plans a certified gamma.
     """
     _check_int("d", d, 2)
-    zeros._check_pair(d - 2, f"gamma({d})")
+    _top_zero(d, f"gamma({d})")
     return math.exp(_log_gamma_value(d))
 
 
@@ -156,18 +165,18 @@ class PleijelRow(namedtuple("PleijelRow",
         return self
 
 
-def _check_d_range(d_min: int, d_max: int, twice_nu: int, what: str) -> None:
-    """d_min..d_max, whose top zero (what) needs census order twice_nu."""
+def _check_d_range(d_min: int, d_max: int) -> None:
+    """d_min..d_max, two ints >= 2 in order."""
     _check_int("d_min", d_min, 2)
     _check_int("d_max", d_max, 2)
     if d_min > d_max:
         raise RangeError(f"need d_min <= d_max, got {d_min} > {d_max}")
-    zeros._check_pair(twice_nu, what)
 
 
 def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
     """Rows for d = d_min..d_max; quotient_next is None on the last row."""
-    _check_d_range(d_min, d_max, d_max - 2, f"gamma({d_max})")
+    _check_d_range(d_min, d_max)
+    _top_zero(d_max, f"gamma({d_max})")
     rows = []
     for d in range(d_min, d_max + 1):
         lgv = _log_gamma_value(d)
@@ -178,8 +187,8 @@ def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
 
 def quotient_curve(d_min: int, d_max: int) -> list[tuple[int, float]]:
     """(d, gamma(d+1)/gamma(d)) for d = d_min..d_max; every quotient < 1."""
-    _check_d_range(d_min, d_max, d_max - 1,
-                   f"quotient gamma({d_max + 1})/gamma({d_max})")
+    _check_d_range(d_min, d_max)
+    _top_zero(d_max + 1, f"quotient gamma({d_max + 1})/gamma({d_max})")
     points = [(d, _quotient(d)) for d in range(d_min, d_max + 1)]
     for d, q in points:
         if not q < 1.0:
@@ -308,16 +317,14 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     """Certify gamma(d+1) < gamma(d) by checking the whole proof chain at d.
 
     Valid for d >= 4 (two of the algebraic links genuinely need it) up to
-    d = 239 (the chain reads first zeros for dimensions d-1 .. d+1).
+    d = D_MAX - 1 (the chain reads first zeros for dimensions d-1 .. d+1).
     """
     _check_int("d", d, 4)
-    zeros._check_pair(d - 1, f"certificate at d={d}")
-
     # First zeros at the three consecutive half-integer-spaced orders the
     # chain touches: order (dim)/2 - 1 for dim = d-1, d, d+1.
+    j_dp1 = _top_zero(d + 1, f"certificate at d={d}")
     j_dm1 = zeros.dirichlet_zero(0, d - 1, 1)
     j_d = zeros.dirichlet_zero(0, d, 1)
-    j_dp1 = zeros.dirichlet_zero(0, d + 1, 1)
     ratio = _quotient(d)
 
     checks = []

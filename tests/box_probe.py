@@ -4,7 +4,10 @@ Growing the kernel box is one constant, bessel.TWICE_NU_MAX; the tests
 read every edge of the box from tests/_box.py. This script copies what
 tier-1 reads to a temporary directory, sets TWICE_NU_MAX = 480 there (never
 in the checkout), runs tier-1 on the copy and fails unless the failing
-tests are exactly EXPECTED, each with its known cause. A change that grows
+tests are exactly the five of EXPECTED, each with its known cause: two
+kernel underflows (ROADMAP item 17 (b)) and three output pins that a box
+change re-records. A test of EXPECTED that passes fails the probe too, so
+the set shrinks as causes are mended. A change that grows
 the box mends those causes and re-records those pins; any other failure is
 a test that still pins the box, or a new cause to name here.
 
@@ -30,27 +33,10 @@ EXPECTED = {
     "tests/test_bessel.py::test_ladder_float_within_its_bound":
         "ROADMAP item 17 (b): at x = 0.5, order 131, J ~ 6.5e-343 reads 0.0 "
         "with bound 0.0",
-    "tests/test_zeros.py::test_spectrum_jobs_build_few_ladders":
-        "ROADMAP item 17 (d): box rebuilds are sized for _LADDER_TOP + 30",
-    "tests/test_zeros.py::TestRefinement::test_twin_calls_per_cold_zero"
-    "[4-neumann-1900]":
-        "ROADMAP item 17 (d): box rebuilds are sized for _LADDER_TOP + 30",
     "tests/test_zeros.py::test_series_centre_is_the_census_pair":
         "ROADMAP item 17 (b): at x0 = pi/2 every value of the span of "
         "order 170 underflows, and bessel._multiply refuses with "
         "LossOfPrecision",
-    "tests/test_pleijel.py::TestGammaValues::test_gamma_at_order_box_edge":
-        "ROADMAP item 17: pleijel.D_MAX = TWICE_NU_MAX, past the last d "
-        "with an in-box first zero (380)",
-    **dict.fromkeys((
-        "tests/test_cli.py::TestTopLevel::test_domain_error_names_the_flag"
-        f"[{argv}]" for argv in (
-            "pleijel --gamma 381-names2-d_max",
-            "pleijel --curve 2 380-names8-twice_nu",
-            "certify --d 4 --through 380-names9-twice_nu")),
-        "ROADMAP item 17: past d = 380 a gamma(d) is refused by the census "
-        "(\"Dirichlet zero m=1 of l=0, d=381 lies beyond the supported "
-        "box\"), which names no pleijel or certify flag"),
     "tests/test_ledger.py::test_ledger_digest":
         "output pin: the cap moves the ledger's zeros and refusals",
     "tests/test_golden.py::test_stdout_digest_and_exit_code"

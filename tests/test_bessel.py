@@ -344,8 +344,9 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
     # the first ladder at a grid point is sized for the asking order and
-    # its series, max(n, int(x)) + bessel._SPAN; a later order above n
-    # rebuilds the ladder for the whole box, and both agree on every pair
+    # its series, max(n, int(x)) + bessel._SPAN; a later order above its
+    # top rebuilds it at twice the top, up to the box's top order, and a
+    # ladder sized for that top agrees with the first on every pair
     top = max(3, int(x)) + bessel._SPAN
     lazy = list(ladder_pairs(parity, x, top))
     box = list(ladder_pairs(parity, x, max(bessel.TWICE_NU_MAX // 2 - 1,
@@ -353,6 +354,30 @@ def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
     assert len(lazy) == top + 1 and len(box) >= len(lazy)
     for (n, a, b, err), (_, a2, b2, err2) in zip(lazy, box):
         assert abs(a - a2) <= err + err2 and abs(b - b2) <= err + err2, n
+
+
+@pytest.mark.parametrize("top", [119, 239], ids=["cap240", "cap480"])
+@pytest.mark.parametrize("x", TWIN_XS + (math.pi / 4, 3 * math.pi / 4))
+def test_grid_ladder_rebuilds_double_its_top(monkeypatch, x, top):
+    # orders 1..top asking in turn at one grid point (top the last order of
+    # the cap's box): each rebuild at least doubles the ladder's top from
+    # max(1, int(x)), so the point builds at most
+    # 1 + ceil(log2(top / max(1, int(x)))) ladders, whatever the cap, and
+    # the ladder each order reads spans its multiplication series
+    built = []
+    real = bessel._ladder
+
+    def ladder(parity, x, n):
+        built.append(n)
+        return real(parity, x, n)
+
+    monkeypatch.setattr(bessel, "_ladder", ladder)
+    monkeypatch.setattr(bessel, "_LADDERS", {})
+    for n in range(1, top + 1):
+        ys = bessel._grid_ladder(1, x, n)[0]
+        assert len(ys) > max(n, int(x)) + bessel._SPAN + 1, (n, len(ys))
+    assert 1 <= len(built) <= 1 + math.ceil(math.log2(top / max(1, int(x)))
+                                            ), built
 
 
 # ---------------------------------------------------------------------------

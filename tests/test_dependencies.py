@@ -1,7 +1,8 @@
 """The package has no dependencies: every import in ``src/ballspec`` names
 a standard-library module or ``ballspec`` itself. And the supported box has
 one home: one integer check (``bessel._check_int``) and the order cap
-compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair).
+compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair),
+whose check only the census and spectrum's refusal call.
 And a CLI job imports only the modules its subcommand runs, and never
 ``dataclasses``, an argument parser, ``json`` or ``fractions``. And the
 kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
@@ -85,6 +86,29 @@ def test_order_cap_is_compared_only_in_bessel_and_zeros():
         if isinstance(node, ast.Compare) and _named(node, caps)
     ]
     assert found == []
+
+
+def test_only_the_census_reads_the_order_cap():
+    # the census checks the cap on each zero it is asked for (zeros._zero,
+    # zeros.radial_zeros), and spectrum re-raises a refusal of its degree
+    # loop in the cutoff's terms; pleijel and courant ask for their top
+    # zero instead, and the census's shared ladders grow by doubling their
+    # top, so growing bessel.TWICE_NU_MAX changes no other module
+    calls = sorted(
+        (name, _enclosing(tree, node.lineno))
+        for name, tree in _parsed() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _named(node.func, {"_check_pair"}))
+    assert calls == [("spectrum.py", "enumerate_spectrum"),
+                     ("zeros.py", "_zero"), ("zeros.py", "radial_zeros")]
+    tree = dict(_parsed())["bessel.py"]
+    grid_ladder = next(fn for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef)
+                       and fn.name == "_grid_ladder")
+    # no TWICE_NU_MAX, nor a constant derived from it: only its cache and
+    # the series span
+    consts = {node.id for node in ast.walk(grid_ladder)
+              if isinstance(node, ast.Name) and node.id.lstrip("_").isupper()}
+    assert consts == {"_LADDERS", "_SPAN"}
 
 
 def test_only_bessel_names_the_double_double_ladder():
@@ -219,7 +243,7 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
             "_TERMS", "_HANDOVER", "_RADIUS", "_exact", "_certificate",
             "_target", "_nearest", "_GAP_REL", "_target_err", "_grid_cells",
             "_combine", "_curvature", "_grid_points", "_scan_start",
-            "DEFAULT_TOL"}
+            "DEFAULT_TOL", "_LADDER_TOP"}
     tests = sorted(SRC.parents[1].joinpath("tests").glob("*.py"))
     found = [
         (path.name, node.lineno)

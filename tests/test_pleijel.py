@@ -75,6 +75,27 @@ class TestGammaValues:
         with pytest.raises(RangeError):
             pleijel.gamma(bad)
 
+    # at cap 480, past the last d with a census bound in the argument box
+    # (380), the census refuses the request's top first zero before any
+    # other zero is refined, and the refusal starts with the request
+    @pytest.mark.parametrize("name,args,prefix", [
+        ("gamma", lambda d: (d + 1,), "gamma({top}): "),
+        ("quotient_curve", lambda d: (2, d),
+         "quotient gamma({top})/gamma({d}): "),
+        ("monotonicity_certificate", lambda d: (d,),
+         "certificate at d={d}: "),
+    ], ids=["gamma", "quotient_curve", "certificate"])
+    def test_refusal_past_the_argument_box_names_the_request(
+            self, monkeypatch, name, args, prefix):
+        d = _box.d_max(480)
+        monkeypatch.setattr(zeros, "TWICE_NU_MAX", 480)
+        misses = zeros._census_zero.cache_info().misses
+        with pytest.raises(RangeError) as exc:
+            getattr(pleijel, name)(*args(d))
+        want = prefix.format(top=d + 1, d=d)
+        assert str(exc.value).startswith(want), exc.value
+        assert zeros._census_zero.cache_info().misses == misses
+
 
 class TestPleijelRow:
     def test_row_construction_roundtrip(self):
