@@ -33,18 +33,19 @@ y_k, so a ladder sized for order n yields J_k(x) for every order k of one
 parity up to max(n, int(x)) + 1 (DLMF 3.6(vi)). _eval_miller reads it at
 one pair of orders for eval_J and eval_J_pair: the float nearest each
 quotient. The zero finder reads one shared ladder per census grid point
-and parity (_LADDERS): _grid_pair for its census signs at the point, and
-_grid_series, _multiply by the multiplication theorem, for every value of
-a refinement in the cells around it, its certificate included.
-_grid_ladder sizes it for max(n, int(x)) + _SPAN orders, of the order that
-asks first and its series, and rebuilds it for max(n, 2 top) when an order n
-above its top asks: a few ladders per grid point at any cap, none per zero.
-_bound is the one error model of a pair, the census signs' and, term by
+and parity (_LADDERS): _grid_sign for its census signs at the point, each
+the sign of an exact integer of the ladder, and _grid_series, _multiply by
+the multiplication theorem, for every value of a refinement in the cells
+around it, its certificate included. _grid_ladder sizes it for
+max(n, int(x)) + _SPAN orders, of the order that asks first and its series,
+and rebuilds it for max(n, 2 top) when an order n above its top asks: a
+few ladders per grid point at any cap, none per zero. _bound is the one
+error model of a pair, the census signs' (in ladder units) and, term by
 term, the certificate's: max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit
 (_pair_bound), unit about n_steps * cancel * 2^-100 + 1e-24, relative to
 the pair alone below the turning point, x <= nu, a model that ROADMAP
-item 4 has to prove. tests/test_golden.py pins _eval_miller bit for bit
-across the box.
+item 4 has to prove, and then only unit changes. tests/test_golden.py pins
+_eval_miller bit for bit across the box.
 """
 
 from __future__ import annotations
@@ -99,10 +100,10 @@ def _pair_bound(a: float, b: float, x: float, unit: float) -> float:
 
 def _bound(a: float, b: float, x: float, twice_nu: int, unit: float) -> float:
     """_pair_bound with the turning-point model: below the turning point,
-    2x <= twice_nu, the bound is relative to the pair alone."""
+    2x <= twice_nu, relative to the pair alone and never below 2^-1074."""
     if 2.0 * x > twice_nu:
         return _pair_bound(a, b, x, unit)
-    return max(abs(a), abs(b)) * unit
+    return max(max(abs(a), abs(b)) * unit, 2.0**-1074)
 
 
 def _ladder(parity: int, x: float, n: int):
@@ -277,13 +278,25 @@ def _grid_ladder(parity: int, x: float, n: int):
     return ladder[1:]
 
 
-def _grid_pair(twice_nu: int, x: float):
-    """(a, b, err): the floats nearest J_nu(x) and J_{nu+1}(x) of the grid
-    ladder at x, whose quotients lie within err (_bound)."""
+def _grid_sign(l: int, twice_nu: int, x: float) -> int:
+    """+1 or -1, the sign of the census target at the grid point x where
+    _bound's model in ladder units cannot flip it, else 0: of y_n for J_nu
+    = y_n num / den (l = 0), of t = l q y_n - p y_{n+1} for g = (l/x) J_nu
+    - J_{nu+1} = t num / (den p), x = p / q, whose bound is the pair's
+    weighted by l q + p (num / den > 0). No integer rounds or underflows."""
     n, parity = divmod(twice_nu, 2)
     ys, num, den, unit = _grid_ladder(parity, x, n)
-    a, b = ys[n] * num / den, ys[n + 1] * num / den  # one rounding each
-    return a, b, _bound(a, b, x, twice_nu, unit)
+    a, b = ys[n], ys[n + 1]
+    p, q = x.as_integer_ratio()
+    v, w = (l * q * a - p * b, l * q + p) if l else (a, 1)
+    e, f = 0, 1  # e / f = sqrt(2 / (pi x)) den / num past the turning point
+    if 2.0 * x > twice_nu:
+        e, f = math.sqrt(2.0 / (math.pi * x)).as_integer_ratio()
+        e, f = e * den, f * num
+    un, ud = unit.as_integer_ratio()
+    if abs(v) * ud * f <= w * un * max(max(abs(a), abs(b)) * f, e):
+        return 0
+    return 1 if v > 0 else -1
 
 
 def _grid_series(twice_nu: int, x: float):

@@ -281,10 +281,12 @@ def _check_quotient_curve(fast: bool) -> str | None:
 
 
 def _check_neumann_bound(fast: bool) -> str | None:
-    """The Neumann-side constant equals gamma at the previous dimension."""
-    for d in range(3, 13):
-        if pleijel.neumann_pleijel_bound(d) != pleijel.gamma(d - 1):
-            return f"neumann bound at d={d} disagrees with gamma({d - 1})"
+    """The Neumann-side constant at d rounds to the table's gamma(d - 1)."""
+    for d, want in zip(range(3, 13), _TABLE_6DEC):
+        got = pleijel.six_decimals(pleijel.neumann_pleijel_bound(d))
+        if got != want:
+            return (f"neumann bound at d={d} rounds to {got}, expected "
+                    f"gamma({d - 1}) = {want}")
     return None
 
 

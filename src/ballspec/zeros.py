@@ -57,9 +57,10 @@ fixed-point values (_refine). So a zero rests on the kernel's error model
 alone, as the census signs do, not on the Newton path.
 
 Every key of either target reads bessel's one shared ladder per
-(parity, grid point): one sign rule (_sign) takes the sign of its census
-pair (bessel._grid_pair) where the pair's bound, propagated through the
-target, cannot flip it, else 0.0, which the widen rule takes.
+(parity, grid point): a census sign (bessel._grid_sign) is the sign of an
+exact integer of that ladder, y_n for J and l q y_n - p y_{n+1} for g at
+x = p / q, where the ladder's error model cannot flip it, else 0, which
+the widen rule takes. No census sign rounds or underflows.
 """
 
 from __future__ import annotations
@@ -67,15 +68,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from ballspec import bessel
 from ballspec.bessel import TWICE_NU_MAX, X_MAX, Order, _check_int
 from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
-_TINY = 1e-290  # below it a grid value widens its cell and is no sign, as
-# _sign's relative rounding term of g, 2^-51 (|q a| + |b|), bounds no subnormal
 
 
 class BoundaryCondition(Enum):
@@ -121,23 +120,6 @@ def _jet(l: int, nu: float, x: float, a: float, b: float,
             (l * (nu - 1.0) / (x * x) - 1.0) * a + (nu + 1.0 - l) / x * b,
             (a * (l * (nu - 1.0) * (nu - 2.0) / (x * x) + 1.0 - l) / x
              + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x))))
-
-
-def _sign(l: int, twice_nu: int):
-    """f of the target for sign decisions at census grid points, from
-    bessel._grid_pair: its value where it clears the pair's bound, grown
-    for g by g's three roundings, else 0.0, for _first_cell's widen rule."""
-
-    def f(x: float) -> float:
-        a, b, err = bessel._grid_pair(twice_nu, x)
-        v = a
-        if l:
-            q = l / x
-            v = q * a - b
-            err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
-        return v if abs(v) > err else 0.0
-
-    return f
 
 
 def _first_zero_bounds(l: int, twice_nu: int) -> tuple[float, float]:
@@ -186,27 +168,28 @@ _GRID = tuple(
 _MAX_CELLS = len(_GRID[0])
 
 
-def _first_cell(f, parity: int, start: float, sign: int):
+def _first_cell(sign_at, parity: int, start: float, sign: int):
     """(lo, hi, sign): the first cell of the parity's grid over (start,
-    X_MAX] across which f leaves the sign ``sign`` (+1 or -1), which it has
-    on (0, start], start the census bound or a previous hi; else None. A
-    grid point where |f| < _TINY widens the cell to the next grid point,
-    which must show the flip, else BracketFailure."""
+    X_MAX] across which the target leaves the sign ``sign`` (+1 or -1),
+    which it has on (0, start], start the census bound or a previous hi;
+    else None. sign_at(x) is its sign at a grid point x, and a 0 there
+    widens the cell to the next grid point, which must show the flip, else
+    BracketFailure."""
     grid = _GRID[parity]
     lo, points = start, iter(grid[bisect_right(grid, start):])
     for x in points:
-        fx = f(x)
-        if abs(fx) < _TINY:
-            # endpoint sits on (or straddles underflow near) a zero: widen
-            # to the next grid point so the zero lands strictly inside
+        s = sign_at(x)
+        if s == 0:
+            # endpoint sits on or near a zero: widen to the next grid point
+            # so the zero lands strictly inside
             x2 = next(points, None)
-            f2 = 0.0 if x2 is None else f(x2)
-            if (f2 > 0.0) == (sign > 0) or abs(f2) < _TINY:
+            s2 = 0 if x2 is None else sign_at(x2)
+            if s2 == 0 or (s2 > 0) == (sign > 0):
                 raise BracketFailure(
                     f"sign did not flip across near-zero endpoint x={x!r}"
                 )
             return lo, x2, sign
-        if (fx > 0.0) != (sign > 0):
+        if (s > 0) != (sign > 0):
             return lo, x, sign
         lo = x
     return None
@@ -313,7 +296,8 @@ def _census_bracket(l: int, twice_nu: int, m: int):
         start, sign = prev[1], -prev[2]
     else:
         start, sign = _first_zero_lower((l, twice_nu)), 1
-    return _first_cell(_sign(l, twice_nu), twice_nu % 2, start, sign)
+    return _first_cell(partial(bessel._grid_sign, l, twice_nu),
+                       twice_nu % 2, start, sign)
 
 
 @lru_cache(maxsize=8192)

@@ -278,7 +278,7 @@ def twin_points():
 def ladder_pairs(parity: int, x: float, top: int):
     """(n, q_n, q_{n+1}, err) of every pair the ladder sized for top
     yields: q the exact quotients ys[k] num / den, and err the _bound of
-    the floats nearest them, as bessel._grid_pair reads it."""
+    the floats nearest them."""
     ys, num, den, unit = bessel._ladder(parity, x, top)
     with mp.workdps(80):
         qs = [mp.mpf(y * num) / den for y in ys[:max(top, int(x)) + 2]]
@@ -318,26 +318,33 @@ def test_ladder_float_within_its_bound():
 def test_ladder_float_is_the_twin_ladder(monkeypatch):
     # a shared ladder at x is bessel._ladder sized for max(n, int(x)) +
     # bessel._SPAN, the order that asks first and the orders its
-    # multiplication series reads, step for step; so the census reads its
-    # pair and bound bit for bit, and its signs are the pair's
+    # multiplication series reads, step for step; and the census's sign on
+    # its integers decides every sign that the float rule decides, with the
+    # same sign: the float of the target from the floats nearest the pair's
+    # quotients, where it clears their _bound, grown for g by g's three
+    # roundings. The integers decide every sign here, also J's and g's of
+    # order 119 at x = 0.05, whose floats underflow
+    decided = 0
     for tn in TWIN_ORDERS:
         n, parity = divmod(tn, 2)
+        l = tn // 2 + 1
         for x in TWIN_XS + (0.05, 0.3):
             monkeypatch.setattr(bessel, "_LADDERS", {})
-            shared = bessel._grid_pair(tn, x)
-            assert len(bessel._LADDERS) == 1
+            signs = [bessel._grid_sign(k, tn, x) for k in (0, l)]
+            assert len(bessel._LADDERS) == 1 and 0 not in signs, (tn, x)
             ys, num, den, unit = bessel._ladder(
                 parity, x, max(n, int(x)) + bessel._SPAN)
             assert bessel._LADDERS[parity, x][1:] == (ys, num, den, unit)
             a, b = ys[n] * num / den, ys[n + 1] * num / den
-            assert shared == (a, b, bessel._bound(a, b, x, tn, unit)), (tn, x)
+            err = bessel._bound(a, b, x, tn, unit)
             # g = (l/x) a - b, its bound grown by its three roundings
-            q = (tn // 2 + 1) / x
-            g_err = (q + 1.0) * shared[2] + (abs(q * a) + abs(b)) * 2.0**-51
-            for l, v, err in ((0, a, shared[2]),
-                              (tn // 2 + 1, q * a - b, g_err)):
-                assert (zeros._sign(l, tn)(x)
-                        == (v if abs(v) > err else 0.0)), (tn, x, l)
+            q = l / x
+            g_err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
+            for sign, v, e in zip(signs, (a, q * a - b), (err, g_err)):
+                if abs(v) > e:
+                    decided += 1
+                    assert sign == (1 if v > 0.0 else -1), (tn, x, v)
+    assert decided > 2 * len(TWIN_ORDERS) * (len(TWIN_XS) + 1)
 
 
 @pytest.mark.parametrize("x", TWIN_XS)

@@ -308,6 +308,18 @@ class TestSelfcheckCommand:
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert fails and fails[0].startswith("FAIL recurrence_residual:")
 
+    def test_neumann_bound_off_by_one_dimension_fails(self, capsys,
+                                                      monkeypatch):
+        # the suite reads the published table, not the function's own
+        # gamma(d - 1): a bound taken at d itself fails it
+        monkeypatch.setattr(pleijel, "neumann_pleijel_bound", pleijel.gamma)
+        code, out, err = run_cli(capsys, "selfcheck", "--fast")
+        assert code == 2
+        assert "selfcheck failed at 'neumann_bound'" in err
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL neumann_bound: neumann bound at d=3 rounds to "
+                         "0.455945, expected gamma(2) = 0.691660"]
+
     def test_verbose_timings_go_to_stderr(self, capsys):
         code, plain, _ = run_cli(capsys, "selfcheck", "--fast")
         assert code == 0

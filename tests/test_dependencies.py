@@ -138,15 +138,15 @@ def test_zero_finder_takes_no_value_from_eval_j_pair():
 
 def test_zero_finder_names_no_part_of_the_census_ladder():
     # bessel builds, caches, sizes and reads the census grid's shared
-    # ladders; zeros reaches them through bessel._grid_pair and
+    # ladders; zeros reaches them through bessel._grid_sign and
     # bessel._grid_series only, and names none of their parts, in code,
     # comments or docstrings
     parts = re.compile(r"\b(_ladder|_multiply|_bound|_pair_bound|_SPAN"
                        r"|_LADDERS|_LADDER_TOP|_grid_ladder)\b")
     text = (SRC / "zeros.py").read_text()
     assert parts.findall(text) == []
-    assert {"_grid_pair", "_grid_series"} <= set(re.findall(r"_grid_\w+",
-                                                            text))
+    assert set(re.findall(r"_grid_\w+", text)) == {"_grid_sign",
+                                                    "_grid_series"}
 
 
 def test_census_key_carries_no_target_tag():
@@ -229,7 +229,8 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
     # census signs, Newton and the certificate read); the float ladder,
     # its rescale constants and readers, the Taylor phase and the
     # pair-based certificate are gone, as are the scan start rounded down
-    # to the grid and zeros' copy of the CLI's --tol default
+    # to the grid, zeros' copy of the CLI's --tol default and the float
+    # census signs (the census pair, its sign rule and underflow guard)
     calls = []
     for name, tree in _parsed():
         calls += [(name, _enclosing(tree, node.lineno))
@@ -243,7 +244,7 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
             "_TERMS", "_HANDOVER", "_RADIUS", "_exact", "_certificate",
             "_target", "_nearest", "_GAP_REL", "_target_err", "_grid_cells",
             "_combine", "_curvature", "_grid_points", "_scan_start",
-            "DEFAULT_TOL", "_LADDER_TOP"}
+            "DEFAULT_TOL", "_LADDER_TOP", "_TINY", "_grid_pair", "_sign"}
     tests = sorted(SRC.parents[1].joinpath("tests").glob("*.py"))
     found = [
         (path.name, node.lineno)

@@ -14,6 +14,7 @@ import re
 import sys
 from bisect import bisect_right
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
@@ -457,11 +458,11 @@ def test_series_cut_short_keeps_its_tail_in_its_bound(monkeypatch):
 
 
 def test_series_centre_is_the_census_pair(monkeypatch):
-    # _multiply rounds each ladder quotient of its span once, as _grid_pair
-    # does, so its float pair at the grid point itself is the census's
-    # pair bit for bit: at every order from 180 up at the first grid points
-    # pi/4 and pi/2, where the ladder's normalizer dwarfs the span, and at
-    # a stride over the rest of the census grid
+    # _multiply rounds each ladder quotient of its span once, so its float
+    # pair at the grid point itself is the floats nearest the census
+    # ladder's pair bit for bit: at every order from 180 up at the first
+    # grid points pi/4 and pi/2, where the ladder's normalizer dwarfs the
+    # span, and at a stride over the rest of the census grid
     monkeypatch.setattr(bessel, "_LADDERS", {})
     grid = [(tn, x) for parity in (0, 1)
             for x in zeros._GRID[parity]
@@ -470,7 +471,10 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     assert len(grid) > 30000 and len(edge) == _box.EDGES["series_edge_keys"]
     for tn, x0 in edge + grid[::7]:
         pair, _ = bessel._grid_series(tn, x0)
-        assert pair(x0) == bessel._grid_pair(tn, x0)[:2], (tn, x0)
+        n = tn // 2
+        ys, num, den, _ = bessel._grid_ladder(tn % 2, x0, n)
+        assert pair(x0) == (ys[n] * num / den, ys[n + 1] * num / den), (
+            tn, x0)
 
 
 def test_series_reads_a_ladder_sized_past_the_box():
@@ -569,37 +573,39 @@ def _ladders(monkeypatch) -> tuple[list, _CountedLadders]:
 def test_certified_signs_match_oracle(monkeypatch):
     # grid and near-zero points of test_bessel; J_nu, J_{nu+1} (the key of
     # Neumann l = 0 at the order) and g at every order: a sign the ladder's
-    # bound clears is the oracle's, and one it cannot clear is 0.0 (for g
-    # near its zeros, where the float operations' own rounding covers the
-    # value)
+    # bound clears is the oracle's, and one it cannot clear is 0 (for g
+    # near its zeros)
     certified = uncleared = 0
     for tn, x in twin_points():
         monkeypatch.setattr(bessel, "_LADDERS", {})  # a ladder for the order
         for l, key_tn in ((0, tn), (0, tn + 2), (tn // 2, tn)):
-            v = zeros._sign(l, key_tn)(x)
-            if v == 0.0:
+            sign = bessel._grid_sign(l, key_tn, x)
+            if sign == 0:
                 uncleared += 1
                 continue
             certified += 1
             want = oracle_target(l, key_tn, x)
-            assert want != 0 and (v > 0.0) == (want > 0), (l, key_tn, x)
+            assert want != 0 and (sign > 0) == (want > 0), (l, key_tn, x)
     assert certified > 300 and uncleared < certified / 100
 
 
 def test_sign_target_falls_back_on_a_zero(monkeypatch):
-    # a grid sign the ladder cannot clear is 0.0, and the census widens its
-    # cell to the next grid point: the widened cell holds the same zero
+    # a grid sign the ladder cannot clear is 0, and the census widens its
+    # cell to the next grid point: the widened cell holds the same zero.
+    # The ladder at hi gets a unit that no value clears
+    monkeypatch.setattr(bessel, "_LADDERS", {})
+    _cold()
     lo, hi, sign_lo = zeros._census_bracket(0, 0, 2)
     want = zeros._census_zero(0, 0, 2)
-    real = bessel._bound
-    monkeypatch.setattr(bessel, "_bound", lambda a, b, x, tn, unit: (
-        math.inf if x == hi else real(a, b, x, tn, unit)))
-    _cold()
-    assert zeros._sign(0, 0)(hi) == 0.0
+    assert bessel._grid_sign(0, 0, hi) == -sign_lo
+    ladders = bessel._LADDERS
+    ladders[0, hi] = (*ladders[0, hi][:-1], 2.0**100)
+    zeros._census_bracket.cache_clear()
+    zeros._census_zero.cache_clear()
+    assert bessel._grid_sign(0, 0, hi) == 0
     wide = zeros._census_bracket(0, 0, 2)
     assert wide == (lo, next_point(0, hi), sign_lo)
     assert zeros._census_zero(0, 0, 2) == want
-    monkeypatch.undo()
     _cold()
 
 
@@ -729,13 +735,13 @@ def test_first_cell_starts_at_the_census_bound(monkeypatch):
     assert len(keys) == _box.EDGES["census_keys"]
     pinned = set(_box.census_keys(_box.PINNED_CAP))
     seen = []
-    real = bessel._grid_pair
+    real = bessel._grid_sign
 
-    def spied(twice_nu, x):
+    def spied(l, twice_nu, x):
         seen.append((twice_nu, x))
-        return real(twice_nu, x)
+        return real(l, twice_nu, x)
 
-    monkeypatch.setattr(bessel, "_grid_pair", spied)
+    monkeypatch.setattr(bessel, "_grid_sign", spied)
     zeros._census_bracket.cache_clear()
     at_bound = 0
     for l, tn in keys:
@@ -766,7 +772,8 @@ def test_qu_wong_bound_lies_below_every_first_zero():
     for tn in _box.j_orders(neumann=True)[1:]:
         z = zeros._census_zero(0, tn, 1)
         watson = zeros._first_zero_bounds(0, tn)[0] * (1.0 - 1e-9)
-        lo, hi, _ = zeros._first_cell(zeros._sign(0, tn), tn % 2, watson, 1)
+        lo, hi, _ = zeros._first_cell(partial(bessel._grid_sign, 0, tn),
+                                      tn % 2, watson, 1)
         assert lo < z < hi, (tn, lo, z, hi)
         assert _box.qu_wong(tn) < z < _box.qu_wong(tn + 2), (tn, z)
         if (0, tn) in pinned:
@@ -1182,28 +1189,25 @@ def test_cold_ladders_are_the_census_own(monkeypatch, capsys):
     # cold, one request at a time as the benchmark's processes run them:
     # on the six spectrum strata and the lookup pool's zeros and courant
     # requests every bessel._ladder is built at a grid point that the
-    # census's sign rule (_sign) evaluated, and no zero calls eval_J_pair
+    # census's sign rule (bessel._grid_sign) evaluated, and no zero calls
+    # eval_J_pair
     pool = _benchmark_pool()
     argvs = [e for s in pool.SPECTRUM.strata for e in s.entries]
     argvs += [e for s in pool.LOOKUP.strata for e in s.entries
               if e[0] in ("zeros", "courant")]
     evaluated, built = set(), []
-    real_sign, real_ladder = zeros._sign, bessel._ladder
+    real_sign, real_ladder = bessel._grid_sign, bessel._ladder
     pairs = _counting(monkeypatch)
 
-    def sign(l, twice_nu):
-        f = real_sign(l, twice_nu)
-
-        def spied(x):
-            evaluated.add((twice_nu % 2, x))
-            return f(x)
-        return spied
+    def sign(l, twice_nu, x):
+        evaluated.add((twice_nu % 2, x))
+        return real_sign(l, twice_nu, x)
 
     def ladder(parity, x, n):
         built.append((parity, x))
         return real_ladder(parity, x, n)
 
-    monkeypatch.setattr(zeros, "_sign", sign)
+    monkeypatch.setattr(bessel, "_grid_sign", sign)
     monkeypatch.setattr(bessel, "_ladder", ladder)
     assert len(argvs) == 12 + 72
     for argv in argvs:
@@ -1237,39 +1241,39 @@ def test_spectrum_jobs_build_few_ladders(monkeypatch, capsys):
         _cold()
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
-    assert len(built) <= 188 and sum(built) <= 18352, (len(built),
+    assert len(built) <= 188 and sum(built) <= 17714, (len(built),
                                                         sum(built))
     _cold()
 
 
 def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
     # cold, one job at a time as the benchmark's processes run them: the
-    # seed-0 lookup jobs evaluate at most 689 census pairs (_grid_pair) on
-    # ladders of at most 36,272 steps (len(ys)) in all, because the J scans
-    # start at Qu and Wong's bound (deterministic counts; the Watson start
-    # took 1,139 pairs and 80,017 steps)
+    # seed-0 lookup jobs read at most 659 census signs (bessel._grid_sign)
+    # on ladders of at most 36,272 steps (len(ys)) in all, because the J
+    # scans start at Qu and Wong's bound (deterministic counts; the Watson
+    # start took 1,139 signs and 80,017 steps)
     jobs = _benchmark_pool().LOOKUP.jobs(0)
     assert len(jobs) == 100
-    pairs, steps = [0], [0]
-    real_pair, real_ladder = bessel._grid_pair, bessel._ladder
+    signs, steps = [0], [0]
+    real_sign, real_ladder = bessel._grid_sign, bessel._ladder
 
-    def grid_pair(twice_nu, x):
-        pairs[0] += 1
-        return real_pair(twice_nu, x)
+    def grid_sign(l, twice_nu, x):
+        signs[0] += 1
+        return real_sign(l, twice_nu, x)
 
     def ladder(parity, x, n):
         out = real_ladder(parity, x, n)
         steps[0] += len(out[0])
         return out
 
-    monkeypatch.setattr(bessel, "_grid_pair", grid_pair)
+    monkeypatch.setattr(bessel, "_grid_sign", grid_sign)
     monkeypatch.setattr(bessel, "_ladder", ladder)
     for argv in jobs:
         _cold()
         pleijel._log_gamma_value.cache_clear()
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
-    assert pairs[0] <= 689 and steps[0] <= 36272, (pairs[0], steps[0])
+    assert signs[0] <= 659 and steps[0] <= 36272, (signs[0], steps[0])
     _cold()
 
 
@@ -1546,7 +1550,7 @@ class TestRefinement:
         # derivatives of J_nu and J_{nu+1}
         monkeypatch.setattr(bessel, "_LADDERS", {})  # a ladder for the order
         l, twice_nu = census_key(tag, l, twice_nu)
-        a, b, _ = bessel._grid_pair(twice_nu, x)
+        a, b = bessel._grid_series(twice_nu, x)[0](x)
         f2 = zeros._jet(l, 0.5 * twice_nu, x, a, b)[2]
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
@@ -1744,7 +1748,7 @@ class TestWalkerSynthetics:
             if x < 6.2:
                 return 1.0
             if x <= 6.4:
-                return 1e-295  # grid point lands almost on the root
+                return 0.0  # grid point lands almost on the root
             return -1.0
 
         got = zeros._first_cell(f, 0, 4.5, 1)
@@ -1753,7 +1757,7 @@ class TestWalkerSynthetics:
     def test_widened_bracket_without_sign_flip_fails(self):
         def f(x):
             if 6.2 <= x <= 6.4:
-                return 1e-295
+                return 0.0
             return 1.0  # never becomes negative: tangency, not a root
 
         with pytest.raises(BracketFailure):
@@ -1762,7 +1766,7 @@ class TestWalkerSynthetics:
     def test_near_zero_at_the_box_edge_fails(self):
         # the last grid point has no next point to widen to
         def f(x):
-            return 1e-295 if x == zeros.X_MAX else 1.0
+            return 0.0 if x == zeros.X_MAX else 1.0
 
         with pytest.raises(BracketFailure):
             zeros._first_cell(f, 1, 190.0, 1)
