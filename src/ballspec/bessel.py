@@ -224,18 +224,18 @@ def _multiply(ladder, x0: float, twice_nu: int):
         mids = [a + b for a, b in zip(tq, tq[1:])]
         wn, wd = xx * xx - zz * zz, 4 * q * xx
         aw = abs(wn / wd)
+        mw = (wn << _P) // wd  # -w 2^_P, within one unit
+        cs = [1 << _P]  # C_j, j < max(k, 1)
         c, u, k = 1.0, power, 0  # |c_k|, |c_k| (x0/2)^(nu+k) / Gamma(nu+k+1)
         while (c > lim < u or 2.0 * aw > k + 1) and k < _SPAN:
+            if k:
+                cs.append(((cs[-1] * mw) >> _P) // k)
             k += 1
             r = aw / k
             c, u = c * r, u * r * half / (nu + k)
         tail = 2.0 * min(c, u) if 2.0 * aw <= k + 1 else math.inf
         grow = math.exp(aw)
         bound = lad * grow + top * 2 * k * grow * 2.0**-_P + tail
-        mw = (wn << _P) // wd  # -w 2^_P, within one unit
-        cs = [1 << _P]  # C_j
-        for j in range(1, k):
-            cs.append(((cs[-1] * mw) >> _P) // j)
         t0, t1 = (sum(map(mul, cs, ys[n + i:n + i + k])) for i in range(2))
         if l:  # only g reads P_{nu+2}
             t2 = sum(map(mul, cs, ys[n + 2:n + 2 + k]))

@@ -4,20 +4,17 @@ A mode with angular degree l has radial profile proportional to the scaled
 Bessel function whose zeros (Dirichlet) or derivative zeros (Neumann) set
 the admissible frequencies; the eigenvalue is the squared zero and its
 multiplicity is the dimension of the degree-l spherical-harmonic space.
-Enumeration is certified complete. The degree loop stops at the first
-degree with no zero at or below the cutoff: by min-max on the radial
-Rayleigh quotient, whose potential l(l+d-2)/r^2 grows with l, each degree's
-first zero lies strictly past the one before (Neumann's from l = 1 on, as
-l = 0 always holds its ground state at r = 0), and rounding to the nearest
-float is monotone, so no later degree holds one either. Within a degree,
-zeros.radial_zeros walks every sign change from the origin.
+Enumeration is certified complete: zeros._degree_zeros walks the degrees
+up to the first one with no zero at or below the cutoff, past which no
+degree holds one (min-max, see there), and refuses a cutoff whose walk
+would leave the order box before it refines a zero past the degree below.
+Within a degree, zeros.radial_zeros walks every sign change from the origin.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import count
 from math import comb
 
 from . import _format, zeros
@@ -118,15 +115,9 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
     lam_cut = lambda_max + CUTOFF_SLACK
     r_cut = min(math.sqrt(lam_cut), X_MAX)
     modes = []
-    for l in count():
-        try:
-            found = zeros.radial_zeros(bc, l, d, r_cut)
-        except RangeError:  # the order cap, its one refusal: name the cutoff
-            zeros._check_pair(2 * l + d - 2, f"completeness up to "
-                              f"lambda_max={lambda_max!r} (degree l={l})")
-            raise
-        if not found:  # so is every later degree: see the module docstring
-            break
+    degrees = zeros._degree_zeros(
+        bc, d, r_cut, f"completeness up to lambda_max={lambda_max!r}")
+    for l, found in enumerate(degrees):
         mult = multiplicity(l, d)
         modes += [(z, l, m, mult) for m, z in enumerate(found, 1)
                   if z * z <= lam_cut]

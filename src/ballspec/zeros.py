@@ -16,6 +16,14 @@ rigorous zero-free lower bound itself, never from an asymptotic count
 the returned zero is the m-th one. Where that bound clears a cutoff, no
 census runs and no order cap is checked.
 
+A spectrum's degrees l = 0, 1, ... are walked here too (_degree_zeros), up
+to the first with no zero at or below the cutoff: by min-max on the radial
+Rayleigh quotient, whose potential l(l+d-2)/r^2 grows with l, each degree's
+first zero lies strictly past the one before (Neumann's from l = 1 on, as
+l = 0 always holds its ground state at r = 0), and rounding to the nearest
+float is monotone, so no later degree holds one either, and the walk
+meets the order cap at one degree at most, which is checked first.
+
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
 
@@ -384,6 +392,27 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
             break
         out.append(z)
         m += 1
+    return out
+
+
+def _degree_zeros(bc: BoundaryCondition, d: int, x_max: float,
+                  what: str) -> list[list[float]]:
+    """radial_zeros(bc, l, d, x_max) for l = 0, 1, ... up to the first
+    degree with none; else, before the walk, a RangeError naming what and
+    the one degree that meets the cap: the first past it, or l = 1 where
+    that is Neumann's l = 0 served without a census, once its census bound
+    lies at or below x_max and the degree below holds a zero."""
+    def census(l: int) -> bool:  # whether degree l runs a census
+        return _first_zero_lower(_key(bc, l, d)[0]) <= x_max
+
+    l = max(0, (TWICE_NU_MAX - d) // 2 + 1)  # the first degree past the cap
+    if l == 0 and bc is BoundaryCondition.NEUMANN and not census(0):
+        l = 1  # the ground state alone
+    if census(l) and (l == 0 or radial_zeros(bc, l - 1, d, x_max)):
+        _check_pair(2 * l + d - 2, f"{what} (degree l={l})")
+    out = []
+    while found := radial_zeros(bc, len(out), d, x_max):
+        out.append(found)
     return out
 
 

@@ -2,7 +2,7 @@
 a standard-library module or ``ballspec`` itself. And the supported box has
 one home: one integer check (``bessel._check_int``) and the order cap
 compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair),
-whose check only the census and spectrum's refusal call.
+whose check only the census calls.
 And a CLI job imports only the modules its subcommand runs, and never
 ``dataclasses``, an argument parser, ``json`` or ``fractions``. And the
 kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
@@ -90,16 +90,24 @@ def test_order_cap_is_compared_only_in_bessel_and_zeros():
 
 def test_only_the_census_reads_the_order_cap():
     # the census checks the cap on each zero it is asked for (zeros._zero,
-    # zeros.radial_zeros), and spectrum re-raises a refusal of its degree
-    # loop in the cutoff's terms; pleijel and courant ask for their top
-    # zero instead, and the census's shared ladders grow by doubling their
-    # top, so growing bessel.TWICE_NU_MAX changes no other module
+    # zeros.radial_zeros) and on a spectrum's degree walk before the walk
+    # runs (zeros._degree_zeros, whose refusal names the cutoff); spectrum
+    # neither names the check nor catches a refusal, pleijel and courant
+    # ask for their top zero instead, and the census's shared ladders grow
+    # by doubling their top, so growing bessel.TWICE_NU_MAX changes no
+    # other module
     calls = sorted(
         (name, _enclosing(tree, node.lineno))
         for name, tree in _parsed() for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _named(node.func, {"_check_pair"}))
-    assert calls == [("spectrum.py", "enumerate_spectrum"),
-                     ("zeros.py", "_zero"), ("zeros.py", "radial_zeros")]
+    assert calls == [("zeros.py", "_degree_zeros"), ("zeros.py", "_zero"),
+                     ("zeros.py", "radial_zeros")]
+    spectrum = dict(_parsed())["spectrum.py"]
+    assert not _named(spectrum, {"_check_pair", "TWICE_NU_MAX"})
+    assert [node.lineno for node in ast.walk(spectrum)
+            if isinstance(node, ast.ExceptHandler)
+            and (node.type is None or _named(node.type, {
+                "RangeError", "BallspecError", "Exception"}))] == []
     tree = dict(_parsed())["bessel.py"]
     grid_ladder = next(fn for fn in tree.body
                        if isinstance(fn, ast.FunctionDef)

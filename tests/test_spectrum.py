@@ -21,7 +21,7 @@ from ballspec.spectrum import (
 )
 
 from tests import _box, _frozen
-from tests.test_zeros import assert_nearest_float
+from tests.test_zeros import _cold, assert_nearest_float
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -285,6 +285,40 @@ class TestDegreeLoop:
         assert [l for l, _ in calls] == list(range(empty + 1))
         assert all(found for _, found in calls[:-1]) and calls[-1][1] == []
         assert {rec.l for rec in table.records} == set(range(empty))
+
+    @pytest.mark.parametrize("bc,d,lam_max", [
+        ("dirichlet", 2, 40000.0),
+        ("dirichlet", 3, 40000.0),
+        # past the cap: the ground state alone, served without a census,
+        # and then degree 1 is out of the box
+        ("neumann", _box.CAP + 1, 400.0),
+    ])
+    def test_refusal_comes_before_the_work(self, monkeypatch, bc, d,
+                                           lam_max):
+        # a cutoff whose degree walk would leave the order box is refused
+        # once the degree below the first one out holds a zero: from cold
+        # caches only that degree's zeros are refined (4,501 zeros of
+        # every degree at d = 2 when the walk met the cap last)
+        edge = _box.EDGES[bc, d]
+        if edge.limit is None or lam_max < edge.limit:
+            pytest.skip("the box serves every cutoff up to lambda_max")
+        l = _box.first_degree_out(d) or 1  # Neumann's ground state first
+        _cold()
+        refined = []
+        real = zeros._refine
+        monkeypatch.setattr(zeros, "_refine",
+                            lambda *args: refined.append(args) or real(*args))
+        with pytest.raises(RangeError) as info:
+            enumerate_spectrum(d, bc, lam_max)
+        monkeypatch.undo()
+        _cold()
+        assert str(info.value) == (
+            f"completeness up to lambda_max={lam_max!r} (degree l={l}) "
+            f"needs Bessel order {edge.order} beyond the kernel box "
+            f"(orders up to {_box.CAP // 2})")
+        below = _box.census_key(bc, l - 1, d)
+        assert {args[:2] for args in refined} <= {below}
+        assert len(refined) <= (0 if l == 1 else 16)
 
 
 # ---------------------------------------------------------------------------
