@@ -1,8 +1,8 @@
 """Bessel kernel: J_nu, the (J_nu, J_{nu+1}) pair, and log-gamma.
 
-Supported box: X_MIN <= x <= 200 with X_MIN = 1e-18, and orders
-nu = twice_nu/2 with twice_nu an integer in [0, 240] (every order used by
-the ball problems is l + d/2 - 1, so 2*nu is always an exact integer).
+Supported box: X_MIN <= x <= X_MAX, and orders nu = twice_nu/2 with
+twice_nu an integer in [0, TWICE_NU_MAX] (every order used by the ball
+problems is l + d/2 - 1, so 2*nu is always an exact integer).
 Accuracy contract per evaluation:
 
     |error| <= 1e-12 * max(|value|, 1e-3)
@@ -397,7 +397,7 @@ def _check_underflow(value: float, twice_nu: int, x: float) -> None:
 
 
 def eval_J(nu: Order, x: float) -> EvalResult:
-    """J_nu(x) for X_MIN <= x <= 200, twice_nu in [0, 240]."""
+    """J_nu(x) for X_MIN <= x <= X_MAX, twice_nu in [0, TWICE_NU_MAX]."""
     _check_order(nu)
     x = _validate_x(x)
     value, _, abs_err = _eval_miller(nu.twice_nu, x)

@@ -67,8 +67,9 @@ __all__ = [
 ]
 
 # The largest d with a gamma(d): the census pair (nu, nu+1) of j_{nu,1},
-# nu = d/2 - 1, lies in the order box (d <= cap) and its census bound in the
-# argument box; scanned downward, one bound at cap 240 (j_{119,1} ~ 128).
+# nu = d/2 - 1, lies in the order box (d <= bessel.TWICE_NU_MAX) and its
+# census bound in the argument box (<= X_MAX); scanned downward from the
+# cap, so it reads one bound while the cap's own first zero lies in the box.
 D_MAX = next(d for d in range(TWICE_NU_MAX, 1, -1)
              if zeros._first_zero_lower((0, d - 2)) <= X_MAX)
 

@@ -434,8 +434,9 @@ def _zero(key: tuple[int, int], ground: bool, twice_nu: int, m: int,
 def _check_pair(twice_nu: int, what: str) -> None:
     """The census order cap on the request's order (2l + d - 2 for a radial
     zero), for every caller: nu + 1 in the kernel box. Neumann l = 0's key
-    (0, d) is one order up, so at d = 239, 240 its pair reaches twice_nu =
-    d + 2 (bessel_zero(Order(d), 1) is refused). what names the request."""
+    (0, d) is one order up, so at d = TWICE_NU_MAX - 1 and TWICE_NU_MAX its
+    pair reaches twice_nu = d + 2 (bessel_zero(Order(d), 1) is refused).
+    what names the request."""
     if twice_nu + 2 > TWICE_NU_MAX:
         # formed exactly: twice_nu may lie past the float range
         nu1 = f"{twice_nu // 2 + 1}.{5 * (twice_nu % 2)}"

@@ -18,13 +18,12 @@ from the code under test:
 A degree's census bound is Qu and Wong's for a J key and Sturm's for a
 Neumann key l >= 1, shrunk by 1 - 1e-9; where it lies inside the cutoff
 radius, radial_zeros checks the degree's order 2l + d - 2 against the cap.
-The spectrum's degree walk (zeros._degree_zeros) runs l = 0, 1, ... and
-ends at the first degree with no zero inside the cutoff radius (Neumann
-l = 0 holds its ground state at r = 0). First zeros increase in l, so the
-walk reaches the first degree out of the box once the degree below it has
-its first zero inside, and a cutoff is refused once that zero, from the
-oracle (tests/_oracle.py), and the out-of-box degree's census bound both
-lie inside it.
+The spectrum's degree walk runs l = 0, 1, ... and ends at the first degree
+with no zero inside the cutoff radius (Neumann l = 0 holds its ground state
+at r = 0). First zeros increase in l, so the walk reaches the first degree
+out of the box once the degree below it has its first zero inside, and a
+cutoff is refused once that zero, from the oracle (tests/_oracle.py), and
+the out-of-box degree's census bound both lie inside it.
 
 Every derivation takes the cap, so that tests/test_box.py checks PINNED,
 the edges at cap 240 written out, against derived(240) at any cap; EDGES

@@ -32,7 +32,7 @@ COPIED = ("src", "tests", "perfbench", "docs", "README.md", "pyproject.toml",
 EXPECTED = {
     "tests/test_zeros.py::test_series_centre_is_the_census_pair":
         "ROADMAP item 17 (b): at x0 = pi/2 every value of the span of "
-        "order 170 underflows, and bessel._multiply refuses with "
+        "order 170 underflows, and the multiplication series refuses with "
         "LossOfPrecision",
     "tests/test_ledger.py::test_ledger_digest":
         "output pin: the cap moves the ledger's zeros and refusals",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.test_golden import GOLDEN
+from tests._cli import GOLDEN
 
 ROOT = Path(__file__).resolve().parent.parent
 # one argv per subcommand the benchmark runs, with the spans of the layers

@@ -10,10 +10,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from tests import _box, _frozen
+from tests import _box, _counts, _frozen, _internals
 from tests import _oracle as oracle
-from tests.test_golden import KERNEL_POINTS, SERIES_POINTS
-from ballspec import bessel, zeros
+from tests._internals import TWIN_ORDERS, TWIN_XS, ladder_pair, twin_points
+from ballspec import bessel
 from ballspec.bessel import EvalResult, Order, eval_J, eval_J_pair, log_gamma
 from ballspec.errors import LossOfPrecision, RangeError
 
@@ -141,27 +141,6 @@ def xi(l: int, d: int, r: float) -> float:
     return r ** (0.5 * (2 - d)) * eval_J(Order.from_l_d(l, d), r).value
 
 
-def ladder_pair(twice_nu: int, x: float) -> tuple[Fraction, Fraction]:
-    """(J_nu(x), J_{nu+1}(x)), the exact quotients of the kernel's _ladder
-    at x."""
-    n, parity = divmod(twice_nu, 2)
-    ys, num, den, _ = bessel._ladder(parity, x, n)
-    return Fraction(ys[n] * num, den), Fraction(ys[n + 1] * num, den)
-
-
-def pair_target(l: int, twice_nu: int):
-    """The target of the census key (l, twice_nu) at x, J_nu at l = 0 and
-    g = (l/x) J_nu - J_{nu+1} at l >= 1, from ladder_pair, g formed exactly
-    and rounded once: a reference for the zero finder that reads its own
-    ladder at x."""
-
-    def f(x: float) -> float:
-        a, b = ladder_pair(twice_nu, x)
-        return float(a if l == 0 else l / Fraction(x) * a - b)
-
-    return f
-
-
 def xi_prime(l: int, d: int, r: float) -> float:
     a, b = ladder_pair(2 * l + d - 2, r)
     return r ** (0.5 * (2 - d)) * float(l / Fraction(r) * a - b)
@@ -234,65 +213,28 @@ def test_log_gamma_range():
 
 
 # ---------------------------------------------------------------------------
-# the one ladder _ladder as the zero finder reads it: its bound against
+# the kernel's one ladder as the zero finder reads it: its bound against
 # the oracle
-
-TWIN_ORDERS = (0, 1, 2, 7, 40, 101, 160, 202, 238)
-TWIN_XS = (0.5, 1.7, 6.0, 23.0, 61.0, 118.0, 163.0, 200.0)
-# census zeros (l, twice_nu, m) spread over the box, on both routes; (0,
-# 3, 1) is also the second Neumann l = 0 zero at d = 3
-TWIN_ZEROS = [(0, 0, 1), (0, 0, 63), (0, 1, 3), (0, 7, 4), (0, 202, 1),
-              (0, 238, 2), (0, 3, 1), (3, 7, 1), (3, 7, 60), (40, 82, 1),
-              (119, 238, 1)]
-
-
-def oracle_target(l: int, twice_nu: int, x) -> mp.mpf:
-    """The target of the census key (l, twice_nu): J_nu at l = 0, else
-    g = (l/x) J_nu - J_{nu+1}."""
-    with mp.workdps(40):
-        ja = oracle.oracle_J(twice_nu, x, dps=40)
-        if l == 0:
-            return ja
-        return (l / mp.mpf(x)) * ja - oracle.oracle_J(twice_nu + 2, x, dps=40)
-
-
-def near_zero_points(l: int, twice_nu: int, m: int):
-    """The oracle zero as a float and the floats 1e-12 relative either side
-    of it; the census zero only seeds mpmath's secant solver."""
-    seed = zeros._census_zero(l, twice_nu, m)
-    with mp.workdps(40):
-        z = float(mp.findroot(lambda t: oracle_target(l, twice_nu, t),
-                              mp.mpf(seed)))
-    assert abs(z - seed) <= 1e-13 * z
-    return [z * (1.0 - 1e-12), z, z * (1.0 + 1e-12)]
-
-
-def twin_points():
-    """(twice_nu, x) of the grid plus the near-zero points."""
-    pts = [(tn, x) for tn in TWIN_ORDERS for x in TWIN_XS]
-    for l, tn, m in TWIN_ZEROS:
-        pts += [(tn, x) for x in near_zero_points(l, tn, m)]
-    return pts
 
 
 def ladder_pairs(parity: int, x: float, top: int):
     """(n, q_n, q_{n+1}, err) of every pair the ladder sized for top
-    yields: q the exact quotients ys[k] num / den, and err the _bound of
+    yields: q the exact quotients ys[k] num / den, and err the bound of
     the floats nearest them."""
-    ys, num, den, unit = bessel._ladder(parity, x, top)
+    ys, num, den, unit = _internals.ladder(parity, x, top)
     with mp.workdps(80):
         qs = [mp.mpf(y * num) / den for y in ys[:max(top, int(x)) + 2]]
     for n in range(len(qs) - 1):
         a, b = ys[n] * num / den, ys[n + 1] * num / den
-        yield n, qs[n], qs[n + 1], bessel._bound(a, b, x, 2 * n + parity,
-                                                 unit)
+        yield n, qs[n], qs[n + 1], _internals.bound(
+            a, b, x, 2 * n + parity, unit)
 
 
 def test_ladder_float_within_its_bound():
     # one ladder per parity and x of the twin grid, sized for the whole box
     # (small x at high order, x = 200 the box edge), and at the near-zero
     # points one ladder sized for the zero's order: every pair the zero
-    # finder can read lies within _bound of the oracle
+    # finder can read lies within its bound of the oracle
     pts, n_grid = twin_points(), len(TWIN_ORDERS) * len(TWIN_XS)
     checks = {(tn % 2, x, bessel.TWICE_NU_MAX // 2 - 1): None
               for tn, x in pts[:n_grid]}
@@ -316,12 +258,12 @@ def test_ladder_float_within_its_bound():
 
 
 def test_ladder_float_is_the_twin_ladder(monkeypatch):
-    # a shared ladder at x is bessel._ladder sized for max(n, int(x)) +
-    # bessel._SPAN, the order that asks first and the orders its
-    # multiplication series reads, step for step; and the census's sign on
-    # its integers decides every sign that the float rule decides, with the
-    # same sign: the float of the target from the floats nearest the pair's
-    # quotients, where it clears their _bound, grown for g by g's three
+    # a shared ladder at x is the kernel's ladder sized for max(n, int(x))
+    # + SPAN, the order that asks first and the orders its multiplication
+    # series reads, step for step; and the census's sign on its integers
+    # decides every sign that the float rule decides, with the same sign:
+    # the float of the target from the floats nearest the pair's
+    # quotients, where it clears their bound, grown for g by g's three
     # roundings. The integers decide every sign here, also J's and g's of
     # order 119 at x = 0.05, whose floats underflow
     decided = 0
@@ -329,14 +271,14 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
         n, parity = divmod(tn, 2)
         l = tn // 2 + 1
         for x in TWIN_XS + (0.05, 0.3):
-            monkeypatch.setattr(bessel, "_LADDERS", {})
-            signs = [bessel._grid_sign(k, tn, x) for k in (0, l)]
-            assert len(bessel._LADDERS) == 1 and 0 not in signs, (tn, x)
-            ys, num, den, unit = bessel._ladder(
-                parity, x, max(n, int(x)) + bessel._SPAN)
-            assert bessel._LADDERS[parity, x][1:] == (ys, num, den, unit)
+            _internals.fresh_ladders(monkeypatch)
+            signs = [_internals.grid_sign(k, tn, x) for k in (0, l)]
+            assert len(_internals.LADDERS) == 1 and 0 not in signs, (tn, x)
+            ys, num, den, unit = _internals.ladder(
+                parity, x, max(n, int(x)) + _internals.SPAN)
+            assert _internals.LADDERS[parity, x][1:] == (ys, num, den, unit)
             a, b = ys[n] * num / den, ys[n + 1] * num / den
-            err = bessel._bound(a, b, x, tn, unit)
+            err = _internals.bound(a, b, x, tn, unit)
             # g = (l/x) a - b, its bound grown by its three roundings
             q = l / x
             g_err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
@@ -351,13 +293,13 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
     # the first ladder at a grid point is sized for the asking order and
-    # its series, max(n, int(x)) + bessel._SPAN; a later order above its
+    # its series, max(n, int(x)) + SPAN; a later order above its
     # top rebuilds it at twice the top, up to the box's top order, and a
     # ladder sized for that top agrees with the first on every pair
-    top = max(3, int(x)) + bessel._SPAN
+    top = max(3, int(x)) + _internals.SPAN
     lazy = list(ladder_pairs(parity, x, top))
     box = list(ladder_pairs(parity, x, max(bessel.TWICE_NU_MAX // 2 - 1,
-                                           int(x)) + bessel._SPAN))
+                                           int(x)) + _internals.SPAN))
     assert len(lazy) == top + 1 and len(box) >= len(lazy)
     for (n, a, b, err), (_, a2, b2, err2) in zip(lazy, box):
         assert abs(a - a2) <= err + err2 and abs(b - b2) <= err + err2, n
@@ -371,18 +313,11 @@ def test_grid_ladder_rebuilds_double_its_top(monkeypatch, x, top):
     # max(1, int(x)), so the point builds at most
     # 1 + ceil(log2(top / max(1, int(x)))) ladders, whatever the cap, and
     # the ladder each order reads spans its multiplication series
-    built = []
-    real = bessel._ladder
-
-    def ladder(parity, x, n):
-        built.append(n)
-        return real(parity, x, n)
-
-    monkeypatch.setattr(bessel, "_ladder", ladder)
-    monkeypatch.setattr(bessel, "_LADDERS", {})
+    _internals.fresh_ladders(monkeypatch)
+    built = _counts.count(monkeypatch).ladders
     for n in range(1, top + 1):
-        ys = bessel._grid_ladder(1, x, n)[0]
-        assert len(ys) > max(n, int(x)) + bessel._SPAN + 1, (n, len(ys))
+        ys = _internals.grid_ladder(1, x, n)[0]
+        assert len(ys) > max(n, int(x)) + _internals.SPAN + 1, (n, len(ys))
     assert 1 <= len(built) <= 1 + math.ceil(math.log2(top / max(1, int(x)))
                                             ), built
 
@@ -405,16 +340,17 @@ def _start_grid():
 
 def test_miller_start_matches_the_linear_search():
     # the start is the first index of the search n0, n0 + 8, ... from n0 =
-    # max(n_target, int(x)) + 6 at which _ln_j_inv has grown by 60 from
-    # its value at max(n_target, int(x) + 1): grown by 60 there, and not
-    # yet at the index before it, unless the start is n0
+    # max(n_target, int(x)) + 6 at which ln_j_inv, a rough -ln J_n(x), has
+    # grown by 60 from its value at max(n_target, int(x) + 1): grown by 60
+    # there, and not yet at the index before it, unless the start is n0
+    ln_j_inv = _internals.ln_j_inv
     for n_target, x in _start_grid():
-        n = bessel._miller_start(n_target, x)
+        n = _internals.miller_start(n_target, x)
         n0 = max(n_target, int(x)) + 6
-        base = bessel._ln_j_inv(float(max(n_target, int(x) + 1)), x)
+        base = ln_j_inv(float(max(n_target, int(x) + 1)), x)
         assert n >= n0 and (n - n0) % 8 == 0, (n_target, x, n)
-        assert bessel._ln_j_inv(float(n), x) - base >= 60.0, (n_target, x)
-        assert n == n0 or bessel._ln_j_inv(float(n - 8), x) - base < 60.0, (
+        assert ln_j_inv(float(n), x) - base >= 60.0, (n_target, x)
+        assert n == n0 or ln_j_inv(float(n - 8), x) - base < 60.0, (
             n_target, x, n)
 
 
@@ -540,8 +476,8 @@ def test_underflow_raises_loss_of_precision():
 def test_estimate_over_budget_names_the_call(monkeypatch):
     # a ladder whose error bound fails the contract: the refusal is worded
     # as it was when every call formatted its tag up front
-    monkeypatch.setattr(bessel, "_eval_miller",
-                        lambda twice_nu, x: (0.5, -0.25, 1e-6))
+    _internals.replace(monkeypatch, "eval_miller",
+                       lambda twice_nu, x: (0.5, -0.25, 1e-6))
     with pytest.raises(LossOfPrecision) as info:
         eval_J_pair(Order(3), 1.5)
     assert str(info.value) == (
@@ -576,7 +512,7 @@ def test_series_refuses_a_span_that_underflows():
     x0 = math.pi / 4
     with pytest.raises(LossOfPrecision,
                        match=rf"twice_nu=440, x0={x0!r}$"):
-        bessel._multiply(bessel._ladder(0, x0, 250), x0, 440)
+        _internals.multiply(_internals.ladder(0, x0, 250), x0, 440)
 
 
 def test_pair_refuses_when_only_the_upper_order_underflows():
@@ -618,10 +554,11 @@ def test_x_min_matches_oracle_or_refuses():
     assert returned[:3] == [0, 1, 2]
 
 
-# the points of both _eval_miller bit pins, the lower edge X_MIN and the
+# the points of both of the kernel's bit pins (tests/test_golden.py), the
+# lower edge X_MIN and the
 # last pairs the underflow floor keeps
 QUOTIENT_POINTS = (
-    KERNEL_POINTS + SERIES_POINTS
+    _internals.KERNEL_POINTS + _internals.SERIES_POINTS
     + [(tn, x) for x in (bessel.X_MIN, 3e-18, 1e-16, 1e-12) for tn in range(8)]
     + [(tn, x) for x, last in UNDERFLOW_EDGES
        for tn in range(last - 6, last - 1)])
@@ -630,7 +567,7 @@ QUOTIENT_POINTS = (
 def test_ladder_quotient_within_bound():
     # the integer ladder's exact quotient ys[k] num / den, which
     # pair_target, the zero tests' reference, reads, lies within the pair's
-    # _bound (its turning-point model included) of the oracle
+    # bound (its turning-point model included) of the oracle
     checked = 0
     for tn, x in QUOTIENT_POINTS:
         try:
@@ -638,8 +575,8 @@ def test_ladder_quotient_within_bound():
         except (LossOfPrecision, RangeError):
             continue  # refused: past the box or below the underflow floor
         n, parity = divmod(tn, 2)
-        ys, num, den, unit = bessel._ladder(parity, x, n)
-        bound = bessel._bound(pair[0].value, pair[1].value, x, tn, unit)
+        ys, num, den, unit = _internals.ladder(parity, x, n)
+        bound = _internals.bound(pair[0].value, pair[1].value, x, tn, unit)
         for k, order in ((n, tn), (n + 1, tn + 2)):
             want = oracle.oracle_J(order, x, dps=45)
             with mp.workdps(60):
@@ -651,9 +588,9 @@ def test_ladder_quotient_within_bound():
 
 def test_pi_literal_is_pi_to_its_last_bit():
     # the half-integer normalizer reads pi from this literal, floor(pi 2^k)
-    assert bessel._PI_BITS >= 2 * bessel._P
-    with mp.workprec(bessel._PI_BITS + 64):
-        assert bessel._PI == int(mp.floor(mp.pi * 2**bessel._PI_BITS))
+    assert _internals.PI_BITS >= 2 * _internals.P
+    with mp.workprec(_internals.PI_BITS + 64):
+        assert _internals.PI == int(mp.floor(mp.pi * 2**_internals.PI_BITS))
 
 
 def test_est_rel_err_within_contract_across_box():

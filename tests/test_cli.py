@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ballspec import bessel, cli, pleijel, spectrum, zeros
 from tests import _box
-from tests.test_golden import GOLDEN
+from tests._cli import GOLDEN, run_cli
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CAP, D_MAX = _box.CAP, _box.EDGES["d_max"]
@@ -30,12 +30,6 @@ TABLE_6DEC = [
     "0.010236", "0.006817", "0.004553", "0.003048", "0.002046",
     "0.001376", "0.000928", "0.000627", "0.000424", "0.000288",
 ]
-
-
-def run_cli(capsys, *argv):
-    code = cli.run(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def validate(payload, schema_name):

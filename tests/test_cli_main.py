@@ -15,7 +15,7 @@ import pytest
 
 from ballspec import cli
 from tests import _box
-from tests.test_cli import run_cli
+from tests._cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(

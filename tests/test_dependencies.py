@@ -11,7 +11,10 @@ and no double-double primitive left; the kernel owns those shared ladders,
 and the zero finder takes every value from them, none from
 ``bessel.eval_J_pair``, and names no part of them; the only fixed-point
 functions are ``bessel._ladder`` and its multiplication-series reader
-``bessel._multiply``."""
+``bessel._multiply``. And outside ``tests/_internals.py``, the tests' one
+table of those private parts, ``tests/_counts.py``, this file and the
+sweep scripts, no test names a private part of ``bessel`` or ``zeros``,
+README names none, and no test module imports another."""
 
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from tests import _internals
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ballspec"
 
@@ -263,6 +268,76 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
         and _named(node, gone)
     ]
     assert tests and found == []
+
+
+# ---------------------------------------------------------------------------
+# the tests and README state behaviour: a test reads a private part of
+# bessel or zeros only through tests/_internals.py, which names each one
+# once, and counts work only through tests/_counts.py, so that a renamed or
+# reshaped internal edits those files, not the tests
+
+ROOT = SRC.parents[1]
+# the test files that may name a private part: the table of them, the work
+# counters, this file, and the sweeps, scripts run outside pytest
+PRIVATE_HOMES = {"_internals.py", "_counts.py", "test_dependencies.py",
+                 "argv_sweep.py", "census_sweep.py", "ledger_sweep.py"}
+# an attribute of either module whose name starts with "_" (also in a
+# comment or a dotted string), or a setattr of one
+PRIVATE_NAME = re.compile(r"\b(zeros|bessel)\._\w"
+                          r"|setattr\(\s*(zeros|bessel)\s*,\s*[\"']_")
+
+
+def _private_parts() -> set[str]:
+    """The private names that bessel and zeros define at module level."""
+    names = set()
+    for name in ("bessel.py", "zeros.py"):
+        for node in ast.parse((SRC / name).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_tests_name_private_parts_only_in_their_homes():
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name in PRIVATE_HOMES:
+            continue
+        text = path.read_text()
+        found += [(path.name, text.count("\n", 0, m.start()) + 1)
+                  for m in PRIVATE_NAME.finditer(text)]
+        found += [(path.name, node.lineno)
+                  for node in ast.walk(ast.parse(text, str(path)))
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module in ("ballspec.bessel", "ballspec.zeros")
+                  and any(a.name.startswith("_") for a in node.names)]
+    assert found == []
+
+
+def test_readme_names_no_private_part():
+    parts = _private_parts()
+    # not vacuous: every part the tests' table names is one of them
+    assert {attr for _, attr in _internals.PARTS.values()} <= parts
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w.])_\w+|\b(?:zeros|bessel)\._\w+", text))
+    assert {n for n in named if n in parts or "." in n} == set()
+
+
+def test_no_test_module_imports_another():
+    # shared helpers live in the tests' _*.py modules
+    found = [
+        (path.name, node.lineno)
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("tests.test_")
+            or node.module == "tests"
+            and any(a.name.startswith("test_") for a in node.names))
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ from ballspec import zeros
 from ballspec.errors import RangeError
 from ballspec.zeros import BoundaryCondition
 
+from tests import _box
+from tests._internals import assert_nearest_float, cold
 from tests.ledger_sweep import LABEL
-from tests.test_zeros import _cold, assert_nearest_float
 
 DIMS = (2, 3, 5, 30, 120, 238)
 DEGREES = range(12)
@@ -38,7 +39,7 @@ SAMPLE_STRIDE = 33  # every 33rd positive zero: 198 of the 6,542
 
 @pytest.fixture(scope="module")
 def ledger():
-    _cold()
+    cold()
     rows = []
     for bc in BoundaryCondition:
         for d in DIMS:
@@ -77,6 +78,6 @@ def test_sample_zeros_are_nearest_floats(ledger):
     assert {l for _, l, *_ in sample} == set(DEGREES)
     assert max(m for *_, m, _ in sample) > 50
     for bc, l, d, m, z in sample:
-        key = zeros._key(bc, l, d)[0]
+        key = _box.census_key(bc.value.lower(), l, d)
         assert z == zeros.find_zero(bc, l, d, m)
         assert_nearest_float(*key, z)

@@ -10,7 +10,7 @@ import pytest
 
 from ballspec import pleijel, zeros
 from ballspec.errors import CertificateFailure, RangeError
-from tests import _box, _frozen
+from tests import _box, _counts, _frozen
 
 # The 20 published 6-decimal table values for d = 2..21.
 TABLE_6DEC = [
@@ -89,12 +89,12 @@ class TestGammaValues:
             self, monkeypatch, name, args, prefix):
         d = _box.d_max(480)
         monkeypatch.setattr(zeros, "TWICE_NU_MAX", 480)
-        misses = zeros._census_zero.cache_info().misses
+        work = _counts.count(monkeypatch)
         with pytest.raises(RangeError) as exc:
             getattr(pleijel, name)(*args(d))
         want = prefix.format(top=d + 1, d=d)
         assert str(exc.value).startswith(want), exc.value
-        assert zeros._census_zero.cache_info().misses == misses
+        assert work.cold_zeros == 0
 
 
 class TestPleijelRow:
@@ -336,9 +336,9 @@ class TestMonotonicityCertificate:
         assert check.rhs == 0.95
 
     def test_jest_bounds_bracket_the_zero(self):
-        # the bounds come from zeros._first_zero_bounds, bit for bit the
-        # expressions the chain wrote out before, at both ends of the box
-        # and on both sides of the d = 95 switch
+        # the bounds are the census's Watson and Chambers bounds, bit for
+        # bit the expressions the chain wrote out before, at both ends of
+        # the box and on both sides of the d = 95 switch
         for d in (4, 20, 95, 96, 239):
             cert = pleijel.monotonicity_certificate(d)
             j = zeros.dirichlet_zero(0, d + 1, 1)

@@ -20,8 +20,8 @@ from ballspec.spectrum import (
     weyl_count,
 )
 
-from tests import _box, _frozen
-from tests.test_zeros import _cold, assert_nearest_float
+from tests import _box, _counts, _frozen
+from tests._internals import assert_nearest_float, cold
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -303,15 +303,12 @@ class TestDegreeLoop:
         if edge.limit is None or lam_max < edge.limit:
             pytest.skip("the box serves every cutoff up to lambda_max")
         l = _box.first_degree_out(d) or 1  # Neumann's ground state first
-        _cold()
-        refined = []
-        real = zeros._refine
-        monkeypatch.setattr(zeros, "_refine",
-                            lambda *args: refined.append(args) or real(*args))
+        cold()
+        refined = _counts.count(monkeypatch).refined
         with pytest.raises(RangeError) as info:
             enumerate_spectrum(d, bc, lam_max)
         monkeypatch.undo()
-        _cold()
+        cold()
         assert str(info.value) == (
             f"completeness up to lambda_max={lam_max!r} (degree l={l}) "
             f"needs Bessel order {edge.order} beyond the kernel box "

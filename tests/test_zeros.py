@@ -12,7 +12,6 @@ import json
 import math
 import re
 import sys
-from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -27,35 +26,15 @@ from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
 from ballspec.zeros import BoundaryCondition
 
-from tests import _box, _frozen
+from tests import _box, _counts, _frozen, _internals
 from tests import _oracle as oracle
-from tests.test_bessel import oracle_target, pair_target, twin_points
+from tests._internals import (assert_nearest_float, census_key, cold,
+                              next_point, oracle_target, pair_target,
+                              twin_points)
 
 
 def rel_err(got: float, want: float) -> float:
     return abs(got - want) / abs(want)
-
-
-def _cold() -> None:
-    """Empty the census caches and the shared ladders of the grid."""
-    zeros._census_bracket.cache_clear()
-    zeros._census_zero.cache_clear()
-    bessel._LADDERS.clear()
-
-
-def census_key(tag: str, l: int, twice_nu: int) -> tuple[int, int]:
-    """The census key (l, twice_nu) of a test row: ("J", 0, twice_nu) is
-    J_nu's; ("G", l, twice_nu) is the Neumann target of degree l at that
-    order, whose l = 0 key is J's at twice_nu + 2 (zeros._key)."""
-    if tag == "J":
-        return 0, twice_nu
-    return (0, twice_nu + 2) if l == 0 else (l, twice_nu)
-
-
-def next_point(parity: int, x: float) -> float:
-    """The first point of the parity's census grid past x."""
-    grid = zeros._GRID[parity]
-    return grid[bisect_right(grid, x)]
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +290,7 @@ class TestOracleSpots:
     @pytest.mark.parametrize("tag,l,twice_nu,m", GRID)
     def test_zeros_are_the_nearest_floats(self, tag, l, twice_nu, m):
         key = census_key(tag, l, twice_nu)
-        assert_nearest_float(*key, zeros._census_zero(*key, m))
-
-
-def assert_nearest_float(l: int, twice_nu: int, z: float) -> None:
-    """The oracle's target of the census key (l, twice_nu) changes sign
-    between the midpoints from z to its two neighbouring floats, so z is
-    the float nearest the zero."""
-    def f(x):
-        ja, jb = oracle.oracle_J_pair(twice_nu, x, dps=40)
-        return ja if l == 0 else (l / x) * ja - jb
-
-    with oracle.mp.workdps(40):
-        mids = [(oracle.mp.mpf(z) + oracle.mp.mpf(math.nextafter(z, to))) / 2
-                for to in (0.0, math.inf)]
-        assert f(mids[0]) * f(mids[1]) < 0, (l, twice_nu, z)
+        assert_nearest_float(*key, _internals.census_zero(*key, m))
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +313,17 @@ TARGET_POINTS = [
 
 
 def cell_series(l: int, twice_nu: int, x: float):
-    """bessel._grid_series's pair, and its value of the census key (l,
+    """The grid series' pair, and its value of the census key (l,
     twice_nu) at all four midpoints around a float, from the shared ladder
-    at the upper end of the grid cell around x, as zeros._refine reads
+    at the upper end of the grid cell around x, as a refinement reads
     them."""
-    pair, value = bessel._grid_series(twice_nu, next_point(twice_nu % 2, x))
+    x0 = next_point(twice_nu % 2, x)
+    pair, value = _internals.grid_series(twice_nu, x0)
     return pair, lambda z: [*map(value(z, l), range(4))]
 
 
 def midpoints(z: float) -> list:
-    """The points x where at(0), ..., at(3) of bessel._multiply's value(z)
+    """The points x where at(0), ..., at(3) of the series' value(z)
     evaluate, exact in mpmath: the midpoints between consecutive floats
     from two below z to two above."""
     below, above = math.nextafter(z, 0.0), math.nextafter(z, math.inf)
@@ -370,16 +336,16 @@ def midpoints(z: float) -> list:
     (tag, l, tn, x) for tag, l, tn, points in TARGET_POINTS for x in points])
 def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
     # J: f = J_nu, df = J_nu'; G: f = g = (l/x) J_nu - J_{nu+1} and
-    # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which _jet forms
+    # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which the jet forms
     # through the recursion J_nu (l(nu-1)/x^2 - 1) + J_{nu+1} (nu+1-l)/x.
     # The float pair of the series gives (f, df) to about 1e-13 of the
     # largest term; the fixed-point value at the midpoints around x lies
     # within its stated bound of the oracle: a few 1e-24 of the pair, plus
     # the value's own rounding to a float
-    monkeypatch.setattr(bessel, "_LADDERS", {})
+    _internals.fresh_ladders(monkeypatch)
     l, twice_nu = census_key(tag, l, twice_nu)
     pair, value = cell_series(l, twice_nu, x)
-    f, df, _ = zeros._jet(l, 0.5 * twice_nu, x, *pair(x))
+    f, df, _ = _internals.jet(l, 0.5 * twice_nu, x, *pair(x))
     with mp.workdps(40):
         ja, pa, jb, pb = (mp.besselj(mp.mpf(tn) / 2, x, derivative=k)
                           for tn in (twice_nu, twice_nu + 2) for k in (0, 1))
@@ -405,30 +371,31 @@ def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
 def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
                                                        twice_nu):
     # a ladder whose quotients J_{nu+k}(x0) each sit 0.95 of the ladder's
-    # own _bound from the truth, with the signs of their coefficients in f,
+    # own bound from the truth, with the signs of their coefficients in f,
     # moves the series by most of its ladder part; at the first zero (G at
     # d = 238 below the turning point) the fixed-point value from it must
     # still lie within its bound of the truth at the midpoints around it
-    monkeypatch.setattr(bessel, "_LADDERS", {})
+    _internals.fresh_ladders(monkeypatch)
     l, twice_nu = census_key(tag, l, twice_nu)
     n, parity = divmod(twice_nu, 2)
-    z = zeros._census_zero(l, twice_nu, 1)
+    z = _internals.census_zero(l, twice_nu, 1)
     x0 = next_point(parity, z)
-    ys, num, den, unit = bessel._grid_ladder(parity, x0, n)
+    ys, num, den, unit = _internals.grid_ladder(parity, x0, n)
     w = (z * z - x0 * x0) / (2.0 * x0)
-    c = [(-w) ** k / math.factorial(k) for k in range(bessel._SPAN + 2)]
+    c = [(-w) ** k / math.factorial(k) for k in range(_internals.SPAN + 2)]
     worst = 0.0
     with mp.workdps(150):
         skewed = list(ys)
-        for k in range(bessel._SPAN + 2):  # J_{nu+k}(x0)'s weight in f
+        for k in range(_internals.SPAN + 2):  # J_{nu+k}(x0)'s weight in f
             weight = c[k] if l == 0 else l / z * c[k] - z / x0 * (
                 c[k - 1] if k else 0.0)
             a, b = (ys[i] * num / den for i in (n + k, n + k + 1))
-            step = 0.95 * bessel._bound(a, b, x0, twice_nu + 2 * k, unit)
+            step = 0.95 * _internals.bound(a, b, x0, twice_nu + 2 * k, unit)
             truth = mp.besselj(mp.mpf(twice_nu) / 2 + k, x0)
             skewed[n + k] = int(mp.nint(
                 (truth + math.copysign(step, weight)) * den / num))
-        _, value = bessel._multiply((skewed, num, den, unit), x0, twice_nu)
+        _, value = _internals.multiply((skewed, num, den, unit), x0,
+                                       twice_nu)
         for mid, (v, err) in zip(midpoints(z), map(value(z, l), range(4)),
                                  strict=True):
             miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
@@ -441,8 +408,8 @@ def test_series_cut_short_keeps_its_tail_in_its_bound(monkeypatch):
     # with the series capped at 6 terms the tail past them dominates the
     # error, and the fixed-point value still lies within its bound of the
     # oracle, a bound within 1e3 of the miss
-    monkeypatch.setattr(bessel, "_SPAN", 6)
-    monkeypatch.setattr(bessel, "_LADDERS", {})
+    _internals.replace(monkeypatch, "SPAN", 6)
+    _internals.fresh_ladders(monkeypatch)
     worst = 0.0
     for tag, l, twice_nu, points in TARGET_POINTS:
         l, twice_nu = census_key(tag, l, twice_nu)
@@ -458,21 +425,21 @@ def test_series_cut_short_keeps_its_tail_in_its_bound(monkeypatch):
 
 
 def test_series_centre_is_the_census_pair(monkeypatch):
-    # _multiply rounds each ladder quotient of its span once, so its float
+    # the series rounds each ladder quotient of its span once, so its float
     # pair at the grid point itself is the floats nearest the census
     # ladder's pair bit for bit: at every order from 180 up at the first
     # grid points pi/4 and pi/2, where the ladder's normalizer dwarfs the
     # span, and at a stride over the rest of the census grid
-    monkeypatch.setattr(bessel, "_LADDERS", {})
+    _internals.fresh_ladders(monkeypatch)
     grid = [(tn, x) for parity in (0, 1)
-            for x in zeros._GRID[parity]
+            for x in _internals.GRID[parity]
             for tn in range(parity, bessel.TWICE_NU_MAX - 1, 2)]
     edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
     assert len(grid) > 30000 and len(edge) == _box.EDGES["series_edge_keys"]
     for tn, x0 in edge + grid[::7]:
-        pair, _ = bessel._grid_series(tn, x0)
+        pair, _ = _internals.grid_series(tn, x0)
         n = tn // 2
-        ys, num, den, _ = bessel._grid_ladder(tn % 2, x0, n)
+        ys, num, den, _ = _internals.grid_ladder(tn % 2, x0, n)
         assert pair(x0) == (ys[n] * num / den, ys[n + 1] * num / den), (
             tn, x0)
 
@@ -484,7 +451,8 @@ def test_series_reads_a_ladder_sized_past_the_box():
     # midpoints around the first Neumann zero of l = 1, d = 84 in the cell
     # below x0 still lie within their bounds of the oracle and certify it
     x0, twice_nu = 3 * math.pi, 84
-    _, value = bessel._multiply(bessel._ladder(0, x0, 231), x0, twice_nu)
+    ladder = _internals.ladder(0, x0, 231)
+    _, value = _internals.multiply(ladder, x0, twice_nu)
     z = zeros.neumann_zero(1, 84, 1)
     assert x0 - zeros.DEFAULT_STEP < z < x0
     for l in (0, 1):
@@ -503,15 +471,14 @@ def test_series_reads_a_ladder_sized_past_the_box():
     (57, 323, 123.30751165339937, 124.87830798019428, 123.71812268008004)])
 def test_zero_near_a_midpoint_certifies_past_the_order_cap(
         monkeypatch, l, twice_nu, lo, hi, want):
-    # Neumann zeros of d = 205, 206 and 211, past the order cap, each
-    # within a few thousandths of an ulp of a midpoint between floats,
-    # below the turning point: with the series remainder bounded by
-    # B_nu = (x0/2)^nu / Gamma(nu+1) no sign there certified and _refine
-    # stalled; bounded by the span the ladder holds, each certifies, and
-    # the values around the zero still lie within their bounds of the
-    # oracle
-    monkeypatch.setattr(bessel, "_LADDERS", {})
-    z = zeros._refine(l, twice_nu, lo, hi, 1)
+    # Neumann zeros of d = 205, 206 and 211, past the order cap, each within a
+    # few thousandths of an ulp of a midpoint between floats, below the turning
+    # point: with the series remainder bounded by B_nu = (x0/2)^nu /
+    # Gamma(nu+1) no sign there certified and the refinement stalled; bounded
+    # by the span the ladder holds, each certifies, and the values around the
+    # zero still lie within their bounds of the oracle
+    _internals.fresh_ladders(monkeypatch)
+    z = _internals.refine(l, twice_nu, lo, hi, 1)
     assert z == want
     assert_nearest_float(l, twice_nu, z)
     _, value = cell_series(l, twice_nu, z)
@@ -525,61 +492,16 @@ def test_zero_near_a_midpoint_certifies_past_the_order_cap(
 # the sign rule: the integer ladder's sign where its bound clears it, else 0.0
 
 
-def _counting(monkeypatch, name: str = "eval_J_pair"):
-    """Count calls of bessel.<name>; returns a one-element list."""
-    calls = [0]
-    real = getattr(bessel, name)
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(bessel, name, counted)
-    return calls
-
-
-class _CountedLadders(dict):
-    """bessel._LADDERS that counts the builds of the shared ladders and
-    their steps (len(ys): the ladder keeps every y_k), by grid point
-    (parity, x)."""
-
-    def __init__(self):
-        super().__init__()
-        self.steps, self.builds = Counter(), Counter()
-
-    def __setitem__(self, key, ladder):
-        self.steps[key] += len(ladder[1])
-        self.builds[key] += 1
-        super().__setitem__(key, ladder)
-
-
-def _ladders(monkeypatch) -> tuple[list, _CountedLadders]:
-    """(steps, shared): steps lists the length (len(ys)) of every
-    bessel._ladder, shared, fresh or under eval_J_pair; shared is the
-    census cache, counting its own builds."""
-    steps, shared = [], _CountedLadders()
-    real = bessel._ladder
-
-    def counted(parity, x, n):
-        out = real(parity, x, n)
-        steps.append(len(out[0]))
-        return out
-
-    monkeypatch.setattr(bessel, "_ladder", counted)
-    monkeypatch.setattr(bessel, "_LADDERS", shared)
-    return steps, shared
-
-
 def test_certified_signs_match_oracle(monkeypatch):
-    # grid and near-zero points of test_bessel; J_nu, J_{nu+1} (the key of
+    # the twin grid and its near-zero points; J_nu, J_{nu+1} (the key of
     # Neumann l = 0 at the order) and g at every order: a sign the ladder's
     # bound clears is the oracle's, and one it cannot clear is 0 (for g
     # near its zeros)
     certified = uncleared = 0
     for tn, x in twin_points():
-        monkeypatch.setattr(bessel, "_LADDERS", {})  # a ladder for the order
+        _internals.fresh_ladders(monkeypatch)  # a ladder for the order
         for l, key_tn in ((0, tn), (0, tn + 2), (tn // 2, tn)):
-            sign = bessel._grid_sign(l, key_tn, x)
+            sign = _internals.grid_sign(l, key_tn, x)
             if sign == 0:
                 uncleared += 1
                 continue
@@ -593,51 +515,55 @@ def test_sign_target_falls_back_on_a_zero(monkeypatch):
     # a grid sign the ladder cannot clear is 0, and the census widens its
     # cell to the next grid point: the widened cell holds the same zero.
     # The ladder at hi gets a unit that no value clears
-    monkeypatch.setattr(bessel, "_LADDERS", {})
-    _cold()
-    lo, hi, sign_lo = zeros._census_bracket(0, 0, 2)
-    want = zeros._census_zero(0, 0, 2)
-    assert bessel._grid_sign(0, 0, hi) == -sign_lo
-    ladders = bessel._LADDERS
+    _internals.fresh_ladders(monkeypatch)
+    cold()
+    lo, hi, sign_lo = _internals.census_bracket(0, 0, 2)
+    want = _internals.census_zero(0, 0, 2)
+    assert _internals.grid_sign(0, 0, hi) == -sign_lo
+    ladders = _internals.LADDERS
     ladders[0, hi] = (*ladders[0, hi][:-1], 2.0**100)
-    zeros._census_bracket.cache_clear()
-    zeros._census_zero.cache_clear()
-    assert bessel._grid_sign(0, 0, hi) == 0
-    wide = zeros._census_bracket(0, 0, 2)
+    _internals.census_bracket.cache_clear()
+    _internals.census_zero.cache_clear()
+    assert _internals.grid_sign(0, 0, hi) == 0
+    wide = _internals.census_bracket(0, 0, 2)
     assert wide == (lo, next_point(0, hi), sign_lo)
-    assert zeros._census_zero(0, 0, 2) == want
-    _cold()
+    assert _internals.census_zero(0, 0, 2) == want
+    cold()
 
 
-def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key():
+def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key(
+        monkeypatch):
     # d/dr of the degree-0 profile is -r^(1-d/2) J_{d/2} (DLMF 10.6.6), so
     # past the ground state the Neumann l = 0 zeros are the census zeros of
     # J_{d/2}, the key of Dirichlet l = 1, which reads them from the cache;
     # the two largest d of the box, whose Dirichlet l = 1 order is past the
     # cap, are still served, as the cap reads the request's order
-    _cold()
+    cold()
+    work = _counts.count(monkeypatch)
     for d in _box.ground_dims():
-        assert zeros._key(BoundaryCondition.NEUMANN, 0, d) == ((0, d), True,
-                                                              d - 2)
+        assert _internals.key(BoundaryCondition.NEUMANN, 0, d) == (
+            (0, d), True, d - 2)
         for m in range(1, 4):
             z = zeros.neumann_zero(0, d, m + 1)
-            assert z == zeros._census_zero(0, d, m), (d, m)
+            assert z == _internals.census_zero(0, d, m), (d, m)
             if d + 2 <= _box.CAP:
-                misses = zeros._census_zero.cache_info().misses
+                refined = work.cold_zeros
                 assert zeros.dirichlet_zero(1, d, m) == z, (d, m)
-                assert zeros._census_zero.cache_info().misses == misses
-    _cold()
+                assert work.cold_zeros == refined
+    cold()
 
 
 def test_order_cap_message_is_exact():
-    # the order nu + 1 is formed from the int, as 0.5 * twice_nu + 1 prints
-    # it inside the float range and without overflow past it
+    # the order nu + 1 of a refused request order twice_nu (here the
+    # Dirichlet l = 0 zero at d = twice_nu + 2) is formed from the int, as
+    # 0.5 * twice_nu + 1 prints it inside the float range and without
+    # overflow past it
     for tn in range(_box.EDGES["last_order"] + 1, 2000):
         with pytest.raises(RangeError) as err:
-            zeros._check_pair(tn, "w")
+            zeros.dirichlet_zero(0, tn + 2, 1)
         assert f"order {0.5 * tn + 1} beyond" in str(err.value), tn
     with pytest.raises(RangeError, match=r"order 50{398}1\.5 beyond"):
-        zeros._check_pair(10**400 + 1, "w")
+        zeros.dirichlet_zero(0, 10**400 + 3, 1)
 
 
 def test_first_zero_lower_past_the_float_range():
@@ -645,7 +571,8 @@ def test_first_zero_lower_past_the_float_range():
     # Neumann ground state lies in it
     for bc in BoundaryCondition:
         for l, d in ((1, 10**400), (10**400, 2), (0, 10**400)):
-            assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == math.inf
+            key = _internals.key(bc, l, d)[0]
+            assert _internals.first_zero_lower(key) == math.inf
             ground = bc is BoundaryCondition.NEUMANN and l == 0
             assert zeros.radial_zeros(bc, l, d, zeros.X_MAX) == (
                 [0.0] if ground else [])
@@ -664,16 +591,16 @@ def test_first_zero_bounds_bracket_the_first_zero():
     keys += [(l, 2 * l + d - 2) for d in (2, 3, 5, 30, 120, 238)
              for l in _box.neumann_degrees(d)]
     for l, tn in keys:
-        lower, upper = zeros._first_zero_bounds(l, tn)
+        lower, upper = _internals.first_zero_bounds(l, tn)
         d = tn - 2 * l + 2
         z = (zeros.bessel_zero(Order(tn), 1) if l == 0
              else zeros.neumann_zero(l, d, 1))
         assert lower < z < upper, (l, tn, lower, z, upper)
         bc = BoundaryCondition.NEUMANN if l else BoundaryCondition.DIRICHLET
-        assert zeros._first_zero_lower(zeros._key(bc, l, d)[0]) == (
+        assert _internals.first_zero_lower(_internals.key(bc, l, d)[0]) == (
             _box.scan_bound(l, tn))
         if l == 0 and tn >= 2:  # Neumann l = 0 at d = tn has this key
-            assert zeros._key(BoundaryCondition.NEUMANN, 0, tn) == (
+            assert _internals.key(BoundaryCondition.NEUMANN, 0, tn) == (
                 (0, tn), True, tn - 2)
         if tn <= _box.PINNED["last_order"]:
             slack["G" if l else "J"].append((1.0 - lower / z,
@@ -701,8 +628,8 @@ def test_selfcheck_reads_the_census_bound(monkeypatch):
     # the census warm, so that no scan reads it, a census bound at the
     # upper bound, past the first zero, fails the suite, which names it
     assert selfcheck._check_first_zero_bounds(True) is None
-    monkeypatch.setattr(zeros, "_first_zero_lower",
-                        lambda key: zeros._first_zero_bounds(*key)[1])
+    _internals.replace(monkeypatch, "first_zero_lower",
+                       lambda key: _internals.first_zero_bounds(*key)[1])
     detail = selfcheck._check_first_zero_bounds(True)
     assert detail.startswith("first-zero bounds fail at l=0, twice_nu=0: "
                              "0.0 (census 2.414"), detail
@@ -714,8 +641,7 @@ def test_selfcheck_derivative_alias_reads_a_fresh_ladder(monkeypatch):
     # that zero biased by 1e-9 must fail the suite through eval_J's signs
     for fast in (True, False):
         assert selfcheck._check_derivative_alias(fast) is None
-    real = zeros._census_zero
-    monkeypatch.setattr(zeros, "_census_zero", lambda l, tn, m: (
+    real = _internals.replace(monkeypatch, "census_zero", lambda l, tn, m: (
         real(l, tn, m) * (1.0 + 1e-9 * (l == 0 and 2 <= tn <= 5))))
     assert zeros.neumann_zero(0, 2, 2) == zeros.dirichlet_zero(1, 2, 1)
     for fast in (True, False):
@@ -734,27 +660,21 @@ def test_first_cell_starts_at_the_census_bound(monkeypatch):
     keys = _box.census_keys()
     assert len(keys) == _box.EDGES["census_keys"]
     pinned = set(_box.census_keys(_box.PINNED_CAP))
-    seen = []
-    real = bessel._grid_sign
-
-    def spied(l, twice_nu, x):
-        seen.append((twice_nu, x))
-        return real(l, twice_nu, x)
-
-    monkeypatch.setattr(bessel, "_grid_sign", spied)
-    zeros._census_bracket.cache_clear()
+    work = _counts.count(monkeypatch)
+    _internals.census_bracket.cache_clear()
     at_bound = 0
     for l, tn in keys:
-        bound, grid = _box.scan_bound(l, tn), zeros._GRID[tn % 2]
-        seen.clear()
-        lo, hi, sign = zeros._census_bracket(l, tn, 1)
+        bound, grid = _box.scan_bound(l, tn), _internals.GRID[tn % 2]
+        read = len(work.signs)
+        lo, hi, sign = _internals.census_bracket(l, tn, 1)
+        seen = work.signs[read:]
         assert sign == 1 and hi in grid, (l, tn)
         assert lo == bound or lo in grid and lo > bound, (l, tn, lo, bound)
         at_bound += lo == bound and (l, tn) in pinned
-        assert seen[0] == (tn, next_point(tn % 2, bound)), (l, tn)
-        assert all(x > bound and t == tn for t, x in seen), (l, tn)
+        assert seen[0] == (l, tn, next_point(tn % 2, bound)), (l, tn)
+        assert all(x > bound and t == tn for _, t, x in seen), (l, tn)
     assert at_bound == 6152
-    zeros._census_bracket.cache_clear()
+    _internals.census_bracket.cache_clear()
 
 
 def test_qu_wong_bound_lies_below_every_first_zero():
@@ -770,10 +690,10 @@ def test_qu_wong_bound_lies_below_every_first_zero():
     pinned = set(_box.census_keys(_box.PINNED_CAP))
     slack = []
     for tn in _box.j_orders(neumann=True)[1:]:
-        z = zeros._census_zero(0, tn, 1)
-        watson = zeros._first_zero_bounds(0, tn)[0] * (1.0 - 1e-9)
-        lo, hi, _ = zeros._first_cell(partial(bessel._grid_sign, 0, tn),
-                                      tn % 2, watson, 1)
+        z = _internals.census_zero(0, tn, 1)
+        watson = _internals.first_zero_bounds(0, tn)[0] * (1.0 - 1e-9)
+        sign_at = partial(_internals.grid_sign, 0, tn)
+        lo, hi, _ = _internals.first_cell(sign_at, tn % 2, watson, 1)
         assert lo < z < hi, (tn, lo, z, hi)
         assert _box.qu_wong(tn) < z < _box.qu_wong(tn + 2), (tn, z)
         if (0, tn) in pinned:
@@ -785,8 +705,8 @@ def test_qu_wong_bound_lies_below_every_first_zero():
 def _rayleigh_bound(l: int, twice_nu: int) -> float:
     """The reference Neumann bound at l >= 1 from the Rayleigh bound
     beta_{l,1}^2 > 2l(nu+1) / (1 + 2l(nu+1)/(nu(nu+2))), a rigorous bound
-    from the sum of inverse squared zeros, shrunk as _first_zero_lower
-    shrinks a bound."""
+    from the sum of inverse squared zeros, shrunk as the census shrinks its
+    bound."""
     nn, a = twice_nu * (twice_nu + 4), l * (twice_nu + 2)
     return math.sqrt(a / (1.0 + a / (nn / 4.0))) * (1.0 - 1e-9)
 
@@ -805,7 +725,7 @@ def test_sturm_start_is_never_below_the_rayleigh_start():
     assert len(pinned) == 14161
     later = 0
     for l, tn in keys:
-        sturm = zeros._first_zero_lower((l, tn))
+        sturm = _internals.first_zero_lower((l, tn))
         rayleigh = _rayleigh_bound(l, tn)
         assert next_point(tn % 2, sturm) > rayleigh, (l, tn, sturm, rayleigh)
         later += sturm > rayleigh and (l, tn) in pinned
@@ -813,9 +733,9 @@ def test_sturm_start_is_never_below_the_rayleigh_start():
     assert later == 14151
     for d in range(2, _box.j_orders()[-1] + 1):
         for bc in BoundaryCondition:
-            lows = [zeros._first_zero_lower(zeros._key(bc, l, d)[0])
-                    for l in range(0 if bc is BoundaryCondition.DIRICHLET
-                                   else 1, _box.first_degree_out(d) + 1)]
+            first = 0 if bc is BoundaryCondition.DIRICHLET else 1
+            lows = [_internals.first_zero_lower(_internals.key(bc, l, d)[0])
+                    for l in range(first, _box.first_degree_out(d) + 1)]
             assert lows == sorted(lows), (bc, d)
 
 
@@ -824,15 +744,8 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
     # only, X_MAX the last of them, and build no other ladder; so the cache
     # never holds more ladders than a parity's grid has points, even where
     # radial_zeros stops inside a cell
-    _cold()
-    seen = []
-    real = bessel._ladder
-
-    def spied(parity, x, n):
-        seen.append((parity, x))
-        return real(parity, x, n)
-
-    monkeypatch.setattr(bessel, "_ladder", spied)
+    cold()
+    work = _counts.count(monkeypatch)
     spectrum.enumerate_spectrum(2, "dirichlet", 2000)
     x_max = 3.0 * zeros.DEFAULT_STEP + 0.5  # inside a cell of either parity
     zeros.radial_zeros(BoundaryCondition.NEUMANN, 3, 4, x_max)
@@ -841,17 +754,19 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
                           (BoundaryCondition.NEUMANN, 5, 2, 3),
                           (BoundaryCondition.NEUMANN, 40, 7, 1)]:
         zeros.find_zero(bc, l, d, m)
-    grids = {p: set(zeros._GRID[p]) for p in (0, 1)}
+    grids = {p: set(_internals.GRID[p]) for p in (0, 1)}
+    shared = work.shared
     assert all(zeros.X_MAX in grid for grid in grids.values())
-    assert (1, zeros.X_MAX) in bessel._LADDERS  # d = 3, l = 0: parity 1
-    assert all(x in grids[p] for p, x in bessel._LADDERS), sorted(
-        key for key in bessel._LADDERS if key[1] not in grids[key[0]])
+    assert (1, zeros.X_MAX) in shared  # d = 3, l = 0: parity 1
+    assert all(x in grids[p] for p, x in shared), sorted(
+        key for key in shared if key[1] not in grids[key[0]])
     for p in (0, 1):
-        assert sum(key[0] == p for key in bessel._LADDERS) <= len(grids[p])
+        assert sum(key[0] == p for key in shared) <= len(grids[p])
     # every build is a shared ladder, rebuilt at most once for the box
-    assert set(seen) == set(bessel._LADDERS)
+    seen = [(parity, x) for parity, x, _ in work.ladders]
+    assert set(seen) == set(shared)
     assert max(Counter(seen).values()) <= 2
-    _cold()
+    cold()
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +798,7 @@ def dd_cells(l: int, twice_nu: int):
 def scan(bc: BoundaryCondition, l: int, d: int,
          x_max: float) -> list[tuple[float, float]]:
     """The cells of dd_cells whose zero lies in (0, x_max]."""
-    key = zeros._key(bc, l, d)[0]
+    key = _box.census_key(bc.value.lower(), l, d)
     f = pair_target(*key)
     out = []
     for lo, hi in dd_cells(*key):
@@ -910,8 +825,8 @@ def test_census_brackets_equal_the_double_double_walk(tag, l, twice_nu):
     # same grid on eval_J_pair's target
     key = census_key(tag, l, twice_nu)
     want = list(itertools.islice(dd_cells(*key), 5))
-    _cold()
-    got = [zeros._census_bracket(*key, m)[:2] for m in range(1, 6)]
+    cold()
+    got = [_internals.census_bracket(*key, m)[:2] for m in range(1, 6)]
     assert got == want
 
 
@@ -1003,15 +918,15 @@ class TestCensus:
         # each zero has a cell of its own, so no index past the grid's
         # cell count is in the box; a cold request must not recurse once
         # per index
-        assert all(zeros._MAX_CELLS == len(zeros._GRID[parity])
+        assert all(_internals.MAX_CELLS == len(_internals.GRID[parity])
                    for parity in (0, 1))
-        _cold()
+        cold()
         with pytest.raises(RangeError, match="beyond the supported box"):
             zeros.dirichlet_zero(0, 2, 10_000)
-        assert zeros._census_bracket.cache_info().currsize == 1
+        assert _internals.census_bracket.cache_info().currsize == 1
         # the last cells of the box are still walked
-        assert zeros._census_bracket(0, 0, 63) is not None
-        assert zeros._census_bracket(0, 0, zeros._MAX_CELLS) is None
+        assert _internals.census_bracket(0, 0, 63) is not None
+        assert _internals.census_bracket(0, 0, _internals.MAX_CELLS) is None
 
     def test_find_zero_routes_by_kind(self):
         got = zeros.find_zero(BoundaryCondition.DIRICHLET, 0, 3, 3)
@@ -1094,12 +1009,12 @@ class TestRadialZeros:
         # list; below it no zero can lie, so the list is empty and no
         # ladder is built
         l, x_in, x_out, order = _box.EDGES["dirichlet_x"]
-        steps, _ = _ladders(monkeypatch)
+        work = _counts.count(monkeypatch)
         assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, l, 2,
                                   50.0) == []
         assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, l, 2,
                                   x_in) == []
-        assert steps == []
+        assert work.ladders == []
         if x_out <= bessel.X_MAX:
             with pytest.raises(RangeError,
                                match=rf"order {re.escape(order)} beyond"):
@@ -1132,48 +1047,23 @@ def sign_enclosed(f, z: float, tol: float) -> bool:
 
 
 def _skew_derivative(monkeypatch, factor: float) -> None:
-    """Make zeros._jet, which forms Newton's df from the float series,
-    return df times factor."""
-    real = zeros._jet
-
+    """Make the jet of a target, which forms Newton's df from the float
+    series, return df times factor."""
     def skewed(*args):
         f, df, ddf = real(*args)
         return f, factor * df, ddf
 
-    monkeypatch.setattr(zeros, "_jet", skewed)
+    real = _internals.replace(monkeypatch, "jet", skewed)
 
 
 def _certifies(l: int, twice_nu: int, x0: float, z: float):
     """True if the fixed-point series of the census key from the shared
     ladder at the grid point x0 takes certified opposite signs at the
     midpoints around z."""
-    _, value = bessel._grid_series(twice_nu, x0)
+    _, value = _internals.grid_series(twice_nu, x0)
     at = value(z, l)
     (v0, e0), (v1, e1) = at(1), at(2)
     return abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
-
-
-def _counting_series(monkeypatch):
-    """Counter of bessel._multiply's series: bases, float pairs and
-    fixed-point values."""
-    counts = Counter()
-    real = bessel._multiply
-
-    def counted(*args):
-        counts["base"] += 1
-        pair, value = real(*args)
-
-        def counted_pair(x):
-            counts["pair"] += 1
-            return pair(x)
-
-        def counted_value(z, l):
-            counts["value"] += 1
-            return value(z, l)
-        return counted_pair, counted_value
-
-    monkeypatch.setattr(bessel, "_multiply", counted)
-    return counts
 
 
 def _benchmark_pool():
@@ -1188,35 +1078,23 @@ def _benchmark_pool():
 def test_cold_ladders_are_the_census_own(monkeypatch, capsys):
     # cold, one request at a time as the benchmark's processes run them:
     # on the six spectrum strata and the lookup pool's zeros and courant
-    # requests every bessel._ladder is built at a grid point that the
-    # census's sign rule (bessel._grid_sign) evaluated, and no zero calls
-    # eval_J_pair
+    # requests every kernel ladder is built at a grid point where the
+    # census read a sign, and no zero calls eval_J_pair
     pool = _benchmark_pool()
     argvs = [e for s in pool.SPECTRUM.strata for e in s.entries]
     argvs += [e for s in pool.LOOKUP.strata for e in s.entries
               if e[0] in ("zeros", "courant")]
-    evaluated, built = set(), []
-    real_sign, real_ladder = bessel._grid_sign, bessel._ladder
-    pairs = _counting(monkeypatch)
-
-    def sign(l, twice_nu, x):
-        evaluated.add((twice_nu % 2, x))
-        return real_sign(l, twice_nu, x)
-
-    def ladder(parity, x, n):
-        built.append((parity, x))
-        return real_ladder(parity, x, n)
-
-    monkeypatch.setattr(bessel, "_grid_sign", sign)
-    monkeypatch.setattr(bessel, "_ladder", ladder)
+    work = _counts.count(monkeypatch)
     assert len(argvs) == 12 + 72
     for argv in argvs:
-        _cold()
+        cold()
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
-    assert pairs[0] == 0
+    evaluated = {(twice_nu % 2, x) for _, twice_nu, x in work.signs}
+    built = [(parity, x) for parity, x, _ in work.ladders]
+    assert work.pair_calls == 0
     assert len(built) > 800 and set(built) <= evaluated  # 853 builds
-    _cold()
+    cold()
 
 
 def test_spectrum_jobs_build_few_ladders(monkeypatch, capsys):
@@ -1228,53 +1106,33 @@ def test_spectrum_jobs_build_few_ladders(monkeypatch, capsys):
     # 18,352 steps)
     jobs = _benchmark_pool().SPECTRUM.jobs(0)
     assert len(jobs) == 6
-    built = []
-    real = bessel._ladder
-
-    def ladder(parity, x, n):
-        out = real(parity, x, n)
-        built.append(len(out[0]))
-        return out
-
-    monkeypatch.setattr(bessel, "_ladder", ladder)
+    work = _counts.count(monkeypatch)
     for argv in jobs:
-        _cold()
+        cold()
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
-    assert len(built) <= 188 and sum(built) <= 17714, (len(built),
-                                                        sum(built))
-    _cold()
+    built = len(work.ladders)
+    assert built <= 188 and work.steps <= 17714, (built, work.steps)
+    cold()
 
 
 def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
     # cold, one job at a time as the benchmark's processes run them: the
-    # seed-0 lookup jobs read at most 659 census signs (bessel._grid_sign)
-    # on ladders of at most 36,272 steps (len(ys)) in all, because the J
-    # scans start at Qu and Wong's bound (deterministic counts; the Watson
-    # start took 1,139 signs and 80,017 steps)
+    # seed-0 lookup jobs read at most 659 census signs on ladders of at
+    # most 36,272 steps (len(ys)) in all, because the J scans start at Qu
+    # and Wong's bound (deterministic counts; the Watson start took 1,139
+    # signs and 80,017 steps)
     jobs = _benchmark_pool().LOOKUP.jobs(0)
     assert len(jobs) == 100
-    signs, steps = [0], [0]
-    real_sign, real_ladder = bessel._grid_sign, bessel._ladder
-
-    def grid_sign(l, twice_nu, x):
-        signs[0] += 1
-        return real_sign(l, twice_nu, x)
-
-    def ladder(parity, x, n):
-        out = real_ladder(parity, x, n)
-        steps[0] += len(out[0])
-        return out
-
-    monkeypatch.setattr(bessel, "_grid_sign", grid_sign)
-    monkeypatch.setattr(bessel, "_ladder", ladder)
+    work = _counts.count(monkeypatch)
     for argv in jobs:
-        _cold()
+        cold()
         pleijel._log_gamma_value.cache_clear()
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
-    assert signs[0] <= 659 and steps[0] <= 36272, (signs[0], steps[0])
-    _cold()
+    signs = len(work.signs)
+    assert signs <= 659 and work.steps <= 36272, (signs, work.steps)
+    cold()
 
 
 @pytest.mark.parametrize("d,lambda_max,builds", [(100, 11998, 143),
@@ -1288,12 +1146,12 @@ def test_box_rebuild_builds_each_grid_ladder_at_most_twice(monkeypatch, d,
     # two ladders (deterministic counts). A rebuild sized only for the
     # order that asks built 849 and 218 ladders, up to 21 and 7 at one
     # grid point
-    _cold()
-    _, shared = _ladders(monkeypatch)
+    cold()
+    shared = _counts.count(monkeypatch).shared
     spectrum.enumerate_spectrum(d, "neumann", lambda_max)
     assert max(shared.builds.values()) <= 2
     assert shared.builds.total() <= builds, shared.builds.total()
-    _cold()
+    cold()
 
 
 @pytest.mark.parametrize("bc,l,d,m", [("dirichlet", 0, 2, 3),
@@ -1303,18 +1161,15 @@ def test_radial_zeros_refine_no_cell_past_x_max(monkeypatch, bc, l, d, m):
     # with x_max one ulp below the start of the m-th census cell, that
     # cell's zero lies past x_max: radial_zeros stops at the cell and
     # refines only the zeros it returns
-    _cold()
-    key = zeros._key(zeros._coerce_bc(bc), l, d)[0]
-    x_max = math.nextafter(zeros._census_bracket(*key, m)[0], 0.0)
-    refined = []
-    real = zeros._refine
-    monkeypatch.setattr(zeros, "_refine",
-                        lambda *args: refined.append(args) or real(*args))
+    cold()
+    key = _box.census_key(bc, l, d)
+    x_max = math.nextafter(_internals.census_bracket(*key, m)[0], 0.0)
+    refined = _counts.count(monkeypatch).refined
     got = zeros.radial_zeros(bc, l, d, x_max)
     monkeypatch.undo()
     positive = [z for z in got if z > 0.0]
     assert len(refined) == len(positive) == m - 1
-    assert positive == [zeros._census_zero(*key, k) for k in range(1, m)]
+    assert positive == [_internals.census_zero(*key, k) for k in range(1, m)]
     assert all(z <= x_max for z in got)
 
 
@@ -1325,15 +1180,17 @@ class TestRefinement:
         l, twice_nu = census_key(tag, l, twice_nu)
         f = pair_target(l, twice_nu)
         for m in range(1, 4):
-            z = zeros._census_zero(l, twice_nu, m)
+            z = _internals.census_zero(l, twice_nu, m)
             assert sign_enclosed(f, z, tol), (m, z)
 
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
         ("G", 1, 100)])  # d = 100: the first zero lies below the turning point
-    def test_tol_cannot_change_a_zero(self, capsys, tag, l, twice_nu):
+    def test_tol_cannot_change_a_zero(self, capsys, monkeypatch, tag, l,
+                                      twice_nu):
         # the zeros command only echoes its --tol: each zero is the float
         # nearest it at every accepted tol, one cold refinement a zero
-        _cold()
+        cold()
+        work = _counts.count(monkeypatch)
         argv = ["zeros", "--l", str(l), "--d", str(twice_nu - 2 * l + 2),
                 "--bc", "neumann" if tag == "G" else "dirichlet",
                 "--count", "3"]
@@ -1345,7 +1202,7 @@ class TestRefinement:
             got.add(tuple(z["zero"] for z in payload["zeros"]))
         assert len(got) == 1, got
         shipped = set(got.pop()) - {0.0}
-        assert zeros._census_zero.cache_info().misses == len(shipped)
+        assert work.cold_zeros == len(shipped)
 
     @pytest.mark.parametrize("tag,l,twice_nu", ENCLOSURE_TARGETS + [
         ("G", 1, 100)])
@@ -1356,9 +1213,9 @@ class TestRefinement:
         # shipped zero and for neither float one ulp away
         l, twice_nu = census_key(tag, l, twice_nu)
         for m in (1, 2):
-            z = zeros._census_zero(l, twice_nu, m)
-            lo, hi, _ = zeros._census_bracket(l, twice_nu, m)
-            for x0 in [hi] + [lo] * (lo in zeros._GRID[twice_nu % 2]):
+            z = _internals.census_zero(l, twice_nu, m)
+            lo, hi, _ = _internals.census_bracket(l, twice_nu, m)
+            for x0 in [hi] + [lo] * (lo in _internals.GRID[twice_nu % 2]):
                 assert _certifies(l, twice_nu, x0, z), (z, x0)
                 for to in (0.0, math.inf):
                     assert not _certifies(l, twice_nu, x0,
@@ -1377,7 +1234,7 @@ class TestRefinement:
         # pair. Away from a zero the values' own rounding swamps the secant,
         # and the certified phase does not step there
         l, twice_nu = census_key(tag, l, twice_nu)
-        z = zeros._census_zero(l, twice_nu, 1)
+        z = _internals.census_zero(l, twice_nu, 1)
         for x in [z * (1.0 + k * 2.0**-20) for k in (-1, 0, 1)]:
             _, value = cell_series(l, twice_nu, x)
             (v0, e0), (v1, e1) = value(x)[1:3]
@@ -1412,12 +1269,12 @@ class TestRefinement:
         # still reach the root within the iteration cap
         l, twice_nu = census_key(tag, l, twice_nu)
         f = pair_target(l, twice_nu)
-        lo, hi, sign_lo = zeros._census_bracket(l, twice_nu, 2)
+        lo, hi, sign_lo = _internals.census_bracket(l, twice_nu, 2)
         _skew_derivative(monkeypatch, 1e6)
-        z = zeros._refine(l, twice_nu, lo, hi, sign_lo)
+        z = _internals.refine(l, twice_nu, lo, hi, sign_lo)
         monkeypatch.undo()
         assert sign_enclosed(f, z, tol)
-        want = zeros._census_zero(l, twice_nu, 2)
+        want = _internals.census_zero(l, twice_nu, 2)
         assert abs(z - want) <= tol * want
 
     @pytest.mark.parametrize("factor", [-1.0, 1e-6, 1.001, 0.0])
@@ -1427,10 +1284,10 @@ class TestRefinement:
         # but ships the same zeros, also below the turning point (d = 100)
         keys = [(*census_key(*row), m) for row in ENCLOSURE_TARGETS
                 + [("G", 1, 100)] for m in (1, 2, 3)]
-        want = [zeros._census_zero(*key) for key in keys]
-        cells = [zeros._census_bracket(*key) for key in keys]
+        want = [_internals.census_zero(*key) for key in keys]
+        cells = [_internals.census_bracket(*key) for key in keys]
         _skew_derivative(monkeypatch, factor)
-        assert [zeros._refine(*key[:2], *cell)
+        assert [_internals.refine(*key[:2], *cell)
                 for key, cell in zip(keys, cells)] == want
 
     @pytest.mark.parametrize("ulps", [-32, 32])
@@ -1442,9 +1299,9 @@ class TestRefinement:
         # bracket loses the zero, and the same zeros ship
         keys = [(*census_key(*row), m) for row in ENCLOSURE_TARGETS
                 + [("G", 1, 100)] for m in (1, 2, 3)]
-        want = [zeros._census_zero(*key) for key in keys]
-        cells = [zeros._census_bracket(*key) for key in keys]
-        real, seen = zeros._jet, []
+        want = [_internals.census_zero(*key) for key in keys]
+        cells = [_internals.census_bracket(*key) for key in keys]
+        seen = []
 
         def biased(l, nu, x, a, b, ratio=False):
             f, df, ddf = real(l, nu, x, a, b, ratio)
@@ -1452,11 +1309,11 @@ class TestRefinement:
             seen.append((x, f))
             return f, df, ddf
 
-        monkeypatch.setattr(zeros, "_jet", biased)
+        real = _internals.replace(monkeypatch, "jet", biased)
         wrong = 0  # float signs on the far side of the zero
         for key, (lo, hi, sign_lo), z in zip(keys, cells, want):
             seen.clear()
-            assert zeros._refine(*key[:2], lo, hi, sign_lo) == z, key
+            assert _internals.refine(*key[:2], lo, hi, sign_lo) == z, key
             wrong += sum((f > 0.0) == (sign_lo > 0) and x > z
                          or (f > 0.0) != (sign_lo > 0) and x < z
                          for x, f in seen)
@@ -1468,14 +1325,13 @@ class TestRefinement:
         # scan at step pi/2 plus safeguarded Newton: at most 5.5 series
         # evaluations, float or fixed point, per zero (5.30 and 5.32), and
         # no eval_J_pair call (the counts are deterministic)
-        _cold()
-        pairs = _counting(monkeypatch)
-        counts = _counting_series(monkeypatch)
+        cold()
+        work = _counts.count(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
-        cold = zeros._census_zero.cache_info().misses
-        assert cold > 100 and pairs[0] == 0
-        calls = counts["pair"] + counts["value"]
-        assert calls <= 5.5 * cold, calls / cold
+        zs = work.cold_zeros
+        assert zs > 100 and work.pair_calls == 0
+        calls = work.series["pair"] + work.series["value"]
+        assert calls <= 5.5 * zs, calls / zs
 
     @pytest.mark.parametrize("d,bc,lambda_max", [
         (3, "dirichlet", 3000), (2, "dirichlet", 2000),
@@ -1491,12 +1347,13 @@ class TestRefinement:
         # certifies that neighbour too (the benchmark's spectrum strata
         # and d = 30); at d = 30 one zero, G(5, 38, 1), is handed over two
         # ulps off and takes a second sum, 80 for 79 zeros
-        _cold()
-        counts = _counting_series(monkeypatch)
+        cold()
+        work = _counts.count(monkeypatch)
+        counts = work.series
         spectrum.enumerate_spectrum(d, bc, lambda_max)
-        cold = zeros._census_zero.cache_info().misses
-        assert cold > 70 and counts["base"] == cold
-        assert counts["value"] <= 1.02 * cold, counts["value"] / cold
+        zs = work.cold_zeros
+        assert zs > 70 and counts["base"] == zs
+        assert counts["value"] <= 1.02 * zs, counts["value"] / zs
 
     def test_neumann_zeros_below_the_turning_point_cost_two_calls(
             self, monkeypatch):
@@ -1507,38 +1364,37 @@ class TestRefinement:
         # float series evaluations and one fixed-point one, cold: 49 and 14
         # for the 14 zeros (deterministic counts). From one ulp off the
         # first sum certifies the neighbour; from two ulps off it cannot
-        counts = _counting_series(monkeypatch)
+        counts = _counts.count(monkeypatch).series
         for l in range(1, 15):
-            _cold()
+            cold()
             before = counts.copy()
-            assert zeros._census_zero(l, 2 * l + 98, 1) < l + 49
+            assert zeros.neumann_zero(l, 100, 1) < l + 49
             used = counts - before
             assert used["pair"] <= 4 and used["value"] == 1, (l, used)
         assert counts == {"base": 14, "pair": 49, "value": 14}, counts
-        _cold()
+        cold()
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
     def test_twin_calls_per_cold_zero(self, monkeypatch, d, bc, lambda_max):
-        # Newton iterates from the tangent at the census cell's upper end,
-        # the series centre (a one-term sum), on the float series, and ends
-        # once its next step falls below an ulp or rounds to nothing: 4.30
-        # and 4.32 float evaluations a zero. Bisecting on past a step that rounds to nothing cost 4.51 at
-        # d = 3, 45 at its worst zero. The shared ladders cost 10.4 and
-        # 13.5 steps (len(ys)) a zero, and no grid point builds its ladder
-        # more than twice (sized for the first order that asks, then at
-        # twice its top when a higher order asks)
-        _cold()
-        counts = _counting_series(monkeypatch)
-        _, shared = _ladders(monkeypatch)
+        # Newton iterates from the tangent at the census cell's upper end, the
+        # series centre (a one-term sum), on the float series, and ends once
+        # its next step falls below an ulp or rounds to nothing: 4.30 and 4.32
+        # float evaluations a zero. Bisecting on past a step that rounds to
+        # nothing cost 4.51 at d = 3, 45 at its worst zero. The shared ladders
+        # cost 10.4 and 13.5 steps (len(ys)) a zero, and no grid point builds
+        # its ladder more than twice (sized for the first order that asks, then
+        # at twice its top when a higher order asks)
+        cold()
+        work = _counts.count(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
-        cold = zeros._census_zero.cache_info().misses
-        assert cold > 100
-        assert counts["pair"] <= 4.4 * cold, counts["pair"] / cold
+        zs = work.cold_zeros
+        assert zs > 100
+        assert work.series["pair"] <= 4.4 * zs, work.series["pair"] / zs
         ladder_steps = {3: 12, 4: 15}[d]
-        steps = shared.steps.total()
-        assert steps <= ladder_steps * cold, steps / cold
-        assert max(shared.builds.values()) <= 2
+        steps = work.shared.steps.total()
+        assert steps <= ladder_steps * zs, steps / zs
+        assert max(work.shared.builds.values()) <= 2
 
     @pytest.mark.parametrize("tag,l,twice_nu,x", [
         ("J", 0, 0, 2.5), ("J", 0, 7, 11.0), ("J", 0, 160, 95.0),
@@ -1548,10 +1404,10 @@ class TestRefinement:
                                                 twice_nu, x):
         # f'' from the pair through Bessel's equation, against mpmath's
         # derivatives of J_nu and J_{nu+1}
-        monkeypatch.setattr(bessel, "_LADDERS", {})  # a ladder for the order
+        _internals.fresh_ladders(monkeypatch)  # a ladder for the order
         l, twice_nu = census_key(tag, l, twice_nu)
-        a, b = bessel._grid_series(twice_nu, x)[0](x)
-        f2 = zeros._jet(l, 0.5 * twice_nu, x, a, b)[2]
+        a, b = _internals.grid_series(twice_nu, x)[0](x)
+        f2 = _internals.jet(l, 0.5 * twice_nu, x, a, b)[2]
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
             j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
@@ -1565,16 +1421,16 @@ class TestRefinement:
         # half-integer orders have zeros near multiples of pi/2 (j_{1/2,m}
         # = m pi); the phase keeps them mid-cell, and the fixed-point series
         # pays for the certificate only: one evaluation a zero
-        _cold()
-        counts = _counting_series(monkeypatch)
+        cold()
+        work = _counts.count(monkeypatch)
         spectrum.enumerate_spectrum(3, "dirichlet", 3000)
-        cold = zeros._census_zero.cache_info().misses
-        assert cold > 100
-        assert counts["value"] <= 1.05 * cold, counts["value"] / cold
+        zs, values = work.cold_zeros, work.series["value"]
+        assert zs > 100
+        assert values <= 1.05 * zs, values / zs
 
     # Ladder steps of the lookup-sized census below (2,352), each ladder
     # counted as its length, len(ys), against today's count plus 2% and
-    # two references counted as _miller_start lengths, one step a ladder
+    # two references counted as Miller start lengths, one step a ladder
     # fewer (the counts are deterministic, the same on any machine): the
     # float steps at commit eee72a1, the last before the shared ladders,
     # where each key scanned its own cells with a fresh ladder per point,
@@ -1586,18 +1442,18 @@ class TestRefinement:
 
     def test_lookup_census_costs_no_more_than_the_per_key_scan(
             self, monkeypatch):
-        _cold()
-        ladders, _ = _ladders(monkeypatch)
+        cold()
+        work = _counts.count(monkeypatch)
         for bc in BoundaryCondition:
             for d in (2, 3, 4, 5):
                 for l in range(6):
                     for m in range(1, 6):
                         zeros.find_zero(bc, l, d, m)
-        total = sum(ladders)
+        total = work.steps
         assert total <= self.PER_KEY_SCAN_STEPS, total
         assert total <= self.TWO_LADDER_STEPS, total
         assert total <= self.LOOKUP_STEPS, total
-        _cold()
+        cold()
 
     def test_float_derivative_does_not_set_the_digits(self, monkeypatch):
         # the float phase only picks the point the fixed-point Newton steps
@@ -1606,11 +1462,11 @@ class TestRefinement:
         keys = [(tn, m) for tn in range(0, 239, 3) for m in (1, 2, 5, 20)]
 
         def census():
-            _cold()
+            cold()
             out = {}
             for tn, m in keys:
                 try:
-                    out[tn, m] = zeros._zero((0, tn), False, tn, m, "zero")
+                    out[tn, m] = zeros.bessel_zero(Order(tn), m)
                 except RangeError:  # past the box at high order
                     pass
             return out
@@ -1619,7 +1475,7 @@ class TestRefinement:
         _skew_derivative(monkeypatch, 1.25)
         got = census()
         monkeypatch.undo()
-        _cold()
+        cold()
         assert len(want) > 250
         assert got == want
 
@@ -1641,7 +1497,8 @@ class TestRefinement:
         # radial_zeros refines the zero of each cell that starts at or
         # below x_max, so at most one refined zero a degree walked is thrown
         # away
-        _cold()
+        cold()
+        work = _counts.count(monkeypatch)
         walked = []
         real = zeros.radial_zeros
 
@@ -1652,7 +1509,7 @@ class TestRefinement:
         monkeypatch.setattr(zeros, "radial_zeros", spied)
         table = spectrum.enumerate_spectrum(d, bc, lambda_max)
         shipped = sum(rec.zero > 0.0 for rec in table.records)
-        misses = zeros._census_zero.cache_info().misses
+        misses = work.cold_zeros
         assert len(walked) == len(set(walked)) > 10
         assert shipped <= misses <= shipped + len(walked)
 
@@ -1741,7 +1598,7 @@ class TestWalkerSynthetics:
         def f(x):
             return (x - 5.0) ** 2 + 0.5
 
-        assert zeros._first_cell(f, 0, 4.5, 1) is None
+        assert _internals.first_cell(f, 0, 4.5, 1) is None
 
     def test_near_zero_endpoint_widens_bracket(self):
         def f(x):
@@ -1751,7 +1608,7 @@ class TestWalkerSynthetics:
                 return 0.0  # grid point lands almost on the root
             return -1.0
 
-        got = zeros._first_cell(f, 0, 4.5, 1)
+        got = _internals.first_cell(f, 0, 4.5, 1)
         assert got == (3 * math.pi / 2, 5 * math.pi / 2, 1)
 
     def test_widened_bracket_without_sign_flip_fails(self):
@@ -1761,7 +1618,7 @@ class TestWalkerSynthetics:
             return 1.0  # never becomes negative: tangency, not a root
 
         with pytest.raises(BracketFailure):
-            zeros._first_cell(f, 0, 4.5, 1)
+            _internals.first_cell(f, 0, 4.5, 1)
 
     def test_near_zero_at_the_box_edge_fails(self):
         # the last grid point has no next point to widen to
@@ -1769,7 +1626,7 @@ class TestWalkerSynthetics:
             return 0.0 if x == zeros.X_MAX else 1.0
 
         with pytest.raises(BracketFailure):
-            zeros._first_cell(f, 1, 190.0, 1)
+            _internals.first_cell(f, 1, 190.0, 1)
 
     def test_plain_crossing_yields_single_bracket(self):
         # the cell of the crossing, from a start of either sign
@@ -1777,14 +1634,14 @@ class TestWalkerSynthetics:
             def f(x, sign=sign):
                 return sign * (5.0 - x)
 
-            got = zeros._first_cell(f, 0, 4.5, sign)
+            got = _internals.first_cell(f, 0, 4.5, sign)
             assert got == (3 * math.pi / 2, 2 * math.pi, sign)
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_grid_phase_and_last_point(self, parity):
         # x_k = (k + parity/2) pi/2 bit for bit from the first positive
         # one below X_MAX, every cell at most pi/2, and X_MAX last
-        grid = zeros._GRID[parity]
+        grid = _internals.GRID[parity]
         k0 = 1 - parity  # the first k with x_k > 0
         assert grid[-1] == zeros.X_MAX
         assert all(0.0 < b - a <= math.pi / 2 + 1e-12
