@@ -58,7 +58,7 @@ from ballspec.errors import LossOfPrecision, RangeError
 
 X_MIN = 1e-18
 X_MAX = 200.0
-TWICE_NU_MAX = 240
+TWICE_NU_MAX = 480
 
 # contract knobs (see module docstring)
 _REL_CONTRACT = 1e-12
@@ -181,17 +181,17 @@ def _multiply(ladder, x0: float, twice_nu: int):
     so |R| <= delta^2 e^(|w| + delta) M, M from the ladder's span, each
     value plus lad, and B_{nu+_SPAN+2} past it. The sum stops once its
     tail is below half the ladder part, a bound relative to the values it
-    sums, or at _SPAN terms, the most a census cell needs."""
+    sums, or at _SPAN terms, the most a census cell needs. Where every J
+    of the span underflows, pair's sums are 0.0 and value refuses with
+    LossOfPrecision: nothing there can be bounded."""
     ys, num, den, unit = ladder
     n = twice_nu // 2
     nu, half = 0.5 * twice_nu, 0.5 * x0
     # J_{nu+k}(x0) for k <= _SPAN + 1, each the float nearest its quotient
     js = [y * num / den for y in ys[n:n + _SPAN + 2]]
     top = max(map(abs, js))
-    if top == 0.0:  # no term to scale by: past the float range at x0
-        raise LossOfPrecision(f"every J of the series span underflows at "
-                              f"twice_nu={twice_nu}, x0={x0!r}")
-    small = 2.0**-56 * (abs(js[0]) + abs(js[1])) / top  # pair's last |c_k|
+    # pair's last |c_k|; 0.0 where every J of the span underflows
+    small = 2.0**-56 * (abs(js[0]) + abs(js[1])) / top if top else 0.0
     lad = _bound(top, 0.0, x0, twice_nu, unit)  # at least each term's _bound
     lim = 0.25 * lad  # a tail below 2 lim ends the sum
     # (x0/2)^nu / Gamma(nu+1): with |c_k| it bounds the tail terms
@@ -212,6 +212,9 @@ def _multiply(ladder, x0: float, twice_nu: int):
         return (x / x0) ** nu * s0, (x / x0) ** (nu + 1.0) * s1
 
     def value(z: float, l: int):
+        if top == 0.0:  # no term to scale by: past the float range at x0
+            raise LossOfPrecision(f"every J of the series span underflows "
+                                  f"at twice_nu={twice_nu}, x0={x0!r}")
         below, above = math.nextafter(z, 0.0), math.nextafter(z, math.inf)
         ends = (math.nextafter(below, 0.0), below, z, above,
                 math.nextafter(above, math.inf))

@@ -120,9 +120,9 @@ def _top_zero(d: int, what: str) -> float:
 def gamma(d: int) -> float:
     """Pleijel constant of the d-dimensional unit ball, d = 2..D_MAX.
 
-    Not certified: against mpmath (besseljzero, 40 digits) its relative
-    error is at most 3.5e-13 (2,684 ulp, at d = 230); ROADMAP item 21
-    plans a certified gamma.
+    Not certified: against an mpmath reference (40 digits) its relative
+    error is at most 4.2e-13 (3,176 ulp, at d = 266; the most in ulp is
+    3,363, at d = 291); ROADMAP item 21 plans a certified gamma.
     """
     _check_int("d", d, 2)
     _top_zero(d, f"gamma({d})")

@@ -130,6 +130,13 @@ def first_degree_out(d: int, cap: int = CAP) -> int:
     return max(0, (cap - d) // 2 + 1)
 
 
+def _refused_from(bc: str, l: int, d: int) -> float:
+    """The radius from which a cutoff reaches degree l and its census bound;
+    a bound past X_MAX is never reached, and needs no oracle zero."""
+    bound = scan_bound(*census_key(bc, l, d))
+    return bound if bound > X_MAX else max(bound, reach(bc, l, d))
+
+
 def edge(bc: str, d: int, cap: int = CAP) -> Edge:
     """The largest integer lambda_max that a (bc, d) spectrum enumerates,
     the first one refused and the order its refusal names; (LAMBDA_MAX,
@@ -140,8 +147,7 @@ def edge(bc: str, d: int, cap: int = CAP) -> Edge:
     loop reaches both, and the smaller of their bounds refuses."""
     first = first_degree_out(d, cap)
     degrees = (0, 1) if bc == "neumann" and first == 0 else (first,)
-    r, twice_nu = min((max(scan_bound(*census_key(bc, l, d)),
-                           reach(bc, l, d)), 2 * l + d - 2)
+    r, twice_nu = min((_refused_from(bc, l, d), 2 * l + d - 2)
                       for l in degrees)
     if r > X_MAX:
         return Edge(LAMBDA_MAX, None, None)

@@ -1,5 +1,5 @@
-"""The tests' one home of the private parts of ballspec.bessel and
-ballspec.zeros, and the helpers of the kernel and zero tests.
+"""The tests' one home of the private parts of the ballspec modules, and
+the helpers of the kernel and zero tests.
 
 A test that checks a contract of an internal (the ladder's error model
 ``bound``, the multiplication series' enclosure, the census walk's widen
@@ -8,7 +8,7 @@ attribute of this module: ``_internals.grid_series(twice_nu, x)``. Each
 attribute is looked up at each access, so a part that a test replaced is
 the one read. A renamed or moved internal edits one line of PARTS, not the
 tests; tests/test_dependencies.py checks that no other test file, and not
-README, names a private part of either module. Work counts are read
+README, names a private part of a ballspec module. Work counts are read
 through tests/_counts.py.
 """
 
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from ballspec import bessel, zeros
+from ballspec import _format, bessel, cli, courant, pleijel, selfcheck, zeros
 
 from tests import _oracle as oracle
 
@@ -53,6 +53,19 @@ PARTS = {
     "census_zero": (zeros, "_census_zero"),  # the m-th zero of a key
     "refine": (zeros, "_refine"),
     "jet": (zeros, "_jet"),  # (f, f', f'') of a target
+    # the CLI's flag parser and its two refusals
+    "parse": (cli, "_parse"),
+    "Help": (cli, "_Help"),
+    "UsageError": (cli, "_UsageError"),
+    # the verdicts, the certificates and the selfcheck suites
+    "sphere_checks": (courant, "_sphere_checks"),
+    "exact_check": (pleijel, "_exact_check"),  # one exact inequality
+    "log_gamma_value": (pleijel, "_log_gamma_value"),  # cached ln gamma(d)
+    "first_zero_keys": (selfcheck, "_first_zero_keys"),
+    "check_first_zero_bounds": (selfcheck, "_check_first_zero_bounds"),
+    "check_derivative_alias": (selfcheck, "_check_derivative_alias"),
+    # the JSON string escaper
+    "encode_str": (_format, "_encode_str"),
 }
 
 

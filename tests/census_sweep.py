@@ -3,9 +3,9 @@
 A census walks the grid of its key's parity from the key's bound,
 ``zeros._first_zero_lower``, and reads one sign, ``bessel._grid_sign``, at
 each grid point past it. The sweep reads that sign at every such (key,
-grid point) pair of the box: the 14,402 keys of ``tests/_box.census_keys``
+grid point) pair of the box: the 34,410 keys of ``tests/_box.census_keys``
 (the J orders, the Neumann l = 0 ones included, and the Neumann keys
-l >= 1 of every d), 1,269,601 pairs. A sign is +1, -1 or 0, and 0 (a sign
+l >= 1 of every d), 2,282,673 pairs. A sign is +1, -1 or 0, and 0 (a sign
 the ladder's error model cannot decide) widens a census cell; the sweep
 expects none. Its digest is the SHA-256 of one line a key, in that key
 order: ``l twice_nu `` and one character a grid point, ``+``, ``-`` or
@@ -32,8 +32,8 @@ from ballspec import bessel, zeros  # noqa: E402
 
 from tests import _box  # noqa: E402
 
-COUNTS = (14402, 1269601, 0)  # keys, pairs, undecided pairs
-DIGEST = "ab420b0f2013dad8ddea60d7412bfd17f921a0fa055fc9a576cf410dfd5ded28"
+COUNTS = (34410, 2282673, 0)  # keys, pairs, undecided pairs
+DIGEST = "baf818caa32780a0734ecb404371646f985ceb801bcb442ec2afe9179d9bbc12"
 CHAR = {1: "+", -1: "-", 0: "0"}
 
 

@@ -505,14 +505,21 @@ def test_underflow_boundary(x, last_kept):
                 eval_J(Order(tn), x)
 
 
-def test_series_refuses_a_span_that_underflows():
-    # at x0 = pi/4 every J_{220+k}, k <= 31, underflows to 0.0, so the
-    # multiplication series has no term to scale by: it refuses, naming
-    # the order and the centre, where it divided by zero
-    x0 = math.pi / 4
-    with pytest.raises(LossOfPrecision,
-                       match=rf"twice_nu=440, x0={x0!r}$"):
-        _internals.multiply(_internals.ladder(0, x0, 250), x0, 440)
+def test_series_refuses_a_span_that_underflows(monkeypatch):
+    # at the census grid point pi/2 every J_{170+k}, k <= 31, underflows to
+    # 0.0 (no census reads it: the bound of order 170 lies far past it), so
+    # the multiplication series has no term to scale by. Its float pair is
+    # the floats nearest the ladder's quotients, 0.0, and only a value,
+    # which nothing there can bound, is refused, naming the order and the
+    # centre
+    _internals.fresh_ladders(monkeypatch)
+    x0 = math.pi / 2
+    pair, value = _internals.grid_series(340, x0)
+    assert pair(x0) == (0.0, 0.0)
+    for l in (0, 1):
+        with pytest.raises(LossOfPrecision,
+                           match=rf"twice_nu=340, x0={x0!r}$"):
+            value(x0, l)
 
 
 def test_pair_refuses_when_only_the_upper_order_underflows():

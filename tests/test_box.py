@@ -19,17 +19,18 @@ def test_pinned_edges_are_the_derivation_at_cap_240():
 
 
 def _dims(text: str) -> list[int]:
-    """The d of a README row: "even, 2 ≤ d ≤ 242", "d ≥ 381" (checked up
-    to 2 d), or a list such as "300 / 380" or "240, 241"."""
-    if m := re.fullmatch(r"(even|odd), (\d+) ≤ d ≤ (\d+)", text):
-        return list(range(int(m[2]), int(m[3]) + 1, 2))
+    """The d of a README row: "2 ≤ d ≤ 266", "even, 2 ≤ d ≤ 242", "d ≥ 2"
+    (checked up to d = 1000), or a list such as "300 / 380" or
+    "480, 481"."""
+    if m := re.fullmatch(r"(?:(even|odd), )?(\d+) ≤ d ≤ (\d+)", text):
+        return list(range(int(m[2]), int(m[3]) + 1, 2 if m[1] else 1))
     if m := re.fullmatch(r"d ≥ (\d+)", text):
-        return list(range(int(m[1]), 2 * int(m[1])))
+        return list(range(int(m[1]), 1001))
     return [int(d) for d in re.split(r", | / ", text)]
 
 
 def _values(text: str, dims: list[int]) -> list:
-    """A README column's lambda for each d: "16,680", "25,229 / 39,860"
+    """A README column's lambda for each d: "40,000", "35,398 / 21,878"
     (one per d), "d − 2", or "none"; a parenthesis is a remark."""
     parts = re.sub(r" \(.*\)", "", text).split(" / ")
     if len(parts) == 1:
@@ -50,7 +51,7 @@ def test_readme_limits_are_the_derived_ones():
     # each row of README's table is the derivation at every d it names
     rows = re.findall(r"^\| (Dirichlet|Neumann) \| (.+?) \| (.+?) \| (.+?) \|$",
                       README.read_text(encoding="utf-8"), re.M)
-    assert len(rows) == 8
+    assert len(rows) == 5
     for bc, text, inside, limit in rows:
         dims = _dims(text)
         for d, lo, hi in zip(dims, _values(inside, dims),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from ballspec import courant, zeros
+from ballspec import zeros
 from ballspec.bessel import Order, eval_J
 from ballspec.courant import (
     SharpnessStatus,
@@ -24,7 +24,7 @@ from ballspec.courant import (
 from ballspec.errors import CertificateFailure, RangeError
 from ballspec.pleijel import Check
 from ballspec.spectrum import BoundaryCondition, enumerate_spectrum, multiplicity
-from tests import _box
+from tests import _box, _internals
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -187,17 +187,17 @@ class TestSphereCourantSharp:
         assert sphere_courant_sharp(d) == {1, 2}
 
     def test_check_values(self):
-        checks = {c.name: c for c in courant._sphere_checks(3, 50)}
+        checks = {c.name: c for c in _internals.sphere_checks(3, 50)}
         assert len(checks) == 2 * 49
         assert checks["reduced_binomial[l=2]"].rhs == 2  # C(2,1) at d=3
-        checks4 = {c.name: c for c in courant._sphere_checks(4, 10)}
+        checks4 = {c.name: c for c in _internals.sphere_checks(4, 10)}
         assert checks4["reduced_binomial[l=2]"].rhs == 3  # C(3,2) at d=4
         for cert in checks.values():
             assert cert.margin >= 1
 
     def test_binomials_past_the_float_range(self):
         # at d = 500 the excluding binomials of high degree exceed any float
-        assert courant._sphere_checks(500, 600)[-2].rhs > 10**308
+        assert _internals.sphere_checks(500, 600)[-2].rhs > 10**308
         assert sphere_courant_sharp(500, 600) == {1, 2}
 
     def test_rejects_bad_args(self):
@@ -231,6 +231,12 @@ class TestSharpnessVerdict:
 
 # ---------------------------------------------------------------------------
 # the decision pipeline
+
+
+def _sharp_labels(verdicts) -> set[int]:
+    """The labels of the sharp verdicts."""
+    return {v.record.label_first for v in verdicts
+            if v.status is SharpnessStatus.SHARP}
 
 
 class TestCourantSharpBall:
@@ -298,26 +304,40 @@ class TestCourantSharpBall:
                     assert v.record.l >= 1 and v.record.m >= 2
                     assert v.certificate == ()
 
-    # the windows whose top order is the box's last, where the next
-    # degree's census bound lies in the argument box (none where it does
-    # not); the top degree of lmax = 2 takes labels from d + 2 on
+    # the Dirichlet windows (d, lmax), mmax = 1, whose top order was the
+    # last of the cap-240 box (tests/_box.py's PINNED); the top degree of
+    # lmax = 2 takes labels from d + 2 on
     @pytest.mark.parametrize("d,lmax,want", [
         (d, lmax, [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]
          + [(2, 1, "ExcludedSphereLabel", d + 2)] * (lmax == 2))
-        for d, lmax in _box.EDGES["courant_windows"]])
+        for d, lmax in _box.PINNED["courant_windows"]])
     def test_dirichlet_window_on_the_order_cap_edge(self, d, lmax, want):
-        # the window's top zero (j_{119,1} at cap 240) lies below the
-        # census bound of the next degree (Qu and Wong's 129.15338 on
-        # j_{120,1}), so its spectrum needs no order past the box, as the
-        # same Neumann windows; with mmax = 2 the top zero (j_{119,2}) lies
-        # past it, and the spectrum below it is refused after that one zero
+        # with mmax = 2 the top zero (j_{119,2} at d = 238) lies past the
+        # census bound of the first degree out of the cap-240 box (Qu and
+        # Wong's 129.15338 on j_{120,1}), which refused the spectrum below
+        # it; the box serves it now, and the sharp set is {1, 2}
         verdicts = courant_sharp_ball(d, D, lmax, 1)
         assert [(v.record.l, v.record.m, v.status.value, v.record.label_first)
                 for v in verdicts] == want
-        order = re.escape(_box.order_named(2 * lmax + d))
+        assert _sharp_labels(courant_sharp_ball(d, D, lmax, 2)) == {1, 2}
+
+    def test_neumann_window_past_the_order_cap(self):
+        # at d = 300 the 7th Neumann zero of l = 1 lies past the census bound
+        # of degree 91, the first out of the box (Sturm's 188.15 at cap
+        # 480), and the 6th below it: the spectrum below the (1, 7) mode
+        # reaches that degree and is refused
+        assert _sharp_labels(courant_sharp_ball(300, N, 1, 6)) == {1, 2}
+        order = re.escape(_box.EDGES["neumann", 300].order)
         with pytest.raises(RangeError, match=rf"needs the spectrum below "
-                           rf"the \({lmax}, 2\) mode: .*Bessel order {order}"):
-            courant_sharp_ball(d, D, lmax, 2)
+                           rf"the \(1, 7\) mode: .*Bessel order {order} "):
+            courant_sharp_ball(300, N, 1, 7)
+
+    def test_dirichlet_window_past_the_order_cap_edge(self):
+        # (230, 2, 4): its top zero lies past that bound too
+        d, lmax, mmax = _box.PINNED["courant_refused"]
+        verdicts = courant_sharp_ball(d, D, lmax, mmax)
+        assert len(verdicts) == (lmax + 1) * mmax
+        assert _sharp_labels(verdicts) == {1, 2}
 
     def test_rejects_bad_args(self):
         with pytest.raises(RangeError):

@@ -12,9 +12,10 @@ and the zero finder takes every value from them, none from
 ``bessel.eval_J_pair``, and names no part of them; the only fixed-point
 functions are ``bessel._ladder`` and its multiplication-series reader
 ``bessel._multiply``. And outside ``tests/_internals.py``, the tests' one
-table of those private parts, ``tests/_counts.py``, this file and the
-sweep scripts, no test names a private part of ``bessel`` or ``zeros``,
-README names none, and no test module imports another."""
+table of the private parts of the ``ballspec`` modules, ``tests/_counts.py``,
+this file and the sweep scripts, no test names a private part of a
+``ballspec`` module, README names none, and no test module imports
+another."""
 
 from __future__ import annotations
 
@@ -271,8 +272,8 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
 
 
 # ---------------------------------------------------------------------------
-# the tests and README state behaviour: a test reads a private part of
-# bessel or zeros only through tests/_internals.py, which names each one
+# the tests and README state behaviour: a test reads a private part of a
+# ballspec module only through tests/_internals.py, which names each one
 # once, and counts work only through tests/_counts.py, so that a renamed or
 # reshaped internal edits those files, not the tests
 
@@ -281,17 +282,20 @@ ROOT = SRC.parents[1]
 # counters, this file, and the sweeps, scripts run outside pytest
 PRIVATE_HOMES = {"_internals.py", "_counts.py", "test_dependencies.py",
                  "argv_sweep.py", "census_sweep.py", "ledger_sweep.py"}
-# an attribute of either module whose name starts with "_" (also in a
-# comment or a dotted string), or a setattr of one
-PRIVATE_NAME = re.compile(r"\b(zeros|bessel)\._\w"
-                          r"|setattr\(\s*(zeros|bessel)\s*,\s*[\"']_")
+MODULES = "|".join(sorted(path.stem for path in SRC.glob("*.py")
+                          if path.stem != "__init__"))
+# an attribute of a ballspec module whose name starts with one "_" (also in
+# a comment or a dotted string), or a setattr of one
+PRIVATE_NAME = re.compile(rf"\b({MODULES})\._[^\W_]"
+                          rf"|setattr\(\s*({MODULES})\s*,\s*[\"']_[^\W_]")
 
 
 def _private_parts() -> set[str]:
-    """The private names that bessel and zeros define at module level."""
+    """The private names that the ballspec modules define at module
+    level."""
     names = set()
-    for name in ("bessel.py", "zeros.py"):
-        for node in ast.parse((SRC / name).read_text()).body:
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.add(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -312,7 +316,7 @@ def test_tests_name_private_parts_only_in_their_homes():
         found += [(path.name, node.lineno)
                   for node in ast.walk(ast.parse(text, str(path)))
                   if isinstance(node, ast.ImportFrom)
-                  and node.module in ("ballspec.bessel", "ballspec.zeros")
+                  and (node.module or "").startswith("ballspec")
                   and any(a.name.startswith("_") for a in node.names)]
     assert found == []
 
@@ -322,7 +326,7 @@ def test_readme_names_no_private_part():
     # not vacuous: every part the tests' table names is one of them
     assert {attr for _, attr in _internals.PARTS.values()} <= parts
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    named = set(re.findall(r"(?<![\w.])_\w+|\b(?:zeros|bessel)\._\w+", text))
+    named = set(re.findall(rf"(?<![\w.])_\w+|\b(?:{MODULES})\._\w+", text))
     assert {n for n in named if n in parts or "." in n} == set()
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballspec._format import _encode_str, csv_text, dumps, format_float
+from ballspec._format import csv_text, dumps, format_float
+from tests import _internals
 
 
 def test_csv_cells():
@@ -151,4 +152,5 @@ def test_encode_str_matches_json_on_every_code_point():
     # in runs of 4096, surrogates and the characters past the BMP included
     for start in range(0, 0x110000, 0x1000):
         run = "".join(map(chr, range(start, start + 0x1000)))
-        assert _encode_str(run) == json.encoder.encode_basestring_ascii(run)
+        assert (_internals.encode_str(run)
+                == json.encoder.encode_basestring_ascii(run))

@@ -10,7 +10,7 @@ import pytest
 
 from ballspec import pleijel, zeros
 from ballspec.errors import CertificateFailure, RangeError
-from tests import _box, _counts, _frozen
+from tests import _box, _counts, _frozen, _internals
 
 # The 20 published 6-decimal table values for d = 2..21.
 TABLE_6DEC = [
@@ -61,9 +61,9 @@ class TestGammaValues:
 
     def test_gamma_at_order_box_edge(self):
         # the census needs the (nu, nu+1) pair in the order box and the
-        # first zero's census bound in the argument box, so D_MAX (240 at
-        # cap 240) is the last supported dimension and the next the first
-        # rejected one
+        # first zero's census bound in the argument box, so D_MAX (380 at
+        # cap 480, where the argument box binds) is the last supported
+        # dimension and the next the first rejected one
         d_max = _box.EDGES["d_max"]
         assert pleijel.D_MAX == d_max
         assert 0.0 < pleijel.gamma(d_max) < pleijel.gamma(d_max - 1)
@@ -201,7 +201,7 @@ class TestQuotientCurve:
             pleijel.quotient_curve(lo, hi)
 
     def test_non_decreasing_gamma_is_reported(self, monkeypatch):
-        monkeypatch.setattr(pleijel, "_log_gamma_value", lambda d: -1.0)
+        _internals.replace(monkeypatch, "log_gamma_value", lambda d: -1.0)
         with pytest.raises(CertificateFailure):
             pleijel.quotient_curve(5, 6)
 
@@ -254,14 +254,14 @@ class TestCheck:
     def test_exact_failure_prints_lowest_terms(self, lhs, rhs, kind, text):
         # the integer-pair sides print as their Fraction would
         with pytest.raises(CertificateFailure) as info:
-            pleijel._exact_check("demo", lhs, rhs, kind)
+            _internals.exact_check("demo", lhs, rhs, kind)
         assert str(info.value) == (
             f"pleijel monotonicity check 'demo' failed in exact arithmetic: "
             f"{text} does not hold")
 
     def test_exact_check_records_the_nearest_floats(self):
         # 1/3 and 2/3 are no floats: each side is n / d, rounded once
-        c = pleijel._exact_check("demo", (10**30, 3 * 10**30), (2, 3))
+        c = _internals.exact_check("demo", (10**30, 3 * 10**30), (2, 3))
         assert (c.lhs, c.rhs) == (1 / 3, 2 / 3)
 
 

@@ -287,11 +287,13 @@ class TestDegreeLoop:
         assert {rec.l for rec in table.records} == set(range(empty))
 
     @pytest.mark.parametrize("bc,d,lam_max", [
-        ("dirichlet", 2, 40000.0),
-        ("dirichlet", 3, 40000.0),
+        # no Dirichlet cutoff is refused: Qu and Wong's bound puts the first
+        # degree out of the box past X_MAX in every d
+        ("neumann", 300, 40000.0),
+        ("neumann", _box.CAP - 2, 1000.0),
         # past the cap: the ground state alone, served without a census,
         # and then degree 1 is out of the box
-        ("neumann", _box.CAP + 1, 400.0),
+        ("neumann", _box.CAP + 1, 1000.0),
     ])
     def test_refusal_comes_before_the_work(self, monkeypatch, bc, d,
                                            lam_max):
@@ -300,8 +302,7 @@ class TestDegreeLoop:
         # caches only that degree's zeros are refined (4,501 zeros of
         # every degree at d = 2 when the walk met the cap last)
         edge = _box.EDGES[bc, d]
-        if edge.limit is None or lam_max < edge.limit:
-            pytest.skip("the box serves every cutoff up to lambda_max")
+        assert edge.limit is not None and lam_max >= edge.limit
         l = _box.first_degree_out(d) or 1  # Neumann's ground state first
         cold()
         refined = _counts.count(monkeypatch).refined

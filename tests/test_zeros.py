@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballspec import bessel, cli, courant, pleijel, selfcheck, spectrum, zeros
+from ballspec import bessel, cli, courant, pleijel, spectrum, zeros
 from ballspec.bessel import Order
 from ballspec.errors import BracketFailure, RangeError
 from ballspec.zeros import BoundaryCondition
@@ -180,6 +180,29 @@ def test_order_box_edges(call, want):
             call()
     else:
         assert call() == want
+
+
+# (bc, l, d, m) of zeros whose census order lies past the cap-240 box:
+# Dirichlet with twice_nu in 239..378, Neumann at d in 241..266, and the
+# census keys around twice_nu = 340, whose series at the grid point pi/2
+# underflows
+GROWN_BOX_ZEROS = [
+    ("dirichlet", 0, 241, 1), ("dirichlet", 1, 241, 3),
+    ("dirichlet", 0, 300, 1), ("dirichlet", 0, 300, 5),
+    ("dirichlet", 20, 300, 2), ("dirichlet", 39, 300, 1),
+    ("dirichlet", 0, 380, 1), ("dirichlet", 3, 374, 1),
+    ("neumann", 0, 241, 2), ("neumann", 1, 250, 1), ("neumann", 5, 260, 3),
+    ("neumann", 60, 266, 1), ("neumann", 106, 266, 1),
+    ("dirichlet", 0, 341, 1), ("dirichlet", 0, 342, 1),
+    ("neumann", 0, 339, 2), ("neumann", 1, 340, 1),
+]
+
+
+@pytest.mark.parametrize("bc,l,d,m", GROWN_BOX_ZEROS)
+def test_zeros_past_order_120_are_nearest_floats(bc, l, d, m):
+    key = _box.census_key(bc, l, d)
+    assert key[1] > 238
+    assert_nearest_float(*key, zeros.find_zero(bc, l, d, m))
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +640,7 @@ def test_selfcheck_first_zero_keys_read_the_box(monkeypatch):
     cap = _box.PINNED_CAP
     for fast in (True, False):
         step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
-        assert selfcheck._first_zero_keys(fast) == [
+        assert _internals.first_zero_keys(fast) == [
             (0, tn) for tn in range(0, cap - 1, step)] + [
             (l, 2 * l + d - 2) for d in dims
             for l in range(1, (cap - d) // 2 + 1, step)]
@@ -627,10 +650,10 @@ def test_selfcheck_reads_the_census_bound(monkeypatch):
     # the first_zero_bounds suite also checks the bound that refuses: with
     # the census warm, so that no scan reads it, a census bound at the
     # upper bound, past the first zero, fails the suite, which names it
-    assert selfcheck._check_first_zero_bounds(True) is None
+    assert _internals.check_first_zero_bounds(True) is None
     _internals.replace(monkeypatch, "first_zero_lower",
                        lambda key: _internals.first_zero_bounds(*key)[1])
-    detail = selfcheck._check_first_zero_bounds(True)
+    detail = _internals.check_first_zero_bounds(True)
     assert detail.startswith("first-zero bounds fail at l=0, twice_nu=0: "
                              "0.0 (census 2.414"), detail
 
@@ -640,12 +663,12 @@ def test_selfcheck_derivative_alias_reads_a_fresh_ladder(monkeypatch):
     # census zero of the key (0, d), so their equality alone cannot fail:
     # that zero biased by 1e-9 must fail the suite through eval_J's signs
     for fast in (True, False):
-        assert selfcheck._check_derivative_alias(fast) is None
+        assert _internals.check_derivative_alias(fast) is None
     real = _internals.replace(monkeypatch, "census_zero", lambda l, tn, m: (
         real(l, tn, m) * (1.0 + 1e-9 * (l == 0 and 2 <= tn <= 5))))
     assert zeros.neumann_zero(0, 2, 2) == zeros.dirichlet_zero(1, 2, 1)
     for fast in (True, False):
-        detail = selfcheck._check_derivative_alias(fast)
+        detail = _internals.check_derivative_alias(fast)
         assert detail.startswith("derivative alias off at d=2, m=1: "
                                  "3.8317059740"), detail
 
@@ -1127,7 +1150,7 @@ def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
     work = _counts.count(monkeypatch)
     for argv in jobs:
         cold()
-        pleijel._log_gamma_value.cache_clear()
+        _internals.log_gamma_value.cache_clear()
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
     signs = len(work.signs)
