@@ -222,20 +222,26 @@ def dims(cap: int = CAP) -> dict[str, tuple[int, ...]]:
             "neumann top degree": (2, 30, 100)}
 
 
+def neumann_refusal(cap: int = CAP) -> tuple[int, int, int]:
+    """(l, d, k): the first Neumann bisection d whose first degree out of
+    the box, l >= 2, is refused inside the argument box, at a radius past
+    k >= 1 zeros of J_{d/2}."""
+    for d in dims(cap)["neumann bisection"]:
+        l = first_degree_out(d, cap)
+        if l >= 2 and (r := _refused_from("neumann", l, d)) <= X_MAX:
+            if k := _oracle.oracle_bessel_zeros_below(d, r):
+                return l, d, k
+
+
 def derived(cap: int = CAP) -> dict:
     """Every edge the tests read, at the order cap ``cap``."""
     last = cap - 2  # the last twice_nu whose census pair lies in the box
-    refused_j = 2 * first_degree_out(2, cap)  # its order at d = 2
     edges = {
         "order_cap": cap,
         "last_order": last,
         "d_max": d_max(cap),
-        # Neumann l = 0 past the cap: (d, cutoffs around its census bound)
-        "ground_x": (cap + 1, *_around(scan_bound(0, cap + 1))),
-        # Dirichlet d = 2 at its first degree out of the box: (l, cutoffs
-        # around the degree's census bound, the order its refusal names)
-        "dirichlet_x": (refused_j // 2, *_around(scan_bound(0, refused_j)),
-                        order_named(refused_j)),
+        # Neumann l = 0 past the cap: (d, the cutoff below its census bound)
+        "ground_x": (cap + 1, _around(scan_bound(0, cap + 1))[0]),
         # the census orders from 180 up, each with one grid point below 2.0
         # (pi/2 or pi/4)
         "series_edge_keys": len(range(180, last + 1)),
@@ -253,6 +259,20 @@ def derived(cap: int = CAP) -> dict:
     edges["courant_windows"] = ([(cap - 2 * lmax, lmax) for lmax in (1, 2)]
                                 if edge_in_reach else [])
     edges["courant_refused"] = (cap - 10, 2, 4) if edge_in_reach else None
+    # a Neumann degree l out of the box at d, refused inside the argument
+    # box: (l, d, cutoffs around its census bound, the order its refusal
+    # names); and the Courant window (d, lmax = 1, mmax), with the mmax
+    # served below that refusal and the one refused past it. Degree 1's
+    # target vanishes where x J_{d/2}'/J_{d/2} = d/2 - 1, and that quotient
+    # falls from d/2 to -inf below j_{d/2,1} and from +inf to -inf between
+    # consecutive zeros, so degree 1's m-th zero lies in (j_{d/2,m-1},
+    # j_{d/2,m}): with k of those below the refusal, the window's mmax = k
+    # is served and mmax = k + 2 refused
+    l, d, k = neumann_refusal(cap)
+    twice_nu = 2 * l + d - 2
+    edges["neumann_x"] = (l, d, *_around(scan_bound(l, twice_nu)),
+                          order_named(twice_nu))
+    edges["neumann_window"] = (d, 1, k, k + 2)
     for rows, ds in dims(cap).items():
         bc = rows.split()[0]
         edges.update(((bc, d), edge(bc, d, cap)) for d in ds)
@@ -267,12 +287,13 @@ PINNED = {
     "order_cap": 240,
     "last_order": 238,
     "d_max": 240,
-    "ground_x": (241, 129.66, 129.67),
-    "dirichlet_x": (120, 129.15, 129.16, "121.0"),
+    "ground_x": (241, 129.66),
     "series_edge_keys": 59,
     "census_keys": 14402,
     "courant_windows": [(238, 1), (236, 2)],
     "courant_refused": (230, 2, 4),
+    "neumann_x": (120, 2, 119.99, 120.0, "121.0"),
+    "neumann_window": (2, 1, 38, 40),
     ("dirichlet", 2): (16680, 16681, "121.0"),
     ("dirichlet", 238): (16680, 16681, "121.0"),
     ("dirichlet", 3): (16548, 16549, "120.5"),

@@ -152,16 +152,30 @@ def _scan_zero(f, start, m: int, step, dps: int, x_cap: float = 250.0) -> mp.mpf
     return root
 
 
-def oracle_bessel_zero(twice_nu: int, m: int, dps: int = DEFAULT_DPS) -> mp.mpf:
-    """m-th positive zero of J_nu, by census from the zero-free lower bound."""
+def _bessel_scan_start(twice_nu: int) -> mp.mpf:
+    """A point below the first positive zero of J_nu."""
     nu = Fraction(twice_nu, 2)
     lb2 = nu * (nu + 2)  # first zero squared exceeds nu(nu+2)
     start = mp.sqrt(mp.mpf(lb2.numerator) / lb2.denominator) if lb2 > 0 else mp.mpf("0.05")
+    return start * mp.mpf("0.999")
 
+
+def oracle_bessel_zero(twice_nu: int, m: int, dps: int = DEFAULT_DPS) -> mp.mpf:
+    """m-th positive zero of J_nu, by census from the zero-free lower bound."""
     def f(x):
         return oracle_J(twice_nu, x, max(35, dps))
 
-    return _scan_zero(f, start * mp.mpf("0.999"), m, "0.2", dps)
+    return _scan_zero(f, _bessel_scan_start(twice_nu), m, "0.2", dps)
+
+
+def oracle_bessel_zeros_below(twice_nu: int, x) -> int:
+    """The number of positive zeros of J_nu below x, by a sign scan in steps
+    of 1: the zeros of J_nu, nu >= 0, lie more than 3 apart."""
+    with mp.workdps(30):
+        lo, x = _bessel_scan_start(twice_nu), mp.mpf(x)
+        points = [lo + k for k in range(int(x - lo) + 1)] + [x]
+        signs = [oracle_J(twice_nu, p, 35) > 0 for p in points]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def oracle_dirichlet_zero(l: int, d: int, m: int, dps: int = DEFAULT_DPS) -> mp.mpf:

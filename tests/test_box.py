@@ -19,11 +19,10 @@ def test_pinned_edges_are_the_derivation_at_cap_240():
 
 
 def _dims(text: str) -> list[int]:
-    """The d of a README row: "2 ≤ d ≤ 266", "even, 2 ≤ d ≤ 242", "d ≥ 2"
-    (checked up to d = 1000), or a list such as "300 / 380" or
-    "480, 481"."""
-    if m := re.fullmatch(r"(?:(even|odd), )?(\d+) ≤ d ≤ (\d+)", text):
-        return list(range(int(m[2]), int(m[3]) + 1, 2 if m[1] else 1))
+    """The d of a README row: "2 ≤ d ≤ 266", "d ≥ 2" (checked up to d =
+    1000), or a list such as "300 / 380" or "480, 481"."""
+    if m := re.fullmatch(r"(\d+) ≤ d ≤ (\d+)", text):
+        return list(range(int(m[1]), int(m[2]) + 1))
     if m := re.fullmatch(r"d ≥ (\d+)", text):
         return list(range(int(m[1]), 1001))
     return [int(d) for d in re.split(r", | / ", text)]

@@ -23,6 +23,7 @@ from tests._cli import GOLDEN, run_cli
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CAP, D_MAX = _box.CAP, _box.EDGES["d_max"]
 GROUND_LIMIT = _box.EDGES["neumann", CAP + 1].limit  # Neumann past the cap
+N_D, N_LMAX, _, N_MMAX = _box.EDGES["neumann_window"]  # refused for its spectrum
 
 TABLE_6DEC = [
     "0.691660", "0.455945", "0.296901", "0.192940", "0.125581",
@@ -368,8 +369,8 @@ class TestTopLevel:
     @pytest.mark.parametrize("argv,names,not_named", [
         (f"courant --d {CAP} --bc neumann --lmax 2 --mmax 2",
          (f"d={CAP}", "lmax=2"), "twice_nu"),
-        ("courant --d 300 --bc neumann --lmax 1 --mmax 7",
-         ("d=300", "lmax=1", "mmax=7"), None),
+        (f"courant --d {N_D} --bc neumann --lmax {N_LMAX} --mmax {N_MMAX}",
+         (f"d={N_D}", f"lmax={N_LMAX}", f"mmax={N_MMAX}"), None),
         # the first refused cutoff past the cap: below it only the Neumann
         # ground state lies, which needs no census
         (f"spectrum --d {CAP + 1} --bc neumann --lambda-max {GROUND_LIMIT}",

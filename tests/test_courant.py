@@ -233,12 +233,6 @@ class TestSharpnessVerdict:
 # the decision pipeline
 
 
-def _sharp_labels(verdicts) -> set[int]:
-    """The labels of the sharp verdicts."""
-    return {v.record.label_first for v in verdicts
-            if v.status is SharpnessStatus.SHARP}
-
-
 class TestCourantSharpBall:
     def test_disc_neumann_matches_published_list(self):
         verdicts = courant_sharp_ball(2, N, 8, 4)
@@ -319,25 +313,27 @@ class TestCourantSharpBall:
         verdicts = courant_sharp_ball(d, D, lmax, 1)
         assert [(v.record.l, v.record.m, v.status.value, v.record.label_first)
                 for v in verdicts] == want
-        assert _sharp_labels(courant_sharp_ball(d, D, lmax, 2)) == {1, 2}
+        assert sharp_labels(courant_sharp_ball(d, D, lmax, 2)) == {1, 2}
 
     def test_neumann_window_past_the_order_cap(self):
-        # at d = 300 the 7th Neumann zero of l = 1 lies past the census bound
-        # of degree 91, the first out of the box (Sturm's 188.15 at cap
-        # 480), and the 6th below it: the spectrum below the (1, 7) mode
-        # reaches that degree and is refused
-        assert _sharp_labels(courant_sharp_ball(300, N, 1, 6)) == {1, 2}
-        order = re.escape(_box.EDGES["neumann", 300].order)
+        # the window's top zero lies below the refusal of a degree out of
+        # the box (l = 91 at d = 300, cap 480) at the served mmax and past
+        # it at the refused one: the spectrum below that top mode reaches
+        # the degree and is refused
+        d, lmax, served, mmax = _box.EDGES["neumann_window"]
+        assert sharp_labels(courant_sharp_ball(d, N, lmax, served)) == {1, 2}
+        order = re.escape(_box.EDGES["neumann_x"][-1])
         with pytest.raises(RangeError, match=rf"needs the spectrum below "
-                           rf"the \(1, 7\) mode: .*Bessel order {order} "):
-            courant_sharp_ball(300, N, 1, 7)
+                           rf"the \({lmax}, {mmax}\) mode: .*Bessel order "
+                           rf"{order} "):
+            courant_sharp_ball(d, N, lmax, mmax)
 
     def test_dirichlet_window_past_the_order_cap_edge(self):
         # (230, 2, 4): its top zero lies past that bound too
         d, lmax, mmax = _box.PINNED["courant_refused"]
         verdicts = courant_sharp_ball(d, D, lmax, mmax)
         assert len(verdicts) == (lmax + 1) * mmax
-        assert _sharp_labels(verdicts) == {1, 2}
+        assert sharp_labels(verdicts) == {1, 2}
 
     def test_rejects_bad_args(self):
         with pytest.raises(RangeError):

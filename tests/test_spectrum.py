@@ -441,14 +441,11 @@ class TestEnumerationValidation:
             enumerate_spectrum(1, D, 10.0)
 
     def test_cutoff_beyond_order_box_is_reported(self):
-        # completeness would need degrees past the kernel's order range,
-        # wherever the first degree out of the box has its census bound at
-        # or below sqrt(LAMBDA_MAX)
-        if _box.EDGES["dirichlet", 2].limit is None:
-            enumerate_spectrum(2, D, spectrum.LAMBDA_MAX)
-        else:
-            with pytest.raises(RangeError):
-                enumerate_spectrum(2, D, spectrum.LAMBDA_MAX)
+        # completeness would need a degree past the kernel's order range,
+        # whose census bound lies at or below sqrt(LAMBDA_MAX)
+        with pytest.raises(RangeError):
+            enumerate_spectrum(_box.EDGES["neumann_x"][1], N,
+                               spectrum.LAMBDA_MAX)
 
     @pytest.mark.parametrize("d,inside,limit", [
         (d, *_box.EDGES["neumann", d][:2])

@@ -124,10 +124,11 @@ class TestValidation:
 # twice_nu + 2 <= TWICE_NU_MAX. Each pair of rows is one caller's last
 # accepted request at cap 240, whose output it pins, and its first refused
 # request at this cap, from tests/_box.py; tests/test_box.py checks that at
-# cap 240 the two are adjacent
+# cap 240 the two are adjacent. Past the cap the Neumann ground state is
+# served, and a Neumann degree refused, at this cap
 
 E, P = _box.EDGES, _box.PINNED
-D_PAST, X_IN, _ = P["ground_x"]  # Neumann l = 0 past the cap
+D_PAST, X_IN = E["ground_x"]  # Neumann l = 0 past the cap
 
 
 def _courant_rows(d: int) -> list:
@@ -152,11 +153,10 @@ def _courant_rows(d: int) -> list:
     # past the cap a Neumann cutoff below the first positive zero of every
     # degree holds the ground state alone, which needs no census
     (lambda: [(r.l, r.m, r.zero) for r in spectrum.enumerate_spectrum(
-        D_PAST, "neumann", float(P["neumann", D_PAST][0])).records],
+        D_PAST, "neumann", float(E["neumann", D_PAST].inside)).records],
      [(0, 1, 0.0)]),
     (lambda: spectrum.enumerate_spectrum(
-        E["ground_x"][0], "neumann", E["neumann", E["ground_x"][0]].limit),
-     RangeError),
+        D_PAST, "neumann", E["neumann", D_PAST].limit), RangeError),
     (lambda: spectrum.enumerate_spectrum(
         E["order_cap"] + 1, "dirichlet", 10.0).records, ()),
     (lambda: zeros.neumann_zero(0, 500, 1), 0.0),  # r = 0 needs no census
@@ -167,12 +167,15 @@ def _courant_rows(d: int) -> list:
     (lambda: zeros.dirichlet_zero(0, E["order_cap"] + 1, 1), RangeError),
     (lambda: zeros.neumann_zero(1, P["last_order"], 1), 15.45989431346645),
     (lambda: zeros.neumann_zero(1, E["last_order"] + 1, 1), RangeError),
-    # the census bound on j_{121.5,1}, Qu and Wong's, is 129.66608: no
-    # census below it
+    # no census runs below the census bound on the first positive zero,
+    # Qu and Wong's on j_{d/2,1}, nor below that of a degree out of the box
     (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, D_PAST, X_IN),
      [0.0]),
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0,
-                                *E["ground_x"][::2]), RangeError),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN,
+                                *E["neumann_x"][:3]), []),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN,
+                                *E["neumann_x"][:2], E["neumann_x"][3]),
+     RangeError),
 ])
 def test_order_box_edges(call, want):
     if want is RangeError:
@@ -558,9 +561,7 @@ def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key(
         monkeypatch):
     # d/dr of the degree-0 profile is -r^(1-d/2) J_{d/2} (DLMF 10.6.6), so
     # past the ground state the Neumann l = 0 zeros are the census zeros of
-    # J_{d/2}, the key of Dirichlet l = 1, which reads them from the cache;
-    # the two largest d of the box, whose Dirichlet l = 1 order is past the
-    # cap, are still served, as the cap reads the request's order
+    # J_{d/2}, the key of Dirichlet l = 1, which reads them from the cache
     cold()
     work = _counts.count(monkeypatch)
     for d in _box.ground_dims():
@@ -569,10 +570,9 @@ def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key(
         for m in range(1, 4):
             z = zeros.neumann_zero(0, d, m + 1)
             assert z == _internals.census_zero(0, d, m), (d, m)
-            if d + 2 <= _box.CAP:
-                refined = work.cold_zeros
-                assert zeros.dirichlet_zero(1, d, m) == z, (d, m)
-                assert work.cold_zeros == refined
+            refined = work.cold_zeros
+            assert zeros.dirichlet_zero(1, d, m) == z, (d, m)
+            assert work.cold_zeros == refined
     cold()
 
 
@@ -1026,22 +1026,18 @@ class TestRadialZeros:
         assert got[-1] == zeros.bessel_zero(Order(0), 63)
 
     def test_kernel_order_box_error_propagates(self, monkeypatch):
-        # the (nu, nu+1) pair of d = 2's first degree out of the box (nu =
-        # 120 at cap 240) leaves the kernel box: past its census bound (Qu
-        # and Wong's 129.15338 on j_{120,1}), an error, never an empty
-        # list; below it no zero can lie, so the list is empty and no
-        # ladder is built
-        l, x_in, x_out, order = _box.EDGES["dirichlet_x"]
+        # the pair of a Neumann degree out of the box (l = 91 at d = 300,
+        # order 241 at cap 480) leaves the kernel box: past its census
+        # bound (Sturm's 188.15), an error, never an empty list; below it
+        # no zero can lie, so the list is empty and no ladder is built
+        l, d, x_in, x_out, order = _box.EDGES["neumann_x"]
         work = _counts.count(monkeypatch)
-        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, l, 2,
-                                  50.0) == []
-        assert zeros.radial_zeros(BoundaryCondition.DIRICHLET, l, 2,
-                                  x_in) == []
+        for x in (x_in / 2, x_in):
+            assert zeros.radial_zeros(BoundaryCondition.NEUMANN, l, d, x) == []
         assert work.ladders == []
-        if x_out <= bessel.X_MAX:
-            with pytest.raises(RangeError,
-                               match=rf"order {re.escape(order)} beyond"):
-                zeros.radial_zeros(BoundaryCondition.DIRICHLET, l, 2, x_out)
+        with pytest.raises(RangeError,
+                           match=rf"order {re.escape(order)} beyond"):
+            zeros.radial_zeros(BoundaryCondition.NEUMANN, l, d, x_out)
 
     @pytest.mark.parametrize("args", [
         ("DirichletXi", 0, 2, 10.0),
