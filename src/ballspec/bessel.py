@@ -30,22 +30,26 @@ and eval_J_pair refuse it with LossOfPrecision, for either order of a pair.
 
 _ladder is the one ladder, in fixed point on Python ints. It keeps every
 y_k, so a ladder sized for order n yields J_k(x) for every order k of one
-parity up to max(n, int(x)) + 1 (DLMF 3.6(vi)). _eval_miller reads it at
+parity up to max(n, int(x)) + 1 (DLMF 3.6(vi)), each pair within
+_pair_bound, its one error model: max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x)))
+* unit, unit about n_steps * cancel * 2^-100 + 1e-24, a model that ROADMAP
+item 4 has to prove, and then only unit changes. _eval_miller reads it at
 one pair of orders for eval_J and eval_J_pair: the float nearest each
-quotient. The zero finder reads one shared ladder per census grid point
-and parity (_LADDERS): _grid_sign for its census signs at the point, each
-the sign of an exact integer of the ladder, and _grid_series, _multiply by
-the multiplication theorem, for every value of a refinement in the cells
-around it, its certificate included. _grid_ladder sizes it for
-max(n, int(x)) + _SPAN orders, of the order that asks first and its series,
-and rebuilds it for max(n, 2 top) when an order n above its top asks: a
-few ladders per grid point at any cap, none per zero. _bound is the one
-error model of a pair, the census signs' (in ladder units) and, term by
-term, the certificate's: max(|J_nu|, |J_{nu+1}|, sqrt(2/(pi x))) * unit
-(_pair_bound), unit about n_steps * cancel * 2^-100 + 1e-24, relative to
-the pair alone below the turning point, x <= nu, a model that ROADMAP
-item 4 has to prove, and then only unit changes. tests/test_golden.py pins
-_eval_miller bit for bit across the box.
+quotient. tests/test_golden.py pins _eval_miller bit for bit across the
+box.
+
+The zero finder reads the kernel at the census grid points through
+_grid_sign, its census signs, and _grid_series, the (pair, value) of
+every refinement in the cells around a point, its certificate included.
+Past the turning point, 2x > twice_nu, both read one shared ladder per
+grid point and parity (_LADDERS), sized once for int(x) + _SPAN orders,
+every order of the point's wave zone and the span of its series: a sign
+is that of an exact integer of the ladder, and a series is _multiply's,
+by the multiplication theorem. Below the turning point the ladder's
+values fall far under its absolute error, and both read the exact
+ascending series instead (_ascending_sums, DLMF 10.2.2), which has a
+proven bound and never underflows, at any order: J_nu(x) = (x/2)^nu /
+Gamma(nu+1) S_nu(x), S_nu(x) = sum_k (-x^2/4)^k / (k! (nu+1)_k).
 """
 
 from __future__ import annotations
@@ -98,19 +102,11 @@ def _pair_bound(a: float, b: float, x: float, unit: float) -> float:
     return max(abs(a), abs(b), math.sqrt(2.0 / (math.pi * x))) * unit
 
 
-def _bound(a: float, b: float, x: float, twice_nu: int, unit: float) -> float:
-    """_pair_bound with the turning-point model: below the turning point,
-    2x <= twice_nu, relative to the pair alone and never below 2^-1074."""
-    if 2.0 * x > twice_nu:
-        return _pair_bound(a, b, x, unit)
-    return max(max(abs(a), abs(b)) * unit, 2.0**-1074)
-
-
 def _ladder(parity: int, x: float, n: int):
     """(ys, num, den, unit): the Miller ladder sized for order
     n + parity/2, every y_k kept. Read it as J_{k + parity/2}(x) =
     ys[k] num / den for k <= max(n, int(x)) + 1, a pair (a, b) of such
-    orders within _bound(a, b, x, 2k + parity, unit).
+    orders within _pair_bound(a, b, x, unit).
 
     Fixed point with _P fraction bits: x = p / q exactly,
     ix = floor(2^_P q / p), and from y_top = 2^_P the step is
@@ -153,8 +149,9 @@ def _ladder(parity: int, x: float, n: int):
 
 
 def _multiply(ladder, x0: float, twice_nu: int):
-    """(pair, value): J near x0 from the _ladder at x0 sized for order
-    n + _SPAN, nu = n + parity/2, by the multiplication theorem (DLMF
+    """(pair, value): J near x0 past the turning point, 2 x0 > twice_nu,
+    from the _ladder at x0 sized for order n + _SPAN or more, nu = n +
+    parity/2, by the multiplication theorem (DLMF
     10.23.1; for J it holds at every x/x0 > 0): J_mu(x) = (x/x0)^mu P_mu(w),
     P_mu(w) = sum_k (-w)^k / k! J_{mu+k}(x0), w = (x^2 - x0^2) / (2 x0).
     pair(x) is the float sums (J_nu(x), J_{nu+1}(x)), an estimate, over
@@ -171,7 +168,7 @@ def _multiply(ladder, x0: float, twice_nu: int):
     P_mu(w) - delta P_{mu+1}(w) + R, as P_mu' = -P_{mu+1}. C_0 = 2^_P and
     C_k = floor(C_{k-1} (-w) / k), -w rounded down to a unit, lie within
     2 e^|w| units of 2^_P (-w)^k / k!, and the sums of C_k y are exact. So
-    a sum's error has three parts: its terms' ladder _bound, at most lad,
+    a sum's error has three parts: its terms' _pair_bound, at most lad,
     that of its largest value, times sum |c_k| <= e^|w|; the coefficients'
     rounding; and the tail. B_mu = min(1, (x0/2)^mu / Gamma(mu+1)) bounds
     |J_mu(x0)| (DLMF 10.14.1, 10.14.4) and does not increase in mu (it is 1
@@ -181,18 +178,15 @@ def _multiply(ladder, x0: float, twice_nu: int):
     so |R| <= delta^2 e^(|w| + delta) M, M from the ladder's span, each
     value plus lad, and B_{nu+_SPAN+2} past it. The sum stops once its
     tail is below half the ladder part, a bound relative to the values it
-    sums, or at _SPAN terms, the most a census cell needs. Where every J
-    of the span underflows, pair's sums are 0.0 and value refuses with
-    LossOfPrecision: nothing there can be bounded."""
+    sums, or at _SPAN terms, the most a census cell needs."""
     ys, num, den, unit = ladder
     n = twice_nu // 2
     nu, half = 0.5 * twice_nu, 0.5 * x0
     # J_{nu+k}(x0) for k <= _SPAN + 1, each the float nearest its quotient
     js = [y * num / den for y in ys[n:n + _SPAN + 2]]
     top = max(map(abs, js))
-    # pair's last |c_k|; 0.0 where every J of the span underflows
-    small = 2.0**-56 * (abs(js[0]) + abs(js[1])) / top if top else 0.0
-    lad = _bound(top, 0.0, x0, twice_nu, unit)  # at least each term's _bound
+    small = 2.0**-56 * (abs(js[0]) + abs(js[1])) / top  # pair's last |c_k|
+    lad = _pair_bound(top, 0.0, x0, unit)  # at least each term's bound
     lim = 0.25 * lad  # a tail below 2 lim ends the sum
     # (x0/2)^nu / Gamma(nu+1): with |c_k| it bounds the tail terms
     power = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
@@ -212,19 +206,10 @@ def _multiply(ladder, x0: float, twice_nu: int):
         return (x / x0) ** nu * s0, (x / x0) ** (nu + 1.0) * s1
 
     def value(z: float, l: int):
-        if top == 0.0:  # no term to scale by: past the float range at x0
-            raise LossOfPrecision(f"every J of the series span underflows "
-                                  f"at twice_nu={twice_nu}, x0={x0!r}")
-        below, above = math.nextafter(z, 0.0), math.nextafter(z, math.inf)
-        ends = (math.nextafter(below, 0.0), below, z, above,
-                math.nextafter(above, math.inf))
-        ratios = [t.as_integer_ratio() for t in ends]
-        q = max(q0, *(d for _, d in ratios))  # powers of two
         # points as integers over 2q: z = zz / 2q, x0 = xx / 2q; -w at z
         # is wn / wd, and a midpoint's w lies dn / wd past it
-        tq = [t * (q // d) for t, d in ratios]  # each end times q
-        zz, xx = 2 * tq[2], 2 * p0 * (q // q0)
-        mids = [a + b for a, b in zip(tq, tq[1:])]
+        mids, zq, q = _midpoints(z, q0)
+        zz, xx = 2 * zq, 2 * p0 * (q // q0)
         wn, wd = xx * xx - zz * zz, 4 * q * xx
         aw = abs(wn / wd)
         mw = (wn << _P) // wd  # -w 2^_P, within one unit
@@ -266,46 +251,131 @@ def _multiply(ladder, x0: float, twice_nu: int):
     return pair, value
 
 
-# the census grid's shared ladders: (parity, x) -> (top, ys, num, den, unit)
+def _midpoints(z: float, q: int):
+    """(mids, zq, q'): the four midpoints between consecutive floats from two
+    below z to two above, ascending, each mids[i] / (2 q'), and z = zq / q',
+    q' the largest of q and the floats' denominators, powers of two."""
+    below, above = math.nextafter(z, 0.0), math.nextafter(z, math.inf)
+    ends = (math.nextafter(below, 0.0), below, z, above,
+            math.nextafter(above, math.inf))
+    ratios = [t.as_integer_ratio() for t in ends]
+    q = max(q, *(d for _, d in ratios))
+    tq = [t * (q // d) for t, d in ratios]  # each end times q
+    return [a + b for a, b in zip(tq, tq[1:])], tq[2], q
+
+
+def _ascending_sums(twice_nu: int, p: int, q: int):
+    """(a, b, err, bits): a and b within err of 2^bits S_nu(x) and 2^bits
+    S_{nu+1}(x) at x = p / q > 0, q a power of two, nu = twice_nu/2, where
+    S_mu(x) = sum_k (-x^2/4)^k / (k! (mu+1)_k), so that J_mu(x) = (x/2)^mu
+    / Gamma(mu+1) S_mu(x) (DLMF 10.2.2), and S_nu > 0 below j_{nu,1} > nu.
+
+    Fixed point with bits = _P + floor(x) fraction bits, which cover the
+    sum's cancellation below the turning point, log2 of I_nu(x) / J_nu(x),
+    about 0.77 x bits at x = nu and less below. From t_0 = 2^bits each term
+    is t_k = floor(-t_{k-1} r_k), r_k = x^2 / c_k, c_k = 2k (twice_nu + 2k),
+    one floor a term, so its error e_k <= r_k e_{k-1} + 1, which is counted
+    in integers, rounded up; S_{nu+1}'s ratios are smaller, and so are its
+    errors. The sums end at the first t_K = 0. There |t_{K-1}| r_K < 1, so
+    r_K < 1, and as r_k decreases in k, the terms past K decrease and
+    alternate: by Leibniz their sum is at most the first, below the K-th,
+    which is within e_K of t_K = 0. So err = e_1 + ... + e_K + e_K."""
+    s = 2 * (q.bit_length() - 1)  # x^2 = p^2 / 2^s
+    mpp = -p * p
+    bits = _P + p // q
+    t = u = a = b = 1 << bits
+    e = err = k = 0
+    while t:
+        k += 1
+        c = 2 * k * (twice_nu + 2 * k)
+        t, u = (t * mpp >> s) // c, (u * mpp >> s) // (c + 4 * k)
+        e = 1 - (e * mpp >> s) // c
+        a, b, err = a + t, b + u, err + e
+    return a, b, err + e, bits
+
+
+def _ascending_target(l: int, twice_nu: int, p: int, q: int):
+    """(t, e, d): the census target f at x = p / q over (x/2)^nu /
+    Gamma(nu+1) is t / d, within e / d, from _ascending_sums: S_nu at l =
+    0, else (l/x) S_nu - x / (twice_nu + 2) S_{nu+1} for g = (l/x) J_nu -
+    J_{nu+1}. d > 0, so t has f's sign."""
+    a, b, err, bits = _ascending_sums(twice_nu, p, q)
+    if l == 0:
+        return a, err, 1 << bits
+    w = l * q * q * (twice_nu + 2)
+    return (w * a - p * p * b, (w + p * p) * err,
+            (p * q * (twice_nu + 2)) << bits)
+
+
+def _ascending(twice_nu: int):
+    """(pair, value) of _multiply's contract below the turning point, each
+    value of f over (x/2)^nu / Gamma(nu+1) at its own point x, a positive
+    factor that may lie past the float range: S_nu(x) at l = 0, else (l/x)
+    S_nu(x) - x / (twice_nu + 2) S_{nu+1}(x). A positive factor at each
+    point moves no sign, no Newton step f / f' and, between the midpoints
+    one ulp apart, the secant by about nu 2^-52 relative. pair's floats
+    are rounded from _ascending_sums at x, as float sums of S_nu cancel
+    near x = nu, and each of value's at(i) is _ascending_target at its
+    midpoint."""
+
+    def pair(x: float):
+        a, b, _, bits = _ascending_sums(twice_nu, *x.as_integer_ratio())
+        return a / (1 << bits), x / (twice_nu + 2) * (b / (1 << bits))
+
+    def value(z: float, l: int):
+        mids, _, q = _midpoints(z, 1)
+
+        def at(i: int):
+            t, e, d = _ascending_target(l, twice_nu, mids[i], 2 * q)
+            v = t / d  # int / int rounds once
+            return v, e / d * (1.0 + 2.0**-20) + abs(v) * 2.0**-52
+
+        return at
+
+    return pair, value
+
+
+# the census grid's shared ladders: (parity, x) -> (ys, num, den, unit)
 _LADDERS: dict = {}
 
 
-def _grid_ladder(parity: int, x: float, n: int):
+def _grid_ladder(parity: int, x: float):
     """(ys, num, den, unit): the shared _ladder at the census grid point x,
-    sized for top + _SPAN orders, top = max(n, int(x)) for the first order
-    n + parity/2 that asks, and rebuilt for max(n, 2 top) by an n above it."""
-    ladder = _LADDERS.get((parity, x))
-    if ladder is None or ladder[0] < n:
-        top = max(n, int(x)) if ladder is None else max(n, 2 * ladder[0])
-        ladder = _LADDERS[parity, x] = (top, *_ladder(parity, x, top + _SPAN))
-    return ladder[1:]
+    sized for int(x) + _SPAN orders, every order n < x and its series."""
+    if (parity, x) not in _LADDERS:
+        _LADDERS[parity, x] = _ladder(parity, x, int(x) + _SPAN)
+    return _LADDERS[parity, x]
 
 
 def _grid_sign(l: int, twice_nu: int, x: float) -> int:
     """+1 or -1, the sign of the census target at the grid point x where
-    _bound's model in ladder units cannot flip it, else 0: of y_n for J_nu
-    = y_n num / den (l = 0), of t = l q y_n - p y_{n+1} for g = (l/x) J_nu
-    - J_{nu+1} = t num / (den p), x = p / q, whose bound is the pair's
-    weighted by l q + p (num / den > 0). No integer rounds or underflows."""
+    its error bound cannot flip it, else 0. x = p / q. Below the turning
+    point, 2x <= twice_nu, of _ascending_target's t. Past it, of the grid
+    ladder's y_n for J_nu = y_n num / den, else of t = l q y_n - p y_{n+1},
+    g = t num / (den p), each bound by _pair_bound in ladder units, weighted
+    by l q + p for g. No integer rounds or underflows."""
     n, parity = divmod(twice_nu, 2)
-    ys, num, den, unit = _grid_ladder(parity, x, n)
-    a, b = ys[n], ys[n + 1]
     p, q = x.as_integer_ratio()
-    v, w = (l * q * a - p * b, l * q + p) if l else (a, 1)
-    e, f = 0, 1  # e / f = sqrt(2 / (pi x)) den / num past the turning point
-    if 2.0 * x > twice_nu:
+    if 2.0 * x <= twice_nu:
+        v, bound, _ = _ascending_target(l, twice_nu, p, q)
+    else:
+        ys, num, den, unit = _grid_ladder(parity, x)
+        a, b = ys[n], ys[n + 1]
+        v, w = (l * q * a - p * b, l * q + p) if l else (a, 1)
+        # the bound times ud f: e / f = sqrt(2 / (pi x)) den / num
         e, f = math.sqrt(2.0 / (math.pi * x)).as_integer_ratio()
         e, f = e * den, f * num
-    un, ud = unit.as_integer_ratio()
-    if abs(v) * ud * f <= w * un * max(max(abs(a), abs(b)) * f, e):
-        return 0
-    return 1 if v > 0 else -1
+        un, ud = unit.as_integer_ratio()
+        v, bound = v * ud * f, w * un * max(max(abs(a), abs(b)) * f, e)
+    return 0 if abs(v) <= bound else 1 if v > 0 else -1
 
 
 def _grid_series(twice_nu: int, x: float):
-    """_multiply's (pair, value) of order nu from the grid ladder at x."""
-    n, parity = divmod(twice_nu, 2)
-    return _multiply(_grid_ladder(parity, x, n), x, twice_nu)
+    """The (pair, value) of order nu around the grid point x: _ascending
+    below the turning point, else _multiply of the grid ladder at x."""
+    if 2.0 * x <= twice_nu:
+        return _ascending(twice_nu)
+    return _multiply(_grid_ladder(twice_nu % 2, x), x, twice_nu)
 
 
 def _eval_miller(twice_nu: int, x: float):

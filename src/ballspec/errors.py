@@ -17,15 +17,11 @@ class RangeError(BallspecError):
 
     The evaluation kernel supports bessel.X_MIN <= x <= bessel.X_MAX and
     orders nu stored as 2*nu, an integer in [0, bessel.TWICE_NU_MAX];
-    bessel checks that box. zeros._check_pair caps the order nu of every
-    zero (2 nu = 2l + d - 2 for a radial zero) at 2*nu + 2 <=
-    TWICE_NU_MAX, so that J_nu's census pair (nu, nu + 1) lies in the box;
-    Courant and Pleijel name their request in the refusals of its zeros,
-    and a spectrum's degree walk (zeros._degree_zeros) checks the first
-    degree out of the box before its work, naming the cutoff. A Neumann
-    l = 0 census reads J_{nu+1}, so at the two largest d it serves,
-    TWICE_NU_MAX - 1 and TWICE_NU_MAX, its pair reaches past the cap.
-    pleijel.D_MAX is the largest d with a gamma(d).
+    bessel checks that box. The zero census has no order cap: a zero
+    request is refused only where its zero lies past X_MAX, and Courant
+    and Pleijel name their request in the refusals of its zeros. A
+    spectrum's cutoff lies inside the argument box, so no cutoff is
+    refused. pleijel.D_MAX is the largest d with a gamma(d).
     Integer parameters are checked by bessel._check_int.
     """
 

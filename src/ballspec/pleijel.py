@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from ballspec import zeros
 from ballspec._format import dumps
-from ballspec.bessel import TWICE_NU_MAX, X_MAX, _check_int, log_gamma
+from ballspec.bessel import X_MAX, _check_int, log_gamma
 from ballspec.errors import CertificateFailure, RangeError
 
 __all__ = [
@@ -66,11 +66,10 @@ __all__ = [
     "six_decimals",
 ]
 
-# The largest d with a gamma(d): the census pair (nu, nu+1) of j_{nu,1},
-# nu = d/2 - 1, lies in the order box (d <= bessel.TWICE_NU_MAX) and its
-# census bound in the argument box (<= X_MAX); scanned downward from the
-# cap, so it reads one bound while the cap's own first zero lies in the box.
-D_MAX = next(d for d in range(TWICE_NU_MAX, 1, -1)
+# The largest d with a gamma(d): the census bound of j_{nu,1}, nu = d/2 - 1,
+# lies in the argument box (<= X_MAX); scanned downward from d = 2 X_MAX + 2,
+# as nu < j_{nu,1}.
+D_MAX = next(d for d in range(2 * int(X_MAX) + 2, 1, -1)
              if zeros._first_zero_lower((0, d - 2)) <= X_MAX)
 
 # Limit of the quotient gamma(d+1)/gamma(d) as d grows.

@@ -136,14 +136,14 @@ def _check_table_values(fast: bool) -> str | None:
 
 def _first_zero_keys(fast: bool) -> list[tuple[int, int]]:
     """The census keys of the first_zero_bounds suite: every J order and
-    every Neumann l >= 1 of a few d (fast: a sample) whose census pair
-    (nu, nu + 1) lies in the box and whose first zero provably does (its
-    upper bound is at most X_MAX)."""
+    every Neumann l >= 1 of a few d (fast: a sample) whose first zero
+    provably lies in the box (its upper bound is at most X_MAX, so that
+    nu < X_MAX)."""
     step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
-    cap = bessel.TWICE_NU_MAX
-    keys = [(0, tn) for tn in range(0, cap - 1, step)] + [
+    top = 2 * int(bessel.X_MAX)
+    keys = [(0, tn) for tn in range(0, top, step)] + [
         (l, 2 * l + d - 2) for d in dims
-        for l in range(1, (cap - d) // 2 + 1, step)]
+        for l in range(1, (top - d) // 2 + 1, step)]
     return [key for key in keys
             if zeros._first_zero_bounds(*key)[1] <= bessel.X_MAX]
 

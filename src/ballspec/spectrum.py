@@ -4,11 +4,13 @@ A mode with angular degree l has radial profile proportional to the scaled
 Bessel function whose zeros (Dirichlet) or derivative zeros (Neumann) set
 the admissible frequencies; the eigenvalue is the squared zero and its
 multiplicity is the dimension of the degree-l spherical-harmonic space.
-Enumeration is certified complete: zeros._degree_zeros walks the degrees
-up to the first one with no zero at or below the cutoff, past which no
-degree holds one (min-max, see there), and refuses a cutoff whose walk
-would leave the order box before it refines a zero past the degree below.
-Within a degree, zeros.radial_zeros walks every sign change from the origin.
+Enumeration is certified complete: it walks the degrees l = 0, 1, ... up
+to the first one with no zero at or below the cutoff. By min-max on the
+radial Rayleigh quotient, whose potential l(l+d-2)/r^2 grows with l, each
+degree's first zero lies strictly past the one before (Neumann's from l = 1
+on, as l = 0 always holds its ground state at r = 0), and rounding to the
+nearest float is monotone, so no later degree holds one either. Within a
+degree, zeros.radial_zeros walks every sign change from the origin.
 """
 
 from __future__ import annotations
@@ -115,12 +117,12 @@ def enumerate_spectrum(d: int, bc, lambda_max) -> SpectrumTable:
     lam_cut = lambda_max + CUTOFF_SLACK
     r_cut = min(math.sqrt(lam_cut), X_MAX)
     modes = []
-    degrees = zeros._degree_zeros(
-        bc, d, r_cut, f"completeness up to lambda_max={lambda_max!r}")
-    for l, found in enumerate(degrees):
+    l = 0
+    while found := zeros.radial_zeros(bc, l, d, r_cut):
         mult = multiplicity(l, d)
         modes += [(z, l, m, mult) for m, z in enumerate(found, 1)
                   if z * z <= lam_cut]
+        l += 1
     modes.sort()
     records = []
     next_label = 1

@@ -14,15 +14,8 @@ The m-th zero is found by a sign census on a fixed grid, walked from a
 rigorous zero-free lower bound itself, never from an asymptotic count
 (_first_zero_lower: for J Qu and Wong's, for g the Sturm bound below), so
 the returned zero is the m-th one. Where that bound clears a cutoff, no
-census runs and no order cap is checked.
-
-A spectrum's degrees l = 0, 1, ... are walked here too (_degree_zeros), up
-to the first with no zero at or below the cutoff: by min-max on the radial
-Rayleigh quotient, whose potential l(l+d-2)/r^2 grows with l, each degree's
-first zero lies strictly past the one before (Neumann's from l = 1 on, as
-l = 0 always holds its ground state at r = 0), and rounding to the nearest
-float is monotone, so no later degree holds one either, and the walk
-meets the order cap at one degree at most, which is checked first.
+census runs. A census has no order cap: a request is refused only for a
+zero past X_MAX.
 
 No scan cell can hide a pair of zeros, so the census is exhaustive. With
 w = sqrt(r) J_nu(r), w'' + (1 - (nu^2 - 1/4)/r^2) w = 0:
@@ -64,11 +57,14 @@ neighbouring float whose two midpoints flip, else Newton steps on the
 fixed-point values (_refine). So a zero rests on the kernel's error model
 alone, as the census signs do, not on the Newton path.
 
-Every key of either target reads bessel's one shared ladder per
-(parity, grid point): a census sign (bessel._grid_sign) is the sign of an
-exact integer of that ladder, y_n for J and l q y_n - p y_{n+1} for g at
-x = p / q, where the ladder's error model cannot flip it, else 0, which
-the widen rule takes. No census sign rounds or underflows.
+A census sign (bessel._grid_sign) is the sign of an exact integer, where
+its error bound cannot flip it, else 0, which the widen rule takes: of the
+ascending series below the turning point (2x <= twice_nu), and of bessel's
+one shared ladder per (parity, grid point) past it. No census sign rounds
+or underflows, at any order. Only Neumann keys l >= 1 reach below the
+turning point, as every J key's census bound lies past nu; for nu >= 200
+J_nu > 0 on the whole box, so by the interlacing above each such degree
+has at most its first zero in the box, below the turning point.
 """
 
 from __future__ import annotations
@@ -79,7 +75,7 @@ from enum import Enum
 from functools import lru_cache, partial
 
 from ballspec import bessel
-from ballspec.bessel import TWICE_NU_MAX, X_MAX, Order, _check_int
+from ballspec.bessel import X_MAX, Order, _check_int
 from ballspec.errors import BracketFailure, RangeError
 
 DEFAULT_STEP = math.pi / 2  # grid spacing: the widest cell with one zero
@@ -147,9 +143,9 @@ def _first_zero_bounds(l: int, twice_nu: int) -> tuple[float, float]:
 def _first_zero_lower(key: tuple[int, int]) -> float:
     """The census bound: below the key's first positive zero, shrunk a hair;
     inf past the float range. It starts the scan, and where it lies past a
-    cutoff radial_zeros runs no census and checks no order cap. J: Qu and
-    Wong's nu + 1.855757 nu^(1/3) (|a_1| 2^(-1/3) rounded down; Trans. AMS
-    351, 1999; DLMF 10.21(vii)); g: Sturm's. At fixed d it increases in l,
+    cutoff radial_zeros runs no census. J: Qu and Wong's nu + 1.855757
+    nu^(1/3) (|a_1| 2^(-1/3) rounded down; Trans. AMS 351, 1999; DLMF
+    10.21(vii)); g: Sturm's. At fixed d it increases in l,
     Neumann l = 0's key aside."""
     try:
         if key[0]:
@@ -316,17 +312,15 @@ def _census_zero(l: int, twice_nu: int, m: int):
 
 
 def _key(bc: BoundaryCondition, l: int, d: int):
-    """(key, ground, twice_nu) of a coerced bc, l and d checked: the census
-    key (l, twice_nu), whether the ground state at r = 0 precedes the key's
-    zeros, and the request's order 2l + d - 2, which the cap reads."""
+    """(key, ground) of a coerced bc, l and d checked: the census key (l,
+    twice_nu), twice_nu = 2l + d - 2, and whether the ground state at r = 0
+    precedes the key's zeros."""
     _check_int("l", l, 0)
     _check_int("d", d, 2)
     twice_nu = 2 * l + d - 2
-    if bc is BoundaryCondition.DIRICHLET:
-        return (0, twice_nu), False, twice_nu
-    if l == 0:
-        return (0, twice_nu + 2), True, twice_nu
-    return (l, twice_nu), False, twice_nu
+    if bc is BoundaryCondition.NEUMANN and l == 0:
+        return (0, twice_nu + 2), True
+    return (l if bc is BoundaryCondition.NEUMANN else 0, twice_nu), False
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +330,7 @@ def _key(bc: BoundaryCondition, l: int, d: int):
 def bessel_zero(nu: Order, m: int) -> float:
     """m-th positive zero j_{nu,m} of J_nu, certified by sign census."""
     bessel._check_order(nu)
-    return _zero((0, nu.twice_nu), False, nu.twice_nu, m,
+    return _zero((0, nu.twice_nu), False, m,
                  f"zero m={m} of J_nu at twice_nu={nu.twice_nu}")
 
 
@@ -371,76 +365,37 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     """The zeros find_zero(bc, l, d, m), m = 1, 2, ..., in [0, x_max].
 
     Neumann l = 0 starts with 0.0; where the census bound lies past x_max,
-    no census runs and no cap is checked. The walk stops at the first cell
-    past x_max, whose zero lies past x_max, so none is refined there, or at
-    the first refined zero past x_max: so at most one is discarded.
+    no census runs. The walk stops at the first cell past x_max, whose zero
+    lies past x_max, so none is refined there, or at the first refined zero
+    past x_max: so at most one is discarded.
     """
     bc = _coerce_bc(bc)
-    key, ground, twice_nu = _key(bc, l, d)
+    key, ground = _key(bc, l, d)
     x_max = float(x_max)
     if not 0.0 < x_max <= X_MAX:
         raise RangeError(f"x_max={x_max!r} outside (0, {X_MAX}]")
     out = [0.0] if ground else []
     if _first_zero_lower(key) > x_max:
         return out  # no census zero lies in [0, x_max]: no census runs
-    _check_pair(twice_nu, f"{bc.value} zero census of l={l}, d={d}")
-    m = 1  # census index of the next positive zero
-    while ((cell := _census_bracket(*key, m)) is not None
+    # out holds zeros 1..len, the last len - ground of them census zeros
+    while ((cell := _census_bracket(*key, len(out) + 1 - ground)) is not None
            and cell[0] <= x_max):
-        z = find_zero(bc, l, d, len(out) + 1)  # out holds zeros 1..len
+        z = find_zero(bc, l, d, len(out) + 1)
         if z > x_max:
             break
         out.append(z)
-        m += 1
     return out
 
 
-def _degree_zeros(bc: BoundaryCondition, d: int, x_max: float,
-                  what: str) -> list[list[float]]:
-    """radial_zeros(bc, l, d, x_max) for l = 0, 1, ... up to the first
-    degree with none; else, before the walk, a RangeError naming what and
-    the one degree that meets the cap: the first past it, or l = 1 where
-    that is Neumann's l = 0 served without a census, once its census bound
-    lies at or below x_max and the degree below holds a zero."""
-    def census(l: int) -> bool:  # whether degree l runs a census
-        return _first_zero_lower(_key(bc, l, d)[0]) <= x_max
-
-    l = max(0, (TWICE_NU_MAX - d) // 2 + 1)  # the first degree past the cap
-    if l == 0 and bc is BoundaryCondition.NEUMANN and not census(0):
-        l = 1  # the ground state alone
-    if census(l) and (l == 0 or radial_zeros(bc, l - 1, d, x_max)):
-        _check_pair(2 * l + d - 2, f"{what} (degree l={l})")
-    out = []
-    while found := radial_zeros(bc, len(out), d, x_max):
-        out.append(found)
-    return out
-
-
-def _zero(key: tuple[int, int], ground: bool, twice_nu: int, m: int,
-          what: str) -> float:
+def _zero(key: tuple[int, int], ground: bool, m: int, what: str) -> float:
     """The m-th zero of a request, its ground state at r = 0 first: the one
-    validation path of every zero request. It checks m and the cap on the
-    request's order twice_nu, and a RangeError names its zero (what)."""
+    validation path of every zero request. It checks m, and a RangeError
+    names its zero (what)."""
     _check_int("m", m, 1)
     if ground and m == 1:
         return 0.0  # the conventional zero at r = 0 needs no census
-    _check_pair(twice_nu, what)
     n = m - 1 if ground else m  # the census index of the zero
     if _census_bracket(*key, n) is None:
         raise RangeError(f"{what} lies beyond the supported box x <= {X_MAX}")
     return _census_zero(*key, n)
 
-
-def _check_pair(twice_nu: int, what: str) -> None:
-    """The census order cap on the request's order (2l + d - 2 for a radial
-    zero), for every caller: nu + 1 in the kernel box. Neumann l = 0's key
-    (0, d) is one order up, so at d = TWICE_NU_MAX - 1 and TWICE_NU_MAX its
-    pair reaches twice_nu = d + 2 (bessel_zero(Order(d), 1) is refused).
-    what names the request."""
-    if twice_nu + 2 > TWICE_NU_MAX:
-        # formed exactly: twice_nu may lie past the float range
-        nu1 = f"{twice_nu // 2 + 1}.{5 * (twice_nu % 2)}"
-        raise RangeError(
-            f"{what} needs Bessel order {nu1} beyond the "
-            f"kernel box (orders up to {TWICE_NU_MAX // 2})"
-        )

@@ -3,8 +3,9 @@ whose stdout digest and exit code tests/test_golden.py pins.
 
 The argv cover every subcommand and both formats, the lambda = 0 Neumann
 edge (the lone zero mode at r = 0), the degree-0 Neumann zeros (which
-count r = 0 first) at d = 3 and at d = 240, a zero of order 120,
-a kernel order-box error (exit 1, empty stdout), the selfcheck report and
+count r = 0 first) at d = 3 and at d = 240, a zero of order 120, a Neumann
+zero of order 240, whose pair reaches past the order cap, read below the turning
+point from the ascending series, the selfcheck report and
 its refusal of ``--format`` (exit 1, empty stdout), and every table layout
 the CLI writes, including empty CSV cells (the last ``quotient`` of a gamma
 table, a verdict with no nodal count ``mu``). Update a digest only in a
@@ -41,8 +42,8 @@ GOLDEN = [
      "f459371637a80cabef7679ef8dc661f4d1c50a1a7bb8b338c50d8e1be795ec35"),
     ("zeros --l 120 --d 2 --bc dirichlet --count 1", 0,
      "344f2afbcef7024624cdd9556e351efd124909a64a3df5938c919516c5bcca21"),
-    ("zeros --l 91 --d 300 --bc neumann --count 1", 1,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("zeros --l 91 --d 300 --bc neumann --count 1", 0,
+     "d2c0aa70b8bb8b9d1b1b84044e6550f9a5607de8d48223af493a34b17b9abf1e"),
     ("courant --d 2 --bc dirichlet --lmax 3 --mmax 2 --format csv", 0,
      "4e8fb9399dc80ef22a55b847cb75e4aa2a22019ec611a9e7b8e01729f56c4858"),
     ("courant --d 3 --bc neumann --lmax 2 --mmax 2", 0,

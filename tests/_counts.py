@@ -1,8 +1,8 @@
 """Work counts: how much the kernel and the census did while a test ran.
 
 The work-count pins read their counts here, and this is the only test code
-that wraps the kernel's ladder, its multiplication series and the census
-sign, so that a change to those seams edits one file:
+that wraps the kernel's ladder, its two series and the census sign, so
+that a change to those seams edits one file:
 
     work = _counts.count(monkeypatch)
     spectrum.enumerate_spectrum(3, "dirichlet", 3000)
@@ -14,6 +14,7 @@ Every count is deterministic, the same on any machine.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 
 from ballspec import bessel
 
@@ -31,7 +32,7 @@ class SharedLadders(dict):
 
     def __setitem__(self, key, ladder):
         self.builds[key] += 1
-        self.steps[key] += len(ladder[1])
+        self.steps[key] += len(ladder[0])
         super().__setitem__(key, ladder)
 
 
@@ -42,8 +43,11 @@ class Work:
       for eval_J and eval_J_pair;
     * shared: the shared ladders, with their builds and steps;
     * signs: (l, twice_nu, x) of every census sign read;
-    * series: multiplication series built ("base"), float sums ("pair")
-      and fixed-point sums ("value");
+    * series: the series of a refinement built ("base"), their float
+      pairs ("pair") and fixed-point values ("value"), from the
+      multiplication series or, below the turning point, the ascending
+      series, and the ascending series' exact sums ("ascending"): one a
+      census sign, float pair or value there;
     * pair_calls: eval_J_pair calls;
     * refined: the arguments (l, twice_nu, lo, hi, sign_lo) of every zero
       refined in a census cell.
@@ -83,7 +87,7 @@ def count(monkeypatch) -> Work:
         work.signs.append((l, twice_nu, x))
         return real(l, twice_nu, x)
 
-    def multiply(*args, real=_internals.multiply):
+    def series(*args, real):
         work.series["base"] += 1
         pair, value = real(*args)
 
@@ -97,6 +101,10 @@ def count(monkeypatch) -> Work:
 
         return counted_pair, counted_value
 
+    def ascending_sums(*args, real=_internals.ascending_sums):
+        work.series["ascending"] += 1
+        return real(*args)
+
     def refine(*args, real=_internals.refine):
         work.refined.append(args)
         return real(*args)
@@ -107,7 +115,10 @@ def count(monkeypatch) -> Work:
 
     _internals.replace(monkeypatch, "ladder", ladder)
     _internals.replace(monkeypatch, "grid_sign", grid_sign)
-    _internals.replace(monkeypatch, "multiply", multiply)
+    for name in ("multiply", "ascending"):
+        _internals.replace(monkeypatch, name,
+                           partial(series, real=getattr(_internals, name)))
+    _internals.replace(monkeypatch, "ascending_sums", ascending_sums)
     _internals.replace(monkeypatch, "refine", refine)
     monkeypatch.setattr(bessel, "eval_J_pair", eval_J_pair)
     return work

@@ -28,17 +28,21 @@ from tests import _oracle as oracle
 PARTS = {
     # the kernel: its one Miller ladder and the ladder's readers
     "ladder": (bessel, "_ladder"),  # (ys, num, den, unit) for an order
-    "bound": (bessel, "_bound"),  # the error model of a ladder pair
+    "bound": (bessel, "_pair_bound"),  # the error model of a ladder pair
     "miller_start": (bessel, "_miller_start"),
     "ln_j_inv": (bessel, "_ln_j_inv"),
     "eval_miller": (bessel, "_eval_miller"),  # eval_J's pair and bound
     "multiply": (bessel, "_multiply"),  # the multiplication series
+    # the ascending series below the turning point: its exact sums, and
+    # its (pair, value)
+    "ascending_sums": (bessel, "_ascending_sums"),
+    "ascending": (bessel, "_ascending"),
     "SPAN": (bessel, "_SPAN"),  # most terms of a series
     "P": (bessel, "_P"),  # fraction bits of the ladder
     "PI": (bessel, "_PI"),
     "PI_BITS": (bessel, "_PI_BITS"),
     # the census grid's shared ladders, owned by the kernel
-    "LADDERS": (bessel, "_LADDERS"),  # (parity, x) -> (top, *ladder)
+    "LADDERS": (bessel, "_LADDERS"),  # (parity, x) -> ladder
     "grid_ladder": (bessel, "_grid_ladder"),
     "grid_sign": (bessel, "_grid_sign"),  # a census sign
     "grid_series": (bessel, "_grid_series"),  # a refinement's series
@@ -143,14 +147,25 @@ def pair_target(l: int, twice_nu: int):
     return f
 
 
-def oracle_target(l: int, twice_nu: int, x) -> mp.mpf:
+def oracle_target(l: int, twice_nu: int, x, dps: int = 40) -> mp.mpf:
     """The target of the census key (l, twice_nu): J_nu at l = 0, else
     g = (l/x) J_nu - J_{nu+1}."""
-    with mp.workdps(40):
-        ja = oracle.oracle_J(twice_nu, x, dps=40)
+    with mp.workdps(dps):
+        ja = oracle.oracle_J(twice_nu, x, dps=dps)
         if l == 0:
             return ja
-        return (l / mp.mpf(x)) * ja - oracle.oracle_J(twice_nu + 2, x, dps=40)
+        return (l / mp.mpf(x)) * ja - oracle.oracle_J(twice_nu + 2, x, dps=dps)
+
+
+def series_scale(twice_nu: int, x0, x) -> mp.mpf:
+    """The factor by which the grid series of the order twice_nu at x0
+    scales its values at x: Gamma(nu+1) (2/x)^nu below the turning point
+    (2 x0 <= twice_nu), where it reads the ascending series, else 1."""
+    if 2.0 * x0 > twice_nu:
+        return mp.mpf(1)
+    with mp.workdps(60):
+        nu = mp.mpf(twice_nu) / 2
+        return mp.gamma(nu + 1) * (2 / mp.mpf(x)) ** nu
 
 
 def assert_nearest_float(l: int, twice_nu: int, z: float) -> None:

@@ -6,7 +6,7 @@ each grid point past it. The sweep reads that sign at every such (key,
 grid point) pair of the box: the 34,410 keys of ``tests/_box.census_keys``
 (the J orders, the Neumann l = 0 ones included, and the Neumann keys
 l >= 1 of every d), 2,282,673 pairs. A sign is +1, -1 or 0, and 0 (a sign
-the ladder's error model cannot decide) widens a census cell; the sweep
+its error bound cannot decide) widens a census cell; the sweep
 expects none. Its digest is the SHA-256 of one line a key, in that key
 order: ``l twice_nu `` and one character a grid point, ``+``, ``-`` or
 ``0``.

@@ -6,13 +6,15 @@ zeros); cross-checks against the extended-precision oracle in _oracle.py.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
 
-from tests import _box, _counts, _frozen, _internals
+from tests import _box, _frozen, _internals
 from tests import _oracle as oracle
-from tests._internals import TWIN_ORDERS, TWIN_XS, ladder_pair, twin_points
+from tests._internals import (TWIN_ORDERS, TWIN_XS, ladder_pair, next_point,
+                              oracle_target, series_scale, twin_points)
 from ballspec import bessel
 from ballspec.bessel import EvalResult, Order, eval_J, eval_J_pair, log_gamma
 from ballspec.errors import LossOfPrecision, RangeError
@@ -226,8 +228,7 @@ def ladder_pairs(parity: int, x: float, top: int):
         qs = [mp.mpf(y * num) / den for y in ys[:max(top, int(x)) + 2]]
     for n in range(len(qs) - 1):
         a, b = ys[n] * num / den, ys[n + 1] * num / den
-        yield n, qs[n], qs[n + 1], _internals.bound(
-            a, b, x, 2 * n + parity, unit)
+        yield n, qs[n], qs[n + 1], _internals.bound(a, b, x, unit)
 
 
 def test_ladder_float_within_its_bound():
@@ -258,27 +259,32 @@ def test_ladder_float_within_its_bound():
 
 
 def test_ladder_float_is_the_twin_ladder(monkeypatch):
-    # a shared ladder at x is the kernel's ladder sized for max(n, int(x))
-    # + SPAN, the order that asks first and the orders its multiplication
-    # series reads, step for step; and the census's sign on its integers
-    # decides every sign that the float rule decides, with the same sign:
-    # the float of the target from the floats nearest the pair's
-    # quotients, where it clears their bound, grown for g by g's three
-    # roundings. The integers decide every sign here, also J's and g's of
-    # order 119 at x = 0.05, whose floats underflow
-    decided = 0
+    # past the turning point (2x > twice_nu) a census sign reads the shared
+    # ladder at x, the kernel's ladder sized for int(x) + SPAN, every order
+    # below x and the orders its multiplication series reads, step for
+    # step; and the census's sign on its integers decides every sign that
+    # the float rule decides, with the same sign: the float of the target
+    # from the floats nearest the pair's quotients, where it clears their
+    # bound, grown for g by g's three roundings. The integers decide every
+    # sign here. Below the turning point a sign builds no ladder
+    decided = below = 0
     for tn in TWIN_ORDERS:
         n, parity = divmod(tn, 2)
         l = tn // 2 + 1
         for x in TWIN_XS + (0.05, 0.3):
             _internals.fresh_ladders(monkeypatch)
             signs = [_internals.grid_sign(k, tn, x) for k in (0, l)]
-            assert len(_internals.LADDERS) == 1 and 0 not in signs, (tn, x)
+            assert 0 not in signs, (tn, x)
+            if 2.0 * x <= tn:
+                assert not _internals.LADDERS, (tn, x)
+                below += 1
+                continue
+            assert len(_internals.LADDERS) == 1, (tn, x)
             ys, num, den, unit = _internals.ladder(
-                parity, x, max(n, int(x)) + _internals.SPAN)
-            assert _internals.LADDERS[parity, x][1:] == (ys, num, den, unit)
+                parity, x, int(x) + _internals.SPAN)
+            assert _internals.LADDERS[parity, x] == (ys, num, den, unit)
             a, b = ys[n] * num / den, ys[n + 1] * num / den
-            err = _internals.bound(a, b, x, tn, unit)
+            err = _internals.bound(a, b, x, unit)
             # g = (l/x) a - b, its bound grown by its three roundings
             q = l / x
             g_err = (q + 1.0) * err + (abs(q * a) + abs(b)) * 2.0**-51
@@ -286,16 +292,15 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
                 if abs(v) > e:
                     decided += 1
                     assert sign == (1 if v > 0.0 else -1), (tn, x, v)
-    assert decided > 2 * len(TWIN_ORDERS) * (len(TWIN_XS) + 1)
+    assert below > 10 and decided > len(TWIN_ORDERS) * (len(TWIN_XS) + 1)
 
 
 @pytest.mark.parametrize("x", TWIN_XS)
 @pytest.mark.parametrize("parity", [0, 1])
 def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
-    # the first ladder at a grid point is sized for the asking order and
-    # its series, max(n, int(x)) + SPAN; a later order above its
-    # top rebuilds it at twice the top, up to the box's top order, and a
-    # ladder sized for that top agrees with the first on every pair
+    # a census ladder is sized for int(x) + SPAN, eval_J's for its own
+    # order, up to the box's top order: a ladder sized for that top, one
+    # rebuilt taller, agrees with the short one on every pair
     top = max(3, int(x)) + _internals.SPAN
     lazy = list(ladder_pairs(parity, x, top))
     box = list(ladder_pairs(parity, x, max(bessel.TWICE_NU_MAX // 2 - 1,
@@ -305,21 +310,73 @@ def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
         assert abs(a - a2) <= err + err2 and abs(b - b2) <= err + err2, n
 
 
-@pytest.mark.parametrize("top", [119, 239], ids=["cap240", "cap480"])
-@pytest.mark.parametrize("x", TWIN_XS + (math.pi / 4, 3 * math.pi / 4))
-def test_grid_ladder_rebuilds_double_its_top(monkeypatch, x, top):
-    # orders 1..top asking in turn at one grid point (top the last order of
-    # the cap's box): each rebuild at least doubles the ladder's top from
-    # max(1, int(x)), so the point builds at most
-    # 1 + ceil(log2(top / max(1, int(x)))) ladders, whatever the cap, and
-    # the ladder each order reads spans its multiplication series
-    _internals.fresh_ladders(monkeypatch)
-    built = _counts.count(monkeypatch).ladders
-    for n in range(1, top + 1):
-        ys = _internals.grid_ladder(1, x, n)[0]
-        assert len(ys) > max(n, int(x)) + _internals.SPAN + 1, (n, len(ys))
-    assert 1 <= len(built) <= 1 + math.ceil(math.log2(top / max(1, int(x)))
-                                            ), built
+# ---------------------------------------------------------------------------
+# the ascending series below the turning point: a second proof of the census
+# signs there, and its enclosure where its terms cancel most
+
+
+def test_series_sign_is_a_fresh_ladder_sign_below_the_turning_point():
+    # at the first two grid points past the census bound of every 23rd
+    # census key, where they lie below the turning point (2x <= twice_nu)
+    # and the census reads the ascending series, the series' sign is the
+    # sign of the exact target of a fresh ladder sized for the order, which
+    # shares no code with it
+    checked = 0
+    for l, tn in _box.census_keys()[::23]:
+        x = _box.scan_bound(l, tn)
+        for _ in range(2):
+            x = next_point(tn % 2, x)
+            if 2.0 * x > tn:
+                break
+            a, b = ladder_pair(tn, x)
+            want = a if l == 0 else l / Fraction(x) * a - b
+            sign = _internals.grid_sign(l, tn, x)
+            assert sign != 0 and (sign > 0) == (want > 0), (l, tn, x)
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("twice_nu", [3, 40, 121, 240, 399, 400, 480])
+def test_series_value_brackets_the_oracle_near_the_turning_point(twice_nu):
+    # just below x = nu the series' terms cancel most: its exact sums at
+    # the grid point below nu lie within their err of the oracle's, which
+    # is below 2^-100 of S_nu, its float pair there is the scaled pair to a
+    # few ulps, and its values at the four midpoints around a point inside
+    # the cell below, of J_nu (l = 0) and of g (l = 1 and twice_nu // 4),
+    # each bracket the oracle's 50-digit target, scaled as the series
+    # scales it at that point, within err, a bound below 1e-12 of the value
+    # for J_nu: the value's own rounding to a float, not the sum's
+    parity = twice_nu % 2
+    grid = _internals.GRID[parity]
+    x0 = max(x for x in grid if 2.0 * x <= twice_nu)
+    z = math.nextafter(x0 - 0.5, 0.0)
+    pair, value = _internals.grid_series(twice_nu, x0)
+    scale = partial(series_scale, twice_nu, x0)
+    a, b, err, bits = _internals.ascending_sums(twice_nu,
+                                                *x0.as_integer_ratio())
+    with mp.workdps(120):
+        s0, s1 = (oracle.oracle_J(tn, x0, dps=120) * mp.gamma(tn / 2 + 1)
+                  * (2 / mp.mpf(x0)) ** (tn / 2)
+                  for tn in (twice_nu, twice_nu + 2))
+        assert abs(a - s0 * 2**bits) <= err and abs(b - s1 * 2**bits) <= err
+        assert 0 < err <= 2.0**-100 * a
+    with mp.workdps(50):
+        want = [oracle.oracle_J(tn, x0, dps=50) * scale(x0)
+                for tn in (twice_nu, twice_nu + 2)]
+        for got, w in zip(pair(x0), want, strict=True):
+            assert abs(got - w) <= 2.0**-51 * w, (got, w)
+        below, above = math.nextafter(z, 0.0), math.nextafter(z, math.inf)
+        ends = [math.nextafter(below, 0.0), below, z, above,
+                math.nextafter(above, math.inf)]
+        mids = [(mp.mpf(a) + mp.mpf(b)) / 2 for a, b in zip(ends, ends[1:])]
+        for l in (0, 1, twice_nu // 4):
+            at = value(z, l)
+            for i, mid in enumerate(mids):
+                v, err = at(i)
+                target = oracle_target(l, twice_nu, mid, dps=50) * scale(mid)
+                assert abs(mp.mpf(v) - target) <= err, (l, i, v, err)
+                if l == 0:
+                    assert err <= 1e-12 * v, (v, err)
 
 
 # ---------------------------------------------------------------------------
@@ -505,23 +562,6 @@ def test_underflow_boundary(x, last_kept):
                 eval_J(Order(tn), x)
 
 
-def test_series_refuses_a_span_that_underflows(monkeypatch):
-    # at the census grid point pi/2 every J_{170+k}, k <= 31, underflows to
-    # 0.0 (no census reads it: the bound of order 170 lies far past it), so
-    # the multiplication series has no term to scale by. Its float pair is
-    # the floats nearest the ladder's quotients, 0.0, and only a value,
-    # which nothing there can bound, is refused, naming the order and the
-    # centre
-    _internals.fresh_ladders(monkeypatch)
-    x0 = math.pi / 2
-    pair, value = _internals.grid_series(340, x0)
-    assert pair(x0) == (0.0, 0.0)
-    for l in (0, 1):
-        with pytest.raises(LossOfPrecision,
-                           match=rf"twice_nu=340, x0={x0!r}$"):
-            value(x0, l)
-
-
 def test_pair_refuses_when_only_the_upper_order_underflows():
     x = 1e-3
     for tn in (119, 120):
@@ -574,7 +614,7 @@ QUOTIENT_POINTS = (
 def test_ladder_quotient_within_bound():
     # the integer ladder's exact quotient ys[k] num / den, which
     # pair_target, the zero tests' reference, reads, lies within the pair's
-    # bound (its turning-point model included) of the oracle
+    # bound of the oracle
     checked = 0
     for tn, x in QUOTIENT_POINTS:
         try:
@@ -583,7 +623,7 @@ def test_ladder_quotient_within_bound():
             continue  # refused: past the box or below the underflow floor
         n, parity = divmod(tn, 2)
         ys, num, den, unit = _internals.ladder(parity, x, n)
-        bound = _internals.bound(pair[0].value, pair[1].value, x, tn, unit)
+        bound = _internals.bound(pair[0].value, pair[1].value, x, unit)
         for k, order in ((n, tn), (n + 1, tn + 2)):
             want = oracle.oracle_J(order, x, dps=45)
             with mp.workdps(60):

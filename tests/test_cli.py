@@ -16,14 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ballspec import bessel, cli, pleijel, spectrum, zeros
+from ballspec import bessel, cli, pleijel, zeros
 from tests import _box, _internals
 from tests._cli import GOLDEN, run_cli
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 CAP, D_MAX = _box.CAP, _box.EDGES["d_max"]
-GROUND_LIMIT = _box.EDGES["neumann", CAP + 1].limit  # Neumann past the cap
-N_D, N_LMAX, _, N_MMAX = _box.EDGES["neumann_window"]  # refused for its spectrum
+D1 = _box.EDGES["last_d_of_degree_one"]  # past it: the ground state alone
 
 TABLE_6DEC = [
     "0.691660", "0.455945", "0.296901", "0.192940", "0.125581",
@@ -363,19 +362,18 @@ class TestTopLevel:
         assert err.startswith(f"usage error: cannot write {target}: ")
 
     # (argv, what the message must name, internal value it must not name);
-    # the box's edges come from tests/_box.py, and the Neumann window is
-    # refused for its spectrum, which reaches the first degree out of the
-    # box
+    # the box's edges come from tests/_box.py; the Courant windows' top
+    # zeros, beta_{2,2} > j_{241,1} at d = 480 and beta_{1,1} past D1, lie
+    # past the argument box, and so does a cutoff past LAMBDA_MAX
     @pytest.mark.parametrize("argv,names,not_named", [
         (f"courant --d {CAP} --bc neumann --lmax 2 --mmax 2",
          (f"d={CAP}", "lmax=2"), "twice_nu"),
-        (f"courant --d {N_D} --bc neumann --lmax {N_LMAX} --mmax {N_MMAX}",
-         (f"d={N_D}", f"lmax={N_LMAX}", f"mmax={N_MMAX}"), None),
-        # the first refused cutoff past the cap: below it only the Neumann
-        # ground state lies, which needs no census
-        (f"spectrum --d {CAP + 1} --bc neumann --lambda-max {GROUND_LIMIT}",
-         (f"lambda_max={GROUND_LIMIT}.0 ",),
-         repr(GROUND_LIMIT + spectrum.CUTOFF_SLACK)),
+        (f"courant --d {D1 + 1} --bc neumann --lmax 1 --mmax 1",
+         (f"d={D1 + 1}", "lmax=1", "mmax=1", "beyond the supported box"),
+         "twice_nu"),
+        (f"spectrum --d {D1 + 1} --bc neumann --lambda-max "
+         f"{_box.LAMBDA_MAX + 1}", (f"lambda_max={_box.LAMBDA_MAX + 1}.0 ",),
+         "twice_nu"),
         (f"pleijel --gamma {D_MAX + 1}", (f"gamma({D_MAX + 1})",), "d_max"),
         # zero-census errors name the caller's (l, d, m), not the census key
         ("courant --d 2 --bc dirichlet --lmax 3 --mmax 70",
@@ -406,7 +404,8 @@ class TestTopLevel:
 
 # integer flags that set a Bessel order: a value past the float range must
 # fail (or, for a spectrum, print the table of the eigenvalues below the
-# cutoff: none for Dirichlet, the ground state for Neumann) as 1000 does
+# cutoff: none for Dirichlet, the ground state for Neumann) as 1000 does,
+# naming the argument box its zero lies past
 ORDER_FLAG_ARGV = [
     "zeros --l {} --d 2 --bc dirichlet --count 1",
     "zeros --l 0 --d {} --bc dirichlet --count 1",
@@ -435,7 +434,7 @@ def test_order_flags_past_the_float_range(capsys, argv, value):
     else:
         assert code == 1 and out == ""
         assert err.startswith("usage error: "), err
-        assert "needs Bessel order" in err, err
+        assert "beyond the supported box" in err, err
 
 
 CSV_ARGV = [argv for argv, _, _ in GOLDEN

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from ballspec.courant import (
 from ballspec.errors import CertificateFailure, RangeError
 from ballspec.pleijel import Check
 from ballspec.spectrum import BoundaryCondition, enumerate_spectrum, multiplicity
-from tests import _box, _internals
+from tests import _internals
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -299,38 +298,34 @@ class TestCourantSharpBall:
                     assert v.certificate == ()
 
     # the Dirichlet windows (d, lmax), mmax = 1, whose top order was the
-    # last of the cap-240 box (tests/_box.py's PINNED); the top degree of
-    # lmax = 2 takes labels from d + 2 on
+    # last of a census capped at order 240; the top degree of lmax = 2 takes
+    # labels from d + 2 on
     @pytest.mark.parametrize("d,lmax,want", [
         (d, lmax, [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]
          + [(2, 1, "ExcludedSphereLabel", d + 2)] * (lmax == 2))
-        for d, lmax in _box.PINNED["courant_windows"]])
+        for d, lmax in [(238, 1), (236, 2)]])
     def test_dirichlet_window_on_the_order_cap_edge(self, d, lmax, want):
         # with mmax = 2 the top zero (j_{119,2} at d = 238) lies past the
-        # census bound of the first degree out of the cap-240 box (Qu and
-        # Wong's 129.15338 on j_{120,1}), which refused the spectrum below
-        # it; the box serves it now, and the sharp set is {1, 2}
+        # census bound of the first degree out of that cap (Qu and Wong's
+        # 129.15338 on j_{120,1}), which refused the spectrum below it; the
+        # uncapped census serves it, and the sharp set is {1, 2}
         verdicts = courant_sharp_ball(d, D, lmax, 1)
         assert [(v.record.l, v.record.m, v.status.value, v.record.label_first)
                 for v in verdicts] == want
         assert sharp_labels(courant_sharp_ball(d, D, lmax, 2)) == {1, 2}
 
     def test_neumann_window_past_the_order_cap(self):
-        # the window's top zero lies below the refusal of a degree out of
-        # the box (l = 91 at d = 300, cap 480) at the served mmax and past
-        # it at the refused one: the spectrum below that top mode reaches
-        # the degree and is refused
-        d, lmax, served, mmax = _box.EDGES["neumann_window"]
-        assert sharp_labels(courant_sharp_ball(d, N, lmax, served)) == {1, 2}
-        order = re.escape(_box.EDGES["neumann_x"][-1])
-        with pytest.raises(RangeError, match=rf"needs the spectrum below "
-                           rf"the \({lmax}, {mmax}\) mode: .*Bessel order "
-                           rf"{order} "):
-            courant_sharp_ball(d, N, lmax, mmax)
+        # the spectrum below the window's top mode (1, 7) at d = 300 reaches
+        # Neumann degrees whose order lies past the order cap (l = 91 on,
+        # 2l + d - 2 >= 480), which a capped census refused; the census has
+        # no cap, so the window is served, and the sharp set is {1, 2}
+        verdicts = courant_sharp_ball(300, N, 1, 7)
+        assert len(verdicts) == 2 * 7
+        assert sharp_labels(verdicts) == {1, 2}
 
     def test_dirichlet_window_past_the_order_cap_edge(self):
         # (230, 2, 4): its top zero lies past that bound too
-        d, lmax, mmax = _box.PINNED["courant_refused"]
+        d, lmax, mmax = 230, 2, 4
         verdicts = courant_sharp_ball(d, D, lmax, mmax)
         assert len(verdicts) == (lmax + 1) * mmax
         assert sharp_labels(verdicts) == {1, 2}

@@ -1,8 +1,7 @@
 """The package has no dependencies: every import in ``src/ballspec`` names
 a standard-library module or ``ballspec`` itself. And the supported box has
-one home: one integer check (``bessel._check_int``) and the order cap
-compared only in ``bessel`` (the kernel) and ``zeros`` (the census pair),
-whose check only the census calls.
+one home: one integer check (``bessel._check_int``) and the order cap read
+only in ``bessel``, as the census has none.
 And a CLI job imports only the modules its subcommand runs, and never
 ``dataclasses``, an argument parser, ``json`` or ``fractions``. And the
 kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
@@ -10,8 +9,8 @@ kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
 and no double-double primitive left; the kernel owns those shared ladders,
 and the zero finder takes every value from them, none from
 ``bessel.eval_J_pair``, and names no part of them; the only fixed-point
-functions are ``bessel._ladder`` and its multiplication-series reader
-``bessel._multiply``. And outside ``tests/_internals.py``, the tests' one
+functions are ``bessel._ladder``, its multiplication-series reader
+``bessel._multiply`` and the ascending series below the turning point. And outside ``tests/_internals.py``, the tests' one
 table of the private parts of the ``ballspec`` modules, ``tests/_counts.py``,
 this file and the sweep scripts, no test names a private part of a
 ``ballspec`` module, README names none, and no test module imports
@@ -82,34 +81,15 @@ def test_is_int_is_called_only_by_check_int():
     assert len(calls) == 1
 
 
-def test_order_cap_is_compared_only_in_bessel_and_zeros():
-    caps = {"TWICE_NU_MAX", "D_MAX"}
-    found = [
-        (name, node.lineno)
-        for name, tree in _parsed()
-        if name not in ("bessel.py", "zeros.py")
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Compare) and _named(node, caps)
-    ]
-    assert found == []
-
-
-def test_only_the_census_reads_the_order_cap():
-    # the census checks the cap on each zero it is asked for (zeros._zero,
-    # zeros.radial_zeros) and on a spectrum's degree walk before the walk
-    # runs (zeros._degree_zeros, whose refusal names the cutoff); spectrum
-    # neither names the check nor catches a refusal, pleijel and courant
-    # ask for their top zero instead, and the census's shared ladders grow
-    # by doubling their top, so growing bessel.TWICE_NU_MAX changes no
-    # other module
-    calls = sorted(
-        (name, _enclosing(tree, node.lineno))
-        for name, tree in _parsed() for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and _named(node.func, {"_check_pair"}))
-    assert calls == [("zeros.py", "_degree_zeros"), ("zeros.py", "_zero"),
-                     ("zeros.py", "radial_zeros")]
+def test_only_bessel_reads_the_order_cap():
+    # bessel.TWICE_NU_MAX caps bessel.Order and eval_J_pair's pair, and no
+    # other module reads it: the census has no order cap (a zero is refused
+    # only past X_MAX), pleijel.D_MAX and the selfcheck's keys follow from
+    # X_MAX, spectrum catches no refusal, and the census's shared ladders
+    # are sized from x alone, so changing the cap changes no other module
+    assert [name for name, tree in _parsed()
+            if _named(tree, {"TWICE_NU_MAX"})] == ["bessel.py"]
     spectrum = dict(_parsed())["spectrum.py"]
-    assert not _named(spectrum, {"_check_pair", "TWICE_NU_MAX"})
     assert [node.lineno for node in ast.walk(spectrum)
             if isinstance(node, ast.ExceptHandler)
             and (node.type is None or _named(node.type, {
@@ -141,8 +121,8 @@ def test_only_bessel_names_the_double_double_ladder():
 
 def test_zero_finder_takes_no_value_from_eval_j_pair():
     # every zero, its census signs and its certificate read the census's
-    # shared ladders (bessel._grid_ladder), so a zero rests on bessel._bound
-    # of those ladders alone
+    # shared ladders (bessel._grid_ladder) or, below the turning point, the
+    # ascending series, so a zero rests on their bounds alone
     tree = dict(_parsed())["zeros.py"]
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))
@@ -152,11 +132,11 @@ def test_zero_finder_takes_no_value_from_eval_j_pair():
 
 def test_zero_finder_names_no_part_of_the_census_ladder():
     # bessel builds, caches, sizes and reads the census grid's shared
-    # ladders; zeros reaches them through bessel._grid_sign and
-    # bessel._grid_series only, and names none of their parts, in code,
-    # comments or docstrings
+    # ladders and its ascending series; zeros reaches them through
+    # bessel._grid_sign and bessel._grid_series only, and names none of
+    # their parts, in code, comments or docstrings
     parts = re.compile(r"\b(_ladder|_multiply|_bound|_pair_bound|_SPAN"
-                       r"|_LADDERS|_LADDER_TOP|_grid_ladder)\b")
+                       r"|_LADDERS|_LADDER_TOP|_grid_ladder|_ascending\w*)\b")
     text = (SRC / "zeros.py").read_text()
     assert parts.findall(text) == []
     assert set(re.findall(r"_grid_\w+", text)) == {"_grid_sign",
@@ -221,13 +201,18 @@ def test_eval_miller_is_the_only_high_precision_ladder():
 
 
 def test_only_the_ladder_and_its_series_reader_run_in_fixed_point():
-    # a shift (<< or >>) marks fixed point: only bessel._ladder and
-    # bessel._multiply, the multiplication series that reads it, shift
+    # a shift (<< or >>) marks fixed point: only bessel._ladder,
+    # bessel._multiply, the multiplication series that reads it, and the
+    # ascending series below the turning point, its exact sums, its census
+    # target and its (pair, value), shift
     shifts = {(name, _enclosing(tree, node.lineno))
               for name, tree in _parsed() for node in ast.walk(tree)
               if isinstance(node, ast.BinOp)
               and isinstance(node.op, (ast.LShift, ast.RShift))}
-    assert shifts == {("bessel.py", "_ladder"), ("bessel.py", "_multiply")}
+    assert shifts == {("bessel.py", "_ladder"), ("bessel.py", "_multiply"),
+                      ("bessel.py", "_ascending_sums"),
+                      ("bessel.py", "_ascending_target"),
+                      ("bessel.py", "_ascending")}
 
 
 def _enclosing(tree: ast.AST, line: int) -> str:
@@ -243,8 +228,10 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
     # census signs, Newton and the certificate read); the float ladder,
     # its rescale constants and readers, the Taylor phase and the
     # pair-based certificate are gone, as are the scan start rounded down
-    # to the grid, zeros' copy of the CLI's --tol default and the float
-    # census signs (the census pair, its sign rule and underflow guard)
+    # to the grid, zeros' copy of the CLI's --tol default, the float
+    # census signs (the census pair, its sign rule and underflow guard),
+    # and the census's order cap, its spectrum check and the ladder's
+    # below-turning-point error model
     calls = []
     for name, tree in _parsed():
         calls += [(name, _enclosing(tree, node.lineno))
@@ -258,7 +245,8 @@ def test_ladder_has_one_reader_per_use_and_no_float_twin():
             "_TERMS", "_HANDOVER", "_RADIUS", "_exact", "_certificate",
             "_target", "_nearest", "_GAP_REL", "_target_err", "_grid_cells",
             "_combine", "_curvature", "_grid_points", "_scan_start",
-            "DEFAULT_TOL", "_LADDER_TOP", "_TINY", "_grid_pair", "_sign"}
+            "DEFAULT_TOL", "_LADDER_TOP", "_TINY", "_grid_pair", "_sign",
+            "_check_pair", "_bound", "_degree_zeros"}
     tests = sorted(SRC.parents[1].joinpath("tests").glob("*.py"))
     found = [
         (path.name, node.lineno)

@@ -60,10 +60,9 @@ class TestGammaValues:
             assert 0.0 < pleijel.gamma(d) < 1.0
 
     def test_gamma_at_order_box_edge(self):
-        # the census needs the (nu, nu+1) pair in the order box and the
-        # first zero's census bound in the argument box, so D_MAX (380 at
-        # cap 480, where the argument box binds) is the last supported
-        # dimension and the next the first rejected one
+        # the census needs the first zero's census bound in the argument
+        # box, so D_MAX (380) is the last supported dimension and the next
+        # the first rejected one
         d_max = _box.EDGES["d_max"]
         assert pleijel.D_MAX == d_max
         assert 0.0 < pleijel.gamma(d_max) < pleijel.gamma(d_max - 1)
@@ -75,9 +74,9 @@ class TestGammaValues:
         with pytest.raises(RangeError):
             pleijel.gamma(bad)
 
-    # at cap 480, past the last d with a census bound in the argument box
-    # (380), the census refuses the request's top first zero before any
-    # other zero is refined, and the refusal starts with the request
+    # past the last d with a census bound in the argument box (380), the
+    # census refuses the request's top first zero before any other zero is
+    # refined, and the refusal starts with the request
     @pytest.mark.parametrize("name,args,prefix", [
         ("gamma", lambda d: (d + 1,), "gamma({top}): "),
         ("quotient_curve", lambda d: (2, d),
@@ -87,8 +86,7 @@ class TestGammaValues:
     ], ids=["gamma", "quotient_curve", "certificate"])
     def test_refusal_past_the_argument_box_names_the_request(
             self, monkeypatch, name, args, prefix):
-        d = _box.d_max(480)
-        monkeypatch.setattr(zeros, "TWICE_NU_MAX", 480)
+        d = _box.EDGES["d_max"]
         work = _counts.count(monkeypatch)
         with pytest.raises(RangeError) as exc:
             getattr(pleijel, name)(*args(d))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import pytest
 
@@ -20,8 +19,8 @@ from ballspec.spectrum import (
     weyl_count,
 )
 
-from tests import _box, _counts, _frozen
-from tests._internals import assert_nearest_float, cold
+from tests import _box, _frozen
+from tests._internals import assert_nearest_float
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -286,38 +285,6 @@ class TestDegreeLoop:
         assert all(found for _, found in calls[:-1]) and calls[-1][1] == []
         assert {rec.l for rec in table.records} == set(range(empty))
 
-    @pytest.mark.parametrize("bc,d,lam_max", [
-        # no Dirichlet cutoff is refused: Qu and Wong's bound puts the first
-        # degree out of the box past X_MAX in every d
-        ("neumann", 300, 40000.0),
-        ("neumann", _box.CAP - 2, 1000.0),
-        # past the cap: the ground state alone, served without a census,
-        # and then degree 1 is out of the box
-        ("neumann", _box.CAP + 1, 1000.0),
-    ])
-    def test_refusal_comes_before_the_work(self, monkeypatch, bc, d,
-                                           lam_max):
-        # a cutoff whose degree walk would leave the order box is refused
-        # once the degree below the first one out holds a zero: from cold
-        # caches only that degree's zeros are refined (4,501 zeros of
-        # every degree at d = 2 when the walk met the cap last)
-        edge = _box.EDGES[bc, d]
-        assert edge.limit is not None and lam_max >= edge.limit
-        l = _box.first_degree_out(d) or 1  # Neumann's ground state first
-        cold()
-        refined = _counts.count(monkeypatch).refined
-        with pytest.raises(RangeError) as info:
-            enumerate_spectrum(d, bc, lam_max)
-        monkeypatch.undo()
-        cold()
-        assert str(info.value) == (
-            f"completeness up to lambda_max={lam_max!r} (degree l={l}) "
-            f"needs Bessel order {edge.order} beyond the kernel box "
-            f"(orders up to {_box.CAP // 2})")
-        below = _box.census_key(bc, l - 1, d)
-        assert {args[:2] for args in refined} <= {below}
-        assert len(refined) <= (0 if l == 1 else 16)
-
 
 # ---------------------------------------------------------------------------
 # label_of
@@ -440,100 +407,49 @@ class TestEnumerationValidation:
         with pytest.raises(RangeError):
             enumerate_spectrum(1, D, 10.0)
 
-    def test_cutoff_beyond_order_box_is_reported(self):
-        # completeness would need a degree past the kernel's order range,
-        # whose census bound lies at or below sqrt(LAMBDA_MAX)
-        with pytest.raises(RangeError):
-            enumerate_spectrum(_box.EDGES["neumann_x"][1], N,
-                               spectrum.LAMBDA_MAX)
-
-    @pytest.mark.parametrize("d,inside,limit", [
-        (d, *_box.EDGES["neumann", d][:2])
-        for d in _box.dims()["neumann bisection"]])
-    def test_neumann_limit_by_integer_bisection(self, d, inside, limit):
-        # bisection on the integer cutoff between 0 and past LAMBDA_MAX
-        # finds the largest lambda_max that enumerates and the first one
-        # refused (past LAMBDA_MAX where every cutoff enumerates). Past the
-        # order cap the Neumann l = 0 census runs only where J_{nu+1}'s
-        # first zero may lie below the cutoff, so the ground state alone
-        # enumerates until the first zero of l = 1, past sqrt(d - 1), needs
-        # an order past the box
-        def enumerates(lam):
-            try:
-                enumerate_spectrum(d, N, lam)
-            except RangeError:
-                return False
-            return True
-
-        lo, hi = 0, int(spectrum.LAMBDA_MAX) + 1
-        assert enumerates(lo) and not enumerates(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if enumerates(mid) else (lo, mid)
-        assert (lo, hi) == (inside, limit or int(spectrum.LAMBDA_MAX) + 1)
-        if d > _box.CAP:
-            records = enumerate_spectrum(d, N, inside).records
-            assert [(r.l, r.m, r.zero) for r in records] == [(0, 1, 0.0)]
-            with pytest.raises(RangeError, match=r"\(degree l=1\) needs"):
-                enumerate_spectrum(d, N, limit)
-
-    @pytest.mark.parametrize("d,inside,limit", [
-        (d, *_box.EDGES["neumann", d][:2])
-        for d in _box.dims()["neumann top degree"]])
-    def test_neumann_enumerates_up_to_the_order_box(self, d, inside, limit):
-        # a Neumann spectrum is refused once the degree loop reaches the
-        # first degree out of the order box (the degree below has its first
-        # zero inside the cutoff) and that degree's Sturm bound
-        # sqrt(l(l+d-2)) lies inside it too: just inside that point it
-        # enumerates, and the top degree's zeros are the floats nearest the
-        # oracle's; at the point the degree loop refuses and names
-        # lambda_max
-        table = enumerate_spectrum(d, N, inside)
+    @pytest.mark.parametrize("d", [2, 3, 30, 100, 267, 300, 480, 481, 1000,
+                                   10000, 40000])
+    def test_neumann_enumerates_up_to_lambda_max(self, d):
+        # no Neumann cutoff is refused, in any d: at LAMBDA_MAX a spectrum
+        # holds the degrees whose first zero lies in the box, past the order
+        # cap too, up to the last d whose degree 1 has one; past it the
+        # ground state alone (d = 40,000, where beta_{1,1} = 200.0025). The
+        # zeros of the top degree, and each zero of an order past the cap,
+        # read below the turning point from the ascending series alone, are
+        # the floats nearest the oracle's
+        table = enumerate_spectrum(d, N, spectrum.LAMBDA_MAX)
+        if d > _box.EDGES["last_d_of_degree_one"]:
+            assert [(r.l, r.m, r.zero) for r in table.records] == [
+                (0, 1, 0.0)]
+            return
         top = max(rec.l for rec in table.records)
-        tops = [rec.zero for rec in table.records if rec.l == top]
-        assert top > 60 and tops
-        for z in tops:
-            assert_nearest_float(top, 2 * top + d - 2, z)
-        if limit is not None:
-            order = re.escape(_box.EDGES["neumann", d].order)
-            with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
-                               rf"\(degree l=\d+\) needs Bessel order "
-                               rf"{order} "):
-                enumerate_spectrum(d, N, limit)
+        checked = 0
+        for rec in table.records:
+            twice_nu = 2 * rec.l + d - 2
+            if rec.l and (rec.l == top or twice_nu > _box.CAP):
+                assert_nearest_float(rec.l, twice_nu, rec.zero)
+                checked += 1
+        assert top >= 1 and checked >= 1
 
-    @pytest.mark.parametrize("d,inside,limit,order", [
-        (d, *_box.EDGES["dirichlet", d]) for d in _box.dims()["dirichlet"]])
-    def test_dirichlet_limit_is_the_census_bound(self, d, inside, limit,
-                                                 order):
-        # a Dirichlet spectrum is refused where Qu and Wong's bound on
-        # j_{nu,1} of the first degree past the order box lies at or below
-        # the cutoff, as the first zero of the degree below lies under that
-        # bound, so the degree loop reaches it: 129.15338^2
-        # = 16680.6 (nu = 120, even d) and 128.64065^2 = 16548.4 (nu =
-        # 119.5, odd d) at cap 240. Just inside it enumerates, and the top
-        # degrees' zeros, the orders within 6 of the cap, past Watson's old
-        # limit on the first degree out, are the floats nearest the
-        # oracle's; at the limit the degree loop refuses and names
-        # lambda_max. Past the order cap no degree has a census, so a
-        # spectrum is the empty table while degree 0's census bound lies
-        # past the cutoff; where that bound passes X_MAX every cutoff
-        # enumerates
-        table = enumerate_spectrum(d, D, inside)
-        if d > _box.CAP:
+    @pytest.mark.parametrize("d", [2, 3, 300, _box.EDGES["d_max"],
+                                   _box.EDGES["d_max"] + 1],
+                             ids=["even", "odd", "d300", "d_max",
+                                  "past_d_max"])
+    def test_dirichlet_enumerates_up_to_lambda_max(self, d):
+        # no Dirichlet cutoff is refused, in any d: Qu and Wong's census
+        # bound lies past X_MAX from twice_nu = 379 on, so no census runs
+        # there. At LAMBDA_MAX the zeros of the top two degrees are the
+        # floats nearest the oracle's; past d_max, where j_{d/2-1,1} lies
+        # past X_MAX, a spectrum is the empty table
+        table = enumerate_spectrum(d, D, spectrum.LAMBDA_MAX)
+        if d > _box.EDGES["d_max"]:
             assert table.records == ()
-        elif limit is not None:
-            tops = [rec for rec in table.records
-                    if 2 * rec.l + d - 2 >= _box.CAP - 6]
-            assert len(tops) >= 2
-            for rec in tops:
-                assert rec.zero > _box.watson(_box.CAP)
-                assert_nearest_float(0, 2 * rec.l + d - 2, rec.zero)
-        if limit is not None:
-            l = _box.first_degree_out(d)
-            with pytest.raises(RangeError, match=rf"lambda_max={limit}\.0 "
-                               rf"\(degree l={l}\) needs Bessel order "
-                               rf"{re.escape(order)} "):
-                enumerate_spectrum(d, D, limit)
+            return
+        top = max(rec.l for rec in table.records)
+        tops = [rec for rec in table.records if rec.l >= top - 1]
+        assert tops
+        for rec in tops:
+            assert_nearest_float(0, 2 * rec.l + d - 2, rec.zero)
 
     def test_record_for_missing_mode(self):
         table = enumerate_spectrum(2, D, 40.0)

@@ -10,7 +10,6 @@ import importlib.util
 import itertools
 import json
 import math
-import re
 import sys
 from collections import Counter
 from functools import partial
@@ -30,7 +29,7 @@ from tests import _box, _counts, _frozen, _internals
 from tests import _oracle as oracle
 from tests._internals import (assert_nearest_float, census_key, cold,
                               next_point, oracle_target, pair_target,
-                              twin_points)
+                              series_scale, twin_points)
 
 
 def rel_err(got: float, want: float) -> float:
@@ -120,15 +119,17 @@ class TestValidation:
 
 
 # ---------------------------------------------------------------------------
-# the edges of the order box: the census needs the pair (nu, nu + 1), so
-# twice_nu + 2 <= TWICE_NU_MAX. Each pair of rows is one caller's last
-# accepted request at cap 240, whose output it pins, and its first refused
-# request at this cap, from tests/_box.py; tests/test_box.py checks that at
-# cap 240 the two are adjacent. Past the cap the Neumann ground state is
-# served, and a Neumann degree refused, at this cap
+# the edges of the box: the census reads no order cap, so a zero request is
+# refused only where its zero lies past X_MAX. Each pair of rows is one
+# caller's request whose output it pins (the first ones at the top d or
+# order of the cap-240 box) and its first refused request, from
+# tests/_box.py: past d_max, past the top J order, and past the last d whose
+# Neumann degree 1 has a zero in the box, where a spectrum is the ground
+# state alone
 
 E, P = _box.EDGES, _box.PINNED
 D_PAST, X_IN = E["ground_x"]  # Neumann l = 0 past the cap
+D1 = E["last_d_of_degree_one"]
 
 
 def _courant_rows(d: int) -> list:
@@ -138,25 +139,25 @@ def _courant_rows(d: int) -> list:
 
 @pytest.mark.parametrize("call,want", [
     (lambda: [(r.d, r.gamma, r.quotient_next)
-              for r in pleijel.gamma_table(P["d_max"], P["d_max"])],
-     [(P["d_max"], 7.813247375101231e-37, None)]),
+              for r in pleijel.gamma_table(P["order_cap"], P["order_cap"])],
+     [(P["order_cap"], 7.813247375101231e-37, None)]),
     (lambda: pleijel.gamma_table(E["d_max"] + 1, E["d_max"] + 1), RangeError),
-    (lambda: pleijel.quotient_curve(P["d_max"] - 1, P["d_max"] - 1),
-     [(P["d_max"] - 1, 0.7201590924083663)]),
+    (lambda: pleijel.quotient_curve(P["last_order"] + 1,
+                                    P["last_order"] + 1),
+     [(P["last_order"] + 1, 0.7201590924083663)]),
     (lambda: pleijel.quotient_curve(E["d_max"], E["d_max"]), RangeError),
-    (lambda: pleijel.monotonicity_certificate(P["d_max"] - 1).check(
+    (lambda: pleijel.monotonicity_certificate(P["last_order"] + 1).check(
         "final_lt_1").lhs, 0.7201590924083663),
     (lambda: pleijel.monotonicity_certificate(E["d_max"]), RangeError),
     (lambda: _courant_rows(P["last_order"]),
      [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]),
-    (lambda: _courant_rows(E["last_order"] + 1), RangeError),
-    # past the cap a Neumann cutoff below the first positive zero of every
-    # degree holds the ground state alone, which needs no census
+    (lambda: _courant_rows(D1 + 1), RangeError),  # needs the (1, 1) zero
+    # past D1 every Neumann cutoff holds the ground state alone, and only a
+    # cutoff past the argument box is refused
     (lambda: [(r.l, r.m, r.zero) for r in spectrum.enumerate_spectrum(
-        D_PAST, "neumann", float(E["neumann", D_PAST].inside)).records],
-     [(0, 1, 0.0)]),
+        D1 + 1, "neumann", _box.LAMBDA_MAX).records], [(0, 1, 0.0)]),
     (lambda: spectrum.enumerate_spectrum(
-        D_PAST, "neumann", E["neumann", D_PAST].limit), RangeError),
+        D1 + 1, "neumann", _box.LAMBDA_MAX + 1), RangeError),
     (lambda: spectrum.enumerate_spectrum(
         E["order_cap"] + 1, "dirichlet", 10.0).records, ()),
     (lambda: zeros.neumann_zero(0, 500, 1), 0.0),  # r = 0 needs no census
@@ -166,15 +167,16 @@ def _courant_rows(d: int) -> list:
     (lambda: zeros.dirichlet_zero(0, P["order_cap"], 1), 128.33786578015122),
     (lambda: zeros.dirichlet_zero(0, E["order_cap"] + 1, 1), RangeError),
     (lambda: zeros.neumann_zero(1, P["last_order"], 1), 15.45989431346645),
-    (lambda: zeros.neumann_zero(1, E["last_order"] + 1, 1), RangeError),
+    (lambda: zeros.neumann_zero(1, D1 + 1, 1), RangeError),
     # no census runs below the census bound on the first positive zero,
-    # Qu and Wong's on j_{d/2,1}, nor below that of a degree out of the box
+    # Qu and Wong's on j_{d/2,1}; the first zero of degree 1 at D1 lies
+    # just inside the box, below the turning point
     (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, D_PAST, X_IN),
      [0.0]),
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN,
-                                *E["neumann_x"][:3]), []),
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN,
-                                *E["neumann_x"][:2], E["neumann_x"][3]),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 1, D1,
+                                _box.X_MAX), [199.99750010937638]),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 1, D1,
+                                math.nextafter(_box.X_MAX, math.inf)),
      RangeError),
 ])
 def test_order_box_edges(call, want):
@@ -320,7 +322,9 @@ class TestOracleSpots:
 
 
 # ---------------------------------------------------------------------------
-# the multiplication series: f and df against the oracle across the box
+# the grid series, the multiplication series past the turning point and the
+# ascending series below it: f and df against the oracle across the box,
+# scaled as the series scales them (series_scale)
 
 # (tag, l, twice_nu, points), each read through its census_key: small x at
 # the low points, large x above; G at
@@ -339,13 +343,14 @@ TARGET_POINTS = [
 
 
 def cell_series(l: int, twice_nu: int, x: float):
-    """The grid series' pair, and its value of the census key (l,
-    twice_nu) at all four midpoints around a float, from the shared ladder
-    at the upper end of the grid cell around x, as a refinement reads
-    them."""
+    """The grid series' pair, its value of the census key (l, twice_nu) at
+    all four midpoints around a float, and the factor it scales both by at
+    a point, from the upper end of the grid cell around x, as a refinement
+    reads them."""
     x0 = next_point(twice_nu % 2, x)
     pair, value = _internals.grid_series(twice_nu, x0)
-    return pair, lambda z: [*map(value(z, l), range(4))]
+    return (pair, lambda z: [*map(value(z, l), range(4))],
+            partial(series_scale, twice_nu, x0))
 
 
 def midpoints(z: float) -> list:
@@ -370,10 +375,11 @@ def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
     # the value's own rounding to a float
     _internals.fresh_ladders(monkeypatch)
     l, twice_nu = census_key(tag, l, twice_nu)
-    pair, value = cell_series(l, twice_nu, x)
+    pair, value, scale = cell_series(l, twice_nu, x)
     f, df, _ = _internals.jet(l, 0.5 * twice_nu, x, *pair(x))
     with mp.workdps(40):
-        ja, pa, jb, pb = (mp.besselj(mp.mpf(tn) / 2, x, derivative=k)
+        ja, pa, jb, pb = (scale(x) * mp.besselj(mp.mpf(tn) / 2, x,
+                                                derivative=k)
                           for tn in (twice_nu, twice_nu + 2) for k in (0, 1))
         if l == 0:
             terms = (ja, pa)
@@ -383,30 +389,33 @@ def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
                      (l / mp.mpf(x)) * pa, pb)
             want_f = terms[0] - terms[1]
             want_df = -terms[2] + terms[3] - terms[4]
-        scale = max(max(abs(t) for t in terms), abs(jb))
-        assert abs(f - want_f) <= 1e-13 * scale, (f, want_f)
-        assert abs(df - want_df) <= 1e-13 * scale, (df, want_df)
+        size = max(max(abs(t) for t in terms), abs(jb))
+        assert abs(f - want_f) <= 1e-13 * size, (f, want_f)
+        assert abs(df - want_df) <= 1e-13 * size, (df, want_df)
         for mid, (v, err) in zip(midpoints(x), value(x), strict=True):
-            miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
+            miss = abs(mp.mpf(v)
+                       - scale(mid) * oracle_target(l, twice_nu, mid))
             assert miss <= err, (mid, v, float(miss), err)
-            assert err <= 1e-22 * scale + 1e-13 * abs(v), (err, v)
+            assert err <= 1e-22 * size + 1e-13 * abs(v), (err, v)
 
 
 @pytest.mark.parametrize("tag,l,twice_nu", [
-    ("J", 0, 0), ("G", 3, 7), ("J", 0, 202), ("G", 1, 238)])
+    ("J", 0, 0), ("G", 3, 7), ("J", 0, 202), ("G", 26, 55)])
 def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
                                                        twice_nu):
     # a ladder whose quotients J_{nu+k}(x0) each sit 0.95 of the ladder's
     # own bound from the truth, with the signs of their coefficients in f,
-    # moves the series by most of its ladder part; at the first zero (G at
-    # d = 238 below the turning point) the fixed-point value from it must
-    # still lie within its bound of the truth at the midpoints around it
+    # moves the multiplication series by most of its ladder part; at the
+    # first zero (G at d = 5, l = 26, just past the turning point, where
+    # |g'| is small) the fixed-point value from it must still lie within
+    # its bound of the truth at the midpoints around it
     _internals.fresh_ladders(monkeypatch)
     l, twice_nu = census_key(tag, l, twice_nu)
     n, parity = divmod(twice_nu, 2)
     z = _internals.census_zero(l, twice_nu, 1)
     x0 = next_point(parity, z)
-    ys, num, den, unit = _internals.grid_ladder(parity, x0, n)
+    assert 2.0 * x0 > twice_nu  # the grid series is the ladder's
+    ys, num, den, unit = _internals.grid_ladder(parity, x0)
     w = (z * z - x0 * x0) / (2.0 * x0)
     c = [(-w) ** k / math.factorial(k) for k in range(_internals.SPAN + 2)]
     worst = 0.0
@@ -416,7 +425,7 @@ def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
             weight = c[k] if l == 0 else l / z * c[k] - z / x0 * (
                 c[k - 1] if k else 0.0)
             a, b = (ys[i] * num / den for i in (n + k, n + k + 1))
-            step = 0.95 * _internals.bound(a, b, x0, twice_nu + 2 * k, unit)
+            step = 0.95 * _internals.bound(a, b, x0, unit)
             truth = mp.besselj(mp.mpf(twice_nu) / 2 + k, x0)
             skewed[n + k] = int(mp.nint(
                 (truth + math.copysign(step, weight)) * den / num))
@@ -431,56 +440,64 @@ def test_series_bound_covers_a_ladder_off_by_its_bound(monkeypatch, tag, l,
 
 
 def test_series_cut_short_keeps_its_tail_in_its_bound(monkeypatch):
-    # with the series capped at 6 terms the tail past them dominates the
-    # error, and the fixed-point value still lies within its bound of the
-    # oracle, a bound within 1e3 of the miss
+    # with the multiplication series capped at 6 terms the tail past them
+    # dominates the error, and the fixed-point value still lies within its
+    # bound of the oracle, a bound within 1e3 of the miss (the ascending
+    # series below the turning point has no cap)
     _internals.replace(monkeypatch, "SPAN", 6)
     _internals.fresh_ladders(monkeypatch)
     worst = 0.0
     for tag, l, twice_nu, points in TARGET_POINTS:
         l, twice_nu = census_key(tag, l, twice_nu)
         for x in points:
-            _, value = cell_series(l, twice_nu, x)
+            _, value, scale = cell_series(l, twice_nu, x)
             with mp.workdps(40):
                 for mid, (v, err) in zip(midpoints(x), value(x),
                                          strict=True):
-                    miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
+                    miss = abs(mp.mpf(v)
+                               - scale(mid) * oracle_target(l, twice_nu, mid))
                     assert miss <= err, (l, twice_nu, mid, float(miss), err)
                     worst = max(worst, float(miss / err))
     assert worst > 1e-3
 
 
 def test_series_centre_is_the_census_pair(monkeypatch):
-    # the series rounds each ladder quotient of its span once, so its float
-    # pair at the grid point itself is the floats nearest the census
-    # ladder's pair bit for bit: at every order from 180 up at the first
-    # grid points pi/4 and pi/2, where the ladder's normalizer dwarfs the
-    # span, and at a stride over the rest of the census grid
+    # past the turning point the series rounds each ladder quotient of its
+    # span once, so its float pair at the grid point itself is the floats
+    # nearest the census ladder's pair bit for bit; below it the pair is
+    # rounded from the census's exact ascending sums there: at every order
+    # from 180 up at the first grid points pi/4 and pi/2, and at a stride
+    # over the rest of the census grid
     _internals.fresh_ladders(monkeypatch)
     grid = [(tn, x) for parity in (0, 1)
             for x in _internals.GRID[parity]
-            for tn in range(parity, bessel.TWICE_NU_MAX - 1, 2)]
+            for tn in range(parity, _box.CAP - 1, 2)]
     edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
-    assert len(grid) > 30000 and len(edge) == _box.EDGES["series_edge_keys"]
+    assert len(grid) > 30000 and len(edge) > 100
     for tn, x0 in edge + grid[::7]:
         pair, _ = _internals.grid_series(tn, x0)
         n = tn // 2
-        ys, num, den, _ = _internals.grid_ladder(tn % 2, x0, n)
-        assert pair(x0) == (ys[n] * num / den, ys[n + 1] * num / den), (
-            tn, x0)
+        if 2.0 * x0 > tn:
+            ys, num, den, _ = _internals.grid_ladder(tn % 2, x0)
+            want = ys[n] * num / den, ys[n + 1] * num / den
+        else:
+            a, b, _, bits = _internals.ascending_sums(
+                tn, *x0.as_integer_ratio())
+            want = a / 2**bits, x0 / (tn + 2) * (b / 2**bits)
+        assert pair(x0) == want, (tn, x0)
 
 
 def test_series_reads_a_ladder_sized_past_the_box():
-    # the even ladder at x0 = 3 pi sized for order 231, as a rebuild for a
-    # box grown past twice_nu = 240 sizes it: its normalizer outgrows the
-    # span at twice_nu = 84 by far, and the series' values at the
-    # midpoints around the first Neumann zero of l = 1, d = 84 in the cell
-    # below x0 still lie within their bounds of the oracle and certify it
-    x0, twice_nu = 3 * math.pi, 84
-    ladder = _internals.ladder(0, x0, 231)
-    _, value = _internals.multiply(ladder, x0, twice_nu)
-    z = zeros.neumann_zero(1, 84, 1)
-    assert x0 - zeros.DEFAULT_STEP < z < x0
+    # every grid ladder is sized for int(x0) + SPAN orders, far past the
+    # span of a low order's series: at the grid point above the 60th
+    # Neumann zero of l = 1, d = 4, its normalizer outgrows the span of
+    # twice_nu = 4 by far, and the series' values at the midpoints around
+    # the zero still lie within their bounds of the oracle and certify it
+    twice_nu = 4
+    z = zeros.neumann_zero(1, 4, 60)
+    x0 = next_point(0, z)
+    assert 2.0 * x0 > 50 * twice_nu
+    _, value = _internals.grid_series(twice_nu, x0)
     for l in (0, 1):
         got = [*map(value(z, l), range(4))]
         with mp.workdps(40):
@@ -497,35 +514,36 @@ def test_series_reads_a_ladder_sized_past_the_box():
     (57, 323, 123.30751165339937, 124.87830798019428, 123.71812268008004)])
 def test_zero_near_a_midpoint_certifies_past_the_order_cap(
         monkeypatch, l, twice_nu, lo, hi, want):
-    # Neumann zeros of d = 205, 206 and 211, past the order cap, each within a
-    # few thousandths of an ulp of a midpoint between floats, below the turning
-    # point: with the series remainder bounded by B_nu = (x0/2)^nu /
-    # Gamma(nu+1) no sign there certified and the refinement stalled; bounded
-    # by the span the ladder holds, each certifies, and the values around the
-    # zero still lie within their bounds of the oracle
+    # Neumann zeros of d = 205, 206 and 211, past order 120, each within a
+    # few thousandths of an ulp of a midpoint between floats, below the
+    # turning point, where the ascending series reads them: each
+    # certifies, and the values around the zero lie within their bounds of
+    # the oracle
     _internals.fresh_ladders(monkeypatch)
     z = _internals.refine(l, twice_nu, lo, hi, 1)
     assert z == want
     assert_nearest_float(l, twice_nu, z)
-    _, value = cell_series(l, twice_nu, z)
+    _, value, scale = cell_series(l, twice_nu, z)
     with mp.workdps(40):
         for mid, (v, err) in zip(midpoints(z), value(z), strict=True):
-            miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
+            miss = abs(mp.mpf(v)
+                       - scale(mid) * oracle_target(l, twice_nu, mid))
             assert miss <= err, (mid, v, float(miss), err)
 
 
 # ---------------------------------------------------------------------------
-# the sign rule: the integer ladder's sign where its bound clears it, else 0.0
+# the sign rule: the sign of an exact integer where its bound clears it,
+# else 0
 
 
 def test_certified_signs_match_oracle(monkeypatch):
     # the twin grid and its near-zero points; J_nu, J_{nu+1} (the key of
     # Neumann l = 0 at the order) and g at every order: a sign the ladder's
-    # bound clears is the oracle's, and one it cannot clear is 0 (for g
-    # near its zeros)
+    # or, below the turning point, the ascending series' bound clears is
+    # the oracle's, and one it cannot clear is 0 (for g near its zeros)
     certified = uncleared = 0
     for tn, x in twin_points():
-        _internals.fresh_ladders(monkeypatch)  # a ladder for the order
+        _internals.fresh_ladders(monkeypatch)
         for l, key_tn in ((0, tn), (0, tn + 2), (tn // 2, tn)):
             sign = _internals.grid_sign(l, key_tn, x)
             if sign == 0:
@@ -566,7 +584,7 @@ def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key(
     work = _counts.count(monkeypatch)
     for d in _box.ground_dims():
         assert _internals.key(BoundaryCondition.NEUMANN, 0, d) == (
-            (0, d), True, d - 2)
+            (0, d), True)
         for m in range(1, 4):
             z = zeros.neumann_zero(0, d, m + 1)
             assert z == _internals.census_zero(0, d, m), (d, m)
@@ -576,22 +594,9 @@ def test_neumann_degree_zero_shares_the_dirichlet_degree_one_key(
     cold()
 
 
-def test_order_cap_message_is_exact():
-    # the order nu + 1 of a refused request order twice_nu (here the
-    # Dirichlet l = 0 zero at d = twice_nu + 2) is formed from the int, as
-    # 0.5 * twice_nu + 1 prints it inside the float range and without
-    # overflow past it
-    for tn in range(_box.EDGES["last_order"] + 1, 2000):
-        with pytest.raises(RangeError) as err:
-            zeros.dirichlet_zero(0, tn + 2, 1)
-        assert f"order {0.5 * tn + 1} beyond" in str(err.value), tn
-    with pytest.raises(RangeError, match=r"order 50{398}1\.5 beyond"):
-        zeros.dirichlet_zero(0, 10**400 + 3, 1)
-
-
 def test_first_zero_lower_past_the_float_range():
-    # no census can reach the box, so no order is checked, and only the
-    # Neumann ground state lies in it
+    # no census can reach the box, so none runs, and only the Neumann
+    # ground state lies in it
     for bc in BoundaryCondition:
         for l, d in ((1, 10**400), (10**400, 2), (0, 10**400)):
             key = _internals.key(bc, l, d)[0]
@@ -624,7 +629,7 @@ def test_first_zero_bounds_bracket_the_first_zero():
             _box.scan_bound(l, tn))
         if l == 0 and tn >= 2:  # Neumann l = 0 at d = tn has this key
             assert _internals.key(BoundaryCondition.NEUMANN, 0, tn) == (
-                (0, tn), True, tn - 2)
+                (0, tn), True)
         if tn <= _box.PINNED["last_order"]:
             slack["G" if l else "J"].append((1.0 - lower / z,
                                              upper / z - 1.0))
@@ -633,17 +638,16 @@ def test_first_zero_bounds_bracket_the_first_zero():
         assert got == pytest.approx(want, rel=1e-2), group
 
 
-def test_selfcheck_first_zero_keys_read_the_box(monkeypatch):
-    # the suite ranges over the keys whose census pair and first zero lie
-    # in the box; at cap 240 these are the keys of the cap's arithmetic
-    monkeypatch.setattr(bessel, "TWICE_NU_MAX", _box.PINNED_CAP)
-    cap = _box.PINNED_CAP
+def test_selfcheck_first_zero_keys_read_the_box():
+    # the suite ranges over the keys whose first zero provably lies in the
+    # argument box (Chambers' bound on j_{nu,1}, above both targets' first
+    # zeros, at most X_MAX), whatever the order cap
     for fast in (True, False):
         step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
+        keys = [(0, tn) for tn in range(0, 1000, step)] + [
+            (l, 2 * l + d - 2) for d in dims for l in range(1, 500, step)]
         assert _internals.first_zero_keys(fast) == [
-            (0, tn) for tn in range(0, cap - 1, step)] + [
-            (l, 2 * l + d - 2) for d in dims
-            for l in range(1, (cap - d) // 2 + 1, step)]
+            (l, tn) for l, tn in keys if _box.chambers(tn) <= _box.X_MAX]
 
 
 def test_selfcheck_reads_the_census_bound(monkeypatch):
@@ -785,10 +789,10 @@ def test_shared_ladders_hold_grid_points_only(monkeypatch):
         key for key in shared if key[1] not in grids[key[0]])
     for p in (0, 1):
         assert sum(key[0] == p for key in shared) <= len(grids[p])
-    # every build is a shared ladder, rebuilt at most once for the box
+    # every build is a shared ladder, built once
     seen = [(parity, x) for parity, x, _ in work.ladders]
     assert set(seen) == set(shared)
-    assert max(Counter(seen).values()) <= 2
+    assert max(Counter(seen).values()) == 1
     cold()
 
 
@@ -1025,19 +1029,26 @@ class TestRadialZeros:
         assert len(got) == 63
         assert got[-1] == zeros.bessel_zero(Order(0), 63)
 
-    def test_kernel_order_box_error_propagates(self, monkeypatch):
-        # the pair of a Neumann degree out of the box (l = 91 at d = 300,
-        # order 241 at cap 480) leaves the kernel box: past its census
-        # bound (Sturm's 188.15), an error, never an empty list; below it
-        # no zero can lie, so the list is empty and no ladder is built
-        l, d, x_in, x_out, order = _box.EDGES["neumann_x"]
+    def test_degree_past_the_order_cap_reads_no_ladder(self, monkeypatch):
+        # a Neumann degree whose order 2l + d - 2 lies past the order cap
+        # (l = 92 at d = 300, order 241 at cap 480) has no zero below its
+        # census bound (Sturm's 189.42), so the list is empty there; past
+        # it the degree's zero is served, the float nearest the oracle's,
+        # from census signs and a refinement on the ascending series alone,
+        # as the whole box lies below the turning point: no ladder is built
+        l, d = 92, 300
+        tn = 2 * l + d - 2
+        assert tn > _box.CAP
+        bound = _box.scan_bound(l, tn)
+        cold()
         work = _counts.count(monkeypatch)
-        for x in (x_in / 2, x_in):
+        for x in (bound / 2, bound):
             assert zeros.radial_zeros(BoundaryCondition.NEUMANN, l, d, x) == []
-        assert work.ladders == []
-        with pytest.raises(RangeError,
-                           match=rf"order {re.escape(order)} beyond"):
-            zeros.radial_zeros(BoundaryCondition.NEUMANN, l, d, x_out)
+        got = zeros.radial_zeros(BoundaryCondition.NEUMANN, l, d, zeros.X_MAX)
+        assert len(got) == 1 and bound < got[0] < zeros.X_MAX
+        assert_nearest_float(l, tn, got[0])
+        assert work.ladders == [] and work.series["base"] == 1
+        cold()
 
     @pytest.mark.parametrize("args", [
         ("DirichletXi", 0, 2, 10.0),
@@ -1118,11 +1129,12 @@ def test_cold_ladders_are_the_census_own(monkeypatch, capsys):
 
 def test_spectrum_jobs_build_few_ladders(monkeypatch, capsys):
     # cold, one job at a time as the benchmark's processes run them: the
-    # six seed-0 spectrum jobs build 188 ladders of 17,714 steps (len(ys):
+    # six seed-0 spectrum jobs build 180 ladders of 16,936 steps (len(ys):
     # the ladder keeps every y_k) in all, because the Neumann scans start at
-    # the Sturm bound and a rebuild doubles a ladder's top, whatever the cap
-    # (deterministic counts; rebuilt for the box's top orders they took
-    # 18,352 steps)
+    # the Sturm bound and each grid point builds one ladder, for int(x) +
+    # SPAN orders, whatever the cap (deterministic counts; with a rebuild at
+    # twice a ladder's top they took 188 and 17,714, and rebuilt for the
+    # box's top orders 18,352 steps)
     jobs = _benchmark_pool().SPECTRUM.jobs(0)
     assert len(jobs) == 6
     work = _counts.count(monkeypatch)
@@ -1131,14 +1143,14 @@ def test_spectrum_jobs_build_few_ladders(monkeypatch, capsys):
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
     built = len(work.ladders)
-    assert built <= 188 and work.steps <= 17714, (built, work.steps)
+    assert built <= 180 and work.steps <= 16936, (built, work.steps)
     cold()
 
 
 def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
     # cold, one job at a time as the benchmark's processes run them: the
     # seed-0 lookup jobs read at most 659 census signs on ladders of at
-    # most 36,272 steps (len(ys)) in all, because the J scans start at Qu
+    # most 36,154 steps (len(ys)) in all, because the J scans start at Qu
     # and Wong's bound (deterministic counts; the Watson start took 1,139
     # signs and 80,017 steps)
     jobs = _benchmark_pool().LOOKUP.jobs(0)
@@ -1150,26 +1162,30 @@ def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
         assert cli.run(list(argv)) == 0, argv
         capsys.readouterr()
     signs = len(work.signs)
-    assert signs <= 659 and work.steps <= 36272, (signs, work.steps)
+    assert signs <= 659 and work.steps <= 36154, (signs, work.steps)
     cold()
 
 
-@pytest.mark.parametrize("d,lambda_max,builds", [(100, 11998, 143),
-                                                  (30, 14203, 150)])
-def test_box_rebuild_builds_each_grid_ladder_at_most_twice(monkeypatch, d,
-                                                           lambda_max,
-                                                           builds):
-    # a shared ladder is sized for the first order that asks and rebuilt
-    # at twice its top (or the asking order, if higher) when a higher order
-    # asks: on these Neumann enumerations no grid point builds more than
-    # two ladders (deterministic counts). A rebuild sized only for the
-    # order that asks built 849 and 218 ladders, up to 21 and 7 at one
-    # grid point
-    cold()
-    shared = _counts.count(monkeypatch).shared
-    spectrum.enumerate_spectrum(d, "neumann", lambda_max)
-    assert max(shared.builds.values()) <= 2
-    assert shared.builds.total() <= builds, shared.builds.total()
+def test_each_grid_point_builds_one_ladder_in_any_order(monkeypatch):
+    # a shared ladder is sized for int(x) + SPAN orders once, whatever
+    # order asks first: every grid point builds one ladder, of the same
+    # size whether a Neumann enumeration whose census reads keys below
+    # the turning point runs before a Dirichlet one or after it
+    # (deterministic counts)
+    jobs = [(100, "neumann", 11998), (2, "dirichlet", 2000)]
+    steps = []
+    for order in (jobs, jobs[::-1]):
+        cold()
+        shared = _counts.count(monkeypatch).shared
+        for d, bc, lambda_max in order:
+            spectrum.enumerate_spectrum(d, bc, lambda_max)
+        assert set(shared.builds.values()) == {1}
+        steps.append(dict(shared.steps))
+        monkeypatch.undo()
+    assert steps[0] == steps[1] and len(steps[0]) > 50
+    for (parity, x), n in steps[0].items():
+        assert n == len(_internals.ladder(parity, x,
+                                          int(x) + _internals.SPAN)[0])
     cold()
 
 
@@ -1255,11 +1271,13 @@ class TestRefinement:
         l, twice_nu = census_key(tag, l, twice_nu)
         z = _internals.census_zero(l, twice_nu, 1)
         for x in [z * (1.0 + k * 2.0**-20) for k in (-1, 0, 1)]:
-            _, value = cell_series(l, twice_nu, x)
+            _, value, scale = cell_series(l, twice_nu, x)
             (v0, e0), (v1, e1) = value(x)[1:3]
             with mp.workdps(40):
                 m0, m1 = ((mp.mpf(x) + mp.mpf(math.nextafter(x, to))) / 2
                           for to in (0.0, math.inf))
+                v0, e0 = mp.mpf(v0) / scale(m0), mp.mpf(e0) / scale(m0)
+                v1, e1 = mp.mpf(v1) / scale(m1), mp.mpf(e1) / scale(m1)
                 nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
                 j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
                 want, curve = j[1], j[2]
@@ -1358,14 +1376,13 @@ class TestRefinement:
         (4, "neumann", 1900), (2, "neumann", 1750), (30, "neumann", 1500)])
     def test_double_double_calls_per_cold_zero(self, monkeypatch, d, bc,
                                                lambda_max):
-        # the scan reads the shared integer ladders and Newton the float
-        # series, so the fixed-point series (the high-precision value)
-        # pays for the certificate, about one a zero, and one series base a
-        # zero: the float phase hands over one ulp from the nearest float at
-        # 5-20% of the zeros, Neumann targets the most, and the first sum
-        # certifies that neighbour too (the benchmark's spectrum strata
-        # and d = 30); at d = 30 one zero, G(5, 38, 1), is handed over two
-        # ulps off and takes a second sum, 80 for 79 zeros
+        # the scan reads the shared integer ladders (the ascending series
+        # below the turning point) and Newton the float series, so the
+        # fixed-point value pays for the certificate, about one a zero, and
+        # one series base a zero: the float phase hands over one ulp from
+        # the nearest float at 5-20% of the zeros, Neumann targets the most,
+        # and the first value certifies that neighbour too (the benchmark's
+        # spectrum strata and d = 30, 79 values for 79 zeros)
         cold()
         work = _counts.count(monkeypatch)
         counts = work.series
@@ -1377,12 +1394,13 @@ class TestRefinement:
     def test_neumann_zeros_below_the_turning_point_cost_two_calls(
             self, monkeypatch):
         # the first Neumann zeros at d = 100, l = 1..14, lie below the
-        # turning point, where J_nu ~ 1e-20 and the bounds are relative to
-        # the pair: the census clears every sign, Newton on g / J_nu hands
-        # over at most one ulp from the zero, and each zero takes 3 or 4
-        # float series evaluations and one fixed-point one, cold: 49 and 14
-        # for the 14 zeros (deterministic counts). From one ulp off the
-        # first sum certifies the neighbour; from two ulps off it cannot
+        # turning point, where J_nu ~ 1e-20 and the census and the
+        # refinement read the ascending series: the census clears every
+        # sign, Newton on g / J_nu hands over at most one ulp from the
+        # zero, and each zero takes 3 or 4 float pairs and one fixed-point
+        # value, cold: 49 and 14 for the 14 zeros, 99 exact sums in all
+        # (deterministic counts). From one ulp off the first value
+        # certifies the neighbour; from two ulps off it cannot
         counts = _counts.count(monkeypatch).series
         for l in range(1, 15):
             cold()
@@ -1390,7 +1408,8 @@ class TestRefinement:
             assert zeros.neumann_zero(l, 100, 1) < l + 49
             used = counts - before
             assert used["pair"] <= 4 and used["value"] == 1, (l, used)
-        assert counts == {"base": 14, "pair": 49, "value": 14}, counts
+        assert counts == {"base": 14, "pair": 49, "value": 14,
+                          "ascending": 99}, counts
         cold()
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
@@ -1401,9 +1420,8 @@ class TestRefinement:
         # its next step falls below an ulp or rounds to nothing: 4.30 and 4.32
         # float evaluations a zero. Bisecting on past a step that rounds to
         # nothing cost 4.51 at d = 3, 45 at its worst zero. The shared ladders
-        # cost 10.4 and 13.5 steps (len(ys)) a zero, and no grid point builds
-        # its ladder more than twice (sized for the first order that asks, then
-        # at twice its top when a higher order asks)
+        # cost 10.4 and 13.5 steps (len(ys)) a zero, and each grid point
+        # builds one ladder
         cold()
         work = _counts.count(monkeypatch)
         spectrum.enumerate_spectrum(d, bc, lambda_max)
@@ -1413,7 +1431,7 @@ class TestRefinement:
         ladder_steps = {3: 12, 4: 15}[d]
         steps = work.shared.steps.total()
         assert steps <= ladder_steps * zs, steps / zs
-        assert max(work.shared.builds.values()) <= 2
+        assert max(work.shared.builds.values()) == 1
 
     @pytest.mark.parametrize("tag,l,twice_nu,x", [
         ("J", 0, 0, 2.5), ("J", 0, 7, 11.0), ("J", 0, 160, 95.0),
@@ -1423,10 +1441,11 @@ class TestRefinement:
                                                 twice_nu, x):
         # f'' from the pair through Bessel's equation, against mpmath's
         # derivatives of J_nu and J_{nu+1}
-        _internals.fresh_ladders(monkeypatch)  # a ladder for the order
+        _internals.fresh_ladders(monkeypatch)
         l, twice_nu = census_key(tag, l, twice_nu)
         a, b = _internals.grid_series(twice_nu, x)[0](x)
         f2 = _internals.jet(l, 0.5 * twice_nu, x, a, b)[2]
+        f2 /= float(series_scale(twice_nu, x, x))
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
             j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
