@@ -11,7 +11,7 @@ from functools import partial
 import mpmath as mp
 import pytest
 
-from tests import _box, _frozen, _internals
+from tests import _box, _counts, _frozen, _internals
 from tests import _oracle as oracle
 from tests._internals import (TWIN_ORDERS, TWIN_XS, ladder_pair, next_point,
                               oracle_target, series_scale, twin_points)
@@ -310,6 +310,28 @@ def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
         assert abs(a - a2) <= err + err2 and abs(b - b2) <= err + err2, n
 
 
+@pytest.mark.parametrize("top", [119, 239], ids=["cap240", "cap480"])
+@pytest.mark.parametrize("x", TWIN_XS + (math.pi / 4, 3 * math.pi / 4))
+def test_grid_ladder_serves_every_order_to_the_cap(monkeypatch, x, top):
+    # orders 1..top asking in turn at one grid point (top the last order of
+    # the cap's box): the orders past the turning point read one ladder,
+    # built once for int(x) + SPAN orders whatever the cap, which spans
+    # each one's multiplication series; the orders below it read the
+    # ascending series and build none
+    _internals.fresh_ladders(monkeypatch)
+    work = _counts.count(monkeypatch)
+    for n in range(1, top + 1):
+        _internals.grid_sign(0, 2 * n + 1, x)
+        _internals.grid_series(2 * n + 1, x)
+    past = [n for n in range(1, top + 1) if 2.0 * x > 2 * n + 1]
+    if not past:
+        assert work.ladders == []
+        return
+    [(parity, at, steps)] = work.ladders
+    assert (parity, at) == (1, x) and work.shared.builds[1, x] == 1
+    assert steps > past[-1] + _internals.SPAN + 1, steps
+
+
 # ---------------------------------------------------------------------------
 # the ascending series below the turning point: a second proof of the census
 # signs there, and its enclosure where its terms cancel most
@@ -560,6 +582,30 @@ def test_underflow_boundary(x, last_kept):
         else:
             with pytest.raises(LossOfPrecision, match="underflows"):
                 eval_J(Order(tn), x)
+
+
+def test_series_serves_a_span_that_underflows(monkeypatch):
+    # at the census grid point pi/2 every J_{170+k}, k <= 31, underflows to
+    # 0.0, so a multiplication series there would have no term to scale
+    # by. The point lies below the turning point, where the grid series is
+    # the ascending one, which scales J_nu by Gamma(nu+1) (2/x)^nu: its
+    # float pair is the oracle's, scaled, to an ulp, its values are
+    # positive and decided by their err, and no ladder is built
+    x0 = math.pi / 2
+    with pytest.raises(LossOfPrecision, match="underflows"):
+        eval_J(Order(340), x0)
+    work = _counts.count(monkeypatch)
+    pair, value = _internals.grid_series(340, x0)
+    with mp.workdps(50):
+        for got, tn in zip(pair(x0), (340, 342), strict=True):
+            want = oracle.oracle_J(tn, x0, dps=50) * series_scale(340, x0, x0)
+            assert abs(got - want) <= 2.0**-51 * want, (tn, got)
+    for l in (0, 1):
+        at = value(x0, l)
+        for i in range(4):
+            v, err = at(i)
+            assert v > err > 0.0, (l, i, v, err)
+    assert work.ladders == []
 
 
 def test_pair_refuses_when_only_the_upper_order_underflows():

@@ -81,6 +81,18 @@ def test_is_int_is_called_only_by_check_int():
     assert len(calls) == 1
 
 
+def test_order_cap_is_compared_only_in_bessel():
+    caps = {"TWICE_NU_MAX", "D_MAX"}
+    found = [
+        (name, node.lineno)
+        for name, tree in _parsed()
+        if name != "bessel.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and _named(node, caps)
+    ]
+    assert found == []
+
+
 def test_only_bessel_reads_the_order_cap():
     # bessel.TWICE_NU_MAX caps bessel.Order and eval_J_pair's pair, and no
     # other module reads it: the census has no order cap (a zero is refused

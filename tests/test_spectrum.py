@@ -407,6 +407,27 @@ class TestEnumerationValidation:
         with pytest.raises(RangeError):
             enumerate_spectrum(1, D, 10.0)
 
+    @pytest.mark.parametrize("d,inside,limit", [
+        (d, int(spectrum.LAMBDA_MAX), None) for d in (2, 3)])
+    def test_neumann_limit_by_integer_bisection(self, d, inside, limit):
+        # bisection on the integer cutoff between 0 and past LAMBDA_MAX
+        # finds the largest lambda_max that enumerates and the first one
+        # refused: no Neumann cutoff inside the box is refused, so the
+        # limit is the first past LAMBDA_MAX
+        def enumerates(lam):
+            try:
+                enumerate_spectrum(d, N, lam)
+            except RangeError:
+                return False
+            return True
+
+        lo, hi = 0, int(spectrum.LAMBDA_MAX) + 1
+        assert enumerates(lo) and not enumerates(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if enumerates(mid) else (lo, mid)
+        assert (lo, hi) == (inside, limit or int(spectrum.LAMBDA_MAX) + 1)
+
     @pytest.mark.parametrize("d", [2, 3, 30, 100, 267, 300, 480, 481, 1000,
                                    10000, 40000])
     def test_neumann_enumerates_up_to_lambda_max(self, d):

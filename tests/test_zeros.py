@@ -1166,13 +1166,15 @@ def test_lookup_jobs_walk_from_the_qu_wong_start(monkeypatch, capsys):
     cold()
 
 
-def test_each_grid_point_builds_one_ladder_in_any_order(monkeypatch):
+@pytest.mark.parametrize("d,lambda_max", [(100, 11998), (30, 14203)])
+def test_each_grid_point_builds_one_ladder_in_any_order(monkeypatch, d,
+                                                        lambda_max):
     # a shared ladder is sized for int(x) + SPAN orders once, whatever
     # order asks first: every grid point builds one ladder, of the same
     # size whether a Neumann enumeration whose census reads keys below
     # the turning point runs before a Dirichlet one or after it
     # (deterministic counts)
-    jobs = [(100, "neumann", 11998), (2, "dirichlet", 2000)]
+    jobs = [(d, "neumann", lambda_max), (2, "dirichlet", 2000)]
     steps = []
     for order in (jobs, jobs[::-1]):
         cold()
