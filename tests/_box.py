@@ -1,13 +1,12 @@
 """Where the supported box ends, derived for the tests.
 
 The tests learn every edge of the box here. Each edge follows from
-bessel.TWICE_NU_MAX (the public order cap of bessel.Order and of eval_J
-and eval_J_pair, whose pair reads twice_nu + 2 <= cap), bessel.X_MAX (the
-argument box) and the first-zero bounds below. The census reads no order
-cap: a zero is refused only where it lies past X_MAX, so no spectrum cutoff
-up to LAMBDA_MAX is refused, in any d. The bounds are written out again
-here, not read from zeros, so that no expected edge comes from the code
-under test:
+bessel.X_MAX (the argument box) and the first-zero bounds below; CAP is
+only the public order cap of bessel.Order and of eval_J and eval_J_pair,
+whose pair reads twice_nu + 2 <= CAP. The census reads no order cap: a
+zero is refused only where it lies past X_MAX, so no spectrum cutoff up to
+LAMBDA_MAX is refused, in any d. The bounds are written out again here, not
+read from zeros, so that no expected edge comes from the code under test:
 
 * Qu and Wong: j_{nu,1} > nu + |a_1| 2^(-1/3) nu^(1/3), the constant
   rounded down to 1.855757 (Trans. AMS 351, 1999; DLMF 10.21(vii));
@@ -20,11 +19,6 @@ under test:
 A degree's census bound is Qu and Wong's for a J key and Sturm's for a
 Neumann key l >= 1, shrunk by 1 - 1e-9; where it lies past the cutoff
 radius, radial_zeros runs no census.
-
-Every cap-dependent derivation takes the cap, so that tests/test_box.py
-checks PINNED, the values at cap 240 written out, against derived(240) at
-any cap; EDGES is derived(TWICE_NU_MAX) with d_max, which the edge tests
-read.
 """
 
 from __future__ import annotations
@@ -88,11 +82,6 @@ def census_key(bc: str, l: int, d: int) -> tuple[int, int]:
     return (0, twice_nu + 2) if l == 0 else (l, twice_nu)
 
 
-def first_degree_out(d: int, cap: int = CAP) -> int:
-    """The first degree l whose order 2l + d - 2 leaves the order box."""
-    return max(0, (cap - d) // 2 + 1)
-
-
 def d_max() -> int:
     """The largest d with a gamma(d), whose census bound on j_{d/2-1,1}
     lies in the argument box; past it a Dirichlet spectrum is the empty
@@ -100,58 +89,32 @@ def d_max() -> int:
     return next(d for d in count(2) if scan_bound(0, d - 1) > X_MAX)
 
 
-def j_orders(cap: int = CAP, neumann: bool = False) -> range:
-    """The twice_nu of J keys whose pair lies in the order box (with
-    neumann, also the Neumann l = 0 keys (0, d), d <= cap, whose request
-    order is d - 2) and whose first zero provably lies in the argument
-    box: past twice_nu = 369 none does, whatever the cap."""
-    top = cap + 2 if neumann else cap
-    return range(next(tn for tn in count()
-                      if tn + 2 > top or chambers(tn) > X_MAX))
+def j_orders() -> range:
+    """The twice_nu of J keys whose first zero provably lies in the
+    argument box: Chambers' bound on j_{nu,1} at most X_MAX, twice_nu < 370.
+    The Neumann l = 0 key of d is the J key (0, d)."""
+    return range(next(tn for tn in count() if chambers(tn) > X_MAX))
 
 
-def census_keys(cap: int = CAP) -> list[tuple[int, int]]:
-    """Every census key (l, twice_nu) of the box: the J orders with the
-    Neumann l = 0 ones, and the Neumann keys l >= 1 of every d >= 2."""
-    return [(0, tn) for tn in j_orders(cap, neumann=True)] + [
-        (l, tn) for tn in j_orders(cap) for l in range(1, tn // 2 + 1)]
+def census_keys() -> list[tuple[int, int]]:
+    """Every census key (l, twice_nu) of the box: the J orders, the Neumann
+    l = 0 ones among them, and then the Neumann keys l >= 1 of every d."""
+    return [(0, tn) for tn in j_orders()] + [
+        (l, tn) for tn in j_orders() for l in range(1, tn // 2 + 1)]
 
 
-def ground_dims(cap: int = CAP, m: int = 3) -> range:
-    """The d of the Neumann l = 0 requests in the box (d <= cap) whose
-    first m positive zeros, j_{d/2,1..m}, provably lie in the argument
-    box."""
-    return range(2, next(d for d in count(2)
-                         if d > cap or zero_upper(d, m) > X_MAX))
+def ground_dims(m: int = 3) -> range:
+    """The d of the Neumann l = 0 requests whose first m positive zeros,
+    j_{d/2,1..m}, provably lie in the argument box."""
+    return range(2, next(d for d in count(2) if zero_upper(d, m) > X_MAX))
 
 
-def neumann_degrees(d: int, cap: int = CAP) -> range:
-    """The Neumann degrees l >= 1 of d whose pair lies in the order box
-    and whose first zero provably lies in the argument box."""
-    return range(1, next(l for l in count(1) if 2 * l + d > cap
-                         or chambers(2 * l + d - 2) > X_MAX))
-
-
-def _around(bound: float) -> tuple[float, float]:
-    """The cutoffs of two decimals either side of a census bound, the lower
-    one at most X_MAX."""
-    return (min(math.floor(bound * 100.0) / 100.0, X_MAX),
-            math.ceil(bound * 100.0) / 100.0)
-
-
-def derived(cap: int = CAP) -> dict:
-    """Every cap-dependent edge the tests read, at the order cap ``cap``."""
-    return {
-        "order_cap": cap,
-        "last_order": cap - 2,  # the last twice_nu of an eval_J_pair
-        # Neumann l = 0 of d = cap + 1: (d, the cutoff below its census
-        # bound)
-        "ground_x": (cap + 1, _around(scan_bound(0, cap + 1))[0]),
-        # the number of census_keys: the sum of t // 2 over t = 0..n is
-        # n^2 // 4
-        "census_keys": (len(j_orders(cap, neumann=True))
-                        + (len(j_orders(cap)) - 1) ** 2 // 4),
-    }
+def neumann_degrees(d: int) -> range:
+    """The Neumann degrees l >= 1 of d whose first zero provably lies in the
+    argument box: those whose order 2l + d - 2 is in j_orders, as
+    beta_{l,1} < j_{nu,1}."""
+    return range(1, next(l for l in count(1)
+                         if chambers(2 * l + d - 2) > X_MAX))
 
 
 def last_d_of_degree_one() -> int:
@@ -171,14 +134,4 @@ def last_d_of_degree_one() -> int:
     return lo
 
 
-EDGES = {**derived(), "d_max": d_max(),
-         "last_d_of_degree_one": last_d_of_degree_one()}
-
-# The edges at cap 240, written out
-PINNED_CAP = 240
-PINNED = {
-    "order_cap": 240,
-    "last_order": 238,
-    "ground_x": (241, 129.66),
-    "census_keys": 14402,
-}
+EDGES = {"d_max": d_max(), "last_d_of_degree_one": last_d_of_degree_one()}

@@ -168,16 +168,6 @@ def oracle_bessel_zero(twice_nu: int, m: int, dps: int = DEFAULT_DPS) -> mp.mpf:
     return _scan_zero(f, _bessel_scan_start(twice_nu), m, "0.2", dps)
 
 
-def oracle_bessel_zeros_below(twice_nu: int, x) -> int:
-    """The number of positive zeros of J_nu below x, by a sign scan in steps
-    of 1: the zeros of J_nu, nu >= 0, lie more than 3 apart."""
-    with mp.workdps(30):
-        lo, x = _bessel_scan_start(twice_nu), mp.mpf(x)
-        points = [lo + k for k in range(int(x - lo) + 1)] + [x]
-        signs = [oracle_J(twice_nu, p, 35) > 0 for p in points]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def oracle_dirichlet_zero(l: int, d: int, m: int, dps: int = DEFAULT_DPS) -> mp.mpf:
     return oracle_bessel_zero(2 * l + d - 2, m, dps)
 

@@ -1,15 +1,19 @@
-"""The census sign sweep: every grid sign the census can read, hashed.
+"""The census sign sweep: the grid signs of the keys whose first zero
+provably lies in the box, hashed.
 
 A census walks the grid of its key's parity from the key's bound,
 ``zeros._first_zero_lower``, and reads one sign, ``bessel._grid_sign``, at
 each grid point past it. The sweep reads that sign at every such (key,
-grid point) pair of the box: the 34,410 keys of ``tests/_box.census_keys``
-(the J orders, the Neumann l = 0 ones included, and the Neumann keys
-l >= 1 of every d), 2,282,673 pairs. A sign is +1, -1 or 0, and 0 (a sign
-its error bound cannot decide) widens a census cell; the sweep
-expects none. Its digest is the SHA-256 of one line a key, in that key
-order: ``l twice_nu `` and one character a grid point, ``+``, ``-`` or
-``0``.
+grid point) pair of the 34,410 keys of ``tests/_box.census_keys`` (the J
+orders twice_nu < 370, the Neumann l = 0 ones included, and the Neumann
+keys l >= 1 of the same orders), 2,282,673 pairs. The census can read
+more: every key whose bound is at most X_MAX, J up to twice_nu 378 and
+Neumann l >= 1 up to twice_nu 40,001, 215,510 keys and 8,789,257 signs,
+7,037,677 of them below the turning point; the sweep leaves the rest
+unread. A sign is +1, -1 or 0, and 0 (a sign its error bound cannot
+decide) widens a census cell; the sweep expects none. Its digest is the
+SHA-256 of one line a key, in that key order: ``l twice_nu `` and one
+character a grid point, ``+``, ``-`` or ``0``.
 
 The sweep takes about ten seconds, so pytest does not collect it (its name
 does not match ``test_*.py``). A change to the kernel or the census runs it
@@ -38,7 +42,8 @@ CHAR = {1: "+", -1: "-", 0: "0"}
 
 
 def sweep():
-    """(keys, pairs, undecided, sha256) over every census pair of the box."""
+    """(keys, pairs, undecided, sha256) over the census pairs of
+    _box.census_keys."""
     keys = _box.census_keys()
     h = hashlib.sha256()
     pairs = undecided = 0

@@ -116,7 +116,7 @@ def test_pair_order_cap():
     with pytest.raises(RangeError):
         eval_J_pair(Order(_box.CAP), 10.0)
     with pytest.raises(RangeError, match="above the supported box"):
-        eval_J_pair(Order(_box.EDGES["last_order"] + 1), 5.0)
+        eval_J_pair(Order(_box.CAP - 1), 5.0)
     with pytest.raises(RangeError, match=r"x=0\.0 outside"):
         eval_J_pair(Order(0), 0.0)
 

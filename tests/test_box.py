@@ -1,6 +1,5 @@
-"""Checks of tests/_box.py, the one derivation of the box's edges: the
-literal edges the tests wrote at cap 240, and README's table of realized
-lambda limits."""
+"""Checks of tests/_box.py, the one derivation of the box's edges, against
+README's table of realized lambda limits."""
 
 from __future__ import annotations
 
@@ -10,12 +9,6 @@ from pathlib import Path
 from tests import _box
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def test_pinned_edges_are_the_derivation_at_cap_240():
-    # every literal edge the tests carried is the derivation at its cap,
-    # whatever the cap is now
-    assert _box.derived(_box.PINNED_CAP) == _box.PINNED
 
 
 def test_readme_limits_are_the_derived_ones():

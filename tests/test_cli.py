@@ -21,7 +21,7 @@ from tests import _box, _internals
 from tests._cli import GOLDEN, run_cli
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
-CAP, D_MAX = _box.CAP, _box.EDGES["d_max"]
+D_MAX = _box.EDGES["d_max"]
 D1 = _box.EDGES["last_d_of_degree_one"]  # past it: the ground state alone
 
 TABLE_6DEC = [
@@ -362,12 +362,13 @@ class TestTopLevel:
         assert err.startswith(f"usage error: cannot write {target}: ")
 
     # (argv, what the message must name, internal value it must not name);
-    # the box's edges come from tests/_box.py; the Courant windows' top
-    # zeros, beta_{2,2} > j_{241,1} at d = 480 and beta_{1,1} past D1, lie
-    # past the argument box, and so does a cutoff past LAMBDA_MAX
+    # the box's edges come from tests/_box.py; each refusal is X_MAX's: the
+    # Courant windows' top zeros, beta_{2,2} > j_{241,1} at d = 480 and
+    # beta_{1,1} past D1, the zero j_{239.5,1} at d = 481, and a cutoff past
+    # LAMBDA_MAX all lie past the argument box
     @pytest.mark.parametrize("argv,names,not_named", [
-        (f"courant --d {CAP} --bc neumann --lmax 2 --mmax 2",
-         (f"d={CAP}", "lmax=2"), "twice_nu"),
+        ("courant --d 480 --bc neumann --lmax 2 --mmax 2",
+         ("d=480", "lmax=2"), "twice_nu"),
         (f"courant --d {D1 + 1} --bc neumann --lmax 1 --mmax 1",
          (f"d={D1 + 1}", "lmax=1", "mmax=1", "beyond the supported box"),
          "twice_nu"),
@@ -380,8 +381,8 @@ class TestTopLevel:
          ("l=3, d=2", "m=70"), "twice_nu"),
         ("zeros --l 1 --d 2 --bc neumann --m 90",
          ("l=1, d=2", "m=90"), "twice_nu"),
-        (f"zeros --l 0 --d {CAP + 1} --bc dirichlet --count 1",
-         (f"l=0, d={CAP + 1}", "m=1"), "twice_nu"),
+        ("zeros --l 0 --d 481 --bc dirichlet --count 1",
+         ("l=0, d=481", "m=1"), "twice_nu"),
         ("zeros --l 0 --d 2 --bc neumann --m 66",
          ("l=0, d=2", "m=66"), "m=65"),
         (f"pleijel --table 2 {D_MAX + 1}", (f"{D_MAX + 1}",), "twice_nu"),

@@ -82,14 +82,6 @@ def test_oracle_zero_matches_mpmath(twice_nu, m):
     assert mpf_rel_diff(got, want) < mp.mpf("1e-45")
 
 
-@pytest.mark.parametrize("twice_nu,x", [(0, 2.4), (0, 2.5), (0, 40.0),
-                                         (2, 122.99), (300, 188.146)])
-def test_oracle_zero_count_matches_mpmath(twice_nu, x):
-    want = next(m for m in range(1, 100)
-                if mp.besseljzero(mp.mpf(twice_nu) / 2, m) >= x) - 1
-    assert _oracle.oracle_bessel_zeros_below(twice_nu, x) == want
-
-
 @pytest.mark.parametrize("l,m", [(1, 1), (1, 2), (3, 1)])
 def test_oracle_neumann_zero_disc_matches_mpmath(l, m):
     # for d=2 the positive Neumann zeros are the zeros of J'_l

@@ -250,11 +250,9 @@ class TestDegreeLoop:
         # before (Neumann's past its l = 0 ground state, 0.0), and so does
         # its certified float, at every degree of the box whose first zero
         # provably lies in it; the degree loop's stop rests on this
-        dirichlet = [zeros.dirichlet_zero(l, d, 1)
-                     for l in range(_box.first_degree_out(d))
-                     if 2 * l + d - 2 in _box.j_orders()]
-        neumann = [zeros.neumann_zero(l, d, 1)
-                   for l in (0, *_box.neumann_degrees(d))]
+        degrees = (0, *_box.neumann_degrees(d))  # orders in _box.j_orders
+        dirichlet = [zeros.dirichlet_zero(l, d, 1) for l in degrees]
+        neumann = [zeros.neumann_zero(l, d, 1) for l in degrees]
         for first in (dirichlet, neumann):
             assert all(a < b for a, b in zip(first, first[1:])), d
 

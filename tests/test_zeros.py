@@ -55,8 +55,8 @@ class TestValidation:
             dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=0),
             dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=1.0),
             dict(bc=BoundaryCondition.DIRICHLET, l=0, d=2, m=10_000),  # past X_MAX
-            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=_box.CAP + 1,
-                 m=1),  # order cap
+            # past X_MAX: Qu and Wong's bound on j_{239.5,1} lies past it
+            dict(bc=BoundaryCondition.DIRICHLET, l=0, d=481, m=1),
             # bool is an int subclass, but never a degree or an index
             dict(bc=BoundaryCondition.DIRICHLET, l=True, d=2, m=1),
             dict(bc=BoundaryCondition.NEUMANN, l=False, d=2, m=2),
@@ -121,14 +121,13 @@ class TestValidation:
 # ---------------------------------------------------------------------------
 # the edges of the box: the census reads no order cap, so a zero request is
 # refused only where its zero lies past X_MAX. Each pair of rows is one
-# caller's request whose output it pins (the first ones at the top d or
-# order of the cap-240 box) and its first refused request, from
-# tests/_box.py: past d_max, past the top J order, and past the last d whose
-# Neumann degree 1 has a zero in the box, where a spectrum is the ground
-# state alone
+# caller's request whose output it pins (the first ones at d = 240, 239 and
+# 238) and a refused request, whose zero lies past X_MAX: past d_max, at
+# the orders 479 and 481, and past the last d whose Neumann degree 1 has a
+# zero in the box (tests/_box.py), where a spectrum is the ground state
+# alone
 
-E, P = _box.EDGES, _box.PINNED
-D_PAST, X_IN = E["ground_x"]  # Neumann l = 0 past the cap
+E = _box.EDGES
 D1 = E["last_d_of_degree_one"]
 
 
@@ -139,17 +138,15 @@ def _courant_rows(d: int) -> list:
 
 @pytest.mark.parametrize("call,want", [
     (lambda: [(r.d, r.gamma, r.quotient_next)
-              for r in pleijel.gamma_table(P["order_cap"], P["order_cap"])],
-     [(P["order_cap"], 7.813247375101231e-37, None)]),
+              for r in pleijel.gamma_table(240, 240)],
+     [(240, 7.813247375101231e-37, None)]),
     (lambda: pleijel.gamma_table(E["d_max"] + 1, E["d_max"] + 1), RangeError),
-    (lambda: pleijel.quotient_curve(P["last_order"] + 1,
-                                    P["last_order"] + 1),
-     [(P["last_order"] + 1, 0.7201590924083663)]),
+    (lambda: pleijel.quotient_curve(239, 239), [(239, 0.7201590924083663)]),
     (lambda: pleijel.quotient_curve(E["d_max"], E["d_max"]), RangeError),
-    (lambda: pleijel.monotonicity_certificate(P["last_order"] + 1).check(
-        "final_lt_1").lhs, 0.7201590924083663),
+    (lambda: pleijel.monotonicity_certificate(239).check("final_lt_1").lhs,
+     0.7201590924083663),
     (lambda: pleijel.monotonicity_certificate(E["d_max"]), RangeError),
-    (lambda: _courant_rows(P["last_order"]),
+    (lambda: _courant_rows(238),
      [(0, 1, "Sharp", 1), (1, 1, "Sharp", 2)]),
     (lambda: _courant_rows(D1 + 1), RangeError),  # needs the (1, 1) zero
     # past D1 every Neumann cutoff holds the ground state alone, and only a
@@ -158,20 +155,20 @@ def _courant_rows(d: int) -> list:
         D1 + 1, "neumann", _box.LAMBDA_MAX).records], [(0, 1, 0.0)]),
     (lambda: spectrum.enumerate_spectrum(
         D1 + 1, "neumann", _box.LAMBDA_MAX + 1), RangeError),
-    (lambda: spectrum.enumerate_spectrum(
-        E["order_cap"] + 1, "dirichlet", 10.0).records, ()),
+    (lambda: spectrum.enumerate_spectrum(481, "dirichlet", 10.0).records,
+     ()),
     (lambda: zeros.neumann_zero(0, 500, 1), 0.0),  # r = 0 needs no census
     (lambda: zeros.neumann_zero(0, 500, 2), RangeError),
-    (lambda: zeros.bessel_zero(Order(P["last_order"]), 1), 128.33786578015122),
-    (lambda: zeros.bessel_zero(Order(E["last_order"] + 1), 1), RangeError),
-    (lambda: zeros.dirichlet_zero(0, P["order_cap"], 1), 128.33786578015122),
-    (lambda: zeros.dirichlet_zero(0, E["order_cap"] + 1, 1), RangeError),
-    (lambda: zeros.neumann_zero(1, P["last_order"], 1), 15.45989431346645),
+    (lambda: zeros.bessel_zero(Order(238), 1), 128.33786578015122),
+    (lambda: zeros.bessel_zero(Order(479), 1), RangeError),
+    (lambda: zeros.dirichlet_zero(0, 240, 1), 128.33786578015122),
+    (lambda: zeros.dirichlet_zero(0, 481, 1), RangeError),
+    (lambda: zeros.neumann_zero(1, 238, 1), 15.45989431346645),
     (lambda: zeros.neumann_zero(1, D1 + 1, 1), RangeError),
     # no census runs below the census bound on the first positive zero,
     # Qu and Wong's on j_{d/2,1}; the first zero of degree 1 at D1 lies
     # just inside the box, below the turning point
-    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, D_PAST, X_IN),
+    (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 0, 481, 200.0),
      [0.0]),
     (lambda: zeros.radial_zeros(BoundaryCondition.NEUMANN, 1, D1,
                                 _box.X_MAX), [199.99750010937638]),
@@ -187,10 +184,9 @@ def test_order_box_edges(call, want):
         assert call() == want
 
 
-# (bc, l, d, m) of zeros whose census order lies past the cap-240 box:
-# Dirichlet with twice_nu in 239..378, Neumann at d in 241..266, and the
-# census keys around twice_nu = 340, whose series at the grid point pi/2
-# underflows
+# (bc, l, d, m) of zeros whose census order lies past 238: Dirichlet
+# with twice_nu in 239..378, Neumann at d in 241..266, and the census keys
+# around twice_nu = 340, whose series at the grid point pi/2 underflows
 GROWN_BOX_ZEROS = [
     ("dirichlet", 0, 241, 1), ("dirichlet", 1, 241, 3),
     ("dirichlet", 0, 300, 1), ("dirichlet", 0, 300, 5),
@@ -613,7 +609,7 @@ def test_first_zero_bounds_bracket_the_first_zero():
     # radial_zeros reads and the scan starts at, is the scan's bound bit for
     # bit (the Neumann l = 0 census key is J's two orders up, after the
     # ground state). The smallest relative slacks show that no bound is
-    # vacuous: a looser one fails here (pinned over the keys of cap 240)
+    # vacuous: a looser one fails here
     slack = {"J": [], "G": []}  # (lower, upper) relative slacks
     keys = [(0, tn) for tn in _box.j_orders()]
     keys += [(l, 2 * l + d - 2) for d in (2, 3, 5, 30, 120, 238)
@@ -630,10 +626,8 @@ def test_first_zero_bounds_bracket_the_first_zero():
         if l == 0 and tn >= 2:  # Neumann l = 0 at d = tn has this key
             assert _internals.key(BoundaryCondition.NEUMANN, 0, tn) == (
                 (0, tn), True)
-        if tn <= _box.PINNED["last_order"]:
-            slack["G" if l else "J"].append((1.0 - lower / z,
-                                             upper / z - 1.0))
-    for group, want in (("J", [0.0650, 0.00390]), ("G", [0.00421, 0.0688])):
+        slack["G" if l else "J"].append((1.0 - lower / z, upper / z - 1.0))
+    for group, want in (("J", [0.0499, 0.00390]), ("G", [0.00419, 0.0556])):
         got = [min(s) for s in zip(*slack[group])]
         assert got == pytest.approx(want, rel=1e-2), group
 
@@ -679,14 +673,13 @@ def test_selfcheck_derivative_alias_reads_a_fresh_ladder(monkeypatch):
 
 def test_first_cell_starts_at_the_census_bound(monkeypatch):
     # at every census key of the box, the J orders (the Neumann l = 0 keys
-    # reach twice_nu = TWICE_NU_MAX) and the Neumann keys l >= 1 of every
-    # d >= 2, the first cell starts at the scan's bound (_box.scan_bound),
-    # or at a grid point past it, and the census evaluates no point at or
-    # below the bound: its first point is the parity's first grid point
-    # past it. The count at the bound is pinned over the keys of cap 240
+    # among them) and the Neumann keys l >= 1 of every d >= 2, the first
+    # cell starts at the scan's bound (_box.scan_bound), or at a grid point
+    # past it, and the census evaluates no point at or below the bound: its
+    # first point is the parity's first grid point past it. The count at
+    # the bound is pinned
     keys = _box.census_keys()
-    assert len(keys) == _box.EDGES["census_keys"]
-    pinned = set(_box.census_keys(_box.PINNED_CAP))
+    assert len(keys) == 34410
     work = _counts.count(monkeypatch)
     _internals.census_bracket.cache_clear()
     at_bound = 0
@@ -697,36 +690,33 @@ def test_first_cell_starts_at_the_census_bound(monkeypatch):
         seen = work.signs[read:]
         assert sign == 1 and hi in grid, (l, tn)
         assert lo == bound or lo in grid and lo > bound, (l, tn, lo, bound)
-        at_bound += lo == bound and (l, tn) in pinned
+        at_bound += lo == bound
         assert seen[0] == (l, tn, next_point(tn % 2, bound)), (l, tn)
         assert all(x > bound and t == tn for _, t, x in seen), (l, tn)
-    assert at_bound == 6152
+    assert at_bound == 14495
     _internals.census_bracket.cache_clear()
 
 
 def test_qu_wong_bound_lies_below_every_first_zero():
     # the constant is |a_1| 2^(-1/3) rounded down, and the bound lies below
-    # j_{nu,1} at every J order of the box but 0 (the J keys, which the
-    # Neumann l = 0 requests extend past the Dirichlet cap): the census's
-    # first zero, which lies in the first sign-change cell of a walk from
-    # Watson's bound, so a bound past j_{nu,1} cannot hide it. The bound at
-    # nu + 1 lies past j_{nu,1}, so a Dirichlet refusal is the bound's, not
-    # the first zero's of the degree below. The smallest slack, pinned over
-    # the keys of cap 240, shows that the bound is not vacuous
+    # j_{nu,1} at every J order of the box but 0 (the J keys, the Neumann
+    # l = 0 ones among them): the census's first zero, which lies in the
+    # first sign-change cell of a walk from Watson's bound, so a bound past
+    # j_{nu,1} cannot hide it. The bound at nu + 1 lies past j_{nu,1}, so
+    # a Dirichlet refusal is the bound's, not the first zero's of the degree
+    # below. The smallest slack, pinned, shows that the bound is not vacuous
     assert 1.855757 < -mp.airyaizero(1) / mp.cbrt(2) < 1.855758
-    pinned = set(_box.census_keys(_box.PINNED_CAP))
     slack = []
-    for tn in _box.j_orders(neumann=True)[1:]:
+    for tn in _box.j_orders()[1:]:
         z = _internals.census_zero(0, tn, 1)
         watson = _internals.first_zero_bounds(0, tn)[0] * (1.0 - 1e-9)
         sign_at = partial(_internals.grid_sign, 0, tn)
         lo, hi, _ = _internals.first_cell(sign_at, tn % 2, watson, 1)
         assert lo < z < hi, (tn, lo, z, hi)
         assert _box.qu_wong(tn) < z < _box.qu_wong(tn + 2), (tn, z)
-        if (0, tn) in pinned:
-            slack.append((z / _box.qu_wong(tn) - 1.0, tn))
-    assert min(slack)[1] == 240
-    assert min(slack)[0] == pytest.approx(0.00162, rel=1e-2)
+        slack.append((z / _box.qu_wong(tn) - 1.0, tn))
+    assert min(slack)[1] == 369
+    assert min(slack)[0] == pytest.approx(0.000930, rel=1e-2)
 
 
 def _rayleigh_bound(l: int, twice_nu: int) -> float:
@@ -743,26 +733,25 @@ def test_sturm_start_is_never_below_the_rayleigh_start():
     # Sturm bound sqrt(l(l+d-2)): past the Rayleigh bound at all but ten
     # keys of twice_nu <= 8, and at those so little below it that no grid
     # point lies between them, so no scan evaluates a point at or below
-    # the Rayleigh bound (counts pinned over the keys of cap 240). At
-    # fixed d the census bound increases in l, as the first zeros it
-    # bounds do, through the first degree out of the box: from l = 0 for
-    # Dirichlet, from l = 1 for Neumann
+    # the Rayleigh bound (counts pinned). At fixed d the census bound
+    # increases in l, as the first zeros it bounds do, over the degrees of
+    # the box and the first degree past them: from l = 0 for Dirichlet,
+    # from l = 1 for Neumann
     keys = [key for key in _box.census_keys() if key[0]]
-    pinned = {key for key in _box.census_keys(_box.PINNED_CAP) if key[0]}
-    assert len(pinned) == 14161
+    assert len(keys) == 34040
     later = 0
     for l, tn in keys:
         sturm = _internals.first_zero_lower((l, tn))
         rayleigh = _rayleigh_bound(l, tn)
         assert next_point(tn % 2, sturm) > rayleigh, (l, tn, sturm, rayleigh)
-        later += sturm > rayleigh and (l, tn) in pinned
+        later += sturm > rayleigh
         assert sturm > rayleigh or tn <= 8, (l, tn, sturm, rayleigh)
-    assert later == 14151
+    assert later == 34030
     for d in range(2, _box.j_orders()[-1] + 1):
         for bc in BoundaryCondition:
             first = 0 if bc is BoundaryCondition.DIRICHLET else 1
             lows = [_internals.first_zero_lower(_internals.key(bc, l, d)[0])
-                    for l in range(first, _box.first_degree_out(d) + 1)]
+                    for l in range(first, _box.neumann_degrees(d).stop + 1)]
             assert lows == sorted(lows), (bc, d)
 
 
@@ -1402,16 +1391,28 @@ class TestRefinement:
         # zero, and each zero takes 3 or 4 float pairs and one fixed-point
         # value, cold: 49 and 14 for the 14 zeros, 99 exact sums in all
         # (deterministic counts). From one ulp off the first value
-        # certifies the neighbour; from two ulps off it cannot
+        # certifies the neighbour; from two ulps off it cannot. Newton on g
+        # itself, with the mode off, hands over the same floats at more
+        # cost: 108 float pairs and 154 exact sums
         counts = _counts.count(monkeypatch).series
+        got = []
         for l in range(1, 15):
             cold()
             before = counts.copy()
-            assert zeros.neumann_zero(l, 100, 1) < l + 49
+            got.append(zeros.neumann_zero(l, 100, 1))
+            assert got[-1] < l + 49
             used = counts - before
             assert used["pair"] <= 4 and used["value"] == 1, (l, used)
         assert counts == {"base": 14, "pair": 49, "value": 14,
                           "ascending": 99}, counts
+        real = _internals.replace(monkeypatch, "jet", (
+            lambda l, nu, x, a, b, ratio=False: real(l, nu, x, a, b)))
+        counts.clear()
+        for l in range(1, 15):
+            cold()
+            assert zeros.neumann_zero(l, 100, 1) == got[l - 1], l
+        assert counts == {"base": 14, "pair": 108, "value": 14,
+                          "ascending": 154}, counts
         cold()
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
