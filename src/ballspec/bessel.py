@@ -1,9 +1,8 @@
 """Bessel kernel: J_nu, the (J_nu, J_{nu+1}) pair, and log-gamma.
 
 Supported box: X_MIN <= x <= X_MAX, and orders nu = twice_nu/2 with
-twice_nu an integer in [0, TWICE_NU_MAX] (every order used by the ball
-problems is l + d/2 - 1, so 2*nu is always an exact integer).
-Accuracy contract per evaluation:
+twice_nu an int >= 0 (every order used by the ball problems is l + d/2 - 1,
+so 2*nu is always an exact integer). Accuracy contract per evaluation:
 
     |error| <= 1e-12 * max(|value|, 1e-3)
 
@@ -26,7 +25,9 @@ J_nu > 0 on (0, j_{nu,1}) with j_{nu,1} > nu (DLMF 10.21(i)).
 The lower edge X_MIN keeps the route honest: the error model's absolute
 term 1e-24 * sqrt(2/(pi x)) alone exceeds the 1e-15 floor below about
 6e-19. Inside the box a value |J| < 2^-931 cannot carry 12 digits; eval_J
-and eval_J_pair refuse it with LossOfPrecision, for either order of a pair.
+and eval_J_pair refuse it with LossOfPrecision, for either order of a pair,
+and before any ladder where the bound (x/2)^nu / Gamma(nu+1) >= |J_nu(x)|
+(DLMF 10.14.4) does, so no ladder is sized much past order 700.
 
 _ladder is the one ladder, in fixed point on Python ints. It keeps every
 y_k, so a ladder sized for order n yields J_k(x) for every order k of one
@@ -62,12 +63,12 @@ from ballspec.errors import LossOfPrecision, RangeError
 
 X_MIN = 1e-18
 X_MAX = 200.0
-TWICE_NU_MAX = 480
 
 # contract knobs (see module docstring)
 _REL_CONTRACT = 1e-12
 _NEAR_ZERO_FLOOR = 1e-3  # max(|v|, floor) turns the absolute clause into a ratio
 _UNDERFLOW_EXP = -930  # frexp exponent below this: |J| < 2^-931, refused
+_UNDERFLOW_LOG = (_UNDERFLOW_EXP - 1) * math.log(2.0)  # ln 2^-931
 
 _P = 120  # fraction bits of the integer ladder's fixed point
 _SPAN = 30  # most terms of a _multiply series: orders it reads past nu
@@ -410,10 +411,6 @@ class Order(namedtuple("Order", "twice_nu")):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _check_int("twice_nu", self.twice_nu, 0)
-        if self.twice_nu > TWICE_NU_MAX:
-            raise RangeError(
-                f"twice_nu={self.twice_nu} outside supported [0, {TWICE_NU_MAX}]"
-            )
         return self
 
     @property
@@ -464,39 +461,42 @@ def _check_underflow(value: float, twice_nu: int, x: float) -> None:
     """Refuse |J_nu(x)| < 2^-931. J_nu underflows only below its first
     zero, where J_nu > 0, so a computed 0.0 is an underflow too."""
     if value == 0.0 or math.frexp(value)[1] < _UNDERFLOW_EXP:
-        raise LossOfPrecision(
-            f"|J(twice_nu={twice_nu}, x={x!r})| underflows the accuracy floor"
-        )
+        raise LossOfPrecision(f"|J(twice_nu={twice_nu}, x={x!r})| "
+                              "underflows the accuracy floor")
+
+
+def _check_bound(twice_nu: int, x: float) -> None:
+    """Refuse, as _check_underflow does, an order whose DLMF 10.14.4 bound
+    lies below 2^-931: its log a - b, with a slack of 2^-30 (|a| + |b| + 1)
+    for 2^20 ulps of math.log and math.lgamma; past the float range, nan."""
+    try:
+        nu = 0.5 * twice_nu
+        a, b = nu * math.log(0.5 * x), math.lgamma(nu + 1.0)
+    except OverflowError:
+        a = b = math.inf
+    if not a - b + 2.0**-30 * (abs(a) + abs(b) + 1.0) >= _UNDERFLOW_LOG:
+        _check_underflow(0.0, twice_nu, x)
 
 
 def eval_J(nu: Order, x: float) -> EvalResult:
-    """J_nu(x) for X_MIN <= x <= X_MAX, twice_nu in [0, TWICE_NU_MAX]."""
+    """J_nu(x) for X_MIN <= x <= X_MAX."""
     _check_order(nu)
     x = _validate_x(x)
+    _check_bound(nu.twice_nu, x)
     value, _, abs_err = _eval_miller(nu.twice_nu, x)
     _check_underflow(value, nu.twice_nu, x)
     return _check(value, abs_err, "J", nu.twice_nu, x)
 
 
-def _validate_pair(nu: Order, x: float) -> float:
-    """x as a float, once nu is an Order and x and the pair's upper order
-    lie in the box."""
-    _check_order(nu)
-    x = _validate_x(x)
-    if nu.twice_nu + 2 > TWICE_NU_MAX:
-        raise RangeError(
-            f"pair at twice_nu={nu.twice_nu} needs order above the supported box"
-        )
-    return x
-
-
 def eval_J_pair(nu: Order, x: float) -> tuple[EvalResult, EvalResult]:
     """(J_nu(x), J_{nu+1}(x)) from one recurrence ladder."""
-    x = _validate_pair(nu, x)
-    v0, v1, err = _eval_miller(nu.twice_nu, x)
-    _check_underflow(v0, nu.twice_nu, x)
-    _check_underflow(v1, nu.twice_nu + 2, x)
+    _check_order(nu)
+    x = _validate_x(x)
     tn = nu.twice_nu
+    _check_bound(tn + 2, x)  # J_nu's too: the bound's log is concave in nu
+    v0, v1, err = _eval_miller(tn, x)
+    _check_underflow(v0, tn, x)
+    _check_underflow(v1, tn + 2, x)
     return _check(v0, err, "J pair", tn, x), _check(v1, err, "J pair", tn, x)
 
 

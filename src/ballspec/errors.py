@@ -16,13 +16,12 @@ class RangeError(BallspecError):
     """Arguments fall outside the supported domain.
 
     The evaluation kernel supports bessel.X_MIN <= x <= bessel.X_MAX and
-    orders nu stored as 2*nu, an integer in [0, bessel.TWICE_NU_MAX];
-    bessel checks that box. The zero census has no order cap: a zero
-    request is refused only where its zero lies past X_MAX, and Courant
-    and Pleijel name their request in the refusals of its zeros. A
-    spectrum's cutoff lies inside the argument box, so no cutoff is
-    refused. pleijel.D_MAX is the largest d with a gamma(d).
-    Integer parameters are checked by bessel._check_int.
+    orders nu stored as 2*nu, an int >= 0 (an underflow is LossOfPrecision);
+    bessel checks that box. The zero census has no order cap: a zero request
+    is refused only where its zero lies past X_MAX, and Courant and Pleijel
+    name their request in the refusals of its zeros. A spectrum's cutoff
+    lies inside the argument box, so no cutoff is refused. pleijel.D_MAX is
+    the largest d with a gamma(d). bessel._check_int checks integer arguments.
     """
 
 

@@ -1,12 +1,13 @@
 """Where the supported box ends, derived for the tests.
 
 The tests learn every edge of the box here. Each edge follows from
-bessel.X_MAX (the argument box) and the first-zero bounds below; CAP is
-only the public order cap of bessel.Order and of eval_J and eval_J_pair,
-whose pair reads twice_nu + 2 <= CAP. The census reads no order cap: a
-zero is refused only where it lies past X_MAX, so no spectrum cutoff up to
+bessel.X_MAX (the argument box) and the bounds below; no order cap bounds
+the box. The kernel serves an order at x up to last_order(x), past which
+DLMF 10.14.4's bound on |J_nu(x)| lies below its 2^-931 floor. The census
+refuses a zero only where it lies past X_MAX, so no spectrum cutoff up to
 LAMBDA_MAX is refused, in any d. The bounds are written out again here, not
-read from zeros, so that no expected edge comes from the code under test:
+read from bessel or zeros, so that no expected edge comes from the code
+under test:
 
 * Qu and Wong: j_{nu,1} > nu + |a_1| 2^(-1/3) nu^(1/3), the constant
   rounded down to 1.855757 (Trans. AMS 351, 1999; DLMF 10.21(vii));
@@ -14,7 +15,8 @@ read from zeros, so that no expected edge comes from the code under test:
 * Chambers: j_{nu,1} < sqrt(nu + 1) (sqrt(nu + 2) + 1) (Math. Comp. 38,
   1982);
 * Sturm: the first zero beta_{l,1} of the Neumann target at l >= 1 exceeds
-  sqrt(l (l + d - 2)).
+  sqrt(l (l + d - 2));
+* DLMF 10.14.4: |J_nu(x)| <= (x/2)^nu / Gamma(nu + 1).
 
 A degree's census bound is Qu and Wong's for a J key and Sturm's for a
 Neumann key l >= 1, shrunk by 1 - 1e-9; where it lies past the cutoff
@@ -24,13 +26,15 @@ radius, radial_zeros runs no census.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import count
+
+import mpmath as mp
 
 from ballspec import bessel
 
 from tests import _oracle
 
-CAP = bessel.TWICE_NU_MAX
 X_MAX = bessel.X_MAX
 LAMBDA_MAX = int(X_MAX * X_MAX)
 _SHRINK = 1.0 - 1e-9  # the census shrinks each bound by this factor
@@ -71,6 +75,26 @@ def zero_upper(twice_nu: int, m: int) -> float:
     nu = 0.5 * twice_nu
     c = 1.0 - (nu * nu - 0.25) / qu_wong(twice_nu) ** 2
     return chambers(twice_nu) + (m - 1) * math.pi / math.sqrt(c)
+
+
+@lru_cache(maxsize=None)
+def last_order(x: float) -> int:
+    """The last twice_nu whose DLMF 10.14.4 bound (x/2)^nu / Gamma(nu+1) is
+    at least 2^-931, the kernel's underflow floor, at 40 digits: 1378 at
+    X_MAX. The log of the bound is concave in nu and 0 at nu = 0, so the
+    orders it keeps are 0 up to this edge, found by bisection."""
+    with mp.workdps(40):
+        half, floor = mp.mpf(x) / 2, -931 * mp.log(2)
+
+        def kept(twice_nu: int) -> bool:
+            nu = mp.mpf(twice_nu) / 2
+            return nu * mp.log(half) - mp.loggamma(nu + 1) >= floor
+
+        lo, hi = 0, next(2**k for k in count() if not kept(2**k))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if kept(mid) else (lo, mid)
+        return lo
 
 
 def census_key(bc: str, l: int, d: int) -> tuple[int, int]:

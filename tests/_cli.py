@@ -4,8 +4,8 @@ whose stdout digest and exit code tests/test_golden.py pins.
 The argv cover every subcommand and both formats, the lambda = 0 Neumann
 edge (the lone zero mode at r = 0), the degree-0 Neumann zeros (which
 count r = 0 first) at d = 3 and at d = 240, a zero of order 120, a Neumann
-zero of order 240, whose pair reaches past the order cap, read below the turning
-point from the ascending series, the selfcheck report and
+zero of order 240, whose pair reads order 241, read below the turning point
+from the ascending series, the selfcheck report and
 its refusal of ``--format`` (exit 1, empty stdout), and every table layout
 the CLI writes, including empty CSV cells (the last ``quotient`` of a gamma
 table, a verdict with no nodal count ``mu``). Update a digest only in a

@@ -7,7 +7,7 @@ process with ``PYTHONPATH=src``. Its digest is the SHA-256 of ``repr`` of
 the list of ``(" ".join(argv), returncode, sha256(stdout).hexdigest())``,
 in pool order.
 
-The sweep takes about 40 s, so pytest does not collect it (its name does
+The sweep takes about 20 s, so pytest does not collect it (its name does
 not match ``test_*.py``); ``tests/test_golden.py`` pins a few command lines
 in tier-1. A change that must keep every output byte-identical runs it from
 the repository root and quotes its line:

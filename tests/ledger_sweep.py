@@ -1,16 +1,18 @@
-"""The zero sweep: every radial zero of the order box, hashed.
+"""The zero sweep: every radial zero of a chosen range of degrees, hashed.
 
-The sweep is both boundary conditions, d = 2..240 and l = 0..(240 - d)//2
-(every degree whose pair order stays in the kernel box), each enumerated by
+The sweep is both boundary conditions, d = 2..240 and l = 0..(240 - d)//2,
+the degrees whose order twice_nu = 2l + d - 2 is at most 238, a range
+chosen once and kept, as the digest pins it; each is enumerated by
 ``radial_zeros(bc, l, d, 200.0)``: 28,800 rows and 859,180 entries, of
 which 858,941 are positive zeros (the rest are the Neumann l = 0 zeros at
 r = 0). Its digest is the SHA-256 of ``repr`` of the list of
 ``(LABEL[bc], d, l, zeros)``, in that loop order; LABEL keeps the names
 the digest was first taken with.
 
-The sweep takes about two minutes of CPU, so pytest does not collect it
-(its name does not match ``test_*.py``); ``tests/test_ledger.py`` pins a
-smaller check set in tier-1. A change to the kernel or the census runs it
+The sweep takes about 70 s of CPU (69-73 s on a 2-vCPU x86 box with
+Python 3.11), so pytest does not collect it (its name does not match
+``test_*.py``); ``tests/test_ledger.py`` pins a smaller check set in
+tier-1. A change to the kernel or the census runs it
 from the repository root and quotes its line:
 
     PYTHONPATH=src python3 tests/ledger_sweep.py
@@ -26,7 +28,7 @@ import sys
 from ballspec import zeros
 from ballspec.zeros import BoundaryCondition
 
-D_TOP = 240  # d = 240 at l = 0 is the highest pair order, twice_nu = 238
+D_TOP = 240  # the chosen range: twice_nu = 2l + d - 2 <= D_TOP - 2
 X_MAX = 200.0
 COUNTS = (28800, 859180, 858941)  # rows, entries, positive zeros
 DIGEST = "c849ccddff3f8cda20e8d2afdf37195f675517a263d5e08c02bb44b1e7c23700"

@@ -17,11 +17,10 @@ from pathlib import Path
 import pytest
 
 import ballspec
-from ballspec.bessel import EvalResult, Order
-from ballspec.errors import CertificateFailure, RangeError
+from ballspec.bessel import EvalResult, Order, eval_J
+from ballspec.errors import CertificateFailure, LossOfPrecision, RangeError
 from ballspec.pleijel import Check
 from ballspec.spectrum import BoundaryCondition, EigenvalueRecord
-from tests import _box
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -80,8 +79,8 @@ def test_record_keywords_and_defaults():
 
 
 @pytest.mark.parametrize("make, error, message", [
-    (lambda: Order(_box.CAP + 1), RangeError,
-     f"twice_nu={_box.CAP + 1} outside supported [0, {_box.CAP}]"),
+    (lambda: eval_J(Order(10**9), 200.0), LossOfPrecision,
+     "|J(twice_nu=1000000000, x=200.0)| underflows the accuracy floor"),
     (lambda: Order(-1), RangeError, "twice_nu must be an int >= 0, got -1"),
     (lambda: Order(True), RangeError,
      "twice_nu must be an int >= 0, got True"),

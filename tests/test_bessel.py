@@ -5,6 +5,7 @@ zeros); cross-checks against the extended-precision oracle in _oracle.py.
 """
 
 import math
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -37,10 +38,11 @@ def test_order_reconstructs_from_l_d():
 
 
 def test_order_range_checks():
+    # an Order is any int twice_nu >= 0: no order cap, the kernel refuses
+    # an order only where its value underflows
+    assert [Order(tn).twice_nu for tn in (481, 10**400)] == [481, 10**400]
     with pytest.raises(RangeError):
         Order(-1)
-    with pytest.raises(RangeError):
-        Order(_box.CAP + 1)
     with pytest.raises(RangeError):
         Order(1.5)  # type: ignore[arg-type]
     with pytest.raises(RangeError):
@@ -54,8 +56,9 @@ def test_order_range_checks():
 
 def test_x_range_checks():
     for bad in (0.0, -1.0, 200.0000001, math.inf, math.nan):
-        with pytest.raises(RangeError):
-            eval_J(Order(0), bad)
+        for call in (eval_J, eval_J_pair):
+            with pytest.raises(RangeError, match=rf"x={bad!r} outside"):
+                call(Order(0), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +113,6 @@ def test_pair_tiny_argument_leading_terms():
     first, second = eval_J_pair(Order(0), 1e-8)
     assert first.value == pytest.approx(1.0, abs=1e-15)
     assert second.value == pytest.approx(5e-9, rel=1e-12)
-
-
-def test_pair_order_cap():
-    with pytest.raises(RangeError):
-        eval_J_pair(Order(_box.CAP), 10.0)
-    with pytest.raises(RangeError, match="above the supported box"):
-        eval_J_pair(Order(_box.CAP - 1), 5.0)
-    with pytest.raises(RangeError, match=r"x=0\.0 outside"):
-        eval_J_pair(Order(0), 0.0)
 
 
 def test_pair_consistent_with_singles():
@@ -232,13 +226,15 @@ def ladder_pairs(parity: int, x: float, top: int):
 
 
 def test_ladder_float_within_its_bound():
-    # one ladder per parity and x of the twin grid, sized for the whole box
+    # one ladder per parity and x of the twin grid, sized for order 239
     # (small x at high order, x = 200 the box edge), and at the near-zero
     # points one ladder sized for the zero's order: every pair the zero
-    # finder can read lies within its bound of the oracle
+    # finder can read lies within its bound of the oracle. 239 is a
+    # literal, not the edge _box.last_order(x) // 2, which would more than
+    # double the oracle's cost: the orders served past it are sampled by
+    # test_served_past_order_480_match_the_oracle
     pts, n_grid = twin_points(), len(TWIN_ORDERS) * len(TWIN_XS)
-    checks = {(tn % 2, x, bessel.TWICE_NU_MAX // 2 - 1): None
-              for tn, x in pts[:n_grid]}
+    checks = {(tn % 2, x, 239): None for tn, x in pts[:n_grid]}
     checks.update({(tn % 2, x, tn // 2): tn // 2 for tn, x in pts[n_grid:]})
     worst = 0.0
     for (parity, x, top), only in checks.items():
@@ -299,25 +295,28 @@ def test_ladder_float_is_the_twin_ladder(monkeypatch):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_lazy_ladder_agrees_with_its_rebuild(parity, x):
     # a census ladder is sized for int(x) + SPAN, eval_J's for its own
-    # order, up to the box's top order: a ladder sized for that top, one
-    # rebuilt taller, agrees with the short one on every pair
+    # order, up to the last order it serves at x: a ladder sized past that
+    # top, one rebuilt taller, agrees with the short one on every pair
     top = max(3, int(x)) + _internals.SPAN
     lazy = list(ladder_pairs(parity, x, top))
-    box = list(ladder_pairs(parity, x, max(bessel.TWICE_NU_MAX // 2 - 1,
+    box = list(ladder_pairs(parity, x, max((_box.last_order(x) - parity) // 2,
                                            int(x)) + _internals.SPAN))
     assert len(lazy) == top + 1 and len(box) >= len(lazy)
     for (n, a, b, err), (_, a2, b2, err2) in zip(lazy, box):
         assert abs(a - a2) <= err + err2 and abs(b - b2) <= err + err2, n
 
 
-@pytest.mark.parametrize("top", [119, 239], ids=["cap240", "cap480"])
+@pytest.mark.parametrize("top", [119, 239, None],
+                         ids=["cap240", "cap480", "edge"])
 @pytest.mark.parametrize("x", TWIN_XS + (math.pi / 4, 3 * math.pi / 4))
 def test_grid_ladder_serves_every_order_to_the_cap(monkeypatch, x, top):
-    # orders 1..top asking in turn at one grid point (top the last order of
-    # the cap's box): the orders past the turning point read one ladder,
-    # built once for int(x) + SPAN orders whatever the cap, which spans
-    # each one's multiplication series; the orders below it read the
+    # the orders n + 1/2, n = 1..top, asking in turn at one grid point, top
+    # 119 or 239 (twice_nu below 240 or 480), or the edge, the last such
+    # order eval_J serves at x: the orders past the turning point read one
+    # ladder, built once for int(x) + SPAN orders whatever the top, which
+    # spans each one's multiplication series; the orders below it read the
     # ascending series and build none
+    top = top or (_box.last_order(x) - 1) // 2
     _internals.fresh_ladders(monkeypatch)
     work = _counts.count(monkeypatch)
     for n in range(1, top + 1):
@@ -576,7 +575,9 @@ UNDERFLOW_EDGES = [(1e-3, 120), (10.0**-7.5, 62)]
 
 @pytest.mark.parametrize("x,last_kept", UNDERFLOW_EDGES)
 def test_underflow_boundary(x, last_kept):
-    for tn in range(bessel.TWICE_NU_MAX + 1):
+    # every order to twice the edge: past it the bound refuses them all
+    assert last_kept <= _box.last_order(x)
+    for tn in range(2 * _box.last_order(x)):
         if tn <= last_kept:
             assert eval_J(Order(tn), x).value > 0.0, tn
         else:
@@ -617,6 +618,59 @@ def test_pair_refuses_when_only_the_upper_order_underflows():
             eval_J_pair(Order(tn), x)
 
 
+@pytest.mark.parametrize("twice_nu,x", [(10**9, 200.0), (10**400, 1.0)],
+                         ids=["1e9", "1e400"])
+def test_huge_order_is_refused_before_any_ladder(monkeypatch, twice_nu, x):
+    # far past DLMF 10.14.4's edge, and past the float range, the bound
+    # refuses the order as an underflow, with no ladder sized for it
+    work = _counts.count(monkeypatch)
+    want = rf"^\|J\(twice_nu={twice_nu}, x={x!r}\)\| underflows"
+    with pytest.raises(LossOfPrecision, match=want):
+        eval_J(Order(twice_nu), x)
+    assert work.ladders == []
+
+
+@pytest.mark.parametrize("x", [bessel.X_MIN, 1e-3, 0.5, 1.0, math.pi, 10.0,
+                               100.0, 163.0, 200.0])
+def test_bound_refuses_just_past_the_edge(monkeypatch, x):
+    # the order at the edge, whose bound clears 2^-931, reaches its ladder
+    # (and is served there, or refused as its value underflows); the next
+    # order, alone or as the upper order of a pair, is refused before one
+    edge = _box.last_order(x)
+    work = _counts.count(monkeypatch)
+    try:
+        eval_J(Order(edge), x)
+    except LossOfPrecision:
+        pass
+    assert len(work.ladders) == 1
+    for call, tn in ((eval_J, edge + 1), (eval_J_pair, edge - 1)):
+        with pytest.raises(LossOfPrecision,
+                           match=rf"twice_nu={edge + 1}, .*underflows"):
+            call(Order(tn), x)
+    assert len(work.ladders) == 1
+
+
+def test_served_past_order_480_match_the_oracle():
+    # a seeded sample of orders past 480 is served within the contract
+    # where the value clears the floor, and refused only where the
+    # oracle's value is below it
+    rng = random.Random(20261022)
+    served = 0
+    for _ in range(120):
+        tn, x = rng.randrange(481, 1401), rng.uniform(1.0, 200.0)
+        want = oracle.oracle_J(tn, x, dps=40)
+        try:
+            got = eval_J(Order(tn), x).value
+        except LossOfPrecision:
+            assert abs(want) < 2.0**-931 * (1 + 1e-12), (tn, x)
+            continue
+        served += 1
+        with mp.workdps(50):
+            miss = abs(mp.mpf(got) - want)
+            assert miss <= 1e-12 * max(abs(want), mp.mpf(1e-3)), (tn, x)
+    assert 40 <= served <= 80  # 66: both outcomes are sampled
+
+
 # below X_MIN the ladder's absolute error term passes the 1e-15 floor, and
 # further down the ladder overflows; without the edge the first three gave
 # an OverflowError, a ValueError and a 0.0, the fourth a LossOfPrecision
@@ -632,9 +686,11 @@ def test_below_x_min_raises_range_error(tn, x):
 
 
 def test_x_min_matches_oracle_or_refuses():
+    # at X_MIN, J_nu is its bound to 36 digits: the orders served are
+    # exactly those up to the bound's edge, 29, and each is the oracle's
     x = bessel.X_MIN
     returned = []
-    for tn in range(bessel.TWICE_NU_MAX + 1):
+    for tn in range(2 * _box.last_order(x)):
         try:
             got = eval_J(Order(tn), x)
         except LossOfPrecision:
@@ -644,7 +700,7 @@ def test_x_min_matches_oracle_or_refuses():
         with mp.workdps(40):
             diff = abs(mp.mpf(got.value) - want)
             assert diff <= 1e-12 * max(abs(want), mp.mpf(1e-3)), tn
-    assert returned[:3] == [0, 1, 2]
+    assert returned == list(range(_box.last_order(x) + 1))
 
 
 # the points of both of the kernel's bit pins (tests/test_golden.py), the

@@ -1,5 +1,5 @@
 """Checks of tests/_box.py, the one derivation of the box's edges, against
-README's table of realized lambda limits."""
+README's table of realized lambda limits and its last order served."""
 
 from __future__ import annotations
 
@@ -19,3 +19,11 @@ def test_readme_limits_are_the_derived_ones():
                       README.read_text(encoding="utf-8"), re.M)
     assert rows == [(bc, "d ≥ 2", f"{_box.LAMBDA_MAX:,}", "none")
                     for bc in ("Dirichlet", "Neumann")]
+
+
+def test_readme_order_edge_is_the_derived_one():
+    # README's last order served at x = 200: past it DLMF 10.14.4's bound
+    # on |J_nu(200)| lies below the kernel's 2^-931 floor
+    [nu] = re.findall(r"no order past ν = (\d+) is served",
+                      README.read_text(encoding="utf-8").replace("\n", " "))
+    assert int(nu) == _box.last_order(_box.X_MAX) // 2 == 689

@@ -1,7 +1,7 @@
 """The package has no dependencies: every import in ``src/ballspec`` names
 a standard-library module or ``ballspec`` itself. And the supported box has
-one home: one integer check (``bessel._check_int``) and the order cap read
-only in ``bessel``, as the census has none.
+one home: one integer check (``bessel._check_int``), and no order cap, in
+the kernel or the census, nor a compared ``pleijel.D_MAX``.
 And a CLI job imports only the modules its subcommand runs, and never
 ``dataclasses``, an argument parser, ``json`` or ``fractions``. And the
 kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
@@ -81,26 +81,22 @@ def test_is_int_is_called_only_by_check_int():
     assert len(calls) == 1
 
 
-def test_order_cap_is_compared_only_in_bessel():
-    caps = {"TWICE_NU_MAX", "D_MAX"}
+def test_no_module_compares_d_max():
+    # pleijel.D_MAX follows from X_MAX, and a gamma(d) past it is refused by
+    # its zero request for X_MAX: no module compares it, so it is no
+    # second box
     found = [
         (name, node.lineno)
         for name, tree in _parsed()
-        if name != "bessel.py"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Compare) and _named(node, caps)
+        if isinstance(node, ast.Compare) and _named(node, {"D_MAX"})
     ]
     assert found == []
 
 
-def test_only_bessel_reads_the_order_cap():
-    # bessel.TWICE_NU_MAX caps bessel.Order and eval_J_pair's pair, and no
-    # other module reads it: the census has no order cap (a zero is refused
-    # only past X_MAX), pleijel.D_MAX and the selfcheck's keys follow from
-    # X_MAX, spectrum catches no refusal, and the census's shared ladders
-    # are sized from x alone, so changing the cap changes no other module
-    assert [name for name, tree in _parsed()
-            if _named(tree, {"TWICE_NU_MAX"})] == ["bessel.py"]
+def test_spectrum_catches_no_range_error_and_grid_ladders_size_from_x():
+    # spectrum catches no refusal, so a refused zero reaches its caller, and
+    # the census's shared ladders are sized from x alone, not from any order
     spectrum = dict(_parsed())["spectrum.py"]
     assert [node.lineno for node in ast.walk(spectrum)
             if isinstance(node, ast.ExceptHandler)
@@ -110,8 +106,7 @@ def test_only_bessel_reads_the_order_cap():
     grid_ladder = next(fn for fn in tree.body
                        if isinstance(fn, ast.FunctionDef)
                        and fn.name == "_grid_ladder")
-    # no TWICE_NU_MAX, nor a constant derived from it: only its cache and
-    # the series span
+    # no constant but its cache and the series span
     consts = {node.id for node in ast.walk(grid_ladder)
               if isinstance(node, ast.Name) and node.id.lstrip("_").isupper()}
     assert consts == {"_LADDERS", "_SPAN"}

@@ -430,12 +430,12 @@ class TestEnumerationValidation:
                                    10000, 40000])
     def test_neumann_enumerates_up_to_lambda_max(self, d):
         # no Neumann cutoff is refused, in any d: at LAMBDA_MAX a spectrum
-        # holds the degrees whose first zero lies in the box, past the order
-        # cap too, up to the last d whose degree 1 has one; past it the
-        # ground state alone (d = 40,000, where beta_{1,1} = 200.0025). The
-        # zeros of the top degree, and each zero of an order past the cap,
-        # read below the turning point from the ascending series alone, are
-        # the floats nearest the oracle's
+        # holds the degrees whose first zero lies in the box, at any order,
+        # up to the last d whose degree 1 has one; past it the ground state
+        # alone (d = 40,000, where beta_{1,1} = 200.0025). The zeros of the
+        # top degree, and each zero of an order whose whole box lies below
+        # the turning point, 2 X_MAX <= twice_nu, read from the ascending
+        # series alone, are the floats nearest the oracle's
         table = enumerate_spectrum(d, N, spectrum.LAMBDA_MAX)
         if d > _box.EDGES["last_d_of_degree_one"]:
             assert [(r.l, r.m, r.zero) for r in table.records] == [
@@ -445,7 +445,7 @@ class TestEnumerationValidation:
         checked = 0
         for rec in table.records:
             twice_nu = 2 * rec.l + d - 2
-            if rec.l and (rec.l == top or twice_nu > _box.CAP):
+            if rec.l and (rec.l == top or 2 * _box.X_MAX <= twice_nu):
                 assert_nearest_float(rec.l, twice_nu, rec.zero)
                 checked += 1
         assert top >= 1 and checked >= 1

@@ -111,6 +111,18 @@ class TestValidation:
         with pytest.raises(RangeError):
             zeros.bessel_zero(Order(0), 0)
 
+    @pytest.mark.parametrize("twice_nu", [481, 10**9, 10**400],
+                             ids=["481", "1e9", "1e400"])
+    def test_bessel_zero_past_the_box_builds_no_ladder(self, monkeypatch,
+                                                       twice_nu):
+        # no order cap: an order whose first zero lies past X_MAX (Qu and
+        # Wong's bound on it does) is refused for X_MAX, before any ladder
+        work = _counts.count(monkeypatch)
+        with pytest.raises(RangeError, match=rf"twice_nu={twice_nu} lies "
+                           rf"beyond the supported box x <= {_box.X_MAX}"):
+            zeros.bessel_zero(Order(twice_nu), 1)
+        assert work.ladders == []
+
     def test_l_d_validation(self):
         with pytest.raises(RangeError):
             zeros.dirichlet_zero(-1, 2, 1)
@@ -463,14 +475,15 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     # nearest the census ladder's pair bit for bit; below it the pair is
     # rounded from the census's exact ascending sums there: at every order
     # from 180 up at the first grid points pi/4 and pi/2, and at a stride
-    # over the rest of the census grid
+    # over the rest of the census grid, each point's orders up to the last
+    # one eval_J serves there
     _internals.fresh_ladders(monkeypatch)
     grid = [(tn, x) for parity in (0, 1)
             for x in _internals.GRID[parity]
-            for tn in range(parity, _box.CAP - 1, 2)]
+            for tn in range(parity, _box.last_order(x) + 1, 2)]
     edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
-    assert len(grid) > 30000 and len(edge) > 100
-    for tn, x0 in edge + grid[::7]:
+    assert len(grid) > 120000 and len(edge) > 100
+    for tn, x0 in edge + grid[::23]:
         pair, _ = _internals.grid_series(tn, x0)
         n = tn // 2
         if 2.0 * x0 > tn:
@@ -635,7 +648,7 @@ def test_first_zero_bounds_bracket_the_first_zero():
 def test_selfcheck_first_zero_keys_read_the_box():
     # the suite ranges over the keys whose first zero provably lies in the
     # argument box (Chambers' bound on j_{nu,1}, above both targets' first
-    # zeros, at most X_MAX), whatever the order cap
+    # zeros, at most X_MAX)
     for fast in (True, False):
         step, dims = (8, (2, 3)) if fast else (1, (2, 3, 30, 120))
         keys = [(0, tn) for tn in range(0, 1000, step)] + [
@@ -1018,16 +1031,17 @@ class TestRadialZeros:
         assert len(got) == 63
         assert got[-1] == zeros.bessel_zero(Order(0), 63)
 
-    def test_degree_past_the_order_cap_reads_no_ladder(self, monkeypatch):
-        # a Neumann degree whose order 2l + d - 2 lies past the order cap
-        # (l = 92 at d = 300, order 241 at cap 480) has no zero below its
-        # census bound (Sturm's 189.42), so the list is empty there; past
-        # it the degree's zero is served, the float nearest the oracle's,
-        # from census signs and a refinement on the ascending series alone,
-        # as the whole box lies below the turning point: no ladder is built
+    def test_degree_below_the_turning_point_reads_no_ladder(self,
+                                                             monkeypatch):
+        # a Neumann degree whose order 2l + d - 2 puts the whole box below
+        # the turning point, 2 X_MAX <= twice_nu (l = 92 at d = 300, order
+        # 241), has no zero below its census bound (Sturm's 189.42), so the
+        # list is empty there; past it the degree's zero is served, the
+        # float nearest the oracle's, from census signs and a refinement on
+        # the ascending series alone: no ladder is built
         l, d = 92, 300
         tn = 2 * l + d - 2
-        assert tn > _box.CAP
+        assert 2 * _box.X_MAX <= tn
         bound = _box.scan_bound(l, tn)
         cold()
         work = _counts.count(monkeypatch)
@@ -1121,7 +1135,7 @@ def test_spectrum_jobs_build_few_ladders(monkeypatch, capsys):
     # six seed-0 spectrum jobs build 180 ladders of 16,936 steps (len(ys):
     # the ladder keeps every y_k) in all, because the Neumann scans start at
     # the Sturm bound and each grid point builds one ladder, for int(x) +
-    # SPAN orders, whatever the cap (deterministic counts; with a rebuild at
+    # SPAN orders, whatever the order (deterministic counts; with a rebuild at
     # twice a ladder's top they took 188 and 17,714, and rebuilt for the
     # box's top orders 18,352 steps)
     jobs = _benchmark_pool().SPECTRUM.jobs(0)
