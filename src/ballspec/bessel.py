@@ -40,8 +40,9 @@ quotient. tests/test_golden.py pins _eval_miller bit for bit across the
 box.
 
 The zero finder reads the kernel at the census grid points through
-_grid_sign, its census signs, and _grid_series, the (pair, value) of
-every refinement in the cells around a point, its certificate included.
+_grid_sign, its census signs, and _grid_series, the (jet, value) of
+every refinement in the cells around a point: Newton's target and its
+derivatives (_jet), and the certificate.
 Past the turning point, 2x > twice_nu, both read one shared ladder per
 grid point and parity (_LADDERS), sized once for int(x) + _SPAN orders,
 every order of the point's wave zone and the span of its series: a sign
@@ -371,12 +372,43 @@ def _grid_sign(l: int, twice_nu: int, x: float) -> int:
     return 0 if abs(v) <= bound else 1 if v > 0 else -1
 
 
-def _grid_series(twice_nu: int, x: float):
-    """The (pair, value) of order nu around the grid point x: _ascending
-    below the turning point, else _multiply of the grid ladder at x."""
-    if 2.0 * x <= twice_nu:
-        return _ascending(twice_nu)
-    return _multiply(_grid_ladder(twice_nu % 2, x), x, twice_nu)
+def _jet(l: int, nu: float, x: float, a: float, b: float,
+         ratio: bool = False):
+    """(f, f', f'') of the key's target, J_nu at l = 0 or g at l >= 1, from
+    a = J_nu(x) and b = J_{nu+1}(x): f' by the two J recursions,
+    f'' by Bessel's equation for J_nu and J_{nu+1}. With ratio, of g / J_nu
+    = l/x - R, R = b / a, by the Riccati equation R' = 1 - (2 nu + 1) R / x
+    + R^2 of the J recursions: below the turning point, where J_nu > 0 grows
+    steeply, it has g's zeros and signs and is smooth."""
+    if ratio:
+        r, s = b / a, (2.0 * nu + 1.0) / x
+        dr = 1.0 - s * r + r * r
+        return (l / x - r, -l / (x * x) - dr,
+                2.0 * l / x**3 - (s * (r / x - dr) + 2.0 * r * dr))
+    if l == 0:  # J' = (nu/x) J - J_{nu+1}, J'' = -J'/x - (1 - nu^2/x^2) J
+        return (a, (nu / x) * a - b,
+                a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x)
+    # g(r) = (l/r) J_nu - J_{nu+1}, whose derivative is
+    # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
+    return ((l / x) * a - b,
+            (l * (nu - 1.0) / (x * x) - 1.0) * a + (nu + 1.0 - l) / x * b,
+            (a * (l * (nu - 1.0) * (nu - 2.0) / (x * x) + 1.0 - l) / x
+             + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x))))
+
+
+def _grid_series(l: int, twice_nu: int, x: float):
+    """(jet, value) of the census key (l, twice_nu) around the grid point
+    x. The one turning-point test picks the series and the Newton target
+    that suits it: below the turning point, 2x <= twice_nu, _ascending,
+    and g / J_nu for l >= 1; past it, _multiply of the grid ladder at x,
+    and the key's own target. value is the series' (_multiply's contract),
+    and jet(z) is _jet's (f, f', f'') of the target from the series' float
+    pair at z, _jet looked up at each call."""
+    below = 2.0 * x <= twice_nu
+    pair, value = (_ascending(twice_nu) if below else
+                   _multiply(_grid_ladder(twice_nu % 2, x), x, twice_nu))
+    nu, ratio = 0.5 * twice_nu, l > 0 and below
+    return lambda z: _jet(l, nu, z, *pair(z), ratio), value
 
 
 def _eval_miller(twice_nu: int, x: float):
@@ -400,7 +432,20 @@ def _is_int(n) -> bool:
 def _check_int(name: str, n, minimum: int) -> None:
     """The one integer-parameter check: n must be a true int >= minimum."""
     if not _is_int(n) or n < minimum:
-        raise RangeError(f"{name} must be an int >= {minimum}, got {n!r}")
+        raise RangeError(f"{name} must be an int >= {minimum}, got "
+                         f"{_int_text(n)}")
+
+
+def _int_text(n) -> str:
+    """repr(n) in a refusal's text, or for an int past CPython's int-to-str
+    digit limit, which repr refuses, "<k digits>" with a minus sign if n <
+    0: with K the nearest integer to log10|n|, 10^(K-1) < |n| < 10^(K+1),
+    so k is K + 1 if |n| >= 10^K, else K."""
+    try:
+        return repr(n)
+    except ValueError:
+        k = round(math.log10(abs(n)))
+        return f"{'-' * (n < 0)}<{k + (abs(n) >= 10**k)} digits>"
 
 
 class Order(namedtuple("Order", "twice_nu")):
@@ -415,7 +460,11 @@ class Order(namedtuple("Order", "twice_nu")):
 
     @property
     def nu(self) -> float:
-        return 0.5 * self.twice_nu
+        """twice_nu / 2; RangeError past the float range."""
+        try:
+            return 0.5 * self.twice_nu
+        except OverflowError:
+            raise RangeError("nu lies past the float range") from None
 
     @classmethod
     def from_l_d(cls, l: int, d: int) -> "Order":
@@ -461,8 +510,8 @@ def _check_underflow(value: float, twice_nu: int, x: float) -> None:
     """Refuse |J_nu(x)| < 2^-931. J_nu underflows only below its first
     zero, where J_nu > 0, so a computed 0.0 is an underflow too."""
     if value == 0.0 or math.frexp(value)[1] < _UNDERFLOW_EXP:
-        raise LossOfPrecision(f"|J(twice_nu={twice_nu}, x={x!r})| "
-                              "underflows the accuracy floor")
+        raise LossOfPrecision(f"|J(twice_nu={_int_text(twice_nu)}, x={x!r})|"
+                              " underflows the accuracy floor")
 
 
 def _check_bound(twice_nu: int, x: float) -> None:

@@ -46,16 +46,18 @@ it holds exactly one zero: three would need two gaps above pi/2.
 Safeguarded Newton refines each bracket, and every returned zero is the
 float nearest it: the target takes certified opposite signs at the
 midpoints to its two neighbouring floats. All values of a refinement come
-from one series (bessel._grid_series, Lommel's multiplication theorem,
-DLMF 10.23.1) on the orders nu, nu + 1, ... at the cell's upper grid end,
-which the census evaluated. Newton starts from the tangent at that end,
-the series' centre, and steps on its float sums (on g / J_nu below the
-turning point) inside a float bracket of its own, bisecting a step that
-leaves it; the certificate reads one fixed-point sum within its stated
-bound. Where a float iterate does not certify, the same sum certifies a
-neighbouring float whose two midpoints flip, else Newton steps on the
-fixed-point values (_refine). So a zero rests on the kernel's error model
-alone, as the census signs do, not on the Newton path.
+from one series (bessel._grid_series: Lommel's multiplication theorem,
+DLMF 10.23.1, or the ascending series below the turning point) on the
+orders nu, nu + 1, ... at the cell's upper grid end, which the census
+evaluated. Newton starts from the tangent at that end, the series'
+centre, and steps on the jet that bessel hands with the series, (f, f',
+f'') from its float sums (of g / J_nu below the turning point), inside a
+float bracket of its own, bisecting a step that leaves it; the
+certificate reads one fixed-point sum within its stated bound. Where a
+float iterate does not certify, the same sum certifies a neighbouring
+float whose two midpoints flip, else Newton steps on the fixed-point
+values (_refine). So a zero rests on the kernel's error model alone, as
+the census signs do, not on the Newton path.
 
 A census sign (bessel._grid_sign) is the sign of an exact integer, where
 its error bound cannot flip it, else 0, which the widen rule takes: of the
@@ -96,34 +98,6 @@ def _coerce_bc(bc) -> BoundaryCondition:
             if bc.lower() == member.value.lower():
                 return member
     raise RangeError(f"bc must be Dirichlet or Neumann, got {bc!r}")
-
-
-# ---------------------------------------------------------------------------
-# targets: value and derivatives from one pair (J_nu, J_{nu+1})
-
-
-def _jet(l: int, nu: float, x: float, a: float, b: float,
-         ratio: bool = False):
-    """(f, f', f'') of the key's target, J_nu at l = 0 or g at l >= 1, from
-    a = J_nu(x) and b = J_{nu+1}(x): f' by the two J recursions,
-    f'' by Bessel's equation for J_nu and J_{nu+1}. With ratio, of g / J_nu
-    = l/x - R, R = b / a, by the Riccati equation R' = 1 - (2 nu + 1) R / x
-    + R^2 of the J recursions: below the turning point, where J_nu > 0 grows
-    steeply, it has g's zeros and signs and is smooth."""
-    if ratio:
-        r, s = b / a, (2.0 * nu + 1.0) / x
-        dr = 1.0 - s * r + r * r
-        return (l / x - r, -l / (x * x) - dr,
-                2.0 * l / x**3 - (s * (r / x - dr) + 2.0 * r * dr))
-    if l == 0:  # J' = (nu/x) J - J_{nu+1}, J'' = -J'/x - (1 - nu^2/x^2) J
-        return (a, (nu / x) * a - b,
-                a * (nu * (nu - 1.0) / (x * x) - 1.0) + b / x)
-    # g(r) = (l/r) J_nu - J_{nu+1}, whose derivative is
-    # g' = J_nu (l(nu-1)/r^2 - 1) + J_{nu+1} (nu+1-l)/r
-    return ((l / x) * a - b,
-            (l * (nu - 1.0) / (x * x) - 1.0) * a + (nu + 1.0 - l) / x * b,
-            (a * (l * (nu - 1.0) * (nu - 2.0) / (x * x) + 1.0 - l) / x
-             + b * (1.0 - ((nu + 1.0) * (nu + 2.0) - 3.0 * l) / (x * x))))
 
 
 def _first_zero_bounds(l: int, twice_nu: int) -> tuple[float, float]:
@@ -213,8 +187,9 @@ def _refine(l: int, twice_nu: int, lo: float, hi: float,
             sign_lo: int) -> float:
     """The float nearest the zero in the census cell (lo, hi), every value
     from the series at hi, which the census evaluated (lo may be the census
-    bound). Newton runs on the float pair from the tangent at hi, on g /
-    J_nu below the turning point (2 hi <= twice_nu), inside a bracket of its
+    bound). Newton runs on the series' jet, (f, f', f'') of the target it
+    suits (g / J_nu for l >= 1 below the turning point, which bessel
+    picks with the series), from the tangent at hi, inside a bracket of its
     own that the float signs narrow; a step that leaves it, or has no f',
     becomes a bisection, and the phase ends once its next step, f'' s^2 /
     (2 f') for a step s, is below an ulp, once a step rounds to nothing, or
@@ -225,20 +200,18 @@ def _refine(l: int, twice_nu: int, lo: float, hi: float,
     midpoints; else the certified bracket (lo, hi) moves on the certified
     signs and Newton steps by the secant through the values around z. A
     step that leaves (lo, hi), or is more than half the step before last,
-    becomes a bisection. So the float phase, its signs and _jet's f' cannot
-    move a zero.
+    becomes a bisection. So the float phase, its signs and the jet's f'
+    cannot move a zero.
     The g / J_nu mode saves work, not zeros: over the 461 zeros of the
     Neumann spectra (d, lambda_max) = (100, 11998) and (30, 1500), 96 of
     them in the mode, Newton on g itself takes 1,969 float pairs and 1,664
     exact ascending sums, against 1,719 and 1,418, for the same floats;
     either way each zero takes one fixed-point pass.
     """
-    nu = 0.5 * twice_nu
-    pair, value = bessel._grid_series(twice_nu, hi)
-    ratio = l > 0 and 2.0 * hi <= twice_nu
+    jet, value = bessel._grid_series(l, twice_nu, hi)
     a, b, x = lo, hi, hi  # the float bracket: sign_lo at a, -sign_lo at b
     while True:  # the float phase
-        f, df, ddf = _jet(l, nu, x, *pair(x), ratio)
+        f, df, ddf = jet(x)
         if (f > 0.0) == (sign_lo > 0):
             a = x
         else:
@@ -332,14 +305,14 @@ def bessel_zero(nu: Order, m: int) -> float:
     """m-th positive zero j_{nu,m} of J_nu, certified by sign census."""
     bessel._check_order(nu)
     return _zero((0, nu.twice_nu), False, m,
-                 f"zero m={m} of J_nu at twice_nu={nu.twice_nu}")
+                 "zero m={} of J_nu at twice_nu={}", nu.twice_nu)
 
 
 def dirichlet_zero(l: int, d: int, m: int) -> float:
     """m-th interior-problem zero: equals j_{l+d/2-1, m} because the power
     prefactor of the scaled radial function never vanishes for r > 0."""
     return _zero(*_key(BoundaryCondition.DIRICHLET, l, d), m,
-                 f"Dirichlet zero m={m} of l={l}, d={d}")
+                 "Dirichlet zero m={} of l={}, d={}", l, d)
 
 
 def neumann_zero(l: int, d: int, m: int) -> float:
@@ -350,7 +323,7 @@ def neumann_zero(l: int, d: int, m: int) -> float:
     m >= 2 is the (m-1)-th positive zero, j_{d/2, m-1}.
     """
     return _zero(*_key(BoundaryCondition.NEUMANN, l, d), m,
-                 f"Neumann zero m={m} of l={l}, d={d}")
+                 "Neumann zero m={} of l={}, d={}", l, d)
 
 
 def find_zero(bc, l: int, d: int, m: int) -> float:
@@ -388,15 +361,18 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     return out
 
 
-def _zero(key: tuple[int, int], ground: bool, m: int, what: str) -> float:
+def _zero(key: tuple[int, int], ground: bool, m: int, what: str,
+          *fields) -> float:
     """The m-th zero of a request, its ground state at r = 0 first: the one
-    validation path of every zero request. It checks m, and a RangeError
-    names its zero (what)."""
+    validation path of every zero request. It checks m. A refusal raises
+    RangeError naming its zero by the template what, which only a refusal
+    formats, with m and the fields, each through bessel._int_text."""
     _check_int("m", m, 1)
     if ground and m == 1:
         return 0.0  # the conventional zero at r = 0 needs no census
     n = m - 1 if ground else m  # the census index of the zero
     if _census_bracket(*key, n) is None:
+        what = what.format(*map(bessel._int_text, (m, *fields)))
         raise RangeError(f"{what} lies beyond the supported box x <= {X_MAX}")
     return _census_zero(*key, n)
 

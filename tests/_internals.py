@@ -4,7 +4,7 @@ the helpers of the kernel and zero tests.
 A test that checks a contract of an internal (the ladder's error model
 ``bound``, the multiplication series' enclosure, the census walk's widen
 rule, ...) reads it here, by the name the table PARTS gives it, as an
-attribute of this module: ``_internals.grid_series(twice_nu, x)``. Each
+attribute of this module: ``_internals.grid_series(l, twice_nu, x)``. Each
 attribute is looked up at each access, so a part that a test replaced is
 the one read. A renamed or moved internal edits one line of PARTS, not the
 tests; tests/test_dependencies.py checks that no other test file, and not
@@ -33,6 +33,7 @@ PARTS = {
     "ln_j_inv": (bessel, "_ln_j_inv"),
     "eval_miller": (bessel, "_eval_miller"),  # eval_J's pair and bound
     "multiply": (bessel, "_multiply"),  # the multiplication series
+    "midpoints": (bessel, "_midpoints"),  # a certificate's four points
     # the ascending series below the turning point: its exact sums, and
     # its (pair, value)
     "ascending_sums": (bessel, "_ascending_sums"),
@@ -46,6 +47,7 @@ PARTS = {
     "grid_ladder": (bessel, "_grid_ladder"),
     "grid_sign": (bessel, "_grid_sign"),  # a census sign
     "grid_series": (bessel, "_grid_series"),  # a refinement's series
+    "jet": (bessel, "_jet"),  # (f, f', f'') of a Newton target
     # the zero census
     "GRID": (zeros, "_GRID"),  # the grid of each parity
     "MAX_CELLS": (zeros, "_MAX_CELLS"),
@@ -56,7 +58,6 @@ PARTS = {
     "census_bracket": (zeros, "_census_bracket"),  # the m-th zero's cell
     "census_zero": (zeros, "_census_zero"),  # the m-th zero of a key
     "refine": (zeros, "_refine"),
-    "jet": (zeros, "_jet"),  # (f, f', f'') of a target
     # the CLI's flag parser and its two refusals
     "parse": (cli, "_parse"),
     "Help": (cli, "_Help"),

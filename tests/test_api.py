@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import ballspec
-from ballspec.bessel import EvalResult, Order, eval_J
+from ballspec import zeros
+from ballspec.bessel import EvalResult, Order, eval_J, eval_J_pair
 from ballspec.errors import CertificateFailure, LossOfPrecision, RangeError
 from ballspec.pleijel import Check
 from ballspec.spectrum import BoundaryCondition, EigenvalueRecord
@@ -78,9 +79,27 @@ def test_record_keywords_and_defaults():
     assert Check("c", 1.0, 1.0, kind="equal").margin == 0.0
 
 
+# an int past CPython's int-to-str limit (4,300 digits) is named by its
+# digit count: 10**5000 has 5,001
+BEYOND = "the supported box x <= 200.0"
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: eval_J(Order(10**9), 200.0), LossOfPrecision,
      "|J(twice_nu=1000000000, x=200.0)| underflows the accuracy floor"),
+    (lambda: eval_J(Order(10**5000), 1.0), LossOfPrecision,
+     "|J(twice_nu=<5001 digits>, x=1.0)| underflows the accuracy floor"),
+    (lambda: eval_J_pair(Order(10**5000), 1.0), LossOfPrecision,
+     "|J(twice_nu=<5001 digits>, x=1.0)| underflows the accuracy floor"),
+    (lambda: zeros.bessel_zero(Order(10**5000 - 1), 1), RangeError,
+     f"zero m=1 of J_nu at twice_nu=<5000 digits> lies beyond {BEYOND}"),
+    (lambda: zeros.dirichlet_zero(10**5000, 2, 1), RangeError,
+     f"Dirichlet zero m=1 of l=<5001 digits>, d=2 lies beyond {BEYOND}"),
+    (lambda: zeros.neumann_zero(0, 2, 10**5000), RangeError,
+     f"Neumann zero m=<5001 digits> of l=0, d=2 lies beyond {BEYOND}"),
+    (lambda: Order(10**400).nu, RangeError, "nu lies past the float range"),
+    (lambda: Order(-10**5000), RangeError,
+     "twice_nu must be an int >= 0, got -<5001 digits>"),
     (lambda: Order(-1), RangeError, "twice_nu must be an int >= 0, got -1"),
     (lambda: Order(True), RangeError,
      "twice_nu must be an int >= 0, got True"),

@@ -321,7 +321,7 @@ def test_grid_ladder_serves_every_order_to_the_cap(monkeypatch, x, top):
     work = _counts.count(monkeypatch)
     for n in range(1, top + 1):
         _internals.grid_sign(0, 2 * n + 1, x)
-        _internals.grid_series(2 * n + 1, x)
+        _internals.grid_series(0, 2 * n + 1, x)
     past = [n for n in range(1, top + 1) if 2.0 * x > 2 * n + 1]
     if not past:
         assert work.ladders == []
@@ -371,7 +371,7 @@ def test_series_value_brackets_the_oracle_near_the_turning_point(twice_nu):
     grid = _internals.GRID[parity]
     x0 = max(x for x in grid if 2.0 * x <= twice_nu)
     z = math.nextafter(x0 - 0.5, 0.0)
-    pair, value = _internals.grid_series(twice_nu, x0)
+    pair, value = _internals.ascending(twice_nu)  # the grid series there
     scale = partial(series_scale, twice_nu, x0)
     a, b, err, bits = _internals.ascending_sums(twice_nu,
                                                 *x0.as_integer_ratio())
@@ -414,6 +414,34 @@ def _start_grid():
     xs += [x * (1 + 1e-15) for x in xs[6:]]
     return [(n, x) for n in range(1, 123) for x in xs
             if bessel.X_MIN <= x <= bessel.X_MAX]
+
+
+def _float_steps(z: float, k: int) -> float:
+    """The float k floats above z, or -k below it."""
+    for _ in range(abs(k)):
+        z = math.nextafter(z, math.inf if k > 0 else 0.0)
+    return z
+
+
+def test_midpoints_are_exact_where_the_float_spacing_changes():
+    # a certificate's four midpoints, from two floats below z to two
+    # above, are exact over the common power-of-two denominator 2q', q'
+    # the largest of q and the five floats' own: at each power of two from
+    # 2^-3 to 2^8, where the spacing doubles between the float below and
+    # z, at the two floats on each side of it, and at seeded random z in
+    # (0.5, 200), each with q = 1, 2^40 and 2^60
+    rng = random.Random(20261022)
+    zs = [_float_steps(2.0**k, i) for k in range(-3, 9) for i in range(-2, 3)]
+    zs += [rng.uniform(0.5, 200.0) for _ in range(200)]
+    for z in zs:
+        ends = [_float_steps(z, i) for i in range(-2, 3)]
+        want = [(Fraction(a) + Fraction(b)) / 2
+                for a, b in zip(ends, ends[1:])]
+        for q in (1, 2**40, 2**60):
+            mids, zq, q2 = _internals.midpoints(z, q)
+            assert q2 == max(q, *(Fraction(t).denominator for t in ends))
+            assert Fraction(zq, q2) == z, (z, q)
+            assert [Fraction(m, 2 * q2) for m in mids] == want, (z, q)
 
 
 def test_miller_start_matches_the_linear_search():
@@ -589,18 +617,20 @@ def test_series_serves_a_span_that_underflows(monkeypatch):
     # at the census grid point pi/2 every J_{170+k}, k <= 31, underflows to
     # 0.0, so a multiplication series there would have no term to scale
     # by. The point lies below the turning point, where the grid series is
-    # the ascending one, which scales J_nu by Gamma(nu+1) (2/x)^nu: its
-    # float pair is the oracle's, scaled, to an ulp, its values are
-    # positive and decided by their err, and no ladder is built
+    # the ascending one, which scales J_nu by Gamma(nu+1) (2/x)^nu: the
+    # jet's J_nu and J_nu' are the oracle's, scaled, to an ulp or two, its
+    # values are positive and decided by their err, and no ladder is built
     x0 = math.pi / 2
     with pytest.raises(LossOfPrecision, match="underflows"):
         eval_J(Order(340), x0)
     work = _counts.count(monkeypatch)
-    pair, value = _internals.grid_series(340, x0)
+    jet, value = _internals.grid_series(0, 340, x0)
     with mp.workdps(50):
-        for got, tn in zip(pair(x0), (340, 342), strict=True):
-            want = oracle.oracle_J(tn, x0, dps=50) * series_scale(340, x0, x0)
-            assert abs(got - want) <= 2.0**-51 * want, (tn, got)
+        scale = series_scale(340, x0, x0)
+        for got, want in zip(jet(x0)[:2], (oracle.oracle_J(340, x0, dps=50),
+                                           oracle.oracle_J_prime(340, x0,
+                                                                 dps=50))):
+            assert abs(got - want * scale) <= 2.0**-50 * want * scale, got
     for l in (0, 1):
         at = value(x0, l)
         for i in range(4):

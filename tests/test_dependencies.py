@@ -8,13 +8,14 @@ kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
 ``_eval_miller`` and the census grid's shared ladders, with no float ladder
 and no double-double primitive left; the kernel owns those shared ladders,
 and the zero finder takes every value from them, none from
-``bessel.eval_J_pair``, and names no part of them; the only fixed-point
-functions are ``bessel._ladder``, its multiplication-series reader
-``bessel._multiply`` and the ascending series below the turning point. And outside ``tests/_internals.py``, the tests' one
-table of the private parts of the ``ballspec`` modules, ``tests/_counts.py``,
-this file and the sweep scripts, no test names a private part of a
-``ballspec`` module, README names none, and no test module imports
-another."""
+``bessel.eval_J_pair``, and names no part of them, nor a Newton target
+of its own: no ``_jet``, and no comparison that reads an order; the only
+fixed-point functions are ``bessel._ladder``, its multiplication-series
+reader ``bessel._multiply`` and the ascending series below the turning
+point. And outside ``tests/_internals.py``, the tests' one table of the
+private parts of the ``ballspec`` modules, ``tests/_counts.py``, this file
+and the sweep scripts, no test names a private part of a ``ballspec``
+module, README names none, and no test module imports another."""
 
 from __future__ import annotations
 
@@ -148,6 +149,20 @@ def test_zero_finder_names_no_part_of_the_census_ladder():
     assert parts.findall(text) == []
     assert set(re.findall(r"_grid_\w+", text)) == {"_grid_sign",
                                                     "_grid_series"}
+
+
+def test_zero_finder_leaves_the_newton_target_to_bessel():
+    # bessel._grid_series picks the series and the Newton target that
+    # suits it by one turning-point test, and hands zeros the jet: zeros
+    # defines no jet of its own, and none of its comparisons reads an
+    # order, so no route or target rule has a second home there
+    tree = dict(_parsed())["zeros.py"]
+    assert [fn.name for fn in _functions(tree) if fn.name == "_jet"] == []
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and _named(node, {"twice_nu"})] == []
+    bessel = dict(_parsed())["bessel.py"]
+    assert "_jet" in {fn.name for fn in _functions(bessel)}
 
 
 def test_census_key_carries_no_target_tag():

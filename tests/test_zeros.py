@@ -123,6 +123,38 @@ class TestValidation:
             zeros.bessel_zero(Order(twice_nu), 1)
         assert work.ladders == []
 
+    def test_refusal_text_is_formatted_only_for_a_refusal(self):
+        # a zero request formats its RangeError text only when it refuses:
+        # with ints that record each time they are turned into text, the
+        # served requests record none, and a refusal records the m, l and
+        # d it names
+        read = []
+
+        class Loud(int):
+            def __repr__(self):
+                read.append(int(self))
+                return int.__repr__(self)
+
+            def __format__(self, spec):
+                read.append(int(self))
+                return int.__format__(self, spec)
+
+            __str__ = __repr__
+
+        served = [zeros.dirichlet_zero(Loud(2), Loud(3), Loud(4)),
+                  zeros.neumann_zero(Loud(0), Loud(3), Loud(2)),
+                  zeros.neumann_zero(Loud(1), Loud(100), Loud(1)),
+                  zeros.bessel_zero(Order(Loud(5)), Loud(2))]
+        assert served == [zeros.dirichlet_zero(2, 3, 4),
+                          zeros.neumann_zero(0, 3, 2),
+                          zeros.neumann_zero(1, 100, 1),
+                          zeros.bessel_zero(Order(5), 2)]
+        assert read == []
+        with pytest.raises(RangeError, match=r"^Dirichlet zero m=1 of l=200, "
+                           r"d=3 lies beyond"):
+            zeros.dirichlet_zero(Loud(200), Loud(3), Loud(1))
+        assert sorted(read) == [1, 3, 200]
+
     def test_l_d_validation(self):
         with pytest.raises(RangeError):
             zeros.dirichlet_zero(-1, 2, 1)
@@ -351,13 +383,13 @@ TARGET_POINTS = [
 
 
 def cell_series(l: int, twice_nu: int, x: float):
-    """The grid series' pair, its value of the census key (l, twice_nu) at
-    all four midpoints around a float, and the factor it scales both by at
-    a point, from the upper end of the grid cell around x, as a refinement
-    reads them."""
+    """The grid series' jet of the census key (l, twice_nu), its value at
+    all four midpoints around a float, and the factor it scales the values
+    by at a point, from the upper end of the grid cell around x, as a
+    refinement reads them."""
     x0 = next_point(twice_nu % 2, x)
-    pair, value = _internals.grid_series(twice_nu, x0)
-    return (pair, lambda z: [*map(value(z, l), range(4))],
+    jet, value = _internals.grid_series(l, twice_nu, x0)
+    return (jet, lambda z: [*map(value(z, l), range(4))],
             partial(series_scale, twice_nu, x0))
 
 
@@ -376,15 +408,17 @@ def midpoints(z: float) -> list:
 def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
     # J: f = J_nu, df = J_nu'; G: f = g = (l/x) J_nu - J_{nu+1} and
     # df = -(l/x^2) J_nu + (l/x) J_nu' - J_{nu+1}', which the jet forms
-    # through the recursion J_nu (l(nu-1)/x^2 - 1) + J_{nu+1} (nu+1-l)/x.
+    # through the recursion J_nu (l(nu-1)/x^2 - 1) + J_{nu+1} (nu+1-l)/x;
+    # below the turning point G's jet is of g / J_nu = l/x - R, R =
+    # J_{nu+1} / J_nu, with R' = 1 - (2 nu + 1) R / x + R^2 (6 points here).
     # The float pair of the series gives (f, df) to about 1e-13 of the
     # largest term; the fixed-point value at the midpoints around x lies
     # within its stated bound of the oracle: a few 1e-24 of the pair, plus
     # the value's own rounding to a float
     _internals.fresh_ladders(monkeypatch)
     l, twice_nu = census_key(tag, l, twice_nu)
-    pair, value, scale = cell_series(l, twice_nu, x)
-    f, df, _ = _internals.jet(l, 0.5 * twice_nu, x, *pair(x))
+    jet, value, scale = cell_series(l, twice_nu, x)
+    f, df, _ = jet(x)
     with mp.workdps(40):
         ja, pa, jb, pb = (scale(x) * mp.besselj(mp.mpf(tn) / 2, x,
                                                 derivative=k)
@@ -397,9 +431,14 @@ def test_target_matches_oracle(monkeypatch, tag, l, twice_nu, x):
                      (l / mp.mpf(x)) * pa, pb)
             want_f = terms[0] - terms[1]
             want_df = -terms[2] + terms[3] - terms[4]
-        size = max(max(abs(t) for t in terms), abs(jb))
-        assert abs(f - want_f) <= 1e-13 * size, (f, want_f)
-        assert abs(df - want_df) <= 1e-13 * size, (df, want_df)
+        size = jet_size = max(max(abs(t) for t in terms), abs(jb))
+        if l and 2.0 * next_point(twice_nu % 2, x) <= twice_nu:
+            r, t = jb / ja, mp.mpf(x)
+            jet_size = max(abs(u) for u in (
+                l / t, r, l / t**2, 1, (twice_nu + 1) / t * r, r * r))
+            want_f, want_df = want_f / ja, (want_df - want_f * pa / ja) / ja
+        assert abs(f - want_f) <= 1e-13 * jet_size, (f, want_f)
+        assert abs(df - want_df) <= 1e-13 * jet_size, (df, want_df)
         for mid, (v, err) in zip(midpoints(x), value(x), strict=True):
             miss = abs(mp.mpf(v)
                        - scale(mid) * oracle_target(l, twice_nu, mid))
@@ -473,7 +512,9 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     # past the turning point the series rounds each ladder quotient of its
     # span once, so its float pair at the grid point itself is the floats
     # nearest the census ladder's pair bit for bit; below it the pair is
-    # rounded from the census's exact ascending sums there: at every order
+    # rounded from the census's exact ascending sums there. So the jet of
+    # J_nu (l = 0) and of g (l = 1; g / J_nu below the turning point) at
+    # the grid point is _jet's of that pair, bit for bit: at every order
     # from 180 up at the first grid points pi/4 and pi/2, and at a stride
     # over the rest of the census grid, each point's orders up to the last
     # one eval_J serves there
@@ -484,7 +525,6 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     edge = [(tn, x) for tn, x in grid if tn >= 180 and x < 2.0]
     assert len(grid) > 120000 and len(edge) > 100
     for tn, x0 in edge + grid[::23]:
-        pair, _ = _internals.grid_series(tn, x0)
         n = tn // 2
         if 2.0 * x0 > tn:
             ys, num, den, _ = _internals.grid_ladder(tn % 2, x0)
@@ -493,7 +533,11 @@ def test_series_centre_is_the_census_pair(monkeypatch):
             a, b, _, bits = _internals.ascending_sums(
                 tn, *x0.as_integer_ratio())
             want = a / 2**bits, x0 / (tn + 2) * (b / 2**bits)
-        assert pair(x0) == want, (tn, x0)
+        for l in (0, 1):
+            jet, _ = _internals.grid_series(l, tn, x0)
+            ratio = l > 0 and 2.0 * x0 <= tn
+            assert jet(x0) == _internals.jet(l, 0.5 * tn, x0, *want,
+                                             ratio), (l, tn, x0)
 
 
 def test_series_reads_a_ladder_sized_past_the_box():
@@ -506,8 +550,8 @@ def test_series_reads_a_ladder_sized_past_the_box():
     z = zeros.neumann_zero(1, 4, 60)
     x0 = next_point(0, z)
     assert 2.0 * x0 > 50 * twice_nu
-    _, value = _internals.grid_series(twice_nu, x0)
     for l in (0, 1):
+        _, value = _internals.grid_series(l, twice_nu, x0)
         got = [*map(value(z, l), range(4))]
         with mp.workdps(40):
             for mid, (v, err) in zip(midpoints(z), got, strict=True):
@@ -1093,7 +1137,7 @@ def _certifies(l: int, twice_nu: int, x0: float, z: float):
     """True if the fixed-point series of the census key from the shared
     ladder at the grid point x0 takes certified opposite signs at the
     midpoints around z."""
-    _, value = _internals.grid_series(twice_nu, x0)
+    _, value = _internals.grid_series(l, twice_nu, x0)
     at = value(z, l)
     (v0, e0), (v1, e1) = at(1), at(2)
     return abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
@@ -1457,12 +1501,14 @@ class TestRefinement:
     def test_curvature_is_the_second_derivative(self, monkeypatch, tag, l,
                                                 twice_nu, x):
         # f'' from the pair through Bessel's equation, against mpmath's
-        # derivatives of J_nu and J_{nu+1}
+        # derivatives of J_nu and J_{nu+1}; below the turning point (the
+        # last row) G's jet is of g / J_nu, and f'' by the Riccati equation
         _internals.fresh_ladders(monkeypatch)
         l, twice_nu = census_key(tag, l, twice_nu)
-        a, b = _internals.grid_series(twice_nu, x)[0](x)
-        f2 = _internals.jet(l, 0.5 * twice_nu, x, a, b)[2]
-        f2 /= float(series_scale(twice_nu, x, x))
+        f2 = _internals.grid_series(l, twice_nu, x)[0](x)[2]
+        ratio = l > 0 and 2.0 * x <= twice_nu
+        if not ratio:
+            f2 /= float(series_scale(twice_nu, x, x))
         with mp.workdps(30):
             nu, t = mp.mpf(twice_nu) / 2, mp.mpf(x)
             j = [mp.besselj(nu, t, derivative=k) for k in range(3)]
@@ -1470,6 +1516,9 @@ class TestRefinement:
             if l:  # g = (l/x) J_nu - J_{nu+1}
                 want = (l * (2 * j[0] / t**3 - 2 * j[1] / t**2 + j[2] / t)
                         - mp.besselj(nu + 1, t, derivative=2))
+            if ratio:  # g / J_nu = l/x - J_{nu+1} / J_nu
+                want = mp.diff(lambda s: l / s - mp.besselj(nu + 1, s)
+                               / mp.besselj(nu, s), t, 2)
         assert abs(f2 - float(want)) <= 1e-12, (f2, want)
 
     def test_grid_phase_keeps_zeros_off_the_grid(self, monkeypatch):
