@@ -401,14 +401,15 @@ def _grid_series(l: int, twice_nu: int, x: float):
     x. The one turning-point test picks the series and the Newton target
     that suits it: below the turning point, 2x <= twice_nu, _ascending,
     and g / J_nu for l >= 1; past it, _multiply of the grid ladder at x,
-    and the key's own target. value is the series' (_multiply's contract),
-    and jet(z) is _jet's (f, f', f'') of the target from the series' float
-    pair at z, _jet looked up at each call."""
+    and the key's own target. jet(z) is _jet's (f, f', f'') of the target
+    from the series' float pair at z, _jet looked up at each call, and
+    value(z) is the series' value(z, l) (_multiply's contract): the key is
+    bound in both."""
     below = 2.0 * x <= twice_nu
     pair, value = (_ascending(twice_nu) if below else
                    _multiply(_grid_ladder(twice_nu % 2, x), x, twice_nu))
     nu, ratio = 0.5 * twice_nu, l > 0 and below
-    return lambda z: _jet(l, nu, z, *pair(z), ratio), value
+    return (lambda z: _jet(l, nu, z, *pair(z), ratio), lambda z: value(z, l))
 
 
 def _eval_miller(twice_nu: int, x: float):
@@ -432,11 +433,10 @@ def _is_int(n) -> bool:
 def _check_int(name: str, n, minimum: int) -> None:
     """The one integer-parameter check: n must be a true int >= minimum."""
     if not _is_int(n) or n < minimum:
-        raise RangeError(f"{name} must be an int >= {minimum}, got "
-                         f"{_int_text(n)}")
+        raise RangeError(f"{name} must be an int >= {minimum}, got {_repr(n)}")
 
 
-def _int_text(n) -> str:
+def _repr(n) -> str:
     """repr(n) in a refusal's text, or for an int past CPython's int-to-str
     digit limit, which repr refuses, "<k digits>" with a minus sign if n <
     0: with K the nearest integer to log10|n|, 10^(K-1) < |n| < 10^(K+1),
@@ -510,7 +510,7 @@ def _check_underflow(value: float, twice_nu: int, x: float) -> None:
     """Refuse |J_nu(x)| < 2^-931. J_nu underflows only below its first
     zero, where J_nu > 0, so a computed 0.0 is an underflow too."""
     if value == 0.0 or math.frexp(value)[1] < _UNDERFLOW_EXP:
-        raise LossOfPrecision(f"|J(twice_nu={_int_text(twice_nu)}, x={x!r})|"
+        raise LossOfPrecision(f"|J(twice_nu={_repr(twice_nu)}, x={x!r})|"
                               " underflows the accuracy floor")
 
 

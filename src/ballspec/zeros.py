@@ -230,7 +230,7 @@ def _refine(l: int, twice_nu: int, lo: float, hi: float,
     dx_old = dx_older = hi - lo
     for _ in range(100):
         below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
-        at = value(x, l)
+        at = value(x)
         (v0, e0), (v1, e1) = at(1), at(2)
         s0, s1 = _certified(v0, e0), _certified(v1, e1)
         if s0 and s1 == -s0:
@@ -361,18 +361,17 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     return out
 
 
-def _zero(key: tuple[int, int], ground: bool, m: int, what: str,
-          *fields) -> float:
+def _zero(key: tuple, ground: bool, m: int, what: str, *fields) -> float:
     """The m-th zero of a request, its ground state at r = 0 first: the one
     validation path of every zero request. It checks m. A refusal raises
     RangeError naming its zero by the template what, which only a refusal
-    formats, with m and the fields, each through bessel._int_text."""
+    formats, with m and the fields, each through bessel._repr."""
     _check_int("m", m, 1)
     if ground and m == 1:
         return 0.0  # the conventional zero at r = 0 needs no census
     n = m - 1 if ground else m  # the census index of the zero
     if _census_bracket(*key, n) is None:
-        what = what.format(*map(bessel._int_text, (m, *fields)))
+        what = what.format(*map(bessel._repr, (m, *fields)))
         raise RangeError(f"{what} lies beyond the supported box x <= {X_MAX}")
     return _census_zero(*key, n)
 

@@ -617,22 +617,27 @@ def test_series_serves_a_span_that_underflows(monkeypatch):
     # at the census grid point pi/2 every J_{170+k}, k <= 31, underflows to
     # 0.0, so a multiplication series there would have no term to scale
     # by. The point lies below the turning point, where the grid series is
-    # the ascending one, which scales J_nu by Gamma(nu+1) (2/x)^nu: the
-    # jet's J_nu and J_nu' are the oracle's, scaled, to an ulp or two, its
+    # the ascending one, which scales J_nu by Gamma(nu+1) (2/x)^nu: its
+    # float pair is the oracle's, scaled, to an ulp, the jet it hands for
+    # J_nu has the oracle's J_nu and J_nu', scaled, to an ulp or two, its
     # values are positive and decided by their err, and no ladder is built
     x0 = math.pi / 2
     with pytest.raises(LossOfPrecision, match="underflows"):
         eval_J(Order(340), x0)
     work = _counts.count(monkeypatch)
-    jet, value = _internals.grid_series(0, 340, x0)
+    pair, _ = _internals.ascending(340)  # the grid series' route at x0
+    jet, _ = _internals.grid_series(0, 340, x0)
     with mp.workdps(50):
         scale = series_scale(340, x0, x0)
+        for got, tn in zip(pair(x0), (340, 342), strict=True):
+            want = oracle.oracle_J(tn, x0, dps=50) * scale
+            assert abs(got - want) <= 2.0**-51 * want, (tn, got)
         for got, want in zip(jet(x0)[:2], (oracle.oracle_J(340, x0, dps=50),
                                            oracle.oracle_J_prime(340, x0,
                                                                  dps=50))):
             assert abs(got - want * scale) <= 2.0**-50 * want * scale, got
     for l in (0, 1):
-        at = value(x0, l)
+        at = _internals.grid_series(l, 340, x0)[1](x0)
         for i in range(4):
             v, err = at(i)
             assert v > err > 0.0, (l, i, v, err)

@@ -389,7 +389,7 @@ def cell_series(l: int, twice_nu: int, x: float):
     refinement reads them."""
     x0 = next_point(twice_nu % 2, x)
     jet, value = _internals.grid_series(l, twice_nu, x0)
-    return (jet, lambda z: [*map(value(z, l), range(4))],
+    return (jet, lambda z: [*map(value(z), range(4))],
             partial(series_scale, twice_nu, x0))
 
 
@@ -512,12 +512,12 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     # past the turning point the series rounds each ladder quotient of its
     # span once, so its float pair at the grid point itself is the floats
     # nearest the census ladder's pair bit for bit; below it the pair is
-    # rounded from the census's exact ascending sums there. So the jet of
-    # J_nu (l = 0) and of g (l = 1; g / J_nu below the turning point) at
-    # the grid point is _jet's of that pair, bit for bit: at every order
-    # from 180 up at the first grid points pi/4 and pi/2, and at a stride
-    # over the rest of the census grid, each point's orders up to the last
-    # one eval_J serves there
+    # rounded from the census's exact ascending sums there; and the jet
+    # that the grid series hands for J_nu (l = 0) and g (l = 1; g / J_nu
+    # below the turning point) at the grid point is _jet's of that pair,
+    # bit for bit: at every order from 180 up at the first grid points
+    # pi/4 and pi/2, and at a stride over the rest of the census grid, each
+    # point's orders up to the last one eval_J serves there
     _internals.fresh_ladders(monkeypatch)
     grid = [(tn, x) for parity in (0, 1)
             for x in _internals.GRID[parity]
@@ -527,12 +527,15 @@ def test_series_centre_is_the_census_pair(monkeypatch):
     for tn, x0 in edge + grid[::23]:
         n = tn // 2
         if 2.0 * x0 > tn:
-            ys, num, den, _ = _internals.grid_ladder(tn % 2, x0)
+            ladder = ys, num, den, _ = _internals.grid_ladder(tn % 2, x0)
             want = ys[n] * num / den, ys[n + 1] * num / den
+            pair, _ = _internals.multiply(ladder, x0, tn)
         else:
             a, b, _, bits = _internals.ascending_sums(
                 tn, *x0.as_integer_ratio())
             want = a / 2**bits, x0 / (tn + 2) * (b / 2**bits)
+            pair, _ = _internals.ascending(tn)
+        assert pair(x0) == want, (tn, x0)
         for l in (0, 1):
             jet, _ = _internals.grid_series(l, tn, x0)
             ratio = l > 0 and 2.0 * x0 <= tn
@@ -552,7 +555,7 @@ def test_series_reads_a_ladder_sized_past_the_box():
     assert 2.0 * x0 > 50 * twice_nu
     for l in (0, 1):
         _, value = _internals.grid_series(l, twice_nu, x0)
-        got = [*map(value(z, l), range(4))]
+        got = [*map(value(z), range(4))]
         with mp.workdps(40):
             for mid, (v, err) in zip(midpoints(z), got, strict=True):
                 miss = abs(mp.mpf(v) - oracle_target(l, twice_nu, mid))
@@ -1138,7 +1141,7 @@ def _certifies(l: int, twice_nu: int, x0: float, z: float):
     ladder at the grid point x0 takes certified opposite signs at the
     midpoints around z."""
     _, value = _internals.grid_series(l, twice_nu, x0)
-    at = value(z, l)
+    at = value(z)
     (v0, e0), (v1, e1) = at(1), at(2)
     return abs(v0) > e0 and abs(v1) > e1 and (v0 > 0.0) != (v1 > 0.0)
 
