@@ -361,7 +361,8 @@ def radial_zeros(bc, l: int, d: int, x_max: float) -> list[float]:
     return out
 
 
-def _zero(key: tuple, ground: bool, m: int, what: str, *fields) -> float:
+def _zero(key: tuple[int, int], ground: bool, m: int, what: str,
+          *fields) -> float:
     """The m-th zero of a request, its ground state at r = 0 first: the one
     validation path of every zero request. It checks m. A refusal raises
     RangeError naming its zero by the template what, which only a refusal
