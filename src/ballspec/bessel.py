@@ -42,7 +42,8 @@ box.
 The zero finder reads the kernel at the census grid points through
 _grid_sign, its census signs, and _grid_series, the (jet, value) of
 every refinement in the cells around a point: Newton's target and its
-derivatives (_jet), and the certificate.
+derivatives (_jet), and the certificate. One rule, _certified, decides
+every certified sign, of the census and of the certificate.
 Past the turning point, 2x > twice_nu, both read one shared ladder per
 grid point and parity (_LADDERS), sized once for int(x) + _SPAN orders,
 every order of the point's wave zone and the span of its series: a sign
@@ -314,8 +315,7 @@ def _ascending(twice_nu: int):
     value of f over (x/2)^nu / Gamma(nu+1) at its own point x, a positive
     factor that may lie past the float range: S_nu(x) at l = 0, else (l/x)
     S_nu(x) - x / (twice_nu + 2) S_{nu+1}(x). A positive factor at each
-    point moves no sign, no Newton step f / f' and, between the midpoints
-    one ulp apart, the secant by about nu 2^-52 relative. pair's floats
+    point moves no sign and no Newton step f / f'. pair's floats
     are rounded from _ascending_sums at x, as float sums of S_nu cancel
     near x = nu, and each of value's at(i) is _ascending_target at its
     midpoint."""
@@ -349,6 +349,13 @@ def _grid_ladder(parity: int, x: float):
     return _LADDERS[parity, x]
 
 
+def _certified(v, err) -> int:
+    """+1 or -1, the sign of a value v within err of the truth, else 0
+    where err covers it: the one rule of every certified sign, the census
+    signs' (exact integers) and the certificate's (floats)."""
+    return 0 if abs(v) <= err else 1 if v > 0 else -1
+
+
 def _grid_sign(l: int, twice_nu: int, x: float) -> int:
     """+1 or -1, the sign of the census target at the grid point x where
     its error bound cannot flip it, else 0. x = p / q. Below the turning
@@ -369,7 +376,7 @@ def _grid_sign(l: int, twice_nu: int, x: float) -> int:
         e, f = e * den, f * num
         un, ud = unit.as_integer_ratio()
         v, bound = v * ud * f, w * un * max(max(abs(a), abs(b)) * f, e)
-    return 0 if abs(v) <= bound else 1 if v > 0 else -1
+    return _certified(v, bound)
 
 
 def _jet(l: int, nu: float, x: float, a: float, b: float,
@@ -457,6 +464,9 @@ class Order(namedtuple("Order", "twice_nu")):
         self = super().__new__(cls, *args, **kwargs)
         _check_int("twice_nu", self.twice_nu, 0)
         return self
+
+    def __repr__(self) -> str:
+        return f"Order(twice_nu={_repr(self.twice_nu)})"
 
     @property
     def nu(self) -> float:

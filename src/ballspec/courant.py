@@ -17,7 +17,7 @@ from collections import namedtuple
 from enum import Enum
 
 from . import zeros
-from .bessel import _check_int
+from .bessel import _check_int, _repr
 from .errors import CertificateFailure, RangeError
 from .pleijel import Check
 from .spectrum import (EigenvalueRecord, SpectrumTable, _binom,
@@ -110,32 +110,26 @@ def sphere_labeling(l: int, d: int) -> SphereLabeling:
     )
 
 
-def _sphere_checks(d: int, lmax: int) -> list[Check]:
-    """Strict certificates excluding every degree l >= 2 on the sphere."""
-    checks = []
-    for l in range(2, lmax + 1):
-        lab = sphere_labeling(l, d)
-        checks.append(Check(
-            name=f"reduced_binomial[l={l}]",
-            lhs=1, rhs=_binom(l + d - 3, d - 2),
-        ))
-        checks.append(Check(
-            name=f"symmetry_vs_min_label[l={l}]",
-            lhs=lab.symmetry_bound, rhs=lab.min_label,
-        ))
-    return checks
+def _reduced_binomial(l: int, d: int) -> Check:
+    """1 < C(l+d-3, d-2), the strict certificate that excludes degree l >= 2
+    on the (d-1)-sphere."""
+    return Check(f"reduced_binomial[l={l}]", 1, _binom(l + d - 3, d - 2))
 
 
 def sphere_courant_sharp(d: int, lmax: int = 50) -> set[int]:
     """Courant-sharp labels on the (d-1)-sphere: always {1, 2}.
 
-    Degrees l = 0, 1 give labels 1 and 2 (sharp); every degree up to lmax
-    is excluded by strict certificates, and the excluding binomial is
-    increasing in l, so larger degrees are immediate.
+    Degrees l = 0, 1 give labels 1 and 2 (sharp). Every degree l >= 2 is
+    excluded: by Pascal's rule min_label - symmetry_bound = C(l+d-3, d-2)
+    - 1, and C(l+d-3, d-2) increases in l, so the strict certificates at
+    l = 2 decide every degree up to lmax, at a cost independent of lmax.
     """
     _check_int("d", d, 3)
     _check_int("lmax", lmax, 2)
-    _sphere_checks(d, lmax)  # raises CertificateFailure on any violation
+    # each Check raises CertificateFailure unless it holds
+    lab = sphere_labeling(2, d)
+    _reduced_binomial(2, d)
+    Check("symmetry_vs_min_label[l=2]", lab.symmetry_bound, lab.min_label)
     return {1, 2}
 
 
@@ -170,7 +164,7 @@ def _verdict(rec: EigenvalueRecord, table: SpectrumTable) -> SharpnessVerdict:
                 rec, SharpnessStatus.EXCLUDED_DIRECT_COUNT, mu, (cert,))
         lab = sphere_labeling(l, d)
         certs = (
-            Check(f"reduced_binomial[l={l}]", 1, _binom(l + d - 3, d - 2)),
+            _reduced_binomial(l, d),
             Check(f"symmetry_vs_label[l={l}]", lab.symmetry_bound, label),
         )
         return SharpnessVerdict(
@@ -192,6 +186,7 @@ def courant_sharp_ball(d: int, bc, lmax: int = 8,
         z_top = zeros.find_zero(bc, lmax, d, mmax)  # zeros increase in l, m
         table = enumerate_spectrum(d, bc, z_top * z_top)
     except RangeError as exc:  # the top mode, or the spectrum below it
+        d, lmax, mmax = map(_repr, (d, lmax, mmax))
         raise RangeError(
             f"d={d} with lmax={lmax} and mmax={mmax} needs the spectrum "
             f"below the ({lmax}, {mmax}) mode: {exc}"

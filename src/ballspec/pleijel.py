@@ -48,7 +48,7 @@ from functools import lru_cache
 
 from ballspec import zeros
 from ballspec._format import dumps
-from ballspec.bessel import X_MAX, _check_int, log_gamma
+from ballspec.bessel import X_MAX, _check_int, _repr, log_gamma
 from ballspec.errors import CertificateFailure, RangeError
 
 __all__ = [
@@ -107,12 +107,15 @@ def _log_gamma_value(d: int) -> float:
     )
 
 
-def _top_zero(d: int, what: str) -> float:
+def _top_zero(d: int, what: str, *fields) -> float:
     """j_{d/2-1,1}, the request's top first zero, asked first (it is cached),
-    so that a census refusal names the request (what) before any refinement."""
+    so that a census refusal names the request before any refinement: the
+    template what, which only a refusal formats, with the fields, each
+    through bessel._repr."""
     try:
         return zeros.dirichlet_zero(0, d, 1)
     except RangeError as exc:
+        what = what.format(*map(_repr, fields))
         raise RangeError(f"{what}: {exc}") from None
 
 
@@ -124,7 +127,7 @@ def gamma(d: int) -> float:
     3,363, at d = 291); ROADMAP item 21 plans a certified gamma.
     """
     _check_int("d", d, 2)
-    _top_zero(d, f"gamma({d})")
+    _top_zero(d, "gamma({})", d)
     return math.exp(_log_gamma_value(d))
 
 
@@ -170,13 +173,14 @@ def _check_d_range(d_min: int, d_max: int) -> None:
     _check_int("d_min", d_min, 2)
     _check_int("d_max", d_max, 2)
     if d_min > d_max:
-        raise RangeError(f"need d_min <= d_max, got {d_min} > {d_max}")
+        raise RangeError(f"need d_min <= d_max, got {_repr(d_min)} > "
+                         f"{_repr(d_max)}")
 
 
 def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
     """Rows for d = d_min..d_max; quotient_next is None on the last row."""
     _check_d_range(d_min, d_max)
-    _top_zero(d_max, f"gamma({d_max})")
+    _top_zero(d_max, "gamma({})", d_max)
     rows = []
     for d in range(d_min, d_max + 1):
         lgv = _log_gamma_value(d)
@@ -188,7 +192,7 @@ def gamma_table(d_min: int, d_max: int) -> list[PleijelRow]:
 def quotient_curve(d_min: int, d_max: int) -> list[tuple[int, float]]:
     """(d, gamma(d+1)/gamma(d)) for d = d_min..d_max; every quotient < 1."""
     _check_d_range(d_min, d_max)
-    _top_zero(d_max + 1, f"quotient gamma({d_max + 1})/gamma({d_max})")
+    _top_zero(d_max + 1, "quotient gamma({})/gamma({})", d_max + 1, d_max)
     points = [(d, _quotient(d)) for d in range(d_min, d_max + 1)]
     for d, q in points:
         if not q < 1.0:
@@ -322,7 +326,7 @@ def monotonicity_certificate(d: int) -> MonotonicityCertificate:
     _check_int("d", d, 4)
     # First zeros at the three consecutive half-integer-spaced orders the
     # chain touches: order (dim)/2 - 1 for dim = d-1, d, d+1.
-    j_dp1 = _top_zero(d + 1, f"certificate at d={d}")
+    j_dp1 = _top_zero(d + 1, "certificate at d={}", d)
     j_dm1 = zeros.dirichlet_zero(0, d - 1, 1)
     j_d = zeros.dirichlet_zero(0, d, 1)
     ratio = _quotient(d)

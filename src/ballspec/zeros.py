@@ -55,14 +55,15 @@ f'') from its float sums (of g / J_nu below the turning point), inside a
 float bracket of its own, bisecting a step that leaves it; the
 certificate reads one fixed-point sum within its stated bound. Where a
 float iterate does not certify, the same sum certifies a neighbouring
-float whose two midpoints flip, else Newton steps on the fixed-point
-values (_refine). So a zero rests on the kernel's error model alone, as
-the census signs do, not on the Newton path.
+float whose two midpoints flip, else its certified signs narrow the cell,
+which is bisected (_refine). So a zero rests on the kernel's error model
+alone, as the census signs do, not on the Newton path.
 
 A census sign (bessel._grid_sign) is the sign of an exact integer, where
-its error bound cannot flip it, else 0, which the widen rule takes: of the
-ascending series below the turning point (2x <= twice_nu), and of bessel's
-one shared ladder per (parity, grid point) past it. No census sign rounds
+its error bound cannot flip it, else 0, by the certificate's own rule
+(bessel._certified), and the widen rule takes the 0: of the ascending
+series below the turning point (2x <= twice_nu), and of bessel's one
+shared ladder per (parity, grid point) past it. No census sign rounds
 or underflows, at any order. Only Neumann keys l >= 1 reach below the
 turning point, as every J key's census bound lies past nu; for nu >= 200
 J_nu > 0 on the whole box, so by the interlacing above each such degree
@@ -177,12 +178,6 @@ def _first_cell(sign_at, parity: int, start: float, sign: int):
 # refinement: bracket-safeguarded Newton to a certified nearest float
 
 
-def _certified(v: float, err: float) -> int:
-    """The sign of a value v within err of the truth, 0 where err covers
-    it."""
-    return 0 if abs(v) <= err else 1 if v > 0.0 else -1
-
-
 def _refine(l: int, twice_nu: int, lo: float, hi: float,
             sign_lo: int) -> float:
     """The float nearest the zero in the census cell (lo, hi), every value
@@ -197,11 +192,13 @@ def _refine(l: int, twice_nu: int, lo: float, hi: float,
     Then an iterate z is returned once the fixed-point values at the
     midpoints to its neighbours take certified opposite signs, and a
     neighbour of z once the same pass certifies the flip between its two
-    midpoints; else the certified bracket (lo, hi) moves on the certified
-    signs and Newton steps by the secant through the values around z. A
-    step that leaves (lo, hi), or is more than half the step before last,
-    becomes a bisection. So the float phase, its signs and the jet's f'
-    cannot move a zero.
+    midpoints; else the certified signs narrow the cell (lo, hi), and the
+    next pass reads its midpoint. This phase reads certified signs alone
+    (bessel._certified), never a value, so the float phase, its signs and
+    the jet's f' cannot move a zero. Bisection needs at most about 55
+    passes, as a widened cell is at most pi wide and the smallest zero in
+    the box, 1.841, has an ulp of 2^-52. Of the ledger sweep's 493,427
+    refinements (tests/ledger_sweep.py), 36 take a second pass.
     The g / J_nu mode saves work, not zeros: over the 461 zeros of the
     Neumann spectra (d, lambda_max) = (100, 11998) and (30, 1500), 96 of
     them in the mode, Newton on g itself takes 1,969 float pairs and 1,664
@@ -227,29 +224,20 @@ def _refine(l: int, twice_nu: int, lo: float, hi: float,
             x = x_new
             break
         x = x_new
-    dx_old = dx_older = hi - lo
     for _ in range(100):
-        below, above = math.nextafter(x, 0.0), math.nextafter(x, math.inf)
         at = value(x)
-        (v0, e0), (v1, e1) = at(1), at(2)
-        s0, s1 = _certified(v0, e0), _certified(v1, e1)
+        s0, s1 = bessel._certified(*at(1)), bessel._certified(*at(2))
         if s0 and s1 == -s0:
             return x
         if s1 == sign_lo:
-            if _certified(*at(3)) == -sign_lo:
-                return above
+            if bessel._certified(*at(3)) == -sign_lo:
+                return math.nextafter(x, math.inf)
             lo = x  # the zero lies past the upper midpoint
         if s0 == -sign_lo:
-            if _certified(*at(0)) == sign_lo:
-                return below
+            if bessel._certified(*at(0)) == sign_lo:
+                return math.nextafter(x, 0.0)
             hi = x  # ... or below the lower one
-        h0, h1 = 0.5 * (x - below), 0.5 * (above - x)
-        x_new = (x - (h0 + v0 * (h0 + h1) / (v1 - v0)) if v1 != v0
-                 else math.nan)
-        if not lo < x_new < hi or abs(x_new - x) > 0.5 * dx_older:
-            x_new = 0.5 * (lo + hi)
-        dx_older, dx_old = dx_old, abs(x_new - x)
-        x = x_new
+        x = 0.5 * (lo + hi)
     raise BracketFailure(
         f"refinement stalled in [{lo!r}, {hi!r}]; "
         "kernel accuracy may be insufficient"
@@ -286,12 +274,10 @@ def _census_zero(l: int, twice_nu: int, m: int):
 
 
 def _key(bc: BoundaryCondition, l: int, d: int):
-    """(key, ground) of a coerced bc, l and d checked: the census key (l,
-    twice_nu), twice_nu = 2l + d - 2, and whether the ground state at r = 0
-    precedes the key's zeros."""
-    _check_int("l", l, 0)
-    _check_int("d", d, 2)
-    twice_nu = 2 * l + d - 2
+    """(key, ground) of a coerced bc, l and d checked by Order.from_l_d: the
+    census key (l, twice_nu), twice_nu = 2l + d - 2, and whether the ground
+    state at r = 0 precedes the key's zeros."""
+    twice_nu = Order.from_l_d(l, d).twice_nu
     if bc is BoundaryCondition.NEUMANN and l == 0:
         return (0, twice_nu + 2), True
     return (l if bc is BoundaryCondition.NEUMANN else 0, twice_nu), False

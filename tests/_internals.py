@@ -63,7 +63,7 @@ PARTS = {
     "Help": (cli, "_Help"),
     "UsageError": (cli, "_UsageError"),
     # the verdicts, the certificates and the selfcheck suites
-    "sphere_checks": (courant, "_sphere_checks"),
+    "reduced_binomial": (courant, "_reduced_binomial"),  # a sphere check
     "exact_check": (pleijel, "_exact_check"),  # one exact inequality
     "log_gamma_value": (pleijel, "_log_gamma_value"),  # cached ln gamma(d)
     "first_zero_keys": (selfcheck, "_first_zero_keys"),

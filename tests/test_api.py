@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import ballspec
-from ballspec import zeros
+from ballspec import courant, pleijel, zeros
 from ballspec.bessel import EvalResult, Order, eval_J, eval_J_pair
 from ballspec.errors import CertificateFailure, LossOfPrecision, RangeError
 from ballspec.pleijel import Check
@@ -57,6 +57,7 @@ RECORDS = [
      "label_last=3)"),
     (Check, ("demo", 1.0, 2.0),
      "Check(name='demo', lhs=1.0, rhs=2.0, kind='strict_less')"),
+    (Order, (10**5000,), "Order(twice_nu=<5001 digits>)"),
 ]
 
 
@@ -82,6 +83,15 @@ def test_record_keywords_and_defaults():
 # an int past CPython's int-to-str limit (4,300 digits) is named by its
 # digit count: 10**5000 has 5,001
 BEYOND = "the supported box x <= 200.0"
+HUGE = "<5001 digits>"
+D_HUGE = f"Dirichlet zero m=1 of l=0, d={HUGE} lies beyond {BEYOND}"
+
+
+def window(d, lmax, mmax, bc="Dirichlet"):
+    """courant_sharp_ball's refusal of a window whose top mode is refused."""
+    return (f"d={d} with lmax={lmax} and mmax={mmax} needs the spectrum "
+            f"below the ({lmax}, {mmax}) mode: {bc} zero m={mmax} of "
+            f"l={lmax}, d={d} lies beyond {BEYOND}")
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -97,6 +107,24 @@ BEYOND = "the supported box x <= 200.0"
      f"Dirichlet zero m=1 of l=<5001 digits>, d=2 lies beyond {BEYOND}"),
     (lambda: zeros.neumann_zero(0, 2, 10**5000), RangeError,
      f"Neumann zero m=<5001 digits> of l=0, d=2 lies beyond {BEYOND}"),
+    (lambda: pleijel.gamma(10**5000), RangeError, f"gamma({HUGE}): {D_HUGE}"),
+    (lambda: pleijel.gamma_table(2, 10**5000), RangeError,
+     f"gamma({HUGE}): {D_HUGE}"),
+    (lambda: pleijel.gamma_table(10**5000 + 1, 10**5000), RangeError,
+     f"need d_min <= d_max, got {HUGE} > {HUGE}"),
+    (lambda: pleijel.quotient_curve(2, 10**5000), RangeError,
+     f"quotient gamma({HUGE})/gamma({HUGE}): {D_HUGE}"),
+    (lambda: pleijel.monotonicity_certificate(10**5000), RangeError,
+     f"certificate at d={HUGE}: {D_HUGE}"),
+    (lambda: pleijel.neumann_pleijel_bound(10**5000), RangeError,
+     "gamma(<5000 digits>): Dirichlet zero m=1 of l=0, d=<5000 digits> "
+     f"lies beyond {BEYOND}"),
+    (lambda: courant.courant_sharp_ball(10**5000, "dirichlet"), RangeError,
+     window(HUGE, 8, 4)),
+    (lambda: courant.courant_sharp_ball(2, "dirichlet", lmax=10**5000),
+     RangeError, window(2, HUGE, 4)),
+    (lambda: courant.courant_sharp_ball(2, "neumann", mmax=10**5000),
+     RangeError, window(2, 8, HUGE, "Neumann")),
     (lambda: Order(10**400).nu, RangeError, "nu lies past the float range"),
     (lambda: Order(-10**5000), RangeError,
      "twice_nu must be an int >= 0, got -<5001 digits>"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -186,18 +187,36 @@ class TestSphereCourantSharp:
         assert sphere_courant_sharp(d) == {1, 2}
 
     def test_check_values(self):
-        checks = {c.name: c for c in _internals.sphere_checks(3, 50)}
-        assert len(checks) == 2 * 49
-        assert checks["reduced_binomial[l=2]"].rhs == 2  # C(2,1) at d=3
-        checks4 = {c.name: c for c in _internals.sphere_checks(4, 10)}
-        assert checks4["reduced_binomial[l=2]"].rhs == 3  # C(3,2) at d=4
-        for cert in checks.values():
-            assert cert.margin >= 1
+        # the strict certificate 1 < C(l+d-3, d-2) of each degree l >= 2
+        assert _internals.reduced_binomial(2, 3).rhs == 2  # C(2,1) at d=3
+        assert _internals.reduced_binomial(2, 4).rhs == 3  # C(3,2) at d=4
+        for l in range(2, 51):
+            cert = _internals.reduced_binomial(l, 3)
+            assert cert.name == f"reduced_binomial[l={l}]"
+            assert cert.lhs == 1 and cert.margin >= 1
 
     def test_binomials_past_the_float_range(self):
         # at d = 500 the excluding binomials of high degree exceed any float
-        assert _internals.sphere_checks(500, 600)[-2].rhs > 10**308
+        assert _internals.reduced_binomial(600, 500).rhs > 10**308
         assert sphere_courant_sharp(500, 600) == {1, 2}
+
+    def test_degree_two_decides_every_degree(self):
+        # by Pascal's rule min_label - symmetry_bound = C(l+d-3, d-2) - 1,
+        # which increases in l: the certificates at l = 2 exclude every
+        # degree, so sphere_courant_sharp checks only those
+        for d in range(3, 61):
+            gap = [sphere_labeling(l, d).min_label
+                   - sphere_labeling(l, d).symmetry_bound
+                   for l in range(2, 201)]
+            assert gap == [_internals.reduced_binomial(l, d).rhs - 1
+                           for l in range(2, 201)], d
+            assert all(a < b for a, b in zip(gap, gap[1:])), d
+            assert gap[0] == d - 2 > 0
+
+    def test_cost_is_independent_of_lmax(self):
+        start = time.perf_counter()
+        assert sphere_courant_sharp(3, 10**5000) == {1, 2}
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(RangeError):

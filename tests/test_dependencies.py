@@ -9,7 +9,8 @@ kernel keeps one Miller ladder, the integer ``bessel._ladder``, built by
 and no double-double primitive left; the kernel owns those shared ladders,
 and the zero finder takes every value from them, none from
 ``bessel.eval_J_pair``, and names no part of them, nor a Newton target
-of its own: no ``_jet``, and no comparison that reads an order; the only
+of its own: no ``_jet``, and no comparison that reads an order, nor a sign
+rule: ``bessel._certified`` decides every certified sign; the only
 fixed-point functions are ``bessel._ladder``, its multiplication-series
 reader ``bessel._multiply`` and the ascending series below the turning
 point. And outside ``tests/_internals.py``, the tests' one table of the
@@ -163,6 +164,31 @@ def test_zero_finder_leaves_the_newton_target_to_bessel():
             and _named(node, {"twice_nu"})] == []
     bessel = dict(_parsed())["bessel.py"]
     assert "_jet" in {fn.name for fn in _functions(bessel)}
+
+
+def test_one_rule_decides_every_certified_sign():
+    # bessel._certified decides the census signs (bessel._grid_sign) and
+    # the certificate's (zeros._refine), so the sign rule keeps one home:
+    # zeros defines no _certified, and reads each fixed-point value at(i)
+    # only as the argument of bessel._certified, never as a number
+    tree = dict(_parsed())["zeros.py"]
+    assert [fn.name for fn in _functions(tree)
+            if fn.name == "_certified"] == []
+    ruled = {id(arg.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "_certified"
+             for arg in node.args if isinstance(arg, ast.Starred)}
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "at"]
+    assert len(reads) == 4 and all(id(node) in ruled for node in reads)
+    bessel = dict(_parsed())["bessel.py"]
+    grid_sign = next(fn for fn in bessel.body
+                     if isinstance(fn, ast.FunctionDef)
+                     and fn.name == "_grid_sign")
+    assert any(isinstance(node, ast.Call) and _named(node.func,
+                                                     {"_certified"})
+               for node in ast.walk(grid_sign))
 
 
 def test_census_key_carries_no_target_tag():

@@ -1313,13 +1313,13 @@ class TestRefinement:
             ("G", 1, 100)]])  # d = 100: below the turning point
     def test_certificate_slope_lies_within_its_bound(self, tag, l, twice_nu,
                                                      x):
-        # the certified phase steps by the secant through the fixed-point
-        # values at the two midpoints around x; at the first zero (x None)
-        # and 2^-20 of it either side it lies within the values' bounds
-        # over the midpoints' distance, plus 2 |f''| times that distance,
-        # of mpmath's derivative at x, and that bound is below 1e-3 of the
-        # pair. Away from a zero the values' own rounding swamps the secant,
-        # and the certified phase does not step there
+        # the fixed-point values at the two midpoints around x resolve the
+        # target's slope at the scale of one ulp: at the first zero (x None)
+        # and 2^-20 of it either side, the slope through them lies within
+        # the values' bounds over the midpoints' distance, plus 2 |f''|
+        # times that distance, of mpmath's derivative at x, and that bound
+        # is below 1e-3 of the pair. Away from a zero the values' own
+        # rounding swamps the slope, and no certificate reads it there
         l, twice_nu = census_key(tag, l, twice_nu)
         z = _internals.census_zero(l, twice_nu, 1)
         for x in [z * (1.0 + k * 2.0**-20) for k in (-1, 0, 1)]:
@@ -1353,8 +1353,8 @@ class TestRefinement:
     ):
         # a derivative of the float series 1e6 too large (_jet forms it)
         # makes every float step look converged, so the float phase hands
-        # over far from the root; the certified phase steps by the secant
-        # through its fixed-point values, not by that derivative, and must
+        # over far from the root; the certified phase bisects the census
+        # cell on its certified signs, not on that derivative, and must
         # still reach the root within the iteration cap
         l, twice_nu = census_key(tag, l, twice_nu)
         f = pair_target(l, twice_nu)
@@ -1407,6 +1407,21 @@ class TestRefinement:
                          or (f > 0.0) != (sign_lo > 0) and x < z
                          for x, f in seen)
         assert wrong > 0
+
+    @pytest.mark.parametrize("cell", [
+        (59, 118, 61.261056745000964, 62.83185307179586, 1),  # Neumann d = 2
+        (7, 20, 9.539392004630065, 10.995574287564276, 1)])  # Neumann d = 8
+    def test_unbiased_fallback_bisects_to_the_nearest_float(self, monkeypatch,
+                                                            cell):
+        # two cells of the ledger sweep whose float phase, unbiased, hands
+        # over a float that the first fixed-point pass neither certifies nor
+        # hands on to a neighbour: the certified signs narrow the cell, and
+        # bisection reaches the float nearest the zero in more than one
+        # pass, at most about 55 (47 each)
+        counts = _counts.count(monkeypatch).series
+        z = _internals.refine(*cell)
+        assert_nearest_float(*cell[:2], z)
+        assert 1 < counts["value"] <= 55, counts
 
     @pytest.mark.parametrize("d,bc,lambda_max", [(3, "dirichlet", 3000),
                                                  (4, "neumann", 1900)])
